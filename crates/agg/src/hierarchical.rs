@@ -141,6 +141,7 @@ impl<A: Aggregate + 'static> ConvergecastProtocol<A> {
 impl<A: Aggregate + 'static> Protocol for ConvergecastProtocol<A> {
     type Msg = A;
     type Timer = ();
+    type Scratch = ();
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
         self.maybe_forward(ctx);
@@ -186,9 +187,9 @@ mod tests {
         let out = aggregate(&h, &WireSizes::default(), |p| {
             let mut v = vec![0u64; 3];
             v[p.index() % 3] = 1;
-            VecSum(v)
+            VecSum::from(v)
         });
-        assert_eq!(out.root_value.0.iter().sum::<u64>(), 4);
+        assert_eq!(out.root_value.to_dense().iter().sum::<u64>(), 4);
         // Fixed-width: every non-root sends sa * 3 = 12 bytes.
         assert_eq!(out.total_bytes(), 3 * 12);
     }

@@ -51,13 +51,183 @@ impl Aggregate for ScalarSum {
 /// Peers always transmit the full vector ("all these peers need to
 /// propagate the aggregates for all the item groups", §IV-A), so the
 /// encoded size is `s_a · len` regardless of how many slots are zero.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct VecSum(pub Vec<u64>);
+/// That is a rule about *charged* bytes, not about stored ones: in memory
+/// the vector is **sparse until dense** — a run of `(slot, addend)`
+/// updates while that run is smaller than the dense array, the dense
+/// array from then on. The switch is derived from the two byte sizes
+/// ([`VecSum::from_updates`], [`VecSum::add`], the merges), never
+/// configured, and never observable: equality, [`VecSum::to_dense`] and
+/// `encoded_bytes` see the logical vector only.
+#[derive(Debug, Clone)]
+pub struct VecSum {
+    /// Logical slot count (`f·g`).
+    len: usize,
+    repr: Repr,
+}
+
+#[derive(Debug, Clone)]
+enum Repr {
+    /// Pending `(slot, addend)` updates in arrival order; a slot may
+    /// repeat. Invariant: `run_bytes(run.len()) < dense_bytes(len)` and
+    /// every slot is `< len`.
+    Run(Vec<(u32, u64)>),
+    /// One counter per slot; `len` of them.
+    Dense(Vec<u64>),
+}
+
+const fn run_bytes(updates: usize) -> usize {
+    updates.saturating_mul(std::mem::size_of::<(u32, u64)>())
+}
+
+const fn dense_bytes(len: usize) -> usize {
+    len.saturating_mul(std::mem::size_of::<u64>())
+}
+
+fn scatter(dense: &mut [u64], run: &[(u32, u64)]) {
+    for &(slot, value) in run {
+        dense[slot as usize] += value;
+    }
+}
 
 impl VecSum {
     /// A zeroed vector of `len` slots.
     pub fn zeros(len: usize) -> Self {
-        VecSum(vec![0; len])
+        VecSum::for_updates(len, 0)
+    }
+
+    /// The vector of `len` slots that `updates` — `count` of them, each a
+    /// `(slot, addend)` — add up to, built directly in the representation
+    /// that many updates end in: the run if it is smaller than the dense
+    /// array, the array otherwise. A caller that knows its update count
+    /// thus neither regrows a run nor builds one only to convert it, and
+    /// pays the choice once rather than per update.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slot is `>= len`.
+    pub fn from_updates(
+        len: usize,
+        count: usize,
+        updates: impl Iterator<Item = (usize, u64)>,
+    ) -> Self {
+        let mut v = VecSum::for_updates(len, count);
+        match &mut v.repr {
+            Repr::Dense(dense) => updates.for_each(|(slot, value)| dense[slot] += value),
+            // An iterator longer than it claimed falls back to `add`.
+            Repr::Run(_) => updates.for_each(|(slot, value)| v.add(slot, value)),
+        }
+        v
+    }
+
+    /// A zeroed vector of `len` slots in the representation `updates`
+    /// calls to [`add`](Self::add) will leave it in.
+    fn for_updates(len: usize, updates: usize) -> Self {
+        // A run names its slots in 32 bits; wider vectors are dense.
+        let repr = if run_bytes(updates) < dense_bytes(len) && u32::try_from(len).is_ok() {
+            Repr::Run(Vec::with_capacity(updates))
+        } else {
+            Repr::Dense(vec![0; len])
+        };
+        VecSum { len, repr }
+    }
+
+    /// Logical slot count.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the vector has no slots.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Whether the dense array is what is stored (diagnostics and tests;
+    /// no behaviour depends on it).
+    pub fn is_dense(&self) -> bool {
+        matches!(self.repr, Repr::Dense(_))
+    }
+
+    /// Adds `value` to slot `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= len`.
+    pub fn add(&mut self, slot: usize, value: u64) {
+        assert!(slot < self.len, "slot {slot} out of {} slots", self.len);
+        match &mut self.repr {
+            Repr::Dense(dense) => dense[slot] += value,
+            Repr::Run(run) if run_bytes(run.len() + 1) < dense_bytes(self.len) => {
+                run.push((slot as u32, value));
+            }
+            Repr::Run(_) => self.densify()[slot] += value,
+        }
+    }
+
+    /// The logical vector, slot by slot — borrowed when it is what is
+    /// stored, materialized from the run otherwise.
+    pub fn to_dense(&self) -> std::borrow::Cow<'_, [u64]> {
+        match &self.repr {
+            Repr::Dense(dense) => dense.into(),
+            Repr::Run(run) => {
+                let mut dense = vec![0; self.len];
+                scatter(&mut dense, run);
+                dense.into()
+            }
+        }
+    }
+
+    /// Switches to the dense array (no-op if already there).
+    fn densify(&mut self) -> &mut Vec<u64> {
+        if !self.is_dense() {
+            self.repr = Repr::Dense(self.to_dense().into_owned());
+        }
+        match &mut self.repr {
+            Repr::Dense(dense) => dense,
+            Repr::Run(_) => unreachable!("densified above"),
+        }
+    }
+
+    /// Folds a run in: appended while the combined run is still smaller
+    /// than the dense array, scatter-added into it otherwise.
+    fn add_run(&mut self, other: &[(u32, u64)]) {
+        match &mut self.repr {
+            Repr::Run(run) if run_bytes(run.len() + other.len()) < dense_bytes(self.len) => {
+                run.extend_from_slice(other);
+            }
+            _ => scatter(self.densify(), other),
+        }
+    }
+
+    fn assert_same_len(&self, other: &Self) {
+        assert_eq!(
+            self.len, other.len,
+            "merging group vectors of different filter dimensions"
+        );
+    }
+}
+
+/// The vector `slots` spells out, stored densely.
+impl From<Vec<u64>> for VecSum {
+    fn from(slots: Vec<u64>) -> Self {
+        VecSum {
+            len: slots.len(),
+            repr: Repr::Dense(slots),
+        }
+    }
+}
+
+/// Equality of the logical vectors, whatever each side stores.
+impl PartialEq for VecSum {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.to_dense() == other.to_dense()
+    }
+}
+
+impl Eq for VecSum {}
+
+impl Default for VecSum {
+    fn default() -> Self {
+        VecSum::zeros(0)
     }
 }
 
@@ -66,18 +236,40 @@ impl Aggregate for VecSum {
     ///
     /// Panics if the two vectors have different lengths.
     fn merge(&mut self, other: &Self) {
-        assert_eq!(
-            self.0.len(),
-            other.0.len(),
-            "merging group vectors of different filter dimensions"
-        );
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
-            *a += b;
+        self.assert_same_len(other);
+        match (&mut self.repr, &other.repr) {
+            (_, Repr::Run(b)) => self.add_run(b),
+            (Repr::Dense(a), Repr::Dense(b)) => {
+                for (a, b) in a.iter_mut().zip(b) {
+                    *a += b;
+                }
+            }
+            (Repr::Run(a), Repr::Dense(b)) => {
+                let mut dense = b.clone();
+                scatter(&mut dense, a);
+                self.repr = Repr::Dense(dense);
+            }
+        }
+    }
+
+    /// A run scatter-adds into whichever side is already dense, keeping
+    /// that side's allocation.
+    fn merge_owned(&mut self, other: Self) {
+        self.assert_same_len(&other);
+        match (&self.repr, other.repr) {
+            (Repr::Run(a), Repr::Dense(mut b)) => {
+                scatter(&mut b, a);
+                self.repr = Repr::Dense(b);
+            }
+            (_, repr) => self.merge(&VecSum {
+                len: self.len,
+                repr,
+            }),
         }
     }
 
     fn encoded_bytes(&self, sizes: &WireSizes) -> u64 {
-        sizes.sa * self.0.len() as u64
+        sizes.sa * self.len as u64
     }
 }
 
@@ -163,18 +355,134 @@ mod tests {
 
     #[test]
     fn vec_sum_elementwise() {
-        let mut a = VecSum(vec![1, 2, 3]);
-        a.merge(&VecSum(vec![10, 0, 5]));
-        assert_eq!(a.0, vec![11, 2, 8]);
+        let mut a = VecSum::from(vec![1, 2, 3]);
+        a.merge(&VecSum::from(vec![10, 0, 5]));
+        assert_eq!(*a.to_dense(), [11, 2, 8]);
         assert_eq!(a.encoded_bytes(&WireSizes::default()), 12);
-        assert_eq!(VecSum::zeros(4).0, vec![0; 4]);
+        assert_eq!(*VecSum::zeros(4).to_dense(), [0; 4]);
     }
 
     #[test]
     #[should_panic(expected = "different filter dimensions")]
     fn vec_sum_dimension_mismatch_panics() {
-        let mut a = VecSum(vec![1]);
-        a.merge(&VecSum(vec![1, 2]));
+        let mut a = VecSum::from(vec![1]);
+        a.merge(&VecSum::from(vec![1, 2]));
+    }
+
+    #[test]
+    fn vec_sum_is_a_run_exactly_while_that_is_smaller_than_the_array() {
+        // 8 slots are 64 dense bytes; a 16-byte update fits three times.
+        let mut v = VecSum::zeros(8);
+        for i in 0..3 {
+            v.add(i, 1);
+            assert!(!v.is_dense(), "{} updates", i + 1);
+        }
+        v.add(0, 1);
+        assert!(v.is_dense());
+        assert_eq!(*v.to_dense(), [2, 1, 1, 0, 0, 0, 0, 0]);
+        // A known update count picks the final representation up front.
+        let ones = |n| VecSum::from_updates(8, n, (0..n).map(|i| (i % 8, 1)));
+        assert!(!ones(3).is_dense());
+        assert!(ones(4).is_dense());
+        assert_eq!(*ones(9).to_dense(), [2, 1, 1, 1, 1, 1, 1, 1]);
+        assert!(VecSum::zeros(0).is_dense() && VecSum::default().is_empty());
+    }
+
+    #[test]
+    fn vec_sum_merges_agree_across_representations() {
+        let mut slots = vec![0; 16];
+        (slots[1], slots[6]) = (5, 7);
+        let dense = VecSum::from(slots.clone());
+        let mut run = VecSum::zeros(16);
+        run.add(6, 7);
+        run.add(1, 5);
+        assert!(!run.is_dense());
+        assert_eq!(run, dense);
+        let sizes = WireSizes::default();
+        assert_eq!(run.encoded_bytes(&sizes), dense.encoded_bytes(&sizes));
+        (slots[1], slots[6]) = (10, 14);
+        let want = VecSum::from(slots);
+        for (a, b) in [
+            (&run, &run),
+            (&run, &dense),
+            (&dense, &run),
+            (&dense, &dense),
+        ] {
+            let mut by_ref = a.clone();
+            by_ref.merge(b);
+            let mut by_own = a.clone();
+            by_own.merge_owned(b.clone());
+            assert_eq!(by_ref, want);
+            assert_eq!(by_own, want);
+            // Only run + run may stay a run.
+            assert_eq!(by_own.is_dense(), a.is_dense() || b.is_dense());
+        }
+    }
+
+    /// One merge operand as generated: its updates (slots taken modulo
+    /// the vector length), whether it is built as the dense array or fed
+    /// update by update, and whether it is merged owned or by reference.
+    type Operand = (Vec<(usize, u64)>, bool, bool);
+
+    fn arb_operand() -> impl proptest::strategy::Strategy<Value = Operand> {
+        use proptest::prelude::*;
+        (
+            prop::collection::vec((0usize..1 << 16, 0u64..1 << 40), 0..12),
+            prop::bool::weighted(0.3),
+            prop::bool::weighted(0.5),
+        )
+    }
+
+    /// Folds `operands` left to right into the first, each in its own
+    /// stored form and merge flavour.
+    fn fold(len: usize, operands: &[Operand]) -> VecSum {
+        let mut acc: Option<VecSum> = None;
+        for (updates, dense, owned) in operands {
+            let mut v = if *dense {
+                VecSum::from(vec![0; len])
+            } else {
+                VecSum::zeros(len)
+            };
+            for &(slot, value) in updates {
+                v.add(slot % len, value);
+            }
+            match &mut acc {
+                None => acc = Some(v),
+                Some(acc) if *owned => acc.merge_owned(v),
+                Some(acc) => acc.merge(&v),
+            }
+        }
+        acc.expect("at least one operand")
+    }
+
+    proptest::proptest! {
+        /// Any interleaving of run and dense operands, merged by reference
+        /// or owned, in either order, is the slot-wise sum — and what is
+        /// stored shows in neither equality nor the charged bytes.
+        #[test]
+        fn vec_sum_fold_equals_the_dense_reference(
+            len in 1usize..48,
+            operands in proptest::collection::vec(arb_operand(), 1..8),
+        ) {
+            let mut reference = vec![0u64; len];
+            for &(slot, value) in operands.iter().flat_map(|(updates, ..)| updates) {
+                reference[slot % len] += value;
+            }
+            let forward = fold(len, &operands);
+            proptest::prop_assert_eq!(&*forward.to_dense(), &reference[..]);
+
+            let mut reversed = operands.clone();
+            reversed.reverse();
+            let backward = fold(len, &reversed);
+            let dense = VecSum::from(reference);
+            proptest::prop_assert_eq!(&forward, &backward);
+            proptest::prop_assert_eq!(&forward, &dense);
+
+            let sizes = WireSizes::default();
+            for v in [&forward, &backward, &dense] {
+                proptest::prop_assert_eq!(v.encoded_bytes(&sizes), sizes.sa * len as u64);
+            }
+        }
     }
 
     #[test]
@@ -220,9 +528,9 @@ mod tests {
         let mut s = ScalarSum(1);
         s.merge_owned(ScalarSum(2));
         assert_eq!(s, ScalarSum(3));
-        let mut v = VecSum(vec![1, 2]);
-        v.merge_owned(VecSum(vec![3, 4]));
-        assert_eq!(v.0, vec![4, 6]);
+        let mut v = VecSum::from(vec![1, 2]);
+        v.merge_owned(VecSum::from(vec![3, 4]));
+        assert_eq!(*v.to_dense(), [4, 6]);
     }
 
     #[test]

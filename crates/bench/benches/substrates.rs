@@ -91,7 +91,7 @@ fn bench_hashing(c: &mut Criterion) {
 
 fn bench_codec(c: &mut Criterion) {
     let codec = Codec::new(WireSizes::default());
-    let msg = NfMsg::GroupAgg(ifi_agg::VecSum((0..300).collect()));
+    let msg = NfMsg::GroupAgg(ifi_agg::VecSum::from((0..300).collect::<Vec<u64>>()));
     let encoded = codec.encode(&msg).expect("encodes");
     let mut group = c.benchmark_group("codec");
     group.bench_function("encode_group_vector_300", |b| {

@@ -32,6 +32,12 @@ use ifi_bench::{
 };
 use ifi_simcheck::{find_approx_case, find_case, find_continuous_case, parse_artifact};
 
+/// Makes the epoch benches' memory counters live (see
+/// [`ifi_perf::alloc`]); everything else this binary runs just passes
+/// through it.
+#[global_allocator]
+static ALLOC: ifi_perf::alloc::Counting = ifi_perf::alloc::Counting;
+
 fn usage() -> ! {
     eprintln!(
         "usage: experiments [fig5] [fig6] [fig7] [fig8] [ablation] [depth] [all]\n\

@@ -21,9 +21,11 @@
 //!
 //! Alongside the behavioral counters, the simulator benches snapshot
 //! *occupancy* high-water marks — peak event-queue length and peak
-//! per-peer arena sizes (heartbeat tracker, children, dedup windows) — so
-//! a state-layout regression that balloons memory shows up as exact
-//! counter drift even when wall-clock stays inside tolerance.
+//! per-peer arena sizes (heartbeat tracker, children, dedup windows) — and
+//! the two epoch benches the counting allocator's exact memory counters
+//! (`peak_live_bytes`, `allocs`, `alloc_bytes`), so a state-layout
+//! regression that balloons memory shows up as exact counter drift even
+//! when wall-clock stays inside tolerance.
 //!
 //! Reports land as `BENCH_<name>.json` in the output directory; baselines
 //! live under `baselines/perf/` and are checked with counters exact.
@@ -70,6 +72,7 @@ struct RingTicker {
 impl Protocol for RingTicker {
     type Msg = u64;
     type Timer = ();
+    type Scratch = ();
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
         ctx.set_timer(Duration::from_millis(1), ());
@@ -121,11 +124,14 @@ fn codec_messages() -> Vec<NfMsg> {
     let mut rng = DetRng::new(PERF_SEED ^ 0xC0DE);
     (0..2_000u64)
         .map(|i| match i % 3 {
-            0 => NfMsg::GroupAgg(VecSum((0..100).map(|_| rng.below(1_000)).collect())),
+            0 => NfMsg::GroupAgg(VecSum::from(
+                (0..100).map(|_| rng.below(1_000)).collect::<Vec<u64>>(),
+            )),
             1 => NfMsg::Heavy(
                 (0..3)
                     .map(|_| (0..20).map(|_| rng.below(100) as u32).collect())
-                    .collect(),
+                    .collect::<Vec<Vec<u32>>>()
+                    .into(),
             ),
             _ => NfMsg::CandidateAgg(MapSum::from_pairs(
                 (0..50).map(|_| (ItemId(rng.below(10_000)), rng.below(500))),
@@ -161,27 +167,34 @@ fn bench_codec() -> BenchReport {
     })
 }
 
-// --- epoch_n1000: a full netFilter epoch at N = 1000 over the DES. ---
+// --- epoch_n1000, epoch_n100000: a full netFilter epoch over the DES. ---
 
-fn bench_epoch_n1000() -> BenchReport {
-    const PEERS: usize = 1_000;
+/// One exact epoch at `peers` peers (paper workload, `g = 100`, `f = 3`),
+/// world construction included. Besides the behavioral counters, each rep
+/// is one counting-allocator window: allocations, bytes requested and the
+/// live-byte high-water above the rep's starting point. They are exact
+/// for a seeded single-threaded run, so an allocation regression gates
+/// like an op-count drift (and they read zero in a binary that has not
+/// installed [`ifi_perf::alloc::Counting`]).
+fn bench_epoch(name: &str, peers: usize, items: u64, reps: usize) -> BenchReport {
     let data = SystemData::generate_paper(
         &WorkloadParams {
-            peers: PEERS,
-            items: 20_000,
+            peers,
+            items,
             instances_per_item: 10,
             theta: 1.0,
         },
         PERF_SEED,
     );
-    let h = Hierarchy::balanced(PEERS, 3);
+    let h = Hierarchy::balanced(peers, 3);
     let cfg = NetFilterConfig::builder()
         .filter_size(100)
         .filters(3)
         .threshold(Threshold::Ratio(0.01))
         .hash_seed(PERF_SEED)
         .build();
-    run_bench("epoch_n1000", &BenchConfig { warmup: 1, reps: 3 }, || {
+    run_bench(name, &BenchConfig { warmup: 1, reps }, || {
+        ifi_perf::alloc::reset();
         let mut w = NetFilterProtocol::build_world(
             &cfg,
             &h,
@@ -190,6 +203,7 @@ fn bench_epoch_n1000() -> BenchReport {
         );
         w.start();
         w.run_to_quiescence();
+        let mem = ifi_perf::alloc::snapshot();
         let result = w.peer(PeerId::new(0)).result().expect("epoch finishes");
         let digest = result
             .iter()
@@ -202,55 +216,21 @@ fn bench_epoch_n1000() -> BenchReport {
                 ("result_items".into(), result.len() as u64),
                 ("digest".into(), digest),
                 ("queue_high_water".into(), w.queue_high_water() as u64),
+                ("peak_live_bytes".into(), mem.peak as u64),
+                ("allocs".into(), mem.count),
+                ("alloc_bytes".into(), mem.bytes),
             ],
         }
     })
 }
 
-// --- epoch_n100000: the scale lane's full epoch at N = 10^5. ---
+fn bench_epoch_n1000() -> BenchReport {
+    bench_epoch("epoch_n1000", 1_000, 20_000, 3)
+}
 
+/// The scale lane's full epoch at `N = 10^5`.
 fn bench_epoch_n100000() -> BenchReport {
-    const PEERS: usize = 100_000;
-    let data = SystemData::generate_paper(
-        &WorkloadParams {
-            peers: PEERS,
-            items: 200_000,
-            instances_per_item: 10,
-            theta: 1.0,
-        },
-        PERF_SEED,
-    );
-    let h = Hierarchy::balanced(PEERS, 3);
-    let cfg = NetFilterConfig::builder()
-        .filter_size(100)
-        .filters(3)
-        .threshold(Threshold::Ratio(0.01))
-        .hash_seed(PERF_SEED)
-        .build();
-    run_bench("epoch_n100000", &BenchConfig { warmup: 1, reps: 2 }, || {
-        let mut w = NetFilterProtocol::build_world(
-            &cfg,
-            &h,
-            &data,
-            SimConfig::default().with_seed(PERF_SEED),
-        );
-        w.start();
-        w.run_to_quiescence();
-        let result = w.peer(PeerId::new(0)).result().expect("epoch finishes");
-        let digest = result
-            .iter()
-            .fold(0u64, |acc, &(id, v)| fold(fold(acc, id.0), v));
-        Sample {
-            ops: w.events_processed(),
-            bytes: w.metrics().total_bytes(),
-            counters: vec![
-                ("messages".into(), w.metrics().total_messages()),
-                ("result_items".into(), result.len() as u64),
-                ("digest".into(), digest),
-                ("queue_high_water".into(), w.queue_high_water() as u64),
-            ],
-        }
-    })
+    bench_epoch("epoch_n100000", 100_000, 200_000, 2)
 }
 
 // --- maintain_tick: heartbeat/maintenance loop, 200 peers, 30 s. ---

@@ -120,9 +120,10 @@ pub fn run(hierarchy: &Hierarchy, data: &SystemData, config: &NetFilterConfig) -
     collect_total += id_bytes;
 
     // 4. Estimate values from the sketch (min over rows) and threshold.
+    let counters = sketch.root_value.to_dense();
     let estimate = |x: ItemId| -> u64 {
         (0..config.filters)
-            .map(|i| sketch.root_value.0[family.slot(i, family.group_of(i, x))])
+            .map(|i| counters[family.slot(i, family.group_of(i, x))])
             .min()
             .unwrap_or(0)
     };

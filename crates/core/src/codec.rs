@@ -103,7 +103,7 @@ impl Codec {
     /// exactly what the engines charge.
     pub fn payload_len(&self, msg: &NfMsg) -> u64 {
         match msg {
-            NfMsg::GroupAgg(v) => self.sizes.sa * v.0.len() as u64,
+            NfMsg::GroupAgg(v) => self.sizes.sa * v.len() as u64,
             NfMsg::Heavy(lists) => {
                 self.sizes.sg * lists.iter().map(|l| l.len() as u64).sum::<u64>()
             }
@@ -151,15 +151,15 @@ impl Codec {
         match msg {
             NfMsg::GroupAgg(v) => {
                 buf.put_u8(TAG_GROUP_AGG);
-                buf.put_u32(v.0.len() as u32);
-                for &slot in &v.0 {
+                buf.put_u32(v.len() as u32);
+                for &slot in v.to_dense().iter() {
                     Self::put_uint(buf, slot, self.sizes.sa)?;
                 }
             }
             NfMsg::Heavy(lists) => {
                 buf.put_u8(TAG_HEAVY);
                 buf.put_u32(lists.len() as u32);
-                for list in lists {
+                for list in lists.iter() {
                     buf.put_u32(list.len() as u32);
                     for &grp in list {
                         Self::put_uint(buf, grp as u64, self.sizes.sg)?;
@@ -211,7 +211,7 @@ impl Codec {
                 for _ in 0..len {
                     slots.push(Self::get_uint(&mut buf, self.sizes.sa)?);
                 }
-                NfMsg::GroupAgg(VecSum(slots))
+                NfMsg::GroupAgg(VecSum::from(slots))
             }
             TAG_HEAVY => {
                 if buf.remaining() < 4 {
@@ -230,7 +230,7 @@ impl Codec {
                     }
                     lists.push(list);
                 }
-                NfMsg::Heavy(lists)
+                NfMsg::Heavy(lists.into())
             }
             TAG_CANDIDATE_AGG => {
                 if buf.remaining() < 4 {
@@ -276,10 +276,10 @@ mod tests {
 
     fn msgs() -> Vec<NfMsg> {
         vec![
-            NfMsg::GroupAgg(VecSum(vec![0, 1, 2, u32::MAX as u64])),
-            NfMsg::GroupAgg(VecSum(vec![])),
-            NfMsg::Heavy(vec![vec![1, 5, 9], vec![], vec![0]]),
-            NfMsg::Heavy(vec![]),
+            NfMsg::GroupAgg(VecSum::from(vec![0, 1, 2, u32::MAX as u64])),
+            NfMsg::GroupAgg(VecSum::from(vec![])),
+            NfMsg::Heavy(vec![vec![1, 5, 9], vec![], vec![0]].into()),
+            NfMsg::Heavy(vec![].into()),
             NfMsg::CandidateAgg(MapSum::from_pairs([
                 (ItemId(7), 100),
                 (ItemId(0), 1),
@@ -325,9 +325,9 @@ mod tests {
         }
         // Errors leave the buffer in a cleared-then-partial state but do
         // not poison subsequent encodes.
-        let too_big = NfMsg::GroupAgg(VecSum(vec![1u64 << 32]));
+        let too_big = NfMsg::GroupAgg(VecSum::from(vec![1u64 << 32]));
         assert!(c.encode_into(&too_big, &mut scratch).is_err());
-        let ok = NfMsg::Heavy(vec![vec![1, 2]]);
+        let ok = NfMsg::Heavy(vec![vec![1, 2]].into());
         c.encode_into(&ok, &mut scratch).expect("recovers");
         assert_eq!(&scratch[..], &c.encode(&ok).unwrap()[..]);
     }
@@ -350,7 +350,7 @@ mod tests {
         use ifi_agg::Aggregate;
         let c = codec();
         let sizes = WireSizes::default();
-        let v = VecSum(vec![3; 17]);
+        let v = VecSum::from(vec![3; 17]);
         assert_eq!(
             c.payload_len(&NfMsg::GroupAgg(v.clone())),
             v.encoded_bytes(&sizes)
@@ -367,12 +367,12 @@ mod tests {
         let c = codec();
         // GroupAgg: sa·(f·g).
         assert_eq!(
-            c.payload_len(&NfMsg::GroupAgg(VecSum(vec![0; 300]))),
+            c.payload_len(&NfMsg::GroupAgg(VecSum::from(vec![0; 300]))),
             4 * 300
         );
         // Heavy: sg·Σw.
         assert_eq!(
-            c.payload_len(&NfMsg::Heavy(vec![vec![1, 2], vec![3]])),
+            c.payload_len(&NfMsg::Heavy(vec![vec![1, 2], vec![3]].into())),
             4 * 3
         );
         // CandidateAgg: (sa+si)·pairs.
@@ -396,7 +396,7 @@ mod tests {
     #[test]
     fn overflow_is_rejected_not_truncated() {
         let c = codec(); // 4-byte fields
-        let too_big = NfMsg::GroupAgg(VecSum(vec![1u64 << 32]));
+        let too_big = NfMsg::GroupAgg(VecSum::from(vec![1u64 << 32]));
         assert_eq!(
             c.encode(&too_big),
             Err(CodecError::ValueOverflow {

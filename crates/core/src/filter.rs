@@ -1,5 +1,8 @@
 //! Candidate filtering and candidate materialization — §III-B, §III-C.
 
+use std::ops::Deref;
+use std::sync::Arc;
+
 use ifi_agg::{MapSum, VecSum};
 use ifi_workload::ItemId;
 
@@ -28,40 +31,65 @@ impl LocalFilter {
         &self.family
     }
 
-    /// The peer's local contribution to the `f·g` group-aggregate vector.
+    /// The peer's local contribution to the `f·g` group-aggregate vector —
+    /// `f` updates per local item, held as a run of them while that is
+    /// smaller than the `f·g` array (see [`VecSum`]).
     pub fn group_vector(&self, local_items: &[(ItemId, u64)]) -> VecSum {
-        let mut v = VecSum::zeros(self.family.filters() as usize * self.family.groups() as usize);
-        for &(item, value) in local_items {
-            for slot in self.family.slots_of(item) {
-                v.0[slot] += value;
-            }
-        }
-        v
+        let f = self.family.filters();
+        // Filter by filter, so each filter's seed is derived once.
+        let updates = (0..f).flat_map(|i| {
+            let hash = self.family.filter(i);
+            local_items
+                .iter()
+                .map(move |&(item, value)| (hash.slot_of(item), value))
+        });
+        VecSum::from_updates(
+            f as usize * self.family.groups() as usize,
+            f as usize * local_items.len(),
+            updates,
+        )
     }
 
     /// §III-C: given the heavy groups, materializes the peer's **partial
     /// candidate set** — the local items all of whose `f` groups are heavy
     /// — with their local values.
     pub fn partial_candidates(&self, local_items: &[(ItemId, u64)], heavy: &HeavyGroups) -> MapSum {
-        MapSum::from_pairs(
-            local_items
-                .iter()
-                .filter(|&&(item, _)| heavy.is_candidate(&self.family, item))
-                .copied(),
-        )
+        debug_assert_eq!(self.family.groups(), heavy.0.groups);
+        // Filter by filter, so each filter's seed is derived once; every
+        // pass only looks at the survivors of the passes before it.
+        let mut kept: Vec<(ItemId, u64)> = Vec::new();
+        for i in 0..self.family.filters() {
+            let hash = self.family.filter(i);
+            let heavy_here = |&(item, _): &(ItemId, u64)| heavy.0.bitmap[hash.slot_of(item)];
+            if i == 0 {
+                kept.extend(local_items.iter().filter(|p| heavy_here(p)));
+            } else {
+                kept.retain(heavy_here);
+            }
+        }
+        MapSum::from_pairs(kept)
     }
 }
 
-/// The set of heavy item groups per filter, as determined at the root after
-/// candidate filtering (aggregate ≥ `t`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HeavyGroups {
+/// The sorted per-filter heavy lists with their membership bitmap.
+#[derive(Debug, PartialEq, Eq)]
+struct HeavyIndex {
     /// `per_filter[i]` = sorted heavy group ids of filter `i`.
     per_filter: Vec<Vec<u32>>,
     /// Dense membership bitmaps for `O(1)` candidate checks.
     bitmap: Vec<bool>,
     groups: u32,
 }
+
+/// The set of heavy item groups per filter, as determined at the root after
+/// candidate filtering (aggregate ≥ `t`).
+///
+/// A cheap-to-clone handle on one immutable value: the root builds it,
+/// the dissemination messages carry the handle ([`HeavyLists`]), and under
+/// an in-memory driver every peer of a run reads the same lists and the
+/// same bitmap instead of copying and re-indexing them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HeavyGroups(Arc<HeavyIndex>);
 
 impl HeavyGroups {
     /// Scans the aggregated `f·g` vector and marks every group with
@@ -74,28 +102,48 @@ impl HeavyGroups {
         let f = family.filters();
         let g = family.groups();
         assert_eq!(
-            aggregate.0.len(),
+            aggregate.len(),
             f as usize * g as usize,
             "aggregate vector has wrong dimension"
         );
-        let mut per_filter = Vec::with_capacity(f as usize);
-        let mut bitmap = vec![false; aggregate.0.len()];
-        for i in 0..f {
-            let mut heavy_i = Vec::new();
-            for grp in 0..g {
-                let slot = family.slot(i, grp);
-                if aggregate.0[slot] >= threshold {
-                    heavy_i.push(grp);
-                    bitmap[slot] = true;
-                }
-            }
-            per_filter.push(heavy_i);
-        }
-        HeavyGroups {
+        let aggregate = aggregate.to_dense();
+        let bitmap: Vec<bool> = aggregate.iter().map(|&v| v >= threshold).collect();
+        let per_filter = bitmap
+            .chunks(g as usize)
+            .map(|row| (0..g).filter(|&grp| row[grp as usize]).collect())
+            .collect();
+        HeavyGroups(Arc::new(HeavyIndex {
             per_filter,
             bitmap,
             groups: g,
+        }))
+    }
+
+    /// Indexes `lists` over `groups` groups per filter (sorting and
+    /// deduplicating them), or hands back the handle they already are.
+    /// `Err` names the first group id that is out of range.
+    fn index(lists: HeavyLists, groups: u32) -> Result<Self, u32> {
+        let mut sorted = match lists.0 {
+            Lists::Indexed(heavy) if heavy.0.groups == groups => return Ok(heavy),
+            Lists::Indexed(heavy) => heavy.0.per_filter.clone(),
+            Lists::Bare(lists) => lists,
+        };
+        let mut bitmap = vec![false; sorted.len() * groups as usize];
+        for (i, list) in sorted.iter_mut().enumerate() {
+            list.sort_unstable();
+            list.dedup();
+            for &grp in list.iter() {
+                if grp >= groups {
+                    return Err(grp);
+                }
+                bitmap[i * groups as usize + grp as usize] = true;
+            }
         }
+        Ok(HeavyGroups(Arc::new(HeavyIndex {
+            per_filter: sorted,
+            bitmap,
+            groups,
+        })))
     }
 
     /// Rebuilds from explicit per-filter heavy lists (what the
@@ -104,47 +152,44 @@ impl HeavyGroups {
     /// # Panics
     ///
     /// Panics if any group id is out of range.
-    pub fn from_lists(per_filter: Vec<Vec<u32>>, groups: u32) -> Self {
-        let f = per_filter.len();
-        let mut bitmap = vec![false; f * groups as usize];
-        let mut sorted = per_filter;
-        for (i, list) in sorted.iter_mut().enumerate() {
-            list.sort_unstable();
-            list.dedup();
-            for &grp in list.iter() {
-                assert!(grp < groups, "group id {grp} out of range");
-                bitmap[i * groups as usize + grp as usize] = true;
-            }
+    pub fn from_lists(per_filter: impl Into<HeavyLists>, groups: u32) -> Self {
+        Self::index(per_filter.into(), groups)
+            .unwrap_or_else(|grp| panic!("group id {grp} out of range"))
+    }
+
+    /// [`from_lists`](Self::from_lists) for lists a peer *received*:
+    /// `None` unless there is exactly one list per filter of `family` and
+    /// every group id is below its `g` — the two conditions
+    /// [`is_candidate`](Self::is_candidate) relies on.
+    pub fn for_family(family: &HashFamily, lists: HeavyLists) -> Option<Self> {
+        if lists.len() != family.filters() as usize {
+            return None;
         }
-        HeavyGroups {
-            per_filter: sorted,
-            bitmap,
-            groups,
-        }
+        Self::index(lists, family.groups()).ok()
     }
 
     /// `f` — number of filters covered.
     pub fn filters(&self) -> u32 {
-        self.per_filter.len() as u32
+        self.0.per_filter.len() as u32
     }
 
     /// The sorted heavy group ids of filter `i` (`w_i` entries).
     pub fn heavy_of(&self, filter: u32) -> &[u32] {
-        &self.per_filter[filter as usize]
+        &self.0.per_filter[filter as usize]
     }
 
     /// Total heavy-group count across filters, `Σ_i w_i` — what the
     /// dissemination message pays `s_g` bytes per entry for.
     pub fn total_heavy(&self) -> usize {
-        self.per_filter.iter().map(Vec::len).sum()
+        self.0.per_filter.iter().map(Vec::len).sum()
     }
 
     /// Average heavy groups per filter (the paper's `w`).
     pub fn w_avg(&self) -> f64 {
-        if self.per_filter.is_empty() {
+        if self.0.per_filter.is_empty() {
             0.0
         } else {
-            self.total_heavy() as f64 / self.per_filter.len() as f64
+            self.total_heavy() as f64 / self.0.per_filter.len() as f64
         }
     }
 
@@ -152,13 +197,58 @@ impl HeavyGroups {
     /// it belongs to is heavy.
     #[inline]
     pub fn is_candidate(&self, family: &HashFamily, item: ItemId) -> bool {
-        debug_assert_eq!(family.groups(), self.groups);
-        family.slots_of(item).all(|slot| self.bitmap[slot])
+        debug_assert_eq!(family.groups(), self.0.groups);
+        family.slots_of(item).all(|slot| self.0.bitmap[slot])
     }
 
     /// The per-filter lists, for serialization.
     pub fn lists(&self) -> &[Vec<u32>] {
-        &self.per_filter
+        &self.0.per_filter
+    }
+}
+
+/// The per-filter heavy-group lists as a dissemination message carries
+/// them: bare lists (decoded off a wire, or spelled out by a caller), or
+/// the sender's [`HeavyGroups`] handle, which an in-memory driver delivers
+/// as is — one value per run, not one copy per hop. Dereferences to the
+/// lists either way; equality is by the lists.
+#[derive(Debug, Clone)]
+pub struct HeavyLists(Lists);
+
+#[derive(Debug, Clone)]
+enum Lists {
+    Bare(Vec<Vec<u32>>),
+    Indexed(HeavyGroups),
+}
+
+impl Deref for HeavyLists {
+    type Target = [Vec<u32>];
+
+    fn deref(&self) -> &[Vec<u32>] {
+        match &self.0 {
+            Lists::Bare(lists) => lists,
+            Lists::Indexed(heavy) => heavy.lists(),
+        }
+    }
+}
+
+impl PartialEq for HeavyLists {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for HeavyLists {}
+
+impl From<Vec<Vec<u32>>> for HeavyLists {
+    fn from(lists: Vec<Vec<u32>>) -> Self {
+        HeavyLists(Lists::Bare(lists))
+    }
+}
+
+impl From<HeavyGroups> for HeavyLists {
+    fn from(heavy: HeavyGroups) -> Self {
+        HeavyLists(Lists::Indexed(heavy))
     }
 }
 
@@ -175,11 +265,12 @@ mod tests {
         let lf = LocalFilter::new(family());
         let items = vec![(ItemId(1), 5), (ItemId(2), 3)];
         let v = lf.group_vector(&items);
-        assert_eq!(v.0.len(), 30);
+        assert_eq!(v.len(), 30);
+        let v = v.to_dense();
         // Each filter's 10 slots sum to the local mass (every item counted
         // once per filter).
         for f in 0..3usize {
-            let sum: u64 = v.0[f * 10..(f + 1) * 10].iter().sum();
+            let sum: u64 = v[f * 10..(f + 1) * 10].iter().sum();
             assert_eq!(sum, 8, "filter {f}");
         }
     }
@@ -188,9 +279,9 @@ mod tests {
     fn heavy_groups_from_aggregate_threshold() {
         let fam = family();
         let mut agg = VecSum::zeros(30);
-        agg.0[fam.slot(0, 3)] = 10;
-        agg.0[fam.slot(0, 4)] = 9;
-        agg.0[fam.slot(2, 7)] = 25;
+        agg.add(fam.slot(0, 3), 10);
+        agg.add(fam.slot(0, 4), 9);
+        agg.add(fam.slot(2, 7), 25);
         let heavy = HeavyGroups::from_aggregate(&fam, &agg, 10);
         assert_eq!(heavy.heavy_of(0), &[3]);
         assert_eq!(heavy.heavy_of(1), &[] as &[u32]);
@@ -250,6 +341,33 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_group_panics() {
         let _ = HeavyGroups::from_lists(vec![vec![10]], 10);
+    }
+
+    #[test]
+    fn received_lists_are_checked_against_the_family() {
+        let fam = family();
+        let ok = vec![vec![1, 5], vec![], vec![9]];
+        assert!(HeavyGroups::for_family(&fam, ok.clone().into()).is_some());
+        // A group id ≥ g, and a list count other than f.
+        let wide = vec![vec![1, 5], vec![], vec![10]];
+        assert!(HeavyGroups::for_family(&fam, wide.into()).is_none());
+        assert!(HeavyGroups::for_family(&fam, ok[..2].to_vec().into()).is_none());
+    }
+
+    #[test]
+    fn a_forwarded_handle_is_the_same_value_not_a_copy() {
+        let fam = family();
+        let root = HeavyGroups::from_lists(vec![vec![5, 1], vec![], vec![9]], 10);
+        let carried = HeavyLists::from(root.clone());
+        assert_eq!(*carried, [vec![1, 5], vec![], vec![9]]);
+        let received = HeavyGroups::for_family(&fam, carried.clone()).expect("well-formed");
+        assert!(Arc::ptr_eq(&root.0, &received.0));
+        // Re-indexed, not trusted, when the receiver's `g` differs.
+        let narrower = HeavyGroups::from_lists(carried.clone(), 12);
+        assert!(!Arc::ptr_eq(&root.0, &narrower.0));
+        assert_eq!(narrower.lists(), root.lists());
+        // Equality is by the lists, whatever carries them.
+        assert_eq!(carried, HeavyLists::from(vec![vec![1, 5], vec![], vec![9]]));
     }
 
     #[test]

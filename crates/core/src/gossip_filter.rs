@@ -172,7 +172,7 @@ pub fn run_with_sink(
         .map(|i| {
             local_filter
                 .group_vector(data.local_items(PeerId::new(i)))
-                .0
+                .to_dense()
                 .iter()
                 .map(|&v| v as f64)
                 .collect()

@@ -15,11 +15,15 @@ use ifi_workload::ItemId;
 
 /// A family of `f` independent hash functions, each mapping items onto
 /// `g` item groups.
+///
+/// The per-filter seeds are derived from `(seed, filter)` on use rather
+/// than stored: the family is 16 plain bytes, so each of `N` protocol
+/// peers can hold its own without a heap block apiece.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HashFamily {
+    seed: u64,
+    filter_count: u32,
     group_count: u32,
-    /// One derived seed per filter.
-    seeds: Vec<u64>,
 }
 
 impl HashFamily {
@@ -32,21 +36,36 @@ impl HashFamily {
         assert!(filters > 0, "need at least one filter");
         assert!(groups > 0, "need at least one item group");
         HashFamily {
+            seed,
+            filter_count: filters,
             group_count: groups,
-            seeds: (0..filters as u64)
-                .map(|i| mix64(seed ^ mix64(i + 1)))
-                .collect(),
         }
     }
 
     /// `f` — the number of filters.
     pub fn filters(&self) -> u32 {
-        self.seeds.len() as u32
+        self.filter_count
     }
 
     /// `g` — item groups per filter.
     pub fn groups(&self) -> u32 {
         self.group_count
+    }
+
+    /// Filter `filter` on its own, with its seed derived once — what a loop
+    /// over many items under one filter should hold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `filter ≥ f`.
+    #[inline]
+    pub fn filter(&self, filter: u32) -> FilterHash {
+        assert!(filter < self.filter_count, "filter {filter} out of range");
+        FilterHash {
+            seed: mix64(self.seed ^ mix64(filter as u64 + 1)),
+            groups: self.group_count as u64,
+            base: filter as usize * self.group_count as usize,
+        }
     }
 
     /// The group that `filter` assigns `item` to, in `0..g`.
@@ -56,8 +75,7 @@ impl HashFamily {
     /// Panics if `filter ≥ f`.
     #[inline]
     pub fn group_of(&self, filter: u32, item: ItemId) -> u32 {
-        let seed = self.seeds[filter as usize];
-        (mix64(item.0 ^ seed) % self.group_count as u64) as u32
+        self.filter(filter).group_of(item)
     }
 
     /// The flat slot index of `(filter, group)` in the `f·g` aggregate
@@ -70,7 +88,31 @@ impl HashFamily {
 
     /// All `f` flat slots of an item, one per filter.
     pub fn slots_of(&self, item: ItemId) -> impl Iterator<Item = usize> + '_ {
-        (0..self.filters()).map(move |i| self.slot(i, self.group_of(i, item)))
+        (0..self.filters()).map(move |i| self.filter(i).slot_of(item))
+    }
+}
+
+/// One hash function of a [`HashFamily`]: items onto the `g` groups of
+/// its filter.
+#[derive(Debug, Clone, Copy)]
+pub struct FilterHash {
+    seed: u64,
+    groups: u64,
+    /// Flat slot of this filter's group 0.
+    base: usize,
+}
+
+impl FilterHash {
+    /// The group this filter assigns `item` to, in `0..g`.
+    #[inline]
+    pub fn group_of(&self, item: ItemId) -> u32 {
+        (mix64(item.0 ^ self.seed) % self.groups) as u32
+    }
+
+    /// The flat slot of `item`'s group in the `f·g` aggregate vector.
+    #[inline]
+    pub fn slot_of(&self, item: ItemId) -> usize {
+        self.base + self.group_of(item) as usize
     }
 }
 

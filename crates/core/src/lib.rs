@@ -109,7 +109,7 @@ pub mod wire;
 
 pub use config::{NetFilterConfig, NetFilterConfigBuilder, Threshold};
 pub use engine::{CostBreakdown, NetFilter, NetFilterRun, RunCounts};
-pub use filter::{HeavyGroups, LocalFilter};
+pub use filter::{HeavyGroups, HeavyLists, LocalFilter};
 pub use hashing::HashFamily;
 
 // Re-export the vocabulary types users need alongside this crate.

@@ -41,7 +41,7 @@ use ifi_sim::{
 use ifi_workload::{ItemId, SystemData};
 
 use crate::config::NetFilterConfig;
-use crate::filter::{HeavyGroups, LocalFilter};
+use crate::filter::{HeavyGroups, HeavyLists, LocalFilter};
 use crate::hashing::HashFamily;
 use crate::resilient::{Census, Certificate, CENSUS_BYTES};
 
@@ -51,7 +51,7 @@ pub enum NfMsg {
     /// Phase 1: a merged item-group aggregate vector moving rootward.
     GroupAgg(VecSum),
     /// Phase 2a: the per-filter heavy-group lists moving leafward.
-    Heavy(Vec<Vec<u32>>),
+    Heavy(HeavyLists),
     /// Phase 2b: a merged partial candidate set moving rootward.
     CandidateAgg(MapSum),
     /// Census mode only: the merged contributor census of one phase
@@ -87,59 +87,93 @@ pub enum NfTimer {
     Retransmit(u64),
 }
 
+/// One downstream neighbor and which of its reports have been merged —
+/// the idempotency guard that makes duplicate or replayed reports
+/// harmless.
+#[derive(Debug, Clone, Copy)]
+struct Child {
+    id: PeerId,
+    /// Bit set of [`Report`]s merged from this child.
+    seen: u8,
+}
+
+/// The four kinds of rootward report a child sends, as [`Child::seen`] bits.
+#[derive(Debug, Clone, Copy)]
+enum Report {
+    P1 = 1,
+    P2 = 2,
+    P1Census = 4,
+    P2Census = 8,
+}
+
+/// Census-mode state: present only on peers given a roster.
+#[derive(Debug, Clone)]
+struct CensusState {
+    /// The issue-time roster to certify against.
+    roster: Census,
+    /// Merged contributor censuses of this subtree (self plus children).
+    p1: Census,
+    p2: Census,
+    /// Countdowns of children's phase censuses.
+    p1_pending: usize,
+    p2_pending: usize,
+    certificate: Option<Certificate>,
+}
+
+/// Ack/retransmit envelope state: present only under reliability.
+#[derive(Debug, Clone)]
+struct Reliability {
+    link: ReliableLink<NfMsg>,
+    /// Originals produced so far `(to, msg, bytes)`: a revival re-sends
+    /// them all (the crash lost every retransmit timer), charged as
+    /// [`MsgClass::RETRANSMIT`].
+    resend_buf: Vec<(PeerId, NfMsg, u64)>,
+}
+
 /// Per-peer state of the netFilter protocol.
+///
+/// Sized for `N = 10^5` of them in one address space: what only census
+/// mode or the reliability envelope touches sits behind one pointer each,
+/// the per-child seen-sets are bits beside the child ids, and the heavy
+/// lists are used once and not kept.
 #[derive(Debug, Clone)]
 pub struct NetFilterProtocol {
     local_filter: LocalFilter,
     sizes: crate::WireSizes,
     threshold: u64,
+    me: PeerId,
     parent: Option<PeerId>,
-    children: Vec<PeerId>,
+    children: Vec<Child>,
     is_root: bool,
     /// Whether this peer is a member of the hierarchy at all. Dead or
     /// detached peers stay in the universe but take no part in the run.
     is_member: bool,
+    /// Whether `Start` has been handled once; a second `Start` marks a
+    /// crash/revival and triggers the re-send path instead of re-init.
+    started: bool,
+    /// Whether the heavy lists have arrived (or, at the root, been
+    /// computed) — all a peer keeps of them.
+    heavy_seen: bool,
     local_items: Vec<(ItemId, u64)>,
 
     p1_pending: usize,
     p1_acc: Option<VecSum>,
-    heavy: Option<HeavyGroups>,
     p2_pending: usize,
     p2_acc: Option<MapSum>,
     result: Option<Vec<(ItemId, u64)>>,
 
-    /// Whether `Start` has been handled once; a second `Start` marks a
-    /// crash/revival and triggers the re-send path instead of re-init.
-    started: bool,
-    /// Children whose phase-1 report has been merged — the idempotency
-    /// guard that makes duplicate or replayed reports harmless.
-    p1_seen: Vec<PeerId>,
-    p2_seen: Vec<PeerId>,
-    p1_census_seen: Vec<PeerId>,
-    p2_census_seen: Vec<PeerId>,
-    /// Merged contributor censuses of this subtree (self plus children),
-    /// maintained unconditionally (merging is 12 bytes of state), metered
-    /// and reported only in census mode.
-    p1_census: Census,
-    p2_census: Census,
-    /// Census-mode countdowns of children's phase censuses; zero when
-    /// census mode is off.
-    p1_census_pending: usize,
-    p2_census_pending: usize,
-    /// The issue-time roster to certify against; `Some` switches census
-    /// mode on for this peer (reports are accompanied by metered
-    /// [`NfMsg::PhaseCensus`] messages, and the root emits a certificate).
-    roster: Option<Census>,
-    certificate: Option<Certificate>,
-    /// Originals produced so far `(to, msg, bytes)`, retained only under
-    /// reliability: a revival re-sends them all (the crash lost every
-    /// retransmit timer), charged as [`MsgClass::RETRANSMIT`].
-    resend_buf: Vec<(PeerId, NfMsg, u64)>,
-
-    /// Ack/retransmit envelope state; `None` runs the classic
-    /// fire-and-forget protocol (zero overhead, zero extra traffic).
-    rel: Option<ReliableLink<NfMsg>>,
+    /// `Some` switches census mode on for this peer (reports are
+    /// accompanied by metered [`NfMsg::PhaseCensus`] messages, and the
+    /// root emits a certificate).
+    census: Option<Box<CensusState>>,
+    /// `None` runs the classic fire-and-forget protocol (zero overhead,
+    /// zero extra traffic).
+    rel: Option<Box<Reliability>>,
 }
+
+// The diet above is what lets the N = 10^5 epoch fit its memory budget;
+// a field added in line shows up here before it shows up as 100 000 copies.
+const _: () = assert!(std::mem::size_of::<NetFilterProtocol>() <= 240);
 
 impl NetFilterProtocol {
     /// Creates the state for `peer`. The threshold must already be
@@ -153,40 +187,39 @@ impl NetFilterProtocol {
         threshold: u64,
     ) -> Self {
         let family = HashFamily::new(config.filters, config.filter_size, config.hash_seed);
+        let children: Vec<Child> = hierarchy
+            .children(peer)
+            .iter()
+            .map(|&id| Child { id, seen: 0 })
+            .collect();
         NetFilterProtocol {
             local_filter: LocalFilter::new(family),
             sizes: config.sizes,
             threshold,
+            me: peer,
             parent: hierarchy.parent(peer),
-            children: hierarchy.children(peer).to_vec(),
             is_root: hierarchy.root() == peer,
             is_member: hierarchy.is_member(peer),
-            local_items,
-            p1_pending: hierarchy.children(peer).len(),
-            p1_acc: None,
-            heavy: None,
-            p2_pending: hierarchy.children(peer).len(),
-            p2_acc: None,
-            result: None,
             started: false,
-            p1_seen: Vec::new(),
-            p2_seen: Vec::new(),
-            p1_census_seen: Vec::new(),
-            p2_census_seen: Vec::new(),
-            p1_census: Census::solo(peer),
-            p2_census: Census::solo(peer),
-            p1_census_pending: 0,
-            p2_census_pending: 0,
-            roster: None,
-            certificate: None,
-            resend_buf: Vec::new(),
+            heavy_seen: false,
+            local_items,
+            p1_pending: children.len(),
+            p1_acc: None,
+            p2_pending: children.len(),
+            p2_acc: None,
+            children,
+            result: None,
+            census: None,
             rel: None,
         }
     }
 
     /// Enables the ack/retransmit envelope with the given tuning.
     pub fn with_reliability(mut self, cfg: RelConfig) -> Self {
-        self.rel = Some(ReliableLink::new(cfg));
+        self.rel = Some(Box::new(Reliability {
+            link: ReliableLink::new(cfg),
+            resend_buf: Vec::new(),
+        }));
         self
     }
 
@@ -195,9 +228,15 @@ impl NetFilterProtocol {
     /// the root's delivery carries a [`Certificate`] — `Complete` exactly
     /// when both phase censuses equal `roster`.
     pub fn with_census(mut self, roster: Census) -> Self {
-        self.roster = Some(roster);
-        self.p1_census_pending = self.children.len();
-        self.p2_census_pending = self.children.len();
+        let me = Census::solo(self.me);
+        self.census = Some(Box::new(CensusState {
+            roster,
+            p1: me,
+            p2: me,
+            p1_pending: self.children.len(),
+            p2_pending: self.children.len(),
+            certificate: None,
+        }));
         self
     }
 
@@ -218,7 +257,34 @@ impl NetFilterProtocol {
     /// The root's coverage certificate, once the run completes in census
     /// mode.
     pub fn certificate(&self) -> Option<Certificate> {
-        self.certificate
+        self.census.as_ref().and_then(|c| c.certificate)
+    }
+
+    /// The world every `build_world*` returns: one core per peer of `data`,
+    /// each passed through `configure`.
+    fn build_world_with(
+        config: &NetFilterConfig,
+        hierarchy: &Hierarchy,
+        data: &SystemData,
+        sim: SimConfig,
+        configure: impl Fn(Self) -> Self,
+    ) -> World<Des<NetFilterProtocol>> {
+        assert_eq!(
+            hierarchy.universe(),
+            data.peer_count(),
+            "hierarchy and data peer universes differ"
+        );
+        let threshold = config.threshold.resolve(data.total_value());
+        let peers = (0..data.peer_count())
+            .map(PeerId::new)
+            .map(|p| {
+                let items = data.local_items(p).to_vec();
+                configure(NetFilterProtocol::new(
+                    config, hierarchy, p, items, threshold,
+                ))
+            })
+            .collect();
+        sansio_world(sim, peers)
     }
 
     /// Builds a ready-to-run world over `hierarchy` and `data`.
@@ -232,25 +298,7 @@ impl NetFilterProtocol {
         data: &SystemData,
         sim: SimConfig,
     ) -> World<Des<NetFilterProtocol>> {
-        assert_eq!(
-            hierarchy.universe(),
-            data.peer_count(),
-            "hierarchy and data peer universes differ"
-        );
-        let threshold = config.threshold.resolve(data.total_value());
-        let peers = (0..data.peer_count())
-            .map(|i| {
-                let p = PeerId::new(i);
-                NetFilterProtocol::new(
-                    config,
-                    hierarchy,
-                    p,
-                    data.local_items(p).to_vec(),
-                    threshold,
-                )
-            })
-            .collect();
-        sansio_world(sim, peers)
+        Self::build_world_with(config, hierarchy, data, sim, |core| core)
     }
 
     /// Like [`build_world`](Self::build_world), but with the ack/retransmit
@@ -263,26 +311,9 @@ impl NetFilterProtocol {
         sim: SimConfig,
         rel: RelConfig,
     ) -> World<Des<NetFilterProtocol>> {
-        assert_eq!(
-            hierarchy.universe(),
-            data.peer_count(),
-            "hierarchy and data peer universes differ"
-        );
-        let threshold = config.threshold.resolve(data.total_value());
-        let peers = (0..data.peer_count())
-            .map(|i| {
-                let p = PeerId::new(i);
-                NetFilterProtocol::new(
-                    config,
-                    hierarchy,
-                    p,
-                    data.local_items(p).to_vec(),
-                    threshold,
-                )
-                .with_reliability(rel.clone())
-            })
-            .collect();
-        sansio_world(sim, peers)
+        Self::build_world_with(config, hierarchy, data, sim, |core| {
+            core.with_reliability(rel.clone())
+        })
     }
 
     /// Like [`build_world_reliable`](Self::build_world_reliable), with
@@ -295,28 +326,10 @@ impl NetFilterProtocol {
         sim: SimConfig,
         rel: RelConfig,
     ) -> World<Des<NetFilterProtocol>> {
-        assert_eq!(
-            hierarchy.universe(),
-            data.peer_count(),
-            "hierarchy and data peer universes differ"
-        );
         let roster = Self::roster(hierarchy);
-        let threshold = config.threshold.resolve(data.total_value());
-        let peers = (0..data.peer_count())
-            .map(|i| {
-                let p = PeerId::new(i);
-                NetFilterProtocol::new(
-                    config,
-                    hierarchy,
-                    p,
-                    data.local_items(p).to_vec(),
-                    threshold,
-                )
-                .with_reliability(rel.clone())
-                .with_census(roster)
-            })
-            .collect();
-        sansio_world(sim, peers)
+        Self::build_world_with(config, hierarchy, data, sim, |core| {
+            core.with_reliability(rel.clone()).with_census(roster)
+        })
     }
 
     /// The final result (root only, once the run quiesces).
@@ -343,30 +356,50 @@ impl NetFilterProtocol {
         bytes: u64,
         class: MsgClass,
     ) {
-        match self.rel.as_mut() {
+        match self.rel.as_deref_mut() {
             None => {
                 fx.send(to, ReliableMsg::Plain(msg), bytes, class);
             }
-            Some(link) => {
-                let (seq, frame) = link.send_data(to, msg.clone(), bytes);
-                let delay = link.rto(seq, 0);
+            Some(rel) => {
+                let (seq, frame) = rel.link.send_data(to, msg.clone(), bytes);
+                let delay = rel.link.rto(seq, 0);
                 fx.send(to, frame, bytes, class);
                 fx.set_timer(delay, NfTimer::Retransmit(seq));
-                self.resend_buf.push((to, msg, bytes));
+                rel.resend_buf.push((to, msg, bytes));
             }
         }
     }
 
-    /// Whether census mode is on (a roster was supplied).
-    fn census_mode(&self) -> bool {
-        self.roster.is_some()
+    /// Sends a phase report to the parent and, in census mode, the merged
+    /// census of `phase` beside it.
+    fn report(
+        &mut self,
+        fx: &mut Effects<Self>,
+        phase: u8,
+        msg: NfMsg,
+        bytes: u64,
+        class: MsgClass,
+    ) {
+        let parent = self.parent.expect("non-root has a parent");
+        self.send_phase(fx, parent, msg, bytes, class);
+        if let Some(c) = self.census.as_deref() {
+            let census = if phase == 1 { c.p1 } else { c.p2 };
+            self.send_phase(
+                fx,
+                parent,
+                NfMsg::PhaseCensus { phase, census },
+                CENSUS_BYTES,
+                MsgClass::FAILOVER,
+            );
+        }
     }
 
     /// Fires phase-1 completion once everything it needs has merged: the
     /// local vector (Start ran), every child's report, and — in census
     /// mode — every child's phase-1 census.
     fn maybe_complete_p1(&mut self, fx: &mut Effects<Self>) {
-        if self.p1_acc.is_some() && self.p1_pending == 0 && self.p1_census_pending == 0 {
+        let census_pending = self.census.as_ref().map_or(0, |c| c.p1_pending);
+        if self.p1_acc.is_some() && self.p1_pending == 0 && census_pending == 0 {
             self.phase1_complete(fx);
         }
     }
@@ -375,7 +408,8 @@ impl NetFilterProtocol {
     /// `p2_acc` is set when the heavy lists arrive and taken at completion,
     /// so it doubles as the fired-once guard.
     fn maybe_complete_p2(&mut self, fx: &mut Effects<Self>) {
-        if self.p2_acc.is_some() && self.p2_pending == 0 && self.p2_census_pending == 0 {
+        let census_pending = self.census.as_ref().map_or(0, |c| c.p2_pending);
+        if self.p2_acc.is_some() && self.p2_pending == 0 && census_pending == 0 {
             self.phase2_complete(fx);
         }
     }
@@ -390,44 +424,26 @@ impl NetFilterProtocol {
                 HeavyGroups::from_aggregate(self.local_filter.family(), &acc, self.threshold);
             self.start_phase2(fx, heavy);
         } else {
-            let parent = self.parent.expect("non-root has a parent");
             let bytes = acc.encoded_bytes(&self.sizes);
-            self.send_phase(fx, parent, NfMsg::GroupAgg(acc), bytes, MsgClass::FILTERING);
-            if self.census_mode() {
-                let census = self.p1_census;
-                self.send_phase(
-                    fx,
-                    parent,
-                    NfMsg::PhaseCensus { phase: 1, census },
-                    CENSUS_BYTES,
-                    MsgClass::FAILOVER,
-                );
-            }
+            self.report(fx, 1, NfMsg::GroupAgg(acc), bytes, MsgClass::FILTERING);
         }
     }
 
     fn start_phase2(&mut self, fx: &mut Effects<Self>, heavy: HeavyGroups) {
-        // Forward the heavy lists to every downstream neighbor. The child
-        // list is moved aside (not cloned) for the duration of the sends;
-        // each message still owns its own copy of the lists.
+        // Forward the heavy lists to every downstream neighbor: each
+        // message carries the handle, not a copy of the lists.
         let list_bytes = self.sizes.sg * heavy.total_heavy() as u64;
-        let children = std::mem::take(&mut self.children);
-        for &c in &children {
-            self.send_phase(
-                fx,
-                c,
-                NfMsg::Heavy(heavy.lists().to_vec()),
-                list_bytes,
-                MsgClass::DISSEMINATION,
-            );
+        for i in 0..self.children.len() {
+            let child = self.children[i].id;
+            let lists = NfMsg::Heavy(heavy.clone().into());
+            self.send_phase(fx, child, lists, list_bytes, MsgClass::DISSEMINATION);
         }
-        self.children = children;
         // Materialize the local partial candidate set (Algorithm 2 line 2).
         self.p2_acc = Some(
             self.local_filter
                 .partial_candidates(&self.local_items, &heavy),
         );
-        self.heavy = Some(heavy);
+        self.heavy_seen = true;
         self.maybe_complete_p2(fx);
     }
 
@@ -444,125 +460,118 @@ impl NetFilterProtocol {
                 .map(|(&k, &v)| (k, v))
                 .collect();
             frequent.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            self.certificate = self.roster.map(|roster| {
-                if self.p1_census == roster && self.p2_census == roster {
+            if let Some(c) = self.census.as_deref_mut() {
+                c.certificate = Some(if c.p1 == c.roster && c.p2 == c.roster {
                     Certificate::Complete
-                } else if self.p1_census != roster {
+                } else if c.p1 != c.roster {
                     Certificate::Partial {
-                        missing: roster.minus(self.p1_census),
+                        missing: c.roster.minus(c.p1),
                     }
                 } else {
                     Certificate::Partial {
-                        missing: roster.minus(self.p2_census),
+                        missing: c.roster.minus(c.p2),
                     }
-                }
-            });
+                });
+            }
             fx.deliver(NfDelivery {
                 answer: frequent.clone(),
-                certificate: self.certificate,
+                certificate: self.certificate(),
             });
             self.result = Some(frequent);
         } else {
-            let parent = self.parent.expect("non-root has a parent");
             let bytes = acc.encoded_bytes(&self.sizes);
-            self.send_phase(
+            self.report(
                 fx,
-                parent,
+                2,
                 NfMsg::CandidateAgg(acc),
                 bytes,
                 MsgClass::AGGREGATION,
             );
-            if self.census_mode() {
-                let census = self.p2_census;
-                self.send_phase(
-                    fx,
-                    parent,
-                    NfMsg::PhaseCensus { phase: 2, census },
-                    CENSUS_BYTES,
-                    MsgClass::FAILOVER,
-                );
-            }
         }
     }
 
     /// Admission guard for a child's rootward message: the sender must be
-    /// a child and must not have been merged into `seen` already. Returns
-    /// the warning label to emit when the message must be dropped.
-    fn admit(children: &[PeerId], seen: &mut Vec<PeerId>, from: PeerId) -> Option<&'static str> {
-        if !children.contains(&from) {
-            return Some("unexpected-sender");
+    /// a child and `report` must not have been merged from it already.
+    /// Returns the child's position — for [`Child::seen`] to be marked
+    /// once the payload has passed its own checks — or the warning label
+    /// to emit when the message must be dropped.
+    fn admit(&self, from: PeerId, report: Report) -> Result<usize, &'static str> {
+        let i = self
+            .children
+            .iter()
+            .position(|c| c.id == from)
+            .ok_or("unexpected-sender")?;
+        if self.children[i].seen & report as u8 != 0 {
+            return Err("duplicate-report");
         }
-        if seen.contains(&from) {
-            return Some("duplicate-report");
-        }
-        seen.push(from);
-        None
+        Ok(i)
     }
 
     /// Handles a deduplicated protocol payload. Every arm is idempotent:
-    /// a duplicate, replayed, or misdirected message is counted as a
-    /// metered warning and dropped, never merged twice and never a panic —
-    /// the property that lets a crashed-and-restarted sender blindly
-    /// re-send its backlog.
+    /// a duplicate, replayed, misdirected, or malformed message is counted
+    /// as a metered warning and dropped, never merged twice and never a
+    /// panic — the property that lets a crashed-and-restarted sender
+    /// blindly re-send its backlog, and that keeps one bad neighbor from
+    /// taking a peer thread down.
     fn on_payload(&mut self, fx: &mut Effects<Self>, from: PeerId, msg: NfMsg) {
+        let admitted = match &msg {
+            NfMsg::GroupAgg(_) => self.admit(from, Report::P1),
+            NfMsg::CandidateAgg(_) => self.admit(from, Report::P2),
+            NfMsg::PhaseCensus { phase: 1, .. } if self.census.is_some() => {
+                self.admit(from, Report::P1Census)
+            }
+            NfMsg::PhaseCensus { phase: 2, .. } if self.census.is_some() => {
+                self.admit(from, Report::P2Census)
+            }
+            NfMsg::PhaseCensus { .. } => Err("unexpected-census"),
+            NfMsg::Heavy(_) if Some(from) != self.parent => Err("unexpected-sender"),
+            NfMsg::Heavy(_) if self.heavy_seen => Err("duplicate-report"),
+            // From the parent: no child slot to mark.
+            NfMsg::Heavy(_) => Ok(0),
+        };
+        let child = match admitted {
+            Ok(child) => child,
+            Err(warn) => return fx.warn(warn),
+        };
         match msg {
             NfMsg::GroupAgg(v) => {
-                if let Some(warn) = Self::admit(&self.children, &mut self.p1_seen, from) {
-                    fx.warn(warn);
-                    return;
-                }
-                self.p1_acc
+                let acc = self
+                    .p1_acc
                     .as_mut()
-                    .expect("phase-1 accumulator initialized at start")
-                    .merge_owned(v);
+                    .expect("phase-1 accumulator initialized at start");
+                if v.len() != acc.len() {
+                    return fx.warn("malformed-report");
+                }
+                acc.merge_owned(v);
+                self.children[child].seen |= Report::P1 as u8;
                 self.p1_pending -= 1;
                 self.maybe_complete_p1(fx);
             }
-            NfMsg::Heavy(lists) => {
-                if Some(from) != self.parent {
-                    fx.warn("unexpected-sender");
-                    return;
-                }
-                if self.heavy.is_some() {
-                    fx.warn("duplicate-report");
-                    return;
-                }
-                let heavy = HeavyGroups::from_lists(lists, self.local_filter.family().groups());
-                self.start_phase2(fx, heavy);
-            }
+            NfMsg::Heavy(lists) => match HeavyGroups::for_family(self.local_filter.family(), lists)
+            {
+                Some(heavy) => self.start_phase2(fx, heavy),
+                None => fx.warn("malformed-report"),
+            },
             NfMsg::CandidateAgg(m) => {
-                if let Some(warn) = Self::admit(&self.children, &mut self.p2_seen, from) {
-                    fx.warn(warn);
-                    return;
-                }
                 self.p2_acc
                     .as_mut()
                     .expect("phase-2 accumulator set when heavy lists arrived")
                     .merge_owned(m);
+                self.children[child].seen |= Report::P2 as u8;
                 self.p2_pending -= 1;
                 self.maybe_complete_p2(fx);
             }
             NfMsg::PhaseCensus { phase, census } => {
-                if !self.census_mode() || !(1..=2).contains(&phase) {
-                    fx.warn("unexpected-census");
-                    return;
-                }
-                let seen = if phase == 1 {
-                    &mut self.p1_census_seen
-                } else {
-                    &mut self.p2_census_seen
-                };
-                if let Some(warn) = Self::admit(&self.children, seen, from) {
-                    fx.warn(warn);
-                    return;
-                }
+                let c = self.census.as_deref_mut().expect("admitted in census mode");
                 if phase == 1 {
-                    self.p1_census.merge(census);
-                    self.p1_census_pending -= 1;
+                    self.children[child].seen |= Report::P1Census as u8;
+                    c.p1.merge(census);
+                    c.p1_pending -= 1;
                     self.maybe_complete_p1(fx);
                 } else {
-                    self.p2_census.merge(census);
-                    self.p2_census_pending -= 1;
+                    self.children[child].seen |= Report::P2Census as u8;
+                    c.p2.merge(census);
+                    c.p2_pending -= 1;
                     self.maybe_complete_p2(fx);
                 }
             }
@@ -577,19 +586,17 @@ impl NetFilterProtocol {
     /// charged as RETRANSMIT. Receivers that already merged a copy warn
     /// and drop it (the `admit` guards); anyone else finally gets it.
     fn on_revival(&mut self, fx: &mut Effects<Self>) {
-        let Some(link) = self.rel.as_mut() else {
+        let Some(rel) = self.rel.as_deref_mut() else {
             // Without the envelope there is no delivery guarantee to
             // restore (and no incarnation to bump); a revived peer just
             // resumes with its surviving state.
             return;
         };
-        link.on_restart();
-        let backlog = self.resend_buf.clone();
-        for (to, msg, bytes) in backlog {
-            let link = self.rel.as_mut().expect("reliability checked above");
-            let (seq, frame) = link.send_data(to, msg, bytes);
-            let delay = link.rto(seq, 0);
-            fx.send(to, frame, bytes, MsgClass::RETRANSMIT);
+        rel.link.on_restart();
+        for (to, msg, bytes) in &rel.resend_buf {
+            let (seq, frame) = rel.link.send_data(*to, msg.clone(), *bytes);
+            let delay = rel.link.rto(seq, 0);
+            fx.send(*to, frame, *bytes, MsgClass::RETRANSMIT);
             fx.set_timer(delay, NfTimer::Retransmit(seq));
         }
     }
@@ -598,7 +605,7 @@ impl NetFilterProtocol {
         let payload = match msg {
             ReliableMsg::Plain(m) => m,
             ReliableMsg::Data { inc, seq, payload } => {
-                let Some(link) = self.rel.as_mut() else {
+                let Some(link) = self.rel.as_deref_mut().map(|rel| &mut rel.link) else {
                     // A sequenced frame at a peer with no reliability
                     // envelope is a configuration mismatch between the two
                     // ends; drop it rather than take the node down.
@@ -623,8 +630,8 @@ impl NetFilterProtocol {
                 payload
             }
             ReliableMsg::Ack { inc, seq } => {
-                if let Some(link) = self.rel.as_mut() {
-                    link.on_ack(from, inc, seq);
+                if let Some(rel) = self.rel.as_deref_mut() {
+                    rel.link.on_ack(from, inc, seq);
                 }
                 return;
             }
@@ -634,11 +641,11 @@ impl NetFilterProtocol {
 
     fn on_retransmit(&mut self, fx: &mut Effects<Self>, timer: NfTimer) {
         let NfTimer::Retransmit(seq) = timer;
-        let Some(link) = self.rel.as_mut() else {
+        let Some(rel) = self.rel.as_deref_mut() else {
             fx.warn("retransmit-timer-without-reliability");
             return;
         };
-        match link.retransmit(seq) {
+        match rel.link.retransmit(seq) {
             Retransmit::Resend {
                 to,
                 frame,
@@ -1031,6 +1038,54 @@ mod tests {
         assert!(fx
             .drain()
             .any(|e| matches!(e, Effect::Send { .. } | Effect::Deliver(_))));
+    }
+
+    #[test]
+    fn malformed_phase_payloads_warn_and_drop_instead_of_panicking() {
+        use crate::wire::NfWire;
+        use ifi_transport::WireCodec;
+
+        let data = workload(3, 100, 95);
+        let h = Hierarchy::balanced(3, 2);
+        let cfg = config(8, 2);
+        let instant = NetFilter::new(cfg.clone()).run(&h, &data);
+        let (root, child) = (PeerId::new(0), PeerId::new(1));
+
+        // Each decodes cleanly and comes from the right neighbor; each
+        // used to take the receiving peer down.
+        let malformed = [
+            // f·g = 16 slots expected: a vector of another dimension.
+            (child, root, NfMsg::GroupAgg(VecSum::from(vec![1; 15]))),
+            // A group id ≥ g.
+            (root, child, NfMsg::Heavy(vec![vec![1], vec![8]].into())),
+            // Fewer than f lists.
+            (root, child, NfMsg::Heavy(vec![vec![1]].into())),
+        ];
+        let wire = NfWire::new(cfg.sizes);
+        let mut w =
+            NetFilterProtocol::build_world(&cfg, &h, &data, SimConfig::default().with_seed(4));
+        w.enable_metrics_sink();
+        // Injected before `start`, so each arrives one hop in: after its
+        // receiver's `Start`, ahead of the genuine report it imitates.
+        for (from, to, msg) in malformed {
+            let frame = wire
+                .encode(&ReliableMsg::Plain(msg))
+                .and_then(|bytes| wire.decode(&bytes))
+                .expect("malformed for the protocol, well-formed for the codec");
+            w.inject(from, to, frame, 0, MsgClass::DATA);
+        }
+        w.start();
+        w.run_to_quiescence();
+
+        assert_eq!(
+            w.metrics_report().warnings,
+            [("malformed-report".to_string(), 3)]
+        );
+        // Nothing of them was merged, and the genuine reports still were.
+        assert_eq!(
+            w.peer(root).result().expect("root finishes"),
+            instant.frequent_items()
+        );
     }
 
     #[test]

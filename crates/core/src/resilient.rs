@@ -85,7 +85,7 @@ use ifi_sim::{
 use ifi_workload::{ItemId, SystemData};
 
 use crate::config::NetFilterConfig;
-use crate::filter::{HeavyGroups, LocalFilter};
+use crate::filter::{HeavyGroups, HeavyLists, LocalFilter};
 use crate::hashing::HashFamily;
 use crate::phases;
 
@@ -223,7 +223,7 @@ pub enum RMsg {
         /// The epoch these lists belong to.
         epoch: u64,
         /// Per-filter heavy group ids.
-        lists: Vec<Vec<u32>>,
+        lists: HeavyLists,
     },
     /// Phase-2b candidate report moving rootward.
     CandidateAgg {
@@ -330,7 +330,9 @@ pub struct ResilientProtocol {
     p1_acc: Option<VecSum>,
     p1_census: Census,
     p1_sent: bool,
-    heavy: Option<HeavyGroups>,
+    /// Whether this epoch's heavy lists have arrived (or, at the acting
+    /// root, been computed) — all a peer keeps of them.
+    heavy_seen: bool,
     p2_received: PeerSet,
     p2_acc: Option<MapSum>,
     p2_census: Census,
@@ -441,7 +443,7 @@ impl ResilientProtocol {
             p1_acc: None,
             p1_census: Census::empty(),
             p1_sent: false,
-            heavy: None,
+            heavy_seen: false,
             p2_received: PeerSet::new(),
             p2_acc: None,
             p2_census: Census::empty(),
@@ -704,7 +706,7 @@ impl ResilientProtocol {
         self.p1_acc = Some(self.local_filter.group_vector(&self.local_items));
         self.p1_census = Census::solo(self.me);
         self.p1_sent = false;
-        self.heavy = None;
+        self.heavy_seen = false;
         self.p2_received.clear();
         self.p2_acc = None;
         self.p2_census = Census::solo(self.me);
@@ -760,7 +762,7 @@ impl ResilientProtocol {
                 c,
                 RMsg::Heavy {
                     epoch: self.epoch,
-                    lists: heavy.lists().to_vec(),
+                    lists: heavy.clone().into(),
                 },
                 list_bytes,
                 MsgClass::DISSEMINATION,
@@ -770,13 +772,13 @@ impl ResilientProtocol {
             self.local_filter
                 .partial_candidates(&self.local_items, &heavy),
         );
-        self.heavy = Some(heavy);
+        self.heavy_seen = true;
         self.check_p2(fx);
     }
 
     fn check_p2(&mut self, fx: &mut Effects<Self>) {
         if self.p2_sent
-            || self.heavy.is_none()
+            || !self.heavy_seen
             || self.p2_acc.is_none()
             || !self.children_covered(&self.p2_received.clone())
         {
@@ -987,22 +989,30 @@ impl ResilientProtocol {
                 // frame (plain mode under duplication faults) can corrupt
                 // neither the aggregate nor the census. The legacy toggle
                 // re-opens exactly that hole: a duplicate merges again.
-                if epoch == self.epoch && !self.p1_sent && self.p1_acc.is_some() {
-                    let fresh = self.p1_received.insert(from);
-                    if fresh || self.legacy_double_merge {
-                        self.p1_acc
-                            .as_mut()
-                            .expect("guarded above")
-                            .merge_owned(vector);
-                        self.p1_census.merge(census);
-                        self.check_p1(fx);
-                    }
+                if epoch != self.epoch || self.p1_sent {
+                    return;
+                }
+                let Some(acc) = self.p1_acc.as_mut() else {
+                    return;
+                };
+                // A decodable report of the wrong dimension is a broken
+                // child, not a reason to take this peer down with it.
+                if vector.len() != acc.len() {
+                    return fx.warn("malformed-report");
+                }
+                let fresh = self.p1_received.insert(from);
+                if fresh || self.legacy_double_merge {
+                    acc.merge_owned(vector);
+                    self.p1_census.merge(census);
+                    self.check_p1(fx);
                 }
             }
             RMsg::Heavy { epoch, lists } => {
-                if epoch == self.epoch && self.heavy.is_none() && Some(from) == self.epoch_parent {
-                    let heavy = HeavyGroups::from_lists(lists, self.local_filter.family().groups());
-                    self.enter_phase2(fx, heavy);
+                if epoch == self.epoch && !self.heavy_seen && Some(from) == self.epoch_parent {
+                    match HeavyGroups::for_family(self.local_filter.family(), lists) {
+                        Some(heavy) => self.enter_phase2(fx, heavy),
+                        None => fx.warn("malformed-report"),
+                    }
                 }
             }
             RMsg::CandidateAgg {
@@ -1329,6 +1339,84 @@ mod tests {
         }
         // Epochs are strictly increasing.
         assert!(done.windows(2).all(|w| w[0].epoch < w[1].epoch));
+    }
+
+    #[test]
+    fn malformed_phase_payloads_warn_and_drop_instead_of_panicking() {
+        use ifi_sim::{AllUp, Effect};
+
+        let h = Hierarchy::balanced(3, 2);
+        let cfg = NetFilterConfig::builder()
+            .filter_size(8)
+            .filters(2)
+            .threshold(Threshold::Absolute(1))
+            .build();
+        let (root, child) = (PeerId::new(0), PeerId::new(1));
+        let core = |p: PeerId, neighbors| {
+            ResilientProtocol::new(&cfg, rc(), &h, p, neighbors, vec![(ItemId(7), 3)], 1)
+        };
+        /// Feeds one event; returns the warnings and how many frames left.
+        fn feed(
+            core: &mut ResilientProtocol,
+            ev: NodeEvent<ReliableMsg<RMsg>, RTimer>,
+        ) -> (Vec<&'static str>, usize) {
+            let mut fx = Effects::new();
+            core.on_event(ev, SimTime::ZERO, &AllUp(3), &mut fx);
+            let (mut warnings, mut sends) = (Vec::new(), 0);
+            for effect in fx.drain() {
+                match effect {
+                    Effect::Warn { label } => warnings.push(label),
+                    Effect::Send { .. } => sends += 1,
+                    _ => {}
+                }
+            }
+            (warnings, sends)
+        }
+        let from = |from, m| NodeEvent::Message {
+            from,
+            msg: ReliableMsg::Plain(m),
+        };
+
+        // The root, one epoch in: a child's report of the wrong dimension.
+        let mut r = core(root, vec![child, PeerId::new(2)]);
+        feed(&mut r, NodeEvent::Start);
+        feed(
+            &mut r,
+            NodeEvent::Timer {
+                tag: RTimer::NewEpoch,
+            },
+        );
+        let epoch = r.epoch();
+        let report = |slots| RMsg::GroupAgg {
+            epoch,
+            vector: VecSum::from(vec![1; slots]),
+            census: Census::solo(child),
+        };
+        assert_eq!(
+            feed(&mut r, from(child, report(15))).0,
+            ["malformed-report"]
+        );
+        // It was not counted as the child's report: the genuine one merges.
+        assert!(feed(&mut r, from(child, report(16))).0.is_empty());
+
+        // A leaf, its epoch started by the root: lists with a group id
+        // ≥ g, then fewer than f lists, then the genuine ones.
+        let mut c = core(child, vec![root]);
+        feed(&mut c, NodeEvent::Start);
+        feed(&mut c, from(root, RMsg::Start { epoch }));
+        let heavy = |lists: Vec<Vec<u32>>| RMsg::Heavy {
+            epoch,
+            lists: lists.into(),
+        };
+        for lists in [vec![vec![1], vec![8]], vec![vec![1]]] {
+            assert_eq!(
+                feed(&mut c, from(root, heavy(lists))),
+                (vec!["malformed-report"], 0)
+            );
+        }
+        let (warnings, sends) = feed(&mut c, from(root, heavy(vec![vec![1], vec![7]])));
+        assert!(warnings.is_empty());
+        assert_eq!(sends, 1, "the leaf answers the genuine lists");
     }
 
     #[test]

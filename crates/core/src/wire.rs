@@ -125,8 +125,8 @@ mod tests {
 
     fn sample_msgs() -> Vec<NfMsg> {
         vec![
-            NfMsg::GroupAgg(VecSum(vec![0, 3, 0, 7, 11])),
-            NfMsg::Heavy(vec![vec![1, 3], vec![], vec![4]]),
+            NfMsg::GroupAgg(VecSum::from(vec![0, 3, 0, 7, 11])),
+            NfMsg::Heavy(vec![vec![1, 3], vec![], vec![4]].into()),
             NfMsg::CandidateAgg(MapSum(
                 [(ItemId(5), 9u64), (ItemId(7), 2u64)].into_iter().collect(),
             )),
@@ -135,7 +135,7 @@ mod tests {
 
     fn assert_eq_msg(a: &NfMsg, b: &NfMsg) {
         match (a, b) {
-            (NfMsg::GroupAgg(x), NfMsg::GroupAgg(y)) => assert_eq!(x.0, y.0),
+            (NfMsg::GroupAgg(x), NfMsg::GroupAgg(y)) => assert_eq!(x, y),
             (NfMsg::Heavy(x), NfMsg::Heavy(y)) => assert_eq!(x, y),
             (NfMsg::CandidateAgg(x), NfMsg::CandidateAgg(y)) => assert_eq!(x.0, y.0),
             _ => panic!("variant mismatch after round-trip"),

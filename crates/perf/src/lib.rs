@@ -16,10 +16,15 @@
 //!   byte-for-byte while machine noise merely alarms at gross (≥ 1.5×)
 //!   slowdowns.
 //!
+//! * [`alloc`] is a counting global allocator a binary can install, which
+//!   makes allocation count, allocated bytes and the live-byte high-water
+//!   of a seeded workload three more exact counters.
+//!
 //! The crate is dependency-free: benchmark *definitions* (which need the
 //! simulator, codec, and figure sweeps) live in `ifi-bench`'s `perfbench`
 //! module; this crate only knows how to run, snapshot, and compare.
 
+pub mod alloc;
 pub mod baseline;
 pub mod harness;
 pub mod report;

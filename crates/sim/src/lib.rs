@@ -34,6 +34,7 @@
 //! impl Protocol for Ring {
 //!     type Msg = u64;
 //!     type Timer = ();
+//!     type Scratch = ();
 //!     fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
 //!         if ctx.self_id().index() == 0 {
 //!             ctx.send(PeerId::new(1), 1, 8, MsgClass::DATA);

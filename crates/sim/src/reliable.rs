@@ -612,6 +612,7 @@ mod tests {
         impl Protocol for Sender {
             type Msg = ReliableMsg<&'static str>;
             type Timer = Tm;
+            type Scratch = ();
 
             fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
                 if ctx.self_id().index() != 0 {

@@ -30,8 +30,8 @@
 //! The ISSUE-shape `fn on_event(..) -> impl Iterator<Item = Effect>` is
 //! realized through a reusable push-buffer ([`Effects`]) instead of a
 //! returned iterator so the hot path stays allocation-free: the DES
-//! adapter hands each handler the same scratch vector it drained on the
-//! previous activation.
+//! adapter hands every handler of every peer the one scratch vector the
+//! world owns ([`Protocol::Scratch`]), drained by the previous activation.
 
 use std::fmt::Debug;
 use std::ops::{Deref, DerefMut};
@@ -308,8 +308,6 @@ pub struct Des<P: SansIo> {
     timers: Vec<(TimerToken, TimerId)>,
     /// Results the core delivered, in order.
     outputs: Vec<P::Output>,
-    /// Scratch effect buffer reused across activations.
-    scratch: EffectBuf<P>,
 }
 
 impl<P: SansIo> Des<P> {
@@ -320,7 +318,6 @@ impl<P: SansIo> Des<P> {
             next_token: 0,
             timers: Vec::new(),
             outputs: Vec::new(),
-            scratch: Vec::new(),
         }
     }
 
@@ -345,7 +342,7 @@ impl<P: SansIo> Des<P> {
     }
 
     fn dispatch(&mut self, ctx: &mut Ctx<'_, Self>, ev: NodeEvent<P::Msg, P::Timer>) {
-        let mut fx = Effects::from_parts(std::mem::take(&mut self.scratch), self.next_token);
+        let mut fx = Effects::from_parts(std::mem::take(ctx.scratch()), self.next_token);
         self.node.on_event(ev, ctx.now(), &*ctx, &mut fx);
         let (mut buf, next_token) = fx.into_parts();
         self.next_token = next_token;
@@ -375,7 +372,7 @@ impl<P: SansIo> Des<P> {
                 Effect::Deliver(out) => self.outputs.push(out),
             }
         }
-        self.scratch = buf;
+        *ctx.scratch() = buf;
     }
 }
 
@@ -389,8 +386,6 @@ where
             next_token: self.next_token,
             timers: self.timers.clone(),
             outputs: self.outputs.clone(),
-            // Scratch is always drained between activations.
-            scratch: Vec::new(),
         }
     }
 }
@@ -412,6 +407,8 @@ impl<P: SansIo> DerefMut for Des<P> {
 impl<P: SansIo> Protocol for Des<P> {
     type Msg = P::Msg;
     type Timer = (TimerToken, P::Timer);
+    /// The effect buffer every activation fills and drains.
+    type Scratch = EffectBuf<P>;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
         // A revival invalidated every pre-crash timer (the kernel bumps

@@ -27,6 +27,11 @@ pub trait Protocol: Sized {
     type Msg: std::fmt::Debug + Clone;
     /// The tag type carried by timers.
     type Timer: std::fmt::Debug;
+    /// Driver-owned scratch: one value per [`World`], lent to whichever
+    /// handler is executing through [`Ctx::scratch`], so state that is only
+    /// live *during* an activation (the sans-io adapter's effect buffer)
+    /// is not replicated per peer. `()` for protocols that need none.
+    type Scratch: Default;
 
     /// Called once when the peer boots (and again on revival after a crash).
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
@@ -256,6 +261,7 @@ impl<M: std::fmt::Debug + Clone, T: std::fmt::Debug> Kernel<M, T> {
 #[derive(Debug)]
 pub struct Ctx<'a, P: Protocol> {
     kernel: &'a mut Kernel<P::Msg, P::Timer>,
+    scratch: &'a mut P::Scratch,
     self_id: PeerId,
 }
 
@@ -320,6 +326,12 @@ impl<'a, P: Protocol> Ctx<'a, P> {
         &mut self.kernel.rng
     }
 
+    /// The world's one [`Protocol::Scratch`]. Whatever a handler leaves in
+    /// it, the next activation — of any peer — finds.
+    pub fn scratch(&mut self) -> &mut P::Scratch {
+        self.scratch
+    }
+
     /// Tags this handler activation with the phase `label` (see
     /// [`EventSink::mark`]): every send until the handler returns is
     /// attributed to that phase in the metrics report. A no-op unless the
@@ -343,7 +355,8 @@ impl<'a, P: Protocol> Ctx<'a, P> {
 #[derive(Debug)]
 pub struct World<P: Protocol> {
     kernel: Kernel<P::Msg, P::Timer>,
-    peers: Vec<Option<P>>,
+    peers: Vec<P>,
+    scratch: P::Scratch,
     /// Schedule-exploration hook ([`ScheduleStrategy`]); `None` runs the
     /// classic FIFO tie-break with zero overhead.
     strategy: Option<Box<dyn ScheduleStrategy>>,
@@ -377,7 +390,8 @@ impl<P: Protocol> World<P> {
                 trace: None,
                 sink: EventSink::disabled(),
             },
-            peers: peers.into_iter().map(Some).collect(),
+            peers,
+            scratch: P::Scratch::default(),
             strategy: None,
             batch_scratch: Vec::new(),
             info_scratch: Vec::new(),
@@ -409,29 +423,18 @@ impl<P: Protocol> World<P> {
     }
 
     /// Immutable view of a peer's protocol state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called re-entrantly from inside that peer's own handler.
     pub fn peer(&self, id: PeerId) -> &P {
-        self.peers[id.index()]
-            .as_ref()
-            .expect("peer state is checked out (re-entrant access)")
+        &self.peers[id.index()]
     }
 
     /// Mutable view of a peer's protocol state (driver-side mutation).
     pub fn peer_mut(&mut self, id: PeerId) -> &mut P {
-        self.peers[id.index()]
-            .as_mut()
-            .expect("peer state is checked out (re-entrant access)")
+        &mut self.peers[id.index()]
     }
 
     /// Iterates over all peer states.
     pub fn peers(&self) -> impl Iterator<Item = &P> {
-        self.peers.iter().map(|p| {
-            p.as_ref()
-                .expect("peer state is checked out (re-entrant access)")
-        })
+        self.peers.iter()
     }
 
     /// Whether `peer` is currently up.
@@ -762,26 +765,22 @@ impl<P: Protocol> World<P> {
                 trace.record(self.kernel.now, TraceKind::Kill { peer });
             }
             self.kernel.up[peer.index()] = false;
-            if let Some(p) = self.peers[peer.index()].as_mut() {
-                p.on_stop();
-            }
+            self.peers[peer.index()].on_stop();
         }
     }
 
+    /// Runs one handler of peer `id` on its state where it lies: the peer
+    /// vector, the kernel and the scratch are disjoint fields, so the
+    /// handler borrows all three at once and nothing is moved.
     fn with_peer(&mut self, id: PeerId, f: impl FnOnce(&mut P, &mut Ctx<'_, P>)) {
-        let mut state = self.peers[id.index()]
-            .take()
-            .expect("re-entrant handler execution");
-        {
-            let mut ctx = Ctx {
-                kernel: &mut self.kernel,
-                self_id: id,
-            };
-            f(&mut state, &mut ctx);
-        }
+        let mut ctx = Ctx {
+            kernel: &mut self.kernel,
+            scratch: &mut self.scratch,
+            self_id: id,
+        };
+        f(&mut self.peers[id.index()], &mut ctx);
         // A phase mark is scoped to one handler activation.
         self.kernel.sink.clear_mark();
-        self.peers[id.index()] = Some(state);
     }
 }
 
@@ -800,6 +799,7 @@ mod tests {
     impl Protocol for Flood {
         type Msg = ();
         type Timer = ();
+        type Scratch = ();
 
         fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
             if ctx.self_id().index() == 0 && !self.seen {
@@ -902,6 +902,7 @@ mod tests {
         impl Protocol for FarTimer {
             type Msg = ();
             type Timer = ();
+            type Scratch = ();
 
             fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
                 ctx.set_timer(Duration::from_micros(u64::MAX), ());
@@ -968,6 +969,7 @@ mod tests {
     impl Protocol for Ticker {
         type Msg = ();
         type Timer = u32;
+        type Scratch = ();
 
         fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
             ctx.set_timer(Duration::from_millis(1), 1);
@@ -1006,6 +1008,7 @@ mod tests {
     impl Protocol for Generations {
         type Msg = ();
         type Timer = u32;
+        type Scratch = ();
 
         fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
             self.starts += 1;
@@ -1147,6 +1150,7 @@ mod tests {
     impl Protocol for Marked {
         type Msg = ();
         type Timer = ();
+        type Scratch = ();
 
         fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
             if ctx.self_id().index() == 0 {
@@ -1281,6 +1285,7 @@ mod tests {
     impl Protocol for Recorder {
         type Msg = u8;
         type Timer = ();
+        type Scratch = ();
 
         fn on_message(&mut self, _ctx: &mut Ctx<'_, Self>, _f: PeerId, m: u8) {
             self.got.push(m);

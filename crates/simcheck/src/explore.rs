@@ -309,6 +309,7 @@ mod tests {
     impl Protocol for Ring {
         type Msg = u32;
         type Timer = ();
+        type Scratch = ();
 
         fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
             let next = PeerId::new((ctx.self_id().index() + 1) % self.n);

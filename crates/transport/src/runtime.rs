@@ -11,8 +11,8 @@
 //! [`crate::tcp`] — so chaos injection and supervision are fabric-
 //! agnostic.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration as StdDuration, Instant};
@@ -144,10 +144,70 @@ pub(crate) trait Fabric<M>: Send + Sync + 'static {
     fn teardown(&self);
 }
 
+/// The sending half of a bounded mailbox whose storage follows its
+/// occupancy. std's bounded channel allocates and stamps all of its slots
+/// up front (≈ 260 KB per peer at [`MAILBOX_CAP`]); its unbounded channel
+/// allocates a block per 31 queued items. So the mailbox is the unbounded
+/// channel, and the bound is a depth counter beside it: senders claim a
+/// place before they send, the receiver gives it back once it has taken
+/// the item out.
+pub(crate) struct MailboxTx<T> {
+    tx: Sender<T>,
+    depth: Arc<AtomicUsize>,
+    cap: usize,
+}
+
+/// The receiving half of a bounded mailbox (see [`MailboxTx`]).
+pub(crate) struct MailboxRx<T> {
+    rx: Receiver<T>,
+    depth: Arc<AtomicUsize>,
+}
+
+/// A mailbox holding at most `cap` undelivered items.
+pub(crate) fn mailbox<T>(cap: usize) -> (MailboxTx<T>, MailboxRx<T>) {
+    let (tx, rx) = mpsc::channel();
+    let depth = Arc::new(AtomicUsize::new(0));
+    let tx = MailboxTx {
+        tx,
+        depth: Arc::clone(&depth),
+        cap,
+    };
+    (tx, MailboxRx { rx, depth })
+}
+
+// The depth counter publishes no data — the channel does that — so its
+// updates are `Relaxed`; a place is given back only after the receive
+// that the claim's send happened-before, so the count never underflows.
+impl<T> MailboxTx<T> {
+    /// Queues `item` unless `cap` items are waiting; never blocks.
+    fn try_send(&self, item: T) -> Result<(), TrySendError<T>> {
+        let claim = |depth| (depth < self.cap).then_some(depth + 1);
+        if self
+            .depth
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, claim)
+            .is_err()
+        {
+            return Err(TrySendError::Full(item));
+        }
+        self.tx.send(item).map_err(|gone| {
+            self.depth.fetch_sub(1, Ordering::Relaxed);
+            TrySendError::Disconnected(gone.0)
+        })
+    }
+}
+
+impl<T> MailboxRx<T> {
+    fn recv_timeout(&self, timeout: StdDuration) -> Result<T, RecvTimeoutError> {
+        let item = self.rx.recv_timeout(timeout)?;
+        self.depth.fetch_sub(1, Ordering::Relaxed);
+        Ok(item)
+    }
+}
+
 /// The per-peer bounded mailboxes, behind a registry so a crashed peer's
 /// mailbox can be replaced on restart without re-plumbing senders.
 pub(crate) struct Mailboxes<M> {
-    slots: Vec<Mutex<Option<SyncSender<Input<M>>>>>,
+    slots: Vec<Mutex<Option<MailboxTx<Input<M>>>>>,
     /// Frames load-shed on full mailboxes, for [`RunOutcome::shed_frames`].
     pub(crate) shed: AtomicU64,
 }
@@ -171,7 +231,7 @@ impl<M> Mailboxes<M> {
         }
     }
 
-    pub(crate) fn register(&self, peer: PeerId, tx: SyncSender<Input<M>>) {
+    pub(crate) fn register(&self, peer: PeerId, tx: MailboxTx<Input<M>>) {
         *self.slots[peer.index()]
             .lock()
             .expect("mailbox registry poisoned") = Some(tx);
@@ -469,7 +529,7 @@ where
     /// The node loop: start, then alternate between due timers and
     /// incoming messages until the stop or crash flag is raised. Always
     /// hands the core back to the supervisor via [`Ctl::Exited`].
-    pub(crate) fn run(mut self, rx: Receiver<Input<P::Msg>>) {
+    pub(crate) fn run(mut self, rx: MailboxRx<Input<P::Msg>>) {
         self.dispatch(NodeEvent::Start);
         loop {
             if self.flags.stop.load(Ordering::Relaxed) {
@@ -581,8 +641,8 @@ where
     /// initial spawn can register *every* mailbox before any peer's
     /// `Start` runs — otherwise an eager first send races the rest of the
     /// fleet's registration and is dropped as `Down`.
-    fn register_mailbox(&self, id: PeerId) -> Receiver<Input<P::Msg>> {
-        let (tx, rx) = mpsc::sync_channel(MAILBOX_CAP);
+    fn register_mailbox(&self, id: PeerId) -> MailboxRx<Input<P::Msg>> {
+        let (tx, rx) = mailbox(MAILBOX_CAP);
         self.mailboxes.register(id, tx);
         rx
     }
@@ -593,7 +653,7 @@ where
         id: PeerId,
         node: P,
         next_token: u64,
-        rx: Receiver<Input<P::Msg>>,
+        rx: MailboxRx<Input<P::Msg>>,
     ) -> JoinHandle<()> {
         let runner = NodeRunner::new(
             id,
@@ -893,4 +953,51 @@ where
         ctl_rx,
     }
     .supervise(nodes, want_outputs, max_wait)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_full_mailbox_sheds_the_next_frame_and_recovers_as_it_drains() {
+        let peer = PeerId::new(0);
+        let boxes: Mailboxes<u32> = Mailboxes::new(1);
+        let msg = |msg| Input::Msg { from: peer, msg };
+        assert_eq!(boxes.deliver(peer, msg(0)), Delivery::Down, "unregistered");
+
+        let (tx, rx) = mailbox(MAILBOX_CAP);
+        boxes.register(peer, tx);
+        for i in 0..MAILBOX_CAP as u32 {
+            assert_eq!(boxes.deliver(peer, msg(i)), Delivery::Ok, "frame {i}");
+        }
+        // At the cap: shed and counted, for frames and the stop nudge
+        // alike, and the sender is not blocked.
+        assert_eq!(boxes.deliver(peer, msg(u32::MAX)), Delivery::Shed);
+        assert_eq!(boxes.deliver(peer, Input::Stop), Delivery::Shed);
+        assert_eq!(boxes.shed.load(Ordering::Relaxed), 2);
+
+        // Taking one item out makes room for exactly one more, in order.
+        let first = rx.recv_timeout(StdDuration::ZERO);
+        assert!(matches!(first, Ok(Input::Msg { msg: 0, .. })));
+        assert_eq!(boxes.deliver(peer, Input::Stop), Delivery::Ok);
+        assert_eq!(boxes.deliver(peer, msg(u32::MAX)), Delivery::Shed);
+        for i in 1..MAILBOX_CAP as u32 {
+            let next = rx.recv_timeout(StdDuration::ZERO);
+            assert!(matches!(next, Ok(Input::Msg { msg, .. }) if msg == i));
+        }
+        assert!(matches!(
+            rx.recv_timeout(StdDuration::ZERO),
+            Ok(Input::Stop)
+        ));
+        assert!(matches!(
+            rx.recv_timeout(StdDuration::ZERO),
+            Err(RecvTimeoutError::Timeout)
+        ));
+
+        // A receiver that is gone reads as a dead connection, not as full.
+        drop(rx);
+        assert_eq!(boxes.deliver(peer, msg(7)), Delivery::Down);
+        assert_eq!(boxes.shed.load(Ordering::Relaxed), 3);
+    }
 }

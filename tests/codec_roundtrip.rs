@@ -5,20 +5,39 @@
 use ifi_agg::{Aggregate, MapSum, VecSum, WireSizes};
 use netfilter::codec::{Codec, CodecError};
 use netfilter::protocol::NfMsg;
-use netfilter::ItemId;
+use netfilter::{HeavyLists, ItemId};
 use proptest::prelude::*;
 
 fn arb_sizes() -> impl Strategy<Value = WireSizes> {
     (1u64..=8, 1u64..=8, 1u64..=8).prop_map(|(sa, sg, si)| WireSizes { sa, sg, si })
 }
 
-/// Values that fit the narrowest field width we generate.
-fn arb_group_vec() -> impl Strategy<Value = VecSum> {
-    prop::collection::vec(0u64..=255, 0..64).prop_map(VecSum)
+/// Slot values that fit the narrowest field width we generate, most of
+/// them zero — the shape a peer's local group vector has.
+fn arb_slots() -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::vec(prop_oneof![Just(0u64), Just(0u64), 0u64..=255], 0..64)
 }
 
-fn arb_heavy() -> impl Strategy<Value = Vec<Vec<u32>>> {
-    prop::collection::vec(prop::collection::vec(0u32..=255, 0..16), 0..6)
+/// `slots` as a [`VecSum`] fed update by update: a run while that is
+/// smaller than the array, where `VecSum::from` stores the array.
+fn fed(slots: &[u64]) -> VecSum {
+    let mut v = VecSum::zeros(slots.len());
+    for (slot, &value) in slots.iter().enumerate().filter(|&(_, &v)| v != 0) {
+        v.add(slot, value);
+    }
+    v
+}
+
+/// Group vectors in either stored form.
+fn arb_group_vec() -> impl Strategy<Value = VecSum> {
+    prop_oneof![
+        arb_slots().prop_map(VecSum::from),
+        arb_slots().prop_map(|slots| fed(&slots)),
+    ]
+}
+
+fn arb_heavy() -> impl Strategy<Value = HeavyLists> {
+    prop::collection::vec(prop::collection::vec(0u32..=255, 0..16), 0..6).prop_map(Into::into)
 }
 
 fn arb_candidates() -> impl Strategy<Value = MapSum> {
@@ -72,6 +91,21 @@ proptest! {
         );
     }
 
+    /// How a group vector is stored never reaches the wire: the run and
+    /// the array of one value are equal, charge the full `f·g` width, and
+    /// encode to identical bytes.
+    #[test]
+    fn stored_form_never_reaches_the_wire(slots in arb_slots(), sizes in arb_sizes()) {
+        let (array, run) = (VecSum::from(slots.clone()), fed(&slots));
+        prop_assert_eq!(&array, &run);
+        prop_assert_eq!(run.encoded_bytes(&sizes), sizes.sa * slots.len() as u64);
+        let codec = Codec::new(sizes);
+        prop_assert_eq!(
+            codec.encode(&NfMsg::GroupAgg(run)),
+            codec.encode(&NfMsg::GroupAgg(array))
+        );
+    }
+
     /// Any strict prefix of a nonempty encoding fails to decode (no silent
     /// truncation).
     #[test]
@@ -105,7 +139,7 @@ proptest! {
         let sizes = WireSizes { sa: 2, sg: 4, si: 4 };
         let codec = Codec::new(sizes);
         let too_big = (1u64 << 16) - 1 + extra;
-        let msg = NfMsg::GroupAgg(VecSum(vec![too_big]));
+        let msg = NfMsg::GroupAgg(VecSum::from(vec![too_big]));
         let overflowed = matches!(codec.encode(&msg), Err(CodecError::ValueOverflow { .. }));
         prop_assert!(overflowed);
     }

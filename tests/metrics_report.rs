@@ -102,6 +102,7 @@ struct MarkedProbe;
 impl Protocol for MarkedProbe {
     type Msg = u8;
     type Timer = ();
+    type Scratch = ();
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
         if ctx.self_id().index() == 0 {

@@ -113,7 +113,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let mut rng = DetRng::new(seed);
-        let mk = |rng: &mut DetRng| VecSum((0..dims).map(|_| rng.below(1000)).collect());
+        let mk = |rng: &mut DetRng| VecSum::from((0..dims).map(|_| rng.below(1000)).collect::<Vec<u64>>());
         let (a, b, c) = (mk(&mut rng), mk(&mut rng), mk(&mut rng));
 
         let mut ab = a.clone();
