@@ -11,15 +11,19 @@
 //! * [`aggregate`] — instant post-order evaluation over a materialized
 //!   [`Hierarchy`], charging each non-root member the encoded size of the
 //!   merged value it forwards upward;
-//! * [`ConvergecastProtocol`] — the same computation as a message-level DES
-//!   protocol (leaves send on start; internal nodes count down their
-//!   children). A property test in the `netfilter` crate asserts both
-//!   engines report identical values *and* identical byte totals.
+//! * [`TreeSlot`] + [`Convergecast`] — the same computation as the sans-io
+//!   building block every message-level engine of the workspace is built
+//!   on: a peer's place in the tree with its per-child admission table,
+//!   and one phase's accumulator over it. The block emits nothing itself;
+//!   an engine feeds it child reports and forwards (or, at the root,
+//!   finishes) what [`Convergecast::complete`] hands back. Property tests
+//!   in the `netfilter` crate assert both engines report identical values
+//!   *and* identical byte totals.
 
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::{Ctx, MsgClass, PeerId, Protocol};
+use ifi_sim::PeerId;
 
-use crate::merge::Aggregate;
+use crate::merge::{Aggregate, Fold};
 use crate::wire::WireSizes;
 
 /// Result of one hierarchical aggregation.
@@ -85,82 +89,178 @@ pub fn aggregate<A: Aggregate>(
     }
 }
 
-/// Message-level convergecast on the DES.
-///
-/// Each peer is seeded with its local aggregate; leaves send upward as soon
-/// as they start, internal peers forward once every child has reported.
-/// The final aggregate rests at the root (see
-/// [`ConvergecastProtocol::result`]).
+/// One downstream neighbor and which of its reports have been merged —
+/// the idempotency guard that makes duplicate or replayed reports
+/// harmless.
+#[derive(Debug, Clone, Copy)]
+struct Child {
+    id: PeerId,
+    /// Bit set of the `REPORT`s (see [`Convergecast`]) merged from it.
+    seen: u8,
+}
+
+/// A peer's slot in a static hierarchy: who is upstream, who is downstream
+/// and what each downstream neighbor has reported so far. Shared by every
+/// [`Convergecast`] phase an engine runs over the tree.
 #[derive(Debug, Clone)]
-pub struct ConvergecastProtocol<A> {
+pub struct TreeSlot {
     parent: Option<PeerId>,
-    pending_children: usize,
-    acc: Option<A>,
-    sizes: WireSizes,
-    is_root: bool,
-    done: bool,
+    children: Vec<Child>,
+    is_member: bool,
+    started: bool,
 }
 
-impl<A: Aggregate + 'static> ConvergecastProtocol<A> {
-    /// Creates the per-peer state from the peer's position in `hierarchy`
-    /// and its local aggregate value.
-    pub fn new(hierarchy: &Hierarchy, peer: PeerId, sizes: WireSizes, local: A) -> Self {
-        ConvergecastProtocol {
+/// What a `Start` event means to the peer in a [`TreeSlot`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Boot {
+    /// Not a member of the hierarchy (dead or detached when it was
+    /// built): stays in the universe, takes no part in the run.
+    Outsider,
+    /// The first `Start`: begin the protocol.
+    First,
+    /// A later `Start`: a crash/revival. State survived; in-flight frames
+    /// and armed timers did not.
+    Revival,
+}
+
+impl TreeSlot {
+    /// The slot of `peer` in `hierarchy`.
+    pub fn new(hierarchy: &Hierarchy, peer: PeerId) -> Self {
+        let children = hierarchy.children(peer);
+        TreeSlot {
             parent: hierarchy.parent(peer),
-            pending_children: hierarchy.children(peer).len(),
-            acc: Some(local),
-            sizes,
-            is_root: hierarchy.root() == peer,
-            done: false,
+            children: children.iter().map(|&id| Child { id, seen: 0 }).collect(),
+            is_member: hierarchy.is_member(peer),
+            started: false,
         }
     }
 
-    /// The final aggregate (root only, after the run quiesces).
-    pub fn result(&self) -> Option<&A> {
-        if self.is_root && self.done {
-            self.acc.as_ref()
+    /// The upstream neighbor; `None` at the root and for non-members.
+    pub fn parent(&self) -> Option<PeerId> {
+        self.parent
+    }
+
+    /// The downstream neighbors, ascending.
+    pub fn children(&self) -> impl ExactSizeIterator<Item = PeerId> + '_ {
+        self.children.iter().map(|c| c.id)
+    }
+
+    /// Whether this peer is the root: the one member with no parent.
+    pub fn is_root(&self) -> bool {
+        self.is_member && self.parent.is_none()
+    }
+
+    /// Classifies a `Start` event, remembering that it happened.
+    pub fn boot(&mut self) -> Boot {
+        if !self.is_member {
+            Boot::Outsider
+        } else if std::mem::replace(&mut self.started, true) {
+            Boot::Revival
         } else {
-            None
+            Boot::First
         }
     }
 
-    fn maybe_forward(&mut self, ctx: &mut Ctx<'_, Self>) {
-        if self.pending_children > 0 || self.done {
-            return;
+    /// The position of `from` among the children, or the warning label to
+    /// drop its message under: only a downstream neighbor reports rootward.
+    pub fn child(&self, from: PeerId) -> Result<usize, &'static str> {
+        let at = self.children.iter().position(|c| c.id == from);
+        at.ok_or("unexpected-sender")
+    }
+
+    /// Admission guard for a child's `report`: the sender must be a child
+    /// and that report must not have been merged from it already.
+    fn admit(&self, from: PeerId, report: u8) -> Result<usize, &'static str> {
+        let child = self.child(from)?;
+        if self.children[child].seen & report != 0 {
+            return Err("duplicate-report");
         }
-        self.done = true;
-        if let Some(parent) = self.parent {
-            let value = self.acc.take().expect("value present until forwarded");
-            let bytes = value.encoded_bytes(&self.sizes);
-            ctx.send(parent, value, bytes, MsgClass::AGGREGATION);
-        }
-        // The root keeps `acc` as the final answer.
+        Ok(child)
+    }
+
+    /// Whether every child's `report` has been merged.
+    fn all_in(&self, report: u8) -> bool {
+        self.children.iter().all(|c| c.seen & report != 0)
     }
 }
 
-impl<A: Aggregate + 'static> Protocol for ConvergecastProtocol<A> {
-    type Msg = A;
-    type Timer = ();
-    type Scratch = ();
+/// One rootward aggregation phase at one peer: the subtree's value so far.
+///
+/// `REPORT` is the phase's bit in the [`TreeSlot`]'s per-child table, so
+/// up to eight phases — each its own type — share one slot. The engine
+/// [`open`](Self::open)s the phase with its local value, feeds every
+/// child report through [`absorb`](Self::absorb), and gets the merged
+/// value back from [`complete`](Self::complete) exactly once: when the
+/// phase is open and every child is in. How reports combine in between is
+/// the payload's [`Aggregate::Fold`].
+#[derive(Debug, Clone)]
+pub struct Convergecast<A: Aggregate, const REPORT: u8 = 1> {
+    /// `Some` from `open` until `complete` takes it.
+    acc: Option<A>,
+    fold: A::Fold,
+}
 
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
-        self.maybe_forward(ctx);
+impl<A: Aggregate, const REPORT: u8> Default for Convergecast<A, REPORT> {
+    fn default() -> Self {
+        Convergecast {
+            acc: None,
+            fold: A::Fold::default(),
+        }
+    }
+}
+
+impl<A: Aggregate, const REPORT: u8> Convergecast<A, REPORT> {
+    /// Opens the phase with this peer's own value.
+    pub fn open(&mut self, local: A) {
+        self.acc = Some(local);
     }
 
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, _from: PeerId, msg: A) {
-        assert!(
-            self.pending_children > 0,
-            "received a child report after all children reported"
-        );
-        self.acc
-            .as_mut()
-            .expect("internal node still holds its accumulator")
-            .merge_owned(msg);
-        self.pending_children -= 1;
-        self.maybe_forward(ctx);
+    /// Admits and merges the `report` a message from `from` carried, or
+    /// returns the warning label to drop it under. `fits` is the payload's
+    /// compatibility check against this peer's own value — a decodable
+    /// report may still be one `merge` cannot take. Nothing is marked or
+    /// merged unless every check passes, so a rejected report leaves the
+    /// phase exactly as it was.
+    pub fn absorb(
+        &mut self,
+        slot: &mut TreeSlot,
+        from: PeerId,
+        report: A,
+        fits: impl FnOnce(&A, &A) -> bool,
+    ) -> Result<(), &'static str> {
+        let child = slot.admit(from, REPORT)?;
+        let acc = self.acc.as_mut().ok_or("premature-report")?;
+        if !fits(acc, &report) {
+            return Err("malformed-report");
+        }
+        self.fold.arrive(acc, from, report);
+        slot.children[child].seen |= REPORT;
+        Ok(())
     }
 
-    fn on_timer(&mut self, _ctx: &mut Ctx<'_, Self>, _t: ()) {}
+    /// The value accumulated so far (under an [`Ascending`] fold: the
+    /// local value only).
+    ///
+    /// [`Ascending`]: crate::merge::Ascending
+    pub fn value(&self) -> Option<&A> {
+        self.acc.as_ref()
+    }
+
+    /// Whether the phase is open and every child has reported.
+    pub fn ready(&self, slot: &TreeSlot) -> bool {
+        self.acc.is_some() && slot.all_in(REPORT)
+    }
+
+    /// The subtree's merged value, once [`ready`](Self::ready) — and then
+    /// never again, so a forward or a finish fires exactly once.
+    pub fn complete(&mut self, slot: &TreeSlot) -> Option<A> {
+        if !self.ready(slot) {
+            return None;
+        }
+        let mut acc = self.acc.take()?;
+        std::mem::take(&mut self.fold).finish(&mut acc);
+        Some(acc)
+    }
 }
 
 #[cfg(test)]
@@ -168,7 +268,6 @@ mod tests {
     use super::*;
     use crate::merge::{MapSum, ScalarSum, VecSum};
     use ifi_overlay::Topology;
-    use ifi_sim::{DetRng, SimConfig, World};
     use ifi_workload::ItemId;
 
     #[test]
@@ -207,57 +306,51 @@ mod tests {
     }
 
     #[test]
-    fn convergecast_matches_instant_engine() {
-        let topo = Topology::random_regular(80, 4, &mut DetRng::new(3));
-        let h = Hierarchy::bfs(&topo, PeerId::new(0));
-        let sizes = WireSizes::default();
-
-        let instant = aggregate(&h, &sizes, |p| {
-            MapSum::from_pairs([(ItemId(p.index() as u64 % 7), p.index() as u64)])
-        });
-
-        let peers: Vec<ConvergecastProtocol<MapSum>> = (0..80)
-            .map(|i| {
-                let p = PeerId::new(i);
-                ConvergecastProtocol::new(
-                    &h,
-                    p,
-                    sizes,
-                    MapSum::from_pairs([(ItemId(i as u64 % 7), i as u64)]),
-                )
-            })
-            .collect();
-        let mut w = World::new(SimConfig::default().with_seed(5), peers);
-        w.start();
-        w.run_to_quiescence();
-
-        let root_result = w
-            .peer(PeerId::new(0))
-            .result()
-            .expect("root must hold the final aggregate")
-            .clone();
-        assert_eq!(root_result, instant.root_value);
-        assert_eq!(
-            w.metrics().class_bytes(MsgClass::AGGREGATION),
-            instant.total_bytes(),
-            "DES and instant engines must charge identical bytes"
-        );
-    }
-
-    #[test]
-    fn convergecast_singleton_root_completes_immediately() {
-        let h = Hierarchy::balanced(1, 3);
-        let peers = vec![ConvergecastProtocol::new(
-            &h,
+    fn block_admits_each_child_once_and_completes_once() {
+        // Root 0 with children 1, 2, 3; peer 4 hangs under 1.
+        let h = Hierarchy::from_parents(
             PeerId::new(0),
-            WireSizes::default(),
-            ScalarSum(42),
-        )];
-        let mut w = World::new(SimConfig::default(), peers);
-        w.start();
-        w.run_to_quiescence();
-        assert_eq!(w.peer(PeerId::new(0)).result(), Some(&ScalarSum(42)));
-        assert_eq!(w.metrics().total_bytes(), 0);
+            &[None, Some(0), Some(0), Some(0), Some(1)].map(|p| p.map(PeerId::new)),
+        );
+        let mut slot = TreeSlot::new(&h, PeerId::new(0));
+        let mut phase: Convergecast<VecSum> = Convergecast::default();
+        let same_len = |mine: &VecSum, v: &VecSum| mine.len() == v.len();
+        type P1 = Convergecast<VecSum>;
+        let absorb = |phase: &mut P1, slot: &mut TreeSlot, from: usize, len: usize| {
+            let report = VecSum::from(vec![1; len]);
+            phase.absorb(slot, PeerId::new(from), report, same_len)
+        };
+
+        assert_eq!(absorb(&mut phase, &mut slot, 1, 2), Err("premature-report"));
+        phase.open(VecSum::from(vec![1, 0]));
+        assert_eq!(
+            absorb(&mut phase, &mut slot, 1, 2),
+            Ok(()),
+            "the rejection marked nothing"
+        );
+        assert_eq!(absorb(&mut phase, &mut slot, 1, 2), Err("duplicate-report"));
+        assert_eq!(
+            absorb(&mut phase, &mut slot, 4, 2),
+            Err("unexpected-sender")
+        );
+        assert_eq!(absorb(&mut phase, &mut slot, 2, 3), Err("malformed-report"));
+        assert_eq!(absorb(&mut phase, &mut slot, 2, 2), Ok(()));
+        assert!(phase.complete(&slot).is_none(), "child 3 is still out");
+        assert_eq!(absorb(&mut phase, &mut slot, 3, 2), Ok(()));
+        assert_eq!(phase.complete(&slot), Some(VecSum::from(vec![4, 3])));
+        assert!(phase.complete(&slot).is_none(), "completion fires once");
+        assert_eq!(
+            absorb(&mut phase, &mut slot, 3, 2),
+            Err("duplicate-report"),
+            "a surplus report"
+        );
+
+        // A second phase over the same slot keeps its own books.
+        let mut riders: Convergecast<ScalarSum, 2> = Convergecast::default();
+        riders.open(ScalarSum(1));
+        let absorbed = riders.absorb(&mut slot, PeerId::new(3), ScalarSum(1), |_, _| true);
+        assert_eq!((absorbed, riders.ready(&slot)), (Ok(()), false));
+        assert_eq!((slot.boot(), slot.boot()), (Boot::First, Boot::Revival));
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //!
 //! * [`hierarchical`] — bottom-up ("convergecast") aggregation along a
 //!   [`ifi_hierarchy::Hierarchy`]: an *instant* engine (post-order tree
-//!   walk with exact per-peer byte accounting) and a message-level
-//!   [`ConvergecastProtocol`] for the DES; both compute identical values
-//!   and identical byte counts,
+//!   walk with exact per-peer byte accounting) and the sans-io
+//!   [`Convergecast`] block the message-level engines are built on; both
+//!   compute identical values and identical byte counts,
 //! * [`gossip`] — push-sum gossip aggregation (the paper's discussed
 //!   alternative, citing \[8]\[15]; it needs `O(log N)` rounds and yields
 //!   approximate values — exactly the trade-off §III-A describes),
@@ -29,6 +29,6 @@ mod merge;
 pub mod sampling;
 mod wire;
 
-pub use hierarchical::{AggregationOutcome, ConvergecastProtocol};
-pub use merge::{Aggregate, MapSum, ScalarSum, VecSum};
+pub use hierarchical::{AggregationOutcome, Boot, Convergecast, TreeSlot};
+pub use merge::{Aggregate, Ascending, Fold, MapSum, OnArrival, ScalarSum, VecSum};
 pub use wire::WireSizes;

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 
+use ifi_sim::{PeerId, PeerMap};
 use ifi_workload::ItemId;
 
 use crate::wire::WireSizes;
@@ -9,10 +10,19 @@ use crate::wire::WireSizes;
 /// A value that can be merged bottom-up along the hierarchy and has a
 /// defined wire encoding size.
 ///
-/// Merging must be **commutative and associative** (children may be merged
-/// in any order); this is property-tested in the `netfilter` integration
-/// suite for all three implementations below.
+/// Merging must be **commutative**, and associative either exactly or up
+/// to an error bound the type documents; [`Fold`](Aggregate::Fold) says
+/// which, and with it how a convergecast may combine child reports. The
+/// exact case is property-tested in the `netfilter` integration suite for
+/// the three implementations below.
 pub trait Aggregate: Clone + std::fmt::Debug {
+    /// The merge discipline this algebra allows: [`OnArrival`] when
+    /// `merge` is exactly associative (children fold in any order, nothing
+    /// is buffered), [`Ascending`] when it is associative only up to an
+    /// error bound, so the result depends on the order and a schedule-
+    /// independent answer needs a canonical one.
+    type Fold: Fold<Self>;
+
     /// Folds `other` into `self`.
     fn merge(&mut self, other: &Self);
 
@@ -29,6 +39,50 @@ pub trait Aggregate: Clone + std::fmt::Debug {
     fn encoded_bytes(&self, sizes: &WireSizes) -> u64;
 }
 
+/// What a convergecast does with a child's report between its arrival and
+/// the completion of the phase — chosen by the payload type through
+/// [`Aggregate::Fold`], so it costs nothing where it is not needed.
+pub trait Fold<A>: Default + Clone + std::fmt::Debug {
+    /// Takes the report `from` sent, for `acc` (this node's own value so
+    /// far).
+    fn arrive(&mut self, acc: &mut A, from: PeerId, report: A);
+    /// Every child has reported: leaves the subtree's value in `acc`.
+    fn finish(self, acc: &mut A);
+}
+
+/// Folds each report into the accumulator as it arrives; holds nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OnArrival;
+
+impl<A: Aggregate> Fold<A> for OnArrival {
+    fn arrive(&mut self, acc: &mut A, _from: PeerId, report: A) {
+        acc.merge_owned(report);
+    }
+
+    fn finish(self, _acc: &mut A) {}
+}
+
+/// Buffers the reports and folds them in ascending [`PeerId`] at
+/// completion, whatever order they arrived in.
+#[derive(Debug, Clone)]
+pub struct Ascending<A>(PeerMap<A>);
+
+impl<A> Default for Ascending<A> {
+    fn default() -> Self {
+        Ascending(PeerMap::new())
+    }
+}
+
+impl<A: Aggregate> Fold<A> for Ascending<A> {
+    fn arrive(&mut self, _acc: &mut A, from: PeerId, report: A) {
+        self.0.insert(from, report);
+    }
+
+    fn finish(self, acc: &mut A) {
+        self.0.values().for_each(|report| acc.merge(report));
+    }
+}
+
 /// A single summed counter — used for `v` (total mass) and `N` (peer
 /// count), which the paper obtains "through simple aggregate computation"
 /// (§IV).
@@ -36,6 +90,8 @@ pub trait Aggregate: Clone + std::fmt::Debug {
 pub struct ScalarSum(pub u64);
 
 impl Aggregate for ScalarSum {
+    type Fold = OnArrival;
+
     fn merge(&mut self, other: &Self) {
         self.0 += other.0;
     }
@@ -232,6 +288,8 @@ impl Default for VecSum {
 }
 
 impl Aggregate for VecSum {
+    type Fold = OnArrival;
+
     /// # Panics
     ///
     /// Panics if the two vectors have different lengths.
@@ -316,6 +374,8 @@ impl MapSum {
 }
 
 impl Aggregate for MapSum {
+    type Fold = OnArrival;
+
     fn merge(&mut self, other: &Self) {
         for (&k, &v) in &other.0 {
             *self.0.entry(k).or_insert(0) += v;

@@ -41,14 +41,14 @@
 
 use std::collections::BTreeMap;
 
+use ifi_agg::{Boot, TreeSlot};
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::{
-    mix64, sansio_world, Des, Duration, Effects, Membership, MsgClass, NodeEvent, PeerId, PeerSet,
-    RelConfig, ReliableMsg, SansIo, SimConfig, SimTime, World,
+    mix64, sansio_world, Des, Duration, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId,
+    PeerSet, RelConfig, ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime, World,
 };
 use ifi_workload::{ItemId, SystemData};
 
-use crate::envelope::{Envelope, RetransmitTimer};
 use crate::windowed::SlidingWindow;
 use crate::WireSizes;
 
@@ -341,9 +341,7 @@ pub struct ContinuousProtocol {
     /// Hop counts from each registered query's subscriber to the root.
     sub_hops: Vec<u64>,
     me: PeerId,
-    parent: Option<PeerId>,
-    children: Vec<PeerId>,
-    is_root: bool,
+    slot: TreeSlot,
     members: usize,
     roster_digest: u64,
     /// This peer's per-epoch record batches, pre-loaded.
@@ -361,7 +359,6 @@ pub struct ContinuousProtocol {
     pending: BTreeMap<u64, PendingEpoch>,
     /// Next epoch to forward upward (interior) or certify (root).
     next_forward: u64,
-    started: bool,
     env: Envelope<EpochDelta>,
     // Root-only.
     standing: BTreeMap<ItemId, u64>,
@@ -416,9 +413,7 @@ impl ContinuousProtocol {
             registry,
             sub_hops,
             me: peer,
-            parent: hierarchy.parent(peer),
-            children: hierarchy.children(peer).to_vec(),
-            is_root: hierarchy.root() == peer,
+            slot: TreeSlot::new(hierarchy, peer),
             members: hierarchy.member_count(),
             roster_digest,
             schedule,
@@ -427,7 +422,6 @@ impl ContinuousProtocol {
             fence: 0,
             pending: BTreeMap::new(),
             next_forward: 0,
-            started: false,
             env: Envelope::plain(),
             standing: BTreeMap::new(),
             faded: FadedAccumulator::new(),
@@ -600,14 +594,14 @@ impl ContinuousProtocol {
                 return; // own fence for e hasn't passed yet
             }
             let complete = match self.pending.get(&e) {
-                Some(p) => p.own_done && p.reported.len() == self.children.len(),
+                Some(p) => p.own_done && p.reported.len() == self.slot.children().len(),
                 None => false,
             };
             if !complete {
                 return;
             }
             let p = self.pending.remove(&e).expect("checked above");
-            if self.is_root {
+            if self.slot.is_root() {
                 self.certify(fx, e, p);
             } else {
                 self.forward(fx, e, p);
@@ -620,7 +614,7 @@ impl ContinuousProtocol {
     /// [`MsgClass::DELTA`], census fields piggybacked in
     /// [`MsgClass::FAILOVER`].
     fn forward(&mut self, fx: &mut Effects<Self>, epoch: u64, p: PendingEpoch) {
-        let parent = self.parent.expect("non-root peers have a parent");
+        let parent = self.slot.parent().expect("non-root peers have a parent");
         let diffs: Vec<(ItemId, i64)> = p.diffs.into_iter().collect();
         let bytes = self.sizes.si + self.sizes.pair() * diffs.len() as u64;
         let msg = EpochDelta {
@@ -629,7 +623,8 @@ impl ContinuousProtocol {
             census_count: p.census_count,
             census_digest: p.census_digest,
         };
-        self.env.send(fx, parent, msg, bytes, MsgClass::DELTA);
+        self.env
+            .send_retained(fx, parent, msg, bytes, MsgClass::DELTA);
         fx.charge(MsgClass::FAILOVER, self.sizes.sa + self.sizes.si);
     }
 
@@ -788,17 +783,12 @@ impl SansIo for ContinuousProtocol {
     ) {
         match ev {
             NodeEvent::Start => {
-                if self.started {
-                    // Revival: restore delivery guarantees and resume the
-                    // fence cadence the crash's lost timer broke.
-                    self.env.on_revival(fx);
-                    if self.fence < self.epochs {
-                        fx.set_timer(self.epoch_len, ContTimer::Fence);
-                    }
-                    return;
+                // A revival restores delivery guarantees, then resumes the
+                // fence cadence the crash's lost timer broke.
+                if self.slot.boot() == Boot::Revival {
+                    self.env.revive(fx);
                 }
-                self.started = true;
-                if self.epochs > 0 {
+                if self.fence < self.epochs {
                     fx.set_timer(self.epoch_len, ContTimer::Fence);
                 }
             }
@@ -806,9 +796,8 @@ impl SansIo for ContinuousProtocol {
                 let Some(delta) = self.env.on_frame(fx, from, msg) else {
                     return;
                 };
-                if !self.children.contains(&from) {
-                    fx.warn("unexpected-sender");
-                    return;
+                if let Err(warn) = self.slot.child(from) {
+                    return fx.warn(warn);
                 }
                 if delta.epoch >= self.epochs as u64 {
                     fx.warn("epoch-out-of-range");
@@ -831,7 +820,12 @@ impl SansIo for ContinuousProtocol {
             }
             NodeEvent::Timer { tag } => match tag {
                 ContTimer::Fence => self.do_fence(fx),
-                ContTimer::Retransmit(rt) => self.env.on_retransmit(fx, rt),
+                ContTimer::Retransmit(rt) => {
+                    // Each epoch's delta goes up once; no later one repairs it.
+                    if self.env.on_retransmit(fx, rt).is_some() {
+                        fx.warn("retransmit-gave-up");
+                    }
+                }
             },
         }
     }

@@ -25,14 +25,14 @@
 //! engine: the simcheck `threshold-soundness` oracle must demonstrably
 //! catch it.
 
+use ifi_agg::{Boot, TreeSlot};
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::{
-    sansio_world, Des, Effects, Membership, MsgClass, NodeEvent, PeerId, PeerSet, RelConfig,
-    ReliableMsg, SansIo, SimConfig, SimTime, World,
+    sansio_world, Des, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, PeerSet,
+    RelConfig, ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime, World,
 };
 use ifi_workload::{ItemId, SystemData};
 
-use crate::envelope::{Envelope, RetransmitTimer};
 use crate::{Threshold, WireSizes};
 
 /// Tuning of the comparator.
@@ -100,10 +100,7 @@ pub struct LocalThresholdProtocol {
     members: usize,
     sizes: WireSizes,
     me: PeerId,
-    parent: Option<PeerId>,
-    children: Vec<PeerId>,
-    is_root: bool,
-    is_member: bool,
+    slot: TreeSlot,
     local_value: u64,
     optimistic: bool,
     /// Origins whose reports this node already relayed (or, at the root,
@@ -112,7 +109,6 @@ pub struct LocalThresholdProtocol {
     lower_bound: u64,
     reporters: usize,
     delivered: bool,
-    started: bool,
     env: Envelope<BudgetReport>,
 }
 
@@ -134,17 +130,13 @@ impl LocalThresholdProtocol {
             members,
             sizes: config.sizes,
             me: peer,
-            parent: hierarchy.parent(peer),
-            children: hierarchy.children(peer).to_vec(),
-            is_root: hierarchy.root() == peer,
-            is_member: hierarchy.is_member(peer),
+            slot: TreeSlot::new(hierarchy, peer),
             local_value,
             optimistic: config.optimistic,
             seen_origins: PeerSet::new(),
             lower_bound: 0,
             reporters: 0,
             delivered: false,
-            started: false,
             env: Envelope::plain(),
         }
     }
@@ -237,17 +229,17 @@ impl LocalThresholdProtocol {
 
     /// Accounts (root) or relays (interior) one origin's report.
     fn absorb(&mut self, fx: &mut Effects<Self>, report: BudgetReport) {
-        if self.is_root {
+        if self.slot.is_root() {
             self.lower_bound += report.value;
             self.reporters += 1;
             if !self.delivered && self.decides_yes() {
                 self.delivered = true;
                 fx.deliver(self.verdict());
             }
-        } else if let Some(parent) = self.parent {
+        } else if let Some(parent) = self.slot.parent() {
             let bytes = self.sizes.pair();
             self.env
-                .send(fx, parent, report, bytes, MsgClass::THRESHOLD);
+                .send_retained(fx, parent, report, bytes, MsgClass::THRESHOLD);
         }
     }
 }
@@ -265,18 +257,12 @@ impl SansIo for LocalThresholdProtocol {
         fx: &mut Effects<Self>,
     ) {
         match ev {
-            NodeEvent::Start => {
-                if !self.is_member {
-                    return; // not part of the hierarchy: contributes nothing
-                }
-                if self.started {
-                    self.env.on_revival(fx);
-                    return;
-                }
-                self.started = true;
+            NodeEvent::Start => match self.slot.boot() {
+                Boot::Outsider => {}
+                Boot::Revival => self.env.revive(fx),
                 // Speak only when the local value reaches the budget
                 // (resolved thresholds are ≥ 1, so the budget is too).
-                if self.local_value >= self.budget {
+                Boot::First if self.local_value >= self.budget => {
                     let me = BudgetReport {
                         origin: self.me,
                         value: self.local_value,
@@ -284,22 +270,25 @@ impl SansIo for LocalThresholdProtocol {
                     self.seen_origins.insert(me.origin);
                     self.absorb(fx, me);
                 }
-            }
+                Boot::First => {}
+            },
             NodeEvent::Message { from, msg } => {
                 let Some(report) = self.env.on_frame(fx, from, msg) else {
                     return;
                 };
-                if !self.children.contains(&from) {
-                    fx.warn("unexpected-sender");
-                    return;
-                }
-                if !self.seen_origins.insert(report.origin) {
+                if let Err(warn) = self.slot.child(from) {
+                    fx.warn(warn);
+                } else if !self.seen_origins.insert(report.origin) {
                     fx.warn("duplicate-report");
-                    return;
+                } else {
+                    self.absorb(fx, report);
                 }
-                self.absorb(fx, report);
             }
-            NodeEvent::Timer { tag } => self.env.on_retransmit(fx, tag),
+            NodeEvent::Timer { tag } => {
+                if self.env.on_retransmit(fx, tag).is_some() {
+                    fx.warn("retransmit-gave-up");
+                }
+            }
         }
     }
 }

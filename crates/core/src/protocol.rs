@@ -32,18 +32,18 @@
 //! their phase class; acks and retransmissions are metered separately
 //! under [`MsgClass::RETRANSMIT`].
 
-use ifi_agg::{Aggregate, MapSum, VecSum};
+use ifi_agg::{Aggregate, Boot, Convergecast, MapSum, TreeSlot, VecSum};
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::{
-    sansio_world, Des, Effects, Membership, MsgClass, NodeEvent, PeerId, RelConfig, ReliableLink,
-    ReliableMsg, Retransmit, SansIo, SimConfig, SimTime, World,
+    sansio_world, Des, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, RelConfig,
+    ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime, World,
 };
 use ifi_workload::{ItemId, SystemData};
 
 use crate::config::NetFilterConfig;
 use crate::filter::{HeavyGroups, HeavyLists, LocalFilter};
 use crate::hashing::HashFamily;
-use crate::resilient::{Census, Certificate, CENSUS_BYTES};
+use crate::resilient::{frequent_items, Census, Certificate, CENSUS_BYTES};
 
 /// Messages of the netFilter protocol.
 #[derive(Debug, Clone)]
@@ -87,23 +87,10 @@ pub enum NfTimer {
     Retransmit(u64),
 }
 
-/// One downstream neighbor and which of its reports have been merged —
-/// the idempotency guard that makes duplicate or replayed reports
-/// harmless.
-#[derive(Debug, Clone, Copy)]
-struct Child {
-    id: PeerId,
-    /// Bit set of [`Report`]s merged from this child.
-    seen: u8,
-}
-
-/// The four kinds of rootward report a child sends, as [`Child::seen`] bits.
-#[derive(Debug, Clone, Copy)]
-enum Report {
-    P1 = 1,
-    P2 = 2,
-    P1Census = 4,
-    P2Census = 8,
+impl From<RetransmitTimer> for NfTimer {
+    fn from(t: RetransmitTimer) -> Self {
+        NfTimer::Retransmit(t.0)
+    }
 }
 
 /// Census-mode state: present only on peers given a roster.
@@ -111,23 +98,10 @@ enum Report {
 struct CensusState {
     /// The issue-time roster to certify against.
     roster: Census,
-    /// Merged contributor censuses of this subtree (self plus children).
-    p1: Census,
-    p2: Census,
-    /// Countdowns of children's phase censuses.
-    p1_pending: usize,
-    p2_pending: usize,
-    certificate: Option<Certificate>,
-}
-
-/// Ack/retransmit envelope state: present only under reliability.
-#[derive(Debug, Clone)]
-struct Reliability {
-    link: ReliableLink<NfMsg>,
-    /// Originals produced so far `(to, msg, bytes)`: a revival re-sends
-    /// them all (the crash lost every retransmit timer), charged as
-    /// [`MsgClass::RETRANSMIT`].
-    resend_buf: Vec<(PeerId, NfMsg, u64)>,
+    /// Contributor censuses of this subtree (self plus children), one
+    /// rider convergecast beside each phase's.
+    p1: Convergecast<Census, 4>,
+    p2: Convergecast<Census, 8>,
 }
 
 /// Per-peer state of the netFilter protocol.
@@ -142,33 +116,32 @@ pub struct NetFilterProtocol {
     sizes: crate::WireSizes,
     threshold: u64,
     me: PeerId,
-    parent: Option<PeerId>,
-    children: Vec<Child>,
-    is_root: bool,
-    /// Whether this peer is a member of the hierarchy at all. Dead or
-    /// detached peers stay in the universe but take no part in the run.
-    is_member: bool,
-    /// Whether `Start` has been handled once; a second `Start` marks a
-    /// crash/revival and triggers the re-send path instead of re-init.
-    started: bool,
+    slot: TreeSlot,
     /// Whether the heavy lists have arrived (or, at the root, been
     /// computed) — all a peer keeps of them.
     heavy_seen: bool,
     local_items: Vec<(ItemId, u64)>,
 
-    p1_pending: usize,
-    p1_acc: Option<VecSum>,
-    p2_pending: usize,
-    p2_acc: Option<MapSum>,
+    /// Filtering convergecast; opens at `Start` with the local vector.
+    p1: Convergecast<VecSum, 1>,
+    /// Candidate convergecast; opens when the heavy lists arrive.
+    p2: Convergecast<MapSum, 2>,
     result: Option<Vec<(ItemId, u64)>>,
 
     /// `Some` switches census mode on for this peer (reports are
     /// accompanied by metered [`NfMsg::PhaseCensus`] messages, and the
     /// root emits a certificate).
     census: Option<Box<CensusState>>,
-    /// `None` runs the classic fire-and-forget protocol (zero overhead,
-    /// zero extra traffic).
-    rel: Option<Box<Reliability>>,
+    /// Plain by default: the classic fire-and-forget protocol (zero
+    /// overhead, zero extra traffic).
+    env: Envelope<NfMsg>,
+    /// Unused. The fields above need 232 bytes; the peer stays at the 240
+    /// it has been benchmarked at because `N × size_of` sets which of a
+    /// world's big buffers glibc hands back to the OS between epochs: at
+    /// N = 10^5, eight bytes less made every rebuilt world re-fault 76 MB
+    /// (`setup_s` +28 % on `des_exact_n100k`, ten pairs of ten). The next
+    /// field that earns its place takes this one's.
+    _slack: u64,
 }
 
 // The diet above is what lets the N = 10^5 epoch fit its memory budget;
@@ -187,39 +160,26 @@ impl NetFilterProtocol {
         threshold: u64,
     ) -> Self {
         let family = HashFamily::new(config.filters, config.filter_size, config.hash_seed);
-        let children: Vec<Child> = hierarchy
-            .children(peer)
-            .iter()
-            .map(|&id| Child { id, seen: 0 })
-            .collect();
         NetFilterProtocol {
             local_filter: LocalFilter::new(family),
             sizes: config.sizes,
             threshold,
             me: peer,
-            parent: hierarchy.parent(peer),
-            is_root: hierarchy.root() == peer,
-            is_member: hierarchy.is_member(peer),
-            started: false,
+            slot: TreeSlot::new(hierarchy, peer),
             heavy_seen: false,
             local_items,
-            p1_pending: children.len(),
-            p1_acc: None,
-            p2_pending: children.len(),
-            p2_acc: None,
-            children,
+            p1: Convergecast::default(),
+            p2: Convergecast::default(),
             result: None,
             census: None,
-            rel: None,
+            env: Envelope::plain(),
+            _slack: 0,
         }
     }
 
     /// Enables the ack/retransmit envelope with the given tuning.
     pub fn with_reliability(mut self, cfg: RelConfig) -> Self {
-        self.rel = Some(Box::new(Reliability {
-            link: ReliableLink::new(cfg),
-            resend_buf: Vec::new(),
-        }));
+        self.env = Envelope::reliable(cfg);
         self
     }
 
@@ -228,15 +188,10 @@ impl NetFilterProtocol {
     /// the root's delivery carries a [`Certificate`] — `Complete` exactly
     /// when both phase censuses equal `roster`.
     pub fn with_census(mut self, roster: Census) -> Self {
-        let me = Census::solo(self.me);
-        self.census = Some(Box::new(CensusState {
-            roster,
-            p1: me,
-            p2: me,
-            p1_pending: self.children.len(),
-            p2_pending: self.children.len(),
-            certificate: None,
-        }));
+        let (mut p1, mut p2) = (Convergecast::default(), Convergecast::default());
+        p1.open(Census::solo(self.me));
+        p2.open(Census::solo(self.me));
+        self.census = Some(Box::new(CensusState { roster, p1, p2 }));
         self
     }
 
@@ -257,7 +212,9 @@ impl NetFilterProtocol {
     /// The root's coverage certificate, once the run completes in census
     /// mode.
     pub fn certificate(&self) -> Option<Certificate> {
-        self.census.as_ref().and_then(|c| c.certificate)
+        let (c, _done) = (self.census.as_deref()?, self.result.as_ref()?);
+        let (p1, p2) = (*c.p1.value()?, *c.p2.value()?);
+        Some(Certificate::from_phases(c.roster, p1, p2))
     }
 
     /// The world every `build_world*` returns: one core per peer of `data`,
@@ -342,36 +299,9 @@ impl NetFilterProtocol {
         self.threshold
     }
 
-    /// Sends a phase message, through the ack/retransmit envelope when
-    /// reliability is enabled. The original is charged in `class` either
-    /// way, so phase costs are loss-independent. Under reliability the
-    /// original is also retained in the revival backlog: a crash loses
-    /// every retransmit timer, so re-sending the backlog (as RETRANSMIT)
-    /// is what keeps delivery guaranteed across restarts.
-    fn send_phase(
-        &mut self,
-        fx: &mut Effects<Self>,
-        to: PeerId,
-        msg: NfMsg,
-        bytes: u64,
-        class: MsgClass,
-    ) {
-        match self.rel.as_deref_mut() {
-            None => {
-                fx.send(to, ReliableMsg::Plain(msg), bytes, class);
-            }
-            Some(rel) => {
-                let (seq, frame) = rel.link.send_data(to, msg.clone(), bytes);
-                let delay = rel.link.rto(seq, 0);
-                fx.send(to, frame, bytes, class);
-                fx.set_timer(delay, NfTimer::Retransmit(seq));
-                rel.resend_buf.push((to, msg, bytes));
-            }
-        }
-    }
-
     /// Sends a phase report to the parent and, in census mode, the merged
-    /// census of `phase` beside it.
+    /// census of `phase` beside it. Every phase message is retained for a
+    /// revival to re-send: this protocol says each thing once.
     fn report(
         &mut self,
         fx: &mut Effects<Self>,
@@ -380,17 +310,18 @@ impl NetFilterProtocol {
         bytes: u64,
         class: MsgClass,
     ) {
-        let parent = self.parent.expect("non-root has a parent");
-        self.send_phase(fx, parent, msg, bytes, class);
+        let parent = self.slot.parent().expect("non-root has a parent");
+        self.env.send_retained(fx, parent, msg, bytes, class);
         if let Some(c) = self.census.as_deref() {
-            let census = if phase == 1 { c.p1 } else { c.p2 };
-            self.send_phase(
-                fx,
-                parent,
-                NfMsg::PhaseCensus { phase, census },
-                CENSUS_BYTES,
-                MsgClass::FAILOVER,
-            );
+            let census = if phase == 1 {
+                c.p1.value()
+            } else {
+                c.p2.value()
+            };
+            let census = *census.expect("census riders are open for the whole run");
+            let msg = NfMsg::PhaseCensus { phase, census };
+            self.env
+                .send_retained(fx, parent, msg, CENSUS_BYTES, MsgClass::FAILOVER);
         }
     }
 
@@ -398,28 +329,17 @@ impl NetFilterProtocol {
     /// local vector (Start ran), every child's report, and — in census
     /// mode — every child's phase-1 census.
     fn maybe_complete_p1(&mut self, fx: &mut Effects<Self>) {
-        let census_pending = self.census.as_ref().map_or(0, |c| c.p1_pending);
-        if self.p1_acc.is_some() && self.p1_pending == 0 && census_pending == 0 {
-            self.phase1_complete(fx);
+        if self
+            .census
+            .as_ref()
+            .is_some_and(|c| !c.p1.ready(&self.slot))
+        {
+            return;
         }
-    }
-
-    /// Phase-2 counterpart of [`maybe_complete_p1`](Self::maybe_complete_p1);
-    /// `p2_acc` is set when the heavy lists arrive and taken at completion,
-    /// so it doubles as the fired-once guard.
-    fn maybe_complete_p2(&mut self, fx: &mut Effects<Self>) {
-        let census_pending = self.census.as_ref().map_or(0, |c| c.p2_pending);
-        if self.p2_acc.is_some() && self.p2_pending == 0 && census_pending == 0 {
-            self.phase2_complete(fx);
-        }
-    }
-
-    fn phase1_complete(&mut self, fx: &mut Effects<Self>) {
-        let acc = self
-            .p1_acc
-            .take()
-            .expect("phase-1 accumulator present until completion");
-        if self.is_root {
+        let Some(acc) = self.p1.complete(&self.slot) else {
+            return;
+        };
+        if self.slot.is_root() {
             let heavy =
                 HeavyGroups::from_aggregate(self.local_filter.family(), &acc, self.threshold);
             self.start_phase2(fx, heavy);
@@ -433,13 +353,13 @@ impl NetFilterProtocol {
         // Forward the heavy lists to every downstream neighbor: each
         // message carries the handle, not a copy of the lists.
         let list_bytes = self.sizes.sg * heavy.total_heavy() as u64;
-        for i in 0..self.children.len() {
-            let child = self.children[i].id;
+        for child in self.slot.children() {
             let lists = NfMsg::Heavy(heavy.clone().into());
-            self.send_phase(fx, child, lists, list_bytes, MsgClass::DISSEMINATION);
+            self.env
+                .send_retained(fx, child, lists, list_bytes, MsgClass::DISSEMINATION);
         }
         // Materialize the local partial candidate set (Algorithm 2 line 2).
-        self.p2_acc = Some(
+        self.p2.open(
             self.local_filter
                 .partial_candidates(&self.local_items, &heavy),
         );
@@ -447,37 +367,26 @@ impl NetFilterProtocol {
         self.maybe_complete_p2(fx);
     }
 
-    fn phase2_complete(&mut self, fx: &mut Effects<Self>) {
-        let acc = self
-            .p2_acc
-            .take()
-            .expect("phase-2 accumulator present until completion");
-        if self.is_root {
-            let mut frequent: Vec<(ItemId, u64)> = acc
-                .0
-                .iter()
-                .filter(|&(_, &v)| v >= self.threshold)
-                .map(|(&k, &v)| (k, v))
-                .collect();
-            frequent.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            if let Some(c) = self.census.as_deref_mut() {
-                c.certificate = Some(if c.p1 == c.roster && c.p2 == c.roster {
-                    Certificate::Complete
-                } else if c.p1 != c.roster {
-                    Certificate::Partial {
-                        missing: c.roster.minus(c.p1),
-                    }
-                } else {
-                    Certificate::Partial {
-                        missing: c.roster.minus(c.p2),
-                    }
-                });
-            }
+    /// Phase-2 counterpart of [`maybe_complete_p1`](Self::maybe_complete_p1).
+    fn maybe_complete_p2(&mut self, fx: &mut Effects<Self>) {
+        if self
+            .census
+            .as_ref()
+            .is_some_and(|c| !c.p2.ready(&self.slot))
+        {
+            return;
+        }
+        let Some(acc) = self.p2.complete(&self.slot) else {
+            return;
+        };
+        if self.slot.is_root() {
+            let answer = frequent_items(&acc, self.threshold);
+            self.result = Some(answer.clone());
+            let certificate = self.certificate();
             fx.deliver(NfDelivery {
-                answer: frequent.clone(),
-                certificate: self.certificate(),
+                answer,
+                certificate,
             });
-            self.result = Some(frequent);
         } else {
             let bytes = acc.encoded_bytes(&self.sizes);
             self.report(
@@ -490,23 +399,6 @@ impl NetFilterProtocol {
         }
     }
 
-    /// Admission guard for a child's rootward message: the sender must be
-    /// a child and `report` must not have been merged from it already.
-    /// Returns the child's position — for [`Child::seen`] to be marked
-    /// once the payload has passed its own checks — or the warning label
-    /// to emit when the message must be dropped.
-    fn admit(&self, from: PeerId, report: Report) -> Result<usize, &'static str> {
-        let i = self
-            .children
-            .iter()
-            .position(|c| c.id == from)
-            .ok_or("unexpected-sender")?;
-        if self.children[i].seen & report as u8 != 0 {
-            return Err("duplicate-report");
-        }
-        Ok(i)
-    }
-
     /// Handles a deduplicated protocol payload. Every arm is idempotent:
     /// a duplicate, replayed, misdirected, or malformed message is counted
     /// as a metered warning and dropped, never merged twice and never a
@@ -514,154 +406,34 @@ impl NetFilterProtocol {
     /// blindly re-send its backlog, and that keeps one bad neighbor from
     /// taking a peer thread down.
     fn on_payload(&mut self, fx: &mut Effects<Self>, from: PeerId, msg: NfMsg) {
-        let admitted = match &msg {
-            NfMsg::GroupAgg(_) => self.admit(from, Report::P1),
-            NfMsg::CandidateAgg(_) => self.admit(from, Report::P2),
-            NfMsg::PhaseCensus { phase: 1, .. } if self.census.is_some() => {
-                self.admit(from, Report::P1Census)
-            }
-            NfMsg::PhaseCensus { phase: 2, .. } if self.census.is_some() => {
-                self.admit(from, Report::P2Census)
-            }
-            NfMsg::PhaseCensus { .. } => Err("unexpected-census"),
-            NfMsg::Heavy(_) if Some(from) != self.parent => Err("unexpected-sender"),
-            NfMsg::Heavy(_) if self.heavy_seen => Err("duplicate-report"),
-            // From the parent: no child slot to mark.
-            NfMsg::Heavy(_) => Ok(0),
-        };
-        let child = match admitted {
-            Ok(child) => child,
-            Err(warn) => return fx.warn(warn),
-        };
-        match msg {
+        let slot = &mut self.slot;
+        let any = |_: &Census, _: &Census| true;
+        // `Ok` names the phase whose completion the message may have fired.
+        let absorbed = match msg {
             NfMsg::GroupAgg(v) => {
-                let acc = self
-                    .p1_acc
-                    .as_mut()
-                    .expect("phase-1 accumulator initialized at start");
-                if v.len() != acc.len() {
-                    return fx.warn("malformed-report");
-                }
-                acc.merge_owned(v);
-                self.children[child].seen |= Report::P1 as u8;
-                self.p1_pending -= 1;
-                self.maybe_complete_p1(fx);
+                let same_dimension = |mine: &VecSum, v: &VecSum| mine.len() == v.len();
+                self.p1.absorb(slot, from, v, same_dimension).map(|()| 1)
             }
-            NfMsg::Heavy(lists) => match HeavyGroups::for_family(self.local_filter.family(), lists)
-            {
-                Some(heavy) => self.start_phase2(fx, heavy),
-                None => fx.warn("malformed-report"),
+            NfMsg::CandidateAgg(m) => self.p2.absorb(slot, from, m, |_, _| true).map(|()| 2),
+            NfMsg::PhaseCensus { phase, census } => match (self.census.as_deref_mut(), phase) {
+                (Some(c), 1) => c.p1.absorb(slot, from, census, any).map(|()| 1),
+                (Some(c), 2) => c.p2.absorb(slot, from, census, any).map(|()| 2),
+                _ => Err("unexpected-census"),
             },
-            NfMsg::CandidateAgg(m) => {
-                self.p2_acc
-                    .as_mut()
-                    .expect("phase-2 accumulator set when heavy lists arrived")
-                    .merge_owned(m);
-                self.children[child].seen |= Report::P2 as u8;
-                self.p2_pending -= 1;
-                self.maybe_complete_p2(fx);
-            }
-            NfMsg::PhaseCensus { phase, census } => {
-                let c = self.census.as_deref_mut().expect("admitted in census mode");
-                if phase == 1 {
-                    self.children[child].seen |= Report::P1Census as u8;
-                    c.p1.merge(census);
-                    c.p1_pending -= 1;
-                    self.maybe_complete_p1(fx);
-                } else {
-                    self.children[child].seen |= Report::P2Census as u8;
-                    c.p2.merge(census);
-                    c.p2_pending -= 1;
-                    self.maybe_complete_p2(fx);
-                }
-            }
-        }
-    }
-
-    /// A second `Start` is a crash/revival (the DES `Revive` event, or the
-    /// transport supervisor respawning a crashed peer thread). State
-    /// survived — only the in-flight frames and armed timers died with the
-    /// old life — so: bump the reliability incarnation (abandoning the old
-    /// life's frames) and re-send every original this node ever produced,
-    /// charged as RETRANSMIT. Receivers that already merged a copy warn
-    /// and drop it (the `admit` guards); anyone else finally gets it.
-    fn on_revival(&mut self, fx: &mut Effects<Self>) {
-        let Some(rel) = self.rel.as_deref_mut() else {
-            // Without the envelope there is no delivery guarantee to
-            // restore (and no incarnation to bump); a revived peer just
-            // resumes with its surviving state.
-            return;
+            NfMsg::Heavy(_) if Some(from) != slot.parent() => Err("unexpected-sender"),
+            NfMsg::Heavy(_) if self.heavy_seen => Err("duplicate-report"),
+            NfMsg::Heavy(lists) => HeavyGroups::for_family(self.local_filter.family(), lists)
+                .map(|heavy| {
+                    self.start_phase2(fx, heavy);
+                    0
+                })
+                .ok_or("malformed-report"),
         };
-        rel.link.on_restart();
-        for (to, msg, bytes) in &rel.resend_buf {
-            let (seq, frame) = rel.link.send_data(*to, msg.clone(), *bytes);
-            let delay = rel.link.rto(seq, 0);
-            fx.send(*to, frame, *bytes, MsgClass::RETRANSMIT);
-            fx.set_timer(delay, NfTimer::Retransmit(seq));
-        }
-    }
-
-    fn on_frame(&mut self, fx: &mut Effects<Self>, from: PeerId, msg: ReliableMsg<NfMsg>) {
-        let payload = match msg {
-            ReliableMsg::Plain(m) => m,
-            ReliableMsg::Data { inc, seq, payload } => {
-                let Some(link) = self.rel.as_deref_mut().map(|rel| &mut rel.link) else {
-                    // A sequenced frame at a peer with no reliability
-                    // envelope is a configuration mismatch between the two
-                    // ends; drop it rather than take the node down.
-                    fx.warn("sequenced-frame-without-reliability");
-                    return;
-                };
-                let ack_bytes = link.cfg().ack_bytes;
-                let fresh = link.accept(from, inc, seq);
-                // Always ack — a duplicate usually means the first ack was
-                // lost — but only fresh payloads reach the phase logic. The
-                // ack echoes the frame's incarnation so the sender can
-                // match it to the right life.
-                fx.send(
-                    from,
-                    ReliableMsg::Ack { inc, seq },
-                    ack_bytes,
-                    MsgClass::RETRANSMIT,
-                );
-                if !fresh {
-                    return;
-                }
-                payload
-            }
-            ReliableMsg::Ack { inc, seq } => {
-                if let Some(rel) = self.rel.as_deref_mut() {
-                    rel.link.on_ack(from, inc, seq);
-                }
-                return;
-            }
-        };
-        self.on_payload(fx, from, payload);
-    }
-
-    fn on_retransmit(&mut self, fx: &mut Effects<Self>, timer: NfTimer) {
-        let NfTimer::Retransmit(seq) = timer;
-        let Some(rel) = self.rel.as_deref_mut() else {
-            fx.warn("retransmit-timer-without-reliability");
-            return;
-        };
-        match rel.link.retransmit(seq) {
-            Retransmit::Resend {
-                to,
-                frame,
-                bytes,
-                next_delay,
-            } => {
-                fx.send(to, frame, bytes, MsgClass::RETRANSMIT);
-                fx.set_timer(next_delay, NfTimer::Retransmit(seq));
-            }
-            Retransmit::Acked => {}
-            Retransmit::GaveUp { .. } => {
-                // A one-shot run has no coarser repair to escalate to; the
-                // resilient engine's epoch supersession handles this case
-                // (see `resilient.rs`). With default tuning this needs 17
-                // consecutive losses of the same frame.
-            }
+        match absorbed {
+            Ok(1) => self.maybe_complete_p1(fx),
+            Ok(2) => self.maybe_complete_p2(fx),
+            Ok(_) => {}
+            Err(warn) => fx.warn(warn),
         }
     }
 }
@@ -679,20 +451,31 @@ impl SansIo for NetFilterProtocol {
         fx: &mut Effects<Self>,
     ) {
         match ev {
-            NodeEvent::Start => {
-                if !self.is_member {
-                    return; // not part of the hierarchy: contributes nothing
+            NodeEvent::Start => match self.slot.boot() {
+                Boot::Outsider => {}
+                // State survived the crash — only in-flight frames and
+                // armed timers died with the old life. Receivers that
+                // already merged a re-sent copy warn and drop it.
+                Boot::Revival => self.env.revive(fx),
+                Boot::First => {
+                    self.p1
+                        .open(self.local_filter.group_vector(&self.local_items));
+                    self.maybe_complete_p1(fx);
                 }
-                if self.started {
-                    self.on_revival(fx);
-                    return;
+            },
+            NodeEvent::Message { from, msg } => {
+                if let Some(payload) = self.env.on_frame(fx, from, msg) {
+                    self.on_payload(fx, from, payload);
                 }
-                self.started = true;
-                self.p1_acc = Some(self.local_filter.group_vector(&self.local_items));
-                self.maybe_complete_p1(fx);
             }
-            NodeEvent::Message { from, msg } => self.on_frame(fx, from, msg),
-            NodeEvent::Timer { tag } => self.on_retransmit(fx, tag),
+            NodeEvent::Timer {
+                tag: NfTimer::Retransmit(seq),
+            } => {
+                // Giving up is silent: a one-shot run has no coarser
+                // repair to escalate to, and with default tuning it takes
+                // 17 consecutive losses of the same frame.
+                self.env.on_retransmit(fx, RetransmitTimer(seq));
+            }
         }
     }
 }
@@ -953,91 +736,6 @@ mod tests {
             })
         );
         assert!(root.result().is_some(), "partial coverage still answers");
-    }
-
-    #[test]
-    fn duplicate_and_alien_reports_are_warned_and_dropped() {
-        use ifi_sim::{AllUp, Effect};
-
-        let data = workload(3, 100, 95);
-        let h = Hierarchy::balanced(3, 2);
-        let cfg = config(8, 2);
-        let threshold = cfg.threshold.resolve(data.total_value());
-        let core = |i: usize| {
-            let p = PeerId::new(i);
-            NetFilterProtocol::new(&cfg, &h, p, data.local_items(p).to_vec(), threshold)
-        };
-        let env = AllUp(3);
-        let now = SimTime::ZERO;
-
-        // A leaf's Start yields its phase-1 report to replay at the root.
-        let mut leaf = core(1);
-        let mut fx = Effects::new();
-        leaf.on_event(NodeEvent::Start, now, &env, &mut fx);
-        let report = fx
-            .drain()
-            .find_map(|e| match e {
-                Effect::Send { msg, .. } => Some(msg),
-                _ => None,
-            })
-            .expect("leaf must report on start");
-
-        let mut root = core(0);
-        let mut fx = Effects::new();
-        root.on_event(NodeEvent::Start, now, &env, &mut fx);
-        fx.drain().count();
-
-        let deliver = |root: &mut NetFilterProtocol, from: usize| {
-            let mut fx = Effects::new();
-            root.on_event(
-                NodeEvent::Message {
-                    from: PeerId::new(from),
-                    msg: report.clone(),
-                },
-                now,
-                &env,
-                &mut fx,
-            );
-            fx.drain()
-                .filter_map(|e| match e {
-                    Effect::Warn { label } => Some(label),
-                    _ => None,
-                })
-                .collect::<Vec<_>>()
-        };
-
-        // First report from a real child: accepted.
-        assert!(deliver(&mut root, 1).is_empty());
-        // Replay of the same child's report: warned, not double-merged.
-        assert_eq!(deliver(&mut root, 1), ["duplicate-report"]);
-        // A report from a peer that is not a child: warned, dropped.
-        assert_eq!(deliver(&mut root, 0), ["unexpected-sender"]);
-        // Phase 1 is still waiting on child 2 — the guarded deliveries
-        // must not have decremented the countdown twice.
-        let mut child2 = core(2);
-        let mut fx = Effects::new();
-        child2.on_event(NodeEvent::Start, now, &env, &mut fx);
-        let report2 = fx
-            .drain()
-            .find_map(|e| match e {
-                Effect::Send { msg, .. } => Some(msg),
-                _ => None,
-            })
-            .expect("child 2 must report on start");
-        let mut fx = Effects::new();
-        root.on_event(
-            NodeEvent::Message {
-                from: PeerId::new(2),
-                msg: report2,
-            },
-            now,
-            &env,
-            &mut fx,
-        );
-        // Root now finishes phase 1 and moves to dissemination.
-        assert!(fx
-            .drain()
-            .any(|e| matches!(e, Effect::Send { .. } | Effect::Deliver(_))));
     }
 
     #[test]

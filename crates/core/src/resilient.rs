@@ -66,7 +66,7 @@
 //!
 //! [`build_world_reliable`](ResilientProtocol::build_world_reliable)
 //! additionally wraps every *query-critical* message (`Start`, `GroupAgg`,
-//! `Heavy`, `CandidateAgg`) in the [`ReliableLink`] ack/retransmit envelope
+//! `Heavy`, `CandidateAgg`) in the [`Envelope`]'s ack/retransmit machinery
 //! so random message loss no longer stalls epochs; receivers suppress
 //! duplicates before they can double-merge an accumulator, and in-flight
 //! frames to a peer that just got suspected are abandoned rather than
@@ -74,12 +74,12 @@
 //! heartbeats and `Attach` refreshes are periodic (redundancy *is* their
 //! reliability).
 
-use ifi_agg::{Aggregate, MapSum, VecSum};
+use ifi_agg::{Aggregate, MapSum, OnArrival, VecSum};
 use ifi_hierarchy::{Hierarchy, MaintainCore, MaintainMsg, MultiHierarchy};
 use ifi_overlay::{HeartbeatConfig, Topology};
 use ifi_sim::{
-    mix64, sansio_world, Des, Duration, Effects, Membership, MsgClass, NodeEvent, PeerId, PeerSet,
-    RelConfig, ReliableLink, ReliableMsg, Retransmit, SansIo, SimConfig, SimTime, TimerToken,
+    mix64, sansio_world, Des, Duration, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId,
+    PeerSet, RelConfig, ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime, TimerToken,
     World,
 };
 use ifi_workload::{ItemId, SystemData};
@@ -150,6 +150,20 @@ impl Census {
     }
 }
 
+/// Censuses ride the tree beside the aggregates they certify, merged the
+/// same way and priced at [`CENSUS_BYTES`].
+impl Aggregate for Census {
+    type Fold = OnArrival;
+
+    fn merge(&mut self, other: &Self) {
+        Census::merge(self, *other);
+    }
+
+    fn encoded_bytes(&self, _sizes: &crate::WireSizes) -> u64 {
+        CENSUS_BYTES
+    }
+}
+
 /// What the root can assert about one completed epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Certificate {
@@ -163,6 +177,31 @@ pub enum Certificate {
         /// fell short.
         missing: Census,
     },
+}
+
+impl Certificate {
+    /// What a root can certify from the issue-time `roster` and the two
+    /// phases' contributor censuses: [`Complete`](Certificate::Complete)
+    /// exactly when both equal the roster, otherwise
+    /// [`Partial`](Certificate::Partial) against the first phase that
+    /// fell short.
+    pub fn from_phases(roster: Census, phase1: Census, phase2: Census) -> Self {
+        match [phase1, phase2].into_iter().find(|&phase| phase != roster) {
+            None => Certificate::Complete,
+            Some(short) => Certificate::Partial {
+                missing: roster.minus(short),
+            },
+        }
+    }
+}
+
+/// The root's last step of an exact run: the merged candidates at or over
+/// `threshold`, sorted by value descending, then id.
+pub fn frequent_items(candidates: &MapSum, threshold: u64) -> Vec<(ItemId, u64)> {
+    let over = candidates.0.iter().filter(|&(_, &v)| v >= threshold);
+    let mut frequent: Vec<(ItemId, u64)> = over.map(|(&k, &v)| (k, v)).collect();
+    frequent.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    frequent
 }
 
 /// One completed epoch at the root.
@@ -243,9 +282,15 @@ pub enum RTimer {
     Tick,
     /// Acting root only: start the next query epoch.
     NewEpoch,
-    /// Retransmission deadline for the reliable frame with this sequence
-    /// number (only armed when reliability is enabled).
-    Retransmit(u64),
+    /// Retransmission deadline of a reliable frame (only armed when
+    /// reliability is enabled).
+    Retransmit(RetransmitTimer),
+}
+
+impl From<RetransmitTimer> for RTimer {
+    fn from(t: RetransmitTimer) -> Self {
+        RTimer::Retransmit(t)
+    }
 }
 
 /// Timing knobs for the resilient protocol.
@@ -347,8 +392,10 @@ pub struct ResilientProtocol {
     /// Root only: when the current epoch was started.
     epoch_started_at: SimTime,
     started_before: bool,
-    /// Ack/retransmit envelope for query-critical traffic, when enabled.
-    rel: Option<ReliableLink<RMsg>>,
+    /// Envelope of the query-critical traffic; plain unless enabled. It
+    /// retains nothing: a revival only bumps the incarnation, and the
+    /// next epoch re-asks over the repaired tree.
+    env: Envelope<RMsg>,
     /// Regression toggle: restore the pre-fix aggregation bug where the
     /// per-sender insert-guard did not protect the merge, so a duplicated
     /// `GroupAgg`/`CandidateAgg` frame was folded in twice. Exists only so
@@ -453,7 +500,7 @@ impl ResilientProtocol {
             completed: Vec::new(),
             epoch_started_at: SimTime::ZERO,
             started_before: false,
-            rel: None,
+            env: Envelope::plain(),
             legacy_double_merge: false,
         }
     }
@@ -475,7 +522,7 @@ impl ResilientProtocol {
     /// Maintenance traffic is untouched.
     #[must_use]
     pub fn with_reliability(mut self, cfg: RelConfig) -> Self {
-        self.rel = Some(ReliableLink::new(cfg));
+        self.env = Envelope::reliable(cfg);
         self
     }
 
@@ -673,32 +720,6 @@ impl ResilientProtocol {
         }
     }
 
-    /// Sends a query-critical message, through the reliability envelope
-    /// when one is enabled.
-    ///
-    /// The first copy is charged to the caller's phase and `class`;
-    /// retransmissions and acks go to [`MsgClass::RETRANSMIT`]. Callers
-    /// mark their phase before calling, as with a plain `ctx.send`.
-    fn send_query(
-        &mut self,
-        fx: &mut Effects<Self>,
-        to: PeerId,
-        msg: RMsg,
-        bytes: u64,
-        class: MsgClass,
-    ) {
-        match self.rel.as_mut() {
-            None => {
-                fx.send(to, ReliableMsg::Plain(msg), bytes, class);
-            }
-            Some(link) => {
-                let (seq, frame) = link.send_data(to, msg, bytes);
-                fx.send(to, frame, bytes, class);
-                fx.set_timer(link.rto(seq, 0), RTimer::Retransmit(seq));
-            }
-        }
-    }
-
     fn reset_epoch(&mut self, epoch: u64, parent: Option<PeerId>) {
         self.epoch = epoch;
         self.epoch_parent = parent;
@@ -735,7 +756,7 @@ impl ResilientProtocol {
             let bytes = acc.encoded_bytes(&self.sizes);
             let census = self.p1_census;
             fx.mark_phase(phases::FILTERING);
-            self.send_query(
+            self.env.send(
                 fx,
                 parent,
                 RMsg::GroupAgg {
@@ -757,7 +778,7 @@ impl ResilientProtocol {
         let list_bytes = self.sizes.sg * heavy.total_heavy() as u64;
         fx.mark_phase(phases::DISSEMINATION);
         for c in self.core.children() {
-            self.send_query(
+            self.env.send(
                 fx,
                 c,
                 RMsg::Heavy {
@@ -787,35 +808,16 @@ impl ResilientProtocol {
         self.p2_sent = true;
         let acc = self.p2_acc.take().expect("guarded above");
         if self.active_root {
-            let mut frequent: Vec<(ItemId, u64)> = acc
-                .0
-                .iter()
-                .filter(|&(_, &v)| v >= self.threshold)
-                .map(|(&k, &v)| (k, v))
-                .collect();
-            frequent.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
             let phase1 = self.p1_final.unwrap_or(self.p1_census);
             let phase2 = self.p2_census;
-            let certificate = if phase1 == self.roster && phase2 == self.roster {
-                Certificate::Complete
-            } else {
-                let short = if phase1 != self.roster {
-                    phase1
-                } else {
-                    phase2
-                };
-                Certificate::Partial {
-                    missing: self.roster.minus(short),
-                }
-            };
             let result = EpochResult {
                 epoch: self.epoch,
                 started_at: self.epoch_started_at,
-                answer: frequent,
+                answer: frequent_items(&acc, self.threshold),
                 roster: self.roster,
                 phase1,
                 phase2,
-                certificate,
+                certificate: Certificate::from_phases(self.roster, phase1, phase2),
             };
             fx.deliver(result.clone());
             self.completed.push(result);
@@ -823,7 +825,7 @@ impl ResilientProtocol {
             let bytes = acc.encoded_bytes(&self.sizes);
             let census = self.p2_census;
             fx.mark_phase(phases::AGGREGATION);
-            self.send_query(
+            self.env.send(
                 fx,
                 parent,
                 RMsg::CandidateAgg {
@@ -937,7 +939,7 @@ impl ResilientProtocol {
         self.roster = roster;
         fx.mark_phase(phases::EPOCH);
         for c in self.core.children() {
-            self.send_query(
+            self.env.send(
                 fx,
                 c,
                 RMsg::Start { epoch: next },
@@ -976,7 +978,8 @@ impl ResilientProtocol {
                 self.reset_epoch(epoch, Some(from));
                 fx.mark_phase(phases::EPOCH);
                 for c in self.core.children() {
-                    self.send_query(fx, c, RMsg::Start { epoch }, START_BYTES, MsgClass::CONTROL);
+                    self.env
+                        .send(fx, c, RMsg::Start { epoch }, START_BYTES, MsgClass::CONTROL);
                 }
                 self.check_p1(fx);
             }
@@ -1035,54 +1038,6 @@ impl ResilientProtocol {
         }
     }
 
-    /// Unwraps the reliability envelope and dispatches the payload.
-    fn on_frame(
-        &mut self,
-        fx: &mut Effects<Self>,
-        now: SimTime,
-        from: PeerId,
-        msg: ReliableMsg<RMsg>,
-    ) {
-        let payload = match msg {
-            ReliableMsg::Plain(m) => m,
-            ReliableMsg::Data { inc, seq, payload } => {
-                let Some(link) = self.rel.as_mut() else {
-                    // A sequenced frame arriving at a peer that never
-                    // enabled reliability is a configuration mismatch, not
-                    // a reason to take the node down: drop it and record
-                    // the anomaly.
-                    fx.warn("sequenced-frame-without-reliability");
-                    return;
-                };
-                let ack_bytes = link.cfg().ack_bytes;
-                // Ack every copy (the sender's previous ack may have been
-                // lost), but dispatch only the first: a duplicate `GroupAgg`
-                // or `CandidateAgg` would double-merge its accumulator. The
-                // ack echoes the frame's incarnation so a restarted sender
-                // never credits a pre-crash ack to a post-crash frame.
-                let fresh = link.accept(from, inc, seq);
-                fx.mark_phase(phases::RETRANSMIT);
-                fx.send(
-                    from,
-                    ReliableMsg::Ack { inc, seq },
-                    ack_bytes,
-                    MsgClass::RETRANSMIT,
-                );
-                if !fresh {
-                    return;
-                }
-                payload
-            }
-            ReliableMsg::Ack { inc, seq } => {
-                if let Some(link) = self.rel.as_mut() {
-                    link.on_ack(from, inc, seq);
-                }
-                return;
-            }
-        };
-        self.on_payload(fx, now, from, payload);
-    }
-
     fn on_timer(
         &mut self,
         fx: &mut Effects<Self>,
@@ -1096,10 +1051,8 @@ impl ResilientProtocol {
                 // Stop retransmitting toward peers that just died: every
                 // pending frame to them would otherwise burn its full
                 // retry budget against a silent destination.
-                if let Some(link) = self.rel.as_mut() {
-                    for &d in &outcome.newly_dead {
-                        link.abandon(d);
-                    }
+                for &d in &outcome.newly_dead {
+                    self.env.abandon(d);
                 }
                 self.flush_maintain(fx, outcome.out);
                 fx.set_timer(self.rc.heartbeat.interval, RTimer::Tick);
@@ -1130,33 +1083,15 @@ impl ResilientProtocol {
                 }
                 self.epoch_timer = Some(fx.set_timer(self.rc.query_period, RTimer::NewEpoch));
             }
-            RTimer::Retransmit(seq) => {
-                let Some(link) = self.rel.as_mut() else {
-                    // Same configuration mismatch as above, from the timer
-                    // side: nothing to retransmit, so just log and move on.
-                    fx.warn("retransmit-timer-without-reliability");
-                    return;
-                };
-                match link.retransmit(seq) {
-                    Retransmit::Resend {
-                        to,
-                        frame,
-                        bytes,
-                        next_delay,
-                    } => {
-                        fx.mark_phase(phases::RETRANSMIT);
-                        fx.send(to, frame, bytes, MsgClass::RETRANSMIT);
-                        fx.set_timer(next_delay, RTimer::Retransmit(seq));
-                    }
-                    Retransmit::Acked => {}
-                    Retransmit::GaveUp { .. } => {
-                        // The destination is unreachable (or the frame
-                        // belongs to a long-superseded epoch). Stop trying:
-                        // the stalled epoch is exactly what the root's
-                        // `NewEpoch` timeout supersedes over the repaired
-                        // tree, so reliability defers to epoch repair here.
-                    }
+            RTimer::Retransmit(t) => {
+                if self.env.resends(t) {
+                    fx.mark_phase(phases::RETRANSMIT);
                 }
+                // Giving up is silent: the destination is unreachable (or
+                // the frame belongs to a long-superseded epoch), and the
+                // stalled epoch is exactly what the root's `NewEpoch`
+                // timeout supersedes over the repaired tree.
+                self.env.on_retransmit(fx, t);
             }
         }
     }
@@ -1191,9 +1126,7 @@ impl SansIo for ResilientProtocol {
                     // a new incarnation keeps late pre-crash duplicates
                     // from double-dispatching against the fresh sequence
                     // space.
-                    if let Some(link) = self.rel.as_mut() {
-                        link.on_restart();
-                    }
+                    self.env.restart();
                 } else {
                     self.started_before = true;
                     self.core.start(now);
@@ -1203,7 +1136,16 @@ impl SansIo for ResilientProtocol {
                     self.epoch_timer = Some(fx.set_timer(self.rc.query_period, RTimer::NewEpoch));
                 }
             }
-            NodeEvent::Message { from, msg } => self.on_frame(fx, now, from, msg),
+            NodeEvent::Message { from, msg } => {
+                // Ack every copy, dispatch only the first: a duplicate
+                // `GroupAgg` or `CandidateAgg` would double-merge.
+                if self.env.acks(&msg) {
+                    fx.mark_phase(phases::RETRANSMIT);
+                }
+                if let Some(payload) = self.env.on_frame(fx, from, msg) {
+                    self.on_payload(fx, now, from, payload);
+                }
+            }
             NodeEvent::Timer { tag } => self.on_timer(fx, now, env, tag),
         }
     }

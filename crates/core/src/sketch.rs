@@ -40,16 +40,16 @@
 //! `epsilon-bound` oracle cross-checks the claim against ground truth on
 //! every explored schedule.
 
+use ifi_agg::{Aggregate, Ascending, Boot, Convergecast, TreeSlot};
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::{
-    sansio_world, Des, Effects, Membership, MsgClass, NodeEvent, PeerId, PeerMap, PeerSet,
-    RelConfig, ReliableMsg, SansIo, SimConfig, SimTime, World,
+    sansio_world, Des, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, RelConfig,
+    ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime, World,
 };
 use ifi_workload::{ItemId, SystemData};
 use std::collections::BTreeMap;
 
 use crate::config::Threshold;
-use crate::envelope::{Envelope, RetransmitTimer};
 use crate::WireSizes;
 
 /// A capacity-bounded mergeable summary of a weighted item stream
@@ -95,26 +95,6 @@ impl SpaceSaving {
     pub fn offer(&mut self, item: ItemId, weight: u64) {
         *self.entries.entry(item).or_insert(0) += weight;
         self.weight += weight;
-        self.prune();
-    }
-
-    /// Merges `other` into `self`: pointwise counter sum, then one prune.
-    /// Exactly commutative; associative up to the ε bound (the prune points
-    /// differ), which is why the engine merges in a canonical order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ — summaries of different precision
-    /// have incomparable guarantees.
-    pub fn merge(&mut self, other: &SpaceSaving) {
-        assert_eq!(
-            self.capacity, other.capacity,
-            "merging summaries of different capacities"
-        );
-        for (&item, &v) in &other.entries {
-            *self.entries.entry(item).or_insert(0) += v;
-        }
-        self.weight += other.weight;
         self.prune();
     }
 
@@ -172,10 +152,34 @@ impl SpaceSaving {
     pub fn entries(&self) -> impl Iterator<Item = (ItemId, u64)> + '_ {
         self.entries.iter().map(|(&k, &v)| (k, v))
     }
+}
 
-    /// Paper-priced wire bytes of this summary: one `(s_i, s_a)` pair per
-    /// counter plus `s_a` for the total weight.
-    pub fn wire_bytes(&self, sizes: &WireSizes) -> u64 {
+impl Aggregate for SpaceSaving {
+    /// Associative only up to the ε bound (the prune points differ), so
+    /// the engine merges in a canonical order.
+    type Fold = Ascending<Self>;
+
+    /// Pointwise counter sum, then one prune. Exactly commutative.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capacities differ — summaries of different precision
+    /// have incomparable guarantees.
+    fn merge(&mut self, other: &SpaceSaving) {
+        assert_eq!(
+            self.capacity, other.capacity,
+            "merging summaries of different capacities"
+        );
+        for (&item, &v) in &other.entries {
+            *self.entries.entry(item).or_insert(0) += v;
+        }
+        self.weight += other.weight;
+        self.prune();
+    }
+
+    /// Paper-priced: one `(s_i, s_a)` pair per counter plus `s_a` for the
+    /// total weight.
+    fn encoded_bytes(&self, sizes: &WireSizes) -> u64 {
         self.entries.len() as u64 * sizes.pair() + sizes.sa
     }
 }
@@ -247,24 +251,10 @@ pub struct SketchProtocol {
     claimed_epsilon: f64,
     threshold: u64,
     sizes: WireSizes,
-    parent: Option<PeerId>,
-    children: Vec<PeerId>,
-    is_root: bool,
-    is_member: bool,
-    local: SpaceSaving,
-    /// Children whose summary has not arrived yet.
-    pending: usize,
-    /// Buffered child summaries, merged in ascending-id order once all
-    /// have reported — the canonical order that makes the answer
-    /// schedule-independent.
-    child_summaries: PeerMap<SpaceSaving>,
-    /// Children already merged — the idempotency guard against duplicate
-    /// or revival-resent reports.
-    seen: PeerSet,
-    /// Whether this node has produced (sent or delivered) its summary.
-    done: bool,
+    slot: TreeSlot,
+    /// Open from construction with the local summary.
+    summaries: Convergecast<SpaceSaving>,
     answer: Option<SketchAnswer>,
-    started: bool,
     env: Envelope<SpaceSaving>,
 }
 
@@ -278,21 +268,15 @@ impl SketchProtocol {
         local_items: &[(ItemId, u64)],
         threshold: u64,
     ) -> Self {
+        let mut summaries = Convergecast::default();
+        summaries.open(SpaceSaving::from_items(config.capacity, local_items));
         SketchProtocol {
             claimed_epsilon: config.claimed_epsilon,
             threshold,
             sizes: config.sizes,
-            parent: hierarchy.parent(peer),
-            children: hierarchy.children(peer).to_vec(),
-            is_root: hierarchy.root() == peer,
-            is_member: hierarchy.is_member(peer),
-            local: SpaceSaving::from_items(config.capacity, local_items),
-            pending: hierarchy.children(peer).len(),
-            child_summaries: PeerMap::new(),
-            seen: PeerSet::new(),
-            done: false,
+            slot: TreeSlot::new(hierarchy, peer),
+            summaries,
             answer: None,
-            started: false,
             env: Envelope::plain(),
         }
     }
@@ -362,57 +346,32 @@ impl SketchProtocol {
             .collect()
     }
 
-    /// Admits a child report: `Some(warning)` rejects it.
-    fn admit(&mut self, from: PeerId) -> Option<&'static str> {
-        if !self.children.contains(&from) {
-            return Some("unexpected-sender");
-        }
-        if !self.seen.insert(from) {
-            return Some("duplicate-report");
-        }
-        None
-    }
-
-    /// Completes this node once every child has reported: canonical merge,
-    /// then forward rootward or answer.
+    /// Completes this node once every child has reported: forward the
+    /// merged summary rootward, or answer.
     fn maybe_complete(&mut self, fx: &mut Effects<Self>) {
-        if self.pending > 0 || self.done || !self.started {
+        let Some(acc) = self.summaries.complete(&self.slot) else {
             return;
+        };
+        if let Some(parent) = self.slot.parent() {
+            let bytes = acc.encoded_bytes(&self.sizes);
+            return self
+                .env
+                .send_retained(fx, parent, acc, bytes, MsgClass::SKETCH);
         }
-        self.done = true;
-        let mut acc = self.local.clone();
-        for (_, summary) in self.child_summaries.iter() {
-            acc.merge(summary);
-        }
-        if self.is_root {
-            let bound = (self.claimed_epsilon * acc.weight() as f64).ceil() as u64;
-            let mut items: Vec<(ItemId, u64)> = acc
-                .entries()
-                .filter(|&(_, est)| est + bound >= self.threshold)
-                .collect();
-            items.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            let answer = SketchAnswer {
-                items,
-                weight: acc.weight(),
-                error_bound: bound,
-                threshold: self.threshold,
-            };
-            self.answer = Some(answer.clone());
-            fx.deliver(answer);
-        } else if let Some(parent) = self.parent {
-            let bytes = acc.wire_bytes(&self.sizes);
-            self.env.send(fx, parent, acc, bytes, MsgClass::SKETCH);
-        }
-    }
-
-    fn on_summary(&mut self, fx: &mut Effects<Self>, from: PeerId, summary: SpaceSaving) {
-        if let Some(warn) = self.admit(from) {
-            fx.warn(warn);
-            return;
-        }
-        self.child_summaries.insert(from, summary);
-        self.pending -= 1;
-        self.maybe_complete(fx);
+        let bound = (self.claimed_epsilon * acc.weight() as f64).ceil() as u64;
+        let mut items: Vec<(ItemId, u64)> = acc
+            .entries()
+            .filter(|&(_, est)| est + bound >= self.threshold)
+            .collect();
+        items.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let answer = SketchAnswer {
+            items,
+            weight: acc.weight(),
+            error_bound: bound,
+            threshold: self.threshold,
+        };
+        self.answer = Some(answer.clone());
+        fx.deliver(answer);
     }
 }
 
@@ -429,23 +388,31 @@ impl SansIo for SketchProtocol {
         fx: &mut Effects<Self>,
     ) {
         match ev {
-            NodeEvent::Start => {
-                if !self.is_member {
-                    return; // not part of the hierarchy: contributes nothing
-                }
-                if self.started {
-                    self.env.on_revival(fx);
-                    return;
-                }
-                self.started = true;
-                self.maybe_complete(fx);
-            }
+            NodeEvent::Start => match self.slot.boot() {
+                Boot::Outsider => {}
+                Boot::Revival => self.env.revive(fx),
+                Boot::First => self.maybe_complete(fx),
+            },
             NodeEvent::Message { from, msg } => {
-                if let Some(summary) = self.env.on_frame(fx, from, msg) {
-                    self.on_summary(fx, from, summary);
+                let Some(summary) = self.env.on_frame(fx, from, msg) else {
+                    return;
+                };
+                let same_precision =
+                    |mine: &SpaceSaving, s: &SpaceSaving| mine.capacity == s.capacity;
+                match self
+                    .summaries
+                    .absorb(&mut self.slot, from, summary, same_precision)
+                {
+                    Ok(()) => self.maybe_complete(fx),
+                    Err(warn) => fx.warn(warn),
                 }
             }
-            NodeEvent::Timer { tag } => self.env.on_retransmit(fx, tag),
+            NodeEvent::Timer { tag } => {
+                // A one-shot run has no coarser repair to escalate to.
+                if self.env.on_retransmit(fx, tag).is_some() {
+                    fx.warn("retransmit-gave-up");
+                }
+            }
         }
     }
 }
@@ -565,6 +532,27 @@ mod tests {
         lossy.run_to_quiescence();
         let got = lossy.peer(h.root()).result().expect("lossy answer").clone();
         assert_eq!(got, want, "loss must not change the canonical answer");
+    }
+
+    #[test]
+    fn summary_of_another_capacity_warns_and_drops_instead_of_panicking() {
+        let (h, data, _) = workload(19);
+        let cfg = SketchConfig::new(8);
+        let mut w = SketchProtocol::build_world(&cfg, &h, &data, SimConfig::default());
+        w.enable_metrics_sink();
+        // Decodes cleanly and comes from a real child; merging it used to
+        // take the root down. Injected before `start`, it arrives one hop
+        // in: after the root's `Start`, ahead of the child's genuine one.
+        let forged = ReliableMsg::Plain(SpaceSaving::new(9));
+        w.inject(PeerId::new(1), h.root(), forged, 0, MsgClass::DATA);
+        w.start();
+        w.run_to_quiescence();
+        assert_eq!(
+            w.metrics_report().warnings,
+            [("malformed-report".to_string(), 1)]
+        );
+        let answer = w.peer(h.root()).result().expect("root still answers");
+        assert_eq!(answer.weight, data.total_value(), "genuine reports merged");
     }
 
     #[test]

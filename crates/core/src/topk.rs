@@ -32,14 +32,14 @@
 
 use std::collections::BTreeMap;
 
+use ifi_agg::{Aggregate, Ascending, Boot, Convergecast, MapSum, TreeSlot};
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::{
-    sansio_world, Des, Effects, Membership, MsgClass, NodeEvent, PeerId, PeerMap, PeerSet,
-    RelConfig, ReliableMsg, SansIo, SimConfig, SimTime, World,
+    sansio_world, Des, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, RelConfig,
+    ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime, World,
 };
 use ifi_workload::{ItemId, SystemData};
 
-use crate::envelope::{Envelope, RetransmitTimer};
 use crate::WireSizes;
 
 /// One candidate entry: partial-sum bounds for an item over the subtree a
@@ -88,42 +88,6 @@ impl CandidateList {
         };
         list.prune();
         list
-    }
-
-    /// Merges `other` into `self`, bound-soundly: lowers add (absent = 0),
-    /// uppers add with `tau` substituted for absent entries, and the
-    /// result re-prunes to capacity. Canonical merge order is the caller's
-    /// responsibility (ascending `PeerId` in the engine).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ.
-    pub fn merge(&mut self, other: &CandidateList) {
-        assert_eq!(
-            self.cap, other.cap,
-            "merging candidate lists of different capacities"
-        );
-        let mut merged: BTreeMap<ItemId, Bounds> = BTreeMap::new();
-        for (&item, &a) in &self.entries {
-            let b = other.entries.get(&item);
-            merged.insert(
-                item,
-                Bounds {
-                    lower: a.lower + b.map_or(0, |b| b.lower),
-                    upper: a.upper + b.map_or(other.tau, |b| b.upper),
-                },
-            );
-        }
-        for (&item, &b) in &other.entries {
-            merged.entry(item).or_insert(Bounds {
-                lower: b.lower,
-                upper: self.tau + b.upper,
-            });
-        }
-        self.entries = merged;
-        self.tau += other.tau;
-        self.exact = self.exact && other.exact;
-        self.prune();
     }
 
     /// Restores the capacity invariant: keeps the `cap` best entries by
@@ -181,10 +145,52 @@ impl CandidateList {
         order.truncate(n);
         order.into_iter().map(|(i, _)| i).collect()
     }
+}
 
-    /// Paper-priced wire bytes: `(s_i + 2·s_a)` per entry (id, lower,
-    /// upper) plus `s_a` for `tau`.
-    pub fn wire_bytes(&self, sizes: &WireSizes) -> u64 {
+impl Aggregate for CandidateList {
+    /// Re-pruning after each merge makes the result order-dependent; the
+    /// engine fixes the order so the candidate choice is not a function of
+    /// message timing.
+    type Fold = Ascending<Self>;
+
+    /// Merges `other` into `self`, bound-soundly: lowers add (absent = 0),
+    /// uppers add with `tau` substituted for absent entries, and the
+    /// result re-prunes to capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the capacities differ.
+    fn merge(&mut self, other: &CandidateList) {
+        assert_eq!(
+            self.cap, other.cap,
+            "merging candidate lists of different capacities"
+        );
+        let mut merged: BTreeMap<ItemId, Bounds> = BTreeMap::new();
+        for (&item, &a) in &self.entries {
+            let b = other.entries.get(&item);
+            merged.insert(
+                item,
+                Bounds {
+                    lower: a.lower + b.map_or(0, |b| b.lower),
+                    upper: a.upper + b.map_or(other.tau, |b| b.upper),
+                },
+            );
+        }
+        for (&item, &b) in &other.entries {
+            merged.entry(item).or_insert(Bounds {
+                lower: b.lower,
+                upper: self.tau + b.upper,
+            });
+        }
+        self.entries = merged;
+        self.tau += other.tau;
+        self.exact = self.exact && other.exact;
+        self.prune();
+    }
+
+    /// Paper-priced: `(s_i + 2·s_a)` per entry (id, lower, upper) plus
+    /// `s_a` for `tau`.
+    fn encoded_bytes(&self, sizes: &WireSizes) -> u64 {
         self.entries.len() as u64 * (sizes.si + 2 * sizes.sa) + sizes.sa
     }
 }
@@ -264,29 +270,20 @@ pub enum TopKMsg {
 pub struct TopKProtocol {
     k: usize,
     sizes: WireSizes,
-    parent: Option<PeerId>,
-    children: Vec<PeerId>,
-    is_root: bool,
-    is_member: bool,
+    slot: TreeSlot,
     local_items: Vec<(ItemId, u64)>,
-    local_list: CandidateList,
-    p1_pending: usize,
-    /// Buffered child lists, merged in ascending-id order once complete.
-    child_lists: PeerMap<CandidateList>,
-    p1_seen: PeerSet,
-    p1_done: bool,
+    /// Phase 1, open from construction with the local list.
+    lists: Convergecast<CandidateList, 1>,
+    /// The query this node forwarded; set when phase 2 opens.
     query: Option<Vec<ItemId>>,
-    p2_pending: usize,
-    p2_seen: PeerSet,
-    p2_acc: BTreeMap<ItemId, u64>,
-    p2_done: bool,
+    /// Phase 2: exact sums restricted to the query.
+    sums: Convergecast<MapSum, 2>,
     /// Root only: the strongest possible non-candidate value, from the
     /// phase-1 bounds — the certification bar.
     noncandidate_bound: u64,
     /// Root only: phase 1 proved the candidate list lossless.
     root_exact: bool,
     answer: Option<TopKAnswer>,
-    started: bool,
     env: Envelope<TopKMsg>,
 }
 
@@ -298,29 +295,19 @@ impl TopKProtocol {
         peer: PeerId,
         local_items: Vec<(ItemId, u64)>,
     ) -> Self {
-        let local_list = CandidateList::from_items(config.prune_cap, &local_items);
+        let mut lists = Convergecast::default();
+        lists.open(CandidateList::from_items(config.prune_cap, &local_items));
         TopKProtocol {
             k: config.k,
             sizes: config.sizes,
-            parent: hierarchy.parent(peer),
-            children: hierarchy.children(peer).to_vec(),
-            is_root: hierarchy.root() == peer,
-            is_member: hierarchy.is_member(peer),
+            slot: TreeSlot::new(hierarchy, peer),
             local_items,
-            local_list,
-            p1_pending: hierarchy.children(peer).len(),
-            child_lists: PeerMap::new(),
-            p1_seen: PeerSet::new(),
-            p1_done: false,
+            lists,
             query: None,
-            p2_pending: hierarchy.children(peer).len(),
-            p2_seen: PeerSet::new(),
-            p2_acc: BTreeMap::new(),
-            p2_done: false,
+            sums: Convergecast::default(),
             noncandidate_bound: 0,
             root_exact: false,
             answer: None,
-            started: false,
             env: Envelope::plain(),
         }
     }
@@ -386,37 +373,19 @@ impl TopKProtocol {
             .collect()
     }
 
-    fn send(&mut self, fx: &mut Effects<Self>, to: PeerId, msg: TopKMsg, bytes: u64) {
-        self.env.send(fx, to, msg, bytes, MsgClass::TOPK);
-    }
-
-    fn query_bytes(&self, ids: &[ItemId]) -> u64 {
-        ids.len() as u64 * self.sizes.si
-    }
-
-    fn values_bytes(&self, vals: &[(ItemId, u64)]) -> u64 {
-        vals.len() as u64 * self.sizes.pair()
-    }
-
-    /// Completes phase 1 once every child list arrived: canonical merge,
-    /// then forward rootward or (at the root) open phase 2.
+    /// Completes phase 1 once every child list arrived: forward the merged
+    /// list rootward or (at the root) open phase 2.
     fn maybe_complete_p1(&mut self, fx: &mut Effects<Self>) {
-        if self.p1_pending > 0 || self.p1_done || !self.started {
+        let Some(acc) = self.lists.complete(&self.slot) else {
             return;
+        };
+        if let Some(parent) = self.slot.parent() {
+            let bytes = acc.encoded_bytes(&self.sizes);
+            let list = TopKMsg::Candidates(acc);
+            return self
+                .env
+                .send_retained(fx, parent, list, bytes, MsgClass::TOPK);
         }
-        self.p1_done = true;
-        let mut acc = self.local_list.clone();
-        for (_, list) in self.child_lists.iter() {
-            acc.merge(list);
-        }
-        if !self.is_root {
-            if let Some(parent) = self.parent {
-                let bytes = acc.wire_bytes(&self.sizes);
-                self.send(fx, parent, TopKMsg::Candidates(acc), bytes);
-            }
-            return;
-        }
-
         // Root: choose the k best lower bounds; everything else (listed or
         // pruned) is bounded by `noncandidate_bound`.
         let chosen = acc.best(self.k);
@@ -431,24 +400,21 @@ impl TopKProtocol {
 
     /// Installs the query at this node and pushes it down the tree.
     fn begin_p2(&mut self, fx: &mut Effects<Self>, ids: Vec<ItemId>) {
-        if ids.is_empty() && self.is_root {
+        if ids.is_empty() && self.slot.is_root() {
             // Nothing to verify anywhere: answer straight away.
             self.query = Some(Vec::new());
-            self.p2_done = true;
-            self.deliver_answer(fx);
-            return;
+            return self.deliver_answer(fx, MapSum::default());
         }
-        self.p2_acc = self
+        let asked = self
             .local_items
             .iter()
-            .filter(|(item, _)| ids.contains(item))
-            .fold(BTreeMap::new(), |mut acc, &(item, v)| {
-                *acc.entry(item).or_insert(0) += v;
-                acc
-            });
-        let bytes = self.query_bytes(&ids);
-        for child in self.children.clone() {
-            self.send(fx, child, TopKMsg::Query(ids.clone()), bytes);
+            .filter(|(item, _)| ids.contains(item));
+        self.sums.open(MapSum::from_pairs(asked.copied()));
+        let bytes = ids.len() as u64 * self.sizes.si;
+        for child in self.slot.children() {
+            let query = TopKMsg::Query(ids.clone());
+            self.env
+                .send_retained(fx, child, query, bytes, MsgClass::TOPK);
         }
         self.query = Some(ids);
         self.maybe_complete_p2(fx);
@@ -456,27 +422,23 @@ impl TopKProtocol {
 
     /// Completes phase 2 once every child's exact sums arrived.
     fn maybe_complete_p2(&mut self, fx: &mut Effects<Self>) {
-        if self.p2_pending > 0 || self.p2_done || self.query.is_none() {
+        let Some(acc) = self.sums.complete(&self.slot) else {
             return;
-        }
-        self.p2_done = true;
-        if self.is_root {
-            self.deliver_answer(fx);
-        } else if let Some(parent) = self.parent {
-            let vals: Vec<(ItemId, u64)> = self.p2_acc.iter().map(|(&i, &v)| (i, v)).collect();
-            let bytes = self.values_bytes(&vals);
-            self.send(fx, parent, TopKMsg::Values(vals), bytes);
+        };
+        match self.slot.parent() {
+            None => self.deliver_answer(fx, acc),
+            Some(parent) => {
+                let bytes = acc.encoded_bytes(&self.sizes);
+                let vals = TopKMsg::Values(acc.0.into_iter().collect());
+                self.env
+                    .send_retained(fx, parent, vals, bytes, MsgClass::TOPK);
+            }
         }
     }
 
-    fn deliver_answer(&mut self, fx: &mut Effects<Self>) {
+    fn deliver_answer(&mut self, fx: &mut Effects<Self>, sums: MapSum) {
         let candidates = self.query.as_ref().map_or(0, Vec::len);
-        let mut items: Vec<(ItemId, u64)> = self
-            .p2_acc
-            .iter()
-            .filter(|&(_, &v)| v > 0)
-            .map(|(&i, &v)| (i, v))
-            .collect();
+        let mut items: Vec<(ItemId, u64)> = sums.0.into_iter().filter(|&(_, v)| v > 0).collect();
         items.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         items.truncate(self.k);
         // Certified when phase 1 was lossless (the candidate choice *is*
@@ -498,57 +460,37 @@ impl TopKProtocol {
         fx.deliver(answer);
     }
 
-    /// Admits a rootward report against `seen`: `Some(warning)` rejects.
-    fn admit(children: &[PeerId], seen: &mut PeerSet, from: PeerId) -> Option<&'static str> {
-        if !children.contains(&from) {
-            return Some("unexpected-sender");
-        }
-        if !seen.insert(from) {
-            return Some("duplicate-report");
-        }
-        None
-    }
-
     /// Handles a deduplicated payload. Every arm is idempotent: duplicate,
-    /// replayed, or misdirected messages warn and drop, never merge twice.
+    /// replayed, misdirected, or malformed messages warn and drop, never
+    /// merge twice.
     fn on_payload(&mut self, fx: &mut Effects<Self>, from: PeerId, msg: TopKMsg) {
-        match msg {
+        // `Ok` names the phase whose completion the message may have fired.
+        let absorbed = match msg {
             TopKMsg::Candidates(list) => {
-                if let Some(warn) = Self::admit(&self.children, &mut self.p1_seen, from) {
-                    fx.warn(warn);
-                    return;
-                }
-                self.child_lists.insert(from, list);
-                self.p1_pending -= 1;
-                self.maybe_complete_p1(fx);
+                let same_cap = |mine: &CandidateList, l: &CandidateList| mine.cap == l.cap;
+                let slot = &mut self.slot;
+                self.lists.absorb(slot, from, list, same_cap).map(|()| 1)
             }
+            TopKMsg::Query(_) if self.slot.parent() != Some(from) => Err("unexpected-sender"),
+            TopKMsg::Query(_) if self.query.is_some() => Err("duplicate-query"),
             TopKMsg::Query(ids) => {
-                if self.parent != Some(from) {
-                    fx.warn("unexpected-sender");
-                    return;
-                }
-                if self.query.is_some() {
-                    fx.warn("duplicate-query");
-                    return;
-                }
                 self.begin_p2(fx, ids);
+                Ok(0)
             }
             TopKMsg::Values(vals) => {
-                if let Some(warn) = Self::admit(&self.children, &mut self.p2_seen, from) {
-                    fx.warn(warn);
-                    return;
-                }
-                if self.query.is_none() {
-                    // A child can only hold the query this node forwarded.
-                    fx.warn("values-before-query");
-                    return;
-                }
-                for (item, v) in vals {
-                    *self.p2_acc.entry(item).or_insert(0) += v;
-                }
-                self.p2_pending -= 1;
-                self.maybe_complete_p2(fx);
+                // A child can only hold the query this node forwarded: an
+                // id outside it must not reach a certified answer.
+                let query = self.query.as_deref().unwrap_or_default();
+                let asked = |_: &MapSum, sums: &MapSum| sums.0.keys().all(|i| query.contains(i));
+                let (slot, sums) = (&mut self.slot, MapSum::from_pairs(vals));
+                self.sums.absorb(slot, from, sums, asked).map(|()| 2)
             }
+        };
+        match absorbed {
+            Ok(1) => self.maybe_complete_p1(fx),
+            Ok(2) => self.maybe_complete_p2(fx),
+            Ok(_) => {}
+            Err(warn) => fx.warn(warn),
         }
     }
 }
@@ -566,23 +508,21 @@ impl SansIo for TopKProtocol {
         fx: &mut Effects<Self>,
     ) {
         match ev {
-            NodeEvent::Start => {
-                if !self.is_member {
-                    return; // not part of the hierarchy: contributes nothing
-                }
-                if self.started {
-                    self.env.on_revival(fx);
-                    return;
-                }
-                self.started = true;
-                self.maybe_complete_p1(fx);
-            }
+            NodeEvent::Start => match self.slot.boot() {
+                Boot::Outsider => {}
+                Boot::Revival => self.env.revive(fx),
+                Boot::First => self.maybe_complete_p1(fx),
+            },
             NodeEvent::Message { from, msg } => {
                 if let Some(payload) = self.env.on_frame(fx, from, msg) {
                     self.on_payload(fx, from, payload);
                 }
             }
-            NodeEvent::Timer { tag } => self.env.on_retransmit(fx, tag),
+            NodeEvent::Timer { tag } => {
+                if self.env.on_retransmit(fx, tag).is_some() {
+                    fx.warn("retransmit-gave-up");
+                }
+            }
         }
     }
 }
@@ -740,6 +680,52 @@ mod tests {
         lossy.run_to_quiescence();
         let got = lossy.peer(h.root()).result().expect("lossy answer").clone();
         assert_eq!(got, want, "loss must not change the canonical answer");
+    }
+
+    #[test]
+    fn malformed_child_reports_warn_and_never_reach_a_certified_answer() {
+        use ifi_sim::{AllUp, Effect};
+
+        // Root 0 and its only child 1, driven by hand.
+        let h = Hierarchy::balanced(2, 1);
+        let cfg = TopKConfig::new(1).with_prune_cap(4);
+        let items = |i: u64| vec![(ItemId(i), 5 + i)];
+        let mut root = TopKProtocol::new(&cfg, &h, PeerId::new(0), items(0));
+        let mut drive = |ev| {
+            let mut fx = Effects::new();
+            root.on_event(ev, SimTime::ZERO, &AllUp(2), &mut fx);
+            fx.drain().collect::<Vec<_>>()
+        };
+        let child_says = |msg| NodeEvent::Message {
+            from: PeerId::new(1),
+            msg: ReliableMsg::Plain(msg),
+        };
+        let warned = |fx: &[Effect<_, _, _>], label| match fx {
+            [Effect::Warn { label: l }] => *l == label,
+            _ => false,
+        };
+        assert!(drive(NodeEvent::Start).is_empty(), "child 1 is still out");
+
+        // A list of another capacity used to panic the merge.
+        let other_cap = CandidateList::from_items(5, &items(1));
+        let fx = drive(child_says(TopKMsg::Candidates(other_cap)));
+        assert!(warned(&fx, "malformed-report"), "{fx:?}");
+        let list = CandidateList::from_items(4, &items(1));
+        let fx = drive(child_says(TopKMsg::Candidates(list)));
+        let [Effect::Send { msg, .. }] = &fx[..] else {
+            panic!("the root asks its child about the one candidate: {fx:?}");
+        };
+        assert_eq!(msg, &ReliableMsg::Plain(TopKMsg::Query(vec![ItemId(1)])));
+
+        // Sums for an id the query never named used to land in the answer.
+        let fx = drive(child_says(TopKMsg::Values(vec![(ItemId(7), 1_000)])));
+        assert!(warned(&fx, "malformed-report"), "{fx:?}");
+        let fx = drive(child_says(TopKMsg::Values(vec![(ItemId(1), 6)])));
+        let [Effect::Deliver(answer)] = &fx[..] else {
+            panic!("the genuine values finish the run: {fx:?}");
+        };
+        assert_eq!(answer.items, [(ItemId(1), 6)]);
+        assert!(answer.certified);
     }
 
     #[test]

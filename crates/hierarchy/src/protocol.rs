@@ -10,8 +10,8 @@ use ifi_overlay::HeartbeatConfig;
 
 use crate::maintain_core::MaintainCore;
 use ifi_sim::{
-    Des, Effects, Membership, MsgClass, NodeEvent, PeerId, RelConfig, ReliableLink, ReliableMsg,
-    Retransmit, SansIo, SimTime,
+    Des, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, RelConfig, ReliableMsg,
+    RetransmitTimer, SansIo, SimTime,
 };
 
 use crate::tree::Hierarchy;
@@ -195,9 +195,15 @@ impl MaintainMsg {
 pub enum MaintainTimer {
     /// Periodic heartbeat tick.
     Tick,
-    /// Retransmission deadline for the reliable frame with this sequence
-    /// number (only armed when reliability is enabled).
-    Retransmit(u64),
+    /// Retransmission deadline of a reliable frame (only armed when
+    /// reliability is enabled).
+    Retransmit(RetransmitTimer),
+}
+
+impl From<RetransmitTimer> for MaintainTimer {
+    fn from(t: RetransmitTimer) -> Self {
+        MaintainTimer::Retransmit(t)
+    }
 }
 
 /// Steady-state hierarchy maintenance (§III-A.3).
@@ -215,8 +221,10 @@ pub enum MaintainTimer {
 pub struct MaintainProtocol {
     core: MaintainCore,
     started_before: bool,
-    /// Ack/retransmit envelope for send-once repair traffic, when enabled.
-    rel: Option<ReliableLink<MaintainMsg>>,
+    /// Envelope of the send-once repair traffic; plain unless enabled. It
+    /// retains nothing: a revived peer rejoins detached and has nothing
+    /// of its old life left to say.
+    env: Envelope<MaintainMsg>,
 }
 
 impl MaintainProtocol {
@@ -230,7 +238,7 @@ impl MaintainProtocol {
         MaintainProtocol {
             core: MaintainCore::new(hierarchy, peer, neighbors, config),
             started_before: false,
-            rel: None,
+            env: Envelope::plain(),
         }
     }
 
@@ -239,7 +247,7 @@ impl MaintainProtocol {
     /// so a fault-free run sends exactly the same bytes as without this.
     #[must_use]
     pub fn with_reliability(mut self, cfg: RelConfig) -> Self {
-        self.rel = Some(ReliableLink::new(cfg));
+        self.env = Envelope::reliable(cfg);
         self
     }
 
@@ -281,7 +289,7 @@ impl MaintainProtocol {
 
     /// Peak reliable-link dedup-arena occupancy; 0 without reliability.
     pub fn dedup_high_water(&self) -> usize {
-        self.rel.as_ref().map_or(0, |r| r.dedup_high_water())
+        self.env.dedup_high_water()
     }
 
     /// Re-introduces the historical churn-race panic (see
@@ -302,23 +310,14 @@ impl MaintainProtocol {
         fx.mark_phase("maintenance");
         let hb_bytes = self.core.config().bytes;
         for (to, msg) in out {
-            let bytes = match msg {
-                MaintainMsg::Heartbeat { .. } => hb_bytes,
-                _ => CTRL_BYTES,
+            let (bytes, class) = match msg {
+                MaintainMsg::Heartbeat { .. } => (hb_bytes, MsgClass::HEARTBEAT),
+                _ => (CTRL_BYTES, MsgClass::CONTROL),
             };
-            let class = match msg {
-                MaintainMsg::Heartbeat { .. } => MsgClass::HEARTBEAT,
-                _ => MsgClass::CONTROL,
-            };
-            match self.rel.as_mut() {
-                Some(link) if msg.is_send_once() => {
-                    let (seq, frame) = link.send_data(to, msg, bytes);
-                    fx.send(to, frame, bytes, class);
-                    fx.set_timer(link.rto(seq, 0), MaintainTimer::Retransmit(seq));
-                }
-                _ => {
-                    fx.send(to, ReliableMsg::Plain(msg), bytes, class);
-                }
+            if msg.is_send_once() {
+                self.env.send(fx, to, msg, bytes, class);
+            } else {
+                fx.send(to, ReliableMsg::Plain(msg), bytes, class);
             }
         }
     }
@@ -348,40 +347,13 @@ impl MaintainProtocol {
         msg: ReliableMsg<MaintainMsg>,
         fx: &mut Effects<Self>,
     ) {
-        let payload = match msg {
-            ReliableMsg::Plain(m) => m,
-            ReliableMsg::Data { inc, seq, payload } => {
-                let Some(link) = self.rel.as_mut() else {
-                    // A sequenced frame at a peer with no reliability
-                    // envelope is a configuration mismatch between the two
-                    // ends; drop it rather than take the node down.
-                    fx.warn("sequenced-frame-without-reliability");
-                    return;
-                };
-                let ack_bytes = link.cfg().ack_bytes;
-                // Ack every copy (the previous ack may have been lost);
-                // dispatch only the first so a duplicated Detach cannot
-                // bump `detach_count` twice. The ack echoes the frame's
-                // incarnation so the sender can match it to the right life.
-                let fresh = link.accept(from, inc, seq);
-                fx.mark_phase("retransmit");
-                fx.send(
-                    from,
-                    ReliableMsg::Ack { inc, seq },
-                    ack_bytes,
-                    MsgClass::RETRANSMIT,
-                );
-                if !fresh {
-                    return;
-                }
-                payload
-            }
-            ReliableMsg::Ack { inc, seq } => {
-                if let Some(link) = self.rel.as_mut() {
-                    link.on_ack(from, inc, seq);
-                }
-                return;
-            }
+        // Ack every copy, dispatch only the first: a duplicated Detach must
+        // not bump `detach_count` twice.
+        if self.env.acks(&msg) {
+            fx.mark_phase("retransmit");
+        }
+        let Some(payload) = self.env.on_frame(fx, from, msg) else {
+            return;
         };
         let out = self.core.on_message(from, payload, now);
         self.flush(fx, out);
@@ -394,39 +366,20 @@ impl MaintainProtocol {
                 // Stop retransmitting toward peers that just died: every
                 // pending frame to them would otherwise burn its full retry
                 // budget against a silent destination.
-                if let Some(link) = self.rel.as_mut() {
-                    for &d in &outcome.newly_dead {
-                        link.abandon(d);
-                    }
+                for &d in &outcome.newly_dead {
+                    self.env.abandon(d);
                 }
                 self.flush(fx, outcome.out);
                 fx.set_timer(self.core.config().interval, MaintainTimer::Tick);
             }
-            MaintainTimer::Retransmit(seq) => {
-                let Some(link) = self.rel.as_mut() else {
-                    // Only reachable if reliability was torn down after the
-                    // timer was armed; nothing to resend.
-                    fx.warn("retransmit-timer-without-reliability");
-                    return;
-                };
-                match link.retransmit(seq) {
-                    Retransmit::Resend {
-                        to,
-                        frame,
-                        bytes,
-                        next_delay,
-                    } => {
-                        fx.mark_phase("retransmit");
-                        fx.send(to, frame, bytes, MsgClass::RETRANSMIT);
-                        fx.set_timer(next_delay, MaintainTimer::Retransmit(seq));
-                    }
-                    Retransmit::Acked => {}
-                    Retransmit::GaveUp { .. } => {
-                        // The destination died mid-cascade: its own state is
-                        // gone with it, and any parent-side bookkeeping for
-                        // it expires via the children stamp map.
-                    }
+            MaintainTimer::Retransmit(t) => {
+                if self.env.resends(t) {
+                    fx.mark_phase("retransmit");
                 }
+                // Giving up is silent: the destination died mid-cascade,
+                // its own state is gone with it, and any parent-side
+                // bookkeeping for it expires via the children stamp map.
+                self.env.on_retransmit(fx, t);
             }
         }
     }
@@ -453,9 +406,7 @@ impl SansIo for MaintainProtocol {
                     // its sequence space resets under a fresh incarnation
                     // so late frames from the previous life cannot alias.
                     self.core.rejoin(now);
-                    if let Some(link) = self.rel.as_mut() {
-                        link.on_restart();
-                    }
+                    self.env.restart();
                 } else {
                     self.started_before = true;
                     self.core.start(now);

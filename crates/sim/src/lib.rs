@@ -81,7 +81,10 @@ pub use id::PeerId;
 pub use metrics::{ClassTotals, Metrics, MsgClass};
 pub use network::LatencyModel;
 pub use obs::{EventSink, MetricsReport, PhaseMetrics};
-pub use reliable::{backoff_delay, RelConfig, ReliableLink, ReliableMsg, Retransmit};
+pub use reliable::{
+    backoff_delay, Envelope, Enveloped, RelConfig, ReliableLink, ReliableMsg, Retransmit,
+    RetransmitTimer,
+};
 pub use rng::{mix64, DetRng};
 pub use sansio::{
     sansio_world, AllUp, Des, Effect, EffectBuf, Effects, Membership, NodeEvent, SansIo, TimerToken,

@@ -1,6 +1,7 @@
 //! Property tests for the extension modules: sliding-window IFI and exact
 //! top-k, checked against brute-force oracles on random inputs.
 
+use ifi_agg::Aggregate;
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::PeerId;
 use ifi_workload::{GroundTruth, ItemId, SystemData, WorkloadParams};

@@ -3,14 +3,22 @@
 //! any latency model — plus the algebraic properties (commutative,
 //! associative merges) that make out-of-order convergecasts safe.
 
-use ifi_agg::{Aggregate, MapSum, VecSum};
+use ifi_agg::{
+    hierarchical, Aggregate, Boot, Convergecast, MapSum, ScalarSum, TreeSlot, VecSum, WireSizes,
+};
 use ifi_hierarchy::Hierarchy;
 use ifi_overlay::Topology;
-use ifi_sim::{DetRng, Duration, LatencyModel, MsgClass, PeerId, SimConfig};
+use ifi_sim::{
+    sansio_world, Des, DetRng, Duration, Effects, Envelope, FaultPlan, LatencyModel, Membership,
+    MsgClass, NodeEvent, PeerId, RelConfig, ReliableMsg, RetransmitTimer, SansIo, SimConfig,
+    SimTime, World,
+};
 use ifi_workload::{ItemId, SystemData, WorkloadParams};
 use netfilter::protocol::NetFilterProtocol;
+use netfilter::sketch::SpaceSaving;
 use netfilter::{NetFilter, NetFilterConfig, Threshold};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn latency_for(kind: u8) -> LatencyModel {
     match kind % 3 {
@@ -158,13 +166,108 @@ proptest! {
     }
 }
 
+/// The thinnest engine over the convergecast block: every peer reports
+/// its subtree's merge of one local value rootward, through the envelope.
+#[derive(Debug)]
+struct Cast<A: Aggregate> {
+    slot: TreeSlot,
+    phase: Convergecast<A>,
+    env: Envelope<A>,
+    root_value: Option<A>,
+}
+
+impl<A: Aggregate> SansIo for Cast<A> {
+    type Msg = ReliableMsg<A>;
+    type Timer = RetransmitTimer;
+    type Output = ();
+
+    fn on_event(
+        &mut self,
+        ev: NodeEvent<Self::Msg, Self::Timer>,
+        _now: SimTime,
+        _env: &dyn Membership,
+        fx: &mut Effects<Self>,
+    ) {
+        match ev {
+            NodeEvent::Start => match self.slot.boot() {
+                Boot::Outsider => return,
+                Boot::Revival => self.env.revive(fx),
+                Boot::First => {}
+            },
+            NodeEvent::Message { from, msg } => {
+                let report = self.env.on_frame(fx, from, msg);
+                let absorbed =
+                    report.map(|r| self.phase.absorb(&mut self.slot, from, r, |_, _| true));
+                if let Some(Err(warn)) = absorbed {
+                    fx.warn(warn);
+                }
+            }
+            NodeEvent::Timer { tag } => {
+                self.env.on_retransmit(fx, tag);
+            }
+        }
+        match (self.phase.complete(&self.slot), self.slot.parent()) {
+            (None, _) => {}
+            (Some(acc), None) => self.root_value = Some(acc),
+            (Some(acc), Some(parent)) => {
+                let bytes = acc.encoded_bytes(&WireSizes::default());
+                self.env
+                    .send_retained(fx, parent, acc, bytes, MsgClass::AGGREGATION);
+            }
+        }
+    }
+}
+
+/// Runs a world of [`Cast`]s over `h`, each opened with `local(peer)`, to
+/// quiescence — after `meddle` had its way with it. Returns the root's
+/// value and the bytes charged to the aggregation class.
+fn cast<A: Aggregate>(
+    h: &Hierarchy,
+    sim: SimConfig,
+    rel: Option<RelConfig>,
+    local: impl Fn(PeerId) -> A,
+    meddle: impl FnOnce(&mut World<Des<Cast<A>>>),
+) -> (Option<A>, u64) {
+    let peers = (0..h.universe()).map(PeerId::new).map(|p| {
+        let mut phase = Convergecast::default();
+        phase.open(local(p));
+        Cast {
+            slot: TreeSlot::new(h, p),
+            phase,
+            env: rel.clone().map_or(Envelope::plain(), Envelope::reliable),
+            root_value: None,
+        }
+    });
+    let mut w = sansio_world(sim, peers.collect());
+    meddle(&mut w);
+    w.start();
+    w.run_to_quiescence();
+    let bytes = w.metrics().class_bytes(MsgClass::AGGREGATION);
+    (w.peer(h.root()).root_value.clone(), bytes)
+}
+
+#[test]
+fn convergecast_matches_instant_engine() {
+    let topo = Topology::random_regular(80, 4, &mut DetRng::new(3));
+    let h = Hierarchy::bfs(&topo, PeerId::new(0));
+    let local = |p: PeerId| MapSum::from_pairs([(ItemId(p.index() as u64 % 7), p.index() as u64)]);
+    let instant = hierarchical::aggregate(&h, &WireSizes::default(), local);
+    let (root_value, bytes) = cast(&h, SimConfig::default().with_seed(5), None, local, |_| {});
+    assert_eq!(root_value, Some(instant.root_value.clone()));
+    assert_eq!(bytes, instant.total_bytes(), "DES and instant bytes differ");
+}
+
+#[test]
+fn convergecast_singleton_root_completes_immediately() {
+    let h = Hierarchy::balanced(1, 3);
+    let got = cast(&h, SimConfig::default(), None, |_| ScalarSum(42), |_| {});
+    assert_eq!(got, (Some(ScalarSum(42)), 0));
+}
+
 #[test]
 fn convergecast_scalar_matches_over_every_topology_shape() {
     // ScalarSum aggregation agreement between instant and DES engines on
     // deliberately awkward shapes.
-    use ifi_agg::{hierarchical, ConvergecastProtocol, ScalarSum, WireSizes};
-    use ifi_sim::World;
-
     let shapes: Vec<Hierarchy> = vec![
         Hierarchy::balanced(1, 3),
         Hierarchy::balanced(2, 1),
@@ -173,27 +276,77 @@ fn convergecast_scalar_matches_over_every_topology_shape() {
         Hierarchy::bfs(&Topology::ring(20), PeerId::new(5)),
     ];
     for h in shapes {
-        let n = h.universe();
-        let instant = hierarchical::aggregate(&h, &WireSizes::default(), |p| {
-            ScalarSum(p.index() as u64 + 1)
-        });
-        let peers: Vec<ConvergecastProtocol<ScalarSum>> = (0..n)
-            .map(|i| {
-                ConvergecastProtocol::new(
-                    &h,
-                    PeerId::new(i),
-                    WireSizes::default(),
-                    ScalarSum(i as u64 + 1),
-                )
-            })
-            .collect();
-        let mut w = World::new(SimConfig::default().with_seed(9), peers);
-        w.start();
-        w.run_to_quiescence();
+        let local = |p: PeerId| ScalarSum(p.index() as u64 + 1);
+        let instant = hierarchical::aggregate(&h, &WireSizes::default(), local);
         assert_eq!(
-            w.peer(h.root()).result(),
-            Some(&instant.root_value),
-            "disagreement on {n}-peer shape"
+            cast(&h, SimConfig::default().with_seed(9), None, local, |_| {}),
+            (Some(instant.root_value), instant.total_bytes()),
+            "disagreement on {}-peer shape",
+            h.universe()
         );
+    }
+}
+
+/// `hierarchical::aggregate` ≡ the block under everything a network can
+/// do to it: arrivals shuffled by latency, frames dropped and duplicated,
+/// a stranger's report, and a peer crashing and reviving mid-run.
+fn cast_survives_the_network<A: Aggregate + PartialEq>(
+    parents: &[usize],
+    seed: u64,
+    local: impl Fn(PeerId) -> A + Copy,
+) -> Result<(), TestCaseError> {
+    // Peer i + 1 hangs under some peer ≤ i: every such vector is a tree.
+    let parent = |(i, &r): (usize, &usize)| Some(PeerId::new(r % (i + 1)));
+    let parents: Vec<_> = [None]
+        .into_iter()
+        .chain(parents.iter().enumerate().map(parent))
+        .collect();
+    let h = Hierarchy::from_parents(PeerId::new(0), &parents);
+    let n = h.universe();
+    let instant = hierarchical::aggregate(&h, &WireSizes::default(), local);
+
+    let sim = SimConfig::default()
+        .with_seed(seed)
+        .with_latency(latency_for(1))
+        .with_faults(FaultPlan::none().with_drop(0.1).with_duplication(0.2));
+    let got = cast(&h, sim, Some(RelConfig::default()), local, |w| {
+        // The last peer is nobody's parent, so its report is a stranger's
+        // to everyone but its own.
+        let (stranger, target) = (PeerId::new(n - 1), PeerId::new((seed / 7) as usize % n));
+        if h.parent(stranger) != Some(target) {
+            let frame = ReliableMsg::Plain(local(stranger));
+            w.inject(stranger, target, frame, 0, MsgClass::DATA);
+        }
+        let victim = PeerId::new(seed as usize % n);
+        if victim != h.root() {
+            w.schedule_kill(SimTime::from_micros(100 + seed % 300_000), victim);
+            w.schedule_revive(SimTime::from_micros(900_000), victim);
+        }
+    });
+    prop_assert_eq!(
+        got,
+        (Some(instant.root_value.clone()), instant.total_bytes())
+    );
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn convergecast_block_equals_instant_engine_under_faults(
+        parents in prop::collection::vec(0usize..1000, 0..40),
+        seed in 0u64..10_000,
+    ) {
+        let idx = |p: PeerId| p.index() as u64;
+        cast_survives_the_network(&parents, seed, |p| ScalarSum(idx(p) + 1))?;
+        cast_survives_the_network(&parents, seed, |p| {
+            MapSum::from_pairs([(ItemId(idx(p) % 7), idx(p)), (ItemId(idx(p) % 3), 1)])
+        })?;
+        // Order-sensitive: a capacity this small prunes at every merge.
+        cast_survives_the_network(&parents, seed, |p| {
+            let item = |j: u64| (ItemId((idx(p) * 5 + j * 3) % 11), 1 + j);
+            SpaceSaving::from_items(3, &(0..6).map(item).collect::<Vec<_>>())
+        })?;
     }
 }
