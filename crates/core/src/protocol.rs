@@ -508,6 +508,17 @@ mod tests {
             .build()
     }
 
+    /// Byte-for-byte what the instant engine charged, per paper phase.
+    fn assert_paper_phases_cost(m: &ifi_sim::Metrics, c: &crate::CostBreakdown) {
+        let charged = [&c.filtering, &c.dissemination, &c.aggregation].map(|v| v.iter().sum());
+        let classes = [
+            MsgClass::FILTERING,
+            MsgClass::DISSEMINATION,
+            MsgClass::AGGREGATION,
+        ];
+        assert_eq!(classes.map(|cl| m.class_bytes(cl)), charged);
+    }
+
     #[test]
     fn protocol_matches_instant_engine_exactly() {
         let data = workload(60, 2_000, 81);
@@ -529,21 +540,7 @@ mod tests {
             .to_vec();
         assert_eq!(result, instant.frequent_items());
 
-        // Byte-for-byte identical per phase.
-        let m = w.metrics();
-        let c = instant.cost();
-        assert_eq!(
-            m.class_bytes(MsgClass::FILTERING),
-            c.filtering.iter().sum::<u64>()
-        );
-        assert_eq!(
-            m.class_bytes(MsgClass::DISSEMINATION),
-            c.dissemination.iter().sum::<u64>()
-        );
-        assert_eq!(
-            m.class_bytes(MsgClass::AGGREGATION),
-            c.aggregation.iter().sum::<u64>()
-        );
+        assert_paper_phases_cost(w.metrics(), instant.cost());
     }
 
     #[test]
@@ -626,19 +623,7 @@ mod tests {
         );
         // Phase classes are untouched by the envelope...
         let m = w.metrics();
-        let c = instant.cost();
-        assert_eq!(
-            m.class_bytes(MsgClass::FILTERING),
-            c.filtering.iter().sum::<u64>()
-        );
-        assert_eq!(
-            m.class_bytes(MsgClass::DISSEMINATION),
-            c.dissemination.iter().sum::<u64>()
-        );
-        assert_eq!(
-            m.class_bytes(MsgClass::AGGREGATION),
-            c.aggregation.iter().sum::<u64>()
-        );
+        assert_paper_phases_cost(m, instant.cost());
         // ... and with no losses the only overhead is one ack per frame.
         let class_msgs = |cl: MsgClass| {
             (0..30)
@@ -688,19 +673,7 @@ mod tests {
         let m = w.metrics();
         assert_eq!(m.class_bytes(MsgClass::FAILOVER), CENSUS_BYTES * 29 * 2);
         // The paper's phase classes are untouched by certification.
-        let c = instant.cost();
-        assert_eq!(
-            m.class_bytes(MsgClass::FILTERING),
-            c.filtering.iter().sum::<u64>()
-        );
-        assert_eq!(
-            m.class_bytes(MsgClass::DISSEMINATION),
-            c.dissemination.iter().sum::<u64>()
-        );
-        assert_eq!(
-            m.class_bytes(MsgClass::AGGREGATION),
-            c.aggregation.iter().sum::<u64>()
-        );
+        assert_paper_phases_cost(m, instant.cost());
     }
 
     #[test]

@@ -287,11 +287,6 @@ impl MaintainProtocol {
         self.core.tracked_high_water()
     }
 
-    /// Peak reliable-link dedup-arena occupancy; 0 without reliability.
-    pub fn dedup_high_water(&self) -> usize {
-        self.env.dedup_high_water()
-    }
-
     /// Re-introduces the historical churn-race panic (see
     /// [`MaintainCore::enable_legacy_churn_race`]). Test tooling only.
     #[doc(hidden)]

@@ -246,11 +246,6 @@ impl<M: Clone> ReliableLink<M> {
         self.in_flight.clear();
     }
 
-    /// The link configuration.
-    pub fn cfg(&self) -> &RelConfig {
-        &self.cfg
-    }
-
     /// Wraps `payload` in a sequenced frame bound for `to`, retaining a
     /// copy for retransmission. Returns the sequence number and the frame;
     /// the caller sends the frame (charging `bytes` in the message's own
@@ -443,11 +438,6 @@ impl<M: Debug + Clone> Envelope<M> {
         let (link, backlog) = (ReliableLink::new(cfg), Vec::new());
         let cold = Some(Box::new(Cold { link, backlog }));
         Envelope { cold }
-    }
-
-    /// Peak number of per-sender dedup windows held; 0 in plain mode.
-    pub fn dedup_high_water(&self) -> usize {
-        self.cold.as_ref().map_or(0, |c| c.link.dedup_high_water())
     }
 
     /// Sends `msg` to `to`, charged `bytes` in `class`: plain, or as a
@@ -689,12 +679,12 @@ mod tests {
     #[test]
     fn backoff_grows_and_caps() {
         let l = link();
-        let base = l.cfg().base_rto;
+        let base = l.cfg.base_rto;
         assert!(l.rto(0, 0) >= base);
         assert!(l.rto(0, 0) < base + base); // jitter < base/2 < base
         assert!(l.rto(0, 3) >= base.saturating_mul(8));
         let capped = l.rto(0, 30);
-        assert!(capped <= l.cfg().max_rto + base);
+        assert!(capped <= l.cfg.max_rto + base);
         // Jitter is deterministic.
         assert_eq!(l.rto(7, 2), l.rto(7, 2));
     }
@@ -913,20 +903,16 @@ mod tests {
             sender
                 .env
                 .send(&mut fx, PeerId::new(1), 42, 16, MsgClass::TOPK);
-            let mut saw_timer = false;
-            let mut frame: Option<ReliableMsg<u32>> = None;
-            for e in fx.drain() {
-                match e {
-                    Effect::Send { msg, class, .. } => {
-                        assert_eq!(class, MsgClass::TOPK, "original keeps its phase class");
-                        frame = Some(msg);
-                    }
-                    Effect::SetTimer { .. } => saw_timer = true,
-                    other => panic!("unexpected effect {other:?}"),
-                }
-            }
-            assert!(saw_timer, "reliable send must arm a retransmit timer");
-            let frame = frame.expect("reliable send must emit a frame");
+            let effects: Vec<_> = fx.drain().collect();
+            let [Effect::Send {
+                msg: frame, class, ..
+            }, Effect::SetTimer { tag, .. }] = &effects[..]
+            else {
+                panic!("a reliable send is one frame, then its timer: {effects:?}");
+            };
+            assert_eq!(*class, MsgClass::TOPK, "original keeps its phase class");
+            assert_eq!(*tag, Tm::Retransmit(RetransmitTimer(0)));
+            let frame = frame.clone();
 
             // First delivery dispatches and acks; the duplicate only acks.
             let mut rfx: Effects<Echo> = Effects::new();
