@@ -147,6 +147,9 @@ pub struct NetFilterProtocol {
 // The diet above is what lets the N = 10^5 epoch fit its memory budget;
 // a field added in line shows up here before it shows up as 100 000 copies.
 const _: () = assert!(std::mem::size_of::<NetFilterProtocol>() <= 240);
+// Exactly, while `_slack` stands: a smaller peer must re-measure `setup_s`
+// at N = 10^5 before it lands (DESIGN §12).
+const _: () = assert!(std::mem::size_of::<NetFilterProtocol>() == 240);
 
 impl NetFilterProtocol {
     /// Creates the state for `peer`. The threshold must already be
@@ -408,31 +411,30 @@ impl NetFilterProtocol {
     fn on_payload(&mut self, fx: &mut Effects<Self>, from: PeerId, msg: NfMsg) {
         let slot = &mut self.slot;
         let any = |_: &Census, _: &Census| true;
-        // `Ok` names the phase whose completion the message may have fired.
         let absorbed = match msg {
             NfMsg::GroupAgg(v) => {
                 let same_dimension = |mine: &VecSum, v: &VecSum| mine.len() == v.len();
-                self.p1.absorb(slot, from, v, same_dimension).map(|()| 1)
+                self.p1.absorb(slot, from, v, same_dimension)
             }
-            NfMsg::CandidateAgg(m) => self.p2.absorb(slot, from, m, |_, _| true).map(|()| 2),
+            NfMsg::CandidateAgg(m) => self.p2.absorb(slot, from, m, |_, _| true),
             NfMsg::PhaseCensus { phase, census } => match (self.census.as_deref_mut(), phase) {
-                (Some(c), 1) => c.p1.absorb(slot, from, census, any).map(|()| 1),
-                (Some(c), 2) => c.p2.absorb(slot, from, census, any).map(|()| 2),
+                (Some(c), 1) => c.p1.absorb(slot, from, census, any),
+                (Some(c), 2) => c.p2.absorb(slot, from, census, any),
                 _ => Err("unexpected-census"),
             },
             NfMsg::Heavy(_) if Some(from) != slot.parent() => Err("unexpected-sender"),
             NfMsg::Heavy(_) if self.heavy_seen => Err("duplicate-report"),
             NfMsg::Heavy(lists) => HeavyGroups::for_family(self.local_filter.family(), lists)
-                .map(|heavy| {
-                    self.start_phase2(fx, heavy);
-                    0
-                })
+                .map(|heavy| self.start_phase2(fx, heavy))
                 .ok_or("malformed-report"),
         };
         match absorbed {
-            Ok(1) => self.maybe_complete_p1(fx),
-            Ok(2) => self.maybe_complete_p2(fx),
-            Ok(_) => {}
+            // Whichever phase the message was the last piece of: a phase
+            // that is not ready, or already fired, stays silent.
+            Ok(()) => {
+                self.maybe_complete_p1(fx);
+                self.maybe_complete_p2(fx);
+            }
             Err(warn) => fx.warn(warn),
         }
     }
@@ -709,6 +711,91 @@ mod tests {
             })
         );
         assert!(root.result().is_some(), "partial coverage still answers");
+    }
+
+    #[test]
+    fn duplicate_and_alien_reports_are_warned_and_dropped() {
+        use ifi_sim::{AllUp, Effect};
+
+        let data = workload(3, 100, 95);
+        let h = Hierarchy::balanced(3, 2);
+        let cfg = config(8, 2);
+        let threshold = cfg.threshold.resolve(data.total_value());
+        let core = |i: usize| {
+            let p = PeerId::new(i);
+            NetFilterProtocol::new(&cfg, &h, p, data.local_items(p).to_vec(), threshold)
+        };
+        let env = AllUp(3);
+        let now = SimTime::ZERO;
+
+        // A leaf's Start yields its phase-1 report to replay at the root.
+        let mut leaf = core(1);
+        let mut fx = Effects::new();
+        leaf.on_event(NodeEvent::Start, now, &env, &mut fx);
+        let report = fx
+            .drain()
+            .find_map(|e| match e {
+                Effect::Send { msg, .. } => Some(msg),
+                _ => None,
+            })
+            .expect("leaf must report on start");
+
+        let mut root = core(0);
+        let mut fx = Effects::new();
+        root.on_event(NodeEvent::Start, now, &env, &mut fx);
+        fx.drain().count();
+
+        let deliver = |root: &mut NetFilterProtocol, from: usize| {
+            let mut fx = Effects::new();
+            root.on_event(
+                NodeEvent::Message {
+                    from: PeerId::new(from),
+                    msg: report.clone(),
+                },
+                now,
+                &env,
+                &mut fx,
+            );
+            fx.drain()
+                .filter_map(|e| match e {
+                    Effect::Warn { label } => Some(label),
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+
+        // First report from a real child: accepted.
+        assert!(deliver(&mut root, 1).is_empty());
+        // Replay of the same child's report: warned, not double-merged.
+        assert_eq!(deliver(&mut root, 1), ["duplicate-report"]);
+        // A report from a peer that is not a child: warned, dropped.
+        assert_eq!(deliver(&mut root, 0), ["unexpected-sender"]);
+        // Phase 1 is still waiting on child 2 — the guarded deliveries
+        // must not have decremented the countdown twice.
+        let mut child2 = core(2);
+        let mut fx = Effects::new();
+        child2.on_event(NodeEvent::Start, now, &env, &mut fx);
+        let report2 = fx
+            .drain()
+            .find_map(|e| match e {
+                Effect::Send { msg, .. } => Some(msg),
+                _ => None,
+            })
+            .expect("child 2 must report on start");
+        let mut fx = Effects::new();
+        root.on_event(
+            NodeEvent::Message {
+                from: PeerId::new(2),
+                msg: report2,
+            },
+            now,
+            &env,
+            &mut fx,
+        );
+        // Root now finishes phase 1 and moves to dissemination.
+        assert!(fx
+            .drain()
+            .any(|e| matches!(e, Effect::Send { .. } | Effect::Deliver(_))));
     }
 
     #[test]

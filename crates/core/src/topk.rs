@@ -464,32 +464,33 @@ impl TopKProtocol {
     /// replayed, misdirected, or malformed messages warn and drop, never
     /// merge twice.
     fn on_payload(&mut self, fx: &mut Effects<Self>, from: PeerId, msg: TopKMsg) {
-        // `Ok` names the phase whose completion the message may have fired.
         let absorbed = match msg {
             TopKMsg::Candidates(list) => {
                 let same_cap = |mine: &CandidateList, l: &CandidateList| mine.cap == l.cap;
-                let slot = &mut self.slot;
-                self.lists.absorb(slot, from, list, same_cap).map(|()| 1)
+                self.lists.absorb(&mut self.slot, from, list, same_cap)
             }
             TopKMsg::Query(_) if self.slot.parent() != Some(from) => Err("unexpected-sender"),
             TopKMsg::Query(_) if self.query.is_some() => Err("duplicate-query"),
             TopKMsg::Query(ids) => {
                 self.begin_p2(fx, ids);
-                Ok(0)
+                Ok(())
             }
             TopKMsg::Values(vals) => {
                 // A child can only hold the query this node forwarded: an
                 // id outside it must not reach a certified answer.
                 let query = self.query.as_deref().unwrap_or_default();
                 let asked = |_: &MapSum, sums: &MapSum| sums.0.keys().all(|i| query.contains(i));
-                let (slot, sums) = (&mut self.slot, MapSum::from_pairs(vals));
-                self.sums.absorb(slot, from, sums, asked).map(|()| 2)
+                let sums = MapSum::from_pairs(vals);
+                self.sums.absorb(&mut self.slot, from, sums, asked)
             }
         };
         match absorbed {
-            Ok(1) => self.maybe_complete_p1(fx),
-            Ok(2) => self.maybe_complete_p2(fx),
-            Ok(_) => {}
+            // Whichever phase the message was the last piece of: a phase
+            // that is not ready, or already fired, stays silent.
+            Ok(()) => {
+                self.maybe_complete_p1(fx);
+                self.maybe_complete_p2(fx);
+            }
             Err(warn) => fx.warn(warn),
         }
     }

@@ -319,17 +319,23 @@ impl<M: Clone> ReliableLink<M> {
         }
     }
 
+    /// Whether a retransmit-timer firing for `seq` would put the frame
+    /// back on the wire: still unacknowledged, with retries left.
+    fn will_resend(&self, seq: u64) -> bool {
+        let pending = self.in_flight.get(&seq);
+        pending.is_some_and(|p| p.attempts < self.cfg.max_retries)
+    }
+
     /// Sender side: handles a retransmit-timer firing for `seq`.
     pub fn retransmit(&mut self, seq: u64) -> Retransmit<M> {
-        let Some(pending) = self.in_flight.get_mut(&seq) else {
-            return Retransmit::Acked;
-        };
-        if pending.attempts >= self.cfg.max_retries {
-            let to = pending.to;
-            self.in_flight.remove(&seq);
+        if !self.will_resend(seq) {
+            let Some(Pending { to, .. }) = self.in_flight.remove(&seq) else {
+                return Retransmit::Acked;
+            };
             self.abandoned += 1;
             return Retransmit::GaveUp { to };
         }
+        let pending = self.in_flight.get_mut(&seq).expect("will_resend found it");
         pending.attempts += 1;
         let (to, payload, bytes, attempts) = (
             pending.to,
@@ -475,9 +481,10 @@ impl<M: Debug + Clone> Envelope<M> {
     }
 
     /// Whether [`on_frame`](Self::on_frame) will answer `frame` with an
-    /// ack — for cores that mark a phase before envelope traffic.
+    /// ack — for cores that mark a phase before envelope traffic. The
+    /// pattern is `on_frame`'s acking arm.
     pub fn acks(&self, frame: &ReliableMsg<M>) -> bool {
-        self.cold.is_some() && matches!(frame, ReliableMsg::Data { .. })
+        matches!((frame, &self.cold), (ReliableMsg::Data { .. }, Some(_)))
     }
 
     /// Unwraps an incoming frame. Returns the payload when it must reach
@@ -520,10 +527,8 @@ impl<M: Debug + Clone> Envelope<M> {
     /// of `timer` back on the wire — the timer-side twin of
     /// [`acks`](Self::acks).
     pub fn resends(&self, timer: RetransmitTimer) -> bool {
-        self.cold.as_ref().is_some_and(|c| {
-            let pending = c.link.in_flight.get(&timer.0);
-            pending.is_some_and(|p| p.attempts < c.link.cfg.max_retries)
-        })
+        let cold = self.cold.as_ref();
+        cold.is_some_and(|c| c.link.will_resend(timer.0))
     }
 
     /// Handles a retransmit-timer firing: resends (as RETRANSMIT) and
