@@ -30,5 +30,7 @@ pub mod sampling;
 mod wire;
 
 pub use hierarchical::{AggregationOutcome, Boot, Convergecast, TreeSlot};
-pub use merge::{Aggregate, Ascending, Fold, MapSum, OnArrival, ScalarSum, VecSum};
+pub use merge::{
+    fold_run, is_run, merge_join, Aggregate, Ascending, Fold, MapSum, OnArrival, ScalarSum, VecSum,
+};
 pub use wire::WireSizes;

@@ -401,6 +401,53 @@ impl Aggregate for MapSum {
     }
 }
 
+/// Whether `pairs` is a **run**: strictly ascending by item (so
+/// duplicate-free) with no zero value — the shape sparse item sums have on
+/// the wire, and the one [`fold_run`] produces and [`merge_join`] consumes.
+/// Pairs from outside are checked with this before they are trusted.
+pub fn is_run<V: Default + PartialEq>(pairs: &[(ItemId, V)]) -> bool {
+    pairs.windows(2).all(|w| w[0].0 < w[1].0) && pairs.iter().all(|p| p.1 != V::default())
+}
+
+/// Folds arbitrary `(item, value)` pairs into a run in place: equal items
+/// are summed, zero sums dropped. The sort is stable and adaptive, so a
+/// concatenation of runs — what callers pass — merges in linear time.
+pub fn fold_run<V>(pairs: &mut Vec<(ItemId, V)>)
+where
+    V: Copy + Default + PartialEq + std::ops::AddAssign,
+{
+    pairs.sort_by_key(|&(k, _)| k);
+    pairs.dedup_by(|later, kept| {
+        later.0 == kept.0 && {
+            kept.1 += later.1;
+            true
+        }
+    });
+    pairs.retain(|p| p.1 != V::default());
+}
+
+/// Walks two runs in step: one `(item, a, b)` per item present in either,
+/// ascending, with `None` for a side that lacks the item.
+pub fn merge_join<'a, A: Copy, B: Copy>(
+    a: &'a [(ItemId, A)],
+    b: &'a [(ItemId, B)],
+) -> impl Iterator<Item = (ItemId, Option<A>, Option<B>)> + 'a {
+    let (mut a, mut b) = (a, b);
+    std::iter::from_fn(move || {
+        let (x, y) = (a.first().copied(), b.first().copied());
+        let item = match (x, y) {
+            (None, None) => return None,
+            (Some(x), None) => x.0,
+            (None, Some(y)) => y.0,
+            (Some(x), Some(y)) => x.0.min(y.0),
+        };
+        let (x, y) = (x.filter(|x| x.0 == item), y.filter(|y| y.0 == item));
+        a = &a[usize::from(x.is_some())..];
+        b = &b[usize::from(y.is_some())..];
+        Some((item, x.map(|x| x.1), y.map(|y| y.1)))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -602,5 +649,63 @@ mod tests {
         let mut ba = b.clone();
         ba.merge(&a);
         assert_eq!(ab, ba);
+    }
+
+    /// The reference the run helpers are held to: a tree sum, zeros dropped.
+    fn tree_sum(pairs: &[(ItemId, i64)]) -> Vec<(ItemId, i64)> {
+        let mut sum: BTreeMap<ItemId, i64> = BTreeMap::new();
+        for &(k, v) in pairs {
+            *sum.entry(k).or_insert(0) += v;
+        }
+        sum.into_iter().filter(|&(_, v)| v != 0).collect()
+    }
+
+    /// Pairs over a small item space, so duplicates are common; values in
+    /// ±3 including 0, so `+v/−v` cancellations and explicit zeros are too.
+    fn arb_pairs() -> impl proptest::strategy::Strategy<Value = Vec<(ItemId, i64)>> {
+        use proptest::prelude::*;
+        prop::collection::vec((0u64..12, -3i64..4), 0..40)
+            .prop_map(|v| v.into_iter().map(|(k, v)| (ItemId(k), v)).collect())
+    }
+
+    proptest::proptest! {
+        /// `fold_run` of any pair list, and a `merge_join` sum of two
+        /// folded runs, equal the tree sum of the same pairs — duplicates,
+        /// cancelling pairs and empty sides included.
+        #[test]
+        fn fold_and_merge_join_equal_the_tree_sum(a in arb_pairs(), b in arb_pairs()) {
+            let (mut ra, mut rb) = (a.clone(), b.clone());
+            fold_run(&mut ra);
+            fold_run(&mut rb);
+            proptest::prop_assert!(is_run(&ra) && is_run(&rb));
+            proptest::prop_assert_eq!(&ra, &tree_sum(&a));
+            proptest::prop_assert_eq!(&rb, &tree_sum(&b));
+
+            let joined: Vec<(ItemId, Option<i64>, Option<i64>)> = merge_join(&ra, &rb).collect();
+            // Every item of either side exactly once, ascending, each side's
+            // value where it has one.
+            proptest::prop_assert!(joined.windows(2).all(|w| w[0].0 < w[1].0));
+            let left: Vec<_> = joined.iter().filter_map(|&(k, x, _)| Some((k, x?))).collect();
+            let right: Vec<_> = joined.iter().filter_map(|&(k, _, y)| Some((k, y?))).collect();
+            proptest::prop_assert_eq!(&left, &ra);
+            proptest::prop_assert_eq!(&right, &rb);
+            let summed: Vec<(ItemId, i64)> = joined
+                .iter()
+                .map(|&(k, x, y)| (k, x.unwrap_or(0) + y.unwrap_or(0)))
+                .filter(|&(_, v)| v != 0)
+                .collect();
+            let both: Vec<(ItemId, i64)> = a.iter().chain(&b).copied().collect();
+            proptest::prop_assert_eq!(summed, tree_sum(&both));
+        }
+    }
+
+    #[test]
+    fn is_run_rejects_duplicates_disorder_and_zeros() {
+        let p = |k, v: i64| (ItemId(k), v);
+        assert!(is_run::<i64>(&[]));
+        assert!(is_run(&[p(1, -2), p(4, 7)]));
+        assert!(!is_run(&[p(1, 2), p(1, 3)]), "duplicate item");
+        assert!(!is_run(&[p(4, 2), p(1, 3)]), "descending");
+        assert!(!is_run(&[p(1, 2), p(4, 0)]), "zero value");
     }
 }

@@ -22,10 +22,11 @@
 //! Alongside the behavioral counters, the simulator benches snapshot
 //! *occupancy* high-water marks — peak event-queue length and peak
 //! per-peer arena sizes (heartbeat tracker, children, dedup windows) — and
-//! the two epoch benches the counting allocator's exact memory counters
-//! (`peak_live_bytes`, `allocs`, `alloc_bytes`), so a state-layout
-//! regression that balloons memory shows up as exact counter drift even
-//! when wall-clock stays inside tolerance.
+//! the three epoch benches (`epoch_*`) the counting allocator's exact
+//! memory counters (`peak_live_bytes`, `allocs`, `alloc_bytes`), so a
+//! state-layout regression that balloons memory, or a per-pair allocation
+//! on the delta path, shows up as exact counter drift even when wall-clock
+//! stays inside tolerance.
 //!
 //! Reports land as `BENCH_<name>.json` in the output directory; baselines
 //! live under `baselines/perf/` and are checked with counters exact.
@@ -401,6 +402,7 @@ fn bench_epoch_delta_n1000() -> BenchReport {
         "epoch_delta_n1000",
         &BenchConfig { warmup: 1, reps: 3 },
         || {
+            ifi_perf::alloc::reset();
             let mut w = ContinuousProtocol::build_world(
                 &cfg,
                 &h,
@@ -410,11 +412,12 @@ fn bench_epoch_delta_n1000() -> BenchReport {
             );
             w.start();
             w.run_to_quiescence();
+            let mem = ifi_perf::alloc::snapshot();
             let root = w.peer(PeerId::new(0));
             let digest = root
                 .standing()
                 .iter()
-                .fold(0u64, |acc, (&id, &v)| fold(fold(acc, id.0), v));
+                .fold(0u64, |acc, &(id, v)| fold(fold(acc, id.0), v));
             let full_bytes: u64 = (0..EPOCHS)
                 .map(|e| full_reaggregation_bytes(&h, &schedules, e, WINDOW, &sizes))
                 .sum();
@@ -431,6 +434,9 @@ fn bench_epoch_delta_n1000() -> BenchReport {
                     ("full_reagg_bytes".into(), full_bytes),
                     ("digest".into(), digest),
                     ("queue_high_water".into(), w.queue_high_water() as u64),
+                    ("peak_live_bytes".into(), mem.peak as u64),
+                    ("allocs".into(), mem.count),
+                    ("alloc_bytes".into(), mem.bytes),
                 ],
             }
         },

@@ -41,7 +41,7 @@
 
 use std::collections::BTreeMap;
 
-use ifi_agg::{Boot, TreeSlot};
+use ifi_agg::{fold_run, is_run, merge_join, Boot, TreeSlot};
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::{
     mix64, sansio_world, Des, Duration, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId,
@@ -260,7 +260,8 @@ pub struct EpochAnswer {
 /// `fade_is_order_independent` proptest pins exactly that.
 #[derive(Debug, Clone, Default)]
 pub struct FadedAccumulator {
-    batches: BTreeMap<u64, BTreeMap<ItemId, u64>>,
+    /// Per epoch, the batch totals as a run.
+    batches: BTreeMap<u64, Vec<(ItemId, u64)>>,
 }
 
 impl FadedAccumulator {
@@ -271,20 +272,21 @@ impl FadedAccumulator {
 
     /// Adds `value` of `item` to epoch `epoch`'s batch totals.
     pub fn absorb(&mut self, epoch: u64, item: ItemId, value: u64) {
-        if value == 0 {
-            return;
-        }
-        *self
-            .batches
-            .entry(epoch)
-            .or_default()
-            .entry(item)
-            .or_insert(0) += value;
+        self.absorb_pairs(epoch, [(item, value)]);
     }
 
-    /// The reconstructed batch totals for one epoch, if any.
-    pub fn batch(&self, epoch: u64) -> Option<&BTreeMap<ItemId, u64>> {
-        self.batches.get(&epoch)
+    /// Adds `pairs` (any order, items may repeat) to epoch `epoch`'s batch
+    /// totals.
+    pub fn absorb_pairs(&mut self, epoch: u64, pairs: impl IntoIterator<Item = (ItemId, u64)>) {
+        let batch = self.batches.entry(epoch).or_default();
+        batch.extend(pairs);
+        fold_run(batch);
+    }
+
+    /// The reconstructed batch totals for one epoch as a run (empty if
+    /// none were absorbed).
+    pub fn batch(&self, epoch: u64) -> &[(ItemId, u64)] {
+        self.batches.get(&epoch).map_or(&[], Vec::as_slice)
     }
 
     /// Drops every epoch before `lo` (aged out of the window).
@@ -310,7 +312,10 @@ impl FadedAccumulator {
         for (&j, batch) in self.batches.range(lo..=epoch) {
             let age = (epoch - j) as u32;
             let weight = (num as u128).pow(age) * (den as u128).pow((full - 1) as u32 - age);
-            acc += batch.get(&item).copied().unwrap_or(0) as u128 * weight;
+            let value = batch
+                .binary_search_by_key(&item, |p| p.0)
+                .map_or(0, |i| batch[i].1);
+            acc += value as u128 * weight;
         }
         acc
     }
@@ -319,7 +324,9 @@ impl FadedAccumulator {
 /// Per-epoch merge buffer at one node: its subtree's contributions so far.
 #[derive(Debug, Clone, Default)]
 struct PendingEpoch {
-    diffs: BTreeMap<ItemId, i64>,
+    /// The admitted contributions' runs, concatenated; folded into one run
+    /// when the epoch completes.
+    diffs: Vec<(ItemId, i64)>,
     census_count: u32,
     census_digest: u64,
     /// Children whose merged delta already arrived (per-epoch dedup).
@@ -332,26 +339,14 @@ struct PendingEpoch {
 #[derive(Debug, Clone)]
 pub struct ContinuousProtocol {
     // Static.
-    window: usize,
     epochs: usize,
     epoch_len: Duration,
-    fade: FadePolicy,
     sizes: WireSizes,
-    registry: QueryRegistry,
-    /// Hop counts from each registered query's subscriber to the root.
-    sub_hops: Vec<u64>,
     me: PeerId,
     slot: TreeSlot,
     members: usize,
-    roster_digest: u64,
     /// This peer's per-epoch record batches, pre-loaded.
     schedule: Vec<Vec<(ItemId, u64)>>,
-    /// Negative-path toggle: the root ignores retirement (negative) diffs
-    /// when updating its standing state, so the standing answer overcounts
-    /// once the window fills. Exists so the simcheck `window-consistency`
-    /// oracle has a demonstrable bug to catch.
-    #[doc(hidden)]
-    drop_retirements: bool,
     // Dynamic.
     win: SlidingWindow,
     /// Next local fence index (epochs `< fence` are locally closed).
@@ -360,9 +355,33 @@ pub struct ContinuousProtocol {
     /// Next epoch to forward upward (interior) or certify (root).
     next_forward: u64,
     env: Envelope<EpochDelta>,
-    // Root-only.
-    standing: BTreeMap<ItemId, u64>,
+    /// `Some` at the root alone.
+    root: Option<Box<RootState>>,
+}
+
+// One pointer is all the other N − 1 peers pay for the root's state; a
+// field added in line shows up here before it shows up as N copies.
+const _: () = assert!(std::mem::size_of::<ContinuousProtocol>() == 232);
+
+/// What only the root holds: what it certifies against, the queries it
+/// splits answers for, and the standing state certified deltas fold into.
+#[derive(Debug, Clone)]
+struct RootState {
+    window: usize,
+    fade: FadePolicy,
+    roster_digest: u64,
+    registry: QueryRegistry,
+    /// Hop counts from each registered query's subscriber to the root.
+    sub_hops: Vec<u64>,
+    /// Negative-path toggle: the root ignores retirement (negative) diffs
+    /// when updating its standing state, so the standing answer overcounts
+    /// once the window fills. Exists so the simcheck `window-consistency`
+    /// oracle has a demonstrable bug to catch.
+    drop_retirements: bool,
+    /// The global window totals, as a run.
+    standing: Vec<(ItemId, u64)>,
     faded: FadedAccumulator,
+    /// Each query's last answer as a run (ascending by item, not ranked).
     prev_answers: Vec<Vec<(ItemId, u64)>>,
     history: Vec<EpochAnswer>,
 }
@@ -378,7 +397,7 @@ impl ContinuousProtocol {
     pub fn new(
         config: &ContinuousConfig,
         hierarchy: &Hierarchy,
-        registry: QueryRegistry,
+        registry: &QueryRegistry,
         peer: PeerId,
         schedule: Vec<Vec<(ItemId, u64)>>,
     ) -> Self {
@@ -395,38 +414,36 @@ impl ContinuousProtocol {
         if let FadePolicy::Exponential { num, den } = config.fade {
             assert!(num >= 1 && den >= num, "fade must satisfy 1 ≤ num ≤ den");
         }
-        let roster_digest = (0..hierarchy.universe())
-            .map(|i| mix64(i as u64))
-            .fold(0, |acc, d| acc ^ d);
-        let sub_hops = registry
-            .queries()
-            .iter()
-            .map(|q| u64::from(hierarchy.depth(q.subscriber).unwrap_or(0)))
-            .collect();
-        let prev_answers = vec![Vec::new(); registry.len()];
+        let slot = TreeSlot::new(hierarchy, peer);
+        let root = slot.is_root().then(|| {
+            let hops = |q: &StandingQuery| u64::from(hierarchy.depth(q.subscriber).unwrap_or(0));
+            Box::new(RootState {
+                window: config.window,
+                fade: config.fade,
+                roster_digest: (0..hierarchy.universe()).fold(0, |acc, i| acc ^ mix64(i as u64)),
+                registry: registry.clone(),
+                sub_hops: registry.queries().iter().map(hops).collect(),
+                drop_retirements: false,
+                standing: Vec::new(),
+                faded: FadedAccumulator::new(),
+                prev_answers: vec![Vec::new(); registry.len()],
+                history: Vec::new(),
+            })
+        });
         ContinuousProtocol {
-            window: config.window,
             epochs: config.epochs,
             epoch_len: config.epoch,
-            fade: config.fade,
             sizes: config.sizes,
-            registry,
-            sub_hops,
             me: peer,
-            slot: TreeSlot::new(hierarchy, peer),
+            slot,
             members: hierarchy.member_count(),
-            roster_digest,
             schedule,
-            drop_retirements: false,
             win: SlidingWindow::new(config.window),
             fence: 0,
             pending: BTreeMap::new(),
             next_forward: 0,
             env: Envelope::plain(),
-            standing: BTreeMap::new(),
-            faded: FadedAccumulator::new(),
-            prev_answers,
-            history: Vec::new(),
+            root,
         }
     }
 
@@ -440,19 +457,22 @@ impl ContinuousProtocol {
     /// `window-consistency` oracle).
     #[doc(hidden)]
     pub fn with_dropped_retirements(mut self) -> Self {
-        self.drop_retirements = true;
+        if let Some(root) = &mut self.root {
+            root.drop_retirements = true;
+        }
         self
     }
 
     /// Every certified epoch answer so far, oldest first (root only —
     /// other peers never certify).
     pub fn history(&self) -> &[EpochAnswer] {
-        &self.history
+        self.root.as_ref().map_or(&[], |r| &r.history)
     }
 
-    /// The root's current standing window totals.
-    pub fn standing(&self) -> &BTreeMap<ItemId, u64> {
-        &self.standing
+    /// The root's current standing window totals, ascending by item
+    /// (empty on every other peer).
+    pub fn standing(&self) -> &[(ItemId, u64)] {
+        self.root.as_ref().map_or(&[], |r| &r.standing)
     }
 
     /// Number of epoch fences this peer has locally closed.
@@ -482,7 +502,7 @@ impl ContinuousProtocol {
                 let core = ContinuousProtocol::new(
                     config,
                     hierarchy,
-                    registry.clone(),
+                    registry,
                     PeerId::new(i),
                     schedules[i].clone(),
                 );
@@ -528,61 +548,48 @@ impl ContinuousProtocol {
     /// merge the local delta, flush whatever became forwardable.
     fn do_fence(&mut self, fx: &mut Effects<Self>) {
         let e = self.fence as u64;
-        let mut batch: BTreeMap<ItemId, u64> = BTreeMap::new();
-        if let Some(records) = self.schedule.get(self.fence) {
-            for &(item, v) in records {
-                self.win.record(item, v);
-                *batch.entry(item).or_insert(0) += v;
-            }
+        for &(item, v) in self.schedule.get(self.fence).into_iter().flatten() {
+            self.win.record(item, v);
         }
         let retired = self.win.advance();
-        let mut diffs: BTreeMap<ItemId, i64> = BTreeMap::new();
-        for (item, v) in batch {
-            *diffs.entry(item).or_insert(0) += v as i64;
-        }
-        for (item, v) in retired {
-            *diffs.entry(item).or_insert(0) -= v as i64;
-        }
-        diffs.retain(|_, v| *v != 0);
+        let batch = self.win.newest();
+        let p = self.pending.entry(e).or_default();
+        let diffs = merge_join(batch, &retired).filter_map(|(item, new, old)| {
+            let diff = new.unwrap_or(0) as i64 - old.unwrap_or(0) as i64;
+            (diff != 0).then_some((item, diff))
+        });
+        p.diffs.reserve(batch.len() + retired.len());
+        p.diffs.extend(diffs);
+        p.own_done = true;
+        // Only over a child's lie can this saturate, and then no root
+        // certifies the epoch.
+        p.census_count = p.census_count.saturating_add(1);
+        p.census_digest ^= mix64(self.me.index() as u64);
         self.fence += 1;
-        let own_digest = mix64(self.me.index() as u64);
-        self.merge(fx, e, diffs, 1, own_digest, None);
         self.flush(fx);
         if self.fence < self.epochs {
             fx.set_timer(self.epoch_len, ContTimer::Fence);
         }
     }
 
-    /// Merges one contribution (own fence or a child's delta) into the
-    /// epoch's pending buffer.
-    fn merge(
-        &mut self,
-        fx: &mut Effects<Self>,
-        epoch: u64,
-        diffs: BTreeMap<ItemId, i64>,
-        count: u32,
-        digest: u64,
-        from: Option<PeerId>,
-    ) {
-        let p = self.pending.entry(epoch).or_default();
-        match from {
-            Some(child) => {
-                if !p.reported.insert(child) {
-                    fx.warn("duplicate-delta");
-                    return;
-                }
-            }
-            None => p.own_done = true,
+    /// Admits a child's delta into its epoch's pending buffer. It is what
+    /// the wire handed over, so it is checked before the child's dedup bit
+    /// is set: taken only as a run, and with a census the roster can hold;
+    /// anything else is dropped whole, for the honest resend to replace.
+    fn admit(&mut self, fx: &mut Effects<Self>, from: PeerId, delta: EpochDelta) {
+        let p = self.pending.entry(delta.epoch).or_default();
+        if p.reported.contains(from) {
+            return fx.warn("duplicate-delta");
         }
-        for (item, v) in diffs {
-            let slot = p.diffs.entry(item).or_insert(0);
-            *slot += v;
-            if *slot == 0 {
-                p.diffs.remove(&item);
-            }
-        }
-        p.census_count += count;
-        p.census_digest ^= digest;
+        let census = p.census_count.checked_add(delta.census_count);
+        let census = census.filter(|&c| c as usize <= self.members && is_run(&delta.diffs));
+        let Some(census) = census else {
+            return fx.warn("malformed-report");
+        };
+        p.reported.insert(from);
+        p.diffs.extend(delta.diffs);
+        p.census_count = census;
+        p.census_digest ^= delta.census_digest;
     }
 
     /// Forwards (interior) or certifies (root) every complete epoch at the
@@ -600,11 +607,11 @@ impl ContinuousProtocol {
             if !complete {
                 return;
             }
-            let p = self.pending.remove(&e).expect("checked above");
-            if self.slot.is_root() {
-                self.certify(fx, e, p);
-            } else {
-                self.forward(fx, e, p);
+            let mut p = self.pending.remove(&e).expect("checked above");
+            fold_run(&mut p.diffs);
+            match &mut self.root {
+                Some(root) => root.certify(fx, &self.sizes, self.members, e, p),
+                None => self.forward(fx, e, p),
             }
             self.next_forward += 1;
         }
@@ -615,11 +622,10 @@ impl ContinuousProtocol {
     /// [`MsgClass::FAILOVER`].
     fn forward(&mut self, fx: &mut Effects<Self>, epoch: u64, p: PendingEpoch) {
         let parent = self.slot.parent().expect("non-root peers have a parent");
-        let diffs: Vec<(ItemId, i64)> = p.diffs.into_iter().collect();
-        let bytes = self.sizes.si + self.sizes.pair() * diffs.len() as u64;
+        let bytes = self.sizes.si + self.sizes.pair() * p.diffs.len() as u64;
         let msg = EpochDelta {
             epoch,
-            diffs,
+            diffs: p.diffs,
             census_count: p.census_count,
             census_digest: p.census_digest,
         };
@@ -627,119 +633,102 @@ impl ContinuousProtocol {
             .send_retained(fx, parent, msg, bytes, MsgClass::DELTA);
         fx.charge(MsgClass::FAILOVER, self.sizes.sa + self.sizes.si);
     }
+}
 
-    /// Certifies one complete epoch at the root: checks the census, folds
-    /// the delta into the standing state, splits per-query answers, and
-    /// delivers the [`EpochAnswer`].
-    fn certify(&mut self, fx: &mut Effects<Self>, epoch: u64, p: PendingEpoch) {
-        if p.census_count as usize != self.members || p.census_digest != self.roster_digest {
+type Fx = Effects<ContinuousProtocol>;
+
+impl RootState {
+    /// Certifies one complete epoch: checks the census, folds the delta
+    /// into the standing state, splits per-query answers, and delivers the
+    /// [`EpochAnswer`].
+    fn certify(
+        &mut self,
+        fx: &mut Fx,
+        sizes: &WireSizes,
+        members: usize,
+        epoch: u64,
+        p: PendingEpoch,
+    ) {
+        if p.census_count as usize != members || p.census_digest != self.roster_digest {
             fx.warn("census-mismatch");
             return;
         }
-        for (&item, &v) in &p.diffs {
-            if self.drop_retirements && v < 0 {
-                continue;
-            }
-            let cur = self.standing.get(&item).copied().unwrap_or(0) as i128 + i128::from(v);
-            if cur < 0 {
-                fx.warn("negative-standing");
-            }
-            if cur <= 0 {
-                self.standing.remove(&item);
-            } else {
-                self.standing.insert(item, cur as u64);
-            }
-        }
+        self.standing = self.apply(fx, "negative-standing", &self.standing, &p.diffs);
         if let FadePolicy::Exponential { .. } = self.fade {
-            self.reconstruct_batch(fx, epoch, &p.diffs);
+            // Batch reconstruction for the faded variant: the global
+            // epoch-`e` batch is `Δ_e + B_{e−(W−1)}` (the retired batch the
+            // delta subtracted), so fading needs zero extra traffic.
+            let full = (self.window - 1) as u64;
+            let retired = epoch
+                .checked_sub(full)
+                .map_or(&[][..], |j| self.faded.batch(j));
+            let batch = self.apply(fx, "negative-batch", retired, &p.diffs);
+            self.faded.absorb_pairs(epoch, batch);
+            self.faded.retain_from(epoch.saturating_sub(full - 1));
         }
-        let answers = self.split_answers(fx, epoch);
         let ans = EpochAnswer {
             epoch,
             contributors: p.census_count as usize,
-            answers,
+            answers: self.split_answers(fx, sizes, epoch),
         };
         self.history.push(ans.clone());
         fx.deliver(ans);
     }
 
-    /// Root-side batch reconstruction for the faded variant: the global
-    /// epoch-`e` batch is `Δ_e + B_{e−(W−1)}` (the retired batch the delta
-    /// subtracted), so fading needs zero extra traffic.
-    fn reconstruct_batch(
-        &mut self,
-        fx: &mut Effects<Self>,
-        epoch: u64,
-        diffs: &BTreeMap<ItemId, i64>,
-    ) {
-        let full = (self.window - 1) as u64;
-        let mut batch: BTreeMap<ItemId, u64> = epoch
-            .checked_sub(full)
-            .and_then(|j| self.faded.batch(j).cloned())
-            .unwrap_or_default();
-        for (&item, &v) in diffs {
-            if self.drop_retirements && v < 0 {
-                continue;
+    /// `base + delta` as a run, by one merge-join. A sum below zero warns
+    /// `underflow` and is dropped like a zero.
+    fn apply(
+        &self,
+        fx: &mut Fx,
+        underflow: &'static str,
+        base: &[(ItemId, u64)],
+        delta: &[(ItemId, i64)],
+    ) -> Vec<(ItemId, u64)> {
+        let mut out = Vec::with_capacity(base.len().max(delta.len()));
+        out.extend(merge_join(base, delta).filter_map(|(item, have, diff)| {
+            let diff = diff.filter(|&d| !(self.drop_retirements && d < 0));
+            let sum = i128::from(have.unwrap_or(0)) + i128::from(diff.unwrap_or(0));
+            if sum < 0 {
+                fx.warn(underflow);
             }
-            let cur = batch.get(&item).copied().unwrap_or(0) as i128 + i128::from(v);
-            if cur < 0 {
-                fx.warn("negative-batch");
-            }
-            if cur <= 0 {
-                batch.remove(&item);
-            } else {
-                batch.insert(item, cur as u64);
-            }
-        }
-        for (item, v) in batch {
-            self.faded.absorb(epoch, item, v);
-        }
-        self.faded.retain_from(epoch.saturating_sub(full - 1));
+            (sum > 0).then(|| (item, u64::try_from(sum).unwrap_or(u64::MAX)))
+        }));
+        out
     }
 
     /// Splits the per-query answers from the shared min-threshold superset
     /// and charges each query's changed rows to [`MsgClass::STANDING`].
-    fn split_answers(&mut self, fx: &mut Effects<Self>, epoch: u64) -> Vec<QueryAnswer> {
+    fn split_answers(&mut self, fx: &mut Fx, sizes: &WireSizes, epoch: u64) -> Vec<QueryAnswer> {
         let Some(min_t) = self.registry.min_threshold() else {
             return Vec::new();
         };
         // The shared superset, computed once: every item any query could
         // report. Under a (non-amplifying) fade the faded value never
         // exceeds the windowed total, so the windowed bar is a superset.
-        let mut superset: Vec<(ItemId, u64)> = self
-            .standing
-            .iter()
-            .filter(|&(_, v)| *v >= min_t)
-            .map(|(&k, &v)| (k, v))
-            .collect();
-        superset.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let queries: Vec<StandingQuery> = self.registry.queries().to_vec();
-        let mut out = Vec::with_capacity(queries.len());
-        for (qi, q) in queries.iter().enumerate() {
-            let items: Vec<(ItemId, u64)> = match self.fade {
-                FadePolicy::None => superset
-                    .iter()
-                    .take_while(|&&(_, v)| v >= q.threshold)
-                    .copied()
-                    .collect(),
+        let superset = self.standing.iter().copied();
+        let superset: Vec<(ItemId, u64)> = superset.filter(|p| p.1 >= min_t).collect();
+        let mut out = Vec::with_capacity(self.registry.len());
+        for (qi, q) in self.registry.queries().iter().enumerate() {
+            let of_query = superset.iter().copied();
+            let run: Vec<(ItemId, u64)> = match self.fade {
+                FadePolicy::None => of_query.filter(|p| p.1 >= q.threshold).collect(),
                 FadePolicy::Exponential { num, den } => {
-                    let scale = (den as u128).pow((self.window - 2) as u32);
-                    superset
-                        .iter()
-                        .filter(|&&(item, _)| {
-                            self.faded.faded_scaled(item, epoch, self.window, num, den)
-                                >= u128::from(q.threshold) * scale
-                        })
-                        .copied()
-                        .collect()
+                    let bar = u128::from(q.threshold) * (den as u128).pow((self.window - 2) as u32);
+                    let faded = |item| self.faded.faded_scaled(item, epoch, self.window, num, den);
+                    of_query.filter(|p| faded(p.0) >= bar).collect()
                 }
             };
-            let changed = changed_rows(&self.prev_answers[qi], &items);
-            let bytes = self.sizes.pair() * changed * self.sub_hops[qi];
+            // Rows of the new answer that differ from the last one plus
+            // rows of the last one that vanished — what the root must
+            // stream to keep the subscriber's mirror fresh.
+            let changed = merge_join(&self.prev_answers[qi], &run).filter(|row| row.1 != row.2);
+            let bytes = sizes.pair() * changed.count() as u64 * self.sub_hops[qi];
             if bytes > 0 {
                 fx.charge(MsgClass::STANDING, bytes);
             }
-            self.prev_answers[qi] = items.clone();
+            let mut items = run.clone();
+            items.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            self.prev_answers[qi] = run;
             out.push(QueryAnswer {
                 query: q.id,
                 threshold: q.threshold,
@@ -748,25 +737,6 @@ impl ContinuousProtocol {
         }
         out
     }
-}
-
-/// Rows of `new` that differ from `old` plus rows of `old` that vanished —
-/// what the root must stream to keep a subscriber's mirror fresh.
-fn changed_rows(old: &[(ItemId, u64)], new: &[(ItemId, u64)]) -> u64 {
-    let a: BTreeMap<ItemId, u64> = old.iter().copied().collect();
-    let b: BTreeMap<ItemId, u64> = new.iter().copied().collect();
-    let mut n = 0;
-    for (k, v) in &b {
-        if a.get(k) != Some(v) {
-            n += 1;
-        }
-    }
-    for k in a.keys() {
-        if !b.contains_key(k) {
-            n += 1;
-        }
-    }
-    n
 }
 
 impl SansIo for ContinuousProtocol {
@@ -807,15 +777,7 @@ impl SansIo for ContinuousProtocol {
                     fx.warn("stale-delta");
                     return;
                 }
-                let diffs: BTreeMap<ItemId, i64> = delta.diffs.into_iter().collect();
-                self.merge(
-                    fx,
-                    delta.epoch,
-                    diffs,
-                    delta.census_count,
-                    delta.census_digest,
-                    Some(from),
-                );
+                self.admit(fx, from, delta);
                 self.flush(fx);
             }
             NodeEvent::Timer { tag } => match tag {
@@ -946,7 +908,7 @@ mod tests {
         }
         // Final standing state equals the final from-scratch window.
         let scratch = window_totals_from_scratch(&schedules, 5, 3);
-        assert_eq!(root.standing(), &scratch);
+        assert!(root.standing().iter().copied().eq(scratch));
         assert!(
             w.metrics_report().warnings.is_empty(),
             "clean run must stay quiet"
@@ -1060,11 +1022,104 @@ mod tests {
         w.run_to_quiescence();
         let root = w.peer(h.root());
         let scratch = window_totals_from_scratch(&schedules, 5, 3);
-        assert_ne!(
-            root.standing(),
-            &scratch,
+        assert!(
+            !root.standing().iter().copied().eq(scratch),
             "the planted bug must diverge from the from-scratch window"
         );
+    }
+
+    /// A delta that is not a run, or whose census the roster cannot hold,
+    /// is dropped whole with `malformed-report` — before the child's dedup
+    /// bit is set, so the honest resend still certifies the epoch exactly.
+    #[test]
+    fn malformed_deltas_are_dropped_and_the_honest_resend_certifies() {
+        use ifi_sim::{AllUp, Effect};
+
+        let schedules: Vec<Vec<Vec<(ItemId, u64)>>> = vec![
+            vec![vec![(ItemId(0), 2)]],
+            vec![vec![(ItemId(0), 2), (ItemId(5), 1)]],
+            vec![vec![(ItemId(0), 2), (ItemId(7), 3)]],
+        ];
+        let h = Hierarchy::balanced(3, 2);
+        let cfg = ContinuousConfig::new(3, 1);
+        let reg = QueryRegistry::single(1, PeerId::new(2));
+        let (env, now) = (AllUp(3), SimTime::ZERO);
+        type Fx = Vec<Effect<ReliableMsg<EpochDelta>, ContTimer, EpochAnswer>>;
+        let drive = |core: &mut ContinuousProtocol, ev| -> Fx {
+            let mut fx = Effects::new();
+            core.on_event(ev, now, &env, &mut fx);
+            fx.drain().collect()
+        };
+        let fence = || NodeEvent::Timer {
+            tag: ContTimer::Fence,
+        };
+        let core = |i: usize| {
+            let mut c = ContinuousProtocol::peers(&cfg, &h, &reg, &schedules, None).swap_remove(i);
+            drive(&mut c, NodeEvent::Start);
+            c
+        };
+        // Each leaf's fence yields the honest delta it sends the root.
+        let honest = |i: usize| {
+            drive(&mut core(i), fence())
+                .into_iter()
+                .find_map(|e| match e {
+                    Effect::Send {
+                        msg: ReliableMsg::Plain(delta),
+                        ..
+                    } => Some(delta),
+                    _ => None,
+                })
+                .expect("a leaf forwards its delta at the fence")
+        };
+        let (d1, d2) = (honest(1), honest(2));
+        assert_eq!(d1.diffs, [(ItemId(0), 2), (ItemId(5), 1)]);
+        let from = |i: usize, delta: &EpochDelta| NodeEvent::Message {
+            from: PeerId::new(i),
+            msg: ReliableMsg::Plain(delta.clone()),
+        };
+
+        let diffs = |pairs: &[(u64, i64)]| EpochDelta {
+            diffs: pairs.iter().map(|&(k, v)| (ItemId(k), v)).collect(),
+            ..d1.clone()
+        };
+        let hostile = [
+            ("duplicate key", diffs(&[(0, 1), (0, 1), (5, 1)])),
+            ("descending pair", diffs(&[(5, 1), (0, 2)])),
+            ("zero diff", diffs(&[(0, 2), (3, 0), (5, 1)])),
+            (
+                "census overflow",
+                EpochDelta {
+                    census_count: u32::MAX,
+                    ..d1.clone()
+                },
+            ),
+        ];
+        for (what, bad) in &hostile {
+            let mut root = core(0);
+            // Before the root's own fence: the census has nothing in it yet,
+            // so a bare `checked_add` would let `u32::MAX` through.
+            let fx = drive(&mut root, from(1, bad));
+            assert!(
+                matches!(
+                    fx[..],
+                    [Effect::Warn {
+                        label: "malformed-report"
+                    }]
+                ),
+                "{what}: {fx:?}"
+            );
+            drive(&mut root, fence());
+            let mut fx = drive(&mut root, from(1, &d1));
+            fx.extend(drive(&mut root, from(2, &d2)));
+            assert!(
+                !fx.iter().any(|e| matches!(e, Effect::Warn { .. })),
+                "{what}: {fx:?}"
+            );
+            assert_eq!(root.history().len(), 1, "{what}: epoch 0 certifies");
+            assert_eq!(root.history()[0].contributors, 3);
+            let scratch = window_totals_from_scratch(&schedules, 0, 3);
+            assert!(root.standing().iter().copied().eq(scratch), "{what}");
+        }
     }
 
     #[test]
@@ -1167,7 +1222,7 @@ mod tests {
                 prop_assert_eq!(&got, &scratch, "epoch {}", ans.epoch);
             }
             let scratch = window_totals_from_scratch(&schedules, epochs as u64 - 1, window);
-            prop_assert_eq!(root.standing(), &scratch);
+            prop_assert!(root.standing().iter().copied().eq(scratch));
         }
 
         /// Satellite (b): the time-faded weighting is order-independent

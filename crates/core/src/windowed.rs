@@ -16,15 +16,16 @@
 //!
 //! The coordination cost is unchanged (netFilter neither knows nor cares
 //! that local values came from a window); only peer-local state grows, by
-//! a factor of the bucket count. The window additionally maintains an
-//! incremental totals map so [`SlidingWindow::value`] and
-//! [`SlidingWindow::local_items`] are O(live items), and
-//! [`SlidingWindow::advance`] returns the retired slice — the raw material
-//! of the per-epoch deltas the [`continuous`](crate::continuous) engine
+//! a factor of the bucket count. Each closed slice is kept as one **run**
+//! (ascending, duplicate-free, zero-pruned — [`ifi_agg::fold_run`]), the
+//! open slice as an append buffer folded when it closes, and the window
+//! totals are computed from those ≤ `buckets` runs on demand.
+//! [`SlidingWindow::advance`] returns the retired run and
+//! [`SlidingWindow::newest`] the one just closed — the two sides of the
+//! per-epoch deltas the [`continuous`](crate::continuous) engine
 //! convergecasts instead of re-aggregating.
 
-use std::collections::BTreeMap;
-
+use ifi_agg::fold_run;
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::PeerId;
 use ifi_workload::{ItemId, SystemData};
@@ -35,13 +36,10 @@ use crate::engine::{NetFilter, NetFilterRun};
 /// A peer-local bucketed sliding window of item counts.
 #[derive(Debug, Clone)]
 pub struct SlidingWindow {
-    /// `buckets[0]` is the oldest live slice, `buckets.last()` the current.
-    buckets: Vec<BTreeMap<ItemId, u64>>,
-    /// Incrementally maintained per-item totals across all live slices.
-    /// Invariant: `totals[k] == Σ buckets[i][k]`, and after every
-    /// [`advance`](Self::advance) no key with a zero total survives in
-    /// either `totals` or any live bucket.
-    totals: BTreeMap<ItemId, u64>,
+    /// The closed live slices, oldest first, each a run.
+    closed: Vec<Vec<(ItemId, u64)>>,
+    /// The current slice: records in arrival order, folded at `advance`.
+    open: Vec<(ItemId, u64)>,
     capacity: usize,
 }
 
@@ -55,80 +53,67 @@ impl SlidingWindow {
     pub fn new(buckets: usize) -> Self {
         assert!(buckets > 0, "a window needs at least one bucket");
         SlidingWindow {
-            buckets: vec![BTreeMap::new()],
-            totals: BTreeMap::new(),
+            closed: Vec::new(),
+            open: Vec::new(),
             capacity: buckets,
         }
     }
 
     /// Adds `value` for `item` to the current time slice.
     pub fn record(&mut self, item: ItemId, value: u64) {
-        *self
-            .buckets
-            .last_mut()
-            .expect("window always has a current bucket")
-            .entry(item)
-            .or_insert(0) += value;
-        *self.totals.entry(item).or_insert(0) += value;
+        self.open.push((item, value));
     }
 
     /// Closes the current slice and opens a fresh one, retiring the oldest
-    /// slice once the window is full. Returns the retired slice (empty
-    /// while the window is still filling).
+    /// slice once the window is full. Returns the retired slice as a run
+    /// (empty while the window is still filling).
     ///
-    /// Items whose window total decays to zero are compacted out of the
-    /// totals map *and* every live bucket, so peer-local memory tracks the
-    /// live item population instead of growing with all-time item churn.
-    pub fn advance(&mut self) -> BTreeMap<ItemId, u64> {
-        let retired = if self.buckets.len() == self.capacity {
-            self.buckets.remove(0)
+    /// A slice holds only the items recorded in it, so peer-local memory
+    /// tracks the live item population, not all-time item churn.
+    pub fn advance(&mut self) -> Vec<(ItemId, u64)> {
+        let mut slice = std::mem::take(&mut self.open);
+        fold_run(&mut slice);
+        self.closed.push(slice);
+        if self.closed.len() == self.capacity {
+            self.closed.remove(0)
         } else {
-            BTreeMap::new()
-        };
-        for (k, v) in &retired {
-            if let Some(t) = self.totals.get_mut(k) {
-                *t = t.saturating_sub(*v);
-            }
+            Vec::new()
         }
-        let dead: Vec<ItemId> = self
-            .totals
-            .iter()
-            .filter(|&(_, v)| *v == 0)
-            .map(|(&k, _)| k)
-            .collect();
-        for k in &dead {
-            self.totals.remove(k);
-            for bucket in &mut self.buckets {
-                bucket.remove(k);
-            }
-        }
-        self.buckets.push(BTreeMap::new());
-        retired
+    }
+
+    /// The slice the last [`advance`](Self::advance) closed, as a run
+    /// (empty before the first, and in a 1-bucket window, which retires it
+    /// at once).
+    pub fn newest(&self) -> &[(ItemId, u64)] {
+        self.closed.last().map_or(&[], Vec::as_slice)
     }
 
     /// Number of live slices (≤ the configured bucket count).
     pub fn live_buckets(&self) -> usize {
-        self.buckets.len()
+        self.closed.len() + 1
     }
 
-    /// Number of distinct item keys currently held by the window (the
-    /// totals map; live buckets never hold more keys after an advance).
+    /// Number of distinct items with a non-zero window total.
     pub fn tracked_items(&self) -> usize {
-        self.totals.len()
+        self.local_items().len()
     }
 
     /// The window total for one item.
     pub fn value(&self, item: ItemId) -> u64 {
-        self.totals.get(&item).copied().unwrap_or(0)
+        let closed = self.closed.iter().map(|run| {
+            run.binary_search_by_key(&item, |p| p.0)
+                .map_or(0, |i| run[i].1)
+        });
+        let open = self.open.iter().filter(|p| p.0 == item).map(|p| p.1);
+        closed.chain(open).sum()
     }
 
     /// The merged live-window local item set, sorted by item id.
     pub fn local_items(&self) -> Vec<(ItemId, u64)> {
-        self.totals
-            .iter()
-            .filter(|&(_, v)| *v > 0)
-            .map(|(&k, &v)| (k, v))
-            .collect()
+        let mut all = self.closed.concat();
+        all.extend_from_slice(&self.open);
+        fold_run(&mut all);
+        all
     }
 }
 
@@ -226,7 +211,8 @@ mod tests {
         assert!(w.advance().is_empty(), "window still filling");
         w.record(ItemId(3), 1);
         let retired = w.advance();
-        assert_eq!(retired.get(&ItemId(3)), Some(&4), "oldest slice retires");
+        assert_eq!(retired, [(ItemId(3), 4)], "oldest slice retires");
+        assert_eq!(w.newest(), [(ItemId(3), 1)], "the slice just closed");
         assert_eq!(w.value(ItemId(3)), 1);
     }
 
@@ -269,9 +255,9 @@ mod tests {
         let mut w = SlidingWindow::new(3);
         w.record(ItemId(1), 0);
         w.record(ItemId(2), 2);
-        assert_eq!(w.tracked_items(), 2);
+        assert_eq!(w.tracked_items(), 1, "a zero total is never tracked");
         w.advance();
-        assert_eq!(w.tracked_items(), 1, "zero-value key dropped");
+        assert_eq!(w.newest(), [(ItemId(2), 2)], "zero-value key dropped");
         assert_eq!(w.local_items(), vec![(ItemId(2), 2)]);
     }
 

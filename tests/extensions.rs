@@ -31,8 +31,17 @@ proptest! {
             vec![Default::default()];
         for (advance, item, value) in ops {
             if advance {
-                w.advance();
+                // The retired run is the oracle's slice that just left the
+                // window (nothing while the window is still filling).
                 slices.push(Default::default());
+                let retired: Vec<(ItemId, u64)> = slices
+                    .len()
+                    .checked_sub(buckets + 1)
+                    .into_iter()
+                    .flat_map(|i| &slices[i])
+                    .map(|(&k, &v)| (ItemId(k), v))
+                    .collect();
+                prop_assert_eq!(w.advance(), retired);
             } else {
                 w.record(ItemId(item), value);
                 *slices.last_mut().unwrap().entry(item).or_insert(0) += value;
@@ -43,6 +52,7 @@ proptest! {
             let expect: u64 = live.iter().filter_map(|s| s.get(&item)).sum();
             prop_assert_eq!(w.value(ItemId(item)), expect, "item {}", item);
         }
+        prop_assert_eq!(w.tracked_items(), w.local_items().len());
         // local_items agrees with per-item values and omits zeros.
         for (id, v) in w.local_items() {
             prop_assert!(v > 0);
