@@ -21,8 +21,12 @@
 //!
 //! Alongside the behavioral counters, the simulator benches snapshot
 //! *occupancy* high-water marks — peak event-queue length and peak
-//! per-peer arena sizes (heartbeat tracker, children, dedup windows) — and
-//! the three epoch benches (`epoch_*`) the counting allocator's exact
+//! per-peer arena sizes (heartbeat tracker, children, dedup windows).
+//! `event_queue` and the two exact-epoch benches also snapshot
+//! `queue_heap_pushes`, the pushes the queue's FIFO lanes could not take:
+//! zero on these constant-latency schedules, so a change that sends events
+//! back through the `O(log n)` heap fails exactly, whatever the wall says.
+//! The three epoch benches (`epoch_*`) add the counting allocator's exact
 //! memory counters (`peak_live_bytes`, `allocs`, `alloc_bytes`), so a
 //! state-layout regression that balloons memory, or a per-pair allocation
 //! on the delta path, shows up as exact counter drift even when wall-clock
@@ -62,8 +66,10 @@ fn fold(acc: u64, v: u64) -> u64 {
 // --- event_queue: DES kernel timer/message scheduling on a ring. ---
 
 /// Each peer re-arms a 1 ms timer `remaining` times, sending one message
-/// around the ring per tick — a pure event-queue workload (every event is
-/// a heap push/pop with trivial handler work).
+/// around the ring per tick — a pure event-queue workload with trivial
+/// handler work: every timer goes through the wheel, every delivery lands
+/// a constant 50 ms out and so through one FIFO lane, none through the
+/// overflow heap (`queue_heap_pushes` = 0 is gated).
 struct RingTicker {
     next: PeerId,
     remaining: u32,
@@ -114,6 +120,7 @@ fn bench_event_queue() -> BenchReport {
                 ("messages".into(), w.metrics().total_messages()),
                 ("digest".into(), digest),
                 ("queue_high_water".into(), w.queue_high_water() as u64),
+                ("queue_heap_pushes".into(), w.queue_heap_pushes()),
             ],
         }
     })
@@ -217,6 +224,7 @@ fn bench_epoch(name: &str, peers: usize, items: u64, reps: usize) -> BenchReport
                 ("result_items".into(), result.len() as u64),
                 ("digest".into(), digest),
                 ("queue_high_water".into(), w.queue_high_water() as u64),
+                ("queue_heap_pushes".into(), w.queue_heap_pushes()),
                 ("peak_live_bytes".into(), mem.peak as u64),
                 ("allocs".into(), mem.count),
                 ("alloc_bytes".into(), mem.bytes),
@@ -572,7 +580,7 @@ pub fn check_baselines(
 /// Wall-clock tolerance for `bench --check`: an explicit `--tolerance`
 /// wins, then the `PERF_WALL_TOLERANCE` environment variable (CI sets it
 /// once at workflow level so every perf lane shares one knob), then a
-/// generous ±50 %.
+/// generous +50 % (the gate is one-sided: only slowdowns fail).
 pub fn wall_tolerance(explicit: Option<f64>) -> f64 {
     explicit
         .or_else(|| {

@@ -7,9 +7,11 @@
 //! * `ops`, `bytes`, and every named counter must match **exactly** —
 //!   they are machine-independent, so any drift is a behavioral
 //!   regression (more events, more messages, different answer);
-//! * the wall-clock **median** may move by a relative `tolerance`
-//!   (CI uses a generous 0.5 = ±50 %) before failing — it only alarms on
-//!   gross slowdowns, never on machine noise;
+//! * the wall-clock **median** may rise by a relative `tolerance` (CI
+//!   uses a generous 0.5 = +50 %) before failing — it only alarms on
+//!   gross slowdowns, never on machine noise. The gate is one-sided: a
+//!   median *below* `committed / (1 + tolerance)` is a speed-up, reported
+//!   on stderr as a note to refresh the baseline, never as a failure;
 //! * `min_ns`/`max_ns`/rep counts are informational and never gated.
 
 use std::path::{Path, PathBuf};
@@ -76,20 +78,44 @@ pub fn compare_reports(
         }
     }
 
-    // Wall-clock: gate the median only, by relative tolerance.
-    let want = committed.wall.median_ns as f64;
-    let got = fresh.wall.median_ns as f64;
-    let drift = (got - want).abs() / want.max(1.0);
-    if drift > tolerance {
-        problems.push(format!(
-            "{name}: wall median drifted {:.0}% (committed {:.3} ms, fresh {:.3} ms, tolerance {:.0}%)",
-            drift * 100.0,
-            want / 1e6,
-            got / 1e6,
-            tolerance * 100.0
-        ));
+    // Wall-clock: gate the median only, and only against slowdowns.
+    match wall_verdict(
+        committed.wall.median_ns as f64,
+        fresh.wall.median_ns as f64,
+        tolerance,
+    ) {
+        Ok(None) => {}
+        Ok(Some(note)) => eprintln!("note: {name}: {note}"),
+        Err(problem) => problems.push(format!("{name}: {problem}")),
     }
     problems
+}
+
+/// One-sided wall gate: `Err` when `got` is slower than `want` by more
+/// than `tolerance`, `Ok(Some(note))` when it is faster by as much (the
+/// committed snapshot is stale, which is worth saying and not worth
+/// failing), `Ok(None)` in between.
+fn wall_verdict(want: f64, got: f64, tolerance: f64) -> Result<Option<String>, String> {
+    let want = want.max(1.0);
+    let medians = format!(
+        "committed {:.3} ms, fresh {:.3} ms, tolerance {:.0}%",
+        want / 1e6,
+        got / 1e6,
+        tolerance * 100.0
+    );
+    if got > want * (1.0 + tolerance) {
+        Err(format!(
+            "wall median slowed by {:.0}% ({medians})",
+            (got / want - 1.0) * 100.0
+        ))
+    } else if got * (1.0 + tolerance) < want {
+        Ok(Some(format!(
+            "wall median is {:.1}x faster ({medians}) — refresh with `experiments bench --write-baselines`",
+            want / got.max(1.0)
+        )))
+    } else {
+        Ok(None)
+    }
 }
 
 fn keys(r: &BenchReport) -> Vec<&str> {
@@ -170,12 +196,31 @@ mod tests {
     }
 
     #[test]
-    fn wall_drift_within_tolerance_passes_beyond_fails() {
+    fn wall_slowdown_within_tolerance_passes_beyond_fails() {
         let committed = report();
         let mut fresh = report();
         fresh.wall.median_ns = 2_800_000; // +40 %
         assert!(compare_reports(&committed, &fresh, 0.5).is_empty());
-        assert!(!compare_reports(&committed, &fresh, 0.25).is_empty());
+        let problems = compare_reports(&committed, &fresh, 0.25);
+        assert_eq!(problems.len(), 1);
+        assert!(problems[0].contains("slowed by 40%"), "{problems:?}");
+    }
+
+    #[test]
+    fn wall_speedup_never_fails_and_asks_for_a_refresh() {
+        let committed = report();
+        let mut fresh = report();
+        fresh.wall.median_ns = 700_000; // 2.9x faster
+        assert!(compare_reports(&committed, &fresh, 0.5).is_empty());
+        assert!(compare_reports(&committed, &fresh, 0.0).is_empty());
+        let note = wall_verdict(2e6, 7e5, 0.5).expect("not a failure");
+        assert!(note.expect("noted").contains("2.9x faster"));
+        // Inside the band in either direction there is nothing to say.
+        assert_eq!(wall_verdict(2e6, 1.5e6, 0.5), Ok(None));
+        assert_eq!(wall_verdict(2e6, 2.9e6, 0.5), Ok(None));
+        // An exact counter still gates in both directions.
+        fresh.ops -= 1;
+        assert_eq!(compare_reports(&committed, &fresh, 0.5).len(), 1);
     }
 
     #[test]

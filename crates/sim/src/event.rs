@@ -1,23 +1,35 @@
 //! Internal event-queue plumbing.
 //!
 //! The queue is a *stable* priority queue over `(time, seq)`: events pop
-//! sorted by time, ties broken by insertion order. Internally it is split
-//! by event kind:
+//! sorted by time, ties broken by insertion order. `seq` is handed out
+//! monotonically by [`EventQueue::push`]. Internally the queue keeps three
+//! kinds of source, each sorted by `(time, seq)` on its own:
 //!
-//! * **Timers** go into a hierarchical timer wheel (11 levels × 64 slots,
-//!   6 bits per level — 66 bits of microsecond range). At `N = 10^5` peers
-//!   there are ~10^5 concurrent heartbeat/retransmit timers; wheel insert
-//!   and expiry are O(1) amortized, where a binary heap pays O(log n) per
-//!   operation and thrashes its cache at that population.
-//! * **Everything else** (deliveries, starts, kills, revives) — plus the
-//!   rare timer scheduled behind the wheel cursor, and strategy-path
-//!   reinsertions — stays in the classic binary heap.
+//! * **FIFO lanes** (a few `VecDeque`s) take every non-timer push —
+//!   deliveries, starts, kills, revives — and the rare timer scheduled
+//!   behind the wheel cursor. A push enters the first lane whose back is at
+//!   or before the new event's time. Its `seq` is larger than any handed
+//!   out before, so appending keeps the lane sorted with no comparison
+//!   beyond that one. Under a constant link latency the clock only moves
+//!   forward and every delivery lands at `now + d`, so one lane takes them
+//!   all; a delay spike or a second latency opens the next lane.
+//! * **The binary heap** takes what no lane can: a push earlier than every
+//!   lane's back (random latencies), and every strategy-path
+//!   [`reinsert`](EventQueue::reinsert), which keeps its *old* `seq` and so
+//!   may not be appended anywhere. These pay the `O(log n)` the whole
+//!   queue used to pay; nothing pays more.
+//! * **Timers** at or after the wheel cursor go into a hierarchical timer
+//!   wheel (11 levels × 64 slots, 6 bits per level — 66 bits of
+//!   microsecond range). Retransmit timers carry hashed jitter, one per
+//!   reliable frame, so they arrive in no order a lane could use; wheel
+//!   insert and expiry are O(1) amortized at any population.
 //!
-//! [`EventQueue::pop`] merges the two sources by `(time, seq)`, so the
-//! observable pop order is *identical* to the historical pure-heap
-//! implementation (the `wheel_matches_heap_semantics` proptest pins this).
-//! The `seq`-doubles-as-timer-id cancellation contract and the FIFO
-//! tie-break are untouched.
+//! [`EventQueue::pop`] takes the `(time, seq)` minimum over the lane
+//! fronts, the heap top and the wheel front, so the observable pop order
+//! is *identical* to a single binary heap's (the
+//! `queue_matches_sorted_model` proptest pins this). The
+//! `seq`-doubles-as-timer-id cancellation contract and the FIFO tie-break
+//! are untouched.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -247,24 +259,49 @@ impl<M, T> TimerWheel<M, T> {
     }
 }
 
-/// Stable priority queue of events keyed by `(time, seq)`: a timer wheel
-/// for the timer population, a binary heap for everything else, merged on
-/// pop. See the module docs for the split and the equivalence argument.
+/// How many FIFO lanes sit in front of the overflow heap. One lane takes
+/// every delivery under a constant latency; each further lane absorbs one
+/// more concurrent delay (a spike, a duplicate's second sample, a timer
+/// behind the wheel cursor). Four is the smallest count that leaves no
+/// push in the heap on the loss, churn, chaos, continuous and simcheck
+/// smokes (three leaves 3 % of the churn and continuous smokes' pushes
+/// there); DESIGN §12 has the table.
+const LANES: usize = 4;
+
+/// Which sorted source holds the queue's `(time, seq)` minimum.
+#[derive(Clone, Copy)]
+enum Source {
+    Lane(usize),
+    Heap,
+    Wheel,
+}
+
+/// Stable priority queue of events keyed by `(time, seq)`: FIFO lanes
+/// with an overflow heap for everything but timers, a timer wheel for the
+/// timer population, merged on pop. See the module docs for the split and
+/// the equivalence argument.
 #[derive(Debug)]
 pub(crate) struct EventQueue<M, T> {
+    /// Each lane is sorted by `(time, seq)` front to back: `push` appends
+    /// only where the back's time is at or before the new event's, and the
+    /// new event's `seq` exceeds every `seq` handed out before it.
+    lanes: [VecDeque<Event<M, T>>; LANES],
     heap: BinaryHeap<Event<M, T>>,
     wheel: TimerWheel<M, T>,
     next_seq: u64,
     high_water: usize,
+    heap_pushes: u64,
 }
 
 impl<M, T> EventQueue<M, T> {
     pub fn new() -> Self {
         EventQueue {
+            lanes: std::array::from_fn(|_| VecDeque::new()),
             heap: BinaryHeap::new(),
             wheel: TimerWheel::new(),
             next_seq: 0,
             high_water: 0,
+            heap_pushes: 0,
         }
     }
 
@@ -272,29 +309,53 @@ impl<M, T> EventQueue<M, T> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let ev = Event { time, seq, kind };
+        // Timers go to the wheel unless they lie behind its cursor (which
+        // can run ahead of the clock when the earliest pending timer is far
+        // out); those and all non-timer traffic go to the first lane that
+        // stays sorted with them at its back, else to the heap.
         if matches!(ev.kind, EventKind::Timer { .. }) && ev.time.as_micros() >= self.wheel.cur {
             self.wheel.insert(ev);
+        } else if let Some(lane) = self
+            .lanes
+            .iter_mut()
+            .find(|lane| lane.back().is_none_or(|back| back.time <= ev.time))
+        {
+            lane.push_back(ev);
         } else {
-            // Non-timer traffic, or a timer behind the wheel cursor (the
-            // cursor can run ahead of the clock when the earliest pending
-            // timer is far out). The heap preserves exact semantics.
+            self.heap_pushes += 1;
             self.heap.push(ev);
         }
         self.high_water = self.high_water.max(self.len());
         seq
     }
 
-    pub fn pop(&mut self) -> Option<Event<M, T>> {
-        let take_wheel = match (self.heap.peek(), self.wheel.peek()) {
-            (None, None) => return None,
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (Some(h), Some(w)) => (w.time, w.seq) < (h.time, h.seq),
+    /// The source whose front is the `(time, seq)` minimum, with that
+    /// front's time. Hand-rolled on purpose: spelled as
+    /// `chain(..).min_by_key(..)` the same scan made the whole kernel
+    /// three times slower (146 vs 46 ns per event at depth 10^5).
+    fn earliest(&self) -> Option<(Source, SimTime)> {
+        let mut best: Option<(Source, SimTime, u64)> = None;
+        let mut offer = |src: Source, ev: Option<&Event<M, T>>| {
+            if let Some(ev) = ev {
+                if best.is_none_or(|(_, t, s)| (ev.time, ev.seq) < (t, s)) {
+                    best = Some((src, ev.time, ev.seq));
+                }
+            }
         };
-        if take_wheel {
-            self.wheel.pop()
-        } else {
-            self.heap.pop()
+        for (i, lane) in self.lanes.iter().enumerate() {
+            offer(Source::Lane(i), lane.front());
+        }
+        offer(Source::Heap, self.heap.peek());
+        offer(Source::Wheel, self.wheel.peek());
+        best.map(|(src, t, _)| (src, t))
+    }
+
+    pub fn pop(&mut self) -> Option<Event<M, T>> {
+        let (src, _) = self.earliest()?;
+        match src {
+            Source::Lane(i) => self.lanes[i].pop_front(),
+            Source::Heap => self.heap.pop(),
+            Source::Wheel => self.wheel.pop(),
         }
     }
 
@@ -303,19 +364,15 @@ impl<M, T> EventQueue<M, T> {
     /// the FIFO tie-break position stable and — crucially — keeps timer
     /// identity intact, since a timer's `seq` doubles as its cancellation
     /// id. Used by the schedule-exploration hook in `World`. Reinsertions
-    /// always take the heap path (their time may lie behind the wheel
-    /// cursor); the pop-side merge keeps the order correct either way.
+    /// always take the heap path: an old `seq` behind a lane's back would
+    /// break that lane's order, and the time may lie behind the wheel
+    /// cursor. The pop-side merge keeps the order correct either way.
     pub fn reinsert(&mut self, ev: Event<M, T>) {
         self.heap.push(ev);
     }
 
     pub fn peek_time(&self) -> Option<SimTime> {
-        match (self.heap.peek(), self.wheel.peek()) {
-            (None, None) => None,
-            (None, Some(w)) => Some(w.time),
-            (Some(h), None) => Some(h.time),
-            (Some(h), Some(w)) => Some(h.time.min(w.time)),
-        }
+        self.earliest().map(|(_, t)| t)
     }
 
     /// High-water mark of the pending-event population — the scale lane's
@@ -324,12 +381,17 @@ impl<M, T> EventQueue<M, T> {
         self.high_water
     }
 
-    #[allow(dead_code)] // used by tests and kept for driver-side introspection
-    pub fn len(&self) -> usize {
-        self.heap.len() + self.wheel.len()
+    /// Pushes no lane could take, which paid the overflow heap's
+    /// `O(log n)` instead.
+    pub fn heap_pushes(&self) -> u64 {
+        self.heap_pushes
     }
 
-    #[allow(dead_code)] // used by tests and kept for driver-side introspection
+    pub fn len(&self) -> usize {
+        self.lanes.iter().map(VecDeque::len).sum::<usize>() + self.heap.len() + self.wheel.len()
+    }
+
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -549,6 +611,77 @@ mod tests {
         assert_eq!(order, vec![s0, s1, s2]);
     }
 
+    #[test]
+    fn monotone_pushes_stay_out_of_the_heap() {
+        // The kernel's shape under a constant latency: everything lands at
+        // `now + d` with the clock moving forward, plus zero-delay pushes.
+        let mut q: EventQueue<u8, ()> = EventQueue::new();
+        for t in [0, 0, 50, 50, 50, 100] {
+            ev(&mut q, t);
+        }
+        assert_eq!(q.heap_pushes(), 0);
+        assert!(q.heap.is_empty());
+        assert_eq!(q.lanes[0].len(), 6);
+        assert_eq!(q.len(), 6, "len counts the lanes");
+        assert_eq!(q.high_water(), 6, "high water counts the lanes");
+        q.pop();
+        ev(&mut q, 100);
+        assert_eq!((q.len(), q.high_water()), (6, 6));
+    }
+
+    #[test]
+    fn push_earlier_than_every_lane_back_overflows_and_pops_in_order() {
+        let mut q: EventQueue<u8, ()> = EventQueue::new();
+        // Strictly decreasing times open one lane each …
+        let times: Vec<u64> = (1..=LANES as u64).rev().map(|i| i * 10).collect();
+        for &t in &times {
+            ev(&mut q, t);
+        }
+        assert!(q.lanes.iter().all(|lane| lane.len() == 1));
+        assert_eq!(q.heap_pushes(), 0);
+        // … and the next one, earlier than every back, has only the heap.
+        ev(&mut q, 5);
+        ev(&mut q, 3);
+        assert_eq!(q.heap_pushes(), 2);
+        assert_eq!(q.heap.len(), 2);
+        assert_eq!(q.len(), LANES + 2);
+        // A push a lane *can* take still goes there, past the heap.
+        ev(&mut q, 15);
+        assert_eq!(q.heap_pushes(), 2);
+        let popped: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|e| e.time.as_micros())
+            .collect();
+        let mut expect = times;
+        expect.extend([5, 3, 15]);
+        expect.sort_unstable();
+        assert_eq!(popped, expect);
+    }
+
+    #[test]
+    fn reinsert_never_enters_a_lane() {
+        let mut q: EventQueue<u8, ()> = EventQueue::new();
+        let s0 = q.push(
+            SimTime::from_micros(5),
+            EventKind::Kill {
+                peer: PeerId::new(0),
+            },
+        );
+        ev(&mut q, 5);
+        ev(&mut q, 9);
+        // The lane's back is at t = 9: a *push* at 9 would be appended, but
+        // the popped event carries the oldest seq and must not be.
+        let mut a = q.pop().unwrap();
+        assert_eq!(a.seq, s0);
+        a.time = SimTime::from_micros(9);
+        q.reinsert(a);
+        assert_eq!(q.heap.len(), 1);
+        assert_eq!(q.lanes.iter().map(VecDeque::len).sum::<usize>(), 2);
+        assert_eq!(q.heap_pushes(), 0, "a reinsertion is not an overflow");
+        // Tied at t = 9 with a younger lane event: seq order, heap first.
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
+        assert_eq!(order, vec![s0 + 1, s0, s0 + 2]);
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
@@ -624,74 +757,95 @@ mod tests {
                 prop_assert_eq!(after, baseline);
             }
 
-            /// The timer wheel is observably equivalent to the binary-heap
-            /// scheduler: for any interleaving of timer arms (absolute and
-            /// relative to the last pop, mixed with deliveries) and pops,
-            /// the fire order is exactly sorted `(time, seq)` — the heap's
-            /// contract. Interleaved pops advance the wheel cursor, so this
-            /// also covers the behind-the-cursor heap fallback.
+            /// Lanes, heap and wheel together are observably one binary
+            /// heap: pushes arrive the way the kernel makes them — `now +
+            /// delay` with the delay a constant, that constant plus a
+            /// spike, or uniform, mixed with zero-delay pushes at `now` and
+            /// timers across every wheel level — interleaved with pops
+            /// (which advance the clock and the wheel cursor) and with the
+            /// strategy path's pop → `reinsert` round trips, in place and
+            /// delayed. The fire order is exactly sorted `(time, seq)`.
             #[test]
-            fn wheel_matches_heap_semantics(
+            fn queue_matches_sorted_model(
+                latency in 1u64..200,
+                spike in 1u64..2_000,
                 ops in prop::collection::vec(
-                    (0u64..1 << 14, 0u8..8), 1..128,
+                    (0u64..1 << 14, 0u8..12), 1..160,
                 ),
             ) {
                 let mut q: EventQueue<u8, u32> = EventQueue::new();
-                // The reference "binary heap": a sorted (time, seq) list.
+                // The reference "binary heap": a bag of (time, seq) keys.
                 let mut model: Vec<(u64, u64)> = Vec::new();
                 let mut fired: Vec<(u64, u64)> = Vec::new();
                 let mut now = 0u64;
                 for (i, &(t, op)) in ops.iter().enumerate() {
+                    let deliver_after = match op {
+                        3 | 4 => Some(latency),
+                        5 => Some(latency + spike),
+                        6 => Some(t % 512),
+                        7 => Some(0),
+                        _ => None,
+                    };
+                    if let Some(delay) = deliver_after {
+                        let at = now + delay;
+                        let seq = q.push(
+                            SimTime::from_micros(at),
+                            EventKind::Deliver {
+                                from: PeerId::new(0),
+                                to: PeerId::new(i),
+                                msg: op,
+                            },
+                        );
+                        model.push((at, seq));
+                        continue;
+                    }
+                    if op > 2 {
+                        // Arm a timer `t` past the clock, stressing every
+                        // wheel level and the behind-the-cursor fallback.
+                        let at = now.saturating_add(t);
+                        let seq = q.push(
+                            SimTime::from_micros(at),
+                            EventKind::Timer {
+                                peer: PeerId::new(i),
+                                tag: i as u32,
+                                incarnation: 0,
+                            },
+                        );
+                        model.push((at, seq));
+                        continue;
+                    }
+                    let Some(mut ev) = q.pop() else { continue };
+                    let key = (ev.time.as_micros(), ev.seq);
+                    let min = *model.iter().min().unwrap();
+                    prop_assert_eq!(key, min);
                     match op {
-                        // Pop one event, advancing the virtual clock.
+                        // Fire it, advancing the virtual clock.
                         0 => {
-                            if let Some(ev) = q.pop() {
-                                fired.push((ev.time.as_micros(), ev.seq));
-                                now = ev.time.as_micros();
-                                let min = *model.iter().min().unwrap();
-                                prop_assert_eq!(*fired.last().unwrap(), min);
-                                model.retain(|&e| e != min);
-                            }
+                            fired.push(key);
+                            now = key.0;
+                            model.retain(|&e| e != min);
                         }
-                        // Arm a timer `t` past the clock (the kernel path:
-                        // `now + delay`), stressing every wheel level.
-                        1..=5 => {
-                            let at = now.saturating_add(t);
-                            let seq = q.push(
-                                SimTime::from_micros(at),
-                                EventKind::Timer {
-                                    peer: PeerId::new(i),
-                                    tag: i as u32,
-                                    incarnation: 0,
-                                },
-                            );
-                            model.push((at, seq));
-                        }
-                        // A delivery at the same kind of offset.
+                        // Inspect and put back unchanged.
+                        1 => q.reinsert(ev),
+                        // Put back later, as a strategy `Delay` does.
                         _ => {
-                            let at = now.saturating_add(t % 512);
-                            let seq = q.push(
-                                SimTime::from_micros(at),
-                                EventKind::Deliver {
-                                    from: PeerId::new(0),
-                                    to: PeerId::new(i),
-                                    msg: op,
-                                },
-                            );
-                            model.push((at, seq));
+                            ev.time = SimTime::from_micros(key.0 + 1 + t % 64);
+                            model.retain(|&e| e != min);
+                            model.push((ev.time.as_micros(), ev.seq));
+                            q.reinsert(ev);
                         }
                     }
+                    prop_assert_eq!(q.len(), model.len());
                 }
-                let mut rest: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
+                let rest: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop())
                     .map(|e| (e.time.as_micros(), e.seq))
                     .collect();
                 model.sort_unstable();
-                fired.append(&mut rest);
                 // Drain order must equal the model's sorted order, and the
                 // already-fired prefix must have been monotone too.
-                prop_assert_eq!(&fired[fired.len() - model.len()..], &model[..]);
-                prop_assert!(fired.windows(2).all(|w| w[0] < w[1]
-                    || w[0].0 < w[1].0));
+                prop_assert_eq!(&rest, &model);
+                fired.extend(rest);
+                prop_assert!(fired.windows(2).all(|w| w[0] < w[1]));
             }
         }
     }

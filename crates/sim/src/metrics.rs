@@ -125,8 +125,12 @@ pub struct ClassTotals {
 /// the paper's "bytes propagated" notion).
 #[derive(Debug, Clone)]
 pub struct Metrics {
-    /// `per_peer[p][c]` = totals for peer `p`, class `c`.
-    per_peer: Vec<[ClassTotals; MsgClass::COUNT]>,
+    /// `per_class[c][p]` = totals for class `c`, peer `p`: one dense column
+    /// of `n` per class, all allocated and zeroed at construction and never
+    /// resized. A run charges only the classes it sends in, so level-order
+    /// sends walk a few contiguous columns rather than one
+    /// `COUNT`-wide row per peer.
+    per_class: [Vec<ClassTotals>; MsgClass::COUNT],
     dropped_messages: u64,
     delivered_messages: u64,
 }
@@ -135,7 +139,7 @@ impl Metrics {
     /// Creates metrics for `n` peers, all zeroed.
     pub fn new(n: usize) -> Self {
         Metrics {
-            per_peer: vec![[ClassTotals::default(); MsgClass::COUNT]; n],
+            per_class: std::array::from_fn(|_| vec![ClassTotals::default(); n]),
             dropped_messages: 0,
             delivered_messages: 0,
         }
@@ -143,12 +147,12 @@ impl Metrics {
 
     /// Number of peers tracked.
     pub fn peer_count(&self) -> usize {
-        self.per_peer.len()
+        self.per_class[0].len()
     }
 
     /// Charges `bytes` sent by `peer` in `class`.
     pub fn record_send(&mut self, peer: PeerId, class: MsgClass, bytes: u64) {
-        let t = &mut self.per_peer[peer.index()][class.index()];
+        let t = &mut self.per_class[class.index()][peer.index()];
         t.bytes += bytes;
         t.messages += 1;
     }
@@ -157,7 +161,7 @@ impl Metrics {
     /// in `class`: the bytes hit the wire inside another frame, so no
     /// message is counted.
     pub fn record_piggyback(&mut self, peer: PeerId, class: MsgClass, bytes: u64) {
-        self.per_peer[peer.index()][class.index()].bytes += bytes;
+        self.per_class[class.index()][peer.index()].bytes += bytes;
     }
 
     /// Records a message dropped by the network.
@@ -172,53 +176,45 @@ impl Metrics {
 
     /// Totals for one peer and class.
     pub fn peer_class(&self, peer: PeerId, class: MsgClass) -> ClassTotals {
-        self.per_peer[peer.index()][class.index()]
+        self.per_class[class.index()][peer.index()]
     }
 
     /// Total bytes sent by one peer across all classes.
     pub fn peer_bytes(&self, peer: PeerId) -> u64 {
-        self.per_peer[peer.index()].iter().map(|t| t.bytes).sum()
+        let p = peer.index();
+        self.per_class.iter().map(|col| col[p].bytes).sum()
     }
 
     /// Total bytes sent across all peers in one class.
     pub fn class_bytes(&self, class: MsgClass) -> u64 {
-        let c = class.index();
-        self.per_peer.iter().map(|row| row[c].bytes).sum()
+        self.per_class[class.index()].iter().map(|t| t.bytes).sum()
     }
 
     /// Total bytes sent across all peers and classes.
     pub fn total_bytes(&self) -> u64 {
-        self.per_peer
-            .iter()
-            .flat_map(|row| row.iter())
-            .map(|t| t.bytes)
-            .sum()
+        self.per_class.iter().flatten().map(|t| t.bytes).sum()
     }
 
     /// Total messages sent across all peers and classes.
     pub fn total_messages(&self) -> u64 {
-        self.per_peer
-            .iter()
-            .flat_map(|row| row.iter())
-            .map(|t| t.messages)
-            .sum()
+        self.per_class.iter().flatten().map(|t| t.messages).sum()
     }
 
     /// The paper's metric: average bytes propagated per peer, for one class.
     pub fn avg_bytes_per_peer_class(&self, class: MsgClass) -> f64 {
-        if self.per_peer.is_empty() {
+        if self.peer_count() == 0 {
             0.0
         } else {
-            self.class_bytes(class) as f64 / self.per_peer.len() as f64
+            self.class_bytes(class) as f64 / self.peer_count() as f64
         }
     }
 
     /// The paper's metric: average bytes propagated per peer, all classes.
     pub fn avg_bytes_per_peer(&self) -> f64 {
-        if self.per_peer.is_empty() {
+        if self.peer_count() == 0 {
             0.0
         } else {
-            self.total_bytes() as f64 / self.per_peer.len() as f64
+            self.total_bytes() as f64 / self.peer_count() as f64
         }
     }
 
@@ -227,7 +223,7 @@ impl Metrics {
     /// Used to verify the paper's claim that netFilter "does not impose a
     /// performance bottleneck at the root of the hierarchy" (§IV-A).
     pub fn max_bytes_peer(&self) -> Option<(PeerId, u64)> {
-        (0..self.per_peer.len())
+        (0..self.peer_count())
             .map(|i| (PeerId::new(i), self.peer_bytes(PeerId::new(i))))
             .max_by_key(|&(_, b)| b)
     }
@@ -244,8 +240,8 @@ impl Metrics {
 
     /// Resets all counters to zero, keeping the peer count.
     pub fn reset(&mut self) {
-        for row in &mut self.per_peer {
-            *row = [ClassTotals::default(); MsgClass::COUNT];
+        for col in &mut self.per_class {
+            col.fill(ClassTotals::default());
         }
         self.dropped_messages = 0;
         self.delivered_messages = 0;
@@ -331,5 +327,77 @@ mod tests {
     fn out_of_range_class_panics() {
         let mut m = Metrics::new(1);
         m.record_send(PeerId::new(0), MsgClass(99), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn out_of_range_peer_panics() {
+        let mut m = Metrics::new(1);
+        m.record_send(PeerId::new(1), MsgClass::DATA, 1);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        const PEERS: usize = 5;
+
+        proptest! {
+            /// The column layout is unobservable: any stream of charges
+            /// and resets reads back exactly as it does from one
+            /// `[ClassTotals; COUNT]` row per peer.
+            #[test]
+            fn columns_match_a_row_major_model(
+                ops in prop::collection::vec(
+                    (0u8..8, 0..PEERS, 0..MsgClass::COUNT as u8, 0u64..1_000),
+                    0..200,
+                ),
+            ) {
+                let mut m = Metrics::new(PEERS);
+                let mut rows = [[ClassTotals::default(); MsgClass::COUNT]; PEERS];
+                for &(op, p, c, bytes) in &ops {
+                    let (peer, class) = (PeerId::new(p), MsgClass(c));
+                    let cell = &mut rows[p][c as usize];
+                    match op {
+                        0 => {
+                            m.reset();
+                            rows = [[ClassTotals::default(); MsgClass::COUNT]; PEERS];
+                        }
+                        1 | 2 => {
+                            m.record_piggyback(peer, class, bytes);
+                            cell.bytes += bytes;
+                        }
+                        _ => {
+                            m.record_send(peer, class, bytes);
+                            cell.bytes += bytes;
+                            cell.messages += 1;
+                        }
+                    }
+                }
+                let row_bytes = |row: &[ClassTotals]| row.iter().map(|t| t.bytes).sum::<u64>();
+                for (p, row) in rows.iter().enumerate() {
+                    for (c, &want) in row.iter().enumerate() {
+                        let got = m.peer_class(PeerId::new(p), MsgClass(c as u8));
+                        prop_assert_eq!(got, want);
+                    }
+                    prop_assert_eq!(m.peer_bytes(PeerId::new(p)), row_bytes(row));
+                }
+                for c in 0..MsgClass::COUNT {
+                    let want: u64 = rows.iter().map(|row| row[c].bytes).sum();
+                    prop_assert_eq!(m.class_bytes(MsgClass(c as u8)), want);
+                }
+                let cells = || rows.iter().flatten();
+                prop_assert_eq!(m.total_bytes(), cells().map(|t| t.bytes).sum::<u64>());
+                prop_assert_eq!(m.total_messages(), cells().map(|t| t.messages).sum::<u64>());
+                // `max_by_key` keeps the last of equal maxima.
+                let heaviest = rows
+                    .iter()
+                    .enumerate()
+                    .map(|(p, row)| (PeerId::new(p), row_bytes(row)))
+                    .max_by_key(|&(_, b)| b);
+                prop_assert_eq!(m.max_bytes_peer(), heaviest);
+                prop_assert_eq!(m.peer_count(), PEERS);
+            }
+        }
     }
 }

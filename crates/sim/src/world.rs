@@ -563,6 +563,14 @@ impl<P: Protocol> World<P> {
         self.kernel.queue.high_water()
     }
 
+    /// Pushes that fell through the event queue's FIFO lanes to its
+    /// overflow heap — zero while every delivery is scheduled at or after
+    /// the one before it (constant link latency). Deterministic like
+    /// [`queue_high_water`](Self::queue_high_water).
+    pub fn queue_heap_pushes(&self) -> u64 {
+        self.kernel.queue.heap_pushes()
+    }
+
     /// Runs until the event queue is empty. Returns the final time.
     ///
     /// # Panics
