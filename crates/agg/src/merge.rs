@@ -167,10 +167,19 @@ impl VecSum {
         updates: impl Iterator<Item = (usize, u64)>,
     ) -> Self {
         let mut v = VecSum::for_updates(len, count);
+        let mut updates = updates;
         match &mut v.repr {
             Repr::Dense(dense) => updates.for_each(|(slot, value)| dense[slot] += value),
-            // An iterator longer than it claimed falls back to `add`.
-            Repr::Run(_) => updates.for_each(|(slot, value)| v.add(slot, value)),
+            Repr::Run(run) => {
+                // The first `count` fit the run as sized: one pass, one
+                // check per slot.
+                run.extend(updates.by_ref().take(count).map(|(slot, value)| {
+                    assert!(slot < len, "slot {slot} out of {len} slots");
+                    (slot as u32, value)
+                }));
+                // An iterator longer than it claimed falls back to `add`.
+                updates.for_each(|(slot, value)| v.add(slot, value));
+            }
         }
         v
     }
@@ -340,21 +349,23 @@ pub struct MapSum(pub BTreeMap<ItemId, u64>);
 impl MapSum {
     /// Builds from `(item, value)` pairs, summing duplicates.
     ///
-    /// Sorts the pairs and folds duplicate keys first, so the map is built
-    /// from a sorted deduplicated run — `BTreeMap::from_iter` bulk-loads
-    /// sorted input in linear time, vs one `O(log n)` rebalancing insert
-    /// per pair.
+    /// Folds duplicate keys in the collected buffer itself, so the map is
+    /// built from a sorted deduplicated run — `BTreeMap::from_iter`
+    /// bulk-loads sorted input in linear time, vs one `O(log n)`
+    /// rebalancing insert per pair — and no pairs means no allocation.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (ItemId, u64)>) -> Self {
         let mut v: Vec<(ItemId, u64)> = pairs.into_iter().collect();
-        v.sort_unstable_by_key(|&(k, _)| k);
-        let mut folded: Vec<(ItemId, u64)> = Vec::with_capacity(v.len());
-        for (k, val) in v {
-            match folded.last_mut() {
-                Some((lk, lv)) if *lk == k => *lv += val,
-                _ => folded.push((k, val)),
-            }
+        // A filtered local item set, the common caller, is already one.
+        if !v.windows(2).all(|w| w[0].0 < w[1].0) {
+            v.sort_unstable_by_key(|&(k, _)| k);
+            v.dedup_by(|later, kept| {
+                later.0 == kept.0 && {
+                    kept.1 += later.1;
+                    true
+                }
+            });
         }
-        MapSum(folded.into_iter().collect())
+        MapSum(v.into_iter().collect())
     }
 
     /// Number of entries.
@@ -496,6 +507,28 @@ mod tests {
     }
 
     #[test]
+    fn from_updates_tolerates_a_wrong_count() {
+        // Claimed 2, gave 5: the surplus goes through `add`, which
+        // densifies at the fourth update exactly as it would have.
+        let long = VecSum::from_updates(8, 2, (0..5).map(|i| (i, 1)));
+        assert!(long.is_dense());
+        assert_eq!(*long.to_dense(), [1, 1, 1, 1, 1, 0, 0, 0]);
+        let mut by_add = VecSum::zeros(8);
+        (0..5).for_each(|i| by_add.add(i, 1));
+        assert_eq!(long, by_add);
+        // Claimed 3, gave 1: a shorter run, nothing else.
+        let short = VecSum::from_updates(8, 3, [(7, 9)].into_iter());
+        assert!(!short.is_dense());
+        assert_eq!(*short.to_dense(), [0, 0, 0, 0, 0, 0, 0, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 8 out of 8 slots")]
+    fn from_updates_checks_every_slot_of_a_run() {
+        let _ = VecSum::from_updates(8, 2, [(1, 1), (8, 1)].into_iter());
+    }
+
+    #[test]
     fn vec_sum_merges_agree_across_representations() {
         let mut slots = vec![0; 16];
         (slots[1], slots[6]) = (5, 7);
@@ -612,6 +645,20 @@ mod tests {
         assert_eq!(m.value(ItemId(1)), 5);
         assert_eq!(m.len(), 1);
         assert!(!m.is_empty());
+    }
+
+    #[test]
+    fn from_pairs_of_nothing_and_of_a_run() {
+        assert!(MapSum::from_pairs([]).is_empty());
+        // Strictly ascending input is kept as given — zero values too:
+        // only `fold_run` drops those.
+        let run = [(ItemId(2), 7), (ItemId(5), 0), (ItemId(9), 1)];
+        let m = MapSum::from_pairs(run);
+        assert_eq!(m.0.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>(), run);
+        let mut shuffled = run.to_vec();
+        shuffled.rotate_left(1);
+        shuffled.push((ItemId(5), 0));
+        assert_eq!(MapSum::from_pairs(shuffled), m);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use ifi_agg::{MapSum, VecSum};
 use ifi_workload::ItemId;
 
-use crate::hashing::HashFamily;
+use crate::hashing::{FilterHash, HashFamily};
 
 /// Per-peer filtering logic: computing the local item-group aggregate
 /// vector and, later, the peer's partial candidate set.
@@ -55,19 +55,17 @@ impl LocalFilter {
     /// — with their local values.
     pub fn partial_candidates(&self, local_items: &[(ItemId, u64)], heavy: &HeavyGroups) -> MapSum {
         debug_assert_eq!(self.family.groups(), heavy.0.groups);
-        // Filter by filter, so each filter's seed is derived once; every
-        // pass only looks at the survivors of the passes before it.
-        let mut kept: Vec<(ItemId, u64)> = Vec::new();
-        for i in 0..self.family.filters() {
-            let hash = self.family.filter(i);
-            let heavy_here = |&(item, _): &(ItemId, u64)| heavy.0.bitmap[hash.slot_of(item)];
-            if i == 0 {
-                kept.extend(local_items.iter().filter(|p| heavy_here(p)));
-            } else {
-                kept.retain(heavy_here);
-            }
-        }
-        MapSum::from_pairs(kept)
+        // An item meets all `f` bitmaps before it meets the heap, so a
+        // peer holding no candidate allocates nothing. Filter 0 sees every
+        // item and has its seed derived once; the later filters see only
+        // its survivors.
+        let first = self.family.filter(0);
+        let heavy_under = |hash: FilterHash, item| heavy.0.bitmap[hash.slot_of(item)];
+        let candidates = local_items.iter().copied().filter(|&(item, _)| {
+            heavy_under(first, item)
+                && (1..self.family.filters()).all(|i| heavy_under(self.family.filter(i), item))
+        });
+        MapSum::from_pairs(candidates)
     }
 }
 
@@ -383,6 +381,41 @@ mod tests {
         let heavy = HeavyGroups::from_lists(vec![vec![0]], 1);
         for i in 0..100u64 {
             assert!(heavy.is_candidate(&fam, ItemId(i)));
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        proptest! {
+            /// The partial candidate set is the candidates' tree sum,
+            /// whatever order the local items come in, however often one
+            /// repeats, zero values included — and empty when there are
+            /// none.
+            #[test]
+            fn partial_candidates_are_the_folded_candidates(
+                filters in 1u32..4,
+                seed in any::<u64>(),
+                heavy_share in 0u32..=10,
+                items in prop::collection::vec((0u64..40, 0u64..50), 0..60),
+            ) {
+                let fam = HashFamily::new(filters, 10, seed);
+                let lists: Vec<Vec<u32>> = (0..filters)
+                    .map(|i| (0..10).filter(|g| (g + i) % 10 < heavy_share).collect())
+                    .collect();
+                let heavy = HeavyGroups::from_lists(lists, 10);
+                let items: Vec<(ItemId, u64)> =
+                    items.into_iter().map(|(k, v)| (ItemId(k), v)).collect();
+
+                let mut want: BTreeMap<ItemId, u64> = BTreeMap::new();
+                for &(item, v) in items.iter().filter(|p| heavy.is_candidate(&fam, p.0)) {
+                    *want.entry(item).or_insert(0) += v;
+                }
+                let got = LocalFilter::new(fam).partial_candidates(&items, &heavy);
+                prop_assert_eq!(got, MapSum(want));
+            }
         }
     }
 }

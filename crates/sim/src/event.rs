@@ -305,6 +305,20 @@ impl<M, T> EventQueue<M, T> {
         }
     }
 
+    /// Makes room in the first lane for `additional` more events, so a
+    /// caller that knows its burst allocates the ring once, at that size,
+    /// instead of doubling (and copying) its way up to the next power of
+    /// two.
+    pub fn reserve(&mut self, additional: usize) {
+        self.lanes[0].reserve(additional);
+    }
+
+    /// Slots allocated in the first lane.
+    #[cfg(test)]
+    pub fn lane_capacity(&self) -> usize {
+        self.lanes[0].capacity()
+    }
+
     pub fn push(&mut self, time: SimTime, kind: EventKind<M, T>) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;

@@ -126,20 +126,22 @@ pub struct ClassTotals {
 #[derive(Debug, Clone)]
 pub struct Metrics {
     /// `per_class[c][p]` = totals for class `c`, peer `p`: one dense column
-    /// of `n` per class, all allocated and zeroed at construction and never
-    /// resized. A run charges only the classes it sends in, so level-order
-    /// sends walk a few contiguous columns rather than one
-    /// `COUNT`-wide row per peer.
+    /// of `peers` per class, empty until the class is first charged. A run
+    /// charges only the classes it sends in, so it pays for those columns
+    /// alone, and level-order sends walk a few contiguous columns rather
+    /// than one `COUNT`-wide row per peer.
     per_class: [Vec<ClassTotals>; MsgClass::COUNT],
+    peers: usize,
     dropped_messages: u64,
     delivered_messages: u64,
 }
 
 impl Metrics {
-    /// Creates metrics for `n` peers, all zeroed.
+    /// Creates metrics for `n` peers, all zero.
     pub fn new(n: usize) -> Self {
         Metrics {
-            per_class: std::array::from_fn(|_| vec![ClassTotals::default(); n]),
+            per_class: std::array::from_fn(|_| Vec::new()),
+            peers: n,
             dropped_messages: 0,
             delivered_messages: 0,
         }
@@ -147,12 +149,24 @@ impl Metrics {
 
     /// Number of peers tracked.
     pub fn peer_count(&self) -> usize {
-        self.per_class[0].len()
+        self.peers
+    }
+
+    /// The cell a charge lands in, allocating the class's column on its
+    /// first charge.
+    #[inline]
+    fn cell(&mut self, peer: PeerId, class: MsgClass) -> &mut ClassTotals {
+        let col = &mut self.per_class[class.index()];
+        if col.is_empty() {
+            first_charge(col, self.peers);
+        }
+        &mut col[peer.index()]
     }
 
     /// Charges `bytes` sent by `peer` in `class`.
+    #[inline]
     pub fn record_send(&mut self, peer: PeerId, class: MsgClass, bytes: u64) {
-        let t = &mut self.per_class[class.index()][peer.index()];
+        let t = self.cell(peer, class);
         t.bytes += bytes;
         t.messages += 1;
     }
@@ -160,8 +174,9 @@ impl Metrics {
     /// Charges `bytes` piggybacked by `peer` on an already-counted message
     /// in `class`: the bytes hit the wire inside another frame, so no
     /// message is counted.
+    #[inline]
     pub fn record_piggyback(&mut self, peer: PeerId, class: MsgClass, bytes: u64) {
-        self.per_class[class.index()][peer.index()].bytes += bytes;
+        self.cell(peer, class).bytes += bytes;
     }
 
     /// Records a message dropped by the network.
@@ -176,13 +191,24 @@ impl Metrics {
 
     /// Totals for one peer and class.
     pub fn peer_class(&self, peer: PeerId, class: MsgClass) -> ClassTotals {
-        self.per_class[class.index()][peer.index()]
+        let p = self.checked(peer);
+        let col = &self.per_class[class.index()];
+        col.get(p).copied().unwrap_or_default()
     }
 
     /// Total bytes sent by one peer across all classes.
     pub fn peer_bytes(&self, peer: PeerId) -> u64 {
+        let p = self.checked(peer);
+        let charged = self.per_class.iter().filter_map(|col| col.get(p));
+        charged.map(|t| t.bytes).sum()
+    }
+
+    /// `peer`'s index. A never-charged class has no column to bounds-check
+    /// a read against, so reads check the peer here.
+    fn checked(&self, peer: PeerId) -> usize {
         let p = peer.index();
-        self.per_class.iter().map(|col| col[p].bytes).sum()
+        assert!(p < self.peers, "peer {p} out of {} peers", self.peers);
+        p
     }
 
     /// Total bytes sent across all peers in one class.
@@ -238,7 +264,8 @@ impl Metrics {
         self.delivered_messages
     }
 
-    /// Resets all counters to zero, keeping the peer count.
+    /// Resets all counters to zero, keeping the peer count (and the
+    /// columns already allocated).
     pub fn reset(&mut self) {
         for col in &mut self.per_class {
             col.fill(ClassTotals::default());
@@ -246,6 +273,14 @@ impl Metrics {
         self.dropped_messages = 0;
         self.delivered_messages = 0;
     }
+}
+
+/// Out of line, so the charge path carries one emptiness check and no
+/// allocation code.
+#[cold]
+#[inline(never)]
+fn first_charge(col: &mut Vec<ClassTotals>, peers: usize) {
+    *col = vec![ClassTotals::default(); peers];
 }
 
 #[cfg(test)]
@@ -336,6 +371,12 @@ mod tests {
         m.record_send(PeerId::new(1), MsgClass::DATA, 1);
     }
 
+    #[test]
+    #[should_panic(expected = "peer 1 out of 1 peers")]
+    fn out_of_range_peer_panics_on_a_never_charged_read() {
+        Metrics::new(1).peer_class(PeerId::new(1), MsgClass::DATA);
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
@@ -343,19 +384,23 @@ mod tests {
         const PEERS: usize = 5;
 
         proptest! {
-            /// The column layout is unobservable: any stream of charges
-            /// and resets reads back exactly as it does from one
+            /// The column layout is unobservable, and so is when a column
+            /// comes to exist: any stream of charges, resets and clones
+            /// over the first `live` classes — the rest are never charged
+            /// — reads back exactly as it does from one
             /// `[ClassTotals; COUNT]` row per peer.
             #[test]
             fn columns_match_a_row_major_model(
+                live in 1..=MsgClass::COUNT as u8,
                 ops in prop::collection::vec(
-                    (0u8..8, 0..PEERS, 0..MsgClass::COUNT as u8, 0u64..1_000),
+                    (0u8..10, 0..PEERS, 0..MsgClass::COUNT as u8, 0u64..1_000),
                     0..200,
                 ),
             ) {
                 let mut m = Metrics::new(PEERS);
                 let mut rows = [[ClassTotals::default(); MsgClass::COUNT]; PEERS];
                 for &(op, p, c, bytes) in &ops {
+                    let c = c % live;
                     let (peer, class) = (PeerId::new(p), MsgClass(c));
                     let cell = &mut rows[p][c as usize];
                     match op {
@@ -363,7 +408,9 @@ mod tests {
                             m.reset();
                             rows = [[ClassTotals::default(); MsgClass::COUNT]; PEERS];
                         }
-                        1 | 2 => {
+                        // Carry on with the copy.
+                        1 => m = m.clone(),
+                        2 | 3 => {
                             m.record_piggyback(peer, class, bytes);
                             cell.bytes += bytes;
                         }
@@ -375,28 +422,32 @@ mod tests {
                     }
                 }
                 let row_bytes = |row: &[ClassTotals]| row.iter().map(|t| t.bytes).sum::<u64>();
-                for (p, row) in rows.iter().enumerate() {
-                    for (c, &want) in row.iter().enumerate() {
-                        let got = m.peer_class(PeerId::new(p), MsgClass(c as u8));
-                        prop_assert_eq!(got, want);
+                for m in [&m, &m.clone()] {
+                    for (p, row) in rows.iter().enumerate() {
+                        for (c, &want) in row.iter().enumerate() {
+                            let got = m.peer_class(PeerId::new(p), MsgClass(c as u8));
+                            prop_assert_eq!(got, want);
+                        }
+                        prop_assert_eq!(m.peer_bytes(PeerId::new(p)), row_bytes(row));
                     }
-                    prop_assert_eq!(m.peer_bytes(PeerId::new(p)), row_bytes(row));
+                    for c in 0..MsgClass::COUNT {
+                        let want: u64 = rows.iter().map(|row| row[c].bytes).sum();
+                        prop_assert_eq!(m.class_bytes(MsgClass(c as u8)), want);
+                        let avg = want as f64 / PEERS as f64;
+                        prop_assert_eq!(m.avg_bytes_per_peer_class(MsgClass(c as u8)), avg);
+                    }
+                    let cells = || rows.iter().flatten();
+                    prop_assert_eq!(m.total_bytes(), cells().map(|t| t.bytes).sum::<u64>());
+                    prop_assert_eq!(m.total_messages(), cells().map(|t| t.messages).sum::<u64>());
+                    // `max_by_key` keeps the last of equal maxima.
+                    let heaviest = rows
+                        .iter()
+                        .enumerate()
+                        .map(|(p, row)| (PeerId::new(p), row_bytes(row)))
+                        .max_by_key(|&(_, b)| b);
+                    prop_assert_eq!(m.max_bytes_peer(), heaviest);
+                    prop_assert_eq!(m.peer_count(), PEERS);
                 }
-                for c in 0..MsgClass::COUNT {
-                    let want: u64 = rows.iter().map(|row| row[c].bytes).sum();
-                    prop_assert_eq!(m.class_bytes(MsgClass(c as u8)), want);
-                }
-                let cells = || rows.iter().flatten();
-                prop_assert_eq!(m.total_bytes(), cells().map(|t| t.bytes).sum::<u64>());
-                prop_assert_eq!(m.total_messages(), cells().map(|t| t.messages).sum::<u64>());
-                // `max_by_key` keeps the last of equal maxima.
-                let heaviest = rows
-                    .iter()
-                    .enumerate()
-                    .map(|(p, row)| (PeerId::new(p), row_bytes(row)))
-                    .max_by_key(|&(_, b)| b);
-                prop_assert_eq!(m.max_bytes_peer(), heaviest);
-                prop_assert_eq!(m.peer_count(), PEERS);
             }
         }
     }

@@ -400,6 +400,10 @@ impl<P: Protocol> World<P> {
 
     /// Schedules `on_start` for every up peer at the current time.
     pub fn start(&mut self) {
+        // One `Start` per up peer is the queue's high-water under a
+        // constant latency (a peer's report replaces its `Start`).
+        let up = self.kernel.up.iter().filter(|&&up| up).count();
+        self.kernel.queue.reserve(up);
         for i in 0..self.peers.len() {
             if self.kernel.up[i] {
                 self.kernel.queue.push(
@@ -872,6 +876,62 @@ mod tests {
         // Line of 5: the flood reaches the end at 4 hops; the final event is
         // the end peer's redundant echo back to its predecessor (5 hops).
         assert_eq!(t, SimTime::from_micros(5 * 50_000));
+    }
+
+    /// Convergecast over the ternary tree `parent(i) = (i − 1) / 3`: a
+    /// leaf reports on start, an interior peer once every child has.
+    #[derive(Debug)]
+    struct Report {
+        waiting: usize,
+    }
+
+    impl Report {
+        fn report(&self, ctx: &mut Ctx<'_, Self>) {
+            if let Some(below) = ctx.self_id().index().checked_sub(1) {
+                ctx.send(PeerId::new(below / 3), (), 4, MsgClass::DATA);
+            }
+        }
+    }
+
+    impl Protocol for Report {
+        type Msg = ();
+        type Timer = ();
+        type Scratch = ();
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
+            if self.waiting == 0 {
+                self.report(ctx);
+            }
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, _from: PeerId, _msg: ()) {
+            self.waiting -= 1;
+            if self.waiting == 0 {
+                self.report(ctx);
+            }
+        }
+
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_, Self>, _t: ()) {}
+    }
+
+    #[test]
+    fn a_constant_latency_epoch_never_regrows_the_ring_after_start() {
+        // Not a power of two, so doubling would overshoot it.
+        const N: usize = 1_000;
+        let peers = (0..N)
+            .map(|i| Report {
+                waiting: (3 * i + 1..3 * i + 4).filter(|&c| c < N).count(),
+            })
+            .collect();
+        let mut w = World::new(SimConfig::default().with_seed(1), peers);
+        w.start();
+        let ring = w.kernel.queue.lane_capacity();
+        assert!((N..N.next_power_of_two()).contains(&ring), "{ring} slots");
+        w.run_to_quiescence();
+        assert_eq!(w.metrics().total_messages(), N as u64 - 1);
+        assert_eq!(w.queue_high_water(), N);
+        assert_eq!(w.queue_heap_pushes(), 0);
+        assert_eq!(w.kernel.queue.lane_capacity(), ring);
     }
 
     #[test]

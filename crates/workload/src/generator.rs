@@ -55,8 +55,12 @@ impl Default for WorkloadParams {
 /// these `10·n` items to the `N` nodes."*
 #[derive(Debug, Clone)]
 pub struct SystemData {
-    /// `local[p]` = sorted `(item, local value)` pairs with positive values.
-    local: Vec<Vec<(ItemId, u64)>>,
+    /// Every peer's sorted `(item, local value)` pairs with positive
+    /// values, peer after peer in one array: a peer with few items costs
+    /// its pairs and one offset, not a heap block of its own.
+    pairs: Vec<(ItemId, u64)>,
+    /// `ends[p]` = one past peer `p`'s last pair in `pairs`.
+    ends: Vec<usize>,
     /// `n` — size of the item universe (≥ number of items actually drawn).
     universe: u64,
 }
@@ -78,30 +82,13 @@ impl SystemData {
         let zipf = ZipfSampler::new(params.items as usize, params.theta);
         let total_instances = params.items * params.instances_per_item;
 
-        let mut raw: Vec<Vec<u64>> = vec![Vec::new(); params.peers];
+        let mut local: Vec<Vec<(ItemId, u64)>> = vec![Vec::new(); params.peers];
         for _ in 0..total_instances {
             let item = zipf.sample(&mut rng) as u64;
             let peer = rng.below(params.peers as u64) as usize;
-            raw[peer].push(item);
+            local[peer].push((ItemId(item), 1));
         }
-        let local = raw
-            .into_iter()
-            .map(|mut items| {
-                items.sort_unstable();
-                let mut out: Vec<(ItemId, u64)> = Vec::new();
-                for item in items {
-                    match out.last_mut() {
-                        Some((last, count)) if last.0 == item => *count += 1,
-                        _ => out.push((ItemId(item), 1)),
-                    }
-                }
-                out
-            })
-            .collect();
-        SystemData {
-            local,
-            universe: params.items,
-        }
+        SystemData::from_local_sets(local, params.items)
     }
 
     /// Generates the workload with the paper's **replica-split** placement
@@ -149,29 +136,33 @@ impl SystemData {
     /// this). Each peer's list is sorted and coalesced; zero values are
     /// dropped.
     pub fn from_local_sets(local: Vec<Vec<(ItemId, u64)>>, universe: u64) -> Self {
-        let local = local
-            .into_iter()
-            .map(|mut items| {
-                items.sort_unstable_by_key(|&(id, _)| id);
-                let mut out: Vec<(ItemId, u64)> = Vec::new();
-                for (id, v) in items {
-                    if v == 0 {
-                        continue;
-                    }
-                    match out.last_mut() {
-                        Some((last, acc)) if *last == id => *acc += v,
-                        _ => out.push((id, v)),
-                    }
+        let mut pairs: Vec<(ItemId, u64)> = Vec::with_capacity(local.iter().map(Vec::len).sum());
+        let mut ends = Vec::with_capacity(local.len());
+        for mut items in local {
+            items.sort_unstable_by_key(|&(id, _)| id);
+            let start = pairs.len();
+            for (id, v) in items {
+                if v == 0 {
+                    continue;
                 }
-                out
-            })
-            .collect();
-        SystemData { local, universe }
+                match pairs[start..].last_mut() {
+                    Some((last, acc)) if *last == id => *acc += v,
+                    _ => pairs.push((id, v)),
+                }
+            }
+            ends.push(pairs.len());
+        }
+        pairs.shrink_to_fit();
+        SystemData {
+            pairs,
+            ends,
+            universe,
+        }
     }
 
     /// `N` — number of peers.
     pub fn peer_count(&self) -> usize {
-        self.local.len()
+        self.ends.len()
     }
 
     /// `n` — size of the item universe.
@@ -181,12 +172,14 @@ impl SystemData {
 
     /// Peer `p`'s local item set, sorted by item id, values all positive.
     pub fn local_items(&self, p: PeerId) -> &[(ItemId, u64)] {
-        &self.local[p.index()]
+        let p = p.index();
+        let start = p.checked_sub(1).map_or(0, |before| self.ends[before]);
+        &self.pairs[start..self.ends[p]]
     }
 
     /// Peer `p`'s local value for `item` (0 if absent) — `v_i^x`.
     pub fn local_value(&self, p: PeerId, item: ItemId) -> u64 {
-        let items = &self.local[p.index()];
+        let items = self.local_items(p);
         items
             .binary_search_by_key(&item, |&(id, _)| id)
             .map(|i| items[i].1)
@@ -195,28 +188,20 @@ impl SystemData {
 
     /// `v` — the summation over all local values of all items (§IV).
     pub fn total_value(&self) -> u64 {
-        self.local
-            .iter()
-            .flat_map(|items| items.iter())
-            .map(|&(_, v)| v)
-            .sum()
+        self.pairs.iter().map(|&(_, v)| v).sum()
     }
 
     /// `o` — average number of distinct items per peer.
     pub fn avg_distinct_per_peer(&self) -> f64 {
-        if self.local.is_empty() {
+        if self.ends.is_empty() {
             return 0.0;
         }
-        self.local.iter().map(Vec::len).sum::<usize>() as f64 / self.local.len() as f64
+        self.pairs.len() as f64 / self.ends.len() as f64
     }
 
     /// Number of distinct items present anywhere in the system.
     pub fn distinct_items(&self) -> usize {
-        let mut ids: Vec<ItemId> = self
-            .local
-            .iter()
-            .flat_map(|items| items.iter().map(|&(id, _)| id))
-            .collect();
+        let mut ids: Vec<ItemId> = self.pairs.iter().map(|&(id, _)| id).collect();
         ids.sort_unstable();
         ids.dedup();
         ids.len()
@@ -394,5 +379,65 @@ mod tests {
         let differs =
             (0..20).any(|i| a.local_items(PeerId::new(i)) != c.local_items(PeerId::new(i)));
         assert!(differs, "different seeds produced identical data");
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One `Vec` per peer, sorted, coalesced, zeros dropped — the
+        /// layout the flat array replaced.
+        fn nested(local: &[Vec<(ItemId, u64)>]) -> Vec<Vec<(ItemId, u64)>> {
+            let coalesce = |items: &Vec<(ItemId, u64)>| {
+                let mut items = items.clone();
+                items.sort_by_key(|&(id, _)| id);
+                let mut out: Vec<(ItemId, u64)> = Vec::new();
+                for (id, v) in items.into_iter().filter(|&(_, v)| v != 0) {
+                    match out.last_mut() {
+                        Some((last, acc)) if *last == id => *acc += v,
+                        _ => out.push((id, v)),
+                    }
+                }
+                out
+            };
+            local.iter().map(coalesce).collect()
+        }
+
+        proptest! {
+            /// Peer boundaries are unobservable: zero values, repeated
+            /// items, empty peers and a lone peer all read as they do
+            /// from one `Vec` per peer.
+            #[test]
+            fn flat_storage_matches_the_nested_model(
+                local in prop::collection::vec(
+                    prop::collection::vec((0u64..8, 0u64..4), 0..12),
+                    1..6,
+                ),
+            ) {
+                let local: Vec<Vec<(ItemId, u64)>> = local
+                    .into_iter()
+                    .map(|items| items.into_iter().map(|(k, v)| (ItemId(k), v)).collect())
+                    .collect();
+                let model = nested(&local);
+                let data = SystemData::from_local_sets(local, 8);
+
+                prop_assert_eq!(data.peer_count(), model.len());
+                for (p, want) in model.iter().enumerate() {
+                    let p = PeerId::new(p);
+                    prop_assert_eq!(data.local_items(p), &want[..]);
+                    for item in (0..9).map(ItemId) {
+                        let held = want.iter().find(|&&(id, _)| id == item);
+                        prop_assert_eq!(data.local_value(p, item), held.map_or(0, |h| h.1));
+                    }
+                }
+                let all = || model.iter().flatten();
+                prop_assert_eq!(data.total_value(), all().map(|&(_, v)| v).sum::<u64>());
+                let distinct: std::collections::BTreeSet<ItemId> =
+                    all().map(|&(id, _)| id).collect();
+                prop_assert_eq!(data.distinct_items(), distinct.len());
+                let o = all().count() as f64 / model.len() as f64;
+                prop_assert_eq!(data.avg_distinct_per_peer(), o);
+            }
+        }
     }
 }
