@@ -56,14 +56,35 @@ impl LocalFilter {
     pub fn partial_candidates(&self, local_items: &[(ItemId, u64)], heavy: &HeavyGroups) -> MapSum {
         debug_assert_eq!(self.family.groups(), heavy.0.groups);
         // An item meets all `f` bitmaps before it meets the heap, so a
-        // peer holding no candidate allocates nothing. Filter 0 sees every
-        // item and has its seed derived once; the later filters see only
-        // its survivors.
+        // peer holding no candidate allocates nothing. Filter by filter
+        // over 64 items at a time, the survivors held as a bit mask (and
+        // narrowed without a branch per item): each filter's seed is
+        // derived once per block, filter 0's once per call, a later one's
+        // only while the block has a survivor for it to look at.
+        let bitmap = &heavy.0.bitmap[..];
+        let sift = move |hash: FilterHash, block: &[(ItemId, u64)], mut mask: u64| {
+            let mut alive = 0u64;
+            while mask != 0 {
+                let j = mask.trailing_zeros();
+                mask &= mask - 1;
+                alive |= u64::from(bitmap[hash.slot_of(block[j as usize].0)]) << j;
+            }
+            alive
+        };
         let first = self.family.filter(0);
-        let heavy_under = |hash: FilterHash, item| heavy.0.bitmap[hash.slot_of(item)];
-        let candidates = local_items.iter().copied().filter(|&(item, _)| {
-            heavy_under(first, item)
-                && (1..self.family.filters()).all(|i| heavy_under(self.family.filter(i), item))
+        let candidates = local_items.chunks(64).flat_map(move |block| {
+            let mut alive = sift(first, block, u64::MAX >> (64 - block.len()));
+            for i in 1..self.family.filters() {
+                if alive == 0 {
+                    break;
+                }
+                alive = sift(self.family.filter(i), block, alive);
+            }
+            std::iter::from_fn(move || {
+                let next = (alive != 0).then(|| block[alive.trailing_zeros() as usize]);
+                alive &= alive.wrapping_sub(1);
+                next
+            })
         });
         MapSum::from_pairs(candidates)
     }
@@ -399,7 +420,8 @@ mod tests {
                 filters in 1u32..4,
                 seed in any::<u64>(),
                 heavy_share in 0u32..=10,
-                items in prop::collection::vec((0u64..40, 0u64..50), 0..60),
+                // Up to three 64-item blocks, the last one partial.
+                items in prop::collection::vec((0u64..60, 0u64..50), 0..150),
             ) {
                 let fam = HashFamily::new(filters, 10, seed);
                 let lists: Vec<Vec<u32>> = (0..filters)
