@@ -97,7 +97,7 @@ pub fn long_haul_checks(seed: u64) -> Vec<ShapeCheck> {
         .with_faults(FaultPlan::none().with_drop(0.10).with_duplication(0.05));
     let root = Hierarchy::balanced(PEERS, 3).root();
     let w = run_world(&schedules, &registry, sim, Some(RelConfig::default()));
-    let history = w.peer(root).history().to_vec();
+    let history = w.peer(root).delivered().to_vec();
 
     let mut checks = Vec::new();
     checks.push(ShapeCheck::new(

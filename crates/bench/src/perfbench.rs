@@ -434,7 +434,7 @@ fn bench_epoch_delta_n1000() -> BenchReport {
                 bytes: w.metrics().total_bytes(),
                 counters: vec![
                     ("messages".into(), w.metrics().total_messages()),
-                    ("epochs_certified".into(), root.history().len() as u64),
+                    ("epochs_certified".into(), root.delivered().len() as u64),
                     (
                         "delta_bytes".into(),
                         w.metrics().class_bytes(MsgClass::DELTA),

@@ -383,7 +383,6 @@ struct RootState {
     faded: FadedAccumulator,
     /// Each query's last answer as a run (ascending by item, not ranked).
     prev_answers: Vec<Vec<(ItemId, u64)>>,
-    history: Vec<EpochAnswer>,
 }
 
 impl ContinuousProtocol {
@@ -427,7 +426,6 @@ impl ContinuousProtocol {
                 standing: Vec::new(),
                 faded: FadedAccumulator::new(),
                 prev_answers: vec![Vec::new(); registry.len()],
-                history: Vec::new(),
             })
         });
         ContinuousProtocol {
@@ -461,12 +459,6 @@ impl ContinuousProtocol {
             root.drop_retirements = true;
         }
         self
-    }
-
-    /// Every certified epoch answer so far, oldest first (root only —
-    /// other peers never certify).
-    pub fn history(&self) -> &[EpochAnswer] {
-        self.root.as_ref().map_or(&[], |r| &r.history)
     }
 
     /// The root's current standing window totals, ascending by item
@@ -666,13 +658,12 @@ impl RootState {
             self.faded.absorb_pairs(epoch, batch);
             self.faded.retain_from(epoch.saturating_sub(full - 1));
         }
-        let ans = EpochAnswer {
+        let answers = self.split_answers(fx, sizes, epoch);
+        fx.deliver(EpochAnswer {
             epoch,
             contributors: p.census_count as usize,
-            answers: self.split_answers(fx, sizes, epoch),
-        };
-        self.history.push(ans.clone());
-        fx.deliver(ans);
+            answers,
+        });
     }
 
     /// `base + delta` as a run, by one merge-join. A sum below zero warns
@@ -890,9 +881,8 @@ mod tests {
         w.start();
         w.run_to_quiescence();
         let root = w.peer(PeerId::new(0));
-        assert_eq!(root.history().len(), 6, "every epoch certifies");
-        assert_eq!(root.delivered().len(), 6);
-        for ans in root.history() {
+        assert_eq!(root.delivered().len(), 6, "every epoch certifies");
+        for ans in root.delivered() {
             assert_eq!(ans.contributors, 9);
             let scratch = window_totals_from_scratch(&schedules, ans.epoch, 3);
             let want: Vec<(ItemId, u64)> = {
@@ -931,7 +921,7 @@ mod tests {
         // Item 1 bursts to 90 in epoch 1: present at fences 1–2, aged out
         // from fence 3 on (window holds the last 2 full batches).
         let has_burst: Vec<bool> = root
-            .history()
+            .delivered()
             .iter()
             .map(|a| a.answers[0].items.iter().any(|&(i, _)| i == ItemId(1)))
             .collect();
@@ -1000,8 +990,8 @@ mod tests {
         lossy.run_to_quiescence();
 
         assert_eq!(
-            clean.peer(h.root()).history(),
-            lossy.peer(h.root()).history(),
+            clean.peer(h.root()).delivered(),
+            lossy.peer(h.root()).delivered(),
             "loss must not change any certified answer"
         );
     }
@@ -1115,8 +1105,15 @@ mod tests {
                 !fx.iter().any(|e| matches!(e, Effect::Warn { .. })),
                 "{what}: {fx:?}"
             );
-            assert_eq!(root.history().len(), 1, "{what}: epoch 0 certifies");
-            assert_eq!(root.history()[0].contributors, 3);
+            let certified: Vec<&EpochAnswer> = fx
+                .iter()
+                .filter_map(|e| match e {
+                    Effect::Deliver(ans) => Some(ans),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(certified.len(), 1, "{what}: epoch 0 certifies");
+            assert_eq!(certified[0].contributors, 3);
             let scratch = window_totals_from_scratch(&schedules, 0, 3);
             assert!(root.standing().iter().copied().eq(scratch), "{what}");
         }
@@ -1132,7 +1129,7 @@ mod tests {
                 ContinuousProtocol::build_world(&cfg, &h, &reg, &schedules, SimConfig::default());
             w.start();
             w.run_to_quiescence();
-            w.peer(h.root()).history().to_vec()
+            w.peer(h.root()).delivered().to_vec()
         };
         let plain = run(ContinuousConfig::new(3, 6));
         let faded = run(ContinuousConfig::new(3, 6).with_fade(1, 2));
@@ -1170,8 +1167,8 @@ mod tests {
         w.start();
         w.run_to_quiescence();
         let root = w.peer(h.root());
-        assert_eq!(root.history().len(), 5);
-        for ans in root.history() {
+        assert_eq!(root.delivered().len(), 5);
+        for ans in root.delivered() {
             let scratch = window_totals_from_scratch(&schedules, ans.epoch, 4);
             let want: usize = scratch.values().filter(|&&v| v >= 40).count();
             assert_eq!(ans.answers[0].items.len(), want, "epoch {}", ans.epoch);
@@ -1214,8 +1211,8 @@ mod tests {
             w.start();
             w.run_to_quiescence();
             let root = w.peer(h.root());
-            prop_assert_eq!(root.history().len(), epochs);
-            for ans in root.history() {
+            prop_assert_eq!(root.delivered().len(), epochs);
+            for ans in root.delivered() {
                 let scratch = window_totals_from_scratch(&schedules, ans.epoch, window);
                 let got: BTreeMap<ItemId, u64> =
                     ans.answers[0].items.iter().copied().collect();

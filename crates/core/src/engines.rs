@@ -311,7 +311,7 @@ impl ApproxEngine for ContinuousEngine {
         w.run_to_quiescence();
         let items = w
             .peer(hierarchy.root())
-            .history()
+            .delivered()
             .last()
             .expect("a quiescent continuous run certifies its final fence")
             .answers[0]

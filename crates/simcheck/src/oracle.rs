@@ -485,7 +485,7 @@ impl Oracle<Des<ContinuousProtocol>> for WindowConsistencyOracle {
         world: &World<Des<ContinuousProtocol>>,
         at: Checkpoint,
     ) -> Result<(), String> {
-        let history = world.peer(self.root).history();
+        let history = world.peer(self.root).delivered();
         if at == Checkpoint::End && history.len() != self.epochs {
             return Err(format!(
                 "only {} of {} epochs certified by the end of the run",
