@@ -19,14 +19,22 @@ const SEED: u64 = 20080617;
 
 /// Most an epoch's live heap may rise above the pre-built world, per
 /// peer: every peer's local group vector as a run of updates, the reports
-/// in flight, the event queue. Measured 564 B, budgeted with 10 %
-/// head-room; a dense `f·g` vector per peer needs 2 688 B here.
-const BURST_BYTES_PER_PEER: usize = 620;
+/// in flight, the event ring, the meter columns of the classes charged.
+/// Measured 528 B, budgeted with 10 % head-room; a dense `f·g` vector per
+/// peer needs 2 688 B here.
+const BURST_BYTES_PER_PEER: usize = 580;
 /// Most an epoch may leave allocated once it has quiesced, per peer — the
-/// event queue's high-water capacity and little else. Measured 131 B;
-/// 1 020 B when every peer kept its own copy of the heavy lists, its seen
-/// sets and an effect scratch.
-const RETAINED_BYTES_PER_PEER: usize = 145;
+/// event ring at one slot per peer (88 B), three meter columns (48 B)
+/// and little else. Measured 128 B; 1 020 B when every peer kept its own
+/// copy of the heavy lists, its seen sets and an effect scratch.
+const RETAINED_BYTES_PER_PEER: usize = 141;
+/// Most allocator calls an epoch may make, per hundred peers: a group
+/// vector per peer, an append and a switch to the dense array at each
+/// interior peer, a map where a peer holds a candidate — and nothing for
+/// a peer that holds none. Measured 190.4; 269.0 when every peer with an
+/// item in a heavy group of filter 0 took a buffer and the ring doubled
+/// its way up.
+const ALLOCS_PER_HUNDRED_PEERS: u64 = 210;
 
 #[test]
 fn an_exact_epoch_stays_within_its_per_peer_memory_budget() {
@@ -65,6 +73,11 @@ fn an_exact_epoch_stays_within_its_per_peer_memory_budget() {
         op.peak <= BURST_BYTES_PER_PEER * PEERS,
         "the epoch peaked {} B/peer above its pre-built world (budget {BURST_BYTES_PER_PEER})",
         op.peak / PEERS
+    );
+    assert!(
+        op.count * 100 <= ALLOCS_PER_HUNDRED_PEERS * PEERS as u64,
+        "the epoch made {} allocations per hundred peers (budget {ALLOCS_PER_HUNDRED_PEERS})",
+        op.count * 100 / PEERS as u64
     );
     assert!(
         op.retained <= RETAINED_BYTES_PER_PEER * PEERS,
