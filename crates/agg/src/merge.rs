@@ -164,10 +164,9 @@ impl VecSum {
     pub fn from_updates(
         len: usize,
         count: usize,
-        updates: impl Iterator<Item = (usize, u64)>,
+        mut updates: impl Iterator<Item = (usize, u64)>,
     ) -> Self {
         let mut v = VecSum::for_updates(len, count);
-        let mut updates = updates;
         match &mut v.repr {
             Repr::Dense(dense) => updates.for_each(|(slot, value)| dense[slot] += value),
             Repr::Run(run) => {
@@ -358,12 +357,7 @@ impl MapSum {
         // A filtered local item set, the common caller, is already one.
         if !v.windows(2).all(|w| w[0].0 < w[1].0) {
             v.sort_unstable_by_key(|&(k, _)| k);
-            v.dedup_by(|later, kept| {
-                later.0 == kept.0 && {
-                    kept.1 += later.1;
-                    true
-                }
-            });
+            sum_adjacent(&mut v);
         }
         MapSum(v.into_iter().collect())
     }
@@ -428,13 +422,18 @@ where
     V: Copy + Default + PartialEq + std::ops::AddAssign,
 {
     pairs.sort_by_key(|&(k, _)| k);
+    sum_adjacent(pairs);
+    pairs.retain(|p| p.1 != V::default());
+}
+
+/// Sums each stretch of adjacent pairs for one item into its first pair.
+fn sum_adjacent<V: Copy + std::ops::AddAssign>(pairs: &mut Vec<(ItemId, V)>) {
     pairs.dedup_by(|later, kept| {
         later.0 == kept.0 && {
             kept.1 += later.1;
             true
         }
     });
-    pairs.retain(|p| p.1 != V::default());
 }
 
 /// Walks two runs in step: one `(item, a, b)` per item present in either,

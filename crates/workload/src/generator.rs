@@ -82,13 +82,17 @@ impl SystemData {
         let zipf = ZipfSampler::new(params.items as usize, params.theta);
         let total_instances = params.items * params.instances_per_item;
 
-        let mut local: Vec<Vec<(ItemId, u64)>> = vec![Vec::new(); params.peers];
+        let mut raw: Vec<Vec<u64>> = vec![Vec::new(); params.peers];
         for _ in 0..total_instances {
             let item = zipf.sample(&mut rng) as u64;
             let peer = rng.below(params.peers as u64) as usize;
-            local[peer].push((ItemId(item), 1));
+            raw[peer].push(item);
         }
-        SystemData::from_local_sets(local, params.items)
+        let peers = raw.into_iter().map(|mut items| {
+            items.sort_unstable();
+            items.into_iter().map(|item| (ItemId(item), 1))
+        });
+        SystemData::from_sorted(peers, total_instances as usize, params.items)
     }
 
     /// Generates the workload with the paper's **replica-split** placement
@@ -136,15 +140,27 @@ impl SystemData {
     /// this). Each peer's list is sorted and coalesced; zero values are
     /// dropped.
     pub fn from_local_sets(local: Vec<Vec<(ItemId, u64)>>, universe: u64) -> Self {
-        let mut pairs: Vec<(ItemId, u64)> = Vec::with_capacity(local.iter().map(Vec::len).sum());
-        let mut ends = Vec::with_capacity(local.len());
-        for mut items in local {
+        let capacity = local.iter().map(Vec::len).sum();
+        let peers = local.into_iter().map(|mut items| {
             items.sort_unstable_by_key(|&(id, _)| id);
+            items.into_iter()
+        });
+        SystemData::from_sorted(peers, capacity, universe)
+    }
+
+    /// Lays the peers' item lists, each sorted by item already, out as the
+    /// flat array: neighbours for one item summed, zero values dropped.
+    /// `capacity` bounds the number of pairs from above.
+    fn from_sorted<I: Iterator<Item = (ItemId, u64)>>(
+        peers: impl Iterator<Item = I>,
+        capacity: usize,
+        universe: u64,
+    ) -> Self {
+        let mut pairs: Vec<(ItemId, u64)> = Vec::with_capacity(capacity);
+        let mut ends = Vec::with_capacity(peers.size_hint().0);
+        for items in peers {
             let start = pairs.len();
-            for (id, v) in items {
-                if v == 0 {
-                    continue;
-                }
+            for (id, v) in items.filter(|&(_, v)| v != 0) {
                 match pairs[start..].last_mut() {
                     Some((last, acc)) if *last == id => *acc += v,
                     _ => pairs.push((id, v)),

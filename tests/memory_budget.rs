@@ -24,7 +24,7 @@ const SEED: u64 = 20080617;
 /// peer needs 2 688 B here.
 const BURST_BYTES_PER_PEER: usize = 580;
 /// Most an epoch may leave allocated once it has quiesced, per peer — the
-/// event ring at one slot per peer (88 B), three meter columns (48 B)
+/// event ring at one slot per peer (80 B), three meter columns (48 B)
 /// and little else. Measured 128 B; 1 020 B when every peer kept its own
 /// copy of the heavy lists, its seen sets and an effect scratch.
 const RETAINED_BYTES_PER_PEER: usize = 141;
