@@ -4,7 +4,13 @@
 //! time; this crate runs the *same* cores against the operating system:
 //! one thread per peer, real clocks for timers, and either in-process
 //! channels ([`run_channel`]) or TCP loopback sockets ([`run_tcp`]) as
-//! the message fabric. Nothing in the protocol changes between the two
+//! the message fabric. The fabric's helper threads — the TCP readers,
+//! the hub's forwarders and accept loop, the chaos courier — come from a
+//! pool of parked workers reused across runs, so a run starts and joins
+//! only its peer threads. Over TCP, the hub acknowledges each peer's
+//! hello once its route exists, and every ack is in before any peer
+//! starts: a frame can never reach the hub ahead of its destination's
+//! route. Nothing in the protocol changes between the two
 //! drivers — that is the point of the sans-io split, and the
 //! `transport_equivalence` integration test holds both drivers to the
 //! same answers and the same per-phase byte totals.
@@ -52,6 +58,7 @@
 //! same certified answer under the same faults.
 
 mod chaos;
+mod pool;
 mod runtime;
 mod supervisor;
 mod tcp;
@@ -197,6 +204,10 @@ mod tests {
 
     #[test]
     fn tcp_fabric_runs_a_ring_to_completion() {
+        ring_over_tcp();
+    }
+
+    fn ring_over_tcp() {
         let (n, laps) = (4, 2);
         let outcome = run_tcp(
             Ring::population(n, laps),
@@ -224,6 +235,10 @@ mod tests {
 
     #[test]
     fn undecodable_payloads_warn_and_disconnect_without_panicking() {
+        garbage_over_tcp();
+    }
+
+    fn garbage_over_tcp() {
         let outcome = run_tcp(
             Ring::population(2, 1),
             GarbageWire,
@@ -243,6 +258,19 @@ mod tests {
             "expected an undecodable-frame warning, got {:?}",
             outcome.report.warnings
         );
+    }
+
+    /// Regression for the TCP stall: the hub used to install a route
+    /// only after the dialer had moved on, and dropped every frame for a
+    /// peer without one. With registration held back 5 ms, both runs
+    /// above lost their first frame on every attempt; the registration
+    /// ack makes the window harmless.
+    #[test]
+    fn a_slow_route_registration_loses_no_frame() {
+        tcp::REGISTER_DELAY.set(StdDuration::from_millis(5));
+        ring_over_tcp();
+        garbage_over_tcp();
+        tcp::REGISTER_DELAY.set(StdDuration::ZERO);
     }
 
     /// Regression for runaway teardown: a run that hits `max_wait` with

@@ -9,11 +9,14 @@
 //! [`crate::supervisor::Backoff`]), and final teardown. Message routing
 //! goes through a [`Fabric`] — in-process channels here, TCP loopback in
 //! [`crate::tcp`] — so chaos injection and supervision are fabric-
-//! agnostic.
+//! agnostic. A fabric's helpers (the chaos courier here; readers,
+//! forwarders and the accept loop over TCP) run on pooled threads
+//! ([`crate::pool`]); peer threads are started per run.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration as StdDuration, Instant};
 
@@ -23,6 +26,7 @@ use ifi_sim::{
 };
 
 use crate::chaos::{ChaosPlan, ChaosState, Verdict};
+use crate::pool::{self, Task};
 use crate::supervisor::Backoff;
 
 /// How long an idle node loop sleeps between checks for shutdown/crash
@@ -145,62 +149,125 @@ pub(crate) trait Fabric<M>: Send + Sync + 'static {
 }
 
 /// The sending half of a bounded mailbox whose storage follows its
-/// occupancy. std's bounded channel allocates and stamps all of its slots
-/// up front (≈ 260 KB per peer at [`MAILBOX_CAP`]); its unbounded channel
-/// allocates a block per 31 queued items. So the mailbox is the unbounded
-/// channel, and the bound is a depth counter beside it: senders claim a
-/// place before they send, the receiver gives it back once it has taken
-/// the item out.
+/// occupancy: a `VecDeque` behind a mutex, grown by the items actually
+/// waiting, plus a condvar the receiver parks on. std's bounded channel
+/// allocates and stamps all of its slots up front (≈ 260 KB per peer at
+/// [`MAILBOX_CAP`]), and its unbounded one allocates a 31-slot block
+/// (≈ 1.7 KB for a netFilter message) on a peer's first delivery however
+/// few items ever wait. There is one sender per mailbox: the registry's.
 pub(crate) struct MailboxTx<T> {
-    tx: Sender<T>,
-    depth: Arc<AtomicUsize>,
+    inner: Arc<MailboxInner<T>>,
     cap: usize,
 }
 
 /// The receiving half of a bounded mailbox (see [`MailboxTx`]).
 pub(crate) struct MailboxRx<T> {
-    rx: Receiver<T>,
-    depth: Arc<AtomicUsize>,
+    inner: Arc<MailboxInner<T>>,
+}
+
+struct MailboxInner<T> {
+    state: Mutex<MailboxState<T>>,
+    ready: Condvar,
+}
+
+struct MailboxState<T> {
+    items: VecDeque<T>,
+    /// The sender is gone: an empty box reads as disconnected.
+    tx_gone: bool,
+    /// The receiver is gone: deliveries read as a dead connection.
+    rx_gone: bool,
+    /// The receiver is parked on `ready`, so a delivery must wake it.
+    parked: bool,
 }
 
 /// A mailbox holding at most `cap` undelivered items.
 pub(crate) fn mailbox<T>(cap: usize) -> (MailboxTx<T>, MailboxRx<T>) {
-    let (tx, rx) = mpsc::channel();
-    let depth = Arc::new(AtomicUsize::new(0));
+    let inner = Arc::new(MailboxInner {
+        state: Mutex::new(MailboxState {
+            items: VecDeque::new(),
+            tx_gone: false,
+            rx_gone: false,
+            parked: false,
+        }),
+        ready: Condvar::new(),
+    });
     let tx = MailboxTx {
-        tx,
-        depth: Arc::clone(&depth),
+        inner: Arc::clone(&inner),
         cap,
     };
-    (tx, MailboxRx { rx, depth })
+    (tx, MailboxRx { inner })
 }
 
-// The depth counter publishes no data — the channel does that — so its
-// updates are `Relaxed`; a place is given back only after the receive
-// that the claim's send happened-before, so the count never underflows.
+impl<T> MailboxInner<T> {
+    fn lock(&self) -> MutexGuard<'_, MailboxState<T>> {
+        self.state.lock().expect("mailbox poisoned")
+    }
+}
+
 impl<T> MailboxTx<T> {
     /// Queues `item` unless `cap` items are waiting; never blocks.
     fn try_send(&self, item: T) -> Result<(), TrySendError<T>> {
-        let claim = |depth| (depth < self.cap).then_some(depth + 1);
-        if self
-            .depth
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, claim)
-            .is_err()
-        {
+        let mut state = self.inner.lock();
+        if state.rx_gone {
+            return Err(TrySendError::Disconnected(item));
+        }
+        if state.items.len() >= self.cap {
             return Err(TrySendError::Full(item));
         }
-        self.tx.send(item).map_err(|gone| {
-            self.depth.fetch_sub(1, Ordering::Relaxed);
-            TrySendError::Disconnected(gone.0)
-        })
+        state.items.push_back(item);
+        if state.parked {
+            self.inner.ready.notify_one();
+        }
+        Ok(())
+    }
+}
+
+impl<T> Drop for MailboxTx<T> {
+    fn drop(&mut self) {
+        let mut state = self.inner.lock();
+        state.tx_gone = true;
+        if state.parked {
+            self.inner.ready.notify_one();
+        }
     }
 }
 
 impl<T> MailboxRx<T> {
     fn recv_timeout(&self, timeout: StdDuration) -> Result<T, RecvTimeoutError> {
-        let item = self.rx.recv_timeout(timeout)?;
-        self.depth.fetch_sub(1, Ordering::Relaxed);
-        Ok(item)
+        let mut state = self.inner.lock();
+        let deadline = Instant::now() + timeout;
+        loop {
+            if let Some(item) = state.items.pop_front() {
+                return Ok(item);
+            }
+            if state.tx_gone {
+                return Err(RecvTimeoutError::Disconnected);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(RecvTimeoutError::Timeout);
+            }
+            state.parked = true;
+            state = self
+                .inner
+                .ready
+                .wait_timeout(state, left)
+                .expect("mailbox poisoned")
+                .0;
+            state.parked = false;
+        }
+    }
+}
+
+impl<T> Drop for MailboxRx<T> {
+    fn drop(&mut self) {
+        // Queued items die with the receiver, as in a dropped channel.
+        let items = {
+            let mut state = self.inner.lock();
+            state.rx_gone = true;
+            std::mem::take(&mut state.items)
+        };
+        drop(items);
     }
 }
 
@@ -269,31 +336,28 @@ pub(crate) type CtlHook = Arc<dyn Fn(PeerId) + Send + Sync>;
 /// A deferred delivery job: fire this closure at the given instant.
 type DelayedJob = (Instant, Box<dyn FnOnce() + Send>);
 
-/// A single helper thread that delivers delayed (chaos-held) frames at
+/// A single pooled helper that delivers delayed (chaos-held) frames at
 /// their due time.
 pub(crate) struct Courier {
     tx: Mutex<Option<Sender<DelayedJob>>>,
-    handle: Mutex<Option<JoinHandle<()>>>,
+    task: Mutex<Option<Task<()>>>,
 }
 
 impl Courier {
     pub(crate) fn new() -> Self {
-        let (tx, rx) = mpsc::channel::<(Instant, Box<dyn FnOnce() + Send>)>();
-        let handle = thread::Builder::new()
-            .name("chaos-courier".into())
-            .spawn(move || {
-                while let Ok((due, job)) = rx.recv() {
-                    let wait = due.saturating_duration_since(Instant::now());
-                    if !wait.is_zero() {
-                        thread::sleep(wait);
-                    }
-                    job();
+        let (tx, rx) = mpsc::channel::<DelayedJob>();
+        let task = pool::spawn(move || {
+            while let Ok((due, job)) = rx.recv() {
+                let wait = due.saturating_duration_since(Instant::now());
+                if !wait.is_zero() {
+                    thread::sleep(wait);
                 }
-            })
-            .expect("spawning courier thread failed");
+                job();
+            }
+        });
         Courier {
             tx: Mutex::new(Some(tx)),
-            handle: Mutex::new(Some(handle)),
+            task: Mutex::new(Some(task)),
         }
     }
 
@@ -303,11 +367,11 @@ impl Courier {
         }
     }
 
-    /// Drops the queue and joins the thread (pending jobs still run).
+    /// Drops the queue and joins the helper (pending jobs still run).
     pub(crate) fn shutdown(&self) {
         self.tx.lock().expect("courier poisoned").take();
-        if let Some(h) = self.handle.lock().expect("courier poisoned").take() {
-            let _ = h.join();
+        if let Some(t) = self.task.lock().expect("courier poisoned").take() {
+            let _ = t.join();
         }
     }
 }
@@ -999,5 +1063,46 @@ mod tests {
         drop(rx);
         assert_eq!(boxes.deliver(peer, msg(7)), Delivery::Down);
         assert_eq!(boxes.shed.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn dropping_the_receiver_turns_queued_and_later_frames_down() {
+        let peer = PeerId::new(0);
+        let boxes: Mailboxes<u32> = Mailboxes::new(1);
+        let (tx, rx) = mailbox(2);
+        boxes.register(peer, tx);
+        let msg = |msg| Input::Msg { from: peer, msg };
+        assert_eq!(boxes.deliver(peer, msg(1)), Delivery::Ok);
+        assert_eq!(boxes.deliver(peer, msg(2)), Delivery::Ok);
+        // Full, then the receiver goes: the dead box is not full.
+        drop(rx);
+        assert_eq!(boxes.deliver(peer, msg(3)), Delivery::Down);
+        assert_eq!(boxes.shed.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_timed_out_receive_leaves_the_box_open() {
+        let (tx, rx) = mailbox::<u32>(MAILBOX_CAP);
+        let waited = Instant::now();
+        assert!(matches!(
+            rx.recv_timeout(StdDuration::from_millis(20)),
+            Err(RecvTimeoutError::Timeout)
+        ));
+        assert!(waited.elapsed() >= StdDuration::from_millis(20));
+        assert!(tx.try_send(5).is_ok());
+        assert!(matches!(rx.recv_timeout(StdDuration::ZERO), Ok(5)));
+        // A delivery wakes a receiver parked in `recv_timeout`.
+        let late = thread::spawn(move || {
+            thread::sleep(StdDuration::from_millis(20));
+            tx.try_send(6).map_err(|_| ()).unwrap();
+            tx
+        });
+        assert!(matches!(rx.recv_timeout(StdDuration::from_secs(10)), Ok(6)));
+        // Once the sender is gone, an empty box reads as disconnected.
+        drop(late.join().unwrap());
+        assert!(matches!(
+            rx.recv_timeout(StdDuration::from_secs(10)),
+            Err(RecvTimeoutError::Disconnected)
+        ));
     }
 }

@@ -13,7 +13,18 @@
 //! traffic. Connection resets and crash teardowns sever a peer's socket;
 //! the supervisor's reconnect loop redials through the hub's persistent
 //! accept loop, which rebinds the peer's hub-side route on every fresh
-//! hello. A zero-length payload addressed to its own sender is the
+//! hello.
+//!
+//! Registration is acknowledged: the hub answers a hello with one byte
+//! only once the peer's route exists, and a dialer sends nothing before
+//! it has read that byte. A frame the hub forwards to a peer without a
+//! route is lost, so an unacknowledged hello would let a fast sender's
+//! first frames vanish while its destination's route is still being
+//! installed. A run dials every peer and reads every ack before any
+//! peer starts. The hub's threads and the peer-side readers are pooled
+//! helpers (`crate::pool`).
+//!
+//! A zero-length payload addressed to its own sender is the
 //! health-check ping: the hub routes it back like any frame, and the
 //! peer's reader answers the supervisor with a pong — a real round-trip
 //! over both socket directions.
@@ -24,17 +35,17 @@
 //! at the hub, `undecodable-frame` at a peer reader), and the supervisor
 //! treats it like any other link failure.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
 use std::time::{Duration as StdDuration, Instant};
 
 use ifi_sim::{PeerId, SansIo};
 
 use crate::chaos::{ChaosPlan, ChaosState, Verdict};
+use crate::pool::{self, Task};
 use crate::runtime::{
     Courier, Ctl, CtlHook, Delivery, Fabric, Input, Mailboxes, PeerFlags, RunOutcome, SendStatus,
     Shared, Supervised,
@@ -44,7 +55,12 @@ use crate::wire::WireCodec;
 /// Frames larger than this are treated as stream corruption.
 const MAX_FRAME: u32 = 64 * 1024 * 1024;
 
-/// Writes one `[from][to][len][payload]` frame.
+/// The hub's answer to a hello, written once the peer's route exists.
+const REGISTERED: u8 = 1;
+
+/// Writes one `[from][to][len][payload]` frame, header and payload in
+/// one vectored write (one syscall and one segment per hop on a
+/// `TCP_NODELAY` socket, without copying the payload).
 pub(crate) fn write_frame(
     w: &mut impl Write,
     from: PeerId,
@@ -55,8 +71,17 @@ pub(crate) fn write_frame(
     header[..4].copy_from_slice(&(from.index() as u32).to_be_bytes());
     header[4..8].copy_from_slice(&(to.index() as u32).to_be_bytes());
     header[8..].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)
+    let mut parts = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut left = &mut parts[..];
+    while !left.is_empty() {
+        match w.write_vectored(left) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Reads one frame; `Ok(None)` on clean EOF at a frame boundary. EOF
@@ -98,14 +123,23 @@ pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Option<(PeerId, PeerId
     )))
 }
 
-/// The hub: a persistent accept loop plus one forwarder thread per
-/// inbound connection. Chaos verdicts are applied here, to serialized
-/// frames in flight.
+#[cfg(test)]
+thread_local! {
+    /// How long a hub started on this thread sleeps before installing a
+    /// route: widens the hello-to-route window for the registration
+    /// regression tests.
+    pub(crate) static REGISTER_DELAY: std::cell::Cell<StdDuration> =
+        const { std::cell::Cell::new(StdDuration::ZERO) };
+}
+
+/// The hub: a persistent accept loop plus one forwarder per inbound
+/// connection, all pooled helpers. Chaos verdicts are applied here, to
+/// serialized frames in flight.
 struct Hub {
     addr: SocketAddr,
     accepting: Arc<AtomicBool>,
-    accept_handle: Mutex<Option<JoinHandle<()>>>,
-    forwarders: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    accept_task: Mutex<Option<Task<()>>>,
+    forwarders: Arc<Mutex<Vec<Task<()>>>>,
     dests: Arc<Vec<Mutex<Option<TcpStream>>>>,
     courier: Arc<Courier>,
 }
@@ -117,68 +151,77 @@ impl Hub {
         let accepting = Arc::new(AtomicBool::new(true));
         let dests: Arc<Vec<Mutex<Option<TcpStream>>>> =
             Arc::new((0..n).map(|_| Mutex::new(None)).collect());
-        let forwarders: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let forwarders: Arc<Mutex<Vec<Task<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let courier = Arc::new(Courier::new());
+        #[cfg(test)]
+        let register_delay = REGISTER_DELAY.get();
 
         let accept = {
             let accepting = Arc::clone(&accepting);
             let dests = Arc::clone(&dests);
             let forwarders = Arc::clone(&forwarders);
             let courier = Arc::clone(&courier);
-            thread::Builder::new()
-                .name("hub-accept".into())
-                .spawn(move || {
-                    while accepting.load(Ordering::Relaxed) {
-                        let (mut s, _) = match listener.accept() {
-                            Ok(conn) => conn,
-                            Err(_) => break,
-                        };
-                        if !accepting.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        // Bounded hello so a silent dialer (e.g. the
-                        // teardown nudge) cannot wedge the accept loop.
-                        let _ = s.set_read_timeout(Some(StdDuration::from_secs(1)));
-                        let mut hello = [0u8; 4];
-                        if s.read_exact(&mut hello).is_err() {
-                            continue;
-                        }
-                        let id = u32::from_be_bytes(hello) as usize;
-                        if id >= n {
-                            shared
-                                .sink
-                                .lock()
-                                .expect("metrics sink poisoned")
-                                .warn("malformed-frame");
-                            continue;
-                        }
-                        let _ = s.set_read_timeout(None);
-                        let _ = s.set_nodelay(true);
-                        let writer = match s.try_clone() {
-                            Ok(w) => w,
-                            Err(_) => continue,
-                        };
-                        *dests[id].lock().expect("hub dest poisoned") = Some(writer);
-                        let handle = Hub::spawn_forwarder(
-                            s,
-                            n,
-                            Arc::clone(&dests),
-                            Arc::clone(&chaos),
-                            Arc::clone(&shared),
-                            Arc::clone(&courier),
-                        );
-                        forwarders
-                            .lock()
-                            .expect("forwarder list poisoned")
-                            .push(handle);
+            pool::spawn(move || {
+                while accepting.load(Ordering::Relaxed) {
+                    let (mut s, _) = match listener.accept() {
+                        Ok(conn) => conn,
+                        Err(_) => break,
+                    };
+                    if !accepting.load(Ordering::Relaxed) {
+                        break;
                     }
-                })
-                .expect("spawning hub accept thread failed")
+                    // Bounded hello so a silent dialer (e.g. the
+                    // teardown nudge) cannot wedge the accept loop.
+                    let _ = s.set_read_timeout(Some(StdDuration::from_secs(1)));
+                    let mut hello = [0u8; 4];
+                    if s.read_exact(&mut hello).is_err() {
+                        continue;
+                    }
+                    let id = u32::from_be_bytes(hello) as usize;
+                    if id >= n {
+                        shared
+                            .sink
+                            .lock()
+                            .expect("metrics sink poisoned")
+                            .warn("malformed-frame");
+                        continue;
+                    }
+                    let _ = s.set_read_timeout(None);
+                    let _ = s.set_nodelay(true);
+                    let writer = match s.try_clone() {
+                        Ok(w) => w,
+                        Err(_) => continue,
+                    };
+                    #[cfg(test)]
+                    std::thread::sleep(register_delay);
+                    {
+                        // Ack under the route's lock, so no forwarded
+                        // frame can reach the peer ahead of the ack.
+                        let mut route = dests[id].lock().expect("hub dest poisoned");
+                        if route.insert(writer).write_all(&[REGISTERED]).is_err() {
+                            *route = None;
+                            continue;
+                        }
+                    }
+                    let task = Hub::spawn_forwarder(
+                        s,
+                        n,
+                        Arc::clone(&dests),
+                        Arc::clone(&chaos),
+                        Arc::clone(&shared),
+                        Arc::clone(&courier),
+                    );
+                    forwarders
+                        .lock()
+                        .expect("forwarder list poisoned")
+                        .push(task);
+                }
+            })
         };
         Ok(Hub {
             addr,
             accepting,
-            accept_handle: Mutex::new(Some(accept)),
+            accept_task: Mutex::new(Some(accept)),
             forwarders,
             dests,
             courier,
@@ -204,43 +247,13 @@ impl Hub {
         chaos: Arc<ChaosState>,
         shared: Arc<Shared>,
         courier: Arc<Courier>,
-    ) -> JoinHandle<()> {
-        thread::Builder::new()
-            .name("hub-forward".into())
-            .spawn(move || loop {
-                match read_frame(&mut reader) {
-                    Ok(Some((from, to, payload))) => {
-                        if to.index() >= n || from.index() >= n {
-                            // Garbage routing header: stream corruption —
-                            // disconnect this peer.
-                            shared
-                                .sink
-                                .lock()
-                                .expect("metrics sink poisoned")
-                                .warn("malformed-frame");
-                            let _ = reader.shutdown(Shutdown::Both);
-                            break;
-                        }
-                        match chaos.judge(shared.epoch.elapsed(), from, to) {
-                            Verdict::Drop => {}
-                            Verdict::Deliver => Hub::forward(&dests, from, to, &payload),
-                            Verdict::Duplicate => {
-                                Hub::forward(&dests, from, to, &payload);
-                                Hub::forward(&dests, from, to, &payload);
-                            }
-                            Verdict::Delay(d) => {
-                                let dests = Arc::clone(&dests);
-                                courier.schedule(
-                                    Instant::now() + d,
-                                    Box::new(move || Hub::forward(&dests, from, to, &payload)),
-                                );
-                            }
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(_) => {
-                        // Truncated header/payload or oversized length:
-                        // metered warning, then disconnect this peer.
+    ) -> Task<()> {
+        pool::spawn(move || loop {
+            match read_frame(&mut reader) {
+                Ok(Some((from, to, payload))) => {
+                    if to.index() >= n || from.index() >= n {
+                        // Garbage routing header: stream corruption —
+                        // disconnect this peer.
                         shared
                             .sink
                             .lock()
@@ -249,17 +262,44 @@ impl Hub {
                         let _ = reader.shutdown(Shutdown::Both);
                         break;
                     }
+                    match chaos.judge(shared.epoch.elapsed(), from, to) {
+                        Verdict::Drop => {}
+                        Verdict::Deliver => Hub::forward(&dests, from, to, &payload),
+                        Verdict::Duplicate => {
+                            Hub::forward(&dests, from, to, &payload);
+                            Hub::forward(&dests, from, to, &payload);
+                        }
+                        Verdict::Delay(d) => {
+                            let dests = Arc::clone(&dests);
+                            courier.schedule(
+                                Instant::now() + d,
+                                Box::new(move || Hub::forward(&dests, from, to, &payload)),
+                            );
+                        }
+                    }
                 }
-            })
-            .expect("spawning hub forwarder failed")
+                Ok(None) => break,
+                Err(_) => {
+                    // Truncated header/payload or oversized length:
+                    // metered warning, then disconnect this peer.
+                    shared
+                        .sink
+                        .lock()
+                        .expect("metrics sink poisoned")
+                        .warn("malformed-frame");
+                    let _ = reader.shutdown(Shutdown::Both);
+                    break;
+                }
+            }
+        })
     }
 
     fn shutdown(&self) {
         self.accepting.store(false, Ordering::Relaxed);
         // Unblock the accept loop with a helloless dial.
         let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept_handle.lock().expect("hub poisoned").take() {
-            let _ = h.join();
+        if let Some(t) = self.accept_task.lock().expect("hub poisoned").take() {
+            let _ = t.join();
         }
         for d in self.dests.iter() {
             if let Some(s) = d.lock().expect("hub dest poisoned").take() {
@@ -272,8 +312,8 @@ impl Hub {
             .expect("forwarder list poisoned")
             .drain(..)
             .collect();
-        for h in handles {
-            let _ = h.join();
+        for t in handles {
+            let _ = t.join();
         }
         self.courier.shutdown();
     }
@@ -290,7 +330,7 @@ struct TcpInner<M, C> {
     pong: CtlHook,
     linkdown: CtlHook,
     tearing: AtomicBool,
-    readers: Mutex<Vec<JoinHandle<()>>>,
+    readers: Mutex<Vec<Task<()>>>,
 }
 
 impl<M, C> TcpInner<M, C>
@@ -298,26 +338,42 @@ where
     M: Send + 'static,
     C: WireCodec<M>,
 {
-    /// Dials the hub as `peer`: connect, hello, install the write half,
-    /// spawn the reader feeding the peer's mailbox.
-    fn dial(self: &Arc<Self>, peer: PeerId) -> io::Result<()> {
+    /// Dials the hub as `peer`: connect and send the hello.
+    fn hello(&self, peer: PeerId) -> io::Result<TcpStream> {
         let mut s = TcpStream::connect(self.addr)?;
         s.set_nodelay(true)?;
         s.write_all(&(peer.index() as u32).to_be_bytes())?;
+        Ok(s)
+    }
+
+    /// Waits for the hub's registration ack on `s`, then installs the
+    /// write half and starts the reader feeding the peer's mailbox.
+    fn attach(self: &Arc<Self>, peer: PeerId, mut s: TcpStream) -> io::Result<()> {
+        let mut ack = [0u8; 1];
+        s.read_exact(&mut ack)?;
+        if ack[0] != REGISTERED {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("hub answered the hello with {}", ack[0]),
+            ));
+        }
         let reader = s.try_clone()?;
         *self.streams[peer.index()]
             .lock()
             .expect("peer stream poisoned") = Some(s);
         let inner = Arc::clone(self);
-        let handle = thread::Builder::new()
-            .name(format!("peer-read-{}", peer.index()))
-            .spawn(move || inner.read_loop(peer, reader))
-            .expect("spawning peer reader failed");
+        let task = pool::spawn(move || inner.read_loop(peer, reader));
         self.readers
             .lock()
             .expect("reader list poisoned")
-            .push(handle);
+            .push(task);
         Ok(())
+    }
+
+    /// Dials the hub as `peer` and attaches once registered.
+    fn dial(self: &Arc<Self>, peer: PeerId) -> io::Result<()> {
+        let s = self.hello(peer)?;
+        self.attach(peer, s)
     }
 
     /// The peer-side reader: decodes inbound frames into the mailbox,
@@ -451,8 +507,8 @@ where
             .expect("reader list poisoned")
             .drain(..)
             .collect();
-        for h in handles {
-            let _ = h.join();
+        for t in handles {
+            let _ = t.join();
         }
     }
 }
@@ -540,10 +596,22 @@ where
         tearing: AtomicBool::new(false),
         readers: Mutex::new(Vec::new()),
     });
-    for i in 0..n {
-        inner.dial(PeerId::new(i))?;
-    }
     let fabric = Arc::new(TcpFabric { inner, hub });
+    // Every hello first, then every ack: the hub registers the fleet
+    // while the dialers wait, and no peer starts before all routes exist.
+    let dialed = (0..n)
+        .map(|i| fabric.inner.hello(PeerId::new(i)))
+        .collect::<io::Result<Vec<_>>>()
+        .and_then(|streams| {
+            streams
+                .into_iter()
+                .enumerate()
+                .try_for_each(|(i, s)| fabric.inner.attach(PeerId::new(i), s))
+        });
+    if let Err(e) = dialed {
+        fabric.teardown();
+        return Err(e);
+    }
     let flags: Vec<Arc<PeerFlags>> = (0..n).map(|_| Arc::new(PeerFlags::default())).collect();
     Ok(Supervised {
         fabric,
@@ -658,7 +726,10 @@ mod tests {
         s.write_all(&1u32.to_be_bytes()).unwrap();
         s.write_all(&(MAX_FRAME + 1).to_be_bytes()).unwrap();
         await_warning(&shared, "malformed-frame");
-        // The forwarder disconnected us: reads see EOF.
+        let mut ack = [0u8; 1];
+        s.read_exact(&mut ack).unwrap();
+        assert_eq!(ack[0], REGISTERED);
+        // The forwarder disconnected us: past the ack, reads see EOF.
         let mut probe = [0u8; 1];
         assert_eq!(s.read(&mut probe).unwrap_or(0), 0);
         hub.shutdown();
