@@ -52,6 +52,11 @@ impl HashFamily {
         self.group_count
     }
 
+    /// `f·g` — the length of the group-aggregate vector.
+    pub fn total_groups(&self) -> usize {
+        self.filter_count as usize * self.group_count as usize
+    }
+
     /// Filter `filter` on its own, with its seed derived once — what a loop
     /// over many items under one filter should hold.
     ///

@@ -122,7 +122,8 @@ pub struct NetFilterProtocol {
     heavy_seen: bool,
     local_items: Vec<(ItemId, u64)>,
 
-    /// Filtering convergecast; opens at `Start` with the local vector.
+    /// Filtering convergecast; opens empty at `Start`, and the local vector
+    /// joins it at completion.
     p1: Convergecast<VecSum, 1>,
     /// Candidate convergecast; opens when the heavy lists arrive.
     p2: Convergecast<MapSum, 2>,
@@ -339,9 +340,11 @@ impl NetFilterProtocol {
         {
             return;
         }
-        let Some(acc) = self.p1.complete(&self.slot) else {
+        let Some(mut acc) = self.p1.complete(&self.slot) else {
             return;
         };
+        self.local_filter
+            .add_group_vector(&mut acc, &self.local_items);
         if self.slot.is_root() {
             let heavy =
                 HeavyGroups::from_aggregate(self.local_filter.family(), &acc, self.threshold);
@@ -459,9 +462,10 @@ impl SansIo for NetFilterProtocol {
                 // armed timers died with the old life. Receivers that
                 // already merged a re-sent copy warn and drop it.
                 Boot::Revival => self.env.revive(fx),
+                // Opens empty, allocating nothing: a first child's report
+                // becomes the accumulator, own items join at completion.
                 Boot::First => {
-                    self.p1
-                        .open(self.local_filter.group_vector(&self.local_items));
+                    self.p1.open(self.local_filter.group_vector(&[]));
                     self.maybe_complete_p1(fx);
                 }
             },
@@ -796,6 +800,55 @@ mod tests {
         assert!(fx
             .drain()
             .any(|e| matches!(e, Effect::Send { .. } | Effect::Deliver(_))));
+    }
+
+    #[test]
+    fn an_interior_peer_forwards_its_own_vector_plus_both_children() {
+        use ifi_sim::{AllUp, Effect};
+
+        // 0 ← 1 ← {2, 3}: peer 1 is interior and not the root.
+        let parents = [None, Some(0), Some(1), Some(1)].map(|p| p.map(PeerId::new));
+        let h = Hierarchy::from_parents(PeerId::new(0), &parents);
+        let cfg = config(8, 2);
+        let items = workload(4, 100, 95).local_items(PeerId::new(1)).to_vec();
+        let family = HashFamily::new(cfg.filters, cfg.filter_size, cfg.hash_seed);
+        let own = LocalFilter::new(family).group_vector(&items);
+        assert!(own.to_dense().iter().any(|&v| v > 0), "peer 1 holds items");
+        let mut core = NetFilterProtocol::new(&cfg, &h, PeerId::new(1), items, 1);
+        let (env, now, mut fx) = (AllUp(4), SimTime::ZERO, Effects::new());
+        core.on_event(NodeEvent::Start, now, &env, &mut fx);
+        assert_eq!(
+            fx.drain().count(),
+            0,
+            "an interior peer waits for its children"
+        );
+
+        // One child reports the dense array, the other a run.
+        let dense = VecSum::from((0..16).collect::<Vec<u64>>());
+        let mut run = VecSum::zeros(16);
+        run.add(3, 100);
+        run.add(3, 1);
+        assert!(dense.is_dense() && !run.is_dense());
+        let mut want = own;
+        want.merge(&dense);
+        want.merge(&run);
+        for (from, report) in [(2, dense), (3, run)] {
+            let msg = ReliableMsg::Plain(NfMsg::GroupAgg(report));
+            let from = PeerId::new(from);
+            core.on_event(NodeEvent::Message { from, msg }, now, &env, &mut fx);
+        }
+        let sent: Vec<_> = fx
+            .drain()
+            .filter_map(|e| match e {
+                Effect::Send {
+                    to,
+                    msg: ReliableMsg::Plain(NfMsg::GroupAgg(v)),
+                    ..
+                } => Some((to, v)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sent, [(PeerId::new(0), want)]);
     }
 
     #[test]
