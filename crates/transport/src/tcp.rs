@@ -55,6 +55,10 @@ use crate::wire::WireCodec;
 /// Frames larger than this are treated as stream corruption.
 const MAX_FRAME: u32 = 64 * 1024 * 1024;
 
+/// How far ahead of the bytes received a payload buffer may grow (or, past
+/// this, as far as it has already filled: it doubles).
+const READ_STEP: usize = 4096;
+
 /// The hub's answer to a hello, written once the peer's route exists.
 const REGISTERED: u8 = 1;
 
@@ -114,13 +118,30 @@ pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Option<(PeerId, PeerId
             format!("frame length {len} exceeds cap"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    // The frame's own buffer: one kept per connection would hold that
+    // connection's largest frame for the whole run.
+    let mut payload = Vec::new();
+    read_payload(r, len as usize, &mut payload)?;
     Ok(Some((
         PeerId::new(from as usize),
         PeerId::new(to as usize),
         payload,
     )))
+}
+
+/// Reads `len` bytes onto `payload`, growing it with the bytes that
+/// arrive: a header's length is only a claim, so the buffer never takes
+/// it at its word, and a lying header costs what its sender really sent.
+fn read_payload(r: &mut impl Read, len: usize, payload: &mut Vec<u8>) -> io::Result<()> {
+    let end = payload.len() + len;
+    while payload.len() < end {
+        let at = payload.len();
+        let step = (end - at).min(at.max(READ_STEP));
+        payload.reserve_exact(step);
+        payload.resize(at + step, 0);
+        r.read_exact(&mut payload[at..])?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -675,6 +696,34 @@ mod tests {
         let mut r = Cursor::new(buf);
         let err = read_frame(&mut r).expect_err("oversized frame must error");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_claimed_length_allocates_only_what_arrives() {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&0u32.to_be_bytes());
+        buf.extend_from_slice(&1u32.to_be_bytes());
+        buf.extend_from_slice(&MAX_FRAME.to_be_bytes());
+        buf.extend_from_slice(b"short");
+        let err = read_frame(&mut Cursor::new(buf)).expect_err("5 of 64 MiB, then EOF");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        // What the frame's buffer came to before the stream ended.
+        let mut payload = Vec::new();
+        let short = read_payload(&mut Cursor::new(b"short"), MAX_FRAME as usize, &mut payload);
+        assert_eq!(
+            short.map_err(|e| e.kind()),
+            Err(io::ErrorKind::UnexpectedEof)
+        );
+        assert!(
+            payload.capacity() <= READ_STEP,
+            "grew to {}",
+            payload.capacity()
+        );
+        // A payload past one step is read whole, into exactly its length.
+        let long: Vec<u8> = (0..3 * READ_STEP + 5).map(|i| i as u8).collect();
+        let mut payload = Vec::new();
+        read_payload(&mut Cursor::new(&long), long.len(), &mut payload).unwrap();
+        assert_eq!((&payload, payload.capacity()), (&long, long.len()));
     }
 
     /// Polls the shared sink until `label` has been warned, or panics
