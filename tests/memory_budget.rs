@@ -18,23 +18,26 @@ const PEERS: usize = 5_000;
 const SEED: u64 = 20080617;
 
 /// Most an epoch's live heap may rise above the pre-built world, per
-/// peer: every peer's local group vector as a run of updates, the reports
-/// in flight, the event ring, the meter columns of the classes charged.
-/// Measured 528 B, budgeted with 10 % head-room; a dense `f·g` vector per
-/// peer needs 2 688 B here.
-const BURST_BYTES_PER_PEER: usize = 580;
+/// peer: the leaves' group vectors as runs of 12-byte updates, interior
+/// accumulators that are a child's report taken over, the reports in
+/// flight, the event ring, the meter columns of the classes charged.
+/// Measured 310.0 B, budgeted with 10 % head-room; 528.9 B when an update
+/// took 16 bytes and every peer built its own vector at `Start`; a dense
+/// `f·g` vector per peer needs 2 688 B here.
+const BURST_BYTES_PER_PEER: usize = 341;
 /// Most an epoch may leave allocated once it has quiesced, per peer — the
 /// event ring at one slot per peer (80 B), three meter columns (48 B)
 /// and little else. Measured 128 B; 1 020 B when every peer kept its own
 /// copy of the heavy lists, its seen sets and an effect scratch.
 const RETAINED_BYTES_PER_PEER: usize = 141;
 /// Most allocator calls an epoch may make, per hundred peers: a group
-/// vector per peer, an append and a switch to the dense array at each
-/// interior peer, a map where a peer holds a candidate — and nothing for
-/// a peer that holds none. Measured 190.4; 269.0 when every peer with an
-/// item in a heavy group of filter 0 took a buffer and the ring doubled
-/// its way up.
-const ALLOCS_PER_HUNDRED_PEERS: u64 = 210;
+/// vector per leaf, an exact regrowth per appended run or a switch to the
+/// dense array at each interior peer, a map where a peer holds a
+/// candidate — and nothing for a peer that holds none. Measured 171.2;
+/// 190.4 when every peer built its own vector at `Start`; 269.0 when every
+/// peer with an item in a heavy group of filter 0 took a buffer and the
+/// ring doubled its way up.
+const ALLOCS_PER_HUNDRED_PEERS: u64 = 189;
 
 #[test]
 fn an_exact_epoch_stays_within_its_per_peer_memory_budget() {
