@@ -5,7 +5,7 @@
 //! processed, messages sent, wire bytes, answer digests — are
 //! bit-reproducible on any machine, while its wall-clock median is
 //! machine-dependent and only alarm-gated. The six default benches cover
-//! the simulator's hot paths end to end; two scale benches push `N` past
+//! the simulator's hot paths end to end; three scale benches push `N` past
 //! the paper and run in CI's dedicated `scale` job (via `--only`):
 //!
 //! | bench | exercises |
@@ -17,6 +17,7 @@
 //! | `fig7_quick`    | the fig. 7 sweep at `--quick` scale (both panels) |
 //! | `epoch_delta_n1000` | continuous delta epochs at `N = 1000` vs the full re-aggregation they replace |
 //! | `epoch_n100000` | scale lane: one netFilter epoch at `N = 10^5` |
+//! | `epoch_n1000000` | scale lane: one netFilter epoch at `N = 10^6` |
 //! | `fig7_n10000`   | scale lane: fig. 7(a) skew sweep at `N = 10^4` |
 //!
 //! Alongside the behavioral counters, the simulator benches snapshot
@@ -42,8 +43,8 @@ use ifi_hierarchy::{Hierarchy, MaintainProtocol};
 use ifi_overlay::{HeartbeatConfig, Topology};
 use ifi_perf::{run_bench, BenchConfig, BenchReport, Sample};
 use ifi_sim::{
-    mix64, sansio_world, Ctx, DetRng, Duration, LatencyModel, MsgClass, PeerId, Protocol,
-    SimConfig, SimTime, World,
+    mix64, sansio_world, DetRng, Duration, Effects, LatencyModel, Membership, MsgClass, NodeEvent,
+    PeerId, SansIo, SimConfig, SimTime,
 };
 use ifi_workload::{ItemId, SystemData, WorkloadParams};
 use netfilter::codec::Codec;
@@ -76,24 +77,29 @@ struct RingTicker {
     received: u64,
 }
 
-impl Protocol for RingTicker {
+impl SansIo for RingTicker {
     type Msg = u64;
     type Timer = ();
-    type Scratch = ();
+    type Output = ();
 
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
-        ctx.set_timer(Duration::from_millis(1), ());
-    }
-
-    fn on_message(&mut self, _ctx: &mut Ctx<'_, Self>, _from: PeerId, msg: u64) {
-        self.received = fold(self.received, msg);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, _t: ()) {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            ctx.send(self.next, self.remaining as u64, 16, MsgClass::DATA);
-            ctx.set_timer(Duration::from_millis(1), ());
+    fn on_event(
+        &mut self,
+        ev: NodeEvent<u64, ()>,
+        _: SimTime,
+        _: &dyn Membership,
+        fx: &mut Effects<Self>,
+    ) {
+        match ev {
+            NodeEvent::Start => {
+                fx.set_timer(Duration::from_millis(1), ());
+            }
+            NodeEvent::Message { msg, .. } => self.received = fold(self.received, msg),
+            NodeEvent::Timer { .. } if self.remaining > 0 => {
+                self.remaining -= 1;
+                fx.send(self.next, self.remaining as u64, 16, MsgClass::DATA);
+                fx.set_timer(Duration::from_millis(1), ());
+            }
+            NodeEvent::Timer { .. } => {}
         }
     }
 }
@@ -109,7 +115,7 @@ fn bench_event_queue() -> BenchReport {
                 received: 0,
             })
             .collect();
-        let mut w = World::new(SimConfig::default().with_seed(PERF_SEED), peers);
+        let mut w = sansio_world(SimConfig::default().with_seed(PERF_SEED), peers);
         w.start();
         w.run_to_quiescence();
         let digest = (0..PEERS).fold(0u64, |acc, i| fold(acc, w.peer(PeerId::new(i)).received));
@@ -455,7 +461,7 @@ type BenchFn = fn() -> BenchReport;
 
 /// Every benchmark by name: the six default hot-path benches first, then
 /// the scale-lane benches (selected by CI's `scale` job via `--only`).
-const REGISTRY: [(&str, BenchFn); 8] = [
+const REGISTRY: [(&str, BenchFn); 9] = [
     ("event_queue", bench_event_queue),
     ("codec", bench_codec),
     ("epoch_n1000", bench_epoch_n1000),
@@ -463,6 +469,9 @@ const REGISTRY: [(&str, BenchFn); 8] = [
     ("fig7_quick", bench_fig7_quick),
     ("epoch_delta_n1000", bench_epoch_delta_n1000),
     ("epoch_n100000", bench_epoch_n100000),
+    ("epoch_n1000000", || {
+        bench_epoch("epoch_n1000000", 1_000_000, 2_000_000, 1)
+    }),
     ("fig7_n10000", bench_fig7_n10000),
 ];
 

@@ -1429,7 +1429,7 @@ mod tests {
         let t = truth.threshold_for_ratio(0.01);
         let sim = SimConfig::default()
             .with_seed(6)
-            .with_drop_probability(0.002);
+            .with_faults(ifi_sim::FaultPlan::none().with_drop(0.002));
         let mut w = ResilientProtocol::build_world(&cfg, rc(), &topo, &h, &data, sim);
         w.start();
         w.run_until(SimTime::from_micros(150_000_000));

@@ -253,7 +253,7 @@ impl ChurnSchedule {
 
     /// Schedules every event directly into a [`World`](ifi_sim::World) as
     /// kill/revive kernel events, so a run executes under this schedule.
-    pub fn install_world<P: ifi_sim::Protocol>(&self, world: &mut ifi_sim::World<P>) {
+    pub fn install_world<P: ifi_sim::SansIo>(&self, world: &mut ifi_sim::World<ifi_sim::Des<P>>) {
         for &e in &self.events {
             match e {
                 ChurnEvent::Down(t, p) => world.schedule_kill(t, p),

@@ -53,7 +53,8 @@ pub(crate) enum EventKind<M, T> {
         tag: T,
         incarnation: u32,
     },
-    /// Run `Protocol::on_start` for a peer (initial boot or revival).
+    /// Activate a peer's core with `NodeEvent::Start` (initial boot or
+    /// revival).
     Start { peer: PeerId },
     /// Administrative: take a peer down.
     Kill { peer: PeerId },

@@ -1,12 +1,12 @@
 //! Configurable network fault injection.
 //!
-//! [`FaultPlan`] extends the kernel's flat `drop_probability` with the fault
-//! vocabulary a reliability layer must survive: per-class drop rates,
-//! message duplication, delay spikes, and deterministic drop schedules
-//! keyed by the kernel's per-send sequence number. The default plan is
-//! inert and the kernel skips fault evaluation entirely in that case, so a
-//! fault-free simulation draws exactly the same random sequence (and
-//! produces byte-identical metrics) as it did before this module existed.
+//! [`FaultPlan`] is the kernel's one description of network loss: the
+//! fault vocabulary a reliability layer must survive, from a uniform drop
+//! rate through per-class drop rates, message duplication, delay spikes,
+//! partitions, and deterministic drop schedules keyed by the kernel's
+//! per-send sequence number. The default plan is inert and the kernel
+//! skips fault evaluation entirely in that case, so a fault-free
+//! simulation draws no randomness beyond its latency samples.
 
 use std::collections::BTreeSet;
 

@@ -20,38 +20,44 @@
 //!   paper's sole performance metric is *bytes propagated per peer*, so the
 //!   kernel meters every send.
 //!
-//! Protocols implement the [`Protocol`] trait; one protocol state machine is
-//! instantiated per peer and driven by the [`World`].
+//! Protocols are sans-io cores ([`SansIo`]): an event goes in, [`Effect`]s
+//! come out. [`sansio_world`] puts one core per peer into a [`World`],
+//! which applies every effect to the simulated network, timers and meters.
 //!
 //! All randomness is drawn from a seeded PRNG owned by the world, so a given
 //! `(protocol, topology, seed)` triple always replays the same execution.
 //!
 //! ```
-//! use ifi_sim::{Protocol, Ctx, PeerId, World, SimConfig, MsgClass};
+//! use ifi_sim::{
+//!     sansio_world, Effects, Membership, MsgClass, NodeEvent, PeerId, SansIo, SimConfig, SimTime,
+//! };
 //!
 //! /// Each peer forwards a token to the next peer, once.
-//! struct Ring { n: u32, received: bool }
-//! impl Protocol for Ring {
+//! struct Ring { id: PeerId, n: usize }
+//! impl SansIo for Ring {
 //!     type Msg = u64;
 //!     type Timer = ();
-//!     type Scratch = ();
-//!     fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
-//!         if ctx.self_id().index() == 0 {
-//!             ctx.send(PeerId::new(1), 1, 8, MsgClass::DATA);
+//!     type Output = ();
+//!     fn on_event(
+//!         &mut self,
+//!         ev: NodeEvent<u64, ()>,
+//!         _now: SimTime,
+//!         _env: &dyn Membership,
+//!         fx: &mut Effects<Self>,
+//!     ) {
+//!         let next = PeerId::new((self.id.index() + 1) % self.n);
+//!         match ev {
+//!             NodeEvent::Start if self.id.index() == 0 => fx.send(next, 1, 8, MsgClass::DATA),
+//!             NodeEvent::Message { msg, .. } if next.index() != 0 => {
+//!                 fx.send(next, msg + 1, 8, MsgClass::DATA)
+//!             }
+//!             _ => {}
 //!         }
 //!     }
-//!     fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, _from: PeerId, msg: u64) {
-//!         self.received = true;
-//!         let next = (ctx.self_id().index() as u32 + 1) % self.n;
-//!         if next != 0 {
-//!             ctx.send(PeerId::new(next as usize), msg + 1, 8, MsgClass::DATA);
-//!         }
-//!     }
-//!     fn on_timer(&mut self, _ctx: &mut Ctx<'_, Self>, _t: ()) {}
 //! }
 //!
-//! let peers = (0..4).map(|_| Ring { n: 4, received: false }).collect();
-//! let mut world = World::new(SimConfig::default().with_seed(7), peers);
+//! let peers = (0..4).map(|i| Ring { id: PeerId::new(i), n: 4 }).collect();
+//! let mut world = sansio_world(SimConfig::default().with_seed(7), peers);
 //! world.start();
 //! world.run_to_quiescence();
 //! assert_eq!(world.metrics().total_messages(), 3);
@@ -87,9 +93,9 @@ pub use reliable::{
 };
 pub use rng::{mix64, DetRng};
 pub use sansio::{
-    sansio_world, AllUp, Des, Effect, EffectBuf, Effects, Membership, NodeEvent, SansIo, TimerToken,
+    AllUp, Des, Effect, EffectBuf, Effects, Membership, NodeEvent, SansIo, Slot, TimerToken,
 };
 pub use sched::{EventInfo, EventTag, ScheduleDecision, ScheduleStrategy, MAX_CONSECUTIVE_DELAYS};
 pub use time::{Duration, SimTime};
 pub use trace::{Trace, TraceEntry, TraceKind};
-pub use world::{Ctx, Protocol, SimConfig, TimerId, World};
+pub use world::{sansio_world, SimConfig, World};

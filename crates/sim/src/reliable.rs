@@ -4,7 +4,7 @@
 //! hierarchy crate's `MaintainCore`): protocols feed it sends, acks, and
 //! retransmit-timer firings, and it tells them what to put on the wire.
 //! Keeping it transport-free makes every transition unit-testable without a
-//! simulation and lets any [`Protocol`](crate::Protocol) adopt it.
+//! simulation and lets any [`SansIo`](crate::SansIo) core adopt it.
 //!
 //! The contract, per phase-critical message:
 //!
@@ -791,8 +791,9 @@ mod tests {
 
     mod envelope {
         use super::*;
-        use crate::sansio::{sansio_world, Effect, Membership, NodeEvent};
+        use crate::sansio::{Effect, Membership, NodeEvent};
         use crate::time::SimTime;
+        use crate::world::sansio_world;
         use crate::world::SimConfig;
 
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]

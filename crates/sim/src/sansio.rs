@@ -1,4 +1,4 @@
-//! Sans-io protocol cores and the DES driver over them.
+//! Sans-io protocol cores and the per-peer slot the DES drives them in.
 //!
 //! The protocols in this workspace are written as **pure state machines**:
 //! an event goes in ([`NodeEvent`]), a sequence of [`Effect`]s comes out,
@@ -6,9 +6,9 @@
 //! stream. The [`SansIo`] trait captures that contract. Two drivers run
 //! the same cores:
 //!
-//! * the deterministic DES kernel, via the [`Des`] adapter in this module
-//!   (one generic [`Protocol`] impl — the *only* place where effects meet
-//!   the simulated world), and
+//! * the deterministic DES kernel: a [`World`] keeps each core in a
+//!   [`Des`] slot and applies its effects to the simulated network,
+//!   timers and meters itself, and
 //! * the real threaded transport in `ifi-transport`, which applies the
 //!   same effects to OS channels or TCP sockets.
 //!
@@ -19,7 +19,7 @@
 //!
 //! 1. **Apply effects in emission order.** The kernel allocates sequence
 //!    numbers and samples latency per send, so reordering effects would
-//!    perturb the deterministic schedule. [`Des`] replays the buffer
+//!    perturb the deterministic schedule. [`World`] applies the buffer
 //!    front-to-back, which makes the effect stream indistinguishable from
 //!    the handler having called the kernel directly.
 //! 2. **Timer tokens are the protocol's only timer identity.** A
@@ -27,11 +27,13 @@
 //!    back exactly once (or never, after [`Effects::cancel_timer`]); how a
 //!    driver maps tokens onto its own timer facility is its business.
 //!
-//! The ISSUE-shape `fn on_event(..) -> impl Iterator<Item = Effect>` is
+//! The textbook shape `fn on_event(..) -> impl Iterator<Item = Effect>` is
 //! realized through a reusable push-buffer ([`Effects`]) instead of a
-//! returned iterator so the hot path stays allocation-free: the DES
-//! adapter hands every handler of every peer the one scratch vector the
-//! world owns ([`Protocol::Scratch`]), drained by the previous activation.
+//! returned iterator so the hot path stays allocation-free: the [`World`]
+//! hands every activation of every peer the one [`EffectBuf`] it owns,
+//! drained by the previous activation.
+//!
+//! [`World`]: crate::World
 
 use std::fmt::Debug;
 use std::ops::{Deref, DerefMut};
@@ -39,7 +41,6 @@ use std::ops::{Deref, DerefMut};
 use crate::id::PeerId;
 use crate::metrics::MsgClass;
 use crate::time::{Duration, SimTime};
-use crate::world::{Ctx, Protocol, SimConfig, TimerId, World};
 
 /// Protocol-side handle to a pending timer, allocated by
 /// [`Effects::set_timer`] and usable with [`Effects::cancel_timer`].
@@ -129,10 +130,8 @@ pub type EffectBuf<P> =
 
 /// Reusable effect buffer handed to [`SansIo::on_event`].
 ///
-/// The methods mirror the DES `Ctx` API one-to-one so converting a
-/// handler is a mechanical `ctx.` → `fx.` rewrite; each call pushes one
-/// [`Effect`] in program order, which is exactly the order drivers must
-/// apply them in.
+/// Each call pushes one [`Effect`] in program order, which is exactly the
+/// order drivers must apply them in.
 #[derive(Debug)]
 pub struct Effects<P: SansIo> {
     buf: EffectBuf<P>,
@@ -240,16 +239,6 @@ pub trait Membership {
     fn peer_count(&self) -> usize;
 }
 
-impl<P: Protocol> Membership for Ctx<'_, P> {
-    fn is_up(&self, peer: PeerId) -> bool {
-        Ctx::is_up(self, peer)
-    }
-
-    fn peer_count(&self) -> usize {
-        Ctx::peer_count(self)
-    }
-}
-
 /// A [`Membership`] where every peer of a fixed universe is up — the real
 /// transport's view (it has no failure injector).
 #[derive(Debug, Clone, Copy)]
@@ -291,39 +280,34 @@ pub trait SansIo: Sized {
     fn on_stop(&mut self) {}
 }
 
-/// The DES driver adapter: wraps a [`SansIo`] core into a kernel
-/// [`Protocol`], translating each effect back onto the simulated world in
-/// emission order.
+/// The per-peer slot of a DES [`World`](crate::World): one [`SansIo`]
+/// core plus the driver state the world keeps beside it. The world applies
+/// the core's effects itself; the slot only remembers what must outlive an
+/// activation.
 ///
 /// `Des<P>` dereferences to `P`, so accessor-style call sites
 /// (`world.peer(p).result()`) are untouched by the sans-io split.
 #[derive(Debug)]
 pub struct Des<P: SansIo> {
-    node: P,
+    pub(crate) node: P,
     /// Persistent token counter (threaded through every activation).
-    next_token: u64,
-    /// Live token → kernel timer id, for cancellation. Pruned when a
+    pub(crate) next_token: u64,
+    /// Live token → kernel timer seq, for cancellation. Pruned when a
     /// timer fires or is cancelled, and cleared wholesale on (re)start —
     /// a revival invalidates every pre-crash timer by incarnation.
-    timers: Vec<(TimerToken, TimerId)>,
+    pub(crate) timers: Vec<(TimerToken, u64)>,
     /// Results the core delivered, in order.
-    outputs: Vec<P::Output>,
+    pub(crate) outputs: Vec<P::Output>,
 }
 
 impl<P: SansIo> Des<P> {
-    /// Wraps one core.
-    pub fn new(node: P) -> Self {
+    pub(crate) fn new(node: P) -> Self {
         Des {
             node,
             next_token: 0,
             timers: Vec::new(),
             outputs: Vec::new(),
         }
-    }
-
-    /// Wraps every core of a population — the `World::new` companion.
-    pub fn wrap_all(nodes: impl IntoIterator<Item = P>) -> Vec<Des<P>> {
-        nodes.into_iter().map(Des::new).collect()
     }
 
     /// The wrapped core.
@@ -339,54 +323,6 @@ impl<P: SansIo> Des<P> {
     /// Results the core delivered via [`Effect::Deliver`], oldest first.
     pub fn delivered(&self) -> &[P::Output] {
         &self.outputs
-    }
-
-    fn dispatch(&mut self, ctx: &mut Ctx<'_, Self>, ev: NodeEvent<P::Msg, P::Timer>) {
-        let mut fx = Effects::from_parts(std::mem::take(ctx.scratch()), self.next_token);
-        self.node.on_event(ev, ctx.now(), &*ctx, &mut fx);
-        let (mut buf, next_token) = fx.into_parts();
-        self.next_token = next_token;
-        for effect in buf.drain(..) {
-            match effect {
-                Effect::Send {
-                    to,
-                    msg,
-                    bytes,
-                    class,
-                } => {
-                    ctx.send(to, msg, bytes, class);
-                }
-                Effect::SetTimer { token, delay, tag } => {
-                    let id = ctx.set_timer(delay, (token, tag));
-                    self.timers.push((token, id));
-                }
-                Effect::CancelTimer { token } => {
-                    if let Some(pos) = self.timers.iter().position(|&(t, _)| t == token) {
-                        let (_, id) = self.timers.swap_remove(pos);
-                        ctx.cancel_timer(id);
-                    }
-                }
-                Effect::Charge { class, bytes } => ctx.charge(class, bytes),
-                Effect::MarkPhase { label } => ctx.mark_phase(label),
-                Effect::Warn { label } => ctx.warn(label),
-                Effect::Deliver(out) => self.outputs.push(out),
-            }
-        }
-        *ctx.scratch() = buf;
-    }
-}
-
-impl<P: SansIo + Clone> Clone for Des<P>
-where
-    P::Output: Clone,
-{
-    fn clone(&self) -> Self {
-        Des {
-            node: self.node.clone(),
-            next_token: self.next_token,
-            timers: self.timers.clone(),
-            outputs: self.outputs.clone(),
-        }
     }
 }
 
@@ -404,47 +340,28 @@ impl<P: SansIo> DerefMut for Des<P> {
     }
 }
 
-impl<P: SansIo> Protocol for Des<P> {
-    type Msg = P::Msg;
-    type Timer = (TimerToken, P::Timer);
-    /// The effect buffer every activation fills and drains.
-    type Scratch = EffectBuf<P>;
-
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
-        // A revival invalidated every pre-crash timer (the kernel bumps
-        // the peer's incarnation), so their token map entries can go.
-        self.timers.clear();
-        self.dispatch(ctx, NodeEvent::Start);
-    }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, from: PeerId, msg: P::Msg) {
-        self.dispatch(ctx, NodeEvent::Message { from, msg });
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, timer: (TimerToken, P::Timer)) {
-        let (token, tag) = timer;
-        if let Some(pos) = self.timers.iter().position(|&(t, _)| t == token) {
-            self.timers.swap_remove(pos);
-        }
-        self.dispatch(ctx, NodeEvent::Timer { tag });
-    }
-
-    fn on_stop(&mut self) {
-        self.node.on_stop();
-    }
+mod sealed {
+    pub trait Sealed {}
 }
 
-/// Builds a DES world over a population of sans-io cores — shorthand for
-/// `World::new(config, Des::wrap_all(cores))`.
-pub fn sansio_world<P: SansIo>(config: SimConfig, cores: Vec<P>) -> World<Des<P>> {
-    World::new(config, Des::wrap_all(cores))
+/// Names the core type of a per-peer slot, so `World<Des<P>>` can spell
+/// its queue's message and timer types. Sealed: [`Des`] is the only slot.
+pub trait Slot: sealed::Sealed {
+    /// The sans-io core the slot holds.
+    type Core: SansIo;
+}
+
+impl<P: SansIo> sealed::Sealed for Des<P> {}
+
+impl<P: SansIo> Slot for Des<P> {
+    type Core = P;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::MsgClass;
-    use crate::world::SimConfig;
+    use crate::world::{sansio_world, SimConfig};
 
     /// Ping-pong with a cancellable deadline: exercises every effect kind.
     #[derive(Debug, Default)]

@@ -1,5 +1,5 @@
-//! The simulation driver: [`World`], [`Protocol`], and the handler context
-//! [`Ctx`].
+//! The simulation driver: [`World`], which runs one [`SansIo`] core per
+//! peer and applies the [`Effect`]s each activation emits.
 
 use std::collections::HashSet;
 
@@ -10,48 +10,14 @@ use crate::metrics::{Metrics, MsgClass};
 use crate::network::LatencyModel;
 use crate::obs::{EventSink, MetricsReport};
 use crate::rng::{mix64, DetRng};
+use crate::sansio::{
+    Des, Effect, EffectBuf, Effects, Membership, NodeEvent, SansIo, Slot, TimerToken,
+};
 use crate::sched::{
     EventInfo, EventTag, ScheduleDecision, ScheduleStrategy, MAX_CONSECUTIVE_DELAYS,
 };
 use crate::time::{Duration, SimTime};
 use crate::trace::{Trace, TraceKind};
-
-/// A per-peer protocol state machine.
-///
-/// One value of the implementing type exists per peer; the [`World`] invokes
-/// its handlers as events fire. Handlers receive a [`Ctx`] through which they
-/// send messages, set timers, and draw randomness.
-pub trait Protocol: Sized {
-    /// The message type exchanged between peers. `Clone` lets the network
-    /// deliver duplicated copies under fault injection (see [`FaultPlan`]).
-    type Msg: std::fmt::Debug + Clone;
-    /// The tag type carried by timers.
-    type Timer: std::fmt::Debug;
-    /// Driver-owned scratch: one value per [`World`], lent to whichever
-    /// handler is executing through [`Ctx::scratch`], so state that is only
-    /// live *during* an activation (the sans-io adapter's effect buffer)
-    /// is not replicated per peer. `()` for protocols that need none.
-    type Scratch: Default;
-
-    /// Called once when the peer boots (and again on revival after a crash).
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
-        let _ = ctx;
-    }
-
-    /// Called when a message from `from` is delivered to this peer.
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, from: PeerId, msg: Self::Msg);
-
-    /// Called when a timer set by this peer fires.
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, timer: Self::Timer);
-
-    /// Called when the peer is taken down (crash or departure). The state is
-    /// retained and will be observed again if the peer revives.
-    fn on_stop(&mut self) {}
-}
-
-/// Handle to a pending timer, usable with [`Ctx::cancel_timer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(u64);
 
 /// Simulation-wide configuration.
 #[derive(Debug, Clone)]
@@ -60,11 +26,10 @@ pub struct SimConfig {
     pub seed: u64,
     /// One-way message delay model.
     pub latency: LatencyModel,
-    /// Probability that any given message is silently lost in transit.
-    pub drop_probability: f64,
-    /// Richer fault injection: per-class drops, duplication, delay spikes,
-    /// and deterministic drop schedules. Inert by default, in which case
-    /// the kernel's send path is exactly the classic one.
+    /// Fault injection: uniform and per-class drops, duplication, delay
+    /// spikes, partitions and deterministic drop schedules. Inert by
+    /// default, in which case the kernel's send path is exactly the
+    /// classic one.
     pub faults: FaultPlan,
     /// Upper bound on processed events, as a runaway-protocol backstop.
     pub max_events: u64,
@@ -75,7 +40,6 @@ impl Default for SimConfig {
         SimConfig {
             seed: 0,
             latency: LatencyModel::default(),
-            drop_probability: 0.0,
             faults: FaultPlan::default(),
             max_events: 500_000_000,
         }
@@ -95,17 +59,6 @@ impl SimConfig {
         self
     }
 
-    /// Returns the config with the given message-loss probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]`.
-    pub fn with_drop_probability(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "drop probability out of [0,1]");
-        self.drop_probability = p;
-        self
-    }
-
     /// Returns the config with the given fault-injection plan.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
@@ -113,11 +66,14 @@ impl SimConfig {
     }
 }
 
-/// Kernel state shared by the world and handler contexts.
+/// A queue event of a world over cores `C`: timers carry their token.
+type CoreEvent<C> = Event<<C as SansIo>::Msg, (TimerToken, <C as SansIo>::Timer)>;
+
+/// Kernel state: the clock, the queue, the meters and the liveness view.
 #[derive(Debug)]
-struct Kernel<M, T> {
+struct Kernel<C: SansIo> {
     now: SimTime,
-    queue: EventQueue<M, T>,
+    queue: EventQueue<C::Msg, (TimerToken, C::Timer)>,
     metrics: Metrics,
     rng: DetRng,
     config: SimConfig,
@@ -162,8 +118,8 @@ fn event_info<M, T>(ev: &Event<M, T>) -> EventInfo {
     }
 }
 
-impl<M: std::fmt::Debug + Clone, T: std::fmt::Debug> Kernel<M, T> {
-    fn send(&mut self, from: PeerId, to: PeerId, msg: M, bytes: u64, class: MsgClass) -> u64 {
+impl<C: SansIo> Kernel<C> {
+    fn send(&mut self, from: PeerId, to: PeerId, msg: C::Msg, bytes: u64, class: MsgClass) -> u64 {
         let seq = self.next_send_seq;
         self.next_send_seq += 1;
         // Senders are charged when bytes hit the wire, even if the message
@@ -180,10 +136,6 @@ impl<M: std::fmt::Debug + Clone, T: std::fmt::Debug> Kernel<M, T> {
                     bytes,
                 },
             );
-        }
-        if self.config.drop_probability > 0.0 && self.rng.chance(self.config.drop_probability) {
-            self.metrics.record_drop();
-            return seq;
         }
         if self.faults_inert {
             let delay = self.config.latency.sample(&mut self.rng);
@@ -233,172 +185,77 @@ impl<M: std::fmt::Debug + Clone, T: std::fmt::Debug> Kernel<M, T> {
         }
         delay
     }
+}
 
-    fn set_timer(&mut self, peer: PeerId, delay: Duration, tag: T) -> TimerId {
-        // The queue's monotone `seq` doubles as the timer id; cancellation
-        // records the seq and the fire path checks it.
-        let seq = self.queue.push(
-            self.now + delay,
-            EventKind::Timer {
-                peer,
-                tag,
-                incarnation: self.incarnation[peer.index()],
-            },
-        );
-        TimerId(seq)
-    }
-
+/// What a core may ask of the kernel during an activation. Real peers
+/// cannot query remote liveness instantaneously — see [`Membership`].
+impl<C: SansIo> Membership for Kernel<C> {
     fn is_up(&self, peer: PeerId) -> bool {
         self.up[peer.index()]
     }
-}
 
-/// Context passed to protocol handlers.
-///
-/// Grants access to the clock, the network (sends), timers, the kernel PRNG,
-/// and liveness queries — everything a handler may touch besides its own
-/// peer state.
-#[derive(Debug)]
-pub struct Ctx<'a, P: Protocol> {
-    kernel: &'a mut Kernel<P::Msg, P::Timer>,
-    scratch: &'a mut P::Scratch,
-    self_id: PeerId,
-}
-
-impl<'a, P: Protocol> Ctx<'a, P> {
-    /// The peer whose handler is executing.
-    pub fn self_id(&self) -> PeerId {
-        self.self_id
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.kernel.now
-    }
-
-    /// Number of peers in the world.
-    pub fn peer_count(&self) -> usize {
-        self.kernel.up.len()
-    }
-
-    /// Whether `peer` is currently up. Real peers cannot query remote
-    /// liveness instantaneously — protocols in this workspace use this only
-    /// for assertions, tracing, and as a stand-in for an out-of-band
-    /// membership service when *labeling* results (the resilient
-    /// protocol's epoch-roster snapshot), never to steer control flow.
-    pub fn is_up(&self, peer: PeerId) -> bool {
-        self.kernel.is_up(peer)
-    }
-
-    /// Sends `msg` to `to`, charging `bytes` to this peer in `class`.
-    /// Returns the kernel-wide send sequence number, which fault plans use
-    /// for deterministic drop schedules; most protocols ignore it.
-    pub fn send(&mut self, to: PeerId, msg: P::Msg, bytes: u64, class: MsgClass) -> u64 {
-        self.kernel.send(self.self_id, to, msg, bytes, class)
-    }
-
-    /// Charges `bytes` piggybacked by this peer on an already-sent message
-    /// in `class`, without putting a frame on the wire. Used for small
-    /// fields riding inside another message (the resilient protocol's
-    /// contributor census and epoch-fence stamps) whose cost must be
-    /// metered in their own class rather than inflating the carrier's.
-    pub fn charge(&mut self, class: MsgClass, bytes: u64) {
-        self.kernel
-            .metrics
-            .record_piggyback(self.self_id, class, bytes);
-        self.kernel
-            .sink
-            .record_piggyback(self.self_id, class, bytes);
-    }
-
-    /// Schedules `tag` to fire at this peer after `delay`.
-    pub fn set_timer(&mut self, delay: Duration, tag: P::Timer) -> TimerId {
-        self.kernel.set_timer(self.self_id, delay, tag)
-    }
-
-    /// Cancels a pending timer. Cancelling an already-fired timer is a no-op.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.kernel.cancelled_timers.insert(id.0);
-    }
-
-    /// The kernel's deterministic PRNG.
-    pub fn rng(&mut self) -> &mut DetRng {
-        &mut self.kernel.rng
-    }
-
-    /// The world's one [`Protocol::Scratch`]. Whatever a handler leaves in
-    /// it, the next activation — of any peer — finds.
-    pub fn scratch(&mut self) -> &mut P::Scratch {
-        self.scratch
-    }
-
-    /// Tags this handler activation with the phase `label` (see
-    /// [`EventSink::mark`]): every send until the handler returns is
-    /// attributed to that phase in the metrics report. A no-op unless the
-    /// world's event sink is enabled.
-    pub fn mark_phase(&mut self, label: &str) {
-        self.kernel.sink.mark(label);
-    }
-
-    /// Counts a tolerated anomaly under `label` in the event sink (see
-    /// [`EventSink::warn`]). A no-op unless the world's event sink is
-    /// enabled.
-    pub fn warn(&mut self, label: &str) {
-        self.kernel.sink.warn(label);
+    fn peer_count(&self) -> usize {
+        self.up.len()
     }
 }
 
-/// The simulation world: peers plus kernel, driven to completion by the
-/// test or experiment harness.
+/// The simulation world: one [`SansIo`] core per peer, each in its [`Des`]
+/// slot, plus the kernel that applies their effects. Build one with
+/// [`sansio_world`] and drive it to completion from the test or experiment
+/// harness.
 ///
 /// See the crate-level documentation for a complete example.
 #[derive(Debug)]
-pub struct World<P: Protocol> {
-    kernel: Kernel<P::Msg, P::Timer>,
-    peers: Vec<P>,
-    scratch: P::Scratch,
+pub struct World<S: Slot> {
+    kernel: Kernel<S::Core>,
+    peers: Vec<S>,
+    /// The effect buffer every activation fills and the world drains: one
+    /// per world, lent to whichever peer is executing.
+    scratch: EffectBuf<S::Core>,
     /// Schedule-exploration hook ([`ScheduleStrategy`]); `None` runs the
     /// classic FIFO tie-break with zero overhead.
     strategy: Option<Box<dyn ScheduleStrategy>>,
     /// Scratch for the strategy path's tied-at-minimum event batch,
     /// retained across pops so consulted scheduling stays allocation-free.
-    batch_scratch: Vec<Event<P::Msg, P::Timer>>,
+    batch_scratch: Vec<CoreEvent<S::Core>>,
     /// Scratch for the [`EventInfo`] view handed to the strategy.
     info_scratch: Vec<EventInfo>,
 }
 
-impl<P: Protocol> World<P> {
-    /// Creates a world with one protocol instance per peer, all up.
-    pub fn new(config: SimConfig, peers: Vec<P>) -> Self {
-        let n = peers.len();
-        let rng = DetRng::new(config.seed).derive(0x5157_0a11);
-        let faults_inert = config.faults.is_inert();
-        World {
-            kernel: Kernel {
-                now: SimTime::ZERO,
-                queue: EventQueue::new(),
-                metrics: Metrics::new(n),
-                rng,
-                config,
-                faults_inert,
-                next_send_seq: 0,
-                up: vec![true; n],
-                incarnation: vec![0; n],
-                cancelled_timers: HashSet::new(),
-                events_processed: 0,
-                sched_fingerprint: 0,
-                trace: None,
-                sink: EventSink::disabled(),
-            },
-            peers,
-            scratch: P::Scratch::default(),
-            strategy: None,
-            batch_scratch: Vec::new(),
-            info_scratch: Vec::new(),
-        }
+/// Builds a DES world over a population of sans-io cores, one per peer,
+/// all up.
+pub fn sansio_world<P: SansIo>(config: SimConfig, cores: Vec<P>) -> World<Des<P>> {
+    let peers: Vec<Des<P>> = cores.into_iter().map(Des::new).collect();
+    let n = peers.len();
+    let rng = DetRng::new(config.seed).derive(0x5157_0a11);
+    let faults_inert = config.faults.is_inert();
+    World {
+        kernel: Kernel {
+            now: SimTime::ZERO,
+            queue: EventQueue::new(),
+            metrics: Metrics::new(n),
+            rng,
+            config,
+            faults_inert,
+            next_send_seq: 0,
+            up: vec![true; n],
+            incarnation: vec![0; n],
+            cancelled_timers: HashSet::new(),
+            events_processed: 0,
+            sched_fingerprint: 0,
+            trace: None,
+            sink: EventSink::disabled(),
+        },
+        peers,
+        scratch: Vec::new(),
+        strategy: None,
+        batch_scratch: Vec::new(),
+        info_scratch: Vec::new(),
     }
+}
 
-    /// Schedules `on_start` for every up peer at the current time.
+impl<P: SansIo> World<Des<P>> {
+    /// Schedules a `Start` activation for every up peer at the current time.
     pub fn start(&mut self) {
         // One `Start` per up peer is the queue's high-water under a
         // constant latency (a peer's report replaces its `Start`).
@@ -426,18 +283,18 @@ impl<P: Protocol> World<P> {
         self.peers.len()
     }
 
-    /// Immutable view of a peer's protocol state.
-    pub fn peer(&self, id: PeerId) -> &P {
+    /// Immutable view of a peer's slot (its core through `Deref`).
+    pub fn peer(&self, id: PeerId) -> &Des<P> {
         &self.peers[id.index()]
     }
 
-    /// Mutable view of a peer's protocol state (driver-side mutation).
-    pub fn peer_mut(&mut self, id: PeerId) -> &mut P {
+    /// Mutable view of a peer's slot (driver-side mutation).
+    pub fn peer_mut(&mut self, id: PeerId) -> &mut Des<P> {
         &mut self.peers[id.index()]
     }
 
-    /// Iterates over all peer states.
-    pub fn peers(&self) -> impl Iterator<Item = &P> {
+    /// Iterates over all peer slots.
+    pub fn peers(&self) -> impl Iterator<Item = &Des<P>> {
         self.peers.iter()
     }
 
@@ -622,7 +479,7 @@ impl<P: Protocol> World<P> {
     /// Pops the next event to fire, consulting the installed strategy on
     /// the batch of events tied at the minimum pending time. With no
     /// strategy this is exactly `queue.pop()` gated on `bound`.
-    fn pop_scheduled(&mut self, bound: Option<SimTime>) -> Option<Event<P::Msg, P::Timer>> {
+    fn pop_scheduled(&mut self, bound: Option<SimTime>) -> Option<CoreEvent<P>> {
         if self.strategy.is_none() {
             let t = self.kernel.queue.peek_time()?;
             if bound.is_some_and(|b| t > b) {
@@ -721,14 +578,14 @@ impl<P: Protocol> World<P> {
                     if let Some(trace) = self.kernel.trace.as_mut() {
                         trace.record(ev.time, TraceKind::Deliver { from, to });
                     }
-                    self.with_peer(to, |peer, ctx| peer.on_message(ctx, from, msg));
+                    self.activate(to, NodeEvent::Message { from, msg });
                 } else {
                     self.kernel.metrics.record_drop();
                 }
             }
             EventKind::Timer {
                 peer,
-                tag,
+                tag: (token, tag),
                 incarnation,
             } => {
                 if self.kernel.cancelled_timers.remove(&ev.seq) {
@@ -743,12 +600,19 @@ impl<P: Protocol> World<P> {
                     if let Some(trace) = self.kernel.trace.as_mut() {
                         trace.record(ev.time, TraceKind::Timer { peer });
                     }
-                    self.with_peer(peer, |p, ctx| p.on_timer(ctx, tag));
+                    let timers = &mut self.peers[peer.index()].timers;
+                    if let Some(pos) = timers.iter().position(|&(t, _)| t == token) {
+                        timers.swap_remove(pos);
+                    }
+                    self.activate(peer, NodeEvent::Timer { tag });
                 }
             }
             EventKind::Start { peer } => {
                 if self.kernel.is_up(peer) {
-                    self.with_peer(peer, |p, ctx| p.on_start(ctx));
+                    // A revival invalidated every pre-crash timer (the
+                    // incarnation bump), so their token entries can go.
+                    self.peers[peer.index()].timers.clear();
+                    self.activate(peer, NodeEvent::Start);
                 }
             }
             EventKind::Kill { peer } => self.apply_kill(peer),
@@ -777,22 +641,65 @@ impl<P: Protocol> World<P> {
                 trace.record(self.kernel.now, TraceKind::Kill { peer });
             }
             self.kernel.up[peer.index()] = false;
-            self.peers[peer.index()].on_stop();
+            self.peers[peer.index()].node.on_stop();
         }
     }
 
-    /// Runs one handler of peer `id` on its state where it lies: the peer
-    /// vector, the kernel and the scratch are disjoint fields, so the
-    /// handler borrows all three at once and nothing is moved.
-    fn with_peer(&mut self, id: PeerId, f: impl FnOnce(&mut P, &mut Ctx<'_, P>)) {
-        let mut ctx = Ctx {
-            kernel: &mut self.kernel,
-            scratch: &mut self.scratch,
-            self_id: id,
-        };
-        f(&mut self.peers[id.index()], &mut ctx);
-        // A phase mark is scoped to one handler activation.
-        self.kernel.sink.clear_mark();
+    /// Runs one activation of peer `id`'s core where it lies and applies
+    /// its effects in emission order. The peer vector, the kernel and the
+    /// effect scratch are disjoint fields, so all three are borrowed at
+    /// once and nothing is moved.
+    fn activate(&mut self, id: PeerId, ev: NodeEvent<P::Msg, P::Timer>) {
+        let slot = &mut self.peers[id.index()];
+        let mut fx = Effects::from_parts(std::mem::take(&mut self.scratch), slot.next_token);
+        slot.node
+            .on_event(ev, self.kernel.now, &self.kernel, &mut fx);
+        let (mut buf, next_token) = fx.into_parts();
+        slot.next_token = next_token;
+        let kernel = &mut self.kernel;
+        for effect in buf.drain(..) {
+            match effect {
+                Effect::Send {
+                    to,
+                    msg,
+                    bytes,
+                    class,
+                } => {
+                    kernel.send(id, to, msg, bytes, class);
+                }
+                Effect::SetTimer { token, delay, tag } => {
+                    // The queue's monotone `seq` doubles as the timer id;
+                    // cancellation records the seq and the fire path
+                    // checks it.
+                    let seq = kernel.queue.push(
+                        kernel.now + delay,
+                        EventKind::Timer {
+                            peer: id,
+                            tag: (token, tag),
+                            incarnation: kernel.incarnation[id.index()],
+                        },
+                    );
+                    slot.timers.push((token, seq));
+                }
+                Effect::CancelTimer { token } => {
+                    // A token that already fired has no entry: a no-op.
+                    if let Some(pos) = slot.timers.iter().position(|&(t, _)| t == token) {
+                        let (_, seq) = slot.timers.swap_remove(pos);
+                        kernel.cancelled_timers.insert(seq);
+                    }
+                }
+                Effect::Charge { class, bytes } => {
+                    kernel.metrics.record_piggyback(id, class, bytes);
+                    kernel.sink.record_piggyback(id, class, bytes);
+                }
+                Effect::MarkPhase { label } => kernel.sink.mark(label),
+                Effect::Warn { label } => kernel.sink.warn(label),
+                Effect::Deliver(out) => slot.outputs.push(out),
+            }
+        }
+        self.scratch = buf;
+        // A phase mark is scoped to one activation.
+        kernel.sink.clear_mark();
     }
 }
 
@@ -800,45 +707,42 @@ impl<P: Protocol> World<P> {
 mod tests {
     use super::*;
 
-    /// Flood protocol: peer 0 broadcasts; everyone re-broadcasts once.
+    /// Flood protocol: the origin broadcasts; everyone re-broadcasts once.
     #[derive(Debug, Default)]
     struct Flood {
+        origin: bool,
         neighbors: Vec<PeerId>,
         seen: bool,
         stops: u32,
     }
 
-    impl Protocol for Flood {
+    impl SansIo for Flood {
         type Msg = ();
         type Timer = ();
-        type Scratch = ();
+        type Output = ();
 
-        fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
-            if ctx.self_id().index() == 0 && !self.seen {
+        fn on_event(
+            &mut self,
+            ev: NodeEvent<(), ()>,
+            _: SimTime,
+            _: &dyn Membership,
+            fx: &mut Effects<Self>,
+        ) {
+            let start = matches!(ev, NodeEvent::Start);
+            if !self.seen && (self.origin || !start) {
                 self.seen = true;
-                for &nb in &self.neighbors.clone() {
-                    ctx.send(nb, (), 4, MsgClass::DATA);
+                for &nb in &self.neighbors {
+                    fx.send(nb, (), 4, MsgClass::DATA);
                 }
             }
         }
-
-        fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, _from: PeerId, _msg: ()) {
-            if !self.seen {
-                self.seen = true;
-                for &nb in &self.neighbors.clone() {
-                    ctx.send(nb, (), 4, MsgClass::DATA);
-                }
-            }
-        }
-
-        fn on_timer(&mut self, _ctx: &mut Ctx<'_, Self>, _t: ()) {}
 
         fn on_stop(&mut self) {
             self.stops += 1;
         }
     }
 
-    fn line_world(n: usize) -> World<Flood> {
+    fn line_world(n: usize) -> World<Des<Flood>> {
         let peers = (0..n)
             .map(|i| {
                 let mut nb = Vec::new();
@@ -849,12 +753,13 @@ mod tests {
                     nb.push(PeerId::new(i + 1));
                 }
                 Flood {
+                    origin: i == 0,
                     neighbors: nb,
                     ..Default::default()
                 }
             })
             .collect();
-        World::new(SimConfig::default().with_seed(1), peers)
+        sansio_world(SimConfig::default().with_seed(1), peers)
     }
 
     #[test]
@@ -882,36 +787,29 @@ mod tests {
     /// leaf reports on start, an interior peer once every child has.
     #[derive(Debug)]
     struct Report {
+        parent: Option<PeerId>,
         waiting: usize,
     }
 
-    impl Report {
-        fn report(&self, ctx: &mut Ctx<'_, Self>) {
-            if let Some(below) = ctx.self_id().index().checked_sub(1) {
-                ctx.send(PeerId::new(below / 3), (), 4, MsgClass::DATA);
-            }
-        }
-    }
-
-    impl Protocol for Report {
+    impl SansIo for Report {
         type Msg = ();
         type Timer = ();
-        type Scratch = ();
+        type Output = ();
 
-        fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
-            if self.waiting == 0 {
-                self.report(ctx);
+        fn on_event(
+            &mut self,
+            ev: NodeEvent<(), ()>,
+            _: SimTime,
+            _: &dyn Membership,
+            fx: &mut Effects<Self>,
+        ) {
+            if let NodeEvent::Message { .. } = ev {
+                self.waiting -= 1;
+            }
+            if let (0, Some(parent)) = (self.waiting, self.parent) {
+                fx.send(parent, (), 4, MsgClass::DATA);
             }
         }
-
-        fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, _from: PeerId, _msg: ()) {
-            self.waiting -= 1;
-            if self.waiting == 0 {
-                self.report(ctx);
-            }
-        }
-
-        fn on_timer(&mut self, _ctx: &mut Ctx<'_, Self>, _t: ()) {}
     }
 
     #[test]
@@ -920,10 +818,11 @@ mod tests {
         const N: usize = 1_000;
         let peers = (0..N)
             .map(|i| Report {
+                parent: i.checked_sub(1).map(|below| PeerId::new(below / 3)),
                 waiting: (3 * i + 1..3 * i + 4).filter(|&c| c < N).count(),
             })
             .collect();
-        let mut w = World::new(SimConfig::default().with_seed(1), peers);
+        let mut w = sansio_world(SimConfig::default().with_seed(1), peers);
         w.start();
         let ring = w.kernel.queue.lane_capacity();
         assert!((N..N.next_power_of_two()).contains(&ring), "{ring} slots");
@@ -967,23 +866,29 @@ mod tests {
             fired: Option<SimTime>,
         }
 
-        impl Protocol for FarTimer {
+        impl SansIo for FarTimer {
             type Msg = ();
             type Timer = ();
-            type Scratch = ();
+            type Output = ();
 
-            fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
-                ctx.set_timer(Duration::from_micros(u64::MAX), ());
-            }
-
-            fn on_message(&mut self, _ctx: &mut Ctx<'_, Self>, _from: PeerId, _msg: ()) {}
-
-            fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, _t: ()) {
-                self.fired = Some(ctx.now());
+            fn on_event(
+                &mut self,
+                ev: NodeEvent<(), ()>,
+                now: SimTime,
+                _: &dyn Membership,
+                fx: &mut Effects<Self>,
+            ) {
+                match ev {
+                    NodeEvent::Start => {
+                        fx.set_timer(Duration::from_micros(u64::MAX), ());
+                    }
+                    NodeEvent::Timer { .. } => self.fired = Some(now),
+                    NodeEvent::Message { .. } => {}
+                }
             }
         }
 
-        let mut w = World::new(SimConfig::default().with_seed(1), vec![FarTimer::default()]);
+        let mut w = sansio_world(SimConfig::default().with_seed(1), vec![FarTimer::default()]);
         w.start();
         w.run_to_quiescence();
         assert_eq!(
@@ -1007,6 +912,7 @@ mod tests {
     fn drop_probability_one_loses_everything() {
         let peers = vec![
             Flood {
+                origin: true,
                 neighbors: vec![PeerId::new(1)],
                 ..Default::default()
             },
@@ -1015,8 +921,10 @@ mod tests {
                 ..Default::default()
             },
         ];
-        let mut w = World::new(
-            SimConfig::default().with_seed(2).with_drop_probability(1.0),
+        let mut w = sansio_world(
+            SimConfig::default()
+                .with_seed(2)
+                .with_faults(FaultPlan::none().with_drop(1.0)),
             peers,
         );
         w.start();
@@ -1027,43 +935,75 @@ mod tests {
         assert_eq!(w.metrics().dropped_messages(), 1);
     }
 
-    /// Ticker protocol used to exercise timers and cancellation.
+    /// Ticker protocol used to exercise timers and cancellation: timer 1
+    /// cancels timer 2. Optionally it also arms and cancels a timer 4 in
+    /// its start activation, and cancels timer 1 again after it fired.
     #[derive(Debug, Default)]
     struct Ticker {
+        cancel_in_same_activation: bool,
+        cancel_after_firing: bool,
         fired: Vec<u32>,
-        cancel_next: Option<TimerId>,
+        first: Option<TimerToken>,
+        cancel_next: Option<TimerToken>,
     }
 
-    impl Protocol for Ticker {
+    impl SansIo for Ticker {
         type Msg = ();
         type Timer = u32;
-        type Scratch = ();
+        type Output = ();
 
-        fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
-            ctx.set_timer(Duration::from_millis(1), 1);
-            let id = ctx.set_timer(Duration::from_millis(2), 2);
-            ctx.set_timer(Duration::from_millis(3), 3);
-            self.cancel_next = Some(id);
-        }
-
-        fn on_message(&mut self, _ctx: &mut Ctx<'_, Self>, _f: PeerId, _m: ()) {}
-
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, tag: u32) {
-            if tag == 1 {
-                if let Some(id) = self.cancel_next.take() {
-                    ctx.cancel_timer(id);
+        fn on_event(
+            &mut self,
+            ev: NodeEvent<(), u32>,
+            _: SimTime,
+            _: &dyn Membership,
+            fx: &mut Effects<Self>,
+        ) {
+            match ev {
+                NodeEvent::Start => {
+                    self.first = Some(fx.set_timer(Duration::from_millis(1), 1));
+                    let id = fx.set_timer(Duration::from_millis(2), 2);
+                    fx.set_timer(Duration::from_millis(3), 3);
+                    self.cancel_next = Some(id);
+                    if self.cancel_in_same_activation {
+                        let doomed = fx.set_timer(Duration::from_millis(1), 4);
+                        fx.cancel_timer(doomed);
+                    }
                 }
+                NodeEvent::Timer { tag } => {
+                    if tag == 1 {
+                        if let Some(id) = self.cancel_next.take() {
+                            fx.cancel_timer(id);
+                        }
+                        if self.cancel_after_firing {
+                            fx.cancel_timer(self.first.expect("armed at start"));
+                        }
+                    }
+                    self.fired.push(tag);
+                }
+                NodeEvent::Message { .. } => {}
             }
-            self.fired.push(tag);
         }
     }
 
     #[test]
     fn timers_fire_in_order_and_cancel_works() {
-        let mut w = World::new(SimConfig::default().with_seed(3), vec![Ticker::default()]);
-        w.start();
-        w.run_to_quiescence();
-        assert_eq!(w.peer(PeerId::new(0)).fired, vec![1, 3]);
+        for (cancel_in_same_activation, cancel_after_firing) in
+            [(false, false), (true, false), (false, true)]
+        {
+            let ticker = Ticker {
+                cancel_in_same_activation,
+                cancel_after_firing,
+                ..Ticker::default()
+            };
+            let mut w = sansio_world(SimConfig::default().with_seed(3), vec![ticker]);
+            w.start();
+            w.run_to_quiescence();
+            assert_eq!(w.peer(PeerId::new(0)).fired, vec![1, 3]);
+            // Every cancellation was consumed by its timer's fire path; a
+            // cancel of a fired token recorded nothing to leak.
+            assert!(w.kernel.cancelled_timers.is_empty());
+        }
     }
 
     /// Arms one long timer per incarnation; records which fired.
@@ -1073,27 +1013,34 @@ mod tests {
         fired: Vec<u32>,
     }
 
-    impl Protocol for Generations {
+    impl SansIo for Generations {
         type Msg = ();
         type Timer = u32;
-        type Scratch = ();
+        type Output = ();
 
-        fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
-            self.starts += 1;
-            // A tag unique to this incarnation, fired well in the future.
-            ctx.set_timer(Duration::from_secs(5), self.starts);
-        }
-
-        fn on_message(&mut self, _ctx: &mut Ctx<'_, Self>, _f: PeerId, _m: ()) {}
-
-        fn on_timer(&mut self, _ctx: &mut Ctx<'_, Self>, tag: u32) {
-            self.fired.push(tag);
+        fn on_event(
+            &mut self,
+            ev: NodeEvent<(), u32>,
+            _: SimTime,
+            _: &dyn Membership,
+            fx: &mut Effects<Self>,
+        ) {
+            match ev {
+                NodeEvent::Start => {
+                    self.starts += 1;
+                    // A tag unique to this incarnation, fired well in the
+                    // future.
+                    fx.set_timer(Duration::from_secs(5), self.starts);
+                }
+                NodeEvent::Timer { tag } => self.fired.push(tag),
+                NodeEvent::Message { .. } => {}
+            }
         }
     }
 
     #[test]
     fn timer_from_a_previous_incarnation_never_fires_after_revival() {
-        let mut w = World::new(
+        let mut w = sansio_world(
             SimConfig::default().with_seed(6),
             vec![Generations::default()],
         );
@@ -1119,7 +1066,7 @@ mod tests {
         // Kill before the timer's due time, revive after it: the fire
         // lands during downtime and is dropped by the liveness check, as
         // before the generation stamp existed.
-        let mut w = World::new(
+        let mut w = sansio_world(
             SimConfig::default().with_seed(7),
             vec![Generations::default()],
         );
@@ -1133,7 +1080,7 @@ mod tests {
 
     #[test]
     fn run_until_advances_clock_exactly() {
-        let mut w = World::new(SimConfig::default().with_seed(4), vec![Ticker::default()]);
+        let mut w = sansio_world(SimConfig::default().with_seed(4), vec![Ticker::default()]);
         w.start();
         w.run_until(SimTime::from_micros(1_500));
         assert_eq!(w.now(), SimTime::from_micros(1_500));
@@ -1210,40 +1157,52 @@ mod tests {
     }
 
     /// Protocol that marks its handler phase before sending.
-    #[derive(Debug, Default)]
+    #[derive(Debug)]
     struct Marked {
+        id: PeerId,
         got: bool,
     }
 
-    impl Protocol for Marked {
+    /// Peers 0 and 1 of a [`Marked`] pair.
+    fn marked_pair() -> Vec<Marked> {
+        (0..2)
+            .map(|i| Marked {
+                id: PeerId::new(i),
+                got: false,
+            })
+            .collect()
+    }
+
+    impl SansIo for Marked {
         type Msg = ();
         type Timer = ();
-        type Scratch = ();
+        type Output = ();
 
-        fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
-            if ctx.self_id().index() == 0 {
-                ctx.mark_phase("probe");
-                ctx.send(PeerId::new(1), (), 7, MsgClass::CONTROL);
+        fn on_event(
+            &mut self,
+            ev: NodeEvent<(), ()>,
+            _: SimTime,
+            _: &dyn Membership,
+            fx: &mut Effects<Self>,
+        ) {
+            match ev {
+                NodeEvent::Start if self.id.index() == 0 => {
+                    fx.mark_phase("probe");
+                    fx.send(PeerId::new(1), (), 7, MsgClass::CONTROL);
+                }
+                // The mark from peer 0's handler must not leak into this one.
+                NodeEvent::Message { .. } if self.id.index() == 1 && !self.got => {
+                    self.got = true;
+                    fx.send(PeerId::new(0), (), 3, MsgClass::CONTROL);
+                }
+                _ => {}
             }
         }
-
-        fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, _f: PeerId, _m: ()) {
-            // The mark from peer 0's handler must not leak into this one.
-            if ctx.self_id().index() == 1 && !self.got {
-                self.got = true;
-                ctx.send(PeerId::new(0), (), 3, MsgClass::CONTROL);
-            }
-        }
-
-        fn on_timer(&mut self, _ctx: &mut Ctx<'_, Self>, _t: ()) {}
     }
 
     #[test]
     fn handler_marks_scope_to_one_activation() {
-        let mut w = World::new(
-            SimConfig::default().with_seed(9),
-            vec![Marked::default(), Marked::default()],
-        );
+        let mut w = sansio_world(SimConfig::default().with_seed(9), marked_pair());
         w.enable_metrics_sink();
         w.start();
         w.run_to_quiescence();
@@ -1261,8 +1220,8 @@ mod tests {
         let peers = vec![Flood::default(), Flood::default(), Flood::default()];
         let cfg = SimConfig::default()
             .with_seed(11)
-            .with_faults(crate::fault::FaultPlan::none().with_scheduled_drops([0]));
-        let mut w = World::new(cfg, peers);
+            .with_faults(FaultPlan::none().with_scheduled_drops([0]));
+        let mut w = sansio_world(cfg, peers);
         let first = w.inject(PeerId::new(0), PeerId::new(1), (), 4, MsgClass::DATA);
         let second = w.inject(PeerId::new(0), PeerId::new(2), (), 4, MsgClass::DATA);
         assert_eq!((first, second), (0, 1));
@@ -1283,8 +1242,8 @@ mod tests {
         ];
         let cfg = SimConfig::default()
             .with_seed(12)
-            .with_faults(crate::fault::FaultPlan::none().with_duplication(1.0));
-        let mut w = World::new(cfg, peers);
+            .with_faults(FaultPlan::none().with_duplication(1.0));
+        let mut w = sansio_world(cfg, peers);
         w.inject(PeerId::new(0), PeerId::new(1), (), 4, MsgClass::DATA);
         w.run_to_quiescence();
         // One send on the books, two deliveries on the wire.
@@ -1297,8 +1256,8 @@ mod tests {
         let peers = vec![Flood::default(), Flood::default()];
         let cfg = SimConfig::default()
             .with_seed(13)
-            .with_faults(crate::fault::FaultPlan::none().with_class_drop(MsgClass::CONTROL, 1.0));
-        let mut w = World::new(cfg, peers);
+            .with_faults(FaultPlan::none().with_class_drop(MsgClass::CONTROL, 1.0));
+        let mut w = sansio_world(cfg, peers);
         w.inject(PeerId::new(0), PeerId::new(1), (), 4, MsgClass::CONTROL);
         w.inject(PeerId::new(0), PeerId::new(1), (), 4, MsgClass::DATA);
         w.run_to_quiescence();
@@ -1319,8 +1278,8 @@ mod tests {
         let spike = Duration::from_secs(1);
         let cfg = SimConfig::default()
             .with_seed(14)
-            .with_faults(crate::fault::FaultPlan::none().with_delay_spikes(1.0, spike));
-        let mut w = World::new(cfg, peers);
+            .with_faults(FaultPlan::none().with_delay_spikes(1.0, spike));
+        let mut w = sansio_world(cfg, peers);
         w.inject(PeerId::new(0), PeerId::new(1), (), 4, MsgClass::DATA);
         let t = w.run_to_quiescence();
         // Default constant latency 50 ms plus the guaranteed 1 s spike.
@@ -1337,7 +1296,7 @@ mod tests {
                 ..Default::default()
             },
         ];
-        let mut w = World::new(SimConfig::default().with_seed(5), peers);
+        let mut w = sansio_world(SimConfig::default().with_seed(5), peers);
         w.inject(PeerId::new(0), PeerId::new(1), (), 16, MsgClass::CONTROL);
         w.run_to_quiescence();
         assert!(w.peer(PeerId::new(1)).seen);
@@ -1350,22 +1309,28 @@ mod tests {
         got: Vec<u8>,
     }
 
-    impl Protocol for Recorder {
+    impl SansIo for Recorder {
         type Msg = u8;
         type Timer = ();
-        type Scratch = ();
+        type Output = ();
 
-        fn on_message(&mut self, _ctx: &mut Ctx<'_, Self>, _f: PeerId, m: u8) {
-            self.got.push(m);
+        fn on_event(
+            &mut self,
+            ev: NodeEvent<u8, ()>,
+            _: SimTime,
+            _: &dyn Membership,
+            _: &mut Effects<Self>,
+        ) {
+            if let NodeEvent::Message { msg, .. } = ev {
+                self.got.push(msg);
+            }
         }
-
-        fn on_timer(&mut self, _ctx: &mut Ctx<'_, Self>, _t: ()) {}
     }
 
-    fn two_simultaneous(strategy: Option<Box<dyn ScheduleStrategy>>) -> World<Recorder> {
+    fn two_simultaneous(strategy: Option<Box<dyn ScheduleStrategy>>) -> World<Des<Recorder>> {
         // Two injected messages with identical (constant) latency: they tie
         // at the same delivery time and FIFO order is payload order.
-        let mut w = World::new(
+        let mut w = sansio_world(
             SimConfig::default().with_seed(21),
             vec![Recorder::default(), Recorder::default()],
         );
@@ -1455,7 +1420,7 @@ mod tests {
     #[test]
     fn delay_degrades_to_take_for_timers() {
         let run = |strategy: Option<Box<dyn ScheduleStrategy>>| {
-            let mut w = World::new(SimConfig::default().with_seed(3), vec![Ticker::default()]);
+            let mut w = sansio_world(SimConfig::default().with_seed(3), vec![Ticker::default()]);
             if let Some(s) = strategy {
                 w.install_strategy(s);
             }
@@ -1481,10 +1446,7 @@ mod tests {
 
     #[test]
     fn reset_metrics_clears_sink_phases_and_marks() {
-        let mut w = World::new(
-            SimConfig::default().with_seed(9),
-            vec![Marked::default(), Marked::default()],
-        );
+        let mut w = sansio_world(SimConfig::default().with_seed(9), marked_pair());
         w.enable_metrics_sink();
         w.start();
         w.run_to_quiescence();

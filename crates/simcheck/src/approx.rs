@@ -40,7 +40,7 @@
 //! [`ThresholdSoundnessOracle`]: crate::oracle::ThresholdSoundnessOracle
 
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::{Des, Duration, FaultPlan, PeerId, RelConfig, SimConfig, SimTime};
+use ifi_sim::{Duration, FaultPlan, PeerId, RelConfig, SimConfig, SimTime};
 use ifi_workload::{GroundTruth, ItemId, SystemData};
 use netfilter::local_threshold::{LocalThresholdConfig, LocalThresholdProtocol};
 use netfilter::sketch::{SketchConfig, SketchProtocol};
@@ -122,7 +122,7 @@ fn sketch_clean(seed: u64) -> Case {
         w.enable_trace(64);
         w
     };
-    let oracles = move || -> Vec<Box<dyn Oracle<Des<SketchProtocol>>>> {
+    let oracles = move || -> Vec<Box<dyn Oracle<SketchProtocol>>> {
         vec![Box::new(EpsilonBoundOracle {
             root,
             truth: truth.clone(),
@@ -159,7 +159,7 @@ fn sketch_overclaim(seed: u64) -> Case {
         w.enable_trace(64);
         w
     };
-    let oracles = move || -> Vec<Box<dyn Oracle<Des<SketchProtocol>>>> {
+    let oracles = move || -> Vec<Box<dyn Oracle<SketchProtocol>>> {
         vec![Box::new(EpsilonBoundOracle {
             root,
             truth: truth.clone(),
@@ -200,7 +200,7 @@ fn topk_clean(seed: u64) -> Case {
         w.enable_trace(64);
         w
     };
-    let oracles = move || -> Vec<Box<dyn Oracle<Des<TopKProtocol>>>> {
+    let oracles = move || -> Vec<Box<dyn Oracle<TopKProtocol>>> {
         vec![Box::new(TopKRecallOracle {
             root,
             truth: truth.clone(),
@@ -236,7 +236,7 @@ fn topk_starved(seed: u64) -> Case {
         w.enable_trace(64);
         w
     };
-    let oracles = move || -> Vec<Box<dyn Oracle<Des<TopKProtocol>>>> {
+    let oracles = move || -> Vec<Box<dyn Oracle<TopKProtocol>>> {
         vec![Box::new(TopKRecallOracle {
             root,
             truth: truth.clone(),
@@ -278,7 +278,7 @@ fn threshold_clean(seed: u64) -> Case {
         w.enable_trace(64);
         w
     };
-    let oracles = move || -> Vec<Box<dyn Oracle<Des<LocalThresholdProtocol>>>> {
+    let oracles = move || -> Vec<Box<dyn Oracle<LocalThresholdProtocol>>> {
         vec![Box::new(ThresholdSoundnessOracle { root, truth_value })]
     };
     make_case(
@@ -320,7 +320,7 @@ fn threshold_optimist(seed: u64) -> Case {
         w.enable_trace(64);
         w
     };
-    let oracles = move || -> Vec<Box<dyn Oracle<Des<LocalThresholdProtocol>>>> {
+    let oracles = move || -> Vec<Box<dyn Oracle<LocalThresholdProtocol>>> {
         vec![Box::new(ThresholdSoundnessOracle { root, truth_value })]
     };
     make_case(

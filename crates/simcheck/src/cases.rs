@@ -36,7 +36,7 @@ use std::rc::Rc;
 use ifi_hierarchy::{Hierarchy, MaintainProtocol};
 use ifi_overlay::{HeartbeatConfig, Topology};
 use ifi_sim::{
-    sansio_world, Des, Duration, FaultPlan, PeerId, Protocol, RelConfig, SimConfig, SimTime, World,
+    sansio_world, Des, Duration, FaultPlan, PeerId, RelConfig, SansIo, SimConfig, SimTime, World,
 };
 use ifi_workload::{GroundTruth, SystemData, WorkloadParams};
 use netfilter::protocol::NetFilterProtocol;
@@ -103,8 +103,8 @@ pub(crate) fn make_case<P, B, O>(
     oracles: O,
 ) -> Case
 where
-    P: Protocol + 'static,
-    B: Fn(&[u64]) -> World<P> + 'static,
+    P: SansIo + 'static,
+    B: Fn(&[u64]) -> World<Des<P>> + 'static,
     O: Fn() -> Vec<Box<dyn Oracle<P>>> + 'static,
 {
     let build = Rc::new(build);
@@ -187,7 +187,7 @@ fn netfilter_clean(seed: u64) -> Case {
         w.enable_trace(64);
         w
     };
-    let oracles = move || -> Vec<Box<dyn Oracle<Des<NetFilterProtocol>>>> {
+    let oracles = move || -> Vec<Box<dyn Oracle<NetFilterProtocol>>> {
         vec![
             Box::new(ExactnessOracle {
                 root,
@@ -245,7 +245,7 @@ fn resilient_case(
         w.enable_trace(64);
         w
     };
-    let oracles = move || -> Vec<Box<dyn Oracle<Des<ResilientProtocol>>>> {
+    let oracles = move || -> Vec<Box<dyn Oracle<ResilientProtocol>>> {
         vec![
             Box::new(EpochFenceOracle::new()),
             Box::new(NoInflationOracle {
@@ -333,7 +333,7 @@ fn maintain_case(
         w.enable_trace(64);
         w
     };
-    let oracles = move || -> Vec<Box<dyn Oracle<Des<MaintainProtocol>>>> {
+    let oracles = move || -> Vec<Box<dyn Oracle<MaintainProtocol>>> {
         vec![Box::new(TreeOracle {
             topology: topo2.clone(),
             root,

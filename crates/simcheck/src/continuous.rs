@@ -27,7 +27,7 @@
 //! [`WindowConsistencyOracle`]: crate::oracle::WindowConsistencyOracle
 
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::{sansio_world, Des, Duration, FaultPlan, PeerId, RelConfig, SimConfig, SimTime};
+use ifi_sim::{sansio_world, Duration, FaultPlan, PeerId, RelConfig, SimConfig, SimTime};
 use netfilter::continuous::{
     schedule_from_data, ContinuousConfig, ContinuousProtocol, QueryRegistry, StandingQuery,
 };
@@ -148,7 +148,7 @@ fn continuous_clean(seed: u64) -> Case {
         w
     };
     let oracles =
-        move || -> Vec<Box<dyn Oracle<Des<ContinuousProtocol>>>> { vec![Box::new(ora.clone())] };
+        move || -> Vec<Box<dyn Oracle<ContinuousProtocol>>> { vec![Box::new(ora.clone())] };
     make_case(
         "continuous-clean",
         "continuous",
@@ -185,7 +185,7 @@ fn continuous_dropped_retirements(seed: u64) -> Case {
         w
     };
     let oracles =
-        move || -> Vec<Box<dyn Oracle<Des<ContinuousProtocol>>>> { vec![Box::new(ora.clone())] };
+        move || -> Vec<Box<dyn Oracle<ContinuousProtocol>>> { vec![Box::new(ora.clone())] };
     make_case(
         "bug-continuous-dropped-retirements",
         "continuous",

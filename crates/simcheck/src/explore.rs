@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
-use ifi_sim::{DetRng, Duration, Protocol, ScheduleDecision, ScheduleStrategy, SimTime, World};
+use ifi_sim::{Des, DetRng, Duration, SansIo, ScheduleDecision, ScheduleStrategy, SimTime, World};
 
 use crate::oracle::{Checkpoint, Oracle, Violation};
 use crate::strategy::{DecisionLog, RandomStrategy, ReplayStrategy, StrategyKnobs};
@@ -151,8 +151,8 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 /// plan), install `strategy`, drive to quiescence or the horizon with
 /// interval checkpoints, then run the end checkpoint. Returns the
 /// schedule fingerprint on success.
-pub fn run_one<P: Protocol>(
-    build: &dyn Fn(&[u64]) -> World<P>,
+pub fn run_one<P: SansIo>(
+    build: &dyn Fn(&[u64]) -> World<Des<P>>,
     oracles: &dyn Fn() -> Vec<Box<dyn Oracle<P>>>,
     cfg: &ExploreConfig,
     strategy: Option<Box<dyn ScheduleStrategy>>,
@@ -165,7 +165,7 @@ pub fn run_one<P: Protocol>(
         }
         world.start();
         let mut oracles = oracles();
-        let fail = |world: &World<P>, oracle: &'static str, detail: String| Violation {
+        let fail = |world: &World<Des<P>>, oracle: &'static str, detail: String| Violation {
             oracle: oracle.into(),
             detail,
             trace: world
@@ -222,9 +222,9 @@ fn gen_drops(rng: &mut DetRng, cfg: &ExploreConfig) -> Vec<u64> {
 
 /// Explores `cfg.trials` schedules; stops and shrinks at the first
 /// violation.
-pub fn explore<P: Protocol>(
+pub fn explore<P: SansIo>(
     cfg: &ExploreConfig,
-    build: &dyn Fn(&[u64]) -> World<P>,
+    build: &dyn Fn(&[u64]) -> World<Des<P>>,
     oracles: &dyn Fn() -> Vec<Box<dyn Oracle<P>>>,
 ) -> ExploreReport {
     let _quiet = QuietPanics::install();
@@ -275,9 +275,9 @@ pub fn explore<P: Protocol>(
 
 /// Replays a recorded perturbation exactly; returns the violation it
 /// reproduces, or `None` if the run is clean.
-pub fn replay<P: Protocol>(
+pub fn replay<P: SansIo>(
     cfg: &ExploreConfig,
-    build: &dyn Fn(&[u64]) -> World<P>,
+    build: &dyn Fn(&[u64]) -> World<Des<P>>,
     oracles: &dyn Fn() -> Vec<Box<dyn Oracle<P>>>,
     pert: &Perturbation,
 ) -> Option<Violation> {
@@ -296,42 +296,51 @@ pub fn replay<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ifi_sim::{Ctx, FaultPlan, MsgClass, PeerId, SimConfig};
+    use ifi_sim::{
+        sansio_world, Effects, FaultPlan, Membership, MsgClass, NodeEvent, PeerId, SimConfig,
+    };
 
     /// A chatty ring: every peer forwards a hop counter around the ring a
     /// fixed number of times. Plenty of deliveries, then quiescence.
     #[derive(Debug, Clone)]
     struct Ring {
-        n: usize,
+        next: PeerId,
         hops: u32,
     }
 
-    impl Protocol for Ring {
+    impl SansIo for Ring {
         type Msg = u32;
         type Timer = ();
-        type Scratch = ();
+        type Output = ();
 
-        fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
-            let next = PeerId::new((ctx.self_id().index() + 1) % self.n);
-            ctx.send(next, self.hops, 16, MsgClass::CONTROL);
-        }
-
-        fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, _from: PeerId, msg: u32) {
-            if msg > 0 {
-                let next = PeerId::new((ctx.self_id().index() + 1) % self.n);
-                ctx.send(next, msg - 1, 16, MsgClass::CONTROL);
+        fn on_event(
+            &mut self,
+            ev: NodeEvent<u32, ()>,
+            _: SimTime,
+            _: &dyn Membership,
+            fx: &mut Effects<Self>,
+        ) {
+            match ev {
+                NodeEvent::Start => fx.send(self.next, self.hops, 16, MsgClass::CONTROL),
+                NodeEvent::Message { msg, .. } if msg > 0 => {
+                    fx.send(self.next, msg - 1, 16, MsgClass::CONTROL)
+                }
+                _ => {}
             }
         }
-
-        fn on_timer(&mut self, _ctx: &mut Ctx<'_, Self>, _t: ()) {}
     }
 
-    fn ring_world(seed: u64, drops: &[u64]) -> World<Ring> {
-        let peers = (0..4).map(|_| Ring { n: 4, hops: 12 }).collect();
+    fn ring_world(seed: u64, drops: &[u64]) -> World<Des<Ring>> {
+        let peers = (0..4)
+            .map(|i| Ring {
+                next: PeerId::new((i + 1) % 4),
+                hops: 12,
+            })
+            .collect();
         let sim = SimConfig::default()
             .with_seed(seed)
             .with_faults(FaultPlan::none().with_scheduled_drops(drops.iter().copied()));
-        World::new(sim, peers)
+        sansio_world(sim, peers)
     }
 
     /// An oracle that tolerates anything except dropped messages — used
@@ -343,7 +352,7 @@ mod tests {
             "no-drops"
         }
 
-        fn check(&mut self, world: &World<Ring>, _at: Checkpoint) -> Result<(), String> {
+        fn check(&mut self, world: &World<Des<Ring>>, _at: Checkpoint) -> Result<(), String> {
             let d = world.metrics().dropped_messages();
             if d > 0 {
                 Err(format!("{d} messages dropped"))
@@ -360,7 +369,7 @@ mod tests {
             "always-ok"
         }
 
-        fn check(&mut self, _world: &World<Ring>, _at: Checkpoint) -> Result<(), String> {
+        fn check(&mut self, _world: &World<Des<Ring>>, _at: Checkpoint) -> Result<(), String> {
             Ok(())
         }
     }

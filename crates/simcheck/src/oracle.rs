@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use ifi_hierarchy::{Hierarchy, MaintainProtocol};
 use ifi_overlay::Topology;
-use ifi_sim::{Des, PeerId, Protocol, World};
+use ifi_sim::{Des, PeerId, SansIo, World};
 use ifi_workload::{GroundTruth, ItemId};
 use netfilter::continuous::{window_totals_from_scratch, ContinuousProtocol};
 use netfilter::local_threshold::LocalThresholdProtocol;
@@ -42,14 +42,14 @@ pub struct Violation {
     pub trace: Vec<String>,
 }
 
-/// An invariant over a `World<P>`, checked at interval and end
+/// An invariant over a `World<Des<P>>`, checked at interval and end
 /// checkpoints. Implementations may carry state across checkpoints (e.g.
 /// the epoch-fence oracle remembers the last epoch seen per peer).
-pub trait Oracle<P: Protocol> {
+pub trait Oracle<P: SansIo> {
     /// Stable oracle name, used in artifacts and expectations.
     fn name(&self) -> &'static str;
     /// Checks the invariant; `Err` describes the first violation.
-    fn check(&mut self, world: &World<P>, at: Checkpoint) -> Result<(), String>;
+    fn check(&mut self, world: &World<Des<P>>, at: Checkpoint) -> Result<(), String>;
 }
 
 /// netFilter exactness: at the end of the run the root must hold exactly
@@ -62,7 +62,7 @@ pub struct ExactnessOracle {
     pub expected: Vec<(ItemId, u64)>,
 }
 
-impl Oracle<Des<NetFilterProtocol>> for ExactnessOracle {
+impl Oracle<NetFilterProtocol> for ExactnessOracle {
     fn name(&self) -> &'static str {
         "exactness"
     }
@@ -96,7 +96,7 @@ pub struct CostOracle {
     pub cost: CostBreakdown,
 }
 
-impl Oracle<Des<NetFilterProtocol>> for CostOracle {
+impl Oracle<NetFilterProtocol> for CostOracle {
     fn name(&self) -> &'static str {
         "cost-reconcile"
     }
@@ -129,7 +129,7 @@ pub struct TreeOracle {
     pub root: PeerId,
 }
 
-impl Oracle<Des<MaintainProtocol>> for TreeOracle {
+impl Oracle<MaintainProtocol> for TreeOracle {
     fn name(&self) -> &'static str {
         "tree"
     }
@@ -225,7 +225,7 @@ impl EpochFenceOracle {
     }
 }
 
-impl Oracle<Des<ResilientProtocol>> for EpochFenceOracle {
+impl Oracle<ResilientProtocol> for EpochFenceOracle {
     fn name(&self) -> &'static str {
         "epoch-fence"
     }
@@ -259,7 +259,7 @@ pub struct NoInflationOracle {
     pub truth: GroundTruth,
 }
 
-impl Oracle<Des<ResilientProtocol>> for NoInflationOracle {
+impl Oracle<ResilientProtocol> for NoInflationOracle {
     fn name(&self) -> &'static str {
         "no-inflation"
     }
@@ -295,7 +295,7 @@ pub struct CensusSoundnessOracle {
     pub expected: Vec<(ItemId, u64)>,
 }
 
-impl Oracle<Des<ResilientProtocol>> for CensusSoundnessOracle {
+impl Oracle<ResilientProtocol> for CensusSoundnessOracle {
     fn name(&self) -> &'static str {
         "census-soundness"
     }
@@ -343,7 +343,7 @@ pub struct EpsilonBoundOracle {
     pub claimed_epsilon: f64,
 }
 
-impl Oracle<Des<SketchProtocol>> for EpsilonBoundOracle {
+impl Oracle<SketchProtocol> for EpsilonBoundOracle {
     fn name(&self) -> &'static str {
         "epsilon-bound"
     }
@@ -402,7 +402,7 @@ pub struct TopKRecallOracle {
     pub claimed_recall: f64,
 }
 
-impl Oracle<Des<TopKProtocol>> for TopKRecallOracle {
+impl Oracle<TopKProtocol> for TopKRecallOracle {
     fn name(&self) -> &'static str {
         "topk-recall"
     }
@@ -475,7 +475,7 @@ pub struct WindowConsistencyOracle {
     pub thresholds: Vec<u64>,
 }
 
-impl Oracle<Des<ContinuousProtocol>> for WindowConsistencyOracle {
+impl Oracle<ContinuousProtocol> for WindowConsistencyOracle {
     fn name(&self) -> &'static str {
         "window-consistency"
     }
@@ -552,7 +552,7 @@ pub struct ThresholdSoundnessOracle {
     pub truth_value: u64,
 }
 
-impl Oracle<Des<LocalThresholdProtocol>> for ThresholdSoundnessOracle {
+impl Oracle<LocalThresholdProtocol> for ThresholdSoundnessOracle {
     fn name(&self) -> &'static str {
         "threshold-soundness"
     }

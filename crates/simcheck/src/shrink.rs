@@ -11,19 +11,19 @@
 //! accepted candidate has been verified by an actual replay, so the
 //! result is a true repro by construction.
 
-use ifi_sim::{Protocol, World};
+use ifi_sim::{Des, SansIo, World};
 
 use crate::explore::{replay, ExploreConfig, Perturbation};
 use crate::oracle::{Oracle, Violation};
 
-struct Shrinker<'a, P: Protocol> {
+struct Shrinker<'a, P: SansIo> {
     cfg: &'a ExploreConfig,
-    build: &'a dyn Fn(&[u64]) -> World<P>,
+    build: &'a dyn Fn(&[u64]) -> World<Des<P>>,
     oracles: &'a dyn Fn() -> Vec<Box<dyn Oracle<P>>>,
     attempts: usize,
 }
 
-impl<P: Protocol> Shrinker<'_, P> {
+impl<P: SansIo> Shrinker<'_, P> {
     fn out_of_budget(&self) -> bool {
         self.attempts >= self.cfg.shrink_budget
     }
@@ -82,9 +82,9 @@ impl<P: Protocol> Shrinker<'_, P> {
 /// violation it reproduces. `violation` is the one originally observed;
 /// it is returned unchanged if no smaller repro exists (or the empty
 /// perturbation already violates — a schedule-independent bug).
-pub fn shrink<P: Protocol>(
+pub fn shrink<P: SansIo>(
     cfg: &ExploreConfig,
-    build: &dyn Fn(&[u64]) -> World<P>,
+    build: &dyn Fn(&[u64]) -> World<Des<P>>,
     oracles: &dyn Fn() -> Vec<Box<dyn Oracle<P>>>,
     pert: &Perturbation,
     violation: Violation,

@@ -5,7 +5,10 @@
 //! change its answer.
 
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::{Ctx, EventSink, MsgClass, PeerId, Protocol, SimConfig, World};
+use ifi_sim::{
+    sansio_world, Effects, EventSink, Membership, MsgClass, NodeEvent, PeerId, SansIo, SimConfig,
+    SimTime,
+};
 use ifi_workload::{SystemData, WorkloadParams};
 use netfilter::{NetFilter, NetFilterConfig, Threshold};
 use proptest::prelude::*;
@@ -96,29 +99,35 @@ proptest! {
 
 /// Two-peer probe whose handlers tag their traffic with distinct phase
 /// marks, so a stale mark from before a reset is visible in the report.
-#[derive(Debug, Default)]
-struct MarkedProbe;
+#[derive(Debug)]
+struct MarkedProbe {
+    id: PeerId,
+}
 
-impl Protocol for MarkedProbe {
+impl SansIo for MarkedProbe {
     type Msg = u8;
     type Timer = ();
-    type Scratch = ();
+    type Output = ();
 
-    fn on_start(&mut self, ctx: &mut Ctx<'_, Self>) {
-        if ctx.self_id().index() == 0 {
-            ctx.mark_phase("warmup");
-            ctx.send(PeerId::new(1), 1, 11, MsgClass::CONTROL);
+    fn on_event(
+        &mut self,
+        ev: NodeEvent<u8, ()>,
+        _: SimTime,
+        _: &dyn Membership,
+        fx: &mut Effects<Self>,
+    ) {
+        match ev {
+            NodeEvent::Start if self.id.index() == 0 => {
+                fx.mark_phase("warmup");
+                fx.send(PeerId::new(1), 1, 11, MsgClass::CONTROL);
+            }
+            NodeEvent::Message { msg: 2, .. } => {
+                fx.mark_phase("measured");
+                fx.send(PeerId::new(0), 3, 7, MsgClass::DATA);
+            }
+            _ => {}
         }
     }
-
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Self>, _from: PeerId, msg: u8) {
-        if msg == 2 {
-            ctx.mark_phase("measured");
-            ctx.send(PeerId::new(0), 3, 7, MsgClass::DATA);
-        }
-    }
-
-    fn on_timer(&mut self, _ctx: &mut Ctx<'_, Self>, _t: ()) {}
 }
 
 /// Regression: `World::reset_metrics` used to reset byte counters but not
@@ -128,10 +137,8 @@ impl Protocol for MarkedProbe {
 /// post-reset activity under post-reset marks.
 #[test]
 fn reset_metrics_clears_phase_marks_between_instrumented_runs() {
-    let mut w = World::new(
-        SimConfig::default().with_seed(5),
-        vec![MarkedProbe, MarkedProbe],
-    );
+    let probes = (0..2).map(|i| MarkedProbe { id: PeerId::new(i) });
+    let mut w = sansio_world(SimConfig::default().with_seed(5), probes.collect());
     w.enable_metrics_sink();
     w.start();
     w.run_to_quiescence();
