@@ -1,7 +1,7 @@
 //! Committed [`MetricsReport`] baselines and regression checking.
 //!
 //! A fixed set of tiny deterministic scenarios (`N = 100`, `n = 1000`)
-//! exercises every instrumented path — the instant engine, the
+//! exercises every instrumented path — the netFilter engine, the
 //! gossip-filtered variant, and §IV-E sampling — and snapshots each
 //! scenario's *stable* report JSON (wall-clock fields excluded) under a
 //! baselines directory committed to the repository.

@@ -20,11 +20,13 @@ use ifi_overlay::{HeartbeatConfig, Topology};
 use ifi_sim::{
     DetRng, Duration, FaultPlan, MetricsReport, MsgClass, PeerId, RelConfig, SimConfig, SimTime,
 };
+use ifi_simcheck::oracle::CostOracle;
+use ifi_simcheck::{Checkpoint, Oracle};
 use ifi_workload::{GroundTruth, SystemData, WorkloadParams};
 use netfilter::phases;
 use netfilter::protocol::NetFilterProtocol;
 use netfilter::resilient::{ResilientConfig, ResilientProtocol};
-use netfilter::{NetFilter, NetFilterConfig, Threshold};
+use netfilter::{NetFilterConfig, Threshold};
 
 use crate::ShapeCheck;
 
@@ -76,13 +78,13 @@ fn config() -> NetFilterConfig {
         .build()
 }
 
-/// The one-shot protocol on a faulty network, checked against the
-/// instant engine answer and cost breakdown.
+/// The one-shot protocol on a faulty network, checked against ground
+/// truth and the paper-phase messages its tree owes.
 fn one_shot(drop: f64, seed: u64) -> LossRun {
     let data = workload(seed);
     let h = Hierarchy::balanced(PEERS, 3);
     let cfg = config();
-    let instant = NetFilter::new(cfg.clone()).run(&h, &data);
+    let t = cfg.threshold.resolve(data.total_value());
 
     let sim = SimConfig::default()
         .with_seed(seed)
@@ -94,15 +96,14 @@ fn one_shot(drop: f64, seed: u64) -> LossRun {
     let report = w.sink().report();
 
     let mut checks = Vec::new();
-    let exact = w.peer(PeerId::new(0)).result() == Some(instant.frequent_items());
+    let truth = GroundTruth::compute(&data).frequent_items(t);
+    let exact = w.peer(PeerId::new(0)).result() == Some(&truth[..]);
     checks.push(ShapeCheck::new(
         "lossy one-shot run returns the exact IFI answer",
         exact,
         format!("drop {drop}, {PEERS} peers"),
     ));
-    let recon = instant
-        .cost()
-        .reconcile_with_overhead(&report, &[phases::RETRANSMIT]);
+    let recon = CostOracle(h).check(&w, Checkpoint::End);
     checks.push(ShapeCheck::new(
         "phase costs are loss-independent; overhead confined to `retransmit`",
         recon.is_ok(),

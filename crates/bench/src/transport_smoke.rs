@@ -11,11 +11,10 @@
 //!   codec.
 //!
 //! The gate for each: the root delivers exactly the DES answer (which the
-//! `exactness` suite in turn pins to the instant engine and ground
-//! truth), and the metered bytes in each paper phase — filtering,
-//! dissemination, aggregation — equal the DES run's to the byte. That
-//! reconciliation is what licenses reading the simulator's cost curves as
-//! statements about a deployed system.
+//! `exactness` suite in turn pins to ground truth), and the metered bytes
+//! in each paper phase — filtering, dissemination, aggregation — equal the
+//! DES run's to the byte. That reconciliation is what licenses reading the
+//! simulator's cost curves as statements about a deployed system.
 //!
 //! `experiments transport-smoke [--metrics-out dir]` prints the checks
 //! and writes each fabric's full [`MetricsReport`] as

@@ -4,9 +4,8 @@
 //! `s_i` bytes (Table II). This module *actually encodes* every protocol
 //! message at those widths, so the byte counts the engines charge are
 //! grounded in real serialized lengths rather than formulas: the
-//! [`Codec::payload_len`] of a message equals what the DES protocol and
-//! the instant engine charge for it (asserted by tests here and in the
-//! integration suite).
+//! [`Codec::payload_len`] of a message equals what the DES protocol
+//! charges for it (asserted by tests here and in the integration suite).
 //!
 //! Framing (a 1-byte message tag plus explicit element counts) is needed
 //! to *decode* a stream but is excluded from the paper metric; it is

@@ -1,22 +1,24 @@
-//! The two-phase netFilter engine (instant evaluation) — Algorithm 1 + 2.
+//! The netFilter query engine — Algorithm 1 + 2 as one DES epoch.
 //!
-//! This engine evaluates both netFilter phases over a materialized
-//! [`Hierarchy`] by post-order tree walks, charging every peer the encoded
-//! size of exactly the messages the distributed protocol would send. The
-//! message-level DES implementation in [`crate::protocol`] is
-//! property-tested to produce identical answers *and* identical byte
-//! counts, so experiments can use this engine at paper scale (`n = 10^6`)
-//! without simulating millions of message events.
+//! [`NetFilter::run`] builds a [`World`](ifi_sim::World) of
+//! [`NetFilterProtocol`] cores over the hierarchy, runs it to quiescence
+//! on a reliable network and reads the run back: the answer from the
+//! root's delivery, the per-peer, per-phase bytes off the world's meter,
+//! and the run counts from what the root holds (its phase-2 candidate
+//! map and the heavy groups it disseminated). An epoch is about `4N`
+//! message events whatever the item universe `n` is — `n` sizes the
+//! payloads, not the event count — so the figures run the protocol at
+//! paper scale (`N = 10^3`, `n = 10^6`) directly.
 
-use ifi_agg::{hierarchical, MapSum, WireSizes};
+use ifi_agg::{MapSum, WireSizes};
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::{EventSink, MetricsReport, MsgClass, PeerId};
+use ifi_sim::{Metrics, MetricsReport, MsgClass, PeerId, SimConfig};
 use ifi_workload::{ItemId, SystemData};
 
 use crate::config::NetFilterConfig;
-use crate::filter::{HeavyGroups, LocalFilter};
 use crate::hashing::HashFamily;
 use crate::phases;
+use crate::protocol::NetFilterProtocol;
 
 /// The netFilter query engine.
 ///
@@ -48,133 +50,63 @@ impl NetFilter {
     ///
     /// Panics if `hierarchy` and `data` cover different peer universes.
     pub fn run(&self, hierarchy: &Hierarchy, data: &SystemData) -> NetFilterRun {
-        self.run_with_sink(hierarchy, data, &mut EventSink::disabled())
+        self.run_instrumented(hierarchy, data).0
     }
 
-    /// Like [`run`](Self::run), but also charges each phase's per-peer
-    /// byte vector into `sink` (under the [`phases`] labels), so the
-    /// sink's [`MetricsReport`] reconciles byte-for-byte with the returned
-    /// [`CostBreakdown`]. With a disabled sink this *is* `run`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universes differ, or if an enabled `sink` was sized
-    /// for a different peer universe.
-    pub fn run_with_sink(
-        &self,
-        hierarchy: &Hierarchy,
-        data: &SystemData,
-        sink: &mut EventSink,
-    ) -> NetFilterRun {
-        assert_eq!(
-            hierarchy.universe(),
-            data.peer_count(),
-            "hierarchy and data peer universes differ"
-        );
-        let sizes = self.config.sizes;
-        let threshold = self.config.threshold.resolve(data.total_value());
-        let family = HashFamily::new(
-            self.config.filters,
-            self.config.filter_size,
-            self.config.hash_seed,
-        );
-        let local_filter = LocalFilter::new(family.clone());
-
-        // ---- Phase 1: candidate filtering (Algorithm 1, lines 1-3). ----
-        // Every peer contributes its f·g local group vector; the aggregate
-        // flows to the root.
-        let phase1 = hierarchical::aggregate(hierarchy, &sizes, |p| {
-            local_filter.group_vector(data.local_items(p))
-        });
-        let heavy = HeavyGroups::from_aggregate(&family, &phase1.root_value, threshold);
-
-        // ---- Phase 2a: heavy-group dissemination (Algorithm 2, line 1). --
-        // The root propagates the heavy identifiers downward; every member
-        // forwards one copy to each downstream neighbor.
-        let list_bytes = sizes.sg * heavy.total_heavy() as u64;
-        let mut dissemination = vec![0u64; hierarchy.universe()];
-        for p in hierarchy.members() {
-            dissemination[p.index()] = list_bytes * hierarchy.children(p).len() as u64;
-        }
-
-        // ---- Phase 2b: candidate materialization + aggregation (Alg. 2,
-        // lines 2-4), integrated: each peer materializes its partial
-        // candidate set locally and the partial sets merge on the way up.
-        let phase2 = hierarchical::aggregate(hierarchy, &sizes, |p| {
-            local_filter.partial_candidates(data.local_items(p), &heavy)
-        });
-
-        // ---- Result extraction at the root (Algorithm 1, line 4). ----
-        let candidate_map: &MapSum = &phase2.root_value;
-        let mut frequent: Vec<(ItemId, u64)> = candidate_map
-            .0
-            .iter()
-            .filter(|&(_, &v)| v >= threshold)
-            .map(|(&k, &v)| (k, v))
-            .collect();
-        frequent.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-
-        let counts = Self::classify(&family, candidate_map, &heavy, threshold, &phase2);
-
-        sink.record_vec(
-            phases::FILTERING,
-            MsgClass::FILTERING,
-            &phase1.bytes_per_peer,
-        );
-        sink.record_vec(
-            phases::DISSEMINATION,
-            MsgClass::DISSEMINATION,
-            &dissemination,
-        );
-        sink.record_vec(
-            phases::AGGREGATION,
-            MsgClass::AGGREGATION,
-            &phase2.bytes_per_peer,
-        );
-
-        NetFilterRun {
-            frequent,
-            threshold,
-            cost: CostBreakdown {
-                filtering: phase1.bytes_per_peer,
-                dissemination,
-                aggregation: phase2.bytes_per_peer,
-            },
-            counts,
-            heavy,
-        }
-    }
-
-    /// Runs the engine with a fresh enabled sink, asserts that the
-    /// resulting [`MetricsReport`] reconciles byte-for-byte with the
-    /// [`CostBreakdown`], and returns both. The report additionally
-    /// carries the engine's wall-clock time under the
-    /// [`phases::ENGINE`] label.
+    /// Like [`run`](Self::run), but also returns the world's
+    /// [`MetricsReport`]: the three phases under the [`phases`] labels
+    /// (reconciled byte-for-byte with the returned [`CostBreakdown`]) and
+    /// the scheduler loop's wall-clock time under [`phases::SCHEDULER`].
     pub fn run_instrumented(
         &self,
         hierarchy: &Hierarchy,
         data: &SystemData,
     ) -> (NetFilterRun, MetricsReport) {
-        let mut sink = EventSink::new(hierarchy.universe());
-        let t0 = std::time::Instant::now();
-        let run = self.run_with_sink(hierarchy, data, &mut sink);
-        sink.record_wall(phases::ENGINE, t0.elapsed());
-        let report = sink.report();
-        run.cost()
-            .reconcile(&report)
+        self.run_des(hierarchy, data, SimConfig::default())
+    }
+
+    /// One epoch under `sim` — the driver behind [`run`](Self::run) and
+    /// [`ExactEngine`](crate::engines::ExactEngine).
+    pub(crate) fn run_des(
+        &self,
+        hierarchy: &Hierarchy,
+        data: &SystemData,
+        sim: SimConfig,
+    ) -> (NetFilterRun, MetricsReport) {
+        let mut w = NetFilterProtocol::build_world(&self.config, hierarchy, data, sim);
+        w.enable_metrics_sink();
+        w.start();
+        w.run_to_quiescence();
+        let root = w.peer(hierarchy.root());
+        let [delivery] = root.delivered() else {
+            panic!("a quiescent epoch delivers one answer at the root");
+        };
+        let candidates = root.candidates().expect("the root holds its candidates");
+        let cost = CostBreakdown::from_metrics(w.metrics());
+        let counts = self.classify(candidates, root.heavy_groups(), root.threshold(), &cost);
+        let report = w.metrics_report();
+        cost.reconcile(&report)
             .expect("MetricsReport must reconcile with CostBreakdown");
+        let run = NetFilterRun {
+            frequent: delivery.answer.clone(),
+            threshold: root.threshold(),
+            cost,
+            counts,
+        };
         (run, report)
     }
 
     /// Classifies the candidate set at the root into heavy items, and
     /// homogeneous vs. heterogeneous false positives (§III-B.2).
     fn classify(
-        family: &HashFamily,
+        &self,
         candidates: &MapSum,
-        heavy: &HeavyGroups,
+        heavy_groups: usize,
         threshold: u64,
-        phase2: &hierarchical::AggregationOutcome<MapSum>,
+        cost: &CostBreakdown,
     ) -> RunCounts {
+        let c = &self.config;
+        let family = HashFamily::new(c.filters, c.filter_size, c.hash_seed);
         // The heavy items are exactly the candidates whose exact global
         // value clears the threshold (no false negatives are possible: a
         // heavy item makes each of its own groups heavy).
@@ -207,13 +139,13 @@ impl NetFilter {
 
         RunCounts {
             threshold,
-            heavy_groups_total: heavy.total_heavy(),
-            w_avg: heavy.w_avg(),
+            heavy_groups_total: heavy_groups,
+            w_avg: heavy_groups as f64 / f64::from(c.filters),
             heavy_items: heavy_items.len(),
             candidates_at_root: candidates.len(),
             fp_homogeneous,
             fp_heterogeneous,
-            candidate_pairs_sent: phase2.bytes_per_peer.iter().sum::<u64>(),
+            candidate_pairs_sent: cost.aggregation.iter().sum::<u64>(),
         }
     }
 }
@@ -230,6 +162,21 @@ pub struct CostBreakdown {
 }
 
 impl CostBreakdown {
+    /// Reads each peer's bytes in the three netFilter classes off a
+    /// world's meter.
+    pub fn from_metrics(m: &Metrics) -> Self {
+        let per_peer = |class: MsgClass| {
+            (0..m.peer_count())
+                .map(|i| m.peer_class(PeerId::new(i), class).bytes)
+                .collect()
+        };
+        CostBreakdown {
+            filtering: per_peer(MsgClass::FILTERING),
+            dissemination: per_peer(MsgClass::DISSEMINATION),
+            aggregation: per_peer(MsgClass::AGGREGATION),
+        }
+    }
+
     /// Number of peers.
     pub fn peer_count(&self) -> usize {
         self.filtering.len()
@@ -298,10 +245,10 @@ impl CostBreakdown {
     /// all-zero), and the report must contain no bytes beyond those three
     /// phases. Returns a description of the first discrepancy.
     ///
-    /// This is the bridge between the richer [`MetricsReport`] and the
-    /// engine's own accounting; it holds for both the instant engine
-    /// ([`NetFilter::run_instrumented`]) and DES protocol runs, whose
-    /// untagged sends land in the same class-label phases.
+    /// This is the bridge between the sink's [`MetricsReport`] and the
+    /// meter's per-class accounting: untagged protocol sends land in the
+    /// class-label phases, so every clean epoch reconciles
+    /// ([`NetFilter::run_instrumented`] asserts it).
     pub fn reconcile(&self, report: &MetricsReport) -> Result<(), String> {
         self.check_phases(report)?;
         let (rt, bt) = (report.total_bytes(), self.total_bytes());
@@ -326,15 +273,10 @@ impl CostBreakdown {
         overhead: &[&str],
     ) -> Result<(), String> {
         self.check_phases(report)?;
-        let netfilter = [
-            phases::FILTERING,
-            phases::DISSEMINATION,
-            phases::AGGREGATION,
-        ];
         let mut overhead_bytes = 0u64;
         for p in &report.phases {
             let label = p.label.as_str();
-            if netfilter.contains(&label) || p.bytes() == 0 {
+            if phases::NETFILTER.contains(&label) || p.bytes() == 0 {
                 continue;
             }
             if overhead.contains(&label) {
@@ -439,7 +381,6 @@ pub struct NetFilterRun {
     threshold: u64,
     cost: CostBreakdown,
     counts: RunCounts,
-    heavy: HeavyGroups,
 }
 
 impl NetFilterRun {
@@ -463,17 +404,13 @@ impl NetFilterRun {
     pub fn counts(&self) -> &RunCounts {
         &self.counts
     }
-
-    /// The heavy item groups the run disseminated.
-    pub fn heavy_groups(&self) -> &HeavyGroups {
-        &self.heavy
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Threshold;
+    use ifi_sim::EventSink;
     use ifi_workload::{GroundTruth, WorkloadParams};
 
     fn workload(peers: usize, items: u64, theta: f64, seed: u64) -> SystemData {
@@ -691,8 +628,8 @@ mod tests {
             &run.cost().aggregation[..]
         );
         assert!((report.avg_bytes_per_peer() - run.cost().avg_total()).abs() < 1e-9);
-        // Wall-clock profiling is attached to the engine phase.
-        assert!(report.phase(phases::ENGINE).is_some());
+        // Wall-clock profiling is attached to the scheduler loop.
+        assert!(report.phase(phases::SCHEDULER).is_some());
     }
 
     #[test]

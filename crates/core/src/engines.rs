@@ -21,10 +21,9 @@ use ifi_workload::{ItemId, SystemData};
 
 use crate::continuous::{schedule_from_data, ContinuousConfig, ContinuousProtocol, QueryRegistry};
 use crate::local_threshold::LocalThresholdConfig;
-use crate::protocol::NetFilterProtocol;
 use crate::sketch::{SketchConfig, SketchProtocol};
 use crate::topk::{TopKConfig, TopKProtocol};
-use crate::{phases, NetFilterConfig};
+use crate::{phases, NetFilter, NetFilterConfig};
 
 /// What an engine promises about its answer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,21 +100,12 @@ impl ApproxEngine for ExactEngine {
     }
 
     fn run_des(&self, hierarchy: &Hierarchy, data: &SystemData, sim: SimConfig) -> EngineOutcome {
-        let mut w = NetFilterProtocol::build_world(&self.config, hierarchy, data, sim);
-        w.enable_metrics_sink();
-        w.start();
-        w.run_to_quiescence();
-        let items = w
-            .peer(hierarchy.root())
-            .result()
-            .expect("quiescent exact run must answer")
-            .to_vec();
-        let report = w.metrics_report();
+        let (run, report) = NetFilter::new(self.config.clone()).run_des(hierarchy, data, sim);
         EngineOutcome {
             engine: self.name(),
-            items,
+            items: run.frequent_items().to_vec(),
             claim: self.claim(),
-            total_bytes: w.metrics().total_bytes(),
+            total_bytes: report.total_bytes(),
             report,
         }
     }

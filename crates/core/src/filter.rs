@@ -203,15 +203,6 @@ impl HeavyGroups {
         self.0.per_filter.iter().map(Vec::len).sum()
     }
 
-    /// Average heavy groups per filter (the paper's `w`).
-    pub fn w_avg(&self) -> f64 {
-        if self.0.per_filter.is_empty() {
-            0.0
-        } else {
-            self.total_heavy() as f64 / self.0.per_filter.len() as f64
-        }
-    }
-
     /// §III-B.2: an item is a candidate iff **each** of the `f` item groups
     /// it belongs to is heavy.
     #[inline]
@@ -306,7 +297,6 @@ mod tests {
         assert_eq!(heavy.heavy_of(1), &[] as &[u32]);
         assert_eq!(heavy.heavy_of(2), &[7]);
         assert_eq!(heavy.total_heavy(), 2);
-        assert!((heavy.w_avg() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

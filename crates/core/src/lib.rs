@@ -37,8 +37,8 @@
 //! | [`NetFilterConfig`], [`Threshold`] | §III, Table II |
 //! | [`HashFamily`] | §III-B.1 (item partitioning by hashing) |
 //! | [`LocalFilter`], [`HeavyGroups`] | §III-B (filtering), §III-C (materialization) |
-//! | [`NetFilter`] / [`NetFilterRun`] | the full two-phase instant engine |
-//! | [`protocol`] | the same two phases as a message-level DES protocol |
+//! | [`NetFilter`] / [`NetFilterRun`] | the query engine: one protocol epoch on the DES, read back |
+//! | [`protocol`] | Algorithm 1 + 2 as a message-level (sans-io) protocol |
 //! | [`naive`] | the baseline that forwards whole local item sets |
 //! | [`codec`] | real wire encodings at the paper's `s_a`/`s_g`/`s_i` widths |
 //! | [`gossip_filter`] | gossip-based candidate filtering (§VI future work) |

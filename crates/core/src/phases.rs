@@ -4,9 +4,9 @@
 //! [`MsgClass`](ifi_sim::MsgClass) labels of the classes those phases send
 //! in: a DES run of [`protocol`](crate::protocol) with an enabled sink and
 //! *no* explicit span markers attributes each send to its class-label
-//! fallback phase — and therefore produces the same phase names as the
-//! instant engine's bulk charges, so the two reports can be compared
-//! directly (see the `metrics_report` integration tests).
+//! fallback phase, so every report of a netFilter epoch — plain, lossy or
+//! certified — names its phases the same way and reconciles against a
+//! [`CostBreakdown`](crate::CostBreakdown) read off the meter.
 
 /// Phase 1: candidate filtering (group-vector convergecast).
 pub const FILTERING: &str = "filtering";
@@ -14,6 +14,8 @@ pub const FILTERING: &str = "filtering";
 pub const DISSEMINATION: &str = "dissemination";
 /// Phase 2b: candidate `(id, value)` aggregation.
 pub const AGGREGATION: &str = "aggregation";
+/// The three netFilter phases, in protocol order.
+pub const NETFILTER: [&str; 3] = [FILTERING, DISSEMINATION, AGGREGATION];
 /// Gossip-based candidate filtering (the `gossip_filter` variant).
 pub const GOSSIP_FILTERING: &str = "gossip-filtering";
 /// Sampling traffic for parameter estimation (§IV-E).
@@ -54,7 +56,5 @@ pub const DELTA: &str = "delta";
 /// each subscriber after an epoch certifies. Equals the
 /// [`MsgClass::STANDING`](ifi_sim::MsgClass::STANDING) label.
 pub const STANDING: &str = "standing";
-/// Wall-clock phase for the instant engine's whole run.
-pub const ENGINE: &str = "engine";
 /// Wall-clock phase for the DES scheduler loop (charged by `ifi-sim`).
 pub const SCHEDULER: &str = "scheduler";

@@ -1,9 +1,7 @@
 //! netFilter as a message-level protocol on the DES.
 //!
-//! The instant engine in [`crate::NetFilter`] evaluates the two phases by
-//! tree walks; this module runs the *same* phases as real messages over
-//! [`ifi_sim`], exercising asynchrony, per-hop latency, and completion
-//! detection:
+//! The two phases run as real messages over [`ifi_sim`], exercising
+//! asynchrony, per-hop latency, and completion detection:
 //!
 //! 1. **Filtering convergecast** — every peer computes its local `f·g`
 //!    group vector; leaves send at start, internal peers count down their
@@ -16,9 +14,10 @@
 //!    upward (`MsgClass::AGGREGATION`); the root thresholds the exact
 //!    values and stores the result.
 //!
-//! Equivalence with the instant engine — identical answers *and* identical
-//! per-phase byte totals — is asserted by this module's tests and the
-//! workspace integration suite.
+//! [`NetFilter`](crate::NetFilter) drives one epoch of these cores and reads
+//! its answer, costs and counts back. The workspace integration suite holds
+//! the protocol to ground truth and, per peer and phase, to an instant
+//! reference walk over the same hierarchy.
 //!
 //! By default the protocol assumes a reliable network and a stable
 //! hierarchy for the duration of one run (the paper recruits stable peers
@@ -118,14 +117,15 @@ pub struct NetFilterProtocol {
     me: PeerId,
     slot: TreeSlot,
     /// Whether the heavy lists have arrived (or, at the root, been
-    /// computed) — all a peer keeps of them.
+    /// computed) — this and their size are all a peer keeps of them.
     heavy_seen: bool,
     local_items: Vec<(ItemId, u64)>,
 
     /// Filtering convergecast; opens empty at `Start`, and the local vector
     /// joins it at completion.
     p1: Convergecast<VecSum, 1>,
-    /// Candidate convergecast; opens when the heavy lists arrive.
+    /// Candidate convergecast; opens when the heavy lists arrive. The root
+    /// re-opens it with the finished map: the run's candidate set.
     p2: Convergecast<MapSum, 2>,
     result: Option<Vec<(ItemId, u64)>>,
 
@@ -136,20 +136,17 @@ pub struct NetFilterProtocol {
     /// Plain by default: the classic fire-and-forget protocol (zero
     /// overhead, zero extra traffic).
     env: Envelope<NfMsg>,
-    /// Unused. The fields above need 232 bytes; the peer stays at the 240
-    /// it has been benchmarked at because `N × size_of` sets which of a
-    /// world's big buffers glibc hands back to the OS between epochs: at
-    /// N = 10^5, eight bytes less made every rebuilt world re-fault 76 MB
-    /// (`setup_s` +28 % on `des_exact_n100k`, ten pairs of ten). The next
-    /// field that earns its place takes this one's.
-    _slack: u64,
+    /// Heavy groups summed over filters (`Σ w_i`), once the lists arrive
+    /// or, at the root, are computed.
+    heavy_groups: usize,
 }
 
 // The diet above is what lets the N = 10^5 epoch fit its memory budget;
 // a field added in line shows up here before it shows up as 100 000 copies.
-const _: () = assert!(std::mem::size_of::<NetFilterProtocol>() <= 240);
-// Exactly, while `_slack` stands: a smaller peer must re-measure `setup_s`
-// at N = 10^5 before it lands (DESIGN §12).
+// Exactly 240, not less: `N × size_of` sets which of a world's big buffers
+// glibc hands back to the OS between epochs, and at N = 10^5 eight bytes
+// less made every rebuilt world re-fault 76 MB (`setup_s` +28 % on
+// `des_exact_n100k`, DESIGN §12).
 const _: () = assert!(std::mem::size_of::<NetFilterProtocol>() == 240);
 
 impl NetFilterProtocol {
@@ -177,7 +174,7 @@ impl NetFilterProtocol {
             result: None,
             census: None,
             env: Envelope::plain(),
-            _slack: 0,
+            heavy_groups: 0,
         }
     }
 
@@ -298,6 +295,19 @@ impl NetFilterProtocol {
         self.result.as_deref()
     }
 
+    /// The root's candidate set — every item that survived filtering, with
+    /// its exact global value — once the run completes. Read off the core,
+    /// not carried in the [`NfDelivery`]: the epoch benches' exact
+    /// allocation counters pin the delivery's size.
+    pub(crate) fn candidates(&self) -> Option<&MapSum> {
+        self.result.as_ref().and(self.p2.value())
+    }
+
+    /// Heavy groups summed over filters, once phase 2 has begun here.
+    pub(crate) fn heavy_groups(&self) -> usize {
+        self.heavy_groups
+    }
+
     /// The resolved threshold.
     pub fn threshold(&self) -> u64 {
         self.threshold
@@ -358,7 +368,8 @@ impl NetFilterProtocol {
     fn start_phase2(&mut self, fx: &mut Effects<Self>, heavy: HeavyGroups) {
         // Forward the heavy lists to every downstream neighbor: each
         // message carries the handle, not a copy of the lists.
-        let list_bytes = self.sizes.sg * heavy.total_heavy() as u64;
+        self.heavy_groups = heavy.total_heavy();
+        let list_bytes = self.sizes.sg * self.heavy_groups as u64;
         for child in self.slot.children() {
             let lists = NfMsg::Heavy(heavy.clone().into());
             self.env
@@ -375,10 +386,11 @@ impl NetFilterProtocol {
 
     /// Phase-2 counterpart of [`maybe_complete_p1`](Self::maybe_complete_p1).
     fn maybe_complete_p2(&mut self, fx: &mut Effects<Self>) {
-        if self
-            .census
-            .as_ref()
-            .is_some_and(|c| !c.p2.ready(&self.slot))
+        if self.result.is_some()
+            || self
+                .census
+                .as_ref()
+                .is_some_and(|c| !c.p2.ready(&self.slot))
         {
             return;
         }
@@ -388,6 +400,7 @@ impl NetFilterProtocol {
         if self.slot.is_root() {
             let answer = frequent_items(&acc, self.threshold);
             self.result = Some(answer.clone());
+            self.p2.open(acc);
             let certificate = self.certificate();
             fx.deliver(NfDelivery {
                 answer,
@@ -489,9 +502,8 @@ impl SansIo for NetFilterProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{NetFilter, Threshold};
-    use ifi_overlay::Topology;
-    use ifi_sim::{DetRng, Duration, LatencyModel};
+    use crate::Threshold;
+    use ifi_sim::{Duration, LatencyModel};
     use ifi_workload::{GroundTruth, WorkloadParams};
 
     fn workload(peers: usize, items: u64, seed: u64) -> SystemData {
@@ -514,39 +526,29 @@ mod tests {
             .build()
     }
 
-    /// Byte-for-byte what the instant engine charged, per paper phase.
-    fn assert_paper_phases_cost(m: &ifi_sim::Metrics, c: &crate::CostBreakdown) {
-        let charged = [&c.filtering, &c.dissemination, &c.aggregation].map(|v| v.iter().sum());
-        let classes = [
+    /// The exact answer, from ground truth.
+    fn truth(cfg: &NetFilterConfig, data: &SystemData) -> Vec<(ItemId, u64)> {
+        let t = cfg.threshold.resolve(data.total_value());
+        GroundTruth::compute(data).frequent_items(t)
+    }
+
+    /// Each paper phase's bytes in `m`.
+    fn paper_phases(m: &ifi_sim::Metrics) -> [u64; 3] {
+        [
             MsgClass::FILTERING,
             MsgClass::DISSEMINATION,
             MsgClass::AGGREGATION,
-        ];
-        assert_eq!(classes.map(|cl| m.class_bytes(cl)), charged);
+        ]
+        .map(|cl| m.class_bytes(cl))
     }
 
-    #[test]
-    fn protocol_matches_instant_engine_exactly() {
-        let data = workload(60, 2_000, 81);
-        let topo = Topology::random_regular(60, 4, &mut DetRng::new(2));
-        let h = Hierarchy::bfs(&topo, PeerId::new(0));
-        let cfg = config(50, 3);
-
-        let instant = NetFilter::new(cfg.clone()).run(&h, &data);
-
-        let mut w =
-            NetFilterProtocol::build_world(&cfg, &h, &data, SimConfig::default().with_seed(4));
+    /// The paper phases' bytes of a plain, fault-free run — what an
+    /// envelope or a census may add to, never change.
+    fn plain_phases(cfg: &NetFilterConfig, h: &Hierarchy, data: &SystemData) -> [u64; 3] {
+        let mut w = NetFilterProtocol::build_world(cfg, h, data, SimConfig::default());
         w.start();
         w.run_to_quiescence();
-
-        let result = w
-            .peer(PeerId::new(0))
-            .result()
-            .expect("root must finish")
-            .to_vec();
-        assert_eq!(result, instant.frequent_items());
-
-        assert_paper_phases_cost(w.metrics(), instant.cost());
+        paper_phases(w.metrics())
     }
 
     #[test]
@@ -554,7 +556,7 @@ mod tests {
         let data = workload(40, 1_000, 83);
         let h = Hierarchy::balanced(40, 3);
         let cfg = config(30, 2);
-        let instant = NetFilter::new(cfg.clone()).run(&h, &data);
+        let want = truth(&cfg, &data);
 
         for seed in [1u64, 2, 3] {
             let sim = SimConfig::default()
@@ -568,12 +570,13 @@ mod tests {
             w.run_to_quiescence();
             assert_eq!(
                 w.peer(PeerId::new(0)).result().expect("root finishes"),
-                instant.frequent_items(),
+                want,
                 "divergence at sim seed {seed}"
             );
+            // Every non-root member sends its full `s_a·f·g` vector once.
             assert_eq!(
                 w.metrics().class_bytes(MsgClass::FILTERING),
-                instant.cost().filtering.iter().sum::<u64>()
+                39 * 4 * 2 * 30
             );
         }
     }
@@ -611,7 +614,6 @@ mod tests {
         let data = workload(30, 800, 91);
         let h = Hierarchy::balanced(30, 3);
         let cfg = config(20, 2);
-        let instant = NetFilter::new(cfg.clone()).run(&h, &data);
 
         let mut w = NetFilterProtocol::build_world_reliable(
             &cfg,
@@ -625,11 +627,11 @@ mod tests {
 
         assert_eq!(
             w.peer(PeerId::new(0)).result().expect("root finishes"),
-            instant.frequent_items()
+            truth(&cfg, &data)
         );
         // Phase classes are untouched by the envelope...
         let m = w.metrics();
-        assert_paper_phases_cost(m, instant.cost());
+        assert_eq!(paper_phases(m), plain_phases(&cfg, &h, &data));
         // ... and with no losses the only overhead is one ack per frame.
         let class_msgs = |cl: MsgClass| {
             (0..30)
@@ -652,7 +654,6 @@ mod tests {
         let data = workload(30, 800, 93);
         let h = Hierarchy::balanced(30, 3);
         let cfg = config(20, 2);
-        let instant = NetFilter::new(cfg.clone()).run(&h, &data);
 
         let mut w = NetFilterProtocol::build_world_certified(
             &cfg,
@@ -669,7 +670,7 @@ mod tests {
         assert_eq!(
             root.delivered(),
             &[NfDelivery {
-                answer: instant.frequent_items().to_vec(),
+                answer: truth(&cfg, &data),
                 certificate: Some(Certificate::Complete),
             }]
         );
@@ -679,7 +680,7 @@ mod tests {
         let m = w.metrics();
         assert_eq!(m.class_bytes(MsgClass::FAILOVER), CENSUS_BYTES * 29 * 2);
         // The paper's phase classes are untouched by certification.
-        assert_paper_phases_cost(m, instant.cost());
+        assert_eq!(paper_phases(m), plain_phases(&cfg, &h, &data));
     }
 
     #[test]
@@ -859,7 +860,6 @@ mod tests {
         let data = workload(3, 100, 95);
         let h = Hierarchy::balanced(3, 2);
         let cfg = config(8, 2);
-        let instant = NetFilter::new(cfg.clone()).run(&h, &data);
         let (root, child) = (PeerId::new(0), PeerId::new(1));
 
         // Each decodes cleanly and comes from the right neighbor; each
@@ -895,7 +895,7 @@ mod tests {
         // Nothing of them was merged, and the genuine reports still were.
         assert_eq!(
             w.peer(root).result().expect("root finishes"),
-            instant.frequent_items()
+            truth(&cfg, &data)
         );
     }
 

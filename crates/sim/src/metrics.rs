@@ -41,7 +41,7 @@ impl MsgClass {
     ///
     /// Original transmissions stay in their phase class; only the *extra*
     /// traffic a lossy network provokes lands here, so phase-class totals
-    /// remain comparable to the instant engine's loss-free cost model.
+    /// remain comparable to a loss-free run's.
     pub const RETRANSMIT: MsgClass = MsgClass(8);
     /// Failover overhead: root-succession control traffic and the
     /// contributor-census / epoch-fence fields piggybacked on other

@@ -15,11 +15,10 @@
 //!   returns). Events with no active span fall back to a phase named after
 //!   their [`MsgClass`] label, so un-annotated protocols still produce a
 //!   per-phase report that mirrors the class breakdown.
-//! * **Instant engines** (which never touch the DES kernel) charge whole
-//!   per-peer byte vectors with [`EventSink::record_vec`], so their
-//!   reports reconcile byte-for-byte with their own accounting — the
-//!   `netfilter` engine property-tests its [`MetricsReport`] against
-//!   `CostBreakdown`.
+//! * **Instant evaluations** (which never touch the DES kernel, such as
+//!   the gossip-filtered variant's phases) charge whole per-peer byte
+//!   vectors with [`EventSink::record_vec`], so their reports reconcile
+//!   byte-for-byte with their own accounting.
 //!
 //! The report serializes to JSON ([`MetricsReport::to_json`]) and a
 //! human-readable table ([`MetricsReport::render_table`]); the stable

@@ -41,7 +41,7 @@ use ifi_sim::{
 use ifi_workload::{GroundTruth, SystemData, WorkloadParams};
 use netfilter::protocol::NetFilterProtocol;
 use netfilter::resilient::{ResilientConfig, ResilientProtocol};
-use netfilter::{NetFilter, NetFilterConfig, Threshold};
+use netfilter::{NetFilterConfig, Threshold};
 
 use crate::explore::{explore, replay, ExploreConfig, ExploreReport, Perturbation};
 use crate::oracle::{
@@ -170,10 +170,9 @@ fn netfilter_clean(seed: u64) -> Case {
     let topo = Topology::grid(3, 3);
     let h = Hierarchy::bfs(&topo, PeerId::new(0));
     let cfg = nf_config();
-    let instant = NetFilter::new(cfg.clone()).run(&h, &data);
-    let expected = instant.frequent_items().to_vec();
-    let cost = instant.cost().clone();
-    let root = h.root();
+    let t = cfg.threshold.resolve(data.total_value());
+    let expected = GroundTruth::compute(&data).frequent_items(t);
+    let (root, tree) = (h.root(), h.clone());
     let build = move |drops: &[u64]| {
         let sim = SimConfig::default().with_seed(seed).with_faults(
             FaultPlan::none()
@@ -193,7 +192,7 @@ fn netfilter_clean(seed: u64) -> Case {
                 root,
                 expected: expected.clone(),
             }),
-            Box::new(CostOracle { cost: cost.clone() }),
+            Box::new(CostOracle(tree.clone())),
         ]
     };
     make_case(

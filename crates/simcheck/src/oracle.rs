@@ -87,14 +87,11 @@ impl Oracle<NetFilterProtocol> for ExactnessOracle {
     }
 }
 
-/// Cost reconciliation: the metrics report must match the instant
-/// engine's per-phase [`CostBreakdown`] byte-for-byte, with any extra
-/// bytes confined to the declared retransmit overhead phase.
+/// Cost reconciliation: each paper phase sends one message per edge of the
+/// hierarchy, and the report holds the meter's per-peer phase bytes plus
+/// retransmit overhead only — faults add retransmits, never a paper send.
 #[derive(Debug)]
-pub struct CostOracle {
-    /// The instant engine's per-phase byte accounting for this workload.
-    pub cost: CostBreakdown,
-}
+pub struct CostOracle(pub Hierarchy);
 
 impl Oracle<NetFilterProtocol> for CostOracle {
     fn name(&self) -> &'static str {
@@ -110,7 +107,14 @@ impl Oracle<NetFilterProtocol> for CostOracle {
             return Ok(());
         }
         let report = world.metrics_report();
-        self.cost
+        let edges = self.0.members().len() as u64 - 1;
+        for label in phases::NETFILTER {
+            let sent = report.phase(label).map_or(0, |p| p.messages());
+            if sent != edges {
+                return Err(format!("{label}: {sent} messages over {edges} tree edges"));
+            }
+        }
+        CostBreakdown::from_metrics(world.metrics())
             .reconcile_with_overhead(&report, &[phases::RETRANSMIT])
     }
 }

@@ -25,7 +25,7 @@ use ifi_sim::{sansio_world, DetRng, Duration, PeerId, SimConfig, SimTime};
 use ifi_workload::{GroundTruth, SystemData, WorkloadParams};
 use netfilter::protocol::NetFilterProtocol;
 use netfilter::resilient::{ResilientConfig, ResilientProtocol};
-use netfilter::{NetFilter, NetFilterConfig, Threshold};
+use netfilter::{NetFilterConfig, Threshold};
 
 use crate::oracle::{
     CensusSoundnessOracle, Checkpoint, CostOracle, EpochFenceOracle, ExactnessOracle,
@@ -81,20 +81,19 @@ pub fn run_scale_check(n: usize, seed: u64) -> Vec<ScaleVerdict> {
         .filters(3)
         .threshold(Threshold::Ratio(0.01))
         .build();
+    let truth = GroundTruth::compute(&data);
+    let expected = truth.frequent_items(cfg.threshold.resolve(data.total_value()));
     let mut verdicts = Vec::new();
 
-    // netfilter family: one full epoch over the DES must be exact and
-    // byte-reconciled against the instant engine.
+    // netfilter family: one full epoch over the DES must equal ground
+    // truth and owe no paper-phase message it did not send.
     {
         let h = Hierarchy::balanced(n, 3);
-        let instant = NetFilter::new(cfg.clone()).run(&h, &data);
         let mut exact = ExactnessOracle {
             root: h.root(),
-            expected: instant.frequent_items().to_vec(),
+            expected: expected.clone(),
         };
-        let mut cost = CostOracle {
-            cost: instant.cost().clone(),
-        };
+        let mut cost = CostOracle(h.clone());
         let mut w =
             NetFilterProtocol::build_world(&cfg, &h, &data, SimConfig::default().with_seed(seed));
         w.enable_metrics_sink();
@@ -140,8 +139,6 @@ pub fn run_scale_check(n: usize, seed: u64) -> Vec<ScaleVerdict> {
     {
         let topo = Topology::random_regular(n, 5, &mut DetRng::new(seed ^ 0x5ca1e));
         let h = Hierarchy::bfs(&topo, PeerId::new(0));
-        let truth = GroundTruth::compute(&data);
-        let expected = truth.frequent_items(cfg.threshold.resolve(data.total_value()));
         let rc = ResilientConfig {
             heartbeat: hb(),
             query_period: Duration::from_secs(4),

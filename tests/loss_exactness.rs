@@ -2,7 +2,7 @@
 //! every netFilter engine must produce the exact IFI answer across a grid
 //! of drop rates with duplication and reordering (delay spikes) switched
 //! on, the phase costs must stay loss-independent (identical to the
-//! instant engine's `CostBreakdown`), and every byte of reliability
+//! loss-free epoch's `CostBreakdown`), and every byte of reliability
 //! overhead must be metered in its own `retransmit` class.
 
 use ifi_hierarchy::Hierarchy;
@@ -50,7 +50,7 @@ fn one_shot_protocol_is_exact_across_the_loss_grid() {
     let data = workload(40, 1_200, 17);
     let h = Hierarchy::balanced(40, 3);
     let cfg = config(30, 2);
-    let instant = NetFilter::new(cfg.clone()).run(&h, &data);
+    let loss_free = NetFilter::new(cfg.clone()).run(&h, &data);
 
     for (i, &drop) in DROP_GRID.iter().enumerate() {
         let sim = SimConfig::default()
@@ -67,7 +67,7 @@ fn one_shot_protocol_is_exact_across_the_loss_grid() {
             w.peer(PeerId::new(0))
                 .result()
                 .unwrap_or_else(|| panic!("drop={drop}: root never finished")),
-            instant.frequent_items(),
+            loss_free.frequent_items(),
             "drop={drop}: wrong answer"
         );
 
@@ -75,9 +75,9 @@ fn one_shot_protocol_is_exact_across_the_loss_grid() {
         // their phase class no matter how often they are retransmitted),
         // and the *only* other traffic is the declared retransmit
         // overhead: the report reconciles byte-for-byte against the
-        // instant engine's CostBreakdown.
+        // loss-free epoch's CostBreakdown.
         let report = w.sink().report();
-        instant
+        loss_free
             .cost()
             .reconcile_with_overhead(&report, &[phases::RETRANSMIT])
             .unwrap_or_else(|e| panic!("drop={drop}: {e}"));
@@ -111,7 +111,7 @@ fn scheduled_drops_are_deterministic_and_recovered() {
     let data = workload(25, 600, 23);
     let h = Hierarchy::balanced(25, 3);
     let cfg = config(20, 2);
-    let instant = NetFilter::new(cfg.clone()).run(&h, &data);
+    let loss_free = NetFilter::new(cfg.clone()).run(&h, &data);
 
     let run = || {
         let faults = FaultPlan::none().with_scheduled_drops([0, 2, 5]);
@@ -136,7 +136,7 @@ fn scheduled_drops_are_deterministic_and_recovered() {
     let (result_a, bytes_a, retrans_a, dropped_a) = run();
     let (result_b, bytes_b, retrans_b, dropped_b) = run();
 
-    assert_eq!(result_a, instant.frequent_items());
+    assert_eq!(result_a, loss_free.frequent_items());
     assert_eq!(dropped_a, 3, "exactly the scheduled frames are dropped");
     assert!(retrans_a > 0, "the dropped frames were retransmitted");
     assert_eq!(

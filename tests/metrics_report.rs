@@ -97,6 +97,29 @@ proptest! {
     }
 }
 
+/// Algorithm 2 sends the heavy-group lists once per child, so a 100-peer
+/// tree carries 99 of them; and every event of the report is a send: 99
+/// group vectors, 99 heavy lists and 99 candidate reports.
+#[test]
+fn dissemination_sends_one_message_per_child() {
+    let data = SystemData::generate_paper(
+        &WorkloadParams {
+            peers: 100,
+            items: 2_000,
+            instances_per_item: 10,
+            theta: 1.0,
+        },
+        7,
+    );
+    let h = Hierarchy::balanced(100, 3);
+    let (run, report) = build(20, 2, 0.01, 7).run_instrumented(&h, &data);
+    assert!(run.counts().heavy_groups_total > 0, "some group is heavy");
+    let dissemination = report.phase("dissemination").expect("lists were sent");
+    assert_eq!(dissemination.messages(), 99);
+    assert_eq!(report.events, 3 * 99);
+    assert_eq!(report.total_messages(), 3 * 99);
+}
+
 /// Two-peer probe whose handlers tag their traffic with distinct phase
 /// marks, so a stale mark from before a reset is visible in the report.
 #[derive(Debug)]

@@ -1,7 +1,9 @@
-//! The message-level protocol and the instant engine are the same
-//! algorithm: identical answers and identical per-phase byte totals, under
-//! any latency model — plus the algebraic properties (commutative,
-//! associative merges) that make out-of-order convergecasts safe.
+//! The message-level protocol is held to two references: ground truth for
+//! its answer, and — per peer and per phase, bytes included — an instant
+//! reference walk that evaluates the same two convergecasts and the
+//! dissemination by post-order walks over the hierarchy, under any latency
+//! model. Plus the algebraic properties (commutative, associative merges)
+//! that make out-of-order convergecasts safe.
 
 use ifi_agg::{
     hierarchical, Aggregate, Boot, Convergecast, MapSum, ScalarSum, TreeSlot, VecSum, WireSizes,
@@ -13,10 +15,12 @@ use ifi_sim::{
     MsgClass, NodeEvent, PeerId, RelConfig, ReliableMsg, RetransmitTimer, SansIo, SimConfig,
     SimTime, World,
 };
-use ifi_workload::{ItemId, SystemData, WorkloadParams};
+use ifi_workload::{GroundTruth, ItemId, SystemData, WorkloadParams};
 use netfilter::protocol::NetFilterProtocol;
 use netfilter::sketch::SpaceSaving;
-use netfilter::{NetFilter, NetFilterConfig, Threshold};
+use netfilter::{
+    CostBreakdown, HashFamily, HeavyGroups, LocalFilter, NetFilter, NetFilterConfig, Threshold,
+};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -33,10 +37,43 @@ fn latency_for(kind: u8) -> LatencyModel {
     }
 }
 
+/// The instant reference: Algorithm 1 + 2 by two post-order walks. Each
+/// member charges the encoded size of the group vector and of the partial
+/// candidate set it forwards, and one heavy-group list per child. Returns
+/// the per-peer costs, the heavy groups summed over filters, and the
+/// root's candidate map.
+fn reference_walk(
+    cfg: &NetFilterConfig,
+    h: &Hierarchy,
+    data: &SystemData,
+) -> (CostBreakdown, usize, MapSum) {
+    let sizes = cfg.sizes;
+    let family = HashFamily::new(cfg.filters, cfg.filter_size, cfg.hash_seed);
+    let filter = LocalFilter::new(family.clone());
+    let threshold = cfg.threshold.resolve(data.total_value());
+    let phase1 = hierarchical::aggregate(h, &sizes, |p| filter.group_vector(data.local_items(p)));
+    let heavy = HeavyGroups::from_aggregate(&family, &phase1.root_value, threshold);
+    let list = sizes.sg * heavy.total_heavy() as u64;
+    let dissemination = (0..h.universe())
+        .map(|i| list * h.children(PeerId::new(i)).len() as u64)
+        .collect();
+    let phase2 = hierarchical::aggregate(h, &sizes, |p| {
+        filter.partial_candidates(data.local_items(p), &heavy)
+    });
+    let cost = CostBreakdown {
+        filtering: phase1.bytes_per_peer,
+        dissemination,
+        aggregation: phase2.bytes_per_peer,
+    };
+    (cost, heavy.total_heavy(), phase2.root_value)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// DES protocol ≡ instant engine, bytes included.
+    /// DES protocol ≡ ground truth and the instant reference walk, every
+    /// peer's bytes in every phase included; the engine's counts are the
+    /// walk's.
     #[test]
     fn protocol_equals_instant_engine(
         peers in 3usize..50,
@@ -56,8 +93,9 @@ proptest! {
             .filters(f)
             .threshold(Threshold::Ratio(0.01))
             .build();
-
-        let instant = NetFilter::new(cfg.clone()).run(&h, &data);
+        let t = cfg.threshold.resolve(data.total_value());
+        let truth = GroundTruth::compute(&data).frequent_items(t);
+        let (cost, heavy_groups, candidates) = reference_walk(&cfg, &h, &data);
 
         let sim = SimConfig::default()
             .with_seed(seed ^ 0xD15C)
@@ -65,25 +103,14 @@ proptest! {
         let mut w = NetFilterProtocol::build_world(&cfg, &h, &data, sim);
         w.start();
         w.run_to_quiescence();
+        prop_assert_eq!(w.peer(h.root()).result().expect("root must finish"), &truth[..]);
+        prop_assert_eq!(&CostBreakdown::from_metrics(w.metrics()), &cost);
 
-        let root = h.root();
-        prop_assert_eq!(
-            w.peer(root).result().expect("root must finish"),
-            instant.frequent_items()
-        );
-        let m = w.metrics();
-        prop_assert_eq!(
-            m.class_bytes(MsgClass::FILTERING),
-            instant.cost().filtering.iter().sum::<u64>()
-        );
-        prop_assert_eq!(
-            m.class_bytes(MsgClass::DISSEMINATION),
-            instant.cost().dissemination.iter().sum::<u64>()
-        );
-        prop_assert_eq!(
-            m.class_bytes(MsgClass::AGGREGATION),
-            instant.cost().aggregation.iter().sum::<u64>()
-        );
+        let run = NetFilter::new(cfg).run(&h, &data);
+        prop_assert_eq!(run.frequent_items(), &truth[..]);
+        prop_assert_eq!(run.cost(), &cost);
+        prop_assert_eq!(run.counts().heavy_groups_total, heavy_groups);
+        prop_assert_eq!(run.counts().candidates_at_root, candidates.len());
     }
 
     /// MapSum merge is commutative and associative — the property that

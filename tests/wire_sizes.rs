@@ -1,6 +1,6 @@
 //! The wire-size model end to end: changing `s_a`/`s_g`/`s_i` must scale
-//! every cost component consistently across the instant engine, the DES
-//! protocol, and the codec — and never change the answer.
+//! every cost component consistently across the engine, the DES protocol
+//! under any seed, and the codec — and never change the answer.
 
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::{MsgClass, PeerId, SimConfig};
@@ -76,25 +76,27 @@ fn des_protocol_honours_wire_sizes() {
         si: 8,
     };
     let cfg = config(sizes);
-    let instant = NetFilter::new(cfg.clone()).run(&h, &data);
+    let base = NetFilter::new(config(WireSizes::default())).run(&h, &data);
     let mut w = NetFilterProtocol::build_world(&cfg, &h, &data, SimConfig::default().with_seed(3));
     w.start();
     w.run_to_quiescence();
+    let truth = GroundTruth::compute(&data);
+    let t = cfg.threshold.resolve(data.total_value());
     assert_eq!(
         w.peer(PeerId::new(0)).result().expect("finished"),
-        instant.frequent_items()
+        truth.frequent_items(t)
+    );
+    // Against the default widths: s_a 2 of 4, s_g 1 of 4, a pair 10 of 8.
+    let class = |c| w.metrics().class_bytes(c);
+    let sum = |v: &[u64]| v.iter().sum::<u64>();
+    assert_eq!(class(MsgClass::FILTERING) * 2, sum(&base.cost().filtering));
+    assert_eq!(
+        class(MsgClass::DISSEMINATION) * 4,
+        sum(&base.cost().dissemination)
     );
     assert_eq!(
-        w.metrics().class_bytes(MsgClass::FILTERING),
-        instant.cost().filtering.iter().sum::<u64>()
-    );
-    assert_eq!(
-        w.metrics().class_bytes(MsgClass::DISSEMINATION),
-        instant.cost().dissemination.iter().sum::<u64>()
-    );
-    assert_eq!(
-        w.metrics().class_bytes(MsgClass::AGGREGATION),
-        instant.cost().aggregation.iter().sum::<u64>()
+        class(MsgClass::AGGREGATION) * 8,
+        sum(&base.cost().aggregation) * 10
     );
 }
 
