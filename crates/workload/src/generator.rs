@@ -61,8 +61,57 @@ pub struct SystemData {
     pairs: Vec<(ItemId, u64)>,
     /// `ends[p]` = one past peer `p`'s last pair in `pairs`.
     ends: Vec<usize>,
+    /// `v` — the sum of every local value, checked once at construction.
+    total: u64,
     /// `n` — size of the item universe (≥ number of items actually drawn).
     universe: u64,
+}
+
+/// `items · instances_per_item`, the number of instances a generator
+/// places; checks the parameters the generators share.
+fn instances(params: &WorkloadParams) -> u64 {
+    assert!(params.peers > 0, "need at least one peer");
+    assert!(params.items > 0, "need at least one item");
+    params
+        .items
+        .checked_mul(params.instances_per_item)
+        .expect("items · instances_per_item overflows u64")
+}
+
+/// Counting-sort placement into the flat layout: built from every copy's
+/// holder, it hands each peer its slots in order, so a peer's slice keeps
+/// the order its copies were put in.
+struct Placement<T> {
+    slots: Vec<T>,
+    /// `next[p]` = peer `p`'s next free slot; after the last copy, one
+    /// past its last slot — the `ends` layout.
+    next: Vec<usize>,
+}
+
+impl<T: Copy> Placement<T> {
+    /// Slots for every holder `holders` yields, each filled with `blank`.
+    fn new(peers: usize, holders: impl Iterator<Item = usize>, blank: T) -> Self {
+        let mut next = vec![0usize; peers];
+        for p in holders {
+            next[p] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut next {
+            let count = *slot;
+            *slot = start;
+            start += count;
+        }
+        Placement {
+            slots: vec![blank; start],
+            next,
+        }
+    }
+
+    fn put(&mut self, peer: usize, copy: T) {
+        let slot = &mut self.next[peer];
+        self.slots[*slot] = copy;
+        *slot += 1;
+    }
 }
 
 impl SystemData {
@@ -74,25 +123,43 @@ impl SystemData {
     ///
     /// # Panics
     ///
-    /// Panics if `peers == 0` or `items == 0`.
+    /// Panics if `peers == 0`, `items == 0` or the instance count
+    /// overflows `u64`.
     pub fn generate(params: &WorkloadParams, seed: u64) -> Self {
-        assert!(params.peers > 0, "need at least one peer");
-        assert!(params.items > 0, "need at least one item");
+        let total = instances(params);
         let mut rng = DetRng::new(seed).derive(0x317E);
         let zipf = ZipfSampler::new(params.items as usize, params.theta);
-        let total_instances = params.items * params.instances_per_item;
+        let peers = params.peers as u64;
 
-        let mut raw: Vec<Vec<u64>> = vec![Vec::new(); params.peers];
-        for _ in 0..total_instances {
-            let item = zipf.sample(&mut rng) as u64;
-            let peer = rng.below(params.peers as u64) as usize;
-            raw[peer].push(item);
-        }
-        let peers = raw.into_iter().map(|mut items| {
-            items.sort_unstable();
-            items.into_iter().map(|item| (ItemId(item), 1))
+        // Count each peer's instances on a replay of the stream that
+        // skips the item draws (`ZipfSampler::sample` takes one
+        // `unit_f64`), then place them in draw order.
+        let mut replay = rng.clone();
+        let holders = (0..total).map(|_| {
+            replay.unit_f64();
+            replay.below(peers) as usize
         });
-        SystemData::from_sorted(peers, total_instances as usize, params.items)
+        let mut place = Placement::new(params.peers, holders, 0);
+        for _ in 0..total {
+            let item = zipf.sample(&mut rng) as u64;
+            place.put(rng.below(peers) as usize, item);
+        }
+        // Sort each peer's item ids and count them run by run.
+        let Placement {
+            slots: mut ids,
+            next: mut ends,
+        } = place;
+        let mut pairs = Vec::with_capacity(ids.len());
+        let mut start = 0;
+        for end in &mut ends {
+            let items = &mut ids[start..*end];
+            items.sort_unstable();
+            let runs = items.chunk_by(|a, b| a == b);
+            pairs.extend(runs.map(|run| (ItemId(run[0]), run.len() as u64)));
+            (start, *end) = (*end, pairs.len());
+        }
+        drop(ids);
+        SystemData::from_sorted(pairs, ends, params.items)
     }
 
     /// Generates the workload with the paper's **replica-split** placement
@@ -111,67 +178,86 @@ impl SystemData {
     ///
     /// # Panics
     ///
-    /// Panics if `peers == 0` or `items == 0`.
+    /// Panics if `peers == 0`, `items == 0` or the instance count
+    /// overflows `u64`.
     pub fn generate_paper(params: &WorkloadParams, seed: u64) -> Self {
-        assert!(params.peers > 0, "need at least one peer");
-        assert!(params.items > 0, "need at least one item");
+        let total = instances(params);
         let mut rng = DetRng::new(seed).derive(0x9A_9E12);
         let zipf = ZipfSampler::new(params.items as usize, params.theta);
-        let total = params.items * params.instances_per_item;
         let values = zipf.apportion(total);
+        let peers = params.peers as u64;
+        // Every item exists somewhere: its value is at least 1, split
+        // over at most `instances_per_item` copies.
+        let copies_of = |apportioned: u64| apportioned.max(1).min(params.instances_per_item).max(1);
 
-        let mut local: Vec<Vec<(ItemId, u64)>> = vec![Vec::new(); params.peers];
+        // Count each peer's copies on a replay of the holder draws, then
+        // place them item by item: every slice arrives sorted.
+        let mut replay = rng.clone();
+        let holders = values
+            .iter()
+            .flat_map(|&v| 0..copies_of(v))
+            .map(|_| replay.below(peers) as usize);
+        let mut place = Placement::new(params.peers, holders, (ItemId(0), 0));
         for (k, &apportioned) in values.iter().enumerate() {
-            let value = apportioned.max(1); // every item exists somewhere
-            let copies = value.min(params.instances_per_item).max(1);
-            let base = value / copies;
-            let mut remainder = value % copies;
-            for _ in 0..copies {
-                let share = base + if remainder > 0 { 1 } else { 0 };
-                remainder = remainder.saturating_sub(1);
-                let peer = rng.below(params.peers as u64) as usize;
-                local[peer].push((ItemId(k as u64), share));
+            let value = apportioned.max(1);
+            let copies = copies_of(apportioned);
+            let (base, remainder) = (value / copies, value % copies);
+            for c in 0..copies {
+                let share = base + u64::from(c < remainder);
+                place.put(rng.below(peers) as usize, (ItemId(k as u64), share));
             }
         }
-        SystemData::from_local_sets(local, params.items)
+        SystemData::from_sorted(place.slots, place.next, params.items)
     }
 
     /// Wraps explicit per-peer local item sets (scenario generators use
     /// this). Each peer's list is sorted and coalesced; zero values are
     /// dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a local value or the total value overflows `u64`.
     pub fn from_local_sets(local: Vec<Vec<(ItemId, u64)>>, universe: u64) -> Self {
-        let capacity = local.iter().map(Vec::len).sum();
-        let peers = local.into_iter().map(|mut items| {
+        let mut pairs = Vec::with_capacity(local.iter().map(Vec::len).sum());
+        let mut ends = Vec::with_capacity(local.len());
+        for mut items in local {
             items.sort_unstable_by_key(|&(id, _)| id);
-            items.into_iter()
-        });
-        SystemData::from_sorted(peers, capacity, universe)
-    }
-
-    /// Lays the peers' item lists, each sorted by item already, out as the
-    /// flat array: neighbours for one item summed, zero values dropped.
-    /// `capacity` bounds the number of pairs from above.
-    fn from_sorted<I: Iterator<Item = (ItemId, u64)>>(
-        peers: impl Iterator<Item = I>,
-        capacity: usize,
-        universe: u64,
-    ) -> Self {
-        let mut pairs: Vec<(ItemId, u64)> = Vec::with_capacity(capacity);
-        let mut ends = Vec::with_capacity(peers.size_hint().0);
-        for items in peers {
-            let start = pairs.len();
-            for (id, v) in items.filter(|&(_, v)| v != 0) {
-                match pairs[start..].last_mut() {
-                    Some((last, acc)) if *last == id => *acc += v,
-                    _ => pairs.push((id, v)),
-                }
-            }
+            pairs.extend(items);
             ends.push(pairs.len());
         }
+        SystemData::from_sorted(pairs, ends, universe)
+    }
+
+    /// Coalesces the flat array in place, every peer's slice sorted by item
+    /// already: neighbours for one item summed, zero values dropped.
+    fn from_sorted(mut pairs: Vec<(ItemId, u64)>, mut ends: Vec<usize>, universe: u64) -> Self {
+        let (mut kept, mut start, mut total) = (0, 0, 0u64);
+        for end in &mut ends {
+            let first = kept;
+            for i in start..*end {
+                let (id, v) = pairs[i];
+                if v == 0 {
+                    continue;
+                }
+                match pairs[first..kept].last_mut() {
+                    Some((last, acc)) if *last == id => {
+                        *acc = acc.checked_add(v).expect("local value overflows u64");
+                    }
+                    _ => {
+                        pairs[kept] = (id, v);
+                        kept += 1;
+                    }
+                }
+                total = total.checked_add(v).expect("total value overflows u64");
+            }
+            (start, *end) = (*end, kept);
+        }
+        pairs.truncate(kept);
         pairs.shrink_to_fit();
         SystemData {
             pairs,
             ends,
+            total,
             universe,
         }
     }
@@ -204,7 +290,12 @@ impl SystemData {
 
     /// `v` — the summation over all local values of all items (§IV).
     pub fn total_value(&self) -> u64 {
-        self.pairs.iter().map(|&(_, v)| v).sum()
+        self.total
+    }
+
+    /// Every peer's pairs, peer after peer.
+    pub(crate) fn pairs(&self) -> &[(ItemId, u64)] {
+        &self.pairs
     }
 
     /// `o` — average number of distinct items per peer.
@@ -395,6 +486,34 @@ mod tests {
         let differs =
             (0..20).any(|i| a.local_items(PeerId::new(i)) != c.local_items(PeerId::new(i)));
         assert!(differs, "different seeds produced identical data");
+    }
+
+    #[test]
+    #[should_panic(expected = "instances_per_item overflows")]
+    fn generate_rejects_an_instance_count_past_u64() {
+        let params = WorkloadParams {
+            items: u64::MAX / 2,
+            instances_per_item: 3,
+            ..small()
+        };
+        SystemData::generate(&params, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "instances_per_item overflows")]
+    fn generate_paper_rejects_an_instance_count_past_u64() {
+        let params = WorkloadParams {
+            items: 1 << 33,
+            instances_per_item: 1 << 31,
+            ..small()
+        };
+        SystemData::generate_paper(&params, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "local value overflows")]
+    fn coalescing_a_local_value_past_u64_panics() {
+        SystemData::from_local_sets(vec![vec![(ItemId(1), u64::MAX), (ItemId(1), 1)]], 2);
     }
 
     mod props {

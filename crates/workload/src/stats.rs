@@ -6,8 +6,6 @@
 
 use std::collections::HashMap;
 
-use ifi_sim::PeerId;
-
 use crate::generator::{ItemId, SystemData};
 
 /// Global values of every item present in the system, plus derived
@@ -16,7 +14,8 @@ use crate::generator::{ItemId, SystemData};
 pub struct GroundTruth {
     /// `(item, global value)` sorted by descending value, then item id.
     globals: Vec<(ItemId, u64)>,
-    by_item: HashMap<ItemId, u64>,
+    /// The same pairs sorted by item id.
+    by_item: Vec<(ItemId, u64)>,
     /// `v` — total mass.
     total: u64,
     /// `n` universe size carried over from the data set.
@@ -24,21 +23,25 @@ pub struct GroundTruth {
 }
 
 impl GroundTruth {
-    /// Sums local values across all peers.
+    /// Sums local values across all peers: every local pair, sorted by
+    /// item and coalesced. No sum can wrap, since each is bounded by the
+    /// data set's total value, which was checked when it was built.
     pub fn compute(data: &SystemData) -> Self {
-        let mut by_item: HashMap<ItemId, u64> = HashMap::new();
-        for p in 0..data.peer_count() {
-            for &(id, v) in data.local_items(PeerId::new(p)) {
-                *by_item.entry(id).or_insert(0) += v;
+        let mut by_item = data.pairs().to_vec();
+        by_item.sort_unstable_by_key(|&(id, _)| id);
+        by_item.dedup_by(|next, kept| {
+            next.0 == kept.0 && {
+                kept.1 += next.1;
+                true
             }
-        }
-        let mut globals: Vec<(ItemId, u64)> = by_item.iter().map(|(&k, &v)| (k, v)).collect();
-        globals.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let total = globals.iter().map(|&(_, v)| v).sum();
+        });
+        by_item.shrink_to_fit();
+        let mut globals = by_item.clone();
+        globals.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         GroundTruth {
             globals,
             by_item,
-            total,
+            total: data.total_value(),
             universe: data.universe(),
         }
     }
@@ -60,7 +63,9 @@ impl GroundTruth {
 
     /// The global value `v_x` of `item` (0 if absent).
     pub fn value_of(&self, item: ItemId) -> u64 {
-        self.by_item.get(&item).copied().unwrap_or(0)
+        self.by_item
+            .binary_search_by_key(&item, |&(id, _)| id)
+            .map_or(0, |i| self.by_item[i].1)
     }
 
     /// All `(item, global value)` pairs, descending by value.
@@ -237,5 +242,58 @@ mod tests {
         assert!(g.heavy_count(t1) >= g.heavy_count(t2));
         assert!(g.heavy_count(t2) >= g.heavy_count(t3));
         assert!(g.heavy_count(t1) > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "total value overflows")]
+    fn a_global_value_past_u64_is_refused_before_it_is_summed() {
+        // Item 0's global value would be 2^64: the data set refuses it, so
+        // no sum `compute` takes can wrap.
+        let data =
+            SystemData::from_local_sets(vec![vec![(ItemId(0), u64::MAX)], vec![(ItemId(0), 1)]], 1);
+        GroundTruth::compute(&data);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        proptest! {
+            /// Ids above the universe (composite scenario ids among them),
+            /// an id repeated within and across peers, zero values and
+            /// empty peers: `compute` agrees with a plain fold.
+            #[test]
+            fn compute_matches_a_naive_fold(
+                local in prop::collection::vec(
+                    prop::collection::vec(
+                        ((0u64..24).prop_map(|k| if k < 20 { k } else { u64::MAX - k }), 0u64..5),
+                        0..16,
+                    ),
+                    1..6,
+                ),
+                universe in 1u64..12,
+            ) {
+                let local: Vec<Vec<(ItemId, u64)>> = local
+                    .into_iter()
+                    .map(|items| items.into_iter().map(|(k, v)| (ItemId(k), v)).collect())
+                    .collect();
+                let mut naive: BTreeMap<ItemId, u64> = BTreeMap::new();
+                for &(id, v) in local.iter().flatten().filter(|&&(_, v)| v > 0) {
+                    *naive.entry(id).or_insert(0) += v;
+                }
+                let truth = GroundTruth::compute(&SystemData::from_local_sets(local, universe));
+
+                let mut globals: Vec<(ItemId, u64)> = naive.iter().map(|(&id, &v)| (id, v)).collect();
+                globals.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                prop_assert_eq!(truth.globals(), &globals[..]);
+                for id in (0..24).chain((u64::MAX - 5)..=u64::MAX).map(ItemId) {
+                    prop_assert_eq!(truth.value_of(id), naive.get(&id).copied().unwrap_or(0));
+                }
+                prop_assert_eq!(truth.total_value(), naive.values().sum::<u64>());
+                prop_assert_eq!(truth.present_items(), naive.len());
+                prop_assert_eq!(truth.universe(), universe);
+            }
+        }
     }
 }

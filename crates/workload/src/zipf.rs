@@ -92,14 +92,17 @@ impl ZipfSampler {
             out.push(base);
             rema.push((k, exact - base as f64));
         }
-        let mut leftover = total - assigned;
-        rema.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite remainders"));
-        for (k, _) in rema {
-            if leftover == 0 {
-                break;
-            }
+        // The `leftover` largest remainders, ties going to the lower rank.
+        let leftover = ((total - assigned) as usize).min(n);
+        if leftover > 0 {
+            rema.select_nth_unstable_by(leftover - 1, |a, b| {
+                b.1.partial_cmp(&a.1)
+                    .expect("finite remainders")
+                    .then(a.0.cmp(&b.0))
+            });
+        }
+        for &(k, _) in &rema[..leftover] {
             out[k] += 1;
-            leftover -= 1;
         }
         out
     }
@@ -172,6 +175,17 @@ mod tests {
             // Monotone non-increasing in rank (pmf is).
             assert!(parts.windows(2).all(|w| w[0] >= w[1] || w[0] + 1 >= w[1]));
         }
+    }
+
+    #[test]
+    fn apportion_breaks_remainder_ties_toward_lower_ranks() {
+        // θ = 0 over 4 and 8 ranks: every pmf is exact, so every
+        // remainder ties (0.75 and 0.625) and rank order alone decides.
+        assert_eq!(ZipfSampler::new(4, 0.0).apportion(7), vec![2, 2, 2, 1]);
+        assert_eq!(
+            ZipfSampler::new(8, 0.0).apportion(13),
+            vec![2, 2, 2, 2, 2, 1, 1, 1]
+        );
     }
 
     #[test]
