@@ -105,7 +105,8 @@ struct Child {
 #[derive(Debug, Clone)]
 pub struct TreeSlot {
     parent: Option<PeerId>,
-    children: Vec<Child>,
+    /// Fixed at [`new`](Self::new), so a slice: no capacity word per peer.
+    children: Box<[Child]>,
     is_member: bool,
     started: bool,
 }

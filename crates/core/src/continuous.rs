@@ -361,7 +361,7 @@ pub struct ContinuousProtocol {
 
 // One pointer is all the other N − 1 peers pay for the root's state; a
 // field added in line shows up here before it shows up as N copies.
-const _: () = assert!(std::mem::size_of::<ContinuousProtocol>() == 232);
+const _: () = assert!(std::mem::size_of::<ContinuousProtocol>() == 224);
 
 /// What only the root holds: what it certifies against, the queries it
 /// splits answers for, and the standing state certified deltas fold into.

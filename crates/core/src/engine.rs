@@ -83,13 +83,17 @@ impl NetFilter {
         };
         let candidates = root.candidates().expect("the root holds its candidates");
         let cost = CostBreakdown::from_metrics(w.metrics());
-        let counts = self.classify(candidates, root.heavy_groups(), root.threshold(), &cost);
+        let threshold = root.threshold().expect("the root holds its threshold");
+        let heavy_groups = root
+            .heavy_groups()
+            .expect("the root counts its heavy groups");
+        let counts = self.classify(candidates, heavy_groups, threshold, &cost);
         let report = w.metrics_report();
         cost.reconcile(&report)
             .expect("MetricsReport must reconcile with CostBreakdown");
         let run = NetFilterRun {
             frequent: delivery.answer.clone(),
-            threshold: root.threshold(),
+            threshold,
             cost,
             counts,
         };

@@ -103,23 +103,32 @@ struct CensusState {
     p2: Convergecast<Census, 8>,
 }
 
+/// What only the root holds: the threshold it applies and what applying
+/// it produced.
+#[derive(Debug, Clone)]
+struct RootState {
+    threshold: u64,
+    /// Heavy groups summed over filters (`Σ w_i`), once computed.
+    heavy_groups: usize,
+    result: Option<Vec<(ItemId, u64)>>,
+}
+
 /// Per-peer state of the netFilter protocol.
 ///
-/// Sized for `N = 10^5` of them in one address space: what only census
-/// mode or the reliability envelope touches sits behind one pointer each,
-/// the per-child seen-sets are bits beside the child ids, and the heavy
-/// lists are used once and not kept.
+/// Sized for `N = 10^5` of them in one address space: what only the root,
+/// census mode or the reliability envelope touches sits behind one pointer
+/// each, the per-child seen-sets are bits beside the child ids, and the
+/// heavy lists are used once and not kept.
 #[derive(Debug, Clone)]
 pub struct NetFilterProtocol {
     local_filter: LocalFilter,
     sizes: crate::WireSizes,
-    threshold: u64,
     me: PeerId,
     slot: TreeSlot,
     /// Whether the heavy lists have arrived (or, at the root, been
-    /// computed) — this and their size are all a peer keeps of them.
+    /// computed) — all a non-root peer keeps of them.
     heavy_seen: bool,
-    local_items: Vec<(ItemId, u64)>,
+    local_items: Box<[(ItemId, u64)]>,
 
     /// Filtering convergecast; opens empty at `Start`, and the local vector
     /// joins it at completion.
@@ -127,7 +136,8 @@ pub struct NetFilterProtocol {
     /// Candidate convergecast; opens when the heavy lists arrive. The root
     /// re-opens it with the finished map: the run's candidate set.
     p2: Convergecast<MapSum, 2>,
-    result: Option<Vec<(ItemId, u64)>>,
+    /// `Some` at the root alone.
+    root: Option<Box<RootState>>,
 
     /// `Some` switches census mode on for this peer (reports are
     /// accompanied by metered [`NfMsg::PhaseCensus`] messages, and the
@@ -136,18 +146,14 @@ pub struct NetFilterProtocol {
     /// Plain by default: the classic fire-and-forget protocol (zero
     /// overhead, zero extra traffic).
     env: Envelope<NfMsg>,
-    /// Heavy groups summed over filters (`Σ w_i`), once the lists arrive
-    /// or, at the root, are computed.
-    heavy_groups: usize,
 }
 
 // The diet above is what lets the N = 10^5 epoch fit its memory budget;
 // a field added in line shows up here before it shows up as 100 000 copies.
-// Exactly 240, not less: `N × size_of` sets which of a world's big buffers
-// glibc hands back to the OS between epochs, and at N = 10^5 eight bytes
-// less made every rebuilt world re-fault 76 MB (`setup_s` +28 % on
-// `des_exact_n100k`, DESIGN §12).
-const _: () = assert!(std::mem::size_of::<NetFilterProtocol>() == 240);
+const _: () = assert!(std::mem::size_of::<NetFilterProtocol>() == 192);
+// The DES slot around it, the number `peak_mem_mb` moves with: the core,
+// a token counter, the timer list and one pointer for the root's delivery.
+const _: () = assert!(std::mem::size_of::<Des<NetFilterProtocol>>() == 232);
 
 impl NetFilterProtocol {
     /// Creates the state for `peer`. The threshold must already be
@@ -161,20 +167,26 @@ impl NetFilterProtocol {
         threshold: u64,
     ) -> Self {
         let family = HashFamily::new(config.filters, config.filter_size, config.hash_seed);
+        let slot = TreeSlot::new(hierarchy, peer);
+        let root = slot.is_root().then(|| {
+            Box::new(RootState {
+                threshold,
+                heavy_groups: 0,
+                result: None,
+            })
+        });
         NetFilterProtocol {
             local_filter: LocalFilter::new(family),
             sizes: config.sizes,
-            threshold,
             me: peer,
-            slot: TreeSlot::new(hierarchy, peer),
+            slot,
             heavy_seen: false,
-            local_items,
+            local_items: local_items.into_boxed_slice(),
             p1: Convergecast::default(),
             p2: Convergecast::default(),
-            result: None,
+            root,
             census: None,
             env: Envelope::plain(),
-            heavy_groups: 0,
         }
     }
 
@@ -213,7 +225,7 @@ impl NetFilterProtocol {
     /// The root's coverage certificate, once the run completes in census
     /// mode.
     pub fn certificate(&self) -> Option<Certificate> {
-        let (c, _done) = (self.census.as_deref()?, self.result.as_ref()?);
+        let (c, _done) = (self.census.as_deref()?, self.result()?);
         let (p1, p2) = (*c.p1.value()?, *c.p2.value()?);
         Some(Certificate::from_phases(c.roster, p1, p2))
     }
@@ -292,7 +304,7 @@ impl NetFilterProtocol {
 
     /// The final result (root only, once the run quiesces).
     pub fn result(&self) -> Option<&[(ItemId, u64)]> {
-        self.result.as_deref()
+        self.root.as_ref()?.result.as_deref()
     }
 
     /// The root's candidate set — every item that survived filtering, with
@@ -300,17 +312,18 @@ impl NetFilterProtocol {
     /// not carried in the [`NfDelivery`]: the epoch benches' exact
     /// allocation counters pin the delivery's size.
     pub(crate) fn candidates(&self) -> Option<&MapSum> {
-        self.result.as_ref().and(self.p2.value())
+        self.result().and(self.p2.value())
     }
 
-    /// Heavy groups summed over filters, once phase 2 has begun here.
-    pub(crate) fn heavy_groups(&self) -> usize {
-        self.heavy_groups
+    /// Heavy groups summed over filters (root only, once phase 2 has
+    /// begun).
+    pub(crate) fn heavy_groups(&self) -> Option<usize> {
+        Some(self.root.as_ref()?.heavy_groups)
     }
 
-    /// The resolved threshold.
-    pub fn threshold(&self) -> u64 {
-        self.threshold
+    /// The resolved threshold (root only: no other peer applies one).
+    pub fn threshold(&self) -> Option<u64> {
+        Some(self.root.as_ref()?.threshold)
     }
 
     /// Sends a phase report to the parent and, in census mode, the merged
@@ -355,9 +368,10 @@ impl NetFilterProtocol {
         };
         self.local_filter
             .add_group_vector(&mut acc, &self.local_items);
-        if self.slot.is_root() {
+        if let Some(root) = self.root.as_deref_mut() {
             let heavy =
-                HeavyGroups::from_aggregate(self.local_filter.family(), &acc, self.threshold);
+                HeavyGroups::from_aggregate(self.local_filter.family(), &acc, root.threshold);
+            root.heavy_groups = heavy.total_heavy();
             self.start_phase2(fx, heavy);
         } else {
             let bytes = acc.encoded_bytes(&self.sizes);
@@ -368,8 +382,7 @@ impl NetFilterProtocol {
     fn start_phase2(&mut self, fx: &mut Effects<Self>, heavy: HeavyGroups) {
         // Forward the heavy lists to every downstream neighbor: each
         // message carries the handle, not a copy of the lists.
-        self.heavy_groups = heavy.total_heavy();
-        let list_bytes = self.sizes.sg * self.heavy_groups as u64;
+        let list_bytes = self.sizes.sg * heavy.total_heavy() as u64;
         for child in self.slot.children() {
             let lists = NfMsg::Heavy(heavy.clone().into());
             self.env
@@ -386,7 +399,7 @@ impl NetFilterProtocol {
 
     /// Phase-2 counterpart of [`maybe_complete_p1`](Self::maybe_complete_p1).
     fn maybe_complete_p2(&mut self, fx: &mut Effects<Self>) {
-        if self.result.is_some()
+        if self.result().is_some()
             || self
                 .census
                 .as_ref()
@@ -397,9 +410,9 @@ impl NetFilterProtocol {
         let Some(acc) = self.p2.complete(&self.slot) else {
             return;
         };
-        if self.slot.is_root() {
-            let answer = frequent_items(&acc, self.threshold);
-            self.result = Some(answer.clone());
+        if let Some(root) = self.root.as_deref_mut() {
+            let answer = frequent_items(&acc, root.threshold);
+            root.result = Some(answer.clone());
             self.p2.open(acc);
             let certificate = self.certificate();
             fx.deliver(NfDelivery {

@@ -127,9 +127,19 @@ pub fn backoff_delay(cfg: &RelConfig, attempt: u32, salt: u64) -> Duration {
 #[derive(Debug, Clone)]
 struct Pending<M> {
     to: PeerId,
-    payload: M,
+    payload: Held<M>,
     bytes: u64,
     attempts: u32,
+}
+
+/// Where a pending frame's payload is kept: one copy per frame, never two.
+#[derive(Debug, Clone)]
+enum Held<M> {
+    /// Its own copy, dropped with the frame; boxed, so that no in-flight
+    /// entry is sized by the payload type.
+    Own(Box<M>),
+    /// Entry `.0` of the link's revival backlog, which outlives the frame.
+    Backlog(usize),
 }
 
 /// Receiver-side duplicate suppression for one sender.
@@ -193,8 +203,8 @@ pub enum Retransmit<M> {
     },
 }
 
-/// Per-peer reliability state: sender-side in-flight table plus
-/// receiver-side dedup windows.
+/// Per-peer reliability state: sender-side in-flight table and revival
+/// backlog plus receiver-side dedup windows.
 #[derive(Debug, Clone)]
 pub struct ReliableLink<M> {
     cfg: RelConfig,
@@ -207,6 +217,9 @@ pub struct ReliableLink<M> {
     /// at every size the simulator reaches.
     seen: PeerMap<SenderWindow>,
     abandoned: u64,
+    /// Originals `(to, msg, bytes)` kept by [`Envelope::send_retained`]
+    /// for [`Envelope::revive`] to re-send; a restart keeps them.
+    backlog: Vec<(PeerId, M, u64)>,
 }
 
 impl<M: Clone> ReliableLink<M> {
@@ -219,6 +232,7 @@ impl<M: Clone> ReliableLink<M> {
             in_flight: BTreeMap::new(),
             seen: PeerMap::new(),
             abandoned: 0,
+            backlog: Vec::new(),
         }
     }
 
@@ -252,23 +266,32 @@ impl<M: Clone> ReliableLink<M> {
     /// phase class, exactly as an unreliable send would) and arms a
     /// retransmit timer after [`ReliableLink::rto`]`(seq, 0)`.
     pub fn send_data(&mut self, to: PeerId, payload: M, bytes: u64) -> (u64, ReliableMsg<M>) {
+        self.sequence(to, Held::Own(Box::new(payload.clone())), payload, bytes)
+    }
+
+    /// Sequences `wire` bound for `to`, its retransmit copy kept as `held`.
+    fn sequence(
+        &mut self,
+        to: PeerId,
+        held: Held<M>,
+        wire: M,
+        bytes: u64,
+    ) -> (u64, ReliableMsg<M>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.in_flight.insert(
-            seq,
-            Pending {
-                to,
-                payload: payload.clone(),
-                bytes,
-                attempts: 0,
-            },
-        );
+        let pending = Pending {
+            to,
+            payload: held,
+            bytes,
+            attempts: 0,
+        };
+        self.in_flight.insert(seq, pending);
         (
             seq,
             ReliableMsg::Data {
                 inc: self.inc,
                 seq,
-                payload,
+                payload: wire,
             },
         )
     }
@@ -337,12 +360,11 @@ impl<M: Clone> ReliableLink<M> {
         }
         let pending = self.in_flight.get_mut(&seq).expect("will_resend found it");
         pending.attempts += 1;
-        let (to, payload, bytes, attempts) = (
-            pending.to,
-            pending.payload.clone(),
-            pending.bytes,
-            pending.attempts,
-        );
+        let payload = match &pending.payload {
+            Held::Own(m) => M::clone(m),
+            Held::Backlog(i) => self.backlog[*i].1.clone(),
+        };
+        let (to, bytes, attempts) = (pending.to, pending.bytes, pending.attempts);
         Retransmit::Resend {
             to,
             // In-flight frames always belong to the current incarnation:
@@ -388,19 +410,26 @@ impl<M: Clone> ReliableLink<M> {
         self.seen.high_water()
     }
 
-    /// [`send_data`](Self::send_data) as effects: the frame, then its
-    /// first retransmit timer.
-    fn frame<P: Enveloped<M>>(
-        &mut self,
+    /// A sequenced frame as effects: the frame, then its first retransmit
+    /// timer.
+    fn emit<P: Enveloped<M>>(
+        &self,
         fx: &mut Effects<P>,
         to: PeerId,
-        msg: M,
+        (seq, frame): (u64, ReliableMsg<M>),
         bytes: u64,
         class: MsgClass,
     ) {
-        let (seq, frame) = self.send_data(to, msg, bytes);
         fx.send(to, frame, bytes, class);
         fx.set_timer(self.rto(seq, 0), RetransmitTimer(seq).into());
+    }
+
+    /// Frames backlog entry `i` afresh: its wire copy is the only copy
+    /// made, the entry itself is what a retransmission clones.
+    fn send_backlog<P: Enveloped<M>>(&mut self, fx: &mut Effects<P>, i: usize, class: MsgClass) {
+        let (to, ref msg, bytes) = self.backlog[i];
+        let sent = self.sequence(to, Held::Backlog(i), msg.clone(), bytes);
+        self.emit(fx, to, sent, bytes, class);
     }
 }
 
@@ -421,29 +450,19 @@ impl<M, P> Enveloped<M> for P where P: SansIo<Msg = ReliableMsg<M>, Timer: From<
 /// null pointer. `Envelope::reliable(cfg)` arms a [`ReliableLink`].
 #[derive(Debug, Clone)]
 pub struct Envelope<M> {
-    cold: Option<Box<Cold<M>>>,
-}
-
-/// What only a reliable envelope holds.
-#[derive(Debug, Clone)]
-struct Cold<M> {
-    link: ReliableLink<M>,
-    /// Originals `(to, msg, bytes)` kept by [`Envelope::send_retained`]
-    /// for [`Envelope::revive`] to re-send.
-    backlog: Vec<(PeerId, M, u64)>,
+    link: Option<Box<ReliableLink<M>>>,
 }
 
 impl<M: Debug + Clone> Envelope<M> {
     /// A fire-and-forget envelope.
     pub fn plain() -> Self {
-        Envelope { cold: None }
+        Envelope { link: None }
     }
 
     /// An ack/retransmit envelope with the given tuning.
     pub fn reliable(cfg: RelConfig) -> Self {
-        let (link, backlog) = (ReliableLink::new(cfg), Vec::new());
-        let cold = Some(Box::new(Cold { link, backlog }));
-        Envelope { cold }
+        let link = Some(Box::new(ReliableLink::new(cfg)));
+        Envelope { link }
     }
 
     /// Sends `msg` to `to`, charged `bytes` in `class`: plain, or as a
@@ -456,16 +475,20 @@ impl<M: Debug + Clone> Envelope<M> {
         bytes: u64,
         class: MsgClass,
     ) {
-        match self.cold.as_deref_mut() {
+        match self.link.as_deref_mut() {
             None => fx.send(to, ReliableMsg::Plain(msg), bytes, class),
-            Some(cold) => cold.link.frame(fx, to, msg, bytes, class),
+            Some(link) => {
+                let sent = link.send_data(to, msg, bytes);
+                link.emit(fx, to, sent, bytes, class);
+            }
         }
     }
 
     /// [`send`](Self::send), and (when reliable) keeps the original so a
     /// later [`revive`](Self::revive) can re-send it. A crash loses every
     /// armed timer; for a core that says each thing once, the backlog is
-    /// what keeps delivery guaranteed across restarts.
+    /// what keeps delivery guaranteed across restarts. The kept original
+    /// is also what retransmissions copy: one retained copy per frame.
     pub fn send_retained<P: Enveloped<M>>(
         &mut self,
         fx: &mut Effects<P>,
@@ -474,17 +497,20 @@ impl<M: Debug + Clone> Envelope<M> {
         bytes: u64,
         class: MsgClass,
     ) {
-        if let Some(cold) = self.cold.as_deref_mut() {
-            cold.backlog.push((to, msg.clone(), bytes));
+        match self.link.as_deref_mut() {
+            None => fx.send(to, ReliableMsg::Plain(msg), bytes, class),
+            Some(link) => {
+                link.backlog.push((to, msg, bytes));
+                link.send_backlog(fx, link.backlog.len() - 1, class);
+            }
         }
-        self.send(fx, to, msg, bytes, class);
     }
 
     /// Whether [`on_frame`](Self::on_frame) will answer `frame` with an
     /// ack — for cores that mark a phase before envelope traffic. The
     /// pattern is `on_frame`'s acking arm.
     pub fn acks(&self, frame: &ReliableMsg<M>) -> bool {
-        matches!((frame, &self.cold), (ReliableMsg::Data { .. }, Some(_)))
+        matches!((frame, &self.link), (ReliableMsg::Data { .. }, Some(_)))
     }
 
     /// Unwraps an incoming frame. Returns the payload when it must reach
@@ -499,8 +525,7 @@ impl<M: Debug + Clone> Envelope<M> {
         from: PeerId,
         frame: ReliableMsg<M>,
     ) -> Option<M> {
-        let link = self.cold.as_deref_mut().map(|c| &mut c.link);
-        match (frame, link) {
+        match (frame, self.link.as_deref_mut()) {
             (ReliableMsg::Plain(m), _) => Some(m),
             (ReliableMsg::Data { inc, seq, payload }, Some(link)) => {
                 let fresh = link.accept(from, inc, seq);
@@ -527,8 +552,7 @@ impl<M: Debug + Clone> Envelope<M> {
     /// of `timer` back on the wire — the timer-side twin of
     /// [`acks`](Self::acks).
     pub fn resends(&self, timer: RetransmitTimer) -> bool {
-        let cold = self.cold.as_ref();
-        cold.is_some_and(|c| c.link.will_resend(timer.0))
+        self.link.as_ref().is_some_and(|l| l.will_resend(timer.0))
     }
 
     /// Handles a retransmit-timer firing: resends (as RETRANSMIT) and
@@ -540,11 +564,11 @@ impl<M: Debug + Clone> Envelope<M> {
         fx: &mut Effects<P>,
         timer: RetransmitTimer,
     ) -> Option<PeerId> {
-        let Some(cold) = self.cold.as_deref_mut() else {
+        let Some(link) = self.link.as_deref_mut() else {
             fx.warn("retransmit-timer-without-reliability");
             return None;
         };
-        match cold.link.retransmit(timer.0) {
+        match link.retransmit(timer.0) {
             Retransmit::Resend {
                 to,
                 frame,
@@ -564,8 +588,8 @@ impl<M: Debug + Clone> Envelope<M> {
     /// the old life's frames (see [`ReliableLink::on_restart`]). Emits
     /// nothing; a no-op in plain mode.
     pub fn restart(&mut self) {
-        if let Some(cold) = self.cold.as_deref_mut() {
-            cold.link.on_restart();
+        if let Some(link) = self.link.as_deref_mut() {
+            link.on_restart();
         }
     }
 
@@ -575,9 +599,9 @@ impl<M: Debug + Clone> Envelope<M> {
     /// idempotency guard; anyone else finally gets it.
     pub fn revive<P: Enveloped<M>>(&mut self, fx: &mut Effects<P>) {
         self.restart();
-        if let Some(Cold { link, backlog }) = self.cold.as_deref_mut() {
-            for (to, msg, bytes) in backlog.iter() {
-                link.frame(fx, *to, msg.clone(), *bytes, MsgClass::RETRANSMIT);
+        if let Some(link) = self.link.as_deref_mut() {
+            for i in 0..link.backlog.len() {
+                link.send_backlog(fx, i, MsgClass::RETRANSMIT);
             }
         }
     }
@@ -585,8 +609,8 @@ impl<M: Debug + Clone> Envelope<M> {
     /// Stops retransmitting toward `peer` (see [`ReliableLink::abandon`]):
     /// for cores whose failure detector just declared it dead.
     pub fn abandon(&mut self, peer: PeerId) {
-        if let Some(cold) = self.cold.as_deref_mut() {
-            cold.link.abandon(peer);
+        if let Some(link) = self.link.as_deref_mut() {
+            link.abandon(peer);
         }
     }
 }

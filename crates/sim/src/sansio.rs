@@ -296,8 +296,10 @@ pub struct Des<P: SansIo> {
     /// timer fires or is cancelled, and cleared wholesale on (re)start —
     /// a revival invalidates every pre-crash timer by incarnation.
     pub(crate) timers: Vec<(TimerToken, u64)>,
-    /// Results the core delivered, in order.
-    pub(crate) outputs: Vec<P::Output>,
+    /// Results the core delivered, in order; boxed on the first, since in
+    /// most engines only the root ever delivers.
+    #[allow(clippy::box_collection)] // one pointer per slot, not a 24-byte `Vec`
+    pub(crate) outputs: Option<Box<Vec<P::Output>>>,
 }
 
 impl<P: SansIo> Des<P> {
@@ -306,7 +308,7 @@ impl<P: SansIo> Des<P> {
             node,
             next_token: 0,
             timers: Vec::new(),
-            outputs: Vec::new(),
+            outputs: None,
         }
     }
 
@@ -322,7 +324,7 @@ impl<P: SansIo> Des<P> {
 
     /// Results the core delivered via [`Effect::Deliver`], oldest first.
     pub fn delivered(&self) -> &[P::Output] {
-        &self.outputs
+        self.outputs.as_deref().map_or(&[], Vec::as_slice)
     }
 }
 

@@ -694,7 +694,7 @@ impl<P: SansIo> World<Des<P>> {
                 }
                 Effect::MarkPhase { label } => kernel.sink.mark(label),
                 Effect::Warn { label } => kernel.sink.warn(label),
-                Effect::Deliver(out) => slot.outputs.push(out),
+                Effect::Deliver(out) => slot.outputs.get_or_insert_default().push(out),
             }
         }
         self.scratch = buf;

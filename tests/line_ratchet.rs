@@ -12,15 +12,15 @@ use std::path::Path;
 /// umbrella package, whose sources are the root `src/`.
 const NON_TEST_LINES: &[(&str, usize)] = &[
     ("src", 308),
-    ("crates/agg", 1225),
+    ("crates/agg", 1226),
     ("crates/bench", 4872),
     // 6 313 while `NetFilter::run` walked the tree beside the protocol.
-    ("crates/core", 6248),
+    ("crates/core", 6264),
     ("crates/hierarchy", 1164),
     ("crates/overlay", 1184),
     ("crates/perf", 518),
     // 3 854 while the kernel also drove the `Protocol`/`Ctx` interface.
-    ("crates/sim", 3710),
+    ("crates/sim", 3734),
     ("crates/simcheck", 2357),
     ("crates/transport", 1588),
     ("crates/workload", 838),

@@ -1,5 +1,6 @@
 //! Working set proportional to live data: the per-peer memory budget of
-//! one exact epoch under the DES, on the counting allocator.
+//! one exact epoch's world and of the epoch under the DES, on the counting
+//! allocator.
 //!
 //! One test in this binary, so nothing else allocates inside the window
 //! and the counts are a function of the seed alone.
@@ -17,6 +18,12 @@ static ALLOC: Counting = Counting;
 const PEERS: usize = 5_000;
 const SEED: u64 = 20080617;
 
+/// Most a built world may hold before it starts, per peer (its inputs
+/// aside): the 232-byte DES slot, the peer's own items, its child list,
+/// the event ring and the meter columns. Measured 355.5 B, budgeted with
+/// 10 % head-room; 419.5 B when every slot was 296 B and carried the
+/// root's answer, threshold and heavy-group count.
+const WORLD_BYTES_PER_PEER: usize = 391;
 /// Most an epoch's live heap may rise above the pre-built world, per
 /// peer: the leaves' group vectors as runs of 12-byte updates, interior
 /// accumulators that are a child's report taken over, the reports in
@@ -59,7 +66,9 @@ fn an_exact_epoch_stays_within_its_per_peer_memory_budget() {
         .hash_seed(SEED)
         .build();
     let sim = SimConfig::default().with_seed(SEED);
+    alloc::reset();
     let mut w = NetFilterProtocol::build_world(&cfg, &h, &data, sim);
+    let world = alloc::snapshot();
 
     alloc::reset();
     w.start();
@@ -71,6 +80,11 @@ fn an_exact_epoch_stays_within_its_per_peer_memory_budget() {
     assert_eq!(
         w.peer(PeerId::new(0)).result().expect("root finishes"),
         &truth.frequent_items(t)[..]
+    );
+    assert!(
+        world.retained <= WORLD_BYTES_PER_PEER * PEERS,
+        "the built world holds {} B/peer (budget {WORLD_BYTES_PER_PEER})",
+        world.retained / PEERS
     );
     assert!(
         op.peak <= BURST_BYTES_PER_PEER * PEERS,

@@ -23,16 +23,19 @@ const SEED: u64 = 20080617;
 /// Most the epoch's live heap may rise above the pre-built world, per
 /// peer: the group vectors (dense here: a peer's few hundred updates
 /// outweigh the 300-slot array), each report once in flight and once
-/// retained until it is acknowledged, the dedup windows, the armed
-/// retransmit timers and the event ring. Measured 5 350.5 B, budgeted
-/// with 10 % head-room; 6 488.1 B when every interior peer held its own
-/// vector from `Start` to phase-1 completion.
-const BURST_BYTES_PER_PEER: usize = 5_890;
+/// retained for a revival (one copy, which retransmissions share), the
+/// dedup windows, the armed retransmit timers and the event ring.
+/// Measured 4 328.8 B, budgeted with 10 % head-room; 5 350.5 B when the
+/// in-flight table kept a second retained copy of each report inline,
+/// 6 488.1 B when every interior peer held its own vector from `Start`
+/// to phase-1 completion.
+const BURST_BYTES_PER_PEER: usize = 4_770;
 /// Most allocator calls the epoch may make, per hundred peers: the
 /// vectors, the retained backlogs and their timers, the census riders'
 /// messages and what a dropped or duplicated frame costs to recover.
-/// Measured 1 648; 1 671 before interior peers adopted a child's report.
-const ALLOCS_PER_HUNDRED_PEERS: u64 = 1_815;
+/// Measured 1 452.3; 1 648 when the in-flight table copied each retained
+/// report again; 1 671 before interior peers adopted a child's report.
+const ALLOCS_PER_HUNDRED_PEERS: u64 = 1_600;
 
 #[test]
 fn a_certified_lossy_epoch_stays_within_its_per_peer_memory_budget() {
