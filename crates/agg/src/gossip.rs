@@ -21,47 +21,8 @@ use ifi_sim::{DetRng, EventSink, MsgClass, PeerId};
 
 use crate::wire::WireSizes;
 
-/// Result of a push-sum run.
-#[derive(Debug, Clone)]
-pub struct GossipOutcome {
-    /// Per-peer estimates of the global **average** after the final round.
-    pub avg_estimates: Vec<f64>,
-    /// Rounds executed.
-    pub rounds: usize,
-    /// Total bytes sent (each message carries one `(sum, weight)` pair,
-    /// `2·s_a` bytes).
-    pub total_bytes: u64,
-}
-
-impl GossipOutcome {
-    /// Per-peer estimates of the global **sum** (`N ×` average).
-    pub fn sum_estimates(&self) -> Vec<f64> {
-        let n = self.avg_estimates.len() as f64;
-        self.avg_estimates.iter().map(|&a| a * n).collect()
-    }
-
-    /// The paper's cost metric: average bytes per peer.
-    pub fn avg_bytes_per_peer(&self) -> f64 {
-        if self.avg_estimates.is_empty() {
-            0.0
-        } else {
-            self.total_bytes as f64 / self.avg_estimates.len() as f64
-        }
-    }
-
-    /// Worst relative error of the per-peer sum estimates against the true
-    /// sum.
-    pub fn max_relative_error(&self, true_sum: f64) -> f64 {
-        assert!(true_sum != 0.0, "relative error undefined for zero sum");
-        self.sum_estimates()
-            .iter()
-            .map(|&e| ((e - true_sum) / true_sum).abs())
-            .fold(0.0, f64::max)
-    }
-}
-
 /// Runs `rounds` of push-sum over `topology`, starting from per-peer
-/// `values`.
+/// `values`: the vector protocol over one-component vectors.
 ///
 /// # Panics
 ///
@@ -73,15 +34,9 @@ pub fn push_sum(
     rounds: usize,
     sizes: &WireSizes,
     rng: &mut DetRng,
-) -> GossipOutcome {
-    push_sum_with_sink(
-        topology,
-        values,
-        rounds,
-        sizes,
-        rng,
-        &mut EventSink::disabled(),
-    )
+) -> GossipVecOutcome {
+    let mut sink = EventSink::disabled();
+    push_sum_with_sink(topology, values, rounds, sizes, rng, &mut sink)
 }
 
 /// [`push_sum`] that additionally charges each round's sends into `sink`
@@ -94,52 +49,11 @@ pub fn push_sum_with_sink(
     sizes: &WireSizes,
     rng: &mut DetRng,
     sink: &mut EventSink,
-) -> GossipOutcome {
-    let n = topology.peer_count();
-    assert_eq!(values.len(), n, "one value per peer required");
-    for p in topology.peers() {
-        assert!(
-            topology.degree(p) > 0,
-            "gossip requires every peer to have a neighbor ({p} has none)"
-        );
-    }
-    let mut sums = values.to_vec();
-    let mut weights = vec![1.0f64; n];
-    let msg_bytes = 2 * sizes.sa;
-    let mut total_bytes = 0u64;
-
-    for _ in 0..rounds {
-        let mut inbox_s = vec![0.0f64; n];
-        let mut inbox_w = vec![0.0f64; n];
-        for i in 0..n {
-            let p = PeerId::new(i);
-            let half_s = sums[i] / 2.0;
-            let half_w = weights[i] / 2.0;
-            // Keep one half …
-            inbox_s[i] += half_s;
-            inbox_w[i] += half_w;
-            // … push the other to a random neighbor.
-            let nbrs = topology.neighbors(p);
-            let target = nbrs[rng.below(nbrs.len() as u64) as usize];
-            inbox_s[target.index()] += half_s;
-            inbox_w[target.index()] += half_w;
-            total_bytes += msg_bytes;
-            sink.record(p, MsgClass::GOSSIP, msg_bytes);
-        }
-        sums = inbox_s;
-        weights = inbox_w;
-    }
-
-    let avg_estimates = sums
-        .iter()
-        .zip(&weights)
-        .map(|(&s, &w)| if w > 0.0 { s / w } else { 0.0 })
-        .collect();
-    GossipOutcome {
-        avg_estimates,
-        rounds,
-        total_bytes,
-    }
+) -> GossipVecOutcome {
+    let peers = topology.peer_count();
+    assert_eq!(values.len(), peers, "one value per peer required");
+    let vectors: Vec<Vec<f64>> = values.iter().map(|&v| vec![v]).collect();
+    push_sum_vec_with_sink(topology, &vectors, rounds, sizes, rng, sink)
 }
 
 /// Result of a vector push-sum run.
@@ -205,14 +119,8 @@ pub fn push_sum_vec(
     sizes: &WireSizes,
     rng: &mut DetRng,
 ) -> GossipVecOutcome {
-    push_sum_vec_with_sink(
-        topology,
-        values,
-        rounds,
-        sizes,
-        rng,
-        &mut EventSink::disabled(),
-    )
+    let mut sink = EventSink::disabled();
+    push_sum_vec_with_sink(topology, values, rounds, sizes, rng, &mut sink)
 }
 
 /// [`push_sum_vec`] that additionally charges each round's sends into
@@ -311,9 +219,9 @@ mod tests {
         let rounds = recommended_rounds(100, 1e-4);
         let out = push_sum(&topo, &vals, rounds, &WireSizes::default(), &mut rng);
         assert!(
-            out.max_relative_error(true_sum) < 0.05,
+            out.max_relative_error(&[true_sum]) < 0.05,
             "error {} after {rounds} rounds",
-            out.max_relative_error(true_sum)
+            out.max_relative_error(&[true_sum])
         );
     }
 
@@ -324,9 +232,9 @@ mod tests {
         let vals = values(64);
         let true_sum: f64 = vals.iter().sum();
         let e_short = push_sum(&topo, &vals, 5, &WireSizes::default(), &mut DetRng::new(7))
-            .max_relative_error(true_sum);
+            .max_relative_error(&[true_sum]);
         let e_long = push_sum(&topo, &vals, 60, &WireSizes::default(), &mut DetRng::new(7))
-            .max_relative_error(true_sum);
+            .max_relative_error(&[true_sum]);
         assert!(e_long < e_short / 4.0, "short {e_short} vs long {e_long}");
     }
 
@@ -343,8 +251,11 @@ mod tests {
         // Re-derive: Σ estimates·w = Σ s = truth; we can't see w here, but
         // an 8-round ring must at least keep every estimate finite and
         // positive.
-        assert!(out.avg_estimates.iter().all(|&e| e.is_finite() && e > 0.0));
-        let sum_est: f64 = out.sum_estimates().iter().sum::<f64>() / 10.0;
+        assert!(out
+            .avg_estimates
+            .iter()
+            .all(|e| e[0].is_finite() && e[0] > 0.0));
+        let sum_est: f64 = (0..10).map(|p| out.sum_estimates(p)[0]).sum::<f64>() / 10.0;
         assert!((sum_est - truth).abs() / truth < 0.5);
     }
 

@@ -6,88 +6,28 @@
 //! its downstream neighbors, and then forwards the merged result to its
 //! upstream neighbor. Eventually, the root node has the final aggregate."*
 //!
-//! Two interchangeable engines:
-//!
-//! * [`aggregate`] — instant post-order evaluation over a materialized
-//!   [`Hierarchy`], charging each non-root member the encoded size of the
-//!   merged value it forwards upward;
-//! * [`TreeSlot`] + [`Convergecast`] — the same computation as the sans-io
-//!   building block every message-level engine of the workspace is built
-//!   on: a peer's place in the tree with its per-child admission table,
-//!   and one phase's accumulator over it. The block emits nothing itself;
-//!   an engine feeds it child reports and forwards (or, at the root,
-//!   finishes) what [`Convergecast::complete`] hands back. Property tests
-//!   in the `netfilter` crate assert both engines report identical values
-//!   *and* identical byte totals.
+//! * [`TreeSlot`] + [`Convergecast`] — the sans-io building block every
+//!   message-level engine of the workspace is built on: a peer's place in
+//!   the tree with its per-child admission table, and one phase's
+//!   accumulator over it. The block emits nothing itself; an engine feeds
+//!   it child reports and forwards (or, at the root, finishes) what
+//!   [`Convergecast::complete`] hands back.
+//! * [`ConvergecastProtocol`] — the one-pass engine over that block: every
+//!   peer reports its subtree's merge rootward through the [`Envelope`],
+//!   and the root's [`Finish`]er turns the merged value into the answer.
+//!   The sketch, naive, count-min and gossip-verification engines run on it.
+
+use std::fmt::Debug;
 
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::PeerId;
+use ifi_sim::{
+    sansio_world, Des, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, RelConfig,
+    ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime, World,
+};
+use ifi_workload::{ItemId, SystemData};
 
 use crate::merge::{Aggregate, Fold};
 use crate::wire::WireSizes;
-
-/// Result of one hierarchical aggregation.
-#[derive(Debug, Clone)]
-pub struct AggregationOutcome<A> {
-    /// The aggregate accumulated at the root.
-    pub root_value: A,
-    /// Bytes each peer propagated upward (`0` for the root and
-    /// non-members); indexed by peer id.
-    pub bytes_per_peer: Vec<u64>,
-}
-
-impl<A> AggregationOutcome<A> {
-    /// Total bytes propagated by all peers.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes_per_peer.iter().sum()
-    }
-
-    /// The paper's communication-cost metric: average bytes per peer, over
-    /// all `n_peers` peers of the system.
-    pub fn avg_bytes_per_peer(&self) -> f64 {
-        if self.bytes_per_peer.is_empty() {
-            0.0
-        } else {
-            self.total_bytes() as f64 / self.bytes_per_peer.len() as f64
-        }
-    }
-}
-
-/// Computes the aggregate of `local(p)` over all members of `hierarchy`,
-/// instantly, with exact byte accounting.
-///
-/// `local` is called exactly once per member, in post-order.
-pub fn aggregate<A: Aggregate>(
-    hierarchy: &Hierarchy,
-    sizes: &WireSizes,
-    mut local: impl FnMut(PeerId) -> A,
-) -> AggregationOutcome<A> {
-    let universe = hierarchy.universe();
-    let mut bytes_per_peer = vec![0u64; universe];
-    // acc[p] = the merged value of p's subtree, once all children are in.
-    let mut acc: Vec<Option<A>> = (0..universe).map(|_| None).collect();
-    for p in hierarchy.post_order() {
-        let mut value = local(p);
-        for &c in hierarchy.children(p) {
-            let child_value = acc[c.index()]
-                .take()
-                .expect("post-order guarantees children are evaluated first");
-            value.merge_owned(child_value);
-        }
-        if p != hierarchy.root() {
-            // The peer forwards its merged subtree value upward.
-            bytes_per_peer[p.index()] = value.encoded_bytes(sizes);
-        }
-        acc[p.index()] = Some(value);
-    }
-    let root_value = acc[hierarchy.root().index()]
-        .take()
-        .expect("root is evaluated last");
-    AggregationOutcome {
-        root_value,
-        bytes_per_peer,
-    }
-}
 
 /// One downstream neighbor and which of its reports have been merged —
 /// the idempotency guard that makes duplicate or replayed reports
@@ -264,34 +204,239 @@ impl<A: Aggregate, const REPORT: u8> Convergecast<A, REPORT> {
     }
 }
 
+/// What the root of a [`ConvergecastProtocol`] makes of the merged `A` —
+/// the one part of a one-pass engine that is the engine's own. The type
+/// also fixes how `A` travels: its class and its admission check.
+pub trait Finish<A: Aggregate>: Debug + Clone {
+    /// The answer the root delivers.
+    type Output: Debug + Clone;
+    /// The class every forwarded value is metered in.
+    const CLASS: MsgClass;
+
+    /// Whether a child's `report` can merge into this peer's own value: a
+    /// decodable report may still be one `merge` cannot take.
+    fn fits(_mine: &A, _report: &A) -> bool {
+        true
+    }
+
+    /// The answer for the root's merged value.
+    fn finish(&self, value: A) -> Self::Output;
+}
+
+/// The identity finisher: the root keeps the merged value.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Collect;
+
+impl<A: Aggregate> Finish<A> for Collect {
+    type Output = A;
+    const CLASS: MsgClass = MsgClass::AGGREGATION;
+
+    fn finish(&self, value: A) -> A {
+        value
+    }
+}
+
+/// A one-pass query over a workload: each peer's value from its local
+/// items alone, and the finisher the root answers with.
+pub trait OnePass {
+    /// The value merged rootward.
+    type Value: Aggregate;
+    /// The root's finisher.
+    type Finish: Finish<Self::Value>;
+    /// Wire widths the forwarded values are priced with.
+    fn sizes(&self) -> WireSizes;
+    /// A peer's own value.
+    fn local(&self, items: &[(ItemId, u64)]) -> Self::Value;
+    /// The finisher for `data` (a threshold resolves against its total).
+    fn finisher(&self, data: &SystemData) -> Self::Finish;
+}
+
+/// One peer of a one-pass convergecast: its own value merged with its
+/// children's reports and forwarded rootward once every child is in; the
+/// root finishes the merge into the answer it delivers.
+#[derive(Debug, Clone)]
+pub struct ConvergecastProtocol<A: Aggregate, F: Finish<A> = Collect> {
+    slot: TreeSlot,
+    /// Open from construction with the local value.
+    phase: Convergecast<A>,
+    env: Envelope<A>,
+    sizes: WireSizes,
+    /// The root's finisher and, once the merge completes, its answer.
+    root: Option<Box<(F, Option<F::Output>)>>,
+}
+
+impl<A: Aggregate, F: Finish<A>> ConvergecastProtocol<A, F> {
+    /// Every peer of `hierarchy`'s universe, opened with `local(peer)`;
+    /// the root holds `finish`. `rel` turns the ack/retransmit envelope on.
+    pub fn cores(
+        hierarchy: &Hierarchy,
+        sizes: WireSizes,
+        finish: F,
+        rel: Option<RelConfig>,
+        mut local: impl FnMut(PeerId) -> A,
+    ) -> Vec<Self> {
+        let core = |p| {
+            let slot = TreeSlot::new(hierarchy, p);
+            let mut phase = Convergecast::default();
+            phase.open(local(p));
+            let root = slot.is_root().then(|| Box::new((finish.clone(), None)));
+            let env = rel.clone().map_or(Envelope::plain(), Envelope::reliable);
+            ConvergecastProtocol {
+                slot,
+                phase,
+                env,
+                sizes,
+                root,
+            }
+        };
+        (0..hierarchy.universe())
+            .map(PeerId::new)
+            .map(core)
+            .collect()
+    }
+
+    /// The cores of `query` over `hierarchy` and `data`, for any driver.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the hierarchy and data universes differ.
+    pub fn peers(
+        query: &impl OnePass<Value = A, Finish = F>,
+        hierarchy: &Hierarchy,
+        data: &SystemData,
+        rel: Option<RelConfig>,
+    ) -> Vec<Self> {
+        assert_eq!(
+            hierarchy.universe(),
+            data.peer_count(),
+            "hierarchy and data peer universes differ"
+        );
+        let local = |p| query.local(data.local_items(p));
+        Self::cores(hierarchy, query.sizes(), query.finisher(data), rel, local)
+    }
+
+    /// A ready-to-run world of [`peers`](Self::peers).
+    pub fn build_world(
+        query: &impl OnePass<Value = A, Finish = F>,
+        hierarchy: &Hierarchy,
+        data: &SystemData,
+        sim: SimConfig,
+    ) -> World<Des<Self>> {
+        sansio_world(sim, Self::peers(query, hierarchy, data, None))
+    }
+
+    /// [`build_world`](Self::build_world) with the ack/retransmit envelope
+    /// on every peer, which an answer under injected faults needs.
+    pub fn build_world_reliable(
+        query: &impl OnePass<Value = A, Finish = F>,
+        hierarchy: &Hierarchy,
+        data: &SystemData,
+        sim: SimConfig,
+        rel: RelConfig,
+    ) -> World<Des<Self>> {
+        sansio_world(sim, Self::peers(query, hierarchy, data, Some(rel)))
+    }
+
+    /// Runs `cores` to quiescence: the root's answer and the bytes each
+    /// peer sent. Panics if the root never answered.
+    pub fn run(cores: Vec<Self>, sim: SimConfig) -> (F::Output, Vec<u64>) {
+        let mut w = sansio_world(sim, cores);
+        w.start();
+        w.run_to_quiescence();
+        let m = w.metrics();
+        let bytes = (0..m.peer_count()).map(|i| m.peer_bytes(PeerId::new(i)));
+        let answer = w.peers().find_map(|p| p.result().cloned());
+        (answer.expect("a quiescent run answers"), bytes.collect())
+    }
+
+    /// The root's answer, once the convergecast completes.
+    pub fn result(&self) -> Option<&F::Output> {
+        self.root.as_ref()?.1.as_ref()
+    }
+}
+
+impl<A: Aggregate, F: Finish<A>> SansIo for ConvergecastProtocol<A, F> {
+    type Msg = ReliableMsg<A>;
+    type Timer = RetransmitTimer;
+    type Output = F::Output;
+
+    fn on_event(
+        &mut self,
+        ev: NodeEvent<Self::Msg, Self::Timer>,
+        _now: SimTime,
+        _env: &dyn Membership,
+        fx: &mut Effects<Self>,
+    ) {
+        match ev {
+            NodeEvent::Start => match self.slot.boot() {
+                Boot::Outsider => return,
+                Boot::Revival => return self.env.revive(fx),
+                Boot::First => {}
+            },
+            NodeEvent::Message { from, msg } => {
+                let Some(report) = self.env.on_frame(fx, from, msg) else {
+                    return;
+                };
+                if let Err(warn) = self.phase.absorb(&mut self.slot, from, report, F::fits) {
+                    return fx.warn(warn);
+                }
+            }
+            NodeEvent::Timer { tag } => {
+                // A one-shot run has no coarser repair to escalate to.
+                if self.env.on_retransmit(fx, tag).is_some() {
+                    fx.warn("retransmit-gave-up");
+                }
+                return;
+            }
+        }
+        let Some(acc) = self.phase.complete(&self.slot) else {
+            return;
+        };
+        if let Some(parent) = self.slot.parent() {
+            let bytes = acc.encoded_bytes(&self.sizes);
+            self.env.send_retained(fx, parent, acc, bytes, F::CLASS);
+        } else if let Some((finish, answer)) = self.root.as_deref_mut() {
+            let out = answer.insert(finish.finish(acc)).clone();
+            fx.deliver(out);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::merge::{MapSum, ScalarSum, VecSum};
     use ifi_overlay::Topology;
-    use ifi_workload::ItemId;
+
+    /// One plain epoch of `local` over `h`: the root's value and the
+    /// bytes each peer sent.
+    fn collect<A: Aggregate>(h: &Hierarchy, local: impl FnMut(PeerId) -> A) -> (A, Vec<u64>) {
+        let sizes = WireSizes::default();
+        let cores = ConvergecastProtocol::cores(h, sizes, Collect, None, local);
+        ConvergecastProtocol::run(cores, SimConfig::default())
+    }
 
     #[test]
     fn scalar_aggregate_sums_everything() {
         let h = Hierarchy::balanced(13, 3);
-        let out = aggregate(&h, &WireSizes::default(), |p| ScalarSum(p.index() as u64));
-        assert_eq!(out.root_value, ScalarSum((0..13).sum()));
+        let (root, bytes) = collect(&h, |p| ScalarSum(p.index() as u64));
+        assert_eq!(root, ScalarSum((0..13).sum()));
         // Every non-root peer sends exactly 4 bytes.
-        assert_eq!(out.total_bytes(), 12 * 4);
-        assert_eq!(out.bytes_per_peer[0], 0, "root sends nothing");
+        assert_eq!(bytes.iter().sum::<u64>(), 12 * 4);
+        assert_eq!(bytes[0], 0, "root sends nothing");
     }
 
     #[test]
     fn vec_aggregate_is_elementwise() {
         let h = Hierarchy::balanced(4, 3);
-        let out = aggregate(&h, &WireSizes::default(), |p| {
+        let (root, bytes) = collect(&h, |p| {
             let mut v = vec![0u64; 3];
             v[p.index() % 3] = 1;
             VecSum::from(v)
         });
-        assert_eq!(out.root_value.to_dense().iter().sum::<u64>(), 4);
+        assert_eq!(root.to_dense().iter().sum::<u64>(), 4);
         // Fixed-width: every non-root sends sa * 3 = 12 bytes.
-        assert_eq!(out.total_bytes(), 3 * 12);
+        assert_eq!(bytes.iter().sum::<u64>(), 3 * 12);
     }
 
     #[test]
@@ -299,11 +444,9 @@ mod tests {
         // Line 0-1-2-3 (root 0): peer 3 sends 1 entry, peer 2 sends 2, …
         let topo = Topology::line(4);
         let h = Hierarchy::bfs(&topo, PeerId::new(0));
-        let out = aggregate(&h, &WireSizes::default(), |p| {
-            MapSum::from_pairs([(ItemId(p.index() as u64), 1)])
-        });
-        assert_eq!(out.root_value.len(), 4);
-        assert_eq!(out.bytes_per_peer, vec![0, 8 * 3, 8 * 2, 8]);
+        let (root, bytes) = collect(&h, |p| MapSum::from_pairs([(ItemId(p.index() as u64), 1)]));
+        assert_eq!(root.len(), 4);
+        assert_eq!(bytes, vec![0, 8 * 3, 8 * 2, 8]);
     }
 
     #[test]
@@ -359,8 +502,8 @@ mod tests {
         // §IV: "The aggregate computation for v and N … only need to
         // propagate one single value along the hierarchy."
         let h = Hierarchy::balanced(1000, 3);
-        let out = aggregate(&h, &WireSizes::default(), |_| ScalarSum(1));
-        assert_eq!(out.root_value, ScalarSum(1000)); // N
-        assert_eq!(out.avg_bytes_per_peer(), 999.0 * 4.0 / 1000.0);
+        let (root, bytes) = collect(&h, |_| ScalarSum(1));
+        assert_eq!(root, ScalarSum(1000)); // N
+        assert_eq!(bytes.iter().sum::<u64>(), 999 * 4);
     }
 }

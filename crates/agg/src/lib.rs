@@ -5,10 +5,9 @@
 //! plus the sampling machinery of §IV-E:
 //!
 //! * [`hierarchical`] — bottom-up ("convergecast") aggregation along a
-//!   [`ifi_hierarchy::Hierarchy`]: an *instant* engine (post-order tree
-//!   walk with exact per-peer byte accounting) and the sans-io
-//!   [`Convergecast`] block the message-level engines are built on; both
-//!   compute identical values and identical byte counts,
+//!   [`ifi_hierarchy::Hierarchy`]: the sans-io [`Convergecast`] block the
+//!   message-level engines are built on, and [`ConvergecastProtocol`], the
+//!   one-pass engine over it that every comparator runs on,
 //! * [`gossip`] — push-sum gossip aggregation (the paper's discussed
 //!   alternative, citing \[8]\[15]; it needs `O(log N)` rounds and yields
 //!   approximate values — exactly the trade-off §III-A describes),
@@ -29,7 +28,9 @@ mod merge;
 pub mod sampling;
 mod wire;
 
-pub use hierarchical::{AggregationOutcome, Boot, Convergecast, TreeSlot};
+pub use hierarchical::{
+    Boot, Collect, Convergecast, ConvergecastProtocol, Finish, OnePass, TreeSlot,
+};
 pub use merge::{
     fold_run, is_run, merge_join, Aggregate, Ascending, Fold, MapSum, OnArrival, ScalarSum, VecSum,
 };

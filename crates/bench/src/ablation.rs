@@ -40,6 +40,8 @@ pub struct Ablation {
     /// Gossip-*filtered* netFilter (§VI future work) vs the base engine:
     /// `(gossip-variant total B/peer, base total B/peer)`; both exact.
     pub gossip_filter_gap: (f64, f64),
+    /// `(gossip-variant answer == base answer, gossip-variant item count)`.
+    pub gossip_filter_exact: (bool, usize),
     /// Count-min approximate comparator at small ε vs exact netFilter:
     /// `(approx B/peer, exact B/peer, approx false positives)`.
     pub approx_vs_exact: (f64, f64, usize),
@@ -120,7 +122,7 @@ pub fn run(scale: Scale, seed: u64) -> Ablation {
     let g_out = gossip::push_sum(&topo, &values, rounds, &sizes, &mut rng);
     let true_sum: f64 = values.iter().sum();
     let gossip_bytes = g_out.avg_bytes_per_peer();
-    let gossip_err = g_out.max_relative_error(true_sum);
+    let gossip_err = g_out.max_relative_error(&[true_sum]);
     // Hierarchy: one scalar per non-root peer.
     let hierarchy_bytes = sizes.sa as f64 * (n_peers as f64 - 1.0) / n_peers as f64;
 
@@ -151,7 +153,10 @@ pub fn run(scale: Scale, seed: u64) -> Ablation {
     let gf_hierarchy = Hierarchy::bfs(&topo, PeerId::new(0));
     let gf = gossip_filter::run(&topo, &gf_hierarchy, &data, &gf_cfg, &mut rng);
     let base = NetFilter::new(gf_cfg.base.clone()).run(&h, &data);
-    debug_assert_eq!(gf.frequent_items(), base.frequent_items());
+    let gossip_filter_exact = (
+        gf.frequent_items() == base.frequent_items(),
+        gf.frequent_items().len(),
+    );
     let gossip_filter_gap = (gf.avg_bytes_per_peer(), base.cost().avg_total());
 
     // --- Approximate comparator (footnote 5) at small ε. ---
@@ -191,6 +196,7 @@ pub fn run(scale: Scale, seed: u64) -> Ablation {
         gossip_vs_hierarchy: (gossip_bytes, hierarchy_bytes, gossip_err),
         tuning_gap: (tuned_cost, oracle_cost),
         gossip_filter_gap,
+        gossip_filter_exact,
         approx_vs_exact,
         root_heights,
     }
@@ -294,6 +300,11 @@ impl Ablation {
                     "{:.0} vs {:.0} B/peer",
                     self.gossip_filter_gap.0, self.gossip_filter_gap.1
                 ),
+            ),
+            ShapeCheck::new(
+                "gossip-filtered variant answers exactly",
+                self.gossip_filter_exact.0,
+                format!("{} items", self.gossip_filter_exact.1),
             ),
             ShapeCheck::new(
                 "small-eps approximation costs more than the exact answer (footnote 5)",

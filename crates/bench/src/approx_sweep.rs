@@ -21,7 +21,7 @@
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::SimConfig;
 use ifi_workload::{GroundTruth, ItemId, SystemData, WorkloadParams};
-use netfilter::engines::{ApproxEngine, ExactEngine, SketchEngine};
+use netfilter::engines::{Engine, ExactEngine, SketchEngine};
 use netfilter::local_threshold::{self, LocalThresholdConfig};
 use netfilter::sketch::SketchConfig;
 use netfilter::{topk, NetFilterConfig, Threshold};

@@ -26,9 +26,7 @@ use ifi_overlay::Topology;
 use ifi_sim::{DetRng, EventSink, MetricsReport, PeerId};
 use ifi_workload::{SystemData, WorkloadParams};
 use netfilter::continuous::ContinuousConfig;
-use netfilter::engines::{
-    ApproxEngine, ContinuousEngine, SketchEngine, ThresholdEngine, TopKEngine,
-};
+use netfilter::engines::{ContinuousEngine, Engine, SketchEngine, ThresholdEngine, TopKEngine};
 use netfilter::local_threshold::LocalThresholdConfig;
 use netfilter::sketch::SketchConfig;
 use netfilter::topk::TopKConfig;
@@ -163,7 +161,7 @@ fn sampling_scenario() -> BaselineRun {
 /// One approximate-engine scenario: the engine's reference tuning run
 /// to quiescence under the seeded DES; the snapshot pins its per-class
 /// traffic and answer digest.
-fn approx_scenario(name: &'static str, engine: &dyn ApproxEngine, threshold: u64) -> BaselineRun {
+fn approx_scenario(name: &'static str, engine: &dyn Engine, threshold: u64) -> BaselineRun {
     let data = workload(1.0);
     let h = Hierarchy::balanced(PEERS, 3);
     let sim = ifi_sim::SimConfig::default().with_seed(BASELINE_SEED);

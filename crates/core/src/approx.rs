@@ -26,13 +26,15 @@
 //! (`s_i` bytes each), skipping the exact re-aggregation netFilter pays
 //! for.
 
-use ifi_agg::{hierarchical, MapSum};
+use ifi_agg::{Collect, ConvergecastProtocol, MapSum};
 use ifi_hierarchy::Hierarchy;
+use ifi_sim::{PeerId, SimConfig};
 use ifi_workload::{ItemId, SystemData};
 
 use crate::config::NetFilterConfig;
 use crate::filter::{HeavyGroups, LocalFilter};
 use crate::hashing::HashFamily;
+use crate::WireSizes;
 
 /// Result of an approximate (count-min) frequent-items run.
 #[derive(Debug, Clone)]
@@ -83,44 +85,35 @@ pub fn run(hierarchy: &Hierarchy, data: &SystemData, config: &NetFilterConfig) -
     let local_filter = LocalFilter::new(family.clone());
 
     // 1. Aggregate the sketch (identical traffic to netFilter's phase 1).
-    let sketch = hierarchical::aggregate(hierarchy, &sizes, |p| {
-        local_filter.group_vector(data.local_items(p))
-    });
+    let local = |p: PeerId| local_filter.group_vector(data.local_items(p));
+    let cores = ConvergecastProtocol::cores(hierarchy, sizes, Collect, None, local);
+    let (sketch, sketch_bytes) = ConvergecastProtocol::run(cores, SimConfig::default());
 
     // 2. Broadcast heavy groups; peers nominate local items whose sketch
     //    estimate could clear the threshold. A count-min estimate is the
     //    MIN over rows, so x can only qualify if every row's counter is
     //    ≥ t — precisely netFilter's candidate condition.
-    let heavy = HeavyGroups::from_aggregate(&family, &sketch.root_value, threshold);
-    let list_bytes = sizes.sg * heavy.total_heavy() as u64;
-    let mut collect_total = 0u64;
-    for p in hierarchy.members() {
-        collect_total += list_bytes * hierarchy.children(p).len() as u64;
-    }
+    let heavy = HeavyGroups::from_aggregate(&family, &sketch, threshold);
+    //    One heavy-group list travels down every tree edge.
+    let edges = hierarchy.member_count() as u64 - 1;
+    let mut collect_total = sizes.sg * heavy.total_heavy() as u64 * edges;
 
     // 3. Identifier-only convergecast: each peer ships the ids (not the
     //    values — the sketch supplies those) of its qualifying items.
-    //    Modeled with MapSum carrying zero-cost values but priced at s_i
-    //    per entry.
-    let ids = hierarchical::aggregate(hierarchy, &sizes, |p| {
-        MapSum::from_pairs(
-            data.local_items(p)
-                .iter()
-                .filter(|&&(x, _)| heavy.is_candidate(&family, x))
-                .map(|&(x, _)| (x, 1u64)),
-        )
-    });
-    // Re-price: (sa+si) was charged per pair by the generic engine; the
-    // identifier-only stream costs si per pair.
-    let id_bytes: u64 = ids
-        .bytes_per_peer
-        .iter()
-        .map(|&b| b / sizes.pair() * sizes.si)
-        .sum();
-    collect_total += id_bytes;
+    //    Modeled with MapSum carrying values priced at zero width, so each
+    //    entry costs s_i.
+    let local = |p: PeerId| {
+        let items = data.local_items(p).iter();
+        let qualifying = items.filter(|&&(x, _)| heavy.is_candidate(&family, x));
+        MapSum::from_pairs(qualifying.map(|&(x, _)| (x, 1u64)))
+    };
+    let id_sizes = WireSizes { sa: 0, ..sizes };
+    let cores = ConvergecastProtocol::cores(hierarchy, id_sizes, Collect, None, local);
+    let (ids, id_bytes) = ConvergecastProtocol::run(cores, SimConfig::default());
+    collect_total += id_bytes.iter().sum::<u64>();
 
     // 4. Estimate values from the sketch (min over rows) and threshold.
-    let counters = sketch.root_value.to_dense();
+    let counters = sketch.to_dense();
     let estimate = |x: ItemId| -> u64 {
         (0..config.filters)
             .map(|i| counters[family.slot(i, family.group_of(i, x))])
@@ -128,7 +121,6 @@ pub fn run(hierarchy: &Hierarchy, data: &SystemData, config: &NetFilterConfig) -
             .unwrap_or(0)
     };
     let mut items: Vec<(ItemId, u64)> = ids
-        .root_value
         .0
         .keys()
         .map(|&x| (x, estimate(x)))
@@ -140,7 +132,7 @@ pub fn run(hierarchy: &Hierarchy, data: &SystemData, config: &NetFilterConfig) -
     ApproxRun {
         items,
         threshold,
-        sketch_bytes_per_peer: sketch.total_bytes() as f64 / n,
+        sketch_bytes_per_peer: sketch_bytes.iter().sum::<u64>() as f64 / n,
         collect_bytes_per_peer: collect_total as f64 / n,
     }
 }

@@ -1,10 +1,11 @@
-//! The common trait over the approximate engine family.
+//! The one trait every engine answers through.
 //!
-//! The tentpole of ROADMAP item 4: the exact netFilter protocol, the
-//! Space-Saving [`sketch`](crate::sketch) merge engine, the
-//! threshold-algorithm [`topk`](crate::topk) engine, and the
-//! [`local_threshold`](crate::local_threshold) comparator, each runnable
-//! through one object-safe interface. Every engine states its
+//! The exact netFilter protocol, the paper's [`naive`](crate::naive)
+//! comparator, the Space-Saving [`sketch`](crate::sketch) merge engine, the
+//! threshold-algorithm [`topk`](crate::topk) engine, the
+//! [`local_threshold`](crate::local_threshold) comparator and the
+//! [`continuous`](crate::continuous) engine, each runnable through one
+//! object-safe interface. Every engine states its
 //! [`ErrorClaim`] up front; the simcheck oracles (`epsilon-bound`,
 //! `topk-recall`, `threshold-soundness`) and the `approx-sweep` experiment
 //! hold the engines to exactly those claims — an engine whose tuning
@@ -16,14 +17,15 @@
 //! against the exact engine need no per-engine glue.
 
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::{MetricsReport, PeerId, SimConfig};
+use ifi_sim::{Des, MetricsReport, PeerId, SansIo, SimConfig, World};
 use ifi_workload::{ItemId, SystemData};
 
 use crate::continuous::{schedule_from_data, ContinuousConfig, ContinuousProtocol, QueryRegistry};
-use crate::local_threshold::LocalThresholdConfig;
+use crate::local_threshold::{LocalThresholdConfig, LocalThresholdProtocol};
+use crate::naive::{NaiveConfig, NaiveProtocol};
 use crate::sketch::{SketchConfig, SketchProtocol};
 use crate::topk::{TopKConfig, TopKProtocol};
-use crate::{phases, NetFilter, NetFilterConfig};
+use crate::{phases, NetFilter, NetFilterConfig, Threshold, WireSizes};
 
 /// What an engine promises about its answer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,7 +46,7 @@ pub enum ErrorClaim {
 /// traffic it cost.
 #[derive(Debug, Clone)]
 pub struct EngineOutcome {
-    /// The engine's [`ApproxEngine::name`].
+    /// The engine's [`Engine::name`].
     pub engine: &'static str,
     /// Reported items with their (possibly estimated) global values,
     /// descending by value then ascending by id.
@@ -66,7 +68,7 @@ impl EngineOutcome {
 
 /// An engine of the family: anything that can answer a frequency query
 /// over a hierarchy + workload in one DES run, under a stated error claim.
-pub trait ApproxEngine {
+pub trait Engine {
     /// Stable engine name (used in sweep tables and baselines).
     fn name(&self) -> &'static str;
     /// The claim this engine's tuning promises.
@@ -78,6 +80,26 @@ pub trait ApproxEngine {
     fn run_des(&self, hierarchy: &Hierarchy, data: &SystemData, sim: SimConfig) -> EngineOutcome;
 }
 
+/// Runs `w` to quiescence with its sink on, and reports what `answer`
+/// reads off the core at `root`.
+fn drive<P: SansIo>(
+    engine: &dyn Engine,
+    mut w: World<Des<P>>,
+    root: PeerId,
+    answer: impl FnOnce(&Des<P>) -> Vec<(ItemId, u64)>,
+) -> EngineOutcome {
+    w.enable_metrics_sink();
+    w.start();
+    w.run_to_quiescence();
+    EngineOutcome {
+        engine: engine.name(),
+        items: answer(w.peer(root)),
+        claim: engine.claim(),
+        report: w.metrics_report(),
+        total_bytes: w.metrics().total_bytes(),
+    }
+}
+
 /// The exact netFilter protocol as a family member (the accuracy anchor
 /// of every sweep).
 #[derive(Debug, Clone)]
@@ -86,7 +108,7 @@ pub struct ExactEngine {
     pub config: NetFilterConfig,
 }
 
-impl ApproxEngine for ExactEngine {
+impl Engine for ExactEngine {
     fn name(&self) -> &'static str {
         "netfilter-exact"
     }
@@ -111,6 +133,36 @@ impl ApproxEngine for ExactEngine {
     }
 }
 
+/// The paper's naive comparator (§IV-B): every peer's full item map
+/// merged rootward and thresholded at the root.
+#[derive(Debug, Clone)]
+pub struct NaiveEngine {
+    /// Threshold and wire widths.
+    pub config: NaiveConfig,
+}
+
+impl Engine for NaiveEngine {
+    fn name(&self) -> &'static str {
+        "naive"
+    }
+
+    fn claim(&self) -> ErrorClaim {
+        ErrorClaim::Exact
+    }
+
+    fn class_label(&self) -> &'static str {
+        phases::AGGREGATION
+    }
+
+    fn run_des(&self, hierarchy: &Hierarchy, data: &SystemData, sim: SimConfig) -> EngineOutcome {
+        let w = NaiveProtocol::build_world(&self.config, hierarchy, data, sim);
+        drive(self, w, hierarchy.root(), |root| {
+            let answer = root.result().expect("quiescent naive run must answer");
+            answer.items.clone()
+        })
+    }
+}
+
 /// The Space-Saving sketch-merge engine.
 #[derive(Debug, Clone)]
 pub struct SketchEngine {
@@ -118,7 +170,7 @@ pub struct SketchEngine {
     pub config: SketchConfig,
 }
 
-impl ApproxEngine for SketchEngine {
+impl Engine for SketchEngine {
     fn name(&self) -> &'static str {
         "sketch-merge"
     }
@@ -132,24 +184,11 @@ impl ApproxEngine for SketchEngine {
     }
 
     fn run_des(&self, hierarchy: &Hierarchy, data: &SystemData, sim: SimConfig) -> EngineOutcome {
-        let mut w = SketchProtocol::build_world(&self.config, hierarchy, data, sim);
-        w.enable_metrics_sink();
-        w.start();
-        w.run_to_quiescence();
-        let items = w
-            .peer(hierarchy.root())
-            .result()
-            .expect("quiescent sketch run must answer")
-            .items
-            .clone();
-        let report = w.metrics_report();
-        EngineOutcome {
-            engine: self.name(),
-            items,
-            claim: self.claim(),
-            total_bytes: w.metrics().total_bytes(),
-            report,
-        }
+        let w = SketchProtocol::build_world(&self.config, hierarchy, data, sim);
+        drive(self, w, hierarchy.root(), |root| {
+            let answer = root.result().expect("quiescent sketch run must answer");
+            answer.items.clone()
+        })
     }
 }
 
@@ -175,7 +214,7 @@ impl TopKEngine {
     }
 }
 
-impl ApproxEngine for TopKEngine {
+impl Engine for TopKEngine {
     fn name(&self) -> &'static str {
         "topk-prune"
     }
@@ -189,24 +228,11 @@ impl ApproxEngine for TopKEngine {
     }
 
     fn run_des(&self, hierarchy: &Hierarchy, data: &SystemData, sim: SimConfig) -> EngineOutcome {
-        let mut w = TopKProtocol::build_world(&self.config, hierarchy, data, sim);
-        w.enable_metrics_sink();
-        w.start();
-        w.run_to_quiescence();
-        let items = w
-            .peer(hierarchy.root())
-            .result()
-            .expect("quiescent top-k run must answer")
-            .items
-            .clone();
-        let report = w.metrics_report();
-        EngineOutcome {
-            engine: self.name(),
-            items,
-            claim: self.claim(),
-            total_bytes: w.metrics().total_bytes(),
-            report,
-        }
+        let w = TopKProtocol::build_world(&self.config, hierarchy, data, sim);
+        drive(self, w, hierarchy.root(), |root| {
+            let answer = root.result().expect("quiescent top-k run must answer");
+            answer.items.clone()
+        })
     }
 }
 
@@ -219,7 +245,7 @@ pub struct ThresholdEngine {
     pub item: ItemId,
 }
 
-impl ApproxEngine for ThresholdEngine {
+impl Engine for ThresholdEngine {
     fn name(&self) -> &'static str {
         "threshold-local"
     }
@@ -233,30 +259,13 @@ impl ApproxEngine for ThresholdEngine {
     }
 
     fn run_des(&self, hierarchy: &Hierarchy, data: &SystemData, sim: SimConfig) -> EngineOutcome {
-        let mut w = crate::local_threshold::LocalThresholdProtocol::build_world(
-            &self.config,
-            hierarchy,
-            data,
-            self.item,
-            sim,
-        );
-        w.enable_metrics_sink();
-        w.start();
-        w.run_to_quiescence();
-        let verdict = w.peer(hierarchy.root()).verdict();
-        let items = if verdict.answer {
-            vec![(self.item, verdict.lower_bound)]
-        } else {
-            Vec::new()
-        };
-        let report = w.metrics_report();
-        EngineOutcome {
-            engine: self.name(),
-            items,
-            claim: self.claim(),
-            total_bytes: w.metrics().total_bytes(),
-            report,
-        }
+        let (config, item) = (&self.config, self.item);
+        let w = LocalThresholdProtocol::build_world(config, hierarchy, data, item, sim);
+        drive(self, w, hierarchy.root(), |root| {
+            let verdict = root.verdict();
+            let yes = verdict.answer.then_some((item, verdict.lower_bound));
+            yes.into_iter().collect()
+        })
     }
 }
 
@@ -277,7 +286,7 @@ pub struct ContinuousEngine {
     pub threshold: u64,
 }
 
-impl ApproxEngine for ContinuousEngine {
+impl Engine for ContinuousEngine {
     fn name(&self) -> &'static str {
         "continuous-delta"
     }
@@ -294,33 +303,19 @@ impl ApproxEngine for ContinuousEngine {
         let schedules = schedule_from_data(data, self.config.epochs.max(1));
         let subscriber = PeerId::new(data.peer_count().saturating_sub(1));
         let registry = QueryRegistry::single(self.threshold, subscriber);
-        let mut w =
+        let w =
             ContinuousProtocol::build_world(&self.config, hierarchy, &registry, &schedules, sim);
-        w.enable_metrics_sink();
-        w.start();
-        w.run_to_quiescence();
-        let items = w
-            .peer(hierarchy.root())
-            .delivered()
-            .last()
-            .expect("a quiescent continuous run certifies its final fence")
-            .answers[0]
-            .items
-            .clone();
-        let report = w.metrics_report();
-        EngineOutcome {
-            engine: self.name(),
-            items,
-            claim: self.claim(),
-            total_bytes: w.metrics().total_bytes(),
-            report,
-        }
+        drive(self, w, hierarchy.root(), |root| {
+            let last = root.delivered().last();
+            let fence = last.expect("a quiescent continuous run certifies its final fence");
+            fence.answers[0].items.clone()
+        })
     }
 }
 
 /// The whole family at a reference tuning, as trait objects — the
 /// iteration order the sweep and smoke tables use.
-pub fn reference_family(item: ItemId) -> Vec<Box<dyn ApproxEngine>> {
+pub fn reference_family(item: ItemId) -> Vec<Box<dyn Engine>> {
     vec![
         Box::new(ExactEngine {
             config: NetFilterConfig::builder()
@@ -328,12 +323,18 @@ pub fn reference_family(item: ItemId) -> Vec<Box<dyn ApproxEngine>> {
                 .filters(3)
                 .build(),
         }),
+        Box::new(NaiveEngine {
+            config: NaiveConfig {
+                threshold: Threshold::Ratio(0.01),
+                sizes: WireSizes::default(),
+            },
+        }),
         Box::new(SketchEngine {
             config: SketchConfig::new(32),
         }),
         Box::new(TopKEngine::new(TopKConfig::lossless(10))),
         Box::new(ThresholdEngine {
-            config: LocalThresholdConfig::new(crate::Threshold::Ratio(0.01)),
+            config: LocalThresholdConfig::new(Threshold::Ratio(0.01)),
             item,
         }),
     ]

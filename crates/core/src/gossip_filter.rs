@@ -38,15 +38,16 @@
 //! exact values; disagreement only perturbs which light items reach
 //! verification.
 
-use ifi_agg::{gossip, hierarchical, MapSum};
+use ifi_agg::gossip;
 use ifi_hierarchy::Hierarchy;
 use ifi_overlay::Topology;
-use ifi_sim::{DetRng, EventSink, MsgClass, PeerId, PeerMap};
+use ifi_sim::{DetRng, EventSink, MsgClass, PeerId, SimConfig};
 use ifi_workload::{ItemId, SystemData};
 
 use crate::config::NetFilterConfig;
 use crate::filter::{HeavyGroups, LocalFilter};
 use crate::hashing::HashFamily;
+use crate::naive::{Frequent, NaiveProtocol};
 use crate::phases;
 
 /// Configuration of the gossip-filtered variant.
@@ -123,14 +124,8 @@ pub fn run(
     config: &GossipFilterConfig,
     rng: &mut DetRng,
 ) -> GossipFilterRun {
-    run_with_sink(
-        topology,
-        hierarchy,
-        data,
-        config,
-        rng,
-        &mut EventSink::disabled(),
-    )
+    let mut sink = EventSink::disabled();
+    run_with_sink(topology, hierarchy, data, config, rng, &mut sink)
 }
 
 /// [`run`] that additionally charges phase 1 into `sink` under
@@ -189,52 +184,31 @@ pub fn run_with_sink(
     sink.exit();
     let gossip_error = out.max_relative_error(&true_sums);
 
-    // --- Each peer derives heavy groups from its own estimate. ---
-    let deflated = (threshold as f64 * (1.0 - config.margin)).max(1.0);
-    let mut heavy_at: PeerMap<HeavyGroups> = PeerMap::with_capacity(n);
-    for p in 0..n {
-        let est = out.sum_estimates(p);
-        let mut lists = vec![Vec::new(); base.filters as usize];
-        for (i, list) in lists.iter_mut().enumerate() {
-            for grp in 0..base.filter_size {
-                let slot = family.slot(i as u32, grp);
-                if est[slot] >= deflated {
-                    list.push(grp);
-                }
-            }
-        }
-        heavy_at.insert(
-            PeerId::new(p),
-            HeavyGroups::from_lists(lists, base.filter_size),
-        );
-    }
-
     // --- Phase 2: exact verification along the hierarchy, each peer
-    // materializing from its own heavy view. ---
-    let phase2 = hierarchical::aggregate(hierarchy, &sizes, |p| {
-        let heavy = heavy_at.get(p).expect("every peer derived a heavy view");
-        local_filter.partial_candidates(data.local_items(p), heavy)
-    });
-    sink.record_vec(
-        phases::AGGREGATION,
-        MsgClass::AGGREGATION,
-        &phase2.bytes_per_peer,
-    );
-    let candidate_map: &MapSum = &phase2.root_value;
-    let mut frequent: Vec<(ItemId, u64)> = candidate_map
-        .0
-        .iter()
-        .filter(|&(_, &v)| v >= threshold)
-        .map(|(&k, &v)| (k, v))
-        .collect();
-    frequent.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    // materializing from the heavy groups of its own estimate. ---
+    let deflated = (threshold as f64 * (1.0 - config.margin)).max(1.0);
+    let local = |p: PeerId| {
+        let est = out.sum_estimates(p.index());
+        let heavy_in = |i| {
+            let groups = 0..base.filter_size;
+            groups
+                .filter(|&g| est[family.slot(i, g)] >= deflated)
+                .collect()
+        };
+        let lists: Vec<Vec<u32>> = (0..base.filters).map(heavy_in).collect();
+        let heavy = HeavyGroups::from_lists(lists, base.filter_size);
+        local_filter.partial_candidates(data.local_items(p), &heavy)
+    };
+    let cores = NaiveProtocol::cores(hierarchy, sizes, Frequent { threshold }, None, local);
+    let (answer, phase2_bytes) = NaiveProtocol::run(cores, SimConfig::default());
+    sink.record_vec(phases::AGGREGATION, MsgClass::AGGREGATION, &phase2_bytes);
 
     GossipFilterRun {
-        frequent,
+        frequent: answer.items,
         threshold,
         gossip_bytes_per_peer: out.avg_bytes_per_peer(),
-        verification_bytes_per_peer: phase2.avg_bytes_per_peer(),
-        candidates: candidate_map.len(),
+        verification_bytes_per_peer: phase2_bytes.iter().sum::<u64>() as f64 / n as f64,
+        candidates: answer.distinct,
         gossip_error,
     }
 }

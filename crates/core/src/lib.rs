@@ -39,7 +39,7 @@
 //! | [`LocalFilter`], [`HeavyGroups`] | §III-B (filtering), §III-C (materialization) |
 //! | [`NetFilter`] / [`NetFilterRun`] | the query engine: one protocol epoch on the DES, read back |
 //! | [`protocol`] | Algorithm 1 + 2 as a message-level (sans-io) protocol |
-//! | [`naive`] | the baseline that forwards whole local item sets |
+//! | [`naive`] | the baseline that forwards whole local item sets, on the one-pass convergecast core |
 //! | [`codec`] | real wire encodings at the paper's `s_a`/`s_g`/`s_i` widths |
 //! | [`gossip_filter`] | gossip-based candidate filtering (§VI future work) |
 //! | [`approx`] | an ε-approximate comparator in the style of the related work |
@@ -49,7 +49,7 @@
 //! | [`topk`] | top-k engine: threshold-algorithm pruning + exact verification |
 //! | [`sketch`] | gossip sketch-merge engine (Space-Saving summaries) |
 //! | [`local_threshold`] | zero-traffic "is `v_x ≥ t`" comparator |
-//! | [`engines`] | the common trait over the approximate engine family |
+//! | [`engines`] | the one trait every engine, exact or comparator, answers through |
 //! | [`recruitment`] | stable-peer recruitment pipeline (§III-A) |
 //! | [`analysis`] | cost models and optima: Eq. 1, 2, 3, 4, 6 |
 //! | [`tuning`] | practical optimal settings via sampling (§IV-E) |

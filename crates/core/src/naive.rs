@@ -14,15 +14,80 @@
 //! holds because a peer only forwards the items with nonzero values in its
 //! subtree, whose expected distinct count per forwarding peer stays `O(o)`
 //! on average. Our byte accounting measures the real union sizes, and the
-//! bound is asserted in this module's tests.
+//! bound is asserted in this module's tests. A run is one epoch of the
+//! one-pass [`ConvergecastProtocol`] under the DES.
 
-use ifi_agg::{hierarchical, MapSum};
+use ifi_agg::{ConvergecastProtocol, Finish, MapSum, OnePass};
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::PeerId;
+use ifi_sim::{MsgClass, SimConfig};
 use ifi_workload::{ItemId, SystemData};
 
 use crate::config::Threshold;
+use crate::resilient::frequent_items;
 use crate::WireSizes;
+
+/// The naive approach as a one-pass query: every peer's full local item
+/// map, thresholded at the root.
+#[derive(Debug, Clone, Copy)]
+pub struct NaiveConfig {
+    /// The IFI threshold.
+    pub threshold: Threshold,
+    /// Wire widths for byte pricing.
+    pub sizes: WireSizes,
+}
+
+impl OnePass for NaiveConfig {
+    type Value = MapSum;
+    type Finish = Frequent;
+
+    fn sizes(&self) -> WireSizes {
+        self.sizes
+    }
+
+    fn local(&self, items: &[(ItemId, u64)]) -> MapSum {
+        MapSum::from_pairs(items.iter().copied())
+    }
+
+    fn finisher(&self, data: &SystemData) -> Frequent {
+        Frequent {
+            threshold: self.threshold.resolve(data.total_value()),
+        }
+    }
+}
+
+/// The root's side of an exact item-map convergecast (the naive approach,
+/// gossip-filtered verification): the items at or over the threshold.
+#[derive(Debug, Clone, Copy)]
+pub struct Frequent {
+    /// The resolved absolute threshold.
+    pub threshold: u64,
+}
+
+/// What [`Frequent`] answers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FrequentAnswer {
+    /// The frequent items with exact global values, descending by value
+    /// (ties by ascending id).
+    pub items: Vec<(ItemId, u64)>,
+    /// Number of distinct items that reached the root.
+    pub distinct: usize,
+}
+
+impl Finish<MapSum> for Frequent {
+    type Output = FrequentAnswer;
+    const CLASS: MsgClass = MsgClass::AGGREGATION;
+
+    fn finish(&self, map: MapSum) -> FrequentAnswer {
+        FrequentAnswer {
+            items: frequent_items(&map, self.threshold),
+            distinct: map.len(),
+        }
+    }
+}
+
+/// The sans-io core of the naive approach (and of any exact item-map
+/// convergecast) for one peer.
+pub type NaiveProtocol = ConvergecastProtocol<MapSum, Frequent>;
 
 /// Result of a naive-approach run.
 #[derive(Debug, Clone)]
@@ -66,7 +131,8 @@ impl NaiveRun {
     }
 }
 
-/// Runs the naive approach over `hierarchy` and `data`.
+/// Runs the naive approach over `hierarchy` and `data`: one epoch of
+/// [`NaiveProtocol`] under the DES.
 ///
 /// # Panics
 ///
@@ -77,28 +143,17 @@ pub fn run(
     threshold: Threshold,
     sizes: &WireSizes,
 ) -> NaiveRun {
-    assert_eq!(
-        hierarchy.universe(),
-        data.peer_count(),
-        "hierarchy and data peer universes differ"
-    );
-    let t = threshold.resolve(data.total_value());
-    let out = hierarchical::aggregate(hierarchy, sizes, |p: PeerId| {
-        MapSum::from_pairs(data.local_items(p).iter().copied())
-    });
-    let mut frequent: Vec<(ItemId, u64)> = out
-        .root_value
-        .0
-        .iter()
-        .filter(|&(_, &v)| v >= t)
-        .map(|(&k, &v)| (k, v))
-        .collect();
-    frequent.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    let config = NaiveConfig {
+        threshold,
+        sizes: *sizes,
+    };
+    let cores = NaiveProtocol::peers(&config, hierarchy, data, None);
+    let (answer, bytes_per_peer) = NaiveProtocol::run(cores, SimConfig::default());
     NaiveRun {
-        frequent,
-        threshold: t,
-        distinct_items: out.root_value.len(),
-        bytes_per_peer: out.bytes_per_peer,
+        frequent: answer.items,
+        threshold: threshold.resolve(data.total_value()),
+        distinct_items: answer.distinct,
+        bytes_per_peer,
     }
 }
 

@@ -40,12 +40,8 @@
 //! `epsilon-bound` oracle cross-checks the claim against ground truth on
 //! every explored schedule.
 
-use ifi_agg::{Aggregate, Ascending, Boot, Convergecast, TreeSlot};
-use ifi_hierarchy::Hierarchy;
-use ifi_sim::{
-    sansio_world, Des, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, RelConfig,
-    ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime, World,
-};
+use ifi_agg::{Aggregate, Ascending, ConvergecastProtocol, Finish, OnePass};
+use ifi_sim::MsgClass;
 use ifi_workload::{ItemId, SystemData};
 use std::collections::BTreeMap;
 
@@ -91,13 +87,6 @@ impl SpaceSaving {
         s
     }
 
-    /// Offers one weighted observation.
-    pub fn offer(&mut self, item: ItemId, weight: u64) {
-        *self.entries.entry(item).or_insert(0) += weight;
-        self.weight += weight;
-        self.prune();
-    }
-
     /// Restores the capacity invariant: subtracts the `(c+1)`-th largest
     /// counter from every entry and drops the non-positive ones.
     fn prune(&mut self) {
@@ -121,11 +110,6 @@ impl SpaceSaving {
     /// The guaranteed deficit bound of this summary: `⌊V/(c+1)⌋`.
     pub fn error_bound(&self) -> u64 {
         self.weight / (self.capacity as u64 + 1)
-    }
-
-    /// The structural error parameter `ε = 1/(c+1)`.
-    pub fn epsilon(&self) -> f64 {
-        1.0 / (self.capacity as f64 + 1.0)
     }
 
     /// Total summarized weight `V` (exact).
@@ -244,183 +228,68 @@ pub struct SketchAnswer {
     pub threshold: u64,
 }
 
-/// The sans-io sketch-merge engine core for one peer: summarize locally,
-/// merge children (ascending id), forward or answer.
-#[derive(Debug, Clone)]
-pub struct SketchProtocol {
-    claimed_epsilon: f64,
-    threshold: u64,
-    sizes: WireSizes,
-    slot: TreeSlot,
-    /// Open from construction with the local summary.
-    summaries: Convergecast<SpaceSaving>,
-    answer: Option<SketchAnswer>,
-    env: Envelope<SpaceSaving>,
+impl OnePass for SketchConfig {
+    type Value = SpaceSaving;
+    type Finish = SketchFinish;
+
+    fn sizes(&self) -> WireSizes {
+        self.sizes
+    }
+
+    fn local(&self, items: &[(ItemId, u64)]) -> SpaceSaving {
+        SpaceSaving::from_items(self.capacity, items)
+    }
+
+    fn finisher(&self, data: &SystemData) -> SketchFinish {
+        SketchFinish {
+            claimed_epsilon: self.claimed_epsilon,
+            threshold: self.threshold.resolve(data.total_value()),
+        }
+    }
 }
 
-impl SketchProtocol {
-    /// Creates the state for `peer`. The threshold must already be
-    /// resolved against the total system weight.
-    pub fn new(
-        config: &SketchConfig,
-        hierarchy: &Hierarchy,
-        peer: PeerId,
-        local_items: &[(ItemId, u64)],
-        threshold: u64,
-    ) -> Self {
-        let mut summaries = Convergecast::default();
-        summaries.open(SpaceSaving::from_items(config.capacity, local_items));
-        SketchProtocol {
-            claimed_epsilon: config.claimed_epsilon,
-            threshold,
-            sizes: config.sizes,
-            slot: TreeSlot::new(hierarchy, peer),
-            summaries,
-            answer: None,
-            env: Envelope::plain(),
-        }
+/// The root's side of the sketch-merge engine: every item whose estimate
+/// is within the claimed error of the resolved threshold.
+#[derive(Debug, Clone)]
+pub struct SketchFinish {
+    claimed_epsilon: f64,
+    threshold: u64,
+}
+
+impl Finish<SpaceSaving> for SketchFinish {
+    type Output = SketchAnswer;
+    const CLASS: MsgClass = MsgClass::SKETCH;
+
+    /// Summaries of different precision have incomparable guarantees.
+    fn fits(mine: &SpaceSaving, report: &SpaceSaving) -> bool {
+        mine.capacity == report.capacity
     }
 
-    /// Enables the ack/retransmit envelope with the given tuning.
-    pub fn with_reliability(mut self, cfg: RelConfig) -> Self {
-        self.env = Envelope::reliable(cfg);
-        self
-    }
-
-    /// The root's answer, once the convergecast completes.
-    pub fn result(&self) -> Option<&SketchAnswer> {
-        self.answer.as_ref()
-    }
-
-    /// Builds a ready-to-run world over `hierarchy` and `data`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the hierarchy and data universes differ.
-    pub fn build_world(
-        config: &SketchConfig,
-        hierarchy: &Hierarchy,
-        data: &SystemData,
-        sim: SimConfig,
-    ) -> World<Des<SketchProtocol>> {
-        sansio_world(sim, Self::peers(config, hierarchy, data, None))
-    }
-
-    /// Like [`build_world`](Self::build_world) with the ack/retransmit
-    /// envelope on every peer — required for bounded answers when the
-    /// simulation injects faults.
-    pub fn build_world_reliable(
-        config: &SketchConfig,
-        hierarchy: &Hierarchy,
-        data: &SystemData,
-        sim: SimConfig,
-        rel: RelConfig,
-    ) -> World<Des<SketchProtocol>> {
-        sansio_world(sim, Self::peers(config, hierarchy, data, Some(rel)))
-    }
-
-    /// The peer population `build_world` wraps, as bare cores for any
-    /// driver (the transport crate's `run_channel` takes these directly).
-    pub fn peers(
-        config: &SketchConfig,
-        hierarchy: &Hierarchy,
-        data: &SystemData,
-        rel: Option<RelConfig>,
-    ) -> Vec<SketchProtocol> {
-        assert_eq!(
-            hierarchy.universe(),
-            data.peer_count(),
-            "hierarchy and data peer universes differ"
-        );
-        let threshold = config.threshold.resolve(data.total_value());
-        (0..data.peer_count())
-            .map(|i| {
-                let p = PeerId::new(i);
-                let core =
-                    SketchProtocol::new(config, hierarchy, p, data.local_items(p), threshold);
-                match &rel {
-                    None => core,
-                    Some(cfg) => core.with_reliability(cfg.clone()),
-                }
-            })
-            .collect()
-    }
-
-    /// Completes this node once every child has reported: forward the
-    /// merged summary rootward, or answer.
-    fn maybe_complete(&mut self, fx: &mut Effects<Self>) {
-        let Some(acc) = self.summaries.complete(&self.slot) else {
-            return;
-        };
-        if let Some(parent) = self.slot.parent() {
-            let bytes = acc.encoded_bytes(&self.sizes);
-            return self
-                .env
-                .send_retained(fx, parent, acc, bytes, MsgClass::SKETCH);
-        }
+    fn finish(&self, acc: SpaceSaving) -> SketchAnswer {
         let bound = (self.claimed_epsilon * acc.weight() as f64).ceil() as u64;
         let mut items: Vec<(ItemId, u64)> = acc
             .entries()
             .filter(|&(_, est)| est + bound >= self.threshold)
             .collect();
         items.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let answer = SketchAnswer {
+        SketchAnswer {
             items,
             weight: acc.weight(),
             error_bound: bound,
             threshold: self.threshold,
-        };
-        self.answer = Some(answer.clone());
-        fx.deliver(answer);
-    }
-}
-
-impl SansIo for SketchProtocol {
-    type Msg = ReliableMsg<SpaceSaving>;
-    type Timer = RetransmitTimer;
-    type Output = SketchAnswer;
-
-    fn on_event(
-        &mut self,
-        ev: NodeEvent<Self::Msg, Self::Timer>,
-        _now: SimTime,
-        _env: &dyn Membership,
-        fx: &mut Effects<Self>,
-    ) {
-        match ev {
-            NodeEvent::Start => match self.slot.boot() {
-                Boot::Outsider => {}
-                Boot::Revival => self.env.revive(fx),
-                Boot::First => self.maybe_complete(fx),
-            },
-            NodeEvent::Message { from, msg } => {
-                let Some(summary) = self.env.on_frame(fx, from, msg) else {
-                    return;
-                };
-                let same_precision =
-                    |mine: &SpaceSaving, s: &SpaceSaving| mine.capacity == s.capacity;
-                match self
-                    .summaries
-                    .absorb(&mut self.slot, from, summary, same_precision)
-                {
-                    Ok(()) => self.maybe_complete(fx),
-                    Err(warn) => fx.warn(warn),
-                }
-            }
-            NodeEvent::Timer { tag } => {
-                // A one-shot run has no coarser repair to escalate to.
-                if self.env.on_retransmit(fx, tag).is_some() {
-                    fx.warn("retransmit-gave-up");
-                }
-            }
         }
     }
 }
 
+/// The sans-io sketch-merge engine core for one peer: summarize locally,
+/// merge children (ascending id), forward or answer.
+pub type SketchProtocol = ConvergecastProtocol<SpaceSaving, SketchFinish>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ifi_sim::FaultPlan;
+    use ifi_hierarchy::Hierarchy;
+    use ifi_sim::{FaultPlan, PeerId, RelConfig, ReliableMsg, SimConfig};
     use ifi_workload::{GroundTruth, WorkloadParams};
 
     fn workload(seed: u64) -> (Hierarchy, SystemData, GroundTruth) {

@@ -233,8 +233,8 @@ impl EventSink {
     }
 
     /// Charges a whole per-peer byte vector into the phase `label` at once
-    /// — the instant-engine path, where a post-order walk produces each
-    /// phase's per-peer costs in one shot. Every nonzero entry counts as
+    /// — for a run metered elsewhere (a separate world's meter) whose
+    /// per-peer costs arrive in one shot. Every nonzero entry counts as
     /// one message (each charged peer forwarded one merged value).
     ///
     /// # Panics

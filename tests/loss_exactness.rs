@@ -1,18 +1,19 @@
 //! Exactness under message loss: with the ack/retransmit envelope enabled,
-//! every netFilter engine must produce the exact IFI answer across a grid
-//! of drop rates with duplication and reordering (delay spikes) switched
-//! on, the phase costs must stay loss-independent (identical to the
-//! loss-free epoch's `CostBreakdown`), and every byte of reliability
-//! overhead must be metered in its own `retransmit` class.
+//! every netFilter engine (and the naive comparator) must produce the exact
+//! IFI answer across a grid of drop rates with duplication and reordering
+//! (delay spikes) switched on, the phase costs must stay loss-independent
+//! (identical to the loss-free epoch's `CostBreakdown`), and every byte of
+//! reliability overhead must be metered in its own `retransmit` class.
 
 use ifi_hierarchy::Hierarchy;
 use ifi_overlay::{HeartbeatConfig, Topology};
 use ifi_sim::{DetRng, Duration, FaultPlan, MsgClass, PeerId, RelConfig, SimConfig, SimTime};
 use ifi_workload::{GroundTruth, SystemData, WorkloadParams};
+use netfilter::naive::{self, NaiveConfig, NaiveProtocol};
 use netfilter::phases;
 use netfilter::protocol::NetFilterProtocol;
 use netfilter::resilient::{ResilientConfig, ResilientProtocol};
-use netfilter::{NetFilter, NetFilterConfig, Threshold};
+use netfilter::{NetFilter, NetFilterConfig, Threshold, WireSizes};
 
 /// Drop rates the exactness contract is asserted over.
 const DROP_GRID: [f64; 4] = [0.0, 0.05, 0.1, 0.2];
@@ -51,11 +52,35 @@ fn one_shot_protocol_is_exact_across_the_loss_grid() {
     let h = Hierarchy::balanced(40, 3);
     let cfg = config(30, 2);
     let loss_free = NetFilter::new(cfg.clone()).run(&h, &data);
+    let naive_cfg = NaiveConfig {
+        threshold: Threshold::Ratio(0.01),
+        sizes: WireSizes::default(),
+    };
+    let naive_clean = naive::run(&h, &data, naive_cfg.threshold, &naive_cfg.sizes);
+    let truth = GroundTruth::compute(&data).frequent_items(loss_free.threshold());
 
     for (i, &drop) in DROP_GRID.iter().enumerate() {
         let sim = SimConfig::default()
             .with_seed(100 + i as u64)
             .with_faults(chaos(drop));
+
+        // The naive comparator on the same convergecast core: the
+        // ground-truth answer, its aggregation bytes those of the clean
+        // run, and every other byte reliability overhead.
+        let rel = RelConfig::default();
+        let mut w = NaiveProtocol::build_world_reliable(&naive_cfg, &h, &data, sim.clone(), rel);
+        w.start();
+        w.run_to_quiescence();
+        let answer = w.peer(PeerId::new(0)).result();
+        let answer = answer.unwrap_or_else(|| panic!("drop={drop}: naive root never finished"));
+        assert_eq!(answer.items, truth, "drop={drop}: wrong naive answer");
+        let m = w.metrics();
+        let aggregation = m.class_bytes(MsgClass::AGGREGATION);
+        assert_eq!(aggregation, naive_clean.total_bytes(), "drop={drop}");
+        let overhead = m.class_bytes(MsgClass::RETRANSMIT);
+        assert_eq!(m.total_bytes(), aggregation + overhead, "drop={drop}");
+        assert!(overhead > 0, "drop={drop}: acks alone guarantee overhead");
+
         let mut w =
             NetFilterProtocol::build_world_reliable(&cfg, &h, &data, sim, RelConfig::default());
         w.enable_metrics_sink();

@@ -5,11 +5,11 @@
 //! their local item sets to one of these peers participating in
 //! netFilter").
 
-use ifi_agg::gossip;
+use ifi_agg::{gossip, Collect, ConvergecastProtocol, ScalarSum};
 use ifi_hierarchy::Hierarchy;
 use ifi_overlay::churn::{ChurnSchedule, SessionModel};
 use ifi_overlay::{Overlay, StableSelection, Topology};
-use ifi_sim::{DetRng, Duration, PeerId, SimTime};
+use ifi_sim::{DetRng, Duration, PeerId, SimConfig, SimTime};
 use ifi_workload::{GroundTruth, ItemId, SystemData, WorkloadParams};
 use netfilter::recruitment::RecruitedSystem;
 use netfilter::{tuning, NetFilter, Threshold, WireSizes};
@@ -94,11 +94,12 @@ fn preliminary_aggregates_v_and_n_by_both_methods() {
     );
     let v_true = data.total_value() as f64;
 
-    // Exact hierarchical scalar aggregation.
-    let out = ifi_agg::hierarchical::aggregate(&h, &WireSizes::default(), |p| {
-        ifi_agg::ScalarSum(data.local_items(p).iter().map(|&(_, v)| v).sum())
-    });
-    assert_eq!(out.root_value.0 as f64, v_true);
+    // Exact hierarchical scalar aggregation: one convergecast epoch.
+    let local = |p| ScalarSum(data.local_items(p).iter().map(|&(_, v)| v).sum());
+    let cores = ConvergecastProtocol::cores(&h, WireSizes::default(), Collect, None, local);
+    let (root, bytes) = ConvergecastProtocol::run(cores, SimConfig::default());
+    assert_eq!(root.0 as f64, v_true);
+    let tree_bytes_per_peer = bytes.iter().sum::<u64>() as f64 / n as f64;
 
     // Gossip approximation converges close to the same value.
     let values: Vec<f64> = (0..n)
@@ -112,12 +113,12 @@ fn preliminary_aggregates_v_and_n_by_both_methods() {
     let rounds = gossip::recommended_rounds(n, 1e-4);
     let g = gossip::push_sum(&topo, &values, rounds, &WireSizes::default(), &mut rng);
     assert!(
-        g.max_relative_error(v_true) < 0.05,
+        g.max_relative_error(&[v_true]) < 0.05,
         "gossip error {}",
-        g.max_relative_error(v_true)
+        g.max_relative_error(&[v_true])
     );
     // …but at a far higher byte cost than the exact convergecast.
-    assert!(g.avg_bytes_per_peer() > 10.0 * out.avg_bytes_per_peer());
+    assert!(g.avg_bytes_per_peer() > 10.0 * tree_bytes_per_peer);
 }
 
 #[test]

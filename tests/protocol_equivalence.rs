@@ -1,19 +1,16 @@
-//! The message-level protocol is held to two references: ground truth for
-//! its answer, and — per peer and per phase, bytes included — an instant
-//! reference walk that evaluates the same two convergecasts and the
+//! The message-level engines are held to two references: ground truth for
+//! their answer, and — per peer and per phase, bytes included — an instant
+//! reference walk that evaluates the same convergecasts and the
 //! dissemination by post-order walks over the hierarchy, under any latency
 //! model. Plus the algebraic properties (commutative, associative merges)
 //! that make out-of-order convergecasts safe.
 
-use ifi_agg::{
-    hierarchical, Aggregate, Boot, Convergecast, MapSum, ScalarSum, TreeSlot, VecSum, WireSizes,
-};
+use ifi_agg::{Aggregate, Collect, ConvergecastProtocol, MapSum, ScalarSum, VecSum, WireSizes};
 use ifi_hierarchy::Hierarchy;
 use ifi_overlay::Topology;
 use ifi_sim::{
-    sansio_world, Des, DetRng, Duration, Effects, Envelope, FaultPlan, LatencyModel, Membership,
-    MsgClass, NodeEvent, PeerId, RelConfig, ReliableMsg, RetransmitTimer, SansIo, SimConfig,
-    SimTime, World,
+    sansio_world, Des, DetRng, Duration, FaultPlan, LatencyModel, MsgClass, PeerId, RelConfig,
+    ReliableMsg, SimConfig, SimTime, World,
 };
 use ifi_workload::{GroundTruth, ItemId, SystemData, WorkloadParams};
 use netfilter::protocol::NetFilterProtocol;
@@ -37,6 +34,32 @@ fn latency_for(kind: u8) -> LatencyModel {
     }
 }
 
+/// The instant reference convergecast: a post-order walk over `h` that
+/// merges every member's `local` value into its parent's and charges each
+/// non-root member the encoded size of the merged value it forwards.
+/// Returns the root's value and the bytes per peer.
+fn walk<A: Aggregate>(
+    h: &Hierarchy,
+    sizes: &WireSizes,
+    mut local: impl FnMut(PeerId) -> A,
+) -> (A, Vec<u64>) {
+    let mut bytes = vec![0u64; h.universe()];
+    let mut acc: Vec<Option<A>> = (0..h.universe()).map(|_| None).collect();
+    for p in h.post_order() {
+        let mut value = local(p);
+        for &c in h.children(p) {
+            let child = acc[c.index()].take();
+            value.merge_owned(child.expect("post-order visits children first"));
+        }
+        if p != h.root() {
+            bytes[p.index()] = value.encoded_bytes(sizes);
+        }
+        acc[p.index()] = Some(value);
+    }
+    let root = acc[h.root().index()].take();
+    (root.expect("the root is visited last"), bytes)
+}
+
 /// The instant reference: Algorithm 1 + 2 by two post-order walks. Each
 /// member charges the encoded size of the group vector and of the partial
 /// candidate set it forwards, and one heavy-group list per child. Returns
@@ -51,21 +74,21 @@ fn reference_walk(
     let family = HashFamily::new(cfg.filters, cfg.filter_size, cfg.hash_seed);
     let filter = LocalFilter::new(family.clone());
     let threshold = cfg.threshold.resolve(data.total_value());
-    let phase1 = hierarchical::aggregate(h, &sizes, |p| filter.group_vector(data.local_items(p)));
-    let heavy = HeavyGroups::from_aggregate(&family, &phase1.root_value, threshold);
+    let (groups, filtering) = walk(h, &sizes, |p| filter.group_vector(data.local_items(p)));
+    let heavy = HeavyGroups::from_aggregate(&family, &groups, threshold);
     let list = sizes.sg * heavy.total_heavy() as u64;
     let dissemination = (0..h.universe())
         .map(|i| list * h.children(PeerId::new(i)).len() as u64)
         .collect();
-    let phase2 = hierarchical::aggregate(h, &sizes, |p| {
+    let (candidates, aggregation) = walk(h, &sizes, |p| {
         filter.partial_candidates(data.local_items(p), &heavy)
     });
     let cost = CostBreakdown {
-        filtering: phase1.bytes_per_peer,
+        filtering,
         dissemination,
-        aggregation: phase2.bytes_per_peer,
+        aggregation,
     };
-    (cost, heavy.total_heavy(), phase2.root_value)
+    (cost, heavy.total_heavy(), candidates)
 }
 
 proptest! {
@@ -193,84 +216,25 @@ proptest! {
     }
 }
 
-/// The thinnest engine over the convergecast block: every peer reports
-/// its subtree's merge of one local value rootward, through the envelope.
-#[derive(Debug)]
-struct Cast<A: Aggregate> {
-    slot: TreeSlot,
-    phase: Convergecast<A>,
-    env: Envelope<A>,
-    root_value: Option<A>,
-}
-
-impl<A: Aggregate> SansIo for Cast<A> {
-    type Msg = ReliableMsg<A>;
-    type Timer = RetransmitTimer;
-    type Output = ();
-
-    fn on_event(
-        &mut self,
-        ev: NodeEvent<Self::Msg, Self::Timer>,
-        _now: SimTime,
-        _env: &dyn Membership,
-        fx: &mut Effects<Self>,
-    ) {
-        match ev {
-            NodeEvent::Start => match self.slot.boot() {
-                Boot::Outsider => return,
-                Boot::Revival => self.env.revive(fx),
-                Boot::First => {}
-            },
-            NodeEvent::Message { from, msg } => {
-                let report = self.env.on_frame(fx, from, msg);
-                let absorbed =
-                    report.map(|r| self.phase.absorb(&mut self.slot, from, r, |_, _| true));
-                if let Some(Err(warn)) = absorbed {
-                    fx.warn(warn);
-                }
-            }
-            NodeEvent::Timer { tag } => {
-                self.env.on_retransmit(fx, tag);
-            }
-        }
-        match (self.phase.complete(&self.slot), self.slot.parent()) {
-            (None, _) => {}
-            (Some(acc), None) => self.root_value = Some(acc),
-            (Some(acc), Some(parent)) => {
-                let bytes = acc.encoded_bytes(&WireSizes::default());
-                self.env
-                    .send_retained(fx, parent, acc, bytes, MsgClass::AGGREGATION);
-            }
-        }
-    }
-}
-
-/// Runs a world of [`Cast`]s over `h`, each opened with `local(peer)`, to
-/// quiescence — after `meddle` had its way with it. Returns the root's
-/// value and the bytes charged to the aggregation class.
-fn cast<A: Aggregate>(
+/// Runs one epoch of the library core over `h`, each peer opened with
+/// `local(peer)`, to quiescence — after `meddle` had its way with the
+/// world. Returns the root's value and the bytes charged to the
+/// aggregation class.
+fn converge<A: Aggregate>(
     h: &Hierarchy,
     sim: SimConfig,
     rel: Option<RelConfig>,
     local: impl Fn(PeerId) -> A,
-    meddle: impl FnOnce(&mut World<Des<Cast<A>>>),
+    meddle: impl FnOnce(&mut World<Des<ConvergecastProtocol<A>>>),
 ) -> (Option<A>, u64) {
-    let peers = (0..h.universe()).map(PeerId::new).map(|p| {
-        let mut phase = Convergecast::default();
-        phase.open(local(p));
-        Cast {
-            slot: TreeSlot::new(h, p),
-            phase,
-            env: rel.clone().map_or(Envelope::plain(), Envelope::reliable),
-            root_value: None,
-        }
-    });
-    let mut w = sansio_world(sim, peers.collect());
+    let sizes = WireSizes::default();
+    let cores = ConvergecastProtocol::cores(h, sizes, Collect, rel, local);
+    let mut w = sansio_world(sim, cores);
     meddle(&mut w);
     w.start();
     w.run_to_quiescence();
     let bytes = w.metrics().class_bytes(MsgClass::AGGREGATION);
-    (w.peer(h.root()).root_value.clone(), bytes)
+    (w.peer(h.root()).result().cloned(), bytes)
 }
 
 #[test]
@@ -278,16 +242,16 @@ fn convergecast_matches_instant_engine() {
     let topo = Topology::random_regular(80, 4, &mut DetRng::new(3));
     let h = Hierarchy::bfs(&topo, PeerId::new(0));
     let local = |p: PeerId| MapSum::from_pairs([(ItemId(p.index() as u64 % 7), p.index() as u64)]);
-    let instant = hierarchical::aggregate(&h, &WireSizes::default(), local);
-    let (root_value, bytes) = cast(&h, SimConfig::default().with_seed(5), None, local, |_| {});
-    assert_eq!(root_value, Some(instant.root_value.clone()));
-    assert_eq!(bytes, instant.total_bytes(), "DES and instant bytes differ");
+    let (root, per_peer) = walk(&h, &WireSizes::default(), local);
+    let (root_value, bytes) = converge(&h, SimConfig::default().with_seed(5), None, local, |_| {});
+    assert_eq!(root_value, Some(root));
+    assert_eq!(bytes, per_peer.iter().sum(), "DES and instant bytes differ");
 }
 
 #[test]
 fn convergecast_singleton_root_completes_immediately() {
     let h = Hierarchy::balanced(1, 3);
-    let got = cast(&h, SimConfig::default(), None, |_| ScalarSum(42), |_| {});
+    let got = converge(&h, SimConfig::default(), None, |_| ScalarSum(42), |_| {});
     assert_eq!(got, (Some(ScalarSum(42)), 0));
 }
 
@@ -304,20 +268,20 @@ fn convergecast_scalar_matches_over_every_topology_shape() {
     ];
     for h in shapes {
         let local = |p: PeerId| ScalarSum(p.index() as u64 + 1);
-        let instant = hierarchical::aggregate(&h, &WireSizes::default(), local);
+        let (root, per_peer) = walk(&h, &WireSizes::default(), local);
         assert_eq!(
-            cast(&h, SimConfig::default().with_seed(9), None, local, |_| {}),
-            (Some(instant.root_value), instant.total_bytes()),
+            converge(&h, SimConfig::default().with_seed(9), None, local, |_| {}),
+            (Some(root), per_peer.iter().sum()),
             "disagreement on {}-peer shape",
             h.universe()
         );
     }
 }
 
-/// `hierarchical::aggregate` ≡ the block under everything a network can
+/// The instant walk ≡ the library core under everything a network can
 /// do to it: arrivals shuffled by latency, frames dropped and duplicated,
 /// a stranger's report, and a peer crashing and reviving mid-run.
-fn cast_survives_the_network<A: Aggregate + PartialEq>(
+fn core_survives_the_network<A: Aggregate + PartialEq>(
     parents: &[usize],
     seed: u64,
     local: impl Fn(PeerId) -> A + Copy,
@@ -330,13 +294,13 @@ fn cast_survives_the_network<A: Aggregate + PartialEq>(
         .collect();
     let h = Hierarchy::from_parents(PeerId::new(0), &parents);
     let n = h.universe();
-    let instant = hierarchical::aggregate(&h, &WireSizes::default(), local);
+    let (root, per_peer) = walk(&h, &WireSizes::default(), local);
 
     let sim = SimConfig::default()
         .with_seed(seed)
         .with_latency(latency_for(1))
         .with_faults(FaultPlan::none().with_drop(0.1).with_duplication(0.2));
-    let got = cast(&h, sim, Some(RelConfig::default()), local, |w| {
+    let got = converge(&h, sim, Some(RelConfig::default()), local, |w| {
         // The last peer is nobody's parent, so its report is a stranger's
         // to everyone but its own.
         let (stranger, target) = (PeerId::new(n - 1), PeerId::new((seed / 7) as usize % n));
@@ -350,10 +314,7 @@ fn cast_survives_the_network<A: Aggregate + PartialEq>(
             w.schedule_revive(SimTime::from_micros(900_000), victim);
         }
     });
-    prop_assert_eq!(
-        got,
-        (Some(instant.root_value.clone()), instant.total_bytes())
-    );
+    prop_assert_eq!(got, (Some(root), per_peer.iter().sum()));
     Ok(())
 }
 
@@ -366,12 +327,12 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let idx = |p: PeerId| p.index() as u64;
-        cast_survives_the_network(&parents, seed, |p| ScalarSum(idx(p) + 1))?;
-        cast_survives_the_network(&parents, seed, |p| {
+        core_survives_the_network(&parents, seed, |p| ScalarSum(idx(p) + 1))?;
+        core_survives_the_network(&parents, seed, |p| {
             MapSum::from_pairs([(ItemId(idx(p) % 7), idx(p)), (ItemId(idx(p) % 3), 1)])
         })?;
         // Order-sensitive: a capacity this small prunes at every merge.
-        cast_survives_the_network(&parents, seed, |p| {
+        core_survives_the_network(&parents, seed, |p| {
             let item = |j: u64| (ItemId((idx(p) * 5 + j * 3) % 11), 1 + j);
             SpaceSaving::from_items(3, &(0..6).map(item).collect::<Vec<_>>())
         })?;
