@@ -14,9 +14,9 @@
 //! * **threshold**: the verdict and cost for a heavy and a tail item —
 //!   the tail comparison must cost **zero** bytes.
 //!
-//! Run via `experiments approx-sweep`; `--out` dumps the three tables as
-//! `.dat` files. The committed `approx-*` baselines in `check-baselines`
-//! pin the reference tunings' traffic byte-for-byte.
+//! Run via `experiments smoke --only approx-sweep`, which dumps the three
+//! tables into `--out` as `.dat` files. The committed `approx-*` baselines
+//! in `check-baselines` pin the reference tunings' traffic byte-for-byte.
 
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::SimConfig;

@@ -6,15 +6,8 @@
 //! cargo run -p ifi-bench --release --bin experiments -- all --seed 7
 //! cargo run -p ifi-bench --release --bin experiments -- write-baselines
 //! cargo run -p ifi-bench --release --bin experiments -- check-baselines --tolerance 0.01
-//! cargo run -p ifi-bench --release --bin experiments -- loss-smoke --drop 0.10
-//! cargo run -p ifi-bench --release --bin experiments -- churn-smoke
-//! cargo run -p ifi-bench --release --bin experiments -- simcheck-smoke
-//! cargo run -p ifi-bench --release --bin experiments -- approx-smoke
-//! cargo run -p ifi-bench --release --bin experiments -- approx-sweep --out results/
-//! cargo run -p ifi-bench --release --bin experiments -- continuous-smoke
-//! cargo run -p ifi-bench --release --bin experiments -- continuous-sweep --out results/
-//! cargo run -p ifi-bench --release --bin experiments -- transport-smoke
-//! cargo run -p ifi-bench --release --bin experiments -- chaos-smoke
+//! cargo run -p ifi-bench --release --bin experiments -- smoke --metrics-out metrics-artifacts
+//! cargo run -p ifi-bench --release --bin experiments -- smoke --only loss,chaos
 //! cargo run -p ifi-bench --release --bin experiments -- simcheck-replay results/simcheck/bug-churn-race-20080617.repro
 //! cargo run -p ifi-bench --release --bin experiments -- bench --write-baselines
 //! cargo run -p ifi-bench --release --bin experiments -- bench --check --tolerance 0.5
@@ -24,13 +17,12 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ifi_bench::output::DataFile;
+use ifi_bench::output::{self, DataFile};
 use ifi_bench::{
-    ablation, approx_smoke, approx_sweep, baseline, chaos_smoke, churn, continuous_smoke,
-    continuous_sweep, depth, fig5, fig6, fig7, fig8, loss, perfbench, report_checks,
-    simcheck_smoke, transport_smoke, Scale, ShapeCheck,
+    ablation, baseline, depth, fig5, fig6, fig7, fig8, perfbench, report_checks, smoke, Scale,
+    ShapeCheck,
 };
-use ifi_simcheck::{find_approx_case, find_case, find_continuous_case, parse_artifact};
+use ifi_simcheck::{find_case, parse_artifact};
 
 /// Makes the epoch benches' memory counters live (see
 /// [`ifi_perf::alloc`]); everything else this binary runs just passes
@@ -41,24 +33,17 @@ static ALLOC: ifi_perf::alloc::Counting = ifi_perf::alloc::Counting;
 fn usage() -> ! {
     eprintln!(
         "usage: experiments [fig5] [fig6] [fig7] [fig8] [ablation] [depth] [all]\n\
-         \x20                  [check-baselines] [write-baselines] [loss-smoke] [churn-smoke]\n\
-         \x20                  [simcheck-smoke] [simcheck-replay <artifact>] [transport-smoke]\n\
-         \x20                  [chaos-smoke] [approx-smoke] [approx-sweep]\n\
-         \x20                  [continuous-smoke] [continuous-sweep]\n\
-         \x20                  [bench [--write-baselines] [--check] [--only <names>]]\n\
-         \x20                  [--quick] [--seed <u64>] [--out <dir>]\n\
-         \x20                  [--baselines <dir>] [--tolerance <f64>] [--metrics-out <dir>]\n\
-         \x20                  [--drop <f64>]"
+         \x20                  [check-baselines] [write-baselines] [smoke]\n\
+         \x20                  [simcheck-replay <artifact>] [bench [--write-baselines] [--check]]\n\
+         \x20                  [--only <names>] [--quick] [--seed <u64>] [--out <dir>]\n\
+         \x20                  [--baselines <dir>] [--tolerance <f64>] [--metrics-out <dir>]"
     );
     std::process::exit(2);
 }
 
 fn dump(out: &Option<PathBuf>, data: &DataFile) {
     if let Some(dir) = out {
-        match data.write_to(dir) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", data.name()),
-        }
+        output::dump(dir, data);
     }
 }
 
@@ -89,11 +74,10 @@ fn main() -> ExitCode {
     let mut baselines_dir = PathBuf::from("baselines");
     let mut tolerance: Option<f64> = None;
     let mut metrics_out: Option<PathBuf> = None;
-    let mut drop = loss::DEFAULT_DROP;
     let mut replay_artifact: Option<PathBuf> = None;
     let mut bench_write = false;
     let mut bench_check = false;
-    let mut bench_only: Option<Vec<String>> = None;
+    let mut only: Option<Vec<&str>> = None;
     let mut which: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -119,28 +103,19 @@ fn main() -> ExitCode {
             }
             "--only" => {
                 let Some(s) = it.next() else { usage() };
-                let names: Vec<String> = s
+                let names: Vec<&str> = s
                     .split(',')
                     .map(str::trim)
                     .filter(|n| !n.is_empty())
-                    .map(str::to_string)
                     .collect();
                 if names.is_empty() {
                     usage()
                 }
-                bench_only = Some(names);
+                only = Some(names);
             }
             "--metrics-out" => {
                 let Some(dir) = it.next() else { usage() };
                 metrics_out = Some(PathBuf::from(dir));
-            }
-            "--drop" => {
-                let Some(s) = it.next() else { usage() };
-                let Ok(v) = s.parse() else { usage() };
-                if !(0.0..1.0).contains(&v) {
-                    usage()
-                }
-                drop = v;
             }
             "simcheck-replay" => {
                 let Some(p) = it.next() else { usage() };
@@ -150,11 +125,7 @@ fn main() -> ExitCode {
             "--write-baselines" => bench_write = true,
             "--check" => bench_check = true,
             "fig5" | "fig6" | "fig7" | "fig8" | "ablation" | "depth" | "all"
-            | "check-baselines" | "write-baselines" | "loss-smoke" | "churn-smoke"
-            | "simcheck-smoke" | "transport-smoke" | "chaos-smoke" | "approx-smoke"
-            | "approx-sweep" | "continuous-smoke" | "continuous-sweep" | "bench" => {
-                which.push(Box::leak(arg.clone().into_boxed_str()))
-            }
+            | "check-baselines" | "write-baselines" | "smoke" | "bench" => which.push(arg),
             _ => usage(),
         }
     }
@@ -201,163 +172,33 @@ fn main() -> ExitCode {
         }
     }
     // The baseline metric artifacts only accompany the baseline modes;
-    // loss-smoke writes its own artifacts below.
+    // the smoke rows write their own below.
     if let Some(dir) = &metrics_out {
         if which.contains(&"check-baselines") || which.contains(&"write-baselines") {
             all_ok &= dump_metrics(dir);
         }
     }
-    if which.contains(&"loss-smoke") {
-        println!(
-            "lossy-network smoke — drop {:.0}%, duplication + delay spikes on, seed {seed}",
-            drop * 100.0
-        );
-        let runs = loss::run_smoke(drop, seed);
-        for run in &runs {
-            all_ok &= report_checks(&format!("loss smoke — {}", run.name), &run.checks);
-        }
-        if let Some(dir) = &metrics_out {
-            match loss::write_metrics(dir, &runs) {
-                Ok(paths) => {
-                    for p in &paths {
-                        println!("wrote {}", p.display());
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: cannot write loss metrics: {e}");
-                    all_ok = false;
-                }
+    if which.contains(&"smoke") {
+        let out = out.clone().unwrap_or_else(|| PathBuf::from("results"));
+        match smoke::run(only.as_deref(), seed, &out, metrics_out.as_deref()) {
+            Ok(ok) => all_ok &= ok,
+            Err(e) => {
+                eprintln!("error: {e}");
+                usage()
             }
         }
-    }
-    if which.contains(&"churn-smoke") {
-        println!(
-            "churn smoke — Weibull sessions + root failover + epoch certificates, seed {seed}"
-        );
-        let runs = churn::run_smoke(seed);
-        for run in &runs {
-            all_ok &= report_checks(&format!("churn smoke — {}", run.name), &run.checks);
-        }
-        if let Some(dir) = &metrics_out {
-            match churn::write_metrics(dir, &runs) {
-                Ok(paths) => {
-                    for p in &paths {
-                        println!("wrote {}", p.display());
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: cannot write churn metrics: {e}");
-                    all_ok = false;
-                }
-            }
-        }
-    }
-    if which.contains(&"transport-smoke") {
-        println!(
-            "transport smoke — real channel/TCP fabrics vs DES byte reconciliation, seed {seed}"
-        );
-        let runs = transport_smoke::run_smoke(seed);
-        for run in &runs {
-            all_ok &= report_checks(&format!("transport smoke — {}", run.name), &run.checks);
-        }
-        if let Some(dir) = &metrics_out {
-            match transport_smoke::write_metrics(dir, &runs) {
-                Ok(paths) => {
-                    for p in &paths {
-                        println!("wrote {}", p.display());
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: cannot write transport metrics: {e}");
-                    all_ok = false;
-                }
-            }
-        }
-    }
-    if which.contains(&"chaos-smoke") {
-        println!(
-            "chaos smoke — seeded drop/crash/partition plan vs the equivalent faulted DES, seed {seed}"
-        );
-        let runs = chaos_smoke::run_smoke(seed);
-        for run in &runs {
-            all_ok &= report_checks(&format!("chaos smoke — {}", run.name), &run.checks);
-        }
-        if let Some(dir) = &metrics_out {
-            match chaos_smoke::write_metrics(dir, &runs) {
-                Ok(paths) => {
-                    for p in &paths {
-                        println!("wrote {}", p.display());
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: cannot write chaos metrics: {e}");
-                    all_ok = false;
-                }
-            }
-        }
-    }
-    if which.contains(&"simcheck-smoke") {
-        println!("simcheck smoke — schedule exploration + invariant oracles, seed {seed}");
-        let artifacts = out
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("results/simcheck"));
-        let runs = simcheck_smoke::run_smoke(seed, &artifacts);
-        for run in &runs {
-            all_ok &= report_checks(&format!("simcheck — {}", run.name), &run.checks);
-        }
-    }
-    if which.contains(&"approx-smoke") {
-        println!("approx smoke — engine error claims vs schedule exploration, seed {seed}");
-        let artifacts = out
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("results/simcheck"));
-        let runs = approx_smoke::run_smoke(seed, &artifacts);
-        for run in &runs {
-            all_ok &= report_checks(&format!("approx — {}", run.name), &run.checks);
-        }
-    }
-    if which.contains(&"approx-sweep") {
-        println!("approx sweep — accuracy vs bytes across the engine family, seed {seed}");
-        let sweep = approx_sweep::run(seed);
-        sweep.print();
-        for data in sweep.to_data() {
-            dump(&out, &data);
-        }
-        all_ok &= report_checks("approx sweep", &sweep.checks());
-    }
-    if which.contains(&"continuous-smoke") {
-        println!(
-            "continuous smoke — standing-query window consistency + K-query sharing, seed {seed}"
-        );
-        let artifacts = out
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("results/simcheck"));
-        let runs = continuous_smoke::run_smoke(seed, &artifacts);
-        for run in &runs {
-            all_ok &= report_checks(&format!("continuous — {}", run.name), &run.checks);
-        }
-    }
-    if which.contains(&"continuous-sweep") {
-        println!("continuous sweep — bytes per epoch vs multiplexed query count, seed {seed}");
-        let sweep = continuous_sweep::run(seed);
-        sweep.print();
-        dump(&out, &sweep.to_data());
-        all_ok &= report_checks("continuous sweep", &sweep.checks());
     }
     if which.contains(&"bench") {
         println!("perf benchmarks — fixed seeds, warmup + median-of-k, counters exact");
-        let reports = match &bench_only {
+        let reports = match &only {
             None => perfbench::run_all(),
-            Some(names) => {
-                let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-                match perfbench::run_named(&refs) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        usage()
-                    }
+            Some(names) => match perfbench::run_named(names) {
+                Ok(r) => r,
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    usage()
                 }
-            }
+            },
         };
         perfbench::print_table(&reports);
         let bench_out = out.clone().unwrap_or_else(|| PathBuf::from("."));
@@ -422,10 +263,7 @@ fn main() -> ExitCode {
         println!("simcheck replay — {}", path.display());
         let check = match parse_artifact(&path) {
             Err(e) => ShapeCheck::new("artifact parses", false, e),
-            Ok(artifact) => match find_case(&artifact.case, artifact.seed)
-                .or_else(|| find_approx_case(&artifact.case, artifact.seed))
-                .or_else(|| find_continuous_case(&artifact.case, artifact.seed))
-            {
+            Ok(artifact) => match find_case(&artifact.case, artifact.seed) {
                 None => ShapeCheck::new(
                     "artifact names a registered case",
                     false,
@@ -455,19 +293,7 @@ fn main() -> ExitCode {
     if which.iter().all(|m| {
         matches!(
             *m,
-            "check-baselines"
-                | "write-baselines"
-                | "loss-smoke"
-                | "churn-smoke"
-                | "simcheck-smoke"
-                | "simcheck-replay"
-                | "transport-smoke"
-                | "chaos-smoke"
-                | "approx-smoke"
-                | "approx-sweep"
-                | "continuous-smoke"
-                | "continuous-sweep"
-                | "bench"
+            "check-baselines" | "write-baselines" | "smoke" | "simcheck-replay" | "bench"
         )
     }) {
         return if all_ok {

@@ -14,8 +14,8 @@
 //! * **sharing ratio** — total bytes against K × the single-query total:
 //!   the measured form of the "K queries ≪ K× one query" claim.
 //!
-//! Run via `experiments continuous-sweep`; `--out results/` dumps the
-//! table as `continuous_sweep.dat`.
+//! Run via `experiments smoke --only continuous-sweep`, which dumps the
+//! table into `--out` as `continuous_sweep.dat`.
 //!
 //! [`MsgClass::DELTA`]: ifi_sim::MsgClass::DELTA
 //! [`MsgClass::STANDING`]: ifi_sim::MsgClass::STANDING

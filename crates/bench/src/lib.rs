@@ -10,6 +10,10 @@
 //! | [`fig8`]   | Fig. 8 | threshold ratio `φ` × skewness, `n = 10^6` |
 //! | [`ablation`] | §IV | Eq. 3/6 optima vs measured; gossip vs hierarchy |
 //!
+//! The robustness gates CI runs — loss, churn, schedule exploration, real
+//! fabrics, chaos and the approximate/continuous engines — are the rows
+//! of one registry, [`smoke`].
+//!
 //! Run with `cargo run -p ifi-bench --release --bin experiments -- all`
 //! (add `--quick` for a scaled-down smoke pass). Every experiment prints
 //! the paper's table/series plus a *shape check* verifying the qualitative
@@ -19,26 +23,20 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod approx_smoke;
 pub mod approx_sweep;
 pub mod baseline;
-pub mod chaos_smoke;
-pub mod churn;
-pub mod continuous_smoke;
 pub mod continuous_sweep;
 pub mod depth;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
-pub mod loss;
 pub mod output;
 pub mod par;
 pub mod perfbench;
 mod runner;
-pub mod simcheck_smoke;
+pub mod smoke;
 pub mod table;
-pub mod transport_smoke;
 
 pub use runner::{instrumented_summary, summarize_netfilter, RunSummary, Scale};
 
@@ -81,4 +79,36 @@ pub fn report_checks(title: &str, checks: &[ShapeCheck]) -> bool {
         c.print();
     }
     checks.iter().all(|c| c.holds)
+}
+
+/// The rows of a `(name, fn)` registry named in `only`, in that order,
+/// or every row when `only` is `None`.
+///
+/// # Errors
+///
+/// Names the first unknown entry and lists the registered ones.
+pub(crate) fn select<'r, F>(
+    registry: &'r [(&'static str, F)],
+    only: Option<&[&str]>,
+    kind: &str,
+) -> Result<Vec<&'r (&'static str, F)>, String> {
+    let Some(names) = only else {
+        return Ok(registry.iter().collect());
+    };
+    let known = || {
+        registry
+            .iter()
+            .map(|(n, _)| *n)
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    names
+        .iter()
+        .map(|want| {
+            registry
+                .iter()
+                .find(|(n, _)| n == want)
+                .ok_or_else(|| format!("unknown {kind} {want:?} (known: {})", known()))
+        })
+        .collect()
 }

@@ -86,6 +86,14 @@ impl DataFile {
     }
 }
 
+/// Writes `data` into `dir` and prints the path, or warns on failure.
+pub fn dump(dir: &Path, data: &DataFile) {
+    match data.write_to(dir) {
+        Ok(path) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("warning: could not write {}: {e}", data.name()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

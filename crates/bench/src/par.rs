@@ -75,7 +75,7 @@ where
         .collect()
 }
 
-/// Builds the redundant hierarchies of a [`MultiHierarchy`] in parallel,
+/// Builds the redundant hierarchies of a [`MultiHierarchy`](ifi_hierarchy::MultiHierarchy) in parallel,
 /// one BFS per root over [`par_map`]. Each tree derives only from the
 /// shared (immutable) topology and its own root, so the result is
 /// identical to the serial `MultiHierarchy::with_roots` — at `N = 10^5`

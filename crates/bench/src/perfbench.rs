@@ -500,21 +500,8 @@ pub fn run_all() -> Vec<BenchReport> {
 ///
 /// Returns the offending name if it is not registered.
 pub fn run_named(names: &[&str]) -> Result<Vec<BenchReport>, String> {
-    names
-        .iter()
-        .map(|want| {
-            REGISTRY
-                .iter()
-                .find(|&&(n, _)| n == *want)
-                .map(|(_, f)| f())
-                .ok_or_else(|| {
-                    format!(
-                        "unknown bench {want:?} (known: {})",
-                        bench_names().join(", ")
-                    )
-                })
-        })
-        .collect()
+    let rows = crate::select(&REGISTRY, Some(names), "bench")?;
+    Ok(rows.iter().map(|(_, f)| f()).collect())
 }
 
 /// Writes each report as `<dir>/BENCH_<name>.json` (the CI artifact).

@@ -30,7 +30,7 @@
 //!   answers from it like `requests.rs`, charging only the changed rows
 //!   of each query's answer to [`MsgClass::STANDING`]. K queries thus
 //!   cost exactly 1× the delta stream plus per-query split traffic — the
-//!   `≪ K×` sharing claim the continuous-smoke CI lane checks as a
+//!   `≪ K×` sharing claim the `continuous` smoke row checks as a
 //!   number;
 //! * a time-faded variant ([`FadePolicy::Exponential`]) follows the
 //!   P2PTFHH line of work: the root reconstructs global per-epoch batch

@@ -7,7 +7,7 @@
 //! [`continuous`](crate::continuous) engine, each runnable through one
 //! object-safe interface. Every engine states its
 //! [`ErrorClaim`] up front; the simcheck oracles (`epsilon-bound`,
-//! `topk-recall`, `threshold-soundness`) and the `approx-sweep` experiment
+//! `topk-recall`, `threshold-soundness`) and the `approx-sweep` smoke row
 //! hold the engines to exactly those claims — an engine whose tuning
 //! cannot honor its claim is a bug the test spine must catch, not a
 //! configuration choice.

@@ -35,7 +35,7 @@
 //! `ε` is honest (≥ `1/(c+1)`), a truly frequent item can never be missed —
 //! the **no-false-negative** half of the exact engine's contract, at a
 //! fraction of its phase-1 bytes. What is lost is exactness of values and
-//! the no-false-positive half; `experiments approx-sweep` quantifies that
+//! the no-false-positive half; the `approx-sweep` smoke row quantifies that
 //! accuracy-vs-bytes trade against the exact engine, and the simcheck
 //! `epsilon-bound` oracle cross-checks the claim against ground truth on
 //! every explored schedule.

@@ -32,8 +32,8 @@
 //!   to a false comparison.
 //!
 //! The registry is deliberately separate from [`crate::cases::all_cases`]
-//! (whose shape the exact-suite accounting pins); the bench approx smoke
-//! and the `experiments approx-smoke` subcommand drive this one.
+//! (whose shape the exact-suite accounting pins); the `approx` row of
+//! `experiments smoke` drives this one.
 //!
 //! [`EpsilonBoundOracle`]: crate::oracle::EpsilonBoundOracle
 //! [`TopKRecallOracle`]: crate::oracle::TopKRecallOracle
@@ -346,11 +346,6 @@ pub fn approx_cases(seed: u64) -> Vec<Case> {
     ]
 }
 
-/// Looks an approximate case up by name (used by the replay subcommand).
-pub fn find_approx_case(name: &str, seed: u64) -> Option<Case> {
-    approx_cases(seed).into_iter().find(|c| c.name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,8 +378,8 @@ mod tests {
             .map(|c| c.protocol)
             .collect();
         assert_eq!(clean.len(), 3);
-        assert!(find_approx_case("bug-topk-starved", 1).is_some());
-        assert!(find_approx_case("no-such-engine", 1).is_none());
+        assert!(crate::find_case("bug-topk-starved", 1).is_some());
+        assert!(crate::find_case("no-such-engine", 1).is_none());
     }
 
     #[test]

@@ -32,7 +32,7 @@ use crate::explore::{FoundViolation, Perturbation};
 /// A parsed repro artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Artifact {
-    /// The case name (see [`crate::cases::all_cases`]).
+    /// The case name (see [`crate::cases::find_case`]).
     pub case: String,
     /// The base seed the case was built with.
     pub seed: u64,

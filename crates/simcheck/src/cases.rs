@@ -28,8 +28,9 @@
 //!
 //! Each case monomorphizes its protocol internally and exposes
 //! type-erased `explore`/`replay` entry points, so the bench smoke, the
-//! workspace tests, and the `simcheck-replay` subcommand all drive the
-//! same registry.
+//! workspace tests, and the `simcheck-replay` subcommand (through
+//! [`find_case`], which also searches the approx and continuous
+//! registries) all drive the same registry.
 
 use std::rc::Rc;
 
@@ -412,9 +413,14 @@ pub fn all_cases(seed: u64) -> Vec<Case> {
     ]
 }
 
-/// Looks a case up by name (used by the replay subcommand).
+/// Looks a case up by name in [`all_cases`], then the approx and the
+/// continuous registry (used by the replay subcommand).
 pub fn find_case(name: &str, seed: u64) -> Option<Case> {
-    all_cases(seed).into_iter().find(|c| c.name == name)
+    all_cases(seed)
+        .into_iter()
+        .chain(crate::approx::approx_cases(seed))
+        .chain(crate::continuous::continuous_cases(seed))
+        .find(|c| c.name == name)
 }
 
 #[cfg(test)]
@@ -453,5 +459,21 @@ mod tests {
         assert_eq!(clean.len(), 3);
         assert!(find_case("bug-churn-race", 1).is_some());
         assert!(find_case("no-such-case", 1).is_none());
+    }
+
+    /// [`find_case`] returns the first match, so a name shared by two
+    /// registries would silently replay the wrong case.
+    #[test]
+    fn case_names_are_unique_across_the_three_registries() {
+        let cases: Vec<Case> = all_cases(1)
+            .into_iter()
+            .chain(crate::approx::approx_cases(1))
+            .chain(crate::continuous::continuous_cases(1))
+            .collect();
+        let names: std::collections::BTreeSet<&str> = cases.iter().map(|c| c.name).collect();
+        assert_eq!(names.len(), cases.len());
+        for name in names {
+            assert_eq!(find_case(name, 1).map(|c| c.name), Some(name));
+        }
     }
 }

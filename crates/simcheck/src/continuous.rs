@@ -21,8 +21,7 @@
 //!
 //! Like [`crate::approx`], this registry is deliberately separate from
 //! [`crate::cases::all_cases`] (whose shape the exact-suite accounting
-//! pins); the bench continuous smoke and the `experiments
-//! continuous-smoke` subcommand drive it.
+//! pins); the `continuous` row of `experiments smoke` drives it.
 //!
 //! [`WindowConsistencyOracle`]: crate::oracle::WindowConsistencyOracle
 
@@ -202,11 +201,6 @@ pub fn continuous_cases(seed: u64) -> Vec<Case> {
     vec![continuous_clean(seed), continuous_dropped_retirements(seed)]
 }
 
-/// Looks a continuous case up by name (used by the replay subcommand).
-pub fn find_continuous_case(name: &str, seed: u64) -> Option<Case> {
-    continuous_cases(seed).into_iter().find(|c| c.name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,13 +227,13 @@ mod tests {
             "one clean case"
         );
         assert!(cases.iter().all(|c| c.protocol == "continuous"));
-        assert!(find_continuous_case("continuous-clean", 1).is_some());
-        assert!(find_continuous_case("no-such-case", 1).is_none());
+        assert!(crate::find_case("continuous-clean", 1).is_some());
+        assert!(crate::find_case("no-such-case", 1).is_none());
     }
 
     #[test]
     fn clean_case_holds_on_a_handful_of_schedules() {
-        let case = find_continuous_case("continuous-clean", 11).unwrap();
+        let case = crate::find_case("continuous-clean", 11).unwrap();
         let report = case.explore_with(&quick(11, 6));
         assert!(
             report.violation.is_none(),
@@ -254,7 +248,7 @@ mod tests {
     /// replays.
     #[test]
     fn dropped_retirements_fire_shrink_and_replay() {
-        let case = find_continuous_case("bug-continuous-dropped-retirements", 7).unwrap();
+        let case = crate::find_case("bug-continuous-dropped-retirements", 7).unwrap();
         let report = case.explore_with(&quick(7, 3));
         let found = report.violation.expect("planted bug did not fire");
         assert_eq!(found.violation.oracle, "window-consistency");

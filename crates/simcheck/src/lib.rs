@@ -13,7 +13,7 @@
 //!   at the end of a run: IFI exactness against the ground-truth fold,
 //!   cost reconciliation, hierarchy well-formedness, epoch-fence
 //!   monotonicity, answer non-inflation, and certificate soundness.
-//! * [`explore`] — the trial loop: run many perturbed schedules, count
+//! * [`explore`](mod@explore) — the trial loop: run many perturbed schedules, count
 //!   distinct schedule fingerprints, and stop at the first oracle
 //!   violation (handler panics are captured and reported as violations).
 //! * [`shrink`] — greedy minimization of a violating perturbation to a
@@ -52,10 +52,10 @@ pub mod scale;
 pub mod shrink;
 pub mod strategy;
 
-pub use approx::{approx_cases, find_approx_case};
+pub use approx::approx_cases;
 pub use artifact::{parse_artifact, write_artifact, Artifact};
 pub use cases::{all_cases, find_case, Case};
-pub use continuous::{continuous_cases, find_continuous_case};
+pub use continuous::continuous_cases;
 pub use explore::{explore, replay, ExploreConfig, ExploreReport, FoundViolation, Perturbation};
 pub use oracle::{Checkpoint, Oracle, Violation};
 pub use scale::{run_scale_check, ScaleVerdict};

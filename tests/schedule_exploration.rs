@@ -2,9 +2,9 @@
 //! covers every protocol family, a pinned historical bug is rediscovered
 //! end to end (explore → shrink → replay) at a seed the CI smoke never
 //! uses, and a clean case survives a reduced exploration budget. The full
-//! six-case pass at the default seed lives in the bench smoke
-//! (`experiments simcheck-smoke`); these tests keep the harness honest
-//! from outside the crate at different seeds.
+//! six-case pass at the default seed is the `simcheck` smoke row
+//! (`experiments smoke --only simcheck`); these tests keep the harness
+//! honest from outside the crate at different seeds.
 
 use ifi_simcheck::{all_cases, find_case, ExploreConfig};
 
