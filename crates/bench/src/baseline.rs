@@ -1,28 +1,33 @@
-//! Committed [`MetricsReport`] baselines and regression checking.
+//! Every committed snapshot under `baselines/`, as the rows of one
+//! registry, and the one exact gate over them.
 //!
-//! A fixed set of tiny deterministic scenarios (`N = 100`, `n = 1000`)
-//! exercises every instrumented path — the netFilter engine, the
-//! gossip-filtered variant, and §IV-E sampling — and snapshots each
-//! scenario's *stable* report JSON (wall-clock fields excluded) under a
-//! baselines directory committed to the repository.
+//! Each row of `REGISTRY` names one file and produces its text:
 //!
-//! `experiments -- write-baselines` refreshes the snapshots;
-//! `experiments -- check-baselines` (run in CI) re-runs the scenarios and
-//! compares field-by-field:
+//! * ten **metric** scenarios (`N = 100`, `n = 1000`) exercise every
+//!   instrumented path — the netFilter engine at three tunings, the
+//!   gossip-filtered variant, §IV-E sampling, the three approximate
+//!   engines and the continuous engine plain and faded. Each snapshots
+//!   its answer digest (threshold, result size, item checksum) and its
+//!   *stable* report JSON (wall-clock fields excluded) as
+//!   `<name>.baseline.json`;
+//! * six default **perf** benches and three scale benches
+//!   ([`crate::perfbench`]) snapshot their exact counters as
+//!   `perf/<name>.json`. The scale rows run only when named with `--only`.
 //!
-//! * **structure and counts are exact** — phase labels, message counts,
-//!   event counts, peer counts, and the scenario's answer digest
-//!   (threshold, result size, item checksum) must match byte-for-byte;
-//!   any difference is an exactness regression;
-//! * **byte fields tolerate bounded drift** — `bytes`, `total_bytes`,
-//!   `avg_bytes_per_peer`, and `max_peer_bytes` may move by a relative
-//!   `tolerance` (default 1 %) before failing, so deliberate wire-format
-//!   tweaks fail loudly while float formatting noise does not.
+//! `experiments write-baselines [--only <rows>]` writes each row's text.
+//! `experiments check-baselines [--only <rows>]` regenerates each row and
+//! compares it with the committed file **byte for byte**: every field,
+//! the paper's byte cost included, is counter-exact, so there is no
+//! tolerance. A mismatch names the first differing line. The full check
+//! (no `--only`) also fails every file under the baselines directory that
+//! no row writes.
 
+use std::io;
 use std::path::{Path, PathBuf};
 
 use ifi_hierarchy::Hierarchy;
 use ifi_overlay::Topology;
+use ifi_perf::Sample;
 use ifi_sim::{DetRng, EventSink, MetricsReport, PeerId};
 use ifi_workload::{SystemData, WorkloadParams};
 use netfilter::continuous::ContinuousConfig;
@@ -32,6 +37,9 @@ use netfilter::sketch::SketchConfig;
 use netfilter::topk::TopKConfig;
 use netfilter::{gossip_filter, NetFilter, NetFilterConfig, Threshold, WireSizes};
 
+use crate::{perfbench, select, ShapeCheck};
+use Snapshot::{Metric, Perf};
+
 /// Seed shared by every baseline scenario (the harness default).
 pub const BASELINE_SEED: u64 = 20080617;
 /// Peers in every baseline scenario.
@@ -39,7 +47,7 @@ const PEERS: usize = 100;
 /// Distinct items in every baseline scenario.
 const ITEMS: u64 = 1_000;
 
-/// One reproducible scenario: a name plus the stable snapshot of its run.
+/// One metric scenario's run: a name plus what its snapshot pins.
 #[derive(Debug, Clone)]
 pub struct BaselineRun {
     /// Scenario name (also the snapshot's file stem).
@@ -109,7 +117,7 @@ fn engine_scenario(name: &'static str, theta: f64, g: u32, f: u32, phi: f64) -> 
     }
 }
 
-fn gossip_scenario() -> BaselineRun {
+fn gossip_scenario(name: &'static str) -> BaselineRun {
     let data = workload(1.0);
     let mut rng = DetRng::new(BASELINE_SEED);
     let topo = Topology::random_regular(PEERS, 5, &mut rng);
@@ -124,7 +132,7 @@ fn gossip_scenario() -> BaselineRun {
     let mut sink = EventSink::new(PEERS);
     let run = gossip_filter::run_with_sink(&topo, &h, &data, &cfg, &mut rng, &mut sink);
     BaselineRun {
-        name: "gossip-filter",
+        name,
         report: sink.report(),
         threshold: run.threshold(),
         result_items: run.frequent_items().len(),
@@ -132,7 +140,7 @@ fn gossip_scenario() -> BaselineRun {
     }
 }
 
-fn sampling_scenario() -> BaselineRun {
+fn sampling_scenario(name: &'static str) -> BaselineRun {
     let data = workload(1.0);
     let h = Hierarchy::balanced(PEERS, 3);
     let t = Threshold::Ratio(0.01).resolve(data.total_value());
@@ -150,7 +158,7 @@ fn sampling_scenario() -> BaselineRun {
         &mut sink,
     );
     BaselineRun {
-        name: "sampling",
+        name,
         report: sink.report(),
         threshold: t,
         result_items: stats.sampled_items,
@@ -175,278 +183,387 @@ fn approx_scenario(name: &'static str, engine: &dyn Engine, threshold: u64) -> B
     }
 }
 
-fn approx_scenarios() -> Vec<BaselineRun> {
-    let data = workload(1.0);
-    let truth = ifi_workload::GroundTruth::compute(&data);
-    let t = Threshold::Ratio(0.01).resolve(data.total_value());
-    let heavy = truth.globals()[0].0;
-    vec![
-        approx_scenario(
-            "approx-sketch-c32",
-            &SketchEngine {
-                config: SketchConfig::new(32),
-            },
-            t,
-        ),
-        approx_scenario(
-            "approx-topk-k10",
-            &TopKEngine::new(TopKConfig::lossless(10)),
-            0,
-        ),
-        approx_scenario(
-            "approx-threshold",
-            &ThresholdEngine {
-                config: LocalThresholdConfig::new(Threshold::Ratio(0.01)),
-                item: heavy,
-            },
-            t,
-        ),
-    ]
+/// The threshold `Ratio(0.01)` resolves to on the baseline workload.
+fn ratio_threshold() -> u64 {
+    Threshold::Ratio(0.01).resolve(workload(1.0).total_value())
 }
 
-/// The continuous standing-query scenarios: the delta convergecast over
-/// an eight-fence run, plain-windowed and time-faded. Appended *after*
-/// every pre-existing scenario so their committed snapshots never move.
-fn continuous_scenarios() -> Vec<BaselineRun> {
-    vec![
-        approx_scenario(
-            "continuous-delta-w4",
-            &ContinuousEngine {
-                config: ContinuousConfig::new(4, 8),
-                threshold: 40,
-            },
-            40,
-        ),
-        approx_scenario(
-            "continuous-faded",
-            &ContinuousEngine {
-                config: ContinuousConfig::new(4, 8).with_fade(1, 2),
-                threshold: 20,
-            },
-            20,
-        ),
-    ]
+fn sketch_scenario(name: &'static str) -> BaselineRun {
+    let engine = SketchEngine {
+        config: SketchConfig::new(32),
+    };
+    approx_scenario(name, &engine, ratio_threshold())
 }
 
-/// Runs every baseline scenario. Deterministic: two invocations in the
-/// same build produce identical [`BaselineRun::snapshot`] strings.
-pub fn run_all() -> Vec<BaselineRun> {
-    let mut runs = vec![
-        engine_scenario("netfilter-g100-f3", 1.0, 100, 3, 0.01),
-        engine_scenario("netfilter-g20-f2", 1.0, 20, 2, 0.01),
-        engine_scenario("netfilter-theta08", 0.8, 100, 3, 0.01),
-        gossip_scenario(),
-        sampling_scenario(),
-    ];
-    runs.extend(approx_scenarios());
-    runs.extend(continuous_scenarios());
-    runs
+fn threshold_scenario(name: &'static str) -> BaselineRun {
+    let heavy = ifi_workload::GroundTruth::compute(&workload(1.0)).globals()[0].0;
+    let engine = ThresholdEngine {
+        config: LocalThresholdConfig::new(Threshold::Ratio(0.01)),
+        item: heavy,
+    };
+    approx_scenario(name, &engine, ratio_threshold())
 }
 
-/// Writes (or refreshes) every scenario snapshot as
-/// `<dir>/<name>.baseline.json`.
+/// The delta convergecast of a continuous standing query over an
+/// eight-fence run.
+fn continuous_scenario(
+    name: &'static str,
+    config: ContinuousConfig,
+    threshold: u64,
+) -> BaselineRun {
+    approx_scenario(name, &ContinuousEngine { config, threshold }, threshold)
+}
+
+/// How a registry row produces its snapshot, and where the snapshot lives.
+#[derive(Debug, Clone, Copy)]
+pub enum Snapshot {
+    /// A metric scenario, committed as `<name>.baseline.json`.
+    Metric(fn(&'static str) -> BaselineRun),
+    /// A perf bench, committed as `perf/<name>.json`.
+    Perf(fn(&str) -> Sample),
+}
+
+impl Snapshot {
+    /// The row's file, relative to the baselines directory.
+    pub fn path(self, name: &str) -> String {
+        match self {
+            Metric(_) => format!("{name}.baseline.json"),
+            Perf(_) => format!("perf/{name}.json"),
+        }
+    }
+
+    /// Runs the row and renders the text its file must hold.
+    pub fn text(self, name: &'static str) -> String {
+        match self {
+            Metric(run) => run(name).snapshot(),
+            Perf(bench) => bench(name).to_json(name),
+        }
+    }
+}
+
+/// One registry row: its name (what `--only` selects) and its snapshot.
+pub type Row = (&'static str, Snapshot);
+
+/// Every committed snapshot: the metric scenarios, then the default perf
+/// benches, then the scale benches.
+const REGISTRY: [Row; 19] = [
+    (
+        "netfilter-g100-f3",
+        Metric(|n| engine_scenario(n, 1.0, 100, 3, 0.01)),
+    ),
+    (
+        "netfilter-g20-f2",
+        Metric(|n| engine_scenario(n, 1.0, 20, 2, 0.01)),
+    ),
+    (
+        "netfilter-theta08",
+        Metric(|n| engine_scenario(n, 0.8, 100, 3, 0.01)),
+    ),
+    ("gossip-filter", Metric(gossip_scenario)),
+    ("sampling", Metric(sampling_scenario)),
+    ("approx-sketch-c32", Metric(sketch_scenario)),
+    (
+        "approx-topk-k10",
+        Metric(|n| approx_scenario(n, &TopKEngine::new(TopKConfig::lossless(10)), 0)),
+    ),
+    ("approx-threshold", Metric(threshold_scenario)),
+    (
+        "continuous-delta-w4",
+        Metric(|n| continuous_scenario(n, ContinuousConfig::new(4, 8), 40)),
+    ),
+    (
+        "continuous-faded",
+        Metric(|n| continuous_scenario(n, ContinuousConfig::new(4, 8).with_fade(1, 2), 20)),
+    ),
+    ("event_queue", Perf(perfbench::event_queue)),
+    ("codec", Perf(perfbench::codec)),
+    ("epoch_n1000", Perf(|n| perfbench::epoch(n, 1_000, 20_000))),
+    ("maintain_tick", Perf(perfbench::maintain_tick)),
+    ("fig7_quick", Perf(perfbench::fig7_quick)),
+    ("epoch_delta_n1000", Perf(perfbench::epoch_delta_n1000)),
+    (
+        "epoch_n100000",
+        Perf(|n| perfbench::epoch(n, 100_000, 200_000)),
+    ),
+    (
+        "epoch_n1000000",
+        Perf(|n| perfbench::epoch(n, 1_000_000, 2_000_000)),
+    ),
+    ("fig7_n10000", Perf(perfbench::fig7_n10000)),
+];
+
+/// How many of `REGISTRY`'s leading rows run when no `--only` is given:
+/// all but the three scale benches.
+const DEFAULT_ROWS: usize = 16;
+
+/// The rows named in `only`, in that order, or every default row.
+///
+/// # Errors
+///
+/// Names the first unknown row and lists the registered ones.
+pub fn rows(only: Option<&[&str]>) -> Result<Vec<Row>, String> {
+    let registry = if only.is_some() {
+        &REGISTRY[..]
+    } else {
+        &REGISTRY[..DEFAULT_ROWS]
+    };
+    Ok(select(registry, only, "baseline row")?
+        .into_iter()
+        .copied()
+        .collect())
+}
+
+/// Writes (or refreshes) each row's snapshot under `dir`.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors.
-pub fn write_baselines(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
-    std::fs::create_dir_all(dir)?;
+pub fn write(dir: &Path, rows: &[Row]) -> io::Result<Vec<PathBuf>> {
     let mut written = Vec::new();
-    for run in run_all() {
-        let path = dir.join(format!("{}.baseline.json", run.name));
-        std::fs::write(&path, run.snapshot())?;
+    for &(name, snap) in rows {
+        let path = dir.join(snap.path(name));
+        std::fs::create_dir_all(path.parent().unwrap_or(dir))?;
+        std::fs::write(&path, snap.text(name))?;
         written.push(path);
     }
     Ok(written)
 }
 
-/// Splits a snapshot into `(key, value)` pairs in order of appearance.
-/// The snapshot format is one field per line, so line-based extraction is
-/// exact; array brackets and braces contribute no pairs.
-fn fields(snapshot: &str) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    for line in snapshot.lines() {
-        let line = line.trim().trim_end_matches(',');
-        // `{ "class": "x", "bytes": 1, "messages": 2 }` packs one class
-        // entry per line; split it into its parts.
-        for part in line
-            .trim_start_matches("{ ")
-            .trim_end_matches(" }")
-            .split("\", \"")
-            .flat_map(|p| p.split(", \""))
-        {
-            let part = part.trim().trim_start_matches('"').trim_end_matches(',');
-            if let Some((k, v)) = part.split_once(':') {
-                let key = k.trim().trim_matches('"').to_string();
-                let val = v.trim().to_string();
-                if !key.is_empty() && !val.is_empty() && val != "[" && val != "{" {
-                    out.push((key, val));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Whether drift in `key` is tolerated (byte magnitudes) rather than
-/// required to be exact (structure, counts, digests).
-fn is_byte_field(key: &str) -> bool {
-    matches!(
-        key,
-        "bytes" | "total_bytes" | "avg_bytes_per_peer" | "max_peer_bytes"
-    )
-}
-
-/// Compares a fresh snapshot against the committed one. Returns the list
-/// of discrepancies (empty = pass).
-pub fn compare_snapshots(name: &str, committed: &str, fresh: &str, tolerance: f64) -> Vec<String> {
-    let mut problems = Vec::new();
-    let want = fields(committed);
-    let got = fields(fresh);
-    if want.len() != got.len() {
-        problems.push(format!(
-            "{name}: field count changed ({} committed vs {} fresh) — structure drifted",
-            want.len(),
-            got.len()
-        ));
-        return problems;
-    }
-    for ((wk, wv), (gk, gv)) in want.iter().zip(&got) {
-        if wk != gk {
-            problems.push(format!(
-                "{name}: field order changed (committed {wk:?} vs fresh {gk:?})"
-            ));
-            return problems;
-        }
-        if wv == gv {
-            continue;
-        }
-        if is_byte_field(wk) {
-            let (w, g): (f64, f64) = match (wv.parse(), gv.parse()) {
-                (Ok(w), Ok(g)) => (w, g),
-                _ => {
-                    problems.push(format!("{name}: {wk} unparsable ({wv:?} vs {gv:?})"));
-                    continue;
-                }
+/// Regenerates each row and compares it with its file under `dir`, byte
+/// for byte: one check per row. A missing file fails its row.
+pub fn check(dir: &Path, rows: &[Row]) -> Vec<ShapeCheck> {
+    rows.iter()
+        .map(|&(name, snap)| {
+            let path = dir.join(snap.path(name));
+            let problem = match std::fs::read_to_string(&path) {
+                Ok(committed) => first_difference(&committed, &snap.text(name)),
+                Err(e) => Some(format!(
+                    "cannot read {}: {e} — run `experiments write-baselines` and commit",
+                    path.display()
+                )),
             };
-            let denom = w.abs().max(1.0);
-            let drift = (g - w).abs() / denom;
-            if drift > tolerance {
-                problems.push(format!(
-                    "{name}: {wk} drifted {:.2}% (committed {w}, fresh {g}, tolerance {:.2}%)",
-                    drift * 100.0,
-                    tolerance * 100.0
-                ));
-            }
-        } else {
-            problems.push(format!(
-                "{name}: exact field {wk} changed (committed {wv}, fresh {gv})"
-            ));
-        }
-    }
-    problems
+            let holds = problem.is_none();
+            let detail = problem.unwrap_or_else(|| format!("{} is byte-identical", path.display()));
+            ShapeCheck::new(name, holds, detail)
+        })
+        .collect()
 }
 
-/// Re-runs every scenario and checks it against `<dir>/<name>.baseline.json`.
-/// Returns human-readable problem lines (empty = pass). A missing snapshot
-/// file is itself a problem (run `write-baselines` first).
-pub fn check_baselines(dir: &Path, tolerance: f64) -> Vec<String> {
-    let mut problems = Vec::new();
-    for run in run_all() {
-        let path = dir.join(format!("{}.baseline.json", run.name));
-        match std::fs::read_to_string(&path) {
-            Ok(committed) => {
-                problems.extend(compare_snapshots(
-                    run.name,
-                    &committed,
-                    &run.snapshot(),
-                    tolerance,
-                ));
+/// Where two snapshot texts first part, or `None` when they are identical.
+fn first_difference(committed: &str, fresh: &str) -> Option<String> {
+    if committed == fresh {
+        return None;
+    }
+    let show = |line: Option<&str>| line.map_or("end of file".to_string(), |l| format!("{l:?}"));
+    let (mut want, mut got) = (committed.lines(), fresh.lines());
+    for line in 1.. {
+        match (want.next(), got.next()) {
+            (None, None) => break,
+            (w, g) if w == g => {}
+            (w, g) => {
+                return Some(format!(
+                    "line {line}: committed {}, fresh {}",
+                    show(w),
+                    show(g)
+                ))
             }
-            Err(e) => problems.push(format!(
-                "{}: cannot read {} ({e}) — run `experiments -- write-baselines` and commit the result",
-                run.name,
-                path.display()
-            )),
         }
     }
-    problems
+    Some("the texts differ only in line endings".to_string())
+}
+
+/// The full check's orphan scan: every file under `dir` must be some
+/// row's snapshot, scale rows included, so a stale or misnamed file fails.
+pub fn orphans(dir: &Path) -> ShapeCheck {
+    fn files(dir: &Path, prefix: &str, out: &mut Vec<String>) {
+        for entry in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+            let name = format!("{prefix}{}", entry.file_name().to_string_lossy());
+            if entry.path().is_dir() {
+                files(&entry.path(), &format!("{name}/"), out);
+            } else {
+                out.push(name);
+            }
+        }
+    }
+    let mut found = Vec::new();
+    files(dir, "", &mut found);
+    let orphans: Vec<String> = found
+        .iter()
+        .filter(|f| !REGISTRY.iter().any(|&(n, snap)| snap.path(n) == **f))
+        .cloned()
+        .collect();
+    let detail = if orphans.is_empty() {
+        format!("{} files", found.len())
+    } else {
+        format!("no row writes {}", orphans.join(", "))
+    };
+    ShapeCheck::new(
+        format!("every file under {} is a registry row", dir.display()),
+        orphans.is_empty(),
+        detail,
+    )
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
-    #[test]
-    fn scenarios_are_deterministic() {
-        let a: Vec<String> = run_all().iter().map(BaselineRun::snapshot).collect();
-        let b: Vec<String> = run_all().iter().map(BaselineRun::snapshot).collect();
-        assert_eq!(a, b);
+    /// The committed snapshots, at the repository root.
+    fn committed() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines")
+    }
+
+    /// A fresh scratch directory for one test.
+    fn scratch(test: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ifi-baselines-{test}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// `dir`'s copy of the committed `row` file, with `from` replaced by
+    /// `to` once.
+    fn plant(dir: &Path, row: &str, from: &str, to: &str) {
+        let rows = rows(Some(&[row])).expect("registered row");
+        let (name, snap) = rows[0];
+        let text = std::fs::read_to_string(committed().join(snap.path(name))).expect("committed");
+        assert!(text.contains(from), "{row} has no {from:?}");
+        let path = dir.join(snap.path(name));
+        std::fs::create_dir_all(path.parent().expect("file in a directory")).expect("writable");
+        std::fs::write(path, text.replacen(from, to, 1)).expect("writable");
+    }
+
+    fn failures(dir: &Path, row: &str) -> Vec<ShapeCheck> {
+        check(dir, &rows(Some(&[row])).expect("registered row"))
+            .into_iter()
+            .filter(|c| !c.holds)
+            .collect()
     }
 
     #[test]
-    fn scenario_names_are_unique_and_reports_nonempty() {
-        let runs = run_all();
-        let names: std::collections::HashSet<_> = runs.iter().map(|r| r.name).collect();
-        assert_eq!(names.len(), runs.len());
-        for r in &runs {
-            assert!(r.report.total_bytes() > 0, "{} moved no bytes", r.name);
-            assert!(
-                !r.snapshot().contains("wall"),
-                "{} leaked wall time",
-                r.name
+    fn metric_scenarios_are_deterministic_and_leak_no_wall_time() {
+        for &(name, snap) in &REGISTRY {
+            let Metric(run) = snap else {
+                continue;
+            };
+            let run = run(name);
+            assert_eq!(run.name, name);
+            assert!(run.report.total_bytes() > 0, "{name} moved no bytes");
+            assert_eq!(
+                run.snapshot(),
+                snap.text(name),
+                "{name} is nondeterministic"
             );
+            assert!(!run.snapshot().contains("wall"), "{name} leaked wall time");
         }
     }
 
     #[test]
-    fn identical_snapshots_pass() {
-        let run = &run_all()[0];
-        let snap = run.snapshot();
-        assert!(compare_snapshots(run.name, &snap, &snap, 0.0).is_empty());
+    fn every_committed_file_is_exactly_one_row() {
+        let names: BTreeSet<&str> = REGISTRY.iter().map(|&(n, _)| n).collect();
+        let paths: BTreeSet<String> = REGISTRY.iter().map(|&(n, s)| s.path(n)).collect();
+        assert_eq!((names.len(), paths.len()), (REGISTRY.len(), REGISTRY.len()));
+        let full = orphans(&committed());
+        assert!(full.holds, "{}", full.detail);
+        assert_eq!(full.detail, format!("{} files", REGISTRY.len()));
     }
 
     #[test]
-    fn count_change_is_an_exactness_failure_regardless_of_tolerance() {
-        let run = &run_all()[0];
-        let snap = run.snapshot();
-        let tweaked = snap.replacen("\"events\": ", "\"events\": 9", 1);
-        let problems = compare_snapshots(run.name, &snap, &tweaked, 1.0);
-        assert!(!problems.is_empty());
-        assert!(problems[0].contains("exact field"), "{problems:?}");
+    fn the_default_rows_exclude_the_scale_benches() {
+        let default: Vec<&str> = rows(None)
+            .expect("no selection")
+            .iter()
+            .map(|r| r.0)
+            .collect();
+        assert_eq!(default.len(), 16);
+        assert!(default.contains(&"sampling") && default.contains(&"epoch_delta_n1000"));
+        for scale in ["epoch_n100000", "epoch_n1000000", "fig7_n10000"] {
+            assert!(!default.contains(&scale), "{scale}");
+            assert_eq!(rows(Some(&[scale])).expect("registered")[0].0, scale);
+        }
     }
 
     #[test]
-    fn small_byte_drift_passes_large_fails() {
-        let run = &run_all()[0];
-        let snap = run.snapshot();
-        let total = run.report.total_bytes();
-        let nudged = snap.replacen(
-            &format!("\"total_bytes\": {total}"),
-            &format!("\"total_bytes\": {}", total + total / 200),
-            1,
-        );
-        assert_ne!(snap, nudged, "nudge must apply");
-        // 0.5 % drift: inside a 1 % tolerance, outside a 0.1 % tolerance.
-        assert!(compare_snapshots(run.name, &nudged, &snap, 0.01).is_empty());
-        assert!(!compare_snapshots(run.name, &nudged, &snap, 0.001).is_empty());
+    fn an_unknown_row_is_named() {
+        let err = rows(Some(&["codec", "nope"])).unwrap_err();
+        assert!(err.contains("unknown baseline row \"nope\""), "{err}");
+        assert!(err.contains("epoch_n100000"), "{err}");
     }
 
     #[test]
     fn write_then_check_roundtrips() {
-        let dir = std::env::temp_dir().join(format!("ifi_baselines_{}", std::process::id()));
-        write_baselines(&dir).expect("writable temp dir");
-        let problems = check_baselines(&dir, 0.0);
-        assert!(problems.is_empty(), "{problems:?}");
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = scratch("roundtrip");
+        let rows = rows(Some(&["sampling", "codec"])).expect("registered rows");
+        let written = write(&dir, &rows).expect("writable temp dir");
+        assert!(written[1].ends_with("perf/codec.json"), "{written:?}");
+        assert!(check(&dir, &rows).iter().all(|c| c.holds));
+        assert!(orphans(&dir).holds);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn missing_snapshot_is_reported() {
-        let dir =
-            std::env::temp_dir().join(format!("ifi_baselines_missing_{}", std::process::id()));
-        let problems = check_baselines(&dir, 0.01);
-        assert_eq!(problems.len(), run_all().len());
-        assert!(problems[0].contains("write-baselines"));
+    fn the_committed_snapshots_match_byte_for_byte() {
+        let rows = rows(Some(&["netfilter-g100-f3", "codec"])).expect("registered rows");
+        for c in check(&committed(), &rows) {
+            assert!(c.holds, "{}: {}", c.claim, c.detail);
+        }
+    }
+
+    #[test]
+    fn one_more_byte_in_a_metric_snapshot_fails() {
+        let dir = scratch("bytes");
+        plant(
+            &dir,
+            "netfilter-g100-f3",
+            "\"total_bytes\": 149128,",
+            "\"total_bytes\": 149129,",
+        );
+        let failed = failures(&dir, "netfilter-g100-f3");
+        assert_eq!(failed.len(), 1);
+        let detail = &failed[0].detail;
+        assert!(
+            detail.contains("149129") && detail.contains("149128"),
+            "{detail}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_more_op_in_a_perf_snapshot_fails() {
+        let dir = scratch("ops");
+        plant(&dir, "codec", "\"ops\": 4000,", "\"ops\": 4001,");
+        let failed = failures(&dir, "codec");
+        assert_eq!(failed.len(), 1);
+        assert!(
+            failed[0].detail.starts_with("line 3: committed"),
+            "{}",
+            failed[0].detail
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_missing_file_fails() {
+        let dir = scratch("missing");
+        let failed = failures(&dir, "sampling");
+        assert_eq!(failed.len(), 1);
+        assert!(
+            failed[0].detail.contains("write-baselines"),
+            "{}",
+            failed[0].detail
+        );
+    }
+
+    #[test]
+    fn a_planted_orphan_fails_the_full_check() {
+        let dir = scratch("orphan");
+        write(&dir, &rows(Some(&["codec"])).expect("registered row")).expect("writable");
+        assert!(orphans(&dir).holds);
+        std::fs::write(dir.join("orphan.baseline.json"), "{}\n").expect("writable");
+        let full = orphans(&dir);
+        assert!(!full.holds);
+        assert_eq!(full.detail, "no row writes orphan.baseline.json");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

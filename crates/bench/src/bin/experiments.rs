@@ -5,13 +5,11 @@
 //! cargo run -p ifi-bench --release --bin experiments -- fig5 fig7 --quick
 //! cargo run -p ifi-bench --release --bin experiments -- all --seed 7
 //! cargo run -p ifi-bench --release --bin experiments -- write-baselines
-//! cargo run -p ifi-bench --release --bin experiments -- check-baselines --tolerance 0.01
+//! cargo run -p ifi-bench --release --bin experiments -- check-baselines
+//! cargo run -p ifi-bench --release --bin experiments -- check-baselines --only epoch_n100000,fig7_n10000
 //! cargo run -p ifi-bench --release --bin experiments -- smoke --metrics-out metrics-artifacts
 //! cargo run -p ifi-bench --release --bin experiments -- smoke --only loss,chaos
 //! cargo run -p ifi-bench --release --bin experiments -- simcheck-replay results/simcheck/bug-churn-race-20080617.repro
-//! cargo run -p ifi-bench --release --bin experiments -- bench --write-baselines
-//! cargo run -p ifi-bench --release --bin experiments -- bench --check --tolerance 0.5
-//! cargo run -p ifi-bench --release --bin experiments -- bench --check --only epoch_n100000,fig7_n10000
 //! ```
 
 use std::path::PathBuf;
@@ -19,8 +17,7 @@ use std::process::ExitCode;
 
 use ifi_bench::output::{self, DataFile};
 use ifi_bench::{
-    ablation, baseline, depth, fig5, fig6, fig7, fig8, perfbench, report_checks, smoke, Scale,
-    ShapeCheck,
+    ablation, baseline, depth, fig5, fig6, fig7, fig8, report_checks, smoke, Scale, ShapeCheck,
 };
 use ifi_simcheck::{find_case, parse_artifact};
 
@@ -34,9 +31,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: experiments [fig5] [fig6] [fig7] [fig8] [ablation] [depth] [all]\n\
          \x20                  [check-baselines] [write-baselines] [smoke]\n\
-         \x20                  [simcheck-replay <artifact>] [bench [--write-baselines] [--check]]\n\
-         \x20                  [--only <names>] [--quick] [--seed <u64>] [--out <dir>]\n\
-         \x20                  [--baselines <dir>] [--tolerance <f64>] [--metrics-out <dir>]"
+         \x20                  [simcheck-replay <artifact>] [--only <names>] [--quick]\n\
+         \x20                  [--seed <u64>] [--out <dir>] [--baselines <dir>] [--metrics-out <dir>]"
     );
     std::process::exit(2);
 }
@@ -47,15 +43,19 @@ fn dump(out: &Option<PathBuf>, data: &DataFile) {
     }
 }
 
-/// Writes each baseline scenario's *full* report (wall-clock included) as
-/// `<dir>/<name>.metrics.json` — the CI artifact.
-fn dump_metrics(dir: &PathBuf) -> bool {
+/// Writes each selected metric scenario's *full* report (wall-clock
+/// included) as `<dir>/<name>.metrics.json` — the CI artifact.
+fn dump_metrics(dir: &PathBuf, rows: &[baseline::Row]) -> bool {
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("error: cannot create {}: {e}", dir.display());
         return false;
     }
-    for run in baseline::run_all() {
-        let path = dir.join(format!("{}.metrics.json", run.name));
+    for &(name, snap) in rows {
+        let baseline::Snapshot::Metric(scenario) = snap else {
+            continue;
+        };
+        let run = scenario(name);
+        let path = dir.join(format!("{name}.metrics.json"));
         if let Err(e) = std::fs::write(&path, run.report.to_json()) {
             eprintln!("error: cannot write {}: {e}", path.display());
             return false;
@@ -72,11 +72,8 @@ fn main() -> ExitCode {
     let mut seed = 20080617u64; // ICDCS 2008
     let mut out: Option<PathBuf> = None;
     let mut baselines_dir = PathBuf::from("baselines");
-    let mut tolerance: Option<f64> = None;
     let mut metrics_out: Option<PathBuf> = None;
     let mut replay_artifact: Option<PathBuf> = None;
-    let mut bench_write = false;
-    let mut bench_check = false;
     let mut only: Option<Vec<&str>> = None;
     let mut which: Vec<&str> = Vec::new();
     let mut it = args.iter();
@@ -95,11 +92,6 @@ fn main() -> ExitCode {
             "--baselines" => {
                 let Some(dir) = it.next() else { usage() };
                 baselines_dir = PathBuf::from(dir);
-            }
-            "--tolerance" => {
-                let Some(s) = it.next() else { usage() };
-                let Ok(v) = s.parse() else { usage() };
-                tolerance = Some(v);
             }
             "--only" => {
                 let Some(s) = it.next() else { usage() };
@@ -122,10 +114,8 @@ fn main() -> ExitCode {
                 replay_artifact = Some(PathBuf::from(p));
                 which.push("simcheck-replay");
             }
-            "--write-baselines" => bench_write = true,
-            "--check" => bench_check = true,
             "fig5" | "fig6" | "fig7" | "fig8" | "ablation" | "depth" | "all"
-            | "check-baselines" | "write-baselines" | "smoke" | "bench" => which.push(arg),
+            | "check-baselines" | "write-baselines" | "smoke" => which.push(arg),
             _ => usage(),
         }
     }
@@ -138,44 +128,33 @@ fn main() -> ExitCode {
     let want = |name: &str| all || which.contains(&name);
     let mut all_ok = true;
 
-    if which.contains(&"write-baselines") {
-        match baseline::write_baselines(&baselines_dir) {
-            Ok(paths) => {
-                for p in &paths {
-                    println!("wrote {}", p.display());
+    if which.contains(&"write-baselines") || which.contains(&"check-baselines") {
+        let rows = baseline::rows(only.as_deref()).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            usage()
+        });
+        if which.contains(&"write-baselines") {
+            match baseline::write(&baselines_dir, &rows) {
+                Ok(paths) => paths.iter().for_each(|p| println!("wrote {}", p.display())),
+                Err(e) => {
+                    eprintln!("error: writing baselines failed: {e}");
+                    all_ok = false;
                 }
             }
-            Err(e) => {
-                eprintln!("error: writing baselines failed: {e}");
-                all_ok = false;
-            }
         }
-    }
-    if which.contains(&"check-baselines") {
-        let byte_tol = tolerance.unwrap_or(0.01);
-        println!(
-            "checking metrics baselines in {} (byte tolerance {:.2}%)",
-            baselines_dir.display(),
-            byte_tol * 100.0
-        );
-        let problems = baseline::check_baselines(&baselines_dir, byte_tol);
-        if problems.is_empty() {
-            println!(
-                "  [PASS] all {} baseline scenarios match",
-                baseline::run_all().len()
-            );
-        } else {
-            for p in &problems {
-                println!("  [FAIL] {p}");
+        if which.contains(&"check-baselines") {
+            let mut checks = baseline::check(&baselines_dir, &rows);
+            // Orphans are a property of the whole directory, so only the
+            // full check can tell them.
+            if only.is_none() {
+                checks.push(baseline::orphans(&baselines_dir));
             }
-            all_ok = false;
+            all_ok &= report_checks("baselines, byte for byte", &checks);
         }
-    }
-    // The baseline metric artifacts only accompany the baseline modes;
-    // the smoke rows write their own below.
-    if let Some(dir) = &metrics_out {
-        if which.contains(&"check-baselines") || which.contains(&"write-baselines") {
-            all_ok &= dump_metrics(dir);
+        // The scenarios' full reports ride along; the smoke rows write
+        // their own below.
+        if let Some(dir) = &metrics_out {
+            all_ok &= dump_metrics(dir, &rows);
         }
     }
     if which.contains(&"smoke") {
@@ -185,76 +164,6 @@ fn main() -> ExitCode {
             Err(e) => {
                 eprintln!("error: {e}");
                 usage()
-            }
-        }
-    }
-    if which.contains(&"bench") {
-        println!("perf benchmarks — fixed seeds, warmup + median-of-k, counters exact");
-        let reports = match &only {
-            None => perfbench::run_all(),
-            Some(names) => match perfbench::run_named(names) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    usage()
-                }
-            },
-        };
-        perfbench::print_table(&reports);
-        let bench_out = out.clone().unwrap_or_else(|| PathBuf::from("."));
-        match perfbench::write_reports(&bench_out, &reports) {
-            Ok(paths) => {
-                for p in &paths {
-                    println!("wrote {}", p.display());
-                }
-            }
-            Err(e) => {
-                eprintln!("error: cannot write bench reports: {e}");
-                all_ok = false;
-            }
-        }
-        if bench_write {
-            match perfbench::write_baselines(&baselines_dir, &reports) {
-                Ok(paths) => {
-                    for p in &paths {
-                        println!("wrote {}", p.display());
-                    }
-                }
-                Err(e) => {
-                    eprintln!("error: writing perf baselines failed: {e}");
-                    all_ok = false;
-                }
-            }
-        }
-        if bench_check {
-            let wall_tol = perfbench::wall_tolerance(tolerance);
-            println!(
-                "checking perf baselines in {}/{} (wall tolerance {:.0}%)",
-                baselines_dir.display(),
-                perfbench::BASELINE_SUBDIR,
-                wall_tol * 100.0
-            );
-            let verdicts = perfbench::check_baselines_per_bench(&baselines_dir, &reports, wall_tol);
-            let width = verdicts.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-            for (name, problems) in &verdicts {
-                if problems.is_empty() {
-                    println!("  {name:width$}  [PASS]");
-                } else {
-                    println!("  {name:width$}  [FAIL] ({} problem(s))", problems.len());
-                    for p in problems {
-                        println!("    - {p}");
-                    }
-                    all_ok = false;
-                }
-            }
-            let failed = verdicts.iter().filter(|(_, p)| !p.is_empty()).count();
-            if failed == 0 {
-                println!("  [PASS] all {} perf baselines match", verdicts.len());
-            } else {
-                println!(
-                    "  [FAIL] {failed} of {} perf baselines drifted",
-                    verdicts.len()
-                );
             }
         }
     }
@@ -293,7 +202,7 @@ fn main() -> ExitCode {
     if which.iter().all(|m| {
         matches!(
             *m,
-            "check-baselines" | "write-baselines" | "smoke" | "simcheck-replay" | "bench"
+            "check-baselines" | "write-baselines" | "smoke" | "simcheck-replay"
         )
     }) {
         return if all_ok {

@@ -12,7 +12,8 @@
 //!
 //! The robustness gates CI runs — loss, churn, schedule exploration, real
 //! fabrics, chaos and the approximate/continuous engines — are the rows
-//! of one registry, [`smoke`].
+//! of one registry, [`smoke`]. Every committed snapshot under `baselines/`
+//! is a row of another, [`baseline`], compared byte for byte.
 //!
 //! Run with `cargo run -p ifi-bench --release --bin experiments -- all`
 //! (add `--quick` for a scaled-down smoke pass). Every experiment prints
@@ -81,7 +82,7 @@ pub fn report_checks(title: &str, checks: &[ShapeCheck]) -> bool {
     checks.iter().all(|c| c.holds)
 }
 
-/// The rows of a `(name, fn)` registry named in `only`, in that order,
+/// The rows of a `(name, _)` registry named in `only`, in that order,
 /// or every row when `only` is `None`.
 ///
 /// # Errors

@@ -1,12 +1,13 @@
-//! Named perf benchmarks for `experiments bench`.
+//! The perf rows of the baseline registry ([`crate::baseline`]).
 //!
-//! Each benchmark runs a *fixed, seeded* workload through the
-//! [`ifi_perf`] harness (warmup + median-of-k), so its counters — events
-//! processed, messages sent, wire bytes, answer digests — are
-//! bit-reproducible on any machine, while its wall-clock median is
-//! machine-dependent and only alarm-gated. The six default benches cover
-//! the simulator's hot paths end to end; three scale benches push `N` past
-//! the paper and run in CI's dedicated `scale` job (via `--only`):
+//! Each benchmark runs a *fixed, seeded* workload through
+//! [`ifi_perf::run_bench`] (one discarded run, then two that must agree),
+//! so its counters — events processed, messages sent, wire bytes, answer
+//! digests — are bit-reproducible on any machine and its snapshot
+//! `baselines/perf/<name>.json` is compared byte for byte. Nothing here
+//! is timed. The six default benches cover the simulator's hot paths end
+//! to end; three scale benches push `N` past the paper and run only when
+//! named with `--only` (CI's `scale` job):
 //!
 //! | bench | exercises |
 //! |-------|-----------|
@@ -26,22 +27,16 @@
 //! `event_queue` and the two exact-epoch benches also snapshot
 //! `queue_heap_pushes`, the pushes the queue's FIFO lanes could not take:
 //! zero on these constant-latency schedules, so a change that sends events
-//! back through the `O(log n)` heap fails exactly, whatever the wall says.
-//! The three epoch benches (`epoch_*`) add the counting allocator's exact
-//! memory counters (`peak_live_bytes`, `allocs`, `alloc_bytes`), so a
-//! state-layout regression that balloons memory, or a per-pair allocation
-//! on the delta path, shows up as exact counter drift even when wall-clock
-//! stays inside tolerance.
-//!
-//! Reports land as `BENCH_<name>.json` in the output directory; baselines
-//! live under `baselines/perf/` and are checked with counters exact.
-
-use std::path::{Path, PathBuf};
+//! back through the `O(log n)` heap fails exactly. The epoch benches
+//! (`epoch_*`) add the counting allocator's exact memory counters
+//! (`peak_live_bytes`, `allocs`, `alloc_bytes`), so a state-layout
+//! regression that balloons memory, or a per-pair allocation on the delta
+//! path, shows up as exact counter drift.
 
 use ifi_agg::{MapSum, VecSum};
 use ifi_hierarchy::{Hierarchy, MaintainProtocol};
 use ifi_overlay::{HeartbeatConfig, Topology};
-use ifi_perf::{run_bench, BenchConfig, BenchReport, Sample};
+use ifi_perf::{run_bench, Sample};
 use ifi_sim::{
     mix64, sansio_world, DetRng, Duration, Effects, LatencyModel, Membership, MsgClass, NodeEvent,
     PeerId, SansIo, SimConfig, SimTime,
@@ -56,9 +51,6 @@ use crate::runner::Scale;
 
 /// Seed shared by every perf workload (the harness default).
 pub const PERF_SEED: u64 = 20080617;
-
-/// Subdirectory of the baselines dir holding perf snapshots.
-pub const BASELINE_SUBDIR: &str = "perf";
 
 fn fold(acc: u64, v: u64) -> u64 {
     mix64(acc ^ v)
@@ -104,10 +96,10 @@ impl SansIo for RingTicker {
     }
 }
 
-fn bench_event_queue() -> BenchReport {
+pub(crate) fn event_queue(name: &str) -> Sample {
     const PEERS: usize = 500;
     const TICKS: u32 = 100;
-    run_bench("event_queue", &BenchConfig { warmup: 1, reps: 5 }, || {
+    run_bench(name, || {
         let peers: Vec<RingTicker> = (0..PEERS)
             .map(|i| RingTicker {
                 next: PeerId::new((i + 1) % PEERS),
@@ -154,10 +146,10 @@ fn codec_messages() -> Vec<NfMsg> {
         .collect()
 }
 
-fn bench_codec() -> BenchReport {
+pub(crate) fn codec(name: &str) -> Sample {
     let codec = Codec::new(WireSizes::default());
     let msgs = codec_messages();
-    run_bench("codec", &BenchConfig { warmup: 1, reps: 5 }, || {
+    run_bench(name, || {
         let mut buf = bytes::BytesMut::new();
         let mut encoded_bytes = 0u64;
         let mut digest = 0u64;
@@ -181,16 +173,16 @@ fn bench_codec() -> BenchReport {
     })
 }
 
-// --- epoch_n1000, epoch_n100000: a full netFilter epoch over the DES. ---
+// --- epoch_n1000, epoch_n100000, epoch_n1000000: one netFilter epoch. ---
 
 /// One exact epoch at `peers` peers (paper workload, `g = 100`, `f = 3`),
-/// world construction included. Besides the behavioral counters, each rep
+/// world construction included. Besides the behavioral counters, each run
 /// is one counting-allocator window: allocations, bytes requested and the
-/// live-byte high-water above the rep's starting point. They are exact
+/// live-byte high-water above the run's starting point. They are exact
 /// for a seeded single-threaded run, so an allocation regression gates
 /// like an op-count drift (and they read zero in a binary that has not
 /// installed [`ifi_perf::alloc::Counting`]).
-fn bench_epoch(name: &str, peers: usize, items: u64, reps: usize) -> BenchReport {
+pub(crate) fn epoch(name: &str, peers: usize, items: u64) -> Sample {
     let data = SystemData::generate_paper(
         &WorkloadParams {
             peers,
@@ -207,7 +199,7 @@ fn bench_epoch(name: &str, peers: usize, items: u64, reps: usize) -> BenchReport
         .threshold(Threshold::Ratio(0.01))
         .hash_seed(PERF_SEED)
         .build();
-    run_bench(name, &BenchConfig { warmup: 1, reps }, || {
+    run_bench(name, || {
         ifi_perf::alloc::reset();
         let mut w = NetFilterProtocol::build_world(
             &cfg,
@@ -239,18 +231,9 @@ fn bench_epoch(name: &str, peers: usize, items: u64, reps: usize) -> BenchReport
     })
 }
 
-fn bench_epoch_n1000() -> BenchReport {
-    bench_epoch("epoch_n1000", 1_000, 20_000, 3)
-}
-
-/// The scale lane's full epoch at `N = 10^5`.
-fn bench_epoch_n100000() -> BenchReport {
-    bench_epoch("epoch_n100000", 100_000, 200_000, 2)
-}
-
 // --- maintain_tick: heartbeat/maintenance loop, 200 peers, 30 s. ---
 
-fn bench_maintain_tick() -> BenchReport {
+pub(crate) fn maintain_tick(name: &str) -> Sample {
     const PEERS: usize = 200;
     let topo = Topology::random_regular(PEERS, 4, &mut DetRng::new(PERF_SEED));
     let h = Hierarchy::bfs(&topo, PeerId::new(0));
@@ -259,7 +242,7 @@ fn bench_maintain_tick() -> BenchReport {
         timeout: Duration::from_millis(1_600),
         bytes: 8,
     };
-    run_bench("maintain_tick", &BenchConfig { warmup: 1, reps: 3 }, || {
+    run_bench(name, || {
         let peers: Vec<MaintainProtocol> = topo
             .peers()
             .map(|p| MaintainProtocol::new(&h, p, topo.neighbors(p).to_vec(), cfg))
@@ -291,54 +274,50 @@ fn bench_maintain_tick() -> BenchReport {
     })
 }
 
-// --- fig7_quick: the fig. 7 skew sweep at --quick scale. ---
+// --- fig7_quick, fig7_n10000: the fig. 7 skew sweep. ---
 
-fn bench_fig7_quick() -> BenchReport {
-    run_bench("fig7_quick", &BenchConfig { warmup: 1, reps: 3 }, || {
+/// One op per sweep row; bytes and digest over both series.
+fn fig7_sample(panels: &[fig7::Fig7Panel]) -> Sample {
+    let mut ops = 0u64;
+    let mut bytes = 0u64;
+    let mut digest = 0u64;
+    for row in panels.iter().flat_map(|panel| &panel.rows) {
+        ops += 1;
+        bytes += (row.netfilter + row.naive) as u64;
+        digest = fold(digest, row.netfilter.to_bits());
+        digest = fold(digest, row.naive.to_bits());
+    }
+    Sample {
+        ops,
+        bytes,
+        counters: vec![("digest".into(), digest)],
+    }
+}
+
+/// Both panels at `--quick` scale.
+pub(crate) fn fig7_quick(name: &str) -> Sample {
+    run_bench(name, || {
         let (a, b) = fig7::run(Scale::Quick, PERF_SEED);
-        let mut ops = 0u64;
-        let mut bytes = 0u64;
-        let mut digest = 0u64;
-        for panel in [&a, &b] {
-            for row in &panel.rows {
-                ops += 1;
-                bytes += (row.netfilter + row.naive) as u64;
-                digest = fold(digest, row.netfilter.to_bits());
-                digest = fold(digest, row.naive.to_bits());
-            }
-        }
-        Sample {
-            ops,
-            bytes,
-            counters: vec![("digest".into(), digest)],
-        }
+        fig7_sample(&[a, b])
     })
 }
 
-// --- fig7_n10000: the scale lane's fig. 7(a) sweep at N = 10^4. ---
-
-fn bench_fig7_n10000() -> BenchReport {
+/// The scale lane's fig. 7(a) sweep at `N = 10^4`.
+pub(crate) fn fig7_n10000(name: &str) -> Sample {
     let scale = Scale::Custom {
         peers: 10_000,
         items_small: 100_000,
         items_large: 1_000_000,
     };
-    run_bench("fig7_n10000", &BenchConfig { warmup: 0, reps: 2 }, || {
-        let panel = fig7::run_panel(scale, "a", scale.items_small(), 100, 3, PERF_SEED);
-        let mut ops = 0u64;
-        let mut bytes = 0u64;
-        let mut digest = 0u64;
-        for row in &panel.rows {
-            ops += 1;
-            bytes += (row.netfilter + row.naive) as u64;
-            digest = fold(digest, row.netfilter.to_bits());
-            digest = fold(digest, row.naive.to_bits());
-        }
-        Sample {
-            ops,
-            bytes,
-            counters: vec![("digest".into(), digest)],
-        }
+    run_bench(name, || {
+        fig7_sample(&[fig7::run_panel(
+            scale,
+            "a",
+            scale.items_small(),
+            100,
+            3,
+            PERF_SEED,
+        )])
     })
 }
 
@@ -391,7 +370,7 @@ fn full_reaggregation_bytes(
     total
 }
 
-fn bench_epoch_delta_n1000() -> BenchReport {
+pub(crate) fn epoch_delta_n1000(name: &str) -> Sample {
     use netfilter::continuous::{
         schedule_from_data, ContinuousConfig, ContinuousProtocol, QueryRegistry,
     };
@@ -412,179 +391,45 @@ fn bench_epoch_delta_n1000() -> BenchReport {
     let cfg = ContinuousConfig::new(WINDOW, EPOCHS);
     let registry = QueryRegistry::single(1_000, PeerId::new(PEERS - 1));
     let sizes = WireSizes::default();
-    run_bench(
-        "epoch_delta_n1000",
-        &BenchConfig { warmup: 1, reps: 3 },
-        || {
-            ifi_perf::alloc::reset();
-            let mut w = ContinuousProtocol::build_world(
-                &cfg,
-                &h,
-                &registry,
-                &schedules,
-                SimConfig::default().with_seed(PERF_SEED),
-            );
-            w.start();
-            w.run_to_quiescence();
-            let mem = ifi_perf::alloc::snapshot();
-            let root = w.peer(PeerId::new(0));
-            let digest = root
-                .standing()
-                .iter()
-                .fold(0u64, |acc, &(id, v)| fold(fold(acc, id.0), v));
-            let full_bytes: u64 = (0..EPOCHS)
-                .map(|e| full_reaggregation_bytes(&h, &schedules, e, WINDOW, &sizes))
-                .sum();
-            Sample {
-                ops: w.events_processed(),
-                bytes: w.metrics().total_bytes(),
-                counters: vec![
-                    ("messages".into(), w.metrics().total_messages()),
-                    ("epochs_certified".into(), root.delivered().len() as u64),
-                    (
-                        "delta_bytes".into(),
-                        w.metrics().class_bytes(MsgClass::DELTA),
-                    ),
-                    ("full_reagg_bytes".into(), full_bytes),
-                    ("digest".into(), digest),
-                    ("queue_high_water".into(), w.queue_high_water() as u64),
-                    ("peak_live_bytes".into(), mem.peak as u64),
-                    ("allocs".into(), mem.count),
-                    ("alloc_bytes".into(), mem.bytes),
-                ],
-            }
-        },
-    )
-}
-
-type BenchFn = fn() -> BenchReport;
-
-/// Every benchmark by name: the six default hot-path benches first, then
-/// the scale-lane benches (selected by CI's `scale` job via `--only`).
-const REGISTRY: [(&str, BenchFn); 9] = [
-    ("event_queue", bench_event_queue),
-    ("codec", bench_codec),
-    ("epoch_n1000", bench_epoch_n1000),
-    ("maintain_tick", bench_maintain_tick),
-    ("fig7_quick", bench_fig7_quick),
-    ("epoch_delta_n1000", bench_epoch_delta_n1000),
-    ("epoch_n100000", bench_epoch_n100000),
-    ("epoch_n1000000", || {
-        bench_epoch("epoch_n1000000", 1_000_000, 2_000_000, 1)
-    }),
-    ("fig7_n10000", bench_fig7_n10000),
-];
-
-/// How many of [`REGISTRY`]'s leading entries a plain `bench` runs (the
-/// scale benches only run when named via `--only`).
-const DEFAULT_BENCHES: usize = 6;
-
-/// Names of every registered benchmark, default set first.
-pub fn bench_names() -> Vec<&'static str> {
-    REGISTRY.iter().map(|&(n, _)| n).collect()
-}
-
-/// Runs the six default benchmarks at their fixed seeds, in a stable
-/// order.
-pub fn run_all() -> Vec<BenchReport> {
-    REGISTRY[..DEFAULT_BENCHES]
-        .iter()
-        .map(|(_, f)| f())
-        .collect()
-}
-
-/// Runs only the named benchmarks (any registered name, scale benches
-/// included), preserving the caller's order.
-///
-/// # Errors
-///
-/// Returns the offending name if it is not registered.
-pub fn run_named(names: &[&str]) -> Result<Vec<BenchReport>, String> {
-    let rows = crate::select(&REGISTRY, Some(names), "bench")?;
-    Ok(rows.iter().map(|(_, f)| f()).collect())
-}
-
-/// Writes each report as `<dir>/BENCH_<name>.json` (the CI artifact).
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_reports(dir: &Path, reports: &[BenchReport]) -> std::io::Result<Vec<PathBuf>> {
-    std::fs::create_dir_all(dir)?;
-    let mut written = Vec::new();
-    for r in reports {
-        let path = dir.join(format!("BENCH_{}.json", r.name));
-        std::fs::write(&path, r.to_json())?;
-        written.push(path);
-    }
-    Ok(written)
-}
-
-/// Prints the human-readable summary table.
-pub fn print_table(reports: &[BenchReport]) {
-    println!("\n== perf benchmarks (median of k, counters exact) ==");
-    println!("{}", ifi_perf::report::table_header());
-    for r in reports {
-        println!("{}", r.table_row());
-    }
-}
-
-/// Writes (or refreshes) every perf baseline under `<baselines>/perf/`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_baselines(
-    baselines_dir: &Path,
-    reports: &[BenchReport],
-) -> std::io::Result<Vec<PathBuf>> {
-    let dir = baselines_dir.join(BASELINE_SUBDIR);
-    reports
-        .iter()
-        .map(|r| ifi_perf::write_baseline(&dir, r))
-        .collect()
-}
-
-/// Checks every report against its committed baseline, keeping the
-/// verdicts per bench: `(name, problems)` in report order, `problems`
-/// empty on pass. `bench --check` renders this as its summary table.
-pub fn check_baselines_per_bench(
-    baselines_dir: &Path,
-    reports: &[BenchReport],
-    tolerance: f64,
-) -> Vec<(String, Vec<String>)> {
-    let dir = baselines_dir.join(BASELINE_SUBDIR);
-    reports
-        .iter()
-        .map(|r| (r.name.clone(), ifi_perf::check_baseline(&dir, r, tolerance)))
-        .collect()
-}
-
-/// Checks every report against its committed baseline. Returns
-/// human-readable problem lines (empty = pass).
-pub fn check_baselines(
-    baselines_dir: &Path,
-    reports: &[BenchReport],
-    tolerance: f64,
-) -> Vec<String> {
-    check_baselines_per_bench(baselines_dir, reports, tolerance)
-        .into_iter()
-        .flat_map(|(_, problems)| problems)
-        .collect()
-}
-
-/// Wall-clock tolerance for `bench --check`: an explicit `--tolerance`
-/// wins, then the `PERF_WALL_TOLERANCE` environment variable (CI sets it
-/// once at workflow level so every perf lane shares one knob), then a
-/// generous +50 % (the gate is one-sided: only slowdowns fail).
-pub fn wall_tolerance(explicit: Option<f64>) -> f64 {
-    explicit
-        .or_else(|| {
-            std::env::var("PERF_WALL_TOLERANCE")
-                .ok()
-                .and_then(|s| s.parse().ok())
-        })
-        .unwrap_or(0.5)
+    run_bench(name, || {
+        ifi_perf::alloc::reset();
+        let mut w = ContinuousProtocol::build_world(
+            &cfg,
+            &h,
+            &registry,
+            &schedules,
+            SimConfig::default().with_seed(PERF_SEED),
+        );
+        w.start();
+        w.run_to_quiescence();
+        let mem = ifi_perf::alloc::snapshot();
+        let root = w.peer(PeerId::new(0));
+        let digest = root
+            .standing()
+            .iter()
+            .fold(0u64, |acc, &(id, v)| fold(fold(acc, id.0), v));
+        let full_bytes: u64 = (0..EPOCHS)
+            .map(|e| full_reaggregation_bytes(&h, &schedules, e, WINDOW, &sizes))
+            .sum();
+        Sample {
+            ops: w.events_processed(),
+            bytes: w.metrics().total_bytes(),
+            counters: vec![
+                ("messages".into(), w.metrics().total_messages()),
+                ("epochs_certified".into(), root.delivered().len() as u64),
+                (
+                    "delta_bytes".into(),
+                    w.metrics().class_bytes(MsgClass::DELTA),
+                ),
+                ("full_reagg_bytes".into(), full_bytes),
+                ("digest".into(), digest),
+                ("queue_high_water".into(), w.queue_high_water() as u64),
+                ("peak_live_bytes".into(), mem.peak as u64),
+                ("allocs".into(), mem.count),
+                ("alloc_bytes".into(), mem.bytes),
+            ],
+        }
+    })
 }
 
 #[cfg(test)]
@@ -593,55 +438,19 @@ mod tests {
 
     #[test]
     fn event_queue_counters_are_deterministic_across_runs() {
-        let a = bench_event_queue();
-        let b = bench_event_queue();
-        assert_eq!(a.ops, b.ops);
-        assert_eq!(a.bytes, b.bytes);
-        assert_eq!(a.counters, b.counters);
+        let a = event_queue("event_queue");
+        assert_eq!(a, event_queue("event_queue"));
         assert!(a.ops > 0 && a.bytes > 0);
     }
 
     #[test]
     fn codec_counters_are_deterministic_across_runs() {
-        let a = bench_codec();
-        let b = bench_codec();
-        assert_eq!((a.ops, a.bytes, a.counters), (b.ops, b.bytes, b.counters));
-    }
-
-    #[test]
-    fn reports_round_trip_and_name_their_files() {
-        let r = bench_codec();
-        let parsed = BenchReport::parse(&r.to_json()).expect("parses");
-        assert_eq!(parsed, r);
-        let dir = std::env::temp_dir().join(format!("ifi_perfbench_{}", std::process::id()));
-        let paths = write_reports(&dir, std::slice::from_ref(&r)).expect("writable");
-        assert!(paths[0].ends_with("BENCH_codec.json"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn run_named_selects_and_rejects() {
-        let reports = run_named(&["codec"]).expect("codec is registered");
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].name, "codec");
-        let err = run_named(&["codec", "nope"]).unwrap_err();
-        assert!(err.contains("unknown bench"), "{err}");
-        assert!(err.contains("epoch_n100000"), "{err}");
-    }
-
-    #[test]
-    fn default_set_excludes_the_scale_benches() {
-        let names = bench_names();
-        assert_eq!(names.len(), REGISTRY.len());
-        assert!(names[..DEFAULT_BENCHES].contains(&"epoch_delta_n1000"));
-        assert!(!names[..DEFAULT_BENCHES].contains(&"epoch_n100000"));
-        assert!(names[DEFAULT_BENCHES..].contains(&"epoch_n100000"));
-        assert!(names[DEFAULT_BENCHES..].contains(&"fig7_n10000"));
+        assert_eq!(codec("codec"), codec("codec"));
     }
 
     #[test]
     fn epoch_delta_certifies_and_undercuts_full_reaggregation() {
-        let r = bench_epoch_delta_n1000();
+        let r = epoch_delta_n1000("epoch_delta_n1000");
         let counter = |name: &str| {
             r.counters
                 .iter()
@@ -656,53 +465,5 @@ mod tests {
             delta < full,
             "delta epochs ({delta} B) must undercut full re-aggregation ({full} B)"
         );
-    }
-
-    #[test]
-    fn per_bench_check_separates_verdicts() {
-        let dir = std::env::temp_dir().join(format!("ifi_perfbench_pb_{}", std::process::id()));
-        let r = bench_codec();
-        write_baselines(&dir, std::slice::from_ref(&r)).expect("writable");
-        // A second report with no committed baseline must fail on its own
-        // row without polluting the passing bench's verdict.
-        let ghost = BenchReport {
-            name: "ghost".into(),
-            ops: 1,
-            bytes: 1,
-            counters: Vec::new(),
-            wall: r.wall.clone(),
-        };
-        let verdicts = check_baselines_per_bench(&dir, &[r.clone(), ghost], 10.0);
-        assert_eq!(verdicts.len(), 2);
-        assert_eq!(verdicts[0].0, "codec");
-        assert!(verdicts[0].1.is_empty(), "{:?}", verdicts[0].1);
-        assert_eq!(verdicts[1].0, "ghost");
-        assert!(!verdicts[1].1.is_empty());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn wall_tolerance_prefers_explicit_then_env_then_default() {
-        assert_eq!(wall_tolerance(Some(0.25)), 0.25);
-        std::env::set_var("PERF_WALL_TOLERANCE", "0.75");
-        assert_eq!(wall_tolerance(None), 0.75);
-        std::env::remove_var("PERF_WALL_TOLERANCE");
-        assert_eq!(wall_tolerance(None), 0.5);
-    }
-
-    #[test]
-    fn baseline_check_catches_op_drift() {
-        let dir = std::env::temp_dir().join(format!("ifi_perfbench_bl_{}", std::process::id()));
-        let r = bench_codec();
-        write_baselines(&dir, std::slice::from_ref(&r)).expect("writable");
-        assert!(check_baselines(&dir, std::slice::from_ref(&r), 0.0).is_empty());
-        let mut drifted = r.clone();
-        drifted.ops += 1;
-        let problems = check_baselines(&dir, std::slice::from_ref(&drifted), 10.0);
-        assert!(
-            problems.iter().any(|p| p.contains("exact field ops")),
-            "{problems:?}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,8 +1,6 @@
-//! Warmup + median-of-k benchmark runner with a determinism oracle.
+//! The one run policy of the perf snapshots, with its determinism oracle.
 
-use crate::report::{BenchReport, WallStats};
-
-/// What one benchmark repetition reports back: deterministic counters
+/// What one run of a benchmark reports back: deterministic counters
 /// describing the work just performed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
@@ -14,137 +12,74 @@ pub struct Sample {
     pub counters: Vec<(String, u64)>,
 }
 
-/// Repetition policy for [`run_bench`].
-#[derive(Debug, Clone, Copy)]
-pub struct BenchConfig {
-    /// Untimed repetitions run first (page in code and data).
-    pub warmup: usize,
-    /// Timed repetitions; the report's median is over these.
-    pub reps: usize,
-}
-
-impl Default for BenchConfig {
-    fn default() -> Self {
-        BenchConfig { warmup: 1, reps: 5 }
+impl Sample {
+    /// The snapshot of bench `name`, one field per line.
+    pub fn to_json(&self, name: &str) -> String {
+        let mut s = format!(
+            "{{\n\"bench\": {name:?},\n\"ops\": {},\n\"bytes\": {},\n\"counters\": {{\n",
+            self.ops, self.bytes
+        );
+        for (i, (k, v)) in self.counters.iter().enumerate() {
+            let comma = if i + 1 < self.counters.len() { "," } else { "" };
+            s.push_str(&format!("{k:?}: {v}{comma}\n"));
+        }
+        s.push_str("}\n}\n");
+        s
     }
 }
 
-/// Runs `f` `warmup + reps` times, timing the last `reps`, and returns a
-/// [`BenchReport`] with the median/min/max repetition time.
-///
-/// Every repetition must return the *same* [`Sample`] — the workload is
-/// fixed and seeded, so differing counters mean the benchmark (or the
-/// code under test) is nondeterministic, which would silently invalidate
-/// the committed baselines.
+/// Runs `f` three times and returns its [`Sample`]. The first run is
+/// discarded: it pages in code and data and lets lazily built state
+/// settle. The other two must agree.
 ///
 /// # Panics
 ///
-/// Panics if `reps == 0` or if any repetition's counters differ from the
-/// first repetition's.
-pub fn run_bench<F>(name: &str, cfg: &BenchConfig, mut f: F) -> BenchReport
+/// Panics if the two compared runs return different samples. The
+/// workload is fixed and seeded, so that means the benchmark (or the code
+/// under test) is nondeterministic, and its snapshot would gate nothing.
+pub fn run_bench<F>(name: &str, mut f: F) -> Sample
 where
     F: FnMut() -> Sample,
 {
-    assert!(cfg.reps > 0, "bench {name}: reps must be >= 1");
-    for _ in 0..cfg.warmup {
-        let _ = f();
-    }
-    let mut durations = Vec::with_capacity(cfg.reps);
-    let mut first: Option<Sample> = None;
-    for rep in 0..cfg.reps {
-        let t0 = std::time::Instant::now();
-        let sample = f();
-        durations.push(t0.elapsed());
-        match &first {
-            None => first = Some(sample),
-            Some(want) => assert_eq!(
-                want, &sample,
-                "bench {name}: rep {rep} produced different counters — \
-                 the workload is nondeterministic"
-            ),
-        }
-    }
-    let sample = first.expect("reps >= 1");
-    durations.sort_unstable();
-    let wall = WallStats {
-        reps: cfg.reps as u64,
-        warmup: cfg.warmup as u64,
-        median_ns: durations[cfg.reps / 2].as_nanos() as u64,
-        min_ns: durations[0].as_nanos() as u64,
-        max_ns: durations[cfg.reps - 1].as_nanos() as u64,
-    };
-    BenchReport {
-        name: name.to_string(),
-        ops: sample.ops,
-        bytes: sample.bytes,
-        counters: sample.counters,
-        wall,
-    }
+    let _ = f();
+    let (first, second) = (f(), f());
+    assert_eq!(
+        first, second,
+        "bench {name}: two runs produced different counters — \
+         the workload is nondeterministic"
+    );
+    first
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn busy_sample(spin: u64) -> Sample {
-        // Deterministic busywork so timings are nonzero.
-        let mut acc = 0u64;
-        for i in 0..spin {
-            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-        }
-        Sample {
-            ops: spin,
-            bytes: spin * 8,
-            counters: vec![("acc".into(), acc)],
-        }
-    }
-
     #[test]
-    fn report_carries_counters_and_ordered_wall_stats() {
-        let r = run_bench("busy", &BenchConfig { warmup: 1, reps: 5 }, || {
-            busy_sample(10_000)
-        });
-        assert_eq!(r.name, "busy");
-        assert_eq!(r.ops, 10_000);
-        assert_eq!(r.bytes, 80_000);
-        assert_eq!(r.counters.len(), 1);
-        assert_eq!(r.wall.reps, 5);
-        assert!(r.wall.min_ns <= r.wall.median_ns);
-        assert!(r.wall.median_ns <= r.wall.max_ns);
-    }
-
-    #[test]
-    fn counters_identical_across_runs_at_same_seed() {
-        // Two full harness invocations of the same seeded workload must
-        // agree on every counter (wall-clock will differ).
-        let a = run_bench("det", &BenchConfig::default(), || busy_sample(5_000));
-        let b = run_bench("det", &BenchConfig::default(), || busy_sample(5_000));
-        assert_eq!(a.ops, b.ops);
-        assert_eq!(a.bytes, b.bytes);
-        assert_eq!(a.counters, b.counters);
+    fn snapshot_lists_the_counters_in_order() {
+        let sample = Sample {
+            ops: 4,
+            bytes: 32,
+            counters: vec![("frames".into(), 2), ("digest".into(), 7)],
+        };
+        assert_eq!(
+            run_bench("codec", || sample.clone()).to_json("codec"),
+            "{\n\"bench\": \"codec\",\n\"ops\": 4,\n\"bytes\": 32,\n\"counters\": {\n\
+             \"frames\": 2,\n\"digest\": 7\n}\n}\n"
+        );
     }
 
     #[test]
     #[should_panic(expected = "nondeterministic")]
     fn nondeterministic_workload_is_rejected() {
         let mut calls = 0u64;
-        let _ = run_bench("drift", &BenchConfig { warmup: 0, reps: 3 }, || {
+        let _ = run_bench("drift", || {
             calls += 1;
             Sample {
-                ops: calls, // changes every rep
+                ops: calls, // changes every run
                 bytes: 0,
                 counters: Vec::new(),
             }
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "reps must be")]
-    fn zero_reps_is_rejected() {
-        let _ = run_bench("empty", &BenchConfig { warmup: 0, reps: 0 }, || Sample {
-            ops: 0,
-            bytes: 0,
-            counters: Vec::new(),
         });
     }
 }

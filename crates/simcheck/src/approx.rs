@@ -40,63 +40,18 @@
 //! [`ThresholdSoundnessOracle`]: crate::oracle::ThresholdSoundnessOracle
 
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::{Duration, FaultPlan, PeerId, RelConfig, SimConfig, SimTime};
+use ifi_sim::{FaultPlan, PeerId, RelConfig, SimConfig};
 use ifi_workload::{GroundTruth, ItemId, SystemData};
 use netfilter::local_threshold::{LocalThresholdConfig, LocalThresholdProtocol};
 use netfilter::sketch::{SketchConfig, SketchProtocol};
 use netfilter::topk::{TopKConfig, TopKProtocol};
 use netfilter::Threshold;
 
-use crate::cases::{make_case, workload, Case};
-use crate::explore::ExploreConfig;
+use crate::cases::{
+    clean_budget, faulty_sim, kill_at, make_case, negative_budget, revive_at, workload, Case,
+    CHURNED_LEAF,
+};
 use crate::oracle::{EpsilonBoundOracle, Oracle, ThresholdSoundnessOracle, TopKRecallOracle};
-
-/// The leaf every clean case kills mid-run and revives half a query
-/// later: under `Hierarchy::balanced(9, 3)` peer 8 reports to peer 2.
-const CHURNED_LEAF: usize = 8;
-
-fn kill_at() -> SimTime {
-    SimTime::from_micros(250_000)
-}
-
-fn revive_at() -> SimTime {
-    SimTime::from_micros(1_500_000)
-}
-
-fn clean_budget(seed: u64) -> ExploreConfig {
-    ExploreConfig {
-        seed,
-        trials: 60,
-        check_every: Duration::from_secs(1),
-        horizon: None,
-        drops_per_trial: 2,
-        drop_seq_horizon: 200,
-        shrink_budget: 300,
-        ..ExploreConfig::default()
-    }
-}
-
-fn negative_budget(seed: u64) -> ExploreConfig {
-    ExploreConfig {
-        seed,
-        trials: 60,
-        check_every: Duration::from_secs(1),
-        horizon: None,
-        drops_per_trial: 0,
-        drop_seq_horizon: 200,
-        shrink_budget: 200,
-        ..ExploreConfig::default()
-    }
-}
-
-fn faulty_sim(seed: u64, drops: &[u64]) -> SimConfig {
-    SimConfig::default().with_seed(seed).with_faults(
-        FaultPlan::none()
-            .with_drop(0.05)
-            .with_duplication(0.05)
-            .with_scheduled_drops(drops.iter().copied()),
-    )
-}
 
 /// The honest sketch engine under loss, duplication, and leaf churn: the
 /// claimed ε must hold and the frequent set must be covered on every
@@ -349,13 +304,7 @@ pub fn approx_cases(seed: u64) -> Vec<Case> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn quick(seed: u64, trials: usize) -> ExploreConfig {
-        ExploreConfig {
-            trials,
-            ..clean_budget(seed)
-        }
-    }
+    use crate::cases::tests::quick;
 
     #[test]
     fn registry_names_are_unique_and_expectations_partition() {

@@ -137,6 +137,57 @@ pub(crate) fn workload(seed: u64) -> SystemData {
     )
 }
 
+/// The leaf the approx and continuous clean cases kill mid-run and
+/// revive later: under `Hierarchy::balanced(9, 3)` peer 8 reports to
+/// peer 2.
+pub(crate) const CHURNED_LEAF: usize = 8;
+
+pub(crate) fn kill_at() -> SimTime {
+    SimTime::from_micros(250_000)
+}
+
+pub(crate) fn revive_at() -> SimTime {
+    SimTime::from_micros(1_500_000)
+}
+
+/// The exploration budget of the approx and continuous clean cases.
+pub(crate) fn clean_budget(seed: u64) -> ExploreConfig {
+    ExploreConfig {
+        seed,
+        trials: 60,
+        check_every: Duration::from_secs(1),
+        horizon: None,
+        drops_per_trial: 2,
+        drop_seq_horizon: 200,
+        shrink_budget: 300,
+        ..ExploreConfig::default()
+    }
+}
+
+/// The exploration budget of the approx and continuous planted negatives.
+pub(crate) fn negative_budget(seed: u64) -> ExploreConfig {
+    ExploreConfig {
+        seed,
+        trials: 60,
+        check_every: Duration::from_secs(1),
+        horizon: None,
+        drops_per_trial: 0,
+        drop_seq_horizon: 200,
+        shrink_budget: 200,
+        ..ExploreConfig::default()
+    }
+}
+
+/// 5 % loss and 5 % duplication on top of the explorer's scheduled drops.
+pub(crate) fn faulty_sim(seed: u64, drops: &[u64]) -> SimConfig {
+    SimConfig::default().with_seed(seed).with_faults(
+        FaultPlan::none()
+            .with_drop(0.05)
+            .with_duplication(0.05)
+            .with_scheduled_drops(drops.iter().copied()),
+    )
+}
+
 fn nf_config() -> NetFilterConfig {
     NetFilterConfig::builder()
         .filter_size(24)
@@ -175,12 +226,7 @@ fn netfilter_clean(seed: u64) -> Case {
     let expected = GroundTruth::compute(&data).frequent_items(t);
     let (root, tree) = (h.root(), h.clone());
     let build = move |drops: &[u64]| {
-        let sim = SimConfig::default().with_seed(seed).with_faults(
-            FaultPlan::none()
-                .with_drop(0.05)
-                .with_duplication(0.05)
-                .with_scheduled_drops(drops.iter().copied()),
-        );
+        let sim = faulty_sim(seed, drops);
         let mut w =
             NetFilterProtocol::build_world_reliable(&cfg, &h, &data, sim, RelConfig::default());
         w.enable_metrics_sink();
@@ -424,8 +470,16 @@ pub fn find_case(name: &str, seed: u64) -> Option<Case> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// [`clean_budget`] cut to `trials` trials.
+    pub(crate) fn quick(seed: u64, trials: usize) -> ExploreConfig {
+        ExploreConfig {
+            trials,
+            ..clean_budget(seed)
+        }
+    }
 
     #[test]
     fn registry_names_are_unique_and_expectations_partition() {

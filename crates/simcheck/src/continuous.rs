@@ -26,20 +26,16 @@
 //! [`WindowConsistencyOracle`]: crate::oracle::WindowConsistencyOracle
 
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::{sansio_world, Duration, FaultPlan, PeerId, RelConfig, SimConfig, SimTime};
+use ifi_sim::{sansio_world, FaultPlan, PeerId, RelConfig, SimConfig};
 use netfilter::continuous::{
     schedule_from_data, ContinuousConfig, ContinuousProtocol, QueryRegistry, StandingQuery,
 };
 
-use crate::cases::{make_case, workload, Case};
-use crate::explore::ExploreConfig;
+use crate::cases::{
+    clean_budget, faulty_sim, kill_at, make_case, negative_budget, revive_at, workload, Case,
+    CHURNED_LEAF,
+};
 use crate::oracle::{Oracle, WindowConsistencyOracle};
-
-/// The leaf the clean case kills mid-run and revives later: under
-/// `Hierarchy::balanced(9, 3)` peer 8 reports to peer 2. Its remaining
-/// fences run after revival, so certification of the affected epochs is
-/// late but must still be exact.
-const CHURNED_LEAF: usize = 8;
 
 /// Window size in buckets: after a fence the live window holds the last
 /// two full epoch batches.
@@ -47,49 +43,6 @@ const WINDOW: usize = 3;
 
 /// Epoch fences per run — enough for the window to fill and age twice.
 const EPOCHS: usize = 6;
-
-fn kill_at() -> SimTime {
-    SimTime::from_micros(250_000)
-}
-
-fn revive_at() -> SimTime {
-    SimTime::from_micros(1_500_000)
-}
-
-fn clean_budget(seed: u64) -> ExploreConfig {
-    ExploreConfig {
-        seed,
-        trials: 60,
-        check_every: Duration::from_secs(1),
-        horizon: None,
-        drops_per_trial: 2,
-        drop_seq_horizon: 200,
-        shrink_budget: 300,
-        ..ExploreConfig::default()
-    }
-}
-
-fn negative_budget(seed: u64) -> ExploreConfig {
-    ExploreConfig {
-        seed,
-        trials: 60,
-        check_every: Duration::from_secs(1),
-        horizon: None,
-        drops_per_trial: 0,
-        drop_seq_horizon: 200,
-        shrink_budget: 200,
-        ..ExploreConfig::default()
-    }
-}
-
-fn faulty_sim(seed: u64, drops: &[u64]) -> SimConfig {
-    SimConfig::default().with_seed(seed).with_faults(
-        FaultPlan::none()
-            .with_drop(0.05)
-            .with_duplication(0.05)
-            .with_scheduled_drops(drops.iter().copied()),
-    )
-}
 
 /// Two standing queries sharing the delta stream, both streamed to the
 /// churned leaf (the deepest subscriber).
@@ -204,13 +157,7 @@ pub fn continuous_cases(seed: u64) -> Vec<Case> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn quick(seed: u64, trials: usize) -> ExploreConfig {
-        ExploreConfig {
-            trials,
-            ..clean_budget(seed)
-        }
-    }
+    use crate::cases::tests::quick;
 
     #[test]
     fn registry_names_are_unique_and_expectations_partition() {
