@@ -15,14 +15,16 @@
 //! * [`ConvergecastProtocol`] — the one-pass engine over that block: every
 //!   peer reports its subtree's merge rootward through the [`Envelope`],
 //!   and the root's [`Finish`]er turns the merged value into the answer.
-//!   The sketch, naive, count-min and gossip-verification engines run on it.
+//!   The sketch, naive, count-min and gossip-verification engines run on it;
+//!   [`ConvergecastProtocol::peers`] makes a [`OnePass`] query's population
+//!   for any driver (`sansio_world(sim, peers)` on the DES).
 
 use std::fmt::Debug;
 
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::{
-    sansio_world, Des, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, RelConfig,
-    ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime, World,
+    sansio_world, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, RelConfig,
+    ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime,
 };
 use ifi_workload::{ItemId, SystemData};
 
@@ -295,7 +297,9 @@ impl<A: Aggregate, F: Finish<A>> ConvergecastProtocol<A, F> {
             .collect()
     }
 
-    /// The cores of `query` over `hierarchy` and `data`, for any driver.
+    /// The cores of `query` over `hierarchy` and `data`, for any driver;
+    /// `rel` turns the ack/retransmit envelope on, which an answer under
+    /// injected faults needs.
     ///
     /// # Panics
     ///
@@ -313,28 +317,6 @@ impl<A: Aggregate, F: Finish<A>> ConvergecastProtocol<A, F> {
         );
         let local = |p| query.local(data.local_items(p));
         Self::cores(hierarchy, query.sizes(), query.finisher(data), rel, local)
-    }
-
-    /// A ready-to-run world of [`peers`](Self::peers).
-    pub fn build_world(
-        query: &impl OnePass<Value = A, Finish = F>,
-        hierarchy: &Hierarchy,
-        data: &SystemData,
-        sim: SimConfig,
-    ) -> World<Des<Self>> {
-        sansio_world(sim, Self::peers(query, hierarchy, data, None))
-    }
-
-    /// [`build_world`](Self::build_world) with the ack/retransmit envelope
-    /// on every peer, which an answer under injected faults needs.
-    pub fn build_world_reliable(
-        query: &impl OnePass<Value = A, Finish = F>,
-        hierarchy: &Hierarchy,
-        data: &SystemData,
-        sim: SimConfig,
-        rel: RelConfig,
-    ) -> World<Des<Self>> {
-        sansio_world(sim, Self::peers(query, hierarchy, data, Some(rel)))
     }
 
     /// Runs `cores` to quiescence: the root's answer and the bytes each

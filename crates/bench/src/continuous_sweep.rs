@@ -21,7 +21,7 @@
 //! [`MsgClass::STANDING`]: ifi_sim::MsgClass::STANDING
 
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::{MsgClass, PeerId, SimConfig};
+use ifi_sim::{sansio_world, MsgClass, PeerId, SimConfig};
 use ifi_workload::{SystemData, WorkloadParams};
 use netfilter::continuous::{
     schedule_from_data, ContinuousConfig, ContinuousProtocol, QueryRegistry, StandingQuery,
@@ -89,12 +89,9 @@ pub fn run(seed: u64) -> SweepOutcome {
     let h = Hierarchy::balanced(PEERS, 3);
     let cfg = ContinuousConfig::new(WINDOW, EPOCHS);
     let classes = |k: usize| -> (u64, u64) {
-        let mut w = ContinuousProtocol::build_world(
-            &cfg,
-            &h,
-            &registry(k),
-            &schedules,
+        let mut w = sansio_world(
             SimConfig::default().with_seed(seed),
+            ContinuousProtocol::peers(&cfg, &h, &registry(k), &schedules, None),
         );
         w.start();
         w.run_to_quiescence();

@@ -201,11 +201,9 @@ pub(crate) fn epoch(name: &str, peers: usize, items: u64) -> Sample {
         .build();
     run_bench(name, || {
         ifi_perf::alloc::reset();
-        let mut w = NetFilterProtocol::build_world(
-            &cfg,
-            &h,
-            &data,
+        let mut w = sansio_world(
             SimConfig::default().with_seed(PERF_SEED),
+            NetFilterProtocol::peers(&cfg, &h, &data, None),
         );
         w.start();
         w.run_to_quiescence();
@@ -393,12 +391,9 @@ pub(crate) fn epoch_delta_n1000(name: &str) -> Sample {
     let sizes = WireSizes::default();
     run_bench(name, || {
         ifi_perf::alloc::reset();
-        let mut w = ContinuousProtocol::build_world(
-            &cfg,
-            &h,
-            &registry,
-            &schedules,
+        let mut w = sansio_world(
             SimConfig::default().with_seed(PERF_SEED),
+            ContinuousProtocol::peers(&cfg, &h, &registry, &schedules, None),
         );
         w.start();
         w.run_to_quiescence();

@@ -1,10 +1,10 @@
 //! Scenarios of the `churn` smoke row (its gate: [`super`]): root
 //! failover and epoch certificates on the multi-root resilient engine.
 
-use ifi_hierarchy::Hierarchy;
+use ifi_hierarchy::MultiHierarchy;
 use ifi_overlay::churn::{ChurnEvent, ChurnSchedule, SessionModel};
 use ifi_overlay::{HeartbeatConfig, Topology};
-use ifi_sim::{Des, DetRng, Duration, MsgClass, PeerId, SimConfig, SimTime, World};
+use ifi_sim::{sansio_world, Des, DetRng, Duration, MsgClass, PeerId, SimConfig, SimTime, World};
 use ifi_workload::{GroundTruth, ItemId, SystemData, WorkloadParams};
 use netfilter::phases;
 use netfilter::resilient::{ResilientConfig, ResilientProtocol};
@@ -74,27 +74,19 @@ fn control(seed: u64) -> SmokeRun {
     let expected = truth.frequent_items(cfg.threshold.resolve(data.total_value()));
     let horizon = SimTime::from_micros(40_000_000);
 
-    let h = Hierarchy::bfs(&topo, PeerId::new(0));
-    let mut single = ResilientProtocol::build_world(
-        &cfg,
-        rc(),
-        &topo,
-        &h,
-        &data,
+    let one_tree = MultiHierarchy::with_roots(&topo, &[PeerId::new(0)]);
+    let mut single = sansio_world(
         SimConfig::default().with_seed(seed),
+        ResilientProtocol::peers(&cfg, rc(), &topo, &one_tree, &data, None),
     );
     single.start();
     single.run_until(horizon);
     let single_profile = class_profile(&single);
 
     let mh = crate::par::build_multi_hierarchy(&topo, &[PeerId::new(0), PeerId::new(17)]);
-    let mut multi = ResilientProtocol::build_world_multi(
-        &cfg,
-        rc(),
-        &topo,
-        &mh,
-        &data,
+    let mut multi = sansio_world(
         SimConfig::default().with_seed(seed),
+        ResilientProtocol::peers(&cfg, rc(), &topo, &mh, &data, None),
     );
     multi.enable_metrics_sink();
     multi.start();
@@ -187,13 +179,9 @@ fn weibull_failover(seed: u64) -> SmokeRun {
     )
     .excluding(&stable);
 
-    let mut w = ResilientProtocol::build_world_multi(
-        &cfg,
-        rc(),
-        &topo,
-        &mh,
-        &data,
+    let mut w = sansio_world(
         SimConfig::default().with_seed(seed),
+        ResilientProtocol::peers(&cfg, rc(), &topo, &mh, &data, None),
     );
     w.enable_metrics_sink();
     w.start();

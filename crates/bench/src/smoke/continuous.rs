@@ -2,7 +2,7 @@
 //! [`super`]): a long haul under loss and the K-query sharing ratio.
 
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::{Des, FaultPlan, MsgClass, PeerId, RelConfig, SimConfig, World};
+use ifi_sim::{sansio_world, Des, FaultPlan, MsgClass, PeerId, RelConfig, SimConfig, World};
 use ifi_workload::{ItemId, SystemData, WorkloadParams};
 use netfilter::continuous::{
     schedule_from_data, window_totals_from_scratch, ContinuousConfig, ContinuousProtocol,
@@ -47,12 +47,10 @@ fn run_world(
 ) -> World<Des<ContinuousProtocol>> {
     let h = Hierarchy::balanced(PEERS, 3);
     let cfg = ContinuousConfig::new(WINDOW, EPOCHS);
-    let mut w = match rel {
-        None => ContinuousProtocol::build_world(&cfg, &h, registry, schedules, sim),
-        Some(rc) => {
-            ContinuousProtocol::build_world_reliable(&cfg, &h, registry, schedules, sim, rc)
-        }
-    };
+    let mut w = sansio_world(
+        sim,
+        ContinuousProtocol::peers(&cfg, &h, registry, schedules, rel),
+    );
     w.start();
     w.run_to_quiescence();
     w

@@ -13,7 +13,7 @@ use std::time::Duration as StdDuration;
 
 use ifi_hierarchy::Hierarchy;
 use ifi_overlay::Topology;
-use ifi_sim::{DetRng, MetricsReport, MsgClass, PeerId, RelConfig, SimConfig};
+use ifi_sim::{sansio_world, DetRng, MetricsReport, MsgClass, PeerId, RelConfig, SimConfig};
 use ifi_transport::{run_channel_chaos, run_tcp_chaos, ChaosPlan, RunOutcome};
 use ifi_workload::{ItemId, SystemData, WorkloadParams};
 use netfilter::protocol::NetFilterProtocol;
@@ -124,30 +124,19 @@ impl Lane {
     /// The DES reference: plain, or certified under the chaos plan's
     /// translated fault plan and crash schedule.
     fn des_run(&self, seed: u64) -> (Vec<(ItemId, u64)>, MetricsReport) {
-        let (cfg, h, data) = (&self.cfg, &self.hierarchy, &self.data);
-        let sim = SimConfig::default().with_seed(seed);
-        let mut w = match &self.chaos {
-            None => NetFilterProtocol::build_world(cfg, h, data, sim),
-            Some(plan) => {
-                let sim = sim.with_faults(plan.fault_plan());
-                let mut w = NetFilterProtocol::build_world_certified(
-                    cfg,
-                    h,
-                    data,
-                    sim,
-                    RelConfig::default(),
-                );
-                for (kill, revive, peer) in plan.crash_schedule() {
-                    w.schedule_kill(kill, peer);
-                    w.schedule_revive(revive, peer);
-                }
-                w
-            }
-        };
+        let mut sim = SimConfig::default().with_seed(seed);
+        if let Some(plan) = &self.chaos {
+            sim = sim.with_faults(plan.fault_plan());
+        }
+        let mut w = sansio_world(sim, self.peers());
+        for (kill, revive, peer) in self.chaos.iter().flat_map(ChaosPlan::crash_schedule) {
+            w.schedule_kill(kill, peer);
+            w.schedule_revive(revive, peer);
+        }
         w.enable_metrics_sink();
         w.start();
         w.run_to_quiescence();
-        let root = h.root();
+        let root = self.hierarchy.root();
         if self.chaos.is_some() {
             assert_eq!(
                 w.peer(root).certificate(),
@@ -159,23 +148,17 @@ impl Lane {
         (answer.to_vec(), w.metrics_report())
     }
 
-    /// The peer population as bare cores for a transport driver; the
-    /// chaos lane's cores carry the reliability envelope and census.
+    /// The peer population for the DES and both fabrics; the chaos lane's
+    /// cores carry the reliability envelope and census.
     fn peers(&self) -> Vec<NetFilterProtocol> {
-        let threshold = self.cfg.threshold.resolve(self.data.total_value());
-        let roster = NetFilterProtocol::roster(&self.hierarchy);
-        (0..self.data.peer_count())
-            .map(|i| {
-                let p = PeerId::new(i);
-                let local = self.data.local_items(p).to_vec();
-                let core = NetFilterProtocol::new(&self.cfg, &self.hierarchy, p, local, threshold);
-                match self.chaos {
-                    None => core,
-                    Some(_) => core
-                        .with_reliability(RelConfig::default())
-                        .with_census(roster),
-                }
-            })
+        let (cfg, h, data) = (&self.cfg, &self.hierarchy, &self.data);
+        if self.chaos.is_none() {
+            return NetFilterProtocol::peers(cfg, h, data, None);
+        }
+        let roster = NetFilterProtocol::roster(h);
+        NetFilterProtocol::peers(cfg, h, data, Some(RelConfig::default()))
+            .into_iter()
+            .map(|core| core.with_census(roster))
             .collect()
     }
 

@@ -1,9 +1,11 @@
 //! Scenarios of the `loss` smoke row (its gate: [`super`]): the one-shot
 //! and resilient engines on a faulty network.
 
-use ifi_hierarchy::Hierarchy;
+use ifi_hierarchy::{Hierarchy, MultiHierarchy};
 use ifi_overlay::{HeartbeatConfig, Topology};
-use ifi_sim::{DetRng, Duration, FaultPlan, MsgClass, PeerId, RelConfig, SimConfig, SimTime};
+use ifi_sim::{
+    sansio_world, DetRng, Duration, FaultPlan, MsgClass, PeerId, RelConfig, SimConfig, SimTime,
+};
 use ifi_simcheck::oracle::CostOracle;
 use ifi_simcheck::{Checkpoint, Oracle};
 use ifi_workload::{GroundTruth, SystemData, WorkloadParams};
@@ -61,7 +63,10 @@ fn one_shot(drop: f64, seed: u64) -> SmokeRun {
     let sim = SimConfig::default()
         .with_seed(seed)
         .with_faults(chaos(drop));
-    let mut w = NetFilterProtocol::build_world_reliable(&cfg, &h, &data, sim, RelConfig::default());
+    let mut w = sansio_world(
+        sim,
+        NetFilterProtocol::peers(&cfg, &h, &data, Some(RelConfig::default())),
+    );
     w.enable_metrics_sink();
     w.start();
     w.run_to_quiescence();
@@ -105,7 +110,7 @@ fn one_shot(drop: f64, seed: u64) -> SmokeRun {
 fn resilient(drop: f64, seed: u64) -> SmokeRun {
     let mut rng = DetRng::new(seed);
     let topo = Topology::random_regular(PEERS, 5, &mut rng);
-    let h = Hierarchy::bfs(&topo, PeerId::new(0));
+    let mh = MultiHierarchy::with_roots(&topo, &[PeerId::new(0)]);
     let data = workload(seed);
     let cfg = config();
     let truth = GroundTruth::compute(&data);
@@ -126,14 +131,9 @@ fn resilient(drop: f64, seed: u64) -> SmokeRun {
     let sim = SimConfig::default()
         .with_seed(seed)
         .with_faults(chaos(drop));
-    let mut w = ResilientProtocol::build_world_reliable(
-        &cfg,
-        rc,
-        &topo,
-        &h,
-        &data,
+    let mut w = sansio_world(
         sim,
-        RelConfig::default(),
+        ResilientProtocol::peers(&cfg, rc, &topo, &mh, &data, Some(RelConfig::default())),
     );
     w.enable_metrics_sink();
     w.start();

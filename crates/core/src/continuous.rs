@@ -44,8 +44,8 @@ use std::collections::BTreeMap;
 use ifi_agg::{fold_run, is_run, merge_join, Boot, TreeSlot};
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::{
-    mix64, sansio_world, Des, Duration, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId,
-    PeerSet, RelConfig, ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime, World,
+    mix64, Duration, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, PeerSet,
+    RelConfig, ReliableMsg, RetransmitTimer, SansIo, SimTime,
 };
 use ifi_workload::{ItemId, SystemData};
 
@@ -472,7 +472,8 @@ impl ContinuousProtocol {
         self.fence
     }
 
-    /// The peer population as bare cores for any driver.
+    /// The peer population as bare cores for any driver; `rel` turns the
+    /// ack/retransmit envelope on every peer.
     ///
     /// # Panics
     ///
@@ -504,36 +505,6 @@ impl ContinuousProtocol {
                 }
             })
             .collect()
-    }
-
-    /// Builds a ready-to-run world over `hierarchy` and `schedules`.
-    pub fn build_world(
-        config: &ContinuousConfig,
-        hierarchy: &Hierarchy,
-        registry: &QueryRegistry,
-        schedules: &[Vec<Vec<(ItemId, u64)>>],
-        sim: SimConfig,
-    ) -> World<Des<ContinuousProtocol>> {
-        sansio_world(
-            sim,
-            Self::peers(config, hierarchy, registry, schedules, None),
-        )
-    }
-
-    /// Like [`build_world`](Self::build_world) with the ack/retransmit
-    /// envelope on every peer.
-    pub fn build_world_reliable(
-        config: &ContinuousConfig,
-        hierarchy: &Hierarchy,
-        registry: &QueryRegistry,
-        schedules: &[Vec<Vec<(ItemId, u64)>>],
-        sim: SimConfig,
-        rel: RelConfig,
-    ) -> World<Des<ContinuousProtocol>> {
-        sansio_world(
-            sim,
-            Self::peers(config, hierarchy, registry, schedules, Some(rel)),
-        )
     }
 
     /// Closes the current epoch: record the batch, advance the window,
@@ -832,7 +803,7 @@ pub fn window_totals_from_scratch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ifi_sim::FaultPlan;
+    use ifi_sim::{sansio_world, Des, FaultPlan, SimConfig, World};
     use ifi_workload::WorkloadParams;
     use proptest::prelude::*;
 
@@ -845,7 +816,10 @@ mod tests {
     ) -> World<Des<ContinuousProtocol>> {
         let h = Hierarchy::balanced(peers, 3);
         let cfg = ContinuousConfig::new(window, epochs);
-        ContinuousProtocol::build_world(&cfg, &h, &registry, schedules, SimConfig::default())
+        sansio_world(
+            SimConfig::default(),
+            ContinuousProtocol::peers(&cfg, &h, &registry, schedules, None),
+        )
     }
 
     /// A deterministic 9-peer schedule: item 0 is steady everywhere, item
@@ -970,21 +944,19 @@ mod tests {
         let cfg = ContinuousConfig::new(3, 6);
         let reg = QueryRegistry::single(30, PeerId::new(8));
 
-        let mut clean =
-            ContinuousProtocol::build_world(&cfg, &h, &reg, &schedules, SimConfig::default());
+        let mut clean = sansio_world(
+            SimConfig::default(),
+            ContinuousProtocol::peers(&cfg, &h, &reg, &schedules, None),
+        );
         clean.start();
         clean.run_to_quiescence();
 
         let sim = SimConfig::default()
             .with_seed(11)
             .with_faults(FaultPlan::none().with_drop(0.12).with_duplication(0.08));
-        let mut lossy = ContinuousProtocol::build_world_reliable(
-            &cfg,
-            &h,
-            &reg,
-            &schedules,
+        let mut lossy = sansio_world(
             sim,
-            RelConfig::default(),
+            ContinuousProtocol::peers(&cfg, &h, &reg, &schedules, Some(RelConfig::default())),
         );
         lossy.start();
         lossy.run_to_quiescence();
@@ -1125,8 +1097,10 @@ mod tests {
         let h = Hierarchy::balanced(9, 3);
         let reg = QueryRegistry::single(30, PeerId::new(8));
         let run = |cfg: ContinuousConfig| {
-            let mut w =
-                ContinuousProtocol::build_world(&cfg, &h, &reg, &schedules, SimConfig::default());
+            let mut w = sansio_world(
+                SimConfig::default(),
+                ContinuousProtocol::peers(&cfg, &h, &reg, &schedules, None),
+            );
             w.start();
             w.run_to_quiescence();
             w.peer(h.root()).delivered().to_vec()
@@ -1162,8 +1136,10 @@ mod tests {
         let h = Hierarchy::balanced(30, 3);
         let cfg = ContinuousConfig::new(4, 5);
         let reg = QueryRegistry::single(40, PeerId::new(29));
-        let mut w =
-            ContinuousProtocol::build_world(&cfg, &h, &reg, &schedules, SimConfig::default());
+        let mut w = sansio_world(
+            SimConfig::default(),
+            ContinuousProtocol::peers(&cfg, &h, &reg, &schedules, None),
+        );
         w.start();
         w.run_to_quiescence();
         let root = w.peer(h.root());
@@ -1205,9 +1181,7 @@ mod tests {
             let h = Hierarchy::balanced(peers, 2);
             let cfg = ContinuousConfig::new(window, epochs);
             let reg = QueryRegistry::single(1, PeerId::new(peers - 1));
-            let mut w = ContinuousProtocol::build_world(
-                &cfg, &h, &reg, &schedules, SimConfig::default().with_seed(seed),
-            );
+            let mut w = sansio_world(SimConfig::default().with_seed(seed), ContinuousProtocol::peers(&cfg, &h, &reg, &schedules, None));
             w.start();
             w.run_to_quiescence();
             let root = w.peer(h.root());

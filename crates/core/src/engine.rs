@@ -12,7 +12,7 @@
 
 use ifi_agg::{MapSum, WireSizes};
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::{Metrics, MetricsReport, MsgClass, PeerId, SimConfig};
+use ifi_sim::{sansio_world, Metrics, MetricsReport, MsgClass, PeerId, SimConfig};
 use ifi_workload::{ItemId, SystemData};
 
 use crate::config::NetFilterConfig;
@@ -73,7 +73,10 @@ impl NetFilter {
         data: &SystemData,
         sim: SimConfig,
     ) -> (NetFilterRun, MetricsReport) {
-        let mut w = NetFilterProtocol::build_world(&self.config, hierarchy, data, sim);
+        let mut w = sansio_world(
+            sim,
+            NetFilterProtocol::peers(&self.config, hierarchy, data, None),
+        );
         w.enable_metrics_sink();
         w.start();
         w.run_to_quiescence();

@@ -17,7 +17,7 @@
 //! against the exact engine need no per-engine glue.
 
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::{Des, MetricsReport, PeerId, SansIo, SimConfig, World};
+use ifi_sim::{sansio_world, Des, MetricsReport, PeerId, SansIo, SimConfig};
 use ifi_workload::{ItemId, SystemData};
 
 use crate::continuous::{schedule_from_data, ContinuousConfig, ContinuousProtocol, QueryRegistry};
@@ -80,14 +80,16 @@ pub trait Engine {
     fn run_des(&self, hierarchy: &Hierarchy, data: &SystemData, sim: SimConfig) -> EngineOutcome;
 }
 
-/// Runs `w` to quiescence with its sink on, and reports what `answer`
-/// reads off the core at `root`.
+/// Runs `cores` to quiescence under `sim` with the sink on, and reports
+/// what `answer` reads off the core at `root`.
 fn drive<P: SansIo>(
     engine: &dyn Engine,
-    mut w: World<Des<P>>,
+    sim: SimConfig,
+    cores: Vec<P>,
     root: PeerId,
     answer: impl FnOnce(&Des<P>) -> Vec<(ItemId, u64)>,
 ) -> EngineOutcome {
+    let mut w = sansio_world(sim, cores);
     w.enable_metrics_sink();
     w.start();
     w.run_to_quiescence();
@@ -155,8 +157,8 @@ impl Engine for NaiveEngine {
     }
 
     fn run_des(&self, hierarchy: &Hierarchy, data: &SystemData, sim: SimConfig) -> EngineOutcome {
-        let w = NaiveProtocol::build_world(&self.config, hierarchy, data, sim);
-        drive(self, w, hierarchy.root(), |root| {
+        let cores = NaiveProtocol::peers(&self.config, hierarchy, data, None);
+        drive(self, sim, cores, hierarchy.root(), |root| {
             let answer = root.result().expect("quiescent naive run must answer");
             answer.items.clone()
         })
@@ -184,8 +186,8 @@ impl Engine for SketchEngine {
     }
 
     fn run_des(&self, hierarchy: &Hierarchy, data: &SystemData, sim: SimConfig) -> EngineOutcome {
-        let w = SketchProtocol::build_world(&self.config, hierarchy, data, sim);
-        drive(self, w, hierarchy.root(), |root| {
+        let cores = SketchProtocol::peers(&self.config, hierarchy, data, None);
+        drive(self, sim, cores, hierarchy.root(), |root| {
             let answer = root.result().expect("quiescent sketch run must answer");
             answer.items.clone()
         })
@@ -228,8 +230,8 @@ impl Engine for TopKEngine {
     }
 
     fn run_des(&self, hierarchy: &Hierarchy, data: &SystemData, sim: SimConfig) -> EngineOutcome {
-        let w = TopKProtocol::build_world(&self.config, hierarchy, data, sim);
-        drive(self, w, hierarchy.root(), |root| {
+        let cores = TopKProtocol::peers(&self.config, hierarchy, data, None);
+        drive(self, sim, cores, hierarchy.root(), |root| {
             let answer = root.result().expect("quiescent top-k run must answer");
             answer.items.clone()
         })
@@ -260,8 +262,8 @@ impl Engine for ThresholdEngine {
 
     fn run_des(&self, hierarchy: &Hierarchy, data: &SystemData, sim: SimConfig) -> EngineOutcome {
         let (config, item) = (&self.config, self.item);
-        let w = LocalThresholdProtocol::build_world(config, hierarchy, data, item, sim);
-        drive(self, w, hierarchy.root(), |root| {
+        let cores = LocalThresholdProtocol::peers(config, hierarchy, data, item, None);
+        drive(self, sim, cores, hierarchy.root(), |root| {
             let verdict = root.verdict();
             let yes = verdict.answer.then_some((item, verdict.lower_bound));
             yes.into_iter().collect()
@@ -303,9 +305,8 @@ impl Engine for ContinuousEngine {
         let schedules = schedule_from_data(data, self.config.epochs.max(1));
         let subscriber = PeerId::new(data.peer_count().saturating_sub(1));
         let registry = QueryRegistry::single(self.threshold, subscriber);
-        let w =
-            ContinuousProtocol::build_world(&self.config, hierarchy, &registry, &schedules, sim);
-        drive(self, w, hierarchy.root(), |root| {
+        let cores = ContinuousProtocol::peers(&self.config, hierarchy, &registry, &schedules, None);
+        drive(self, sim, cores, hierarchy.root(), |root| {
             let last = root.delivered().last();
             let fence = last.expect("a quiescent continuous run certifies its final fence");
             fence.answers[0].items.clone()

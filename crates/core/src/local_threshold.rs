@@ -28,8 +28,8 @@
 use ifi_agg::{Boot, TreeSlot};
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::{
-    sansio_world, Des, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, PeerSet,
-    RelConfig, ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime, World,
+    sansio_world, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, PeerSet, RelConfig,
+    ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime,
 };
 use ifi_workload::{ItemId, SystemData};
 
@@ -171,36 +171,12 @@ impl LocalThresholdProtocol {
                 >= self.threshold
     }
 
-    /// Builds a ready-to-run world comparing `item` against the config's
-    /// threshold over `hierarchy` and `data`.
+    /// The peer population as bare cores for any driver; `rel` turns the
+    /// ack/retransmit envelope on every peer.
     ///
     /// # Panics
     ///
     /// Panics if the hierarchy and data universes differ.
-    pub fn build_world(
-        config: &LocalThresholdConfig,
-        hierarchy: &Hierarchy,
-        data: &SystemData,
-        item: ItemId,
-        sim: SimConfig,
-    ) -> World<Des<LocalThresholdProtocol>> {
-        sansio_world(sim, Self::peers(config, hierarchy, data, item, None))
-    }
-
-    /// Like [`build_world`](Self::build_world) with the ack/retransmit
-    /// envelope on every peer.
-    pub fn build_world_reliable(
-        config: &LocalThresholdConfig,
-        hierarchy: &Hierarchy,
-        data: &SystemData,
-        item: ItemId,
-        sim: SimConfig,
-        rel: RelConfig,
-    ) -> World<Des<LocalThresholdProtocol>> {
-        sansio_world(sim, Self::peers(config, hierarchy, data, item, Some(rel)))
-    }
-
-    /// The peer population as bare cores for any driver.
     pub fn peers(
         config: &LocalThresholdConfig,
         hierarchy: &Hierarchy,
@@ -313,8 +289,10 @@ pub fn compare(
     item: ItemId,
     config: &LocalThresholdConfig,
 ) -> CompareRun {
-    let mut w =
-        LocalThresholdProtocol::build_world(config, hierarchy, data, item, SimConfig::default());
+    let mut w = sansio_world(
+        SimConfig::default(),
+        LocalThresholdProtocol::peers(config, hierarchy, data, item, None),
+    );
     w.start();
     w.run_to_quiescence();
     CompareRun {
@@ -429,13 +407,9 @@ mod tests {
         let sim = SimConfig::default()
             .with_seed(9)
             .with_faults(FaultPlan::none().with_drop(0.15).with_duplication(0.1));
-        let mut lossy = LocalThresholdProtocol::build_world_reliable(
-            &cfg,
-            &h,
-            &data,
-            top,
+        let mut lossy = sansio_world(
             sim,
-            RelConfig::default(),
+            LocalThresholdProtocol::peers(&cfg, &h, &data, top, Some(RelConfig::default())),
         );
         lossy.start();
         lossy.run_to_quiescence();

@@ -14,6 +14,9 @@
 //!    upward (`MsgClass::AGGREGATION`); the root thresholds the exact
 //!    values and stores the result.
 //!
+//! [`NetFilterProtocol::peers`] makes one core per peer for any driver:
+//! `sansio_world(sim, NetFilterProtocol::peers(..))` on the DES, or the
+//! threaded transport's `run_channel` / `run_tcp`.
 //! [`NetFilter`](crate::NetFilter) drives one epoch of these cores and reads
 //! its answer, costs and counts back. The workspace integration suite holds
 //! the protocol to ground truth and, per peer and phase, to an instant
@@ -24,7 +27,7 @@
 //! for exactly this reason, §III-A). Under churn, the maintenance protocol
 //! of `ifi-hierarchy` repairs the tree and the query is re-issued — see
 //! the `failure_recovery` integration test. On lossy networks, enable the
-//! ack/retransmit envelope ([`NetFilterProtocol::build_world_reliable`]):
+//! ack/retransmit envelope (a [`RelConfig`] to [`NetFilterProtocol::peers`]):
 //! every phase message is sequenced, acknowledged, retransmitted with
 //! exponential backoff, and deduplicated at the receiver, so the answer
 //! stays exact under drops, duplication, and reordering. Originals keep
@@ -34,8 +37,8 @@
 use ifi_agg::{Aggregate, Boot, Convergecast, MapSum, TreeSlot, VecSum};
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::{
-    sansio_world, Des, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, RelConfig,
-    ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime, World,
+    Des, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, RelConfig, ReliableMsg,
+    RetransmitTimer, SansIo, SimTime,
 };
 use ifi_workload::{ItemId, SystemData};
 
@@ -230,76 +233,36 @@ impl NetFilterProtocol {
         Some(Certificate::from_phases(c.roster, p1, p2))
     }
 
-    /// The world every `build_world*` returns: one core per peer of `data`,
-    /// each passed through `configure`.
-    fn build_world_with(
+    /// One core per peer of `data` over `hierarchy`, for any driver. `rel`
+    /// turns the ack/retransmit envelope on, which exact answers need when
+    /// the simulation injects faults ([`ifi_sim::FaultPlan`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the hierarchy and data universes differ.
+    pub fn peers(
         config: &NetFilterConfig,
         hierarchy: &Hierarchy,
         data: &SystemData,
-        sim: SimConfig,
-        configure: impl Fn(Self) -> Self,
-    ) -> World<Des<NetFilterProtocol>> {
+        rel: Option<RelConfig>,
+    ) -> Vec<NetFilterProtocol> {
         assert_eq!(
             hierarchy.universe(),
             data.peer_count(),
             "hierarchy and data peer universes differ"
         );
         let threshold = config.threshold.resolve(data.total_value());
-        let peers = (0..data.peer_count())
+        (0..data.peer_count())
             .map(PeerId::new)
             .map(|p| {
                 let items = data.local_items(p).to_vec();
-                configure(NetFilterProtocol::new(
-                    config, hierarchy, p, items, threshold,
-                ))
+                let core = NetFilterProtocol::new(config, hierarchy, p, items, threshold);
+                match &rel {
+                    None => core,
+                    Some(cfg) => core.with_reliability(cfg.clone()),
+                }
             })
-            .collect();
-        sansio_world(sim, peers)
-    }
-
-    /// Builds a ready-to-run world over `hierarchy` and `data`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the hierarchy and data universes differ.
-    pub fn build_world(
-        config: &NetFilterConfig,
-        hierarchy: &Hierarchy,
-        data: &SystemData,
-        sim: SimConfig,
-    ) -> World<Des<NetFilterProtocol>> {
-        Self::build_world_with(config, hierarchy, data, sim, |core| core)
-    }
-
-    /// Like [`build_world`](Self::build_world), but with the ack/retransmit
-    /// envelope enabled on every peer — required for exact answers when the
-    /// simulation injects faults ([`ifi_sim::FaultPlan`]).
-    pub fn build_world_reliable(
-        config: &NetFilterConfig,
-        hierarchy: &Hierarchy,
-        data: &SystemData,
-        sim: SimConfig,
-        rel: RelConfig,
-    ) -> World<Des<NetFilterProtocol>> {
-        Self::build_world_with(config, hierarchy, data, sim, |core| {
-            core.with_reliability(rel.clone())
-        })
-    }
-
-    /// Like [`build_world_reliable`](Self::build_world_reliable), with
-    /// census mode on against the full member roster: the run's answer is
-    /// accompanied by a coverage [`Certificate`] at the root.
-    pub fn build_world_certified(
-        config: &NetFilterConfig,
-        hierarchy: &Hierarchy,
-        data: &SystemData,
-        sim: SimConfig,
-        rel: RelConfig,
-    ) -> World<Des<NetFilterProtocol>> {
-        let roster = Self::roster(hierarchy);
-        Self::build_world_with(config, hierarchy, data, sim, |core| {
-            core.with_reliability(rel.clone()).with_census(roster)
-        })
+            .collect()
     }
 
     /// The final result (root only, once the run quiesces).
@@ -516,7 +479,7 @@ impl SansIo for NetFilterProtocol {
 mod tests {
     use super::*;
     use crate::Threshold;
-    use ifi_sim::{Duration, LatencyModel};
+    use ifi_sim::{sansio_world, Duration, LatencyModel, SimConfig};
     use ifi_workload::{GroundTruth, WorkloadParams};
 
     fn workload(peers: usize, items: u64, seed: u64) -> SystemData {
@@ -558,7 +521,10 @@ mod tests {
     /// The paper phases' bytes of a plain, fault-free run — what an
     /// envelope or a census may add to, never change.
     fn plain_phases(cfg: &NetFilterConfig, h: &Hierarchy, data: &SystemData) -> [u64; 3] {
-        let mut w = NetFilterProtocol::build_world(cfg, h, data, SimConfig::default());
+        let mut w = sansio_world(
+            SimConfig::default(),
+            NetFilterProtocol::peers(cfg, h, data, None),
+        );
         w.start();
         w.run_to_quiescence();
         paper_phases(w.metrics())
@@ -578,7 +544,7 @@ mod tests {
                     lo: Duration::from_millis(5),
                     hi: Duration::from_millis(500),
                 });
-            let mut w = NetFilterProtocol::build_world(&cfg, &h, &data, sim);
+            let mut w = sansio_world(sim, NetFilterProtocol::peers(&cfg, &h, &data, None));
             w.start();
             w.run_to_quiescence();
             assert_eq!(
@@ -598,7 +564,10 @@ mod tests {
     fn non_root_peers_hold_no_result() {
         let data = workload(20, 300, 85);
         let h = Hierarchy::balanced(20, 3);
-        let mut w = NetFilterProtocol::build_world(&config(10, 2), &h, &data, SimConfig::default());
+        let mut w = sansio_world(
+            SimConfig::default(),
+            NetFilterProtocol::peers(&config(10, 2), &h, &data, None),
+        );
         w.start();
         w.run_to_quiescence();
         for i in 1..20 {
@@ -612,7 +581,10 @@ mod tests {
         let data = workload(50, 1_500, 87);
         let truth = GroundTruth::compute(&data);
         let h = Hierarchy::balanced(50, 3);
-        let mut w = NetFilterProtocol::build_world(&config(40, 3), &h, &data, SimConfig::default());
+        let mut w = sansio_world(
+            SimConfig::default(),
+            NetFilterProtocol::peers(&config(40, 3), &h, &data, None),
+        );
         w.start();
         w.run_to_quiescence();
         let t = truth.threshold_for_ratio(0.01);
@@ -628,12 +600,9 @@ mod tests {
         let h = Hierarchy::balanced(30, 3);
         let cfg = config(20, 2);
 
-        let mut w = NetFilterProtocol::build_world_reliable(
-            &cfg,
-            &h,
-            &data,
+        let mut w = sansio_world(
             SimConfig::default().with_seed(5),
-            RelConfig::default(),
+            NetFilterProtocol::peers(&cfg, &h, &data, Some(RelConfig::default())),
         );
         w.start();
         w.run_to_quiescence();
@@ -668,13 +637,10 @@ mod tests {
         let h = Hierarchy::balanced(30, 3);
         let cfg = config(20, 2);
 
-        let mut w = NetFilterProtocol::build_world_certified(
-            &cfg,
-            &h,
-            &data,
-            SimConfig::default().with_seed(6),
-            RelConfig::default(),
-        );
+        let roster = NetFilterProtocol::roster(&h);
+        let peers = NetFilterProtocol::peers(&cfg, &h, &data, Some(RelConfig::default()));
+        let certified = peers.into_iter().map(|core| core.with_census(roster));
+        let mut w = sansio_world(SimConfig::default().with_seed(6), certified.collect());
         w.start();
         w.run_to_quiescence();
 
@@ -704,20 +670,13 @@ mod tests {
         let data = workload(12, 200, 97);
         let h = Hierarchy::balanced(12, 3);
         let cfg = config(10, 2);
-        let threshold = cfg.threshold.resolve(data.total_value());
         let ghost = PeerId::new(12);
         let mut roster = NetFilterProtocol::roster(&h);
         roster.add(ghost);
 
-        let peers = (0..12)
-            .map(|i| {
-                let p = PeerId::new(i);
-                NetFilterProtocol::new(&cfg, &h, p, data.local_items(p).to_vec(), threshold)
-                    .with_reliability(RelConfig::default())
-                    .with_census(roster)
-            })
-            .collect();
-        let mut w = sansio_world(SimConfig::default().with_seed(9), peers);
+        let peers = NetFilterProtocol::peers(&cfg, &h, &data, Some(RelConfig::default()));
+        let certified = peers.into_iter().map(|core| core.with_census(roster));
+        let mut w = sansio_world(SimConfig::default().with_seed(9), certified.collect());
         w.start();
         w.run_to_quiescence();
 
@@ -886,8 +845,10 @@ mod tests {
             (root, child, NfMsg::Heavy(vec![vec![1]].into())),
         ];
         let wire = NfWire::new(cfg.sizes);
-        let mut w =
-            NetFilterProtocol::build_world(&cfg, &h, &data, SimConfig::default().with_seed(4));
+        let mut w = sansio_world(
+            SimConfig::default().with_seed(4),
+            NetFilterProtocol::peers(&cfg, &h, &data, None),
+        );
         w.enable_metrics_sink();
         // Injected before `start`, so each arrives one hop in: after its
         // receiver's `Start`, ahead of the genuine report it imitates.
@@ -921,7 +882,10 @@ mod tests {
             .filters(2)
             .threshold(Threshold::Absolute(5))
             .build();
-        let mut w = NetFilterProtocol::build_world(&cfg, &h, &data, SimConfig::default());
+        let mut w = sansio_world(
+            SimConfig::default(),
+            NetFilterProtocol::peers(&cfg, &h, &data, None),
+        );
         w.start();
         w.run_to_quiescence();
         assert_eq!(w.peer(PeerId::new(0)).result().unwrap(), &[(ItemId(1), 10)]);

@@ -4,7 +4,7 @@
 //! where other peers forward their local item sets to one of these peers
 //! participating in netFilter."*
 //!
-//! [`RecruitedSystem::assemble`] takes the full-population data set and an
+//! [`RecruitedSystem::recruit`] takes the full-population data set and an
 //! [`Overlay`] with participants selected, folds every non-participant's
 //! local item set into its attachment target, prices that forwarding
 //! (`(s_a + s_i)` per pair, one hop to the participant), and builds the
@@ -41,7 +41,7 @@ impl RecruitedSystem {
     /// # Panics
     ///
     /// Panics if `overlay` and `data` cover different universes.
-    pub fn assemble(
+    pub fn recruit(
         mut overlay: Overlay,
         data: &SystemData,
         sizes: &WireSizes,
@@ -131,7 +131,7 @@ mod tests {
             },
             seed,
         );
-        let sys = RecruitedSystem::assemble(overlay, &data, &WireSizes::default(), &mut rng);
+        let sys = RecruitedSystem::recruit(overlay, &data, &WireSizes::default(), &mut rng);
         (sys, data)
     }
 

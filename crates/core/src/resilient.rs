@@ -19,11 +19,12 @@
 //! # Root failover
 //!
 //! §III-A.1 notes the hierarchy "is still vulnerable to single point of
-//! failure" and proposes constructing multiple hierarchies. Building with
-//! [`build_world_multi`](ResilientProtocol::build_world_multi) recruits a
-//! *succession line* of `k` candidate roots (the distinct roots of a
-//! [`MultiHierarchy`]); all peers initially serve the primary tree, and the
-//! successors are ordinary members who merely know their rank:
+//! failure" and proposes constructing multiple hierarchies. The
+//! [`peers`](ResilientProtocol::peers) of a `k`-tree [`MultiHierarchy`]
+//! recruit a *succession line* of `k` candidate roots (its distinct
+//! roots); all peers initially serve the primary tree, and the successors
+//! are ordinary members who merely know their rank (a one-tree
+//! `MultiHierarchy` is the single-root protocol, with no failover):
 //!
 //! * a candidate that stays **continuously detached** for
 //!   `takeover_grace + rank · takeover_stagger` promotes itself to root
@@ -64,10 +65,10 @@
 //! an envelope retransmission resends the original frame and is charged,
 //! as before, at the frame's size under `RETRANSMIT`.
 //!
-//! [`build_world_reliable`](ResilientProtocol::build_world_reliable)
-//! additionally wraps every *query-critical* message (`Start`, `GroupAgg`,
-//! `Heavy`, `CandidateAgg`) in the [`Envelope`]'s ack/retransmit machinery
-//! so random message loss no longer stalls epochs; receivers suppress
+//! Given a [`RelConfig`], [`peers`](ResilientProtocol::peers) additionally
+//! wraps every *query-critical* message (`Start`, `GroupAgg`, `Heavy`,
+//! `CandidateAgg`) in the [`Envelope`]'s ack/retransmit machinery so
+//! random message loss no longer stalls epochs; receivers suppress
 //! duplicates before they can double-merge an accumulator, and in-flight
 //! frames to a peer that just got suspected are abandoned rather than
 //! retried into silence. Maintenance traffic stays unreliable —
@@ -75,12 +76,11 @@
 //! reliability).
 
 use ifi_agg::{Aggregate, MapSum, OnArrival, VecSum};
-use ifi_hierarchy::{Hierarchy, MaintainCore, MaintainMsg, MultiHierarchy};
+use ifi_hierarchy::{MaintainCore, MaintainMsg, MultiHierarchy};
 use ifi_overlay::{HeartbeatConfig, Topology};
 use ifi_sim::{
-    mix64, sansio_world, Des, Duration, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId,
-    PeerSet, RelConfig, ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime, TimerToken,
-    World,
+    mix64, Duration, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, PeerSet,
+    RelConfig, ReliableMsg, RetransmitTimer, SansIo, SimTime, TimerToken,
 };
 use ifi_workload::{ItemId, SystemData};
 
@@ -405,33 +405,10 @@ pub struct ResilientProtocol {
 }
 
 impl ResilientProtocol {
-    /// Creates the state for one peer over a single hierarchy (no live
-    /// failover: if the root dies, epochs stop until it revives).
-    pub fn new(
-        config: &NetFilterConfig,
-        rc: ResilientConfig,
-        hierarchy: &Hierarchy,
-        peer: PeerId,
-        neighbors: Vec<PeerId>,
-        local_items: Vec<(ItemId, u64)>,
-        threshold: u64,
-    ) -> Self {
-        let root = hierarchy.root();
-        Self::with_succession(
-            config,
-            rc,
-            hierarchy,
-            vec![root],
-            peer,
-            neighbors,
-            local_items,
-            threshold,
-        )
-    }
-
     /// Creates the state for one peer with a root-succession line: every
-    /// peer serves the primary tree, and `multi`'s roots (primary first)
-    /// form the failover order.
+    /// peer serves `multi`'s primary tree, and its roots (primary first)
+    /// form the failover order. A one-tree `multi` is a single root with
+    /// no live failover: if it dies, epochs stop until it revives.
     #[allow(clippy::too_many_arguments)]
     pub fn new_multi(
         config: &NetFilterConfig,
@@ -442,30 +419,7 @@ impl ResilientProtocol {
         local_items: Vec<(ItemId, u64)>,
         threshold: u64,
     ) -> Self {
-        Self::with_succession(
-            config,
-            rc,
-            multi.primary(),
-            multi.roots(),
-            peer,
-            neighbors,
-            local_items,
-            threshold,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn with_succession(
-        config: &NetFilterConfig,
-        rc: ResilientConfig,
-        hierarchy: &Hierarchy,
-        succession: Vec<PeerId>,
-        peer: PeerId,
-        neighbors: Vec<PeerId>,
-        local_items: Vec<(ItemId, u64)>,
-        threshold: u64,
-    ) -> Self {
-        assert_eq!(succession[0], hierarchy.root(), "primary root mismatch");
+        let (hierarchy, succession) = (multi.primary(), multi.roots());
         let family = HashFamily::new(config.filters, config.filter_size, config.hash_seed);
         let rank = succession.iter().position(|&r| r == peer);
         ResilientProtocol {
@@ -526,123 +480,37 @@ impl ResilientProtocol {
         self
     }
 
-    fn assemble(
+    /// One core per peer of `data`, on `topology`'s neighbor lists and
+    /// `multi`'s succession line (see [`new_multi`](Self::new_multi)).
+    /// `rel` wraps every peer's query-critical traffic in the reliability
+    /// envelope.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the universes differ.
+    pub fn peers(
         config: &NetFilterConfig,
+        rc: ResilientConfig,
         topology: &Topology,
+        multi: &MultiHierarchy,
         data: &SystemData,
-        sim: SimConfig,
-        mk: impl Fn(PeerId, Vec<PeerId>, Vec<(ItemId, u64)>, u64) -> ResilientProtocol,
-    ) -> World<Des<ResilientProtocol>> {
-        assert_eq!(
-            topology.peer_count(),
-            data.peer_count(),
-            "universe mismatch"
-        );
+        rel: Option<RelConfig>,
+    ) -> Vec<ResilientProtocol> {
+        let n = data.peer_count();
+        assert_eq!(multi.primary().universe(), n, "universe mismatch");
+        assert_eq!(topology.peer_count(), n, "universe mismatch");
         let threshold = config.threshold.resolve(data.total_value());
-        let peers = (0..data.peer_count())
+        (0..n)
             .map(|i| {
                 let p = PeerId::new(i);
-                mk(
-                    p,
-                    topology.neighbors(p).to_vec(),
-                    data.local_items(p).to_vec(),
-                    threshold,
-                )
+                let (nb, items) = (topology.neighbors(p).to_vec(), data.local_items(p).to_vec());
+                let core = ResilientProtocol::new_multi(config, rc, multi, p, nb, items, threshold);
+                match &rel {
+                    None => core,
+                    Some(cfg) => core.with_reliability(cfg.clone()),
+                }
             })
-            .collect();
-        sansio_world(sim, peers)
-    }
-
-    /// Builds a ready-to-run world over `topology`, `hierarchy`, `data`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universes differ.
-    pub fn build_world(
-        config: &NetFilterConfig,
-        rc: ResilientConfig,
-        topology: &Topology,
-        hierarchy: &Hierarchy,
-        data: &SystemData,
-        sim: SimConfig,
-    ) -> World<Des<ResilientProtocol>> {
-        assert_eq!(hierarchy.universe(), data.peer_count(), "universe mismatch");
-        Self::assemble(config, topology, data, sim, |p, nb, items, t| {
-            ResilientProtocol::new(config, rc, hierarchy, p, nb, items, t)
-        })
-    }
-
-    /// Like [`build_world`](Self::build_world), with every peer's
-    /// query-critical traffic wrapped in the `rel` reliability envelope.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universes differ.
-    pub fn build_world_reliable(
-        config: &NetFilterConfig,
-        rc: ResilientConfig,
-        topology: &Topology,
-        hierarchy: &Hierarchy,
-        data: &SystemData,
-        sim: SimConfig,
-        rel: RelConfig,
-    ) -> World<Des<ResilientProtocol>> {
-        assert_eq!(hierarchy.universe(), data.peer_count(), "universe mismatch");
-        Self::assemble(config, topology, data, sim, |p, nb, items, t| {
-            ResilientProtocol::new(config, rc, hierarchy, p, nb, items, t)
-                .with_reliability(rel.clone())
-        })
-    }
-
-    /// Builds a world with live root failover over `multi`'s succession
-    /// line (all peers start on the primary tree).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universes differ.
-    pub fn build_world_multi(
-        config: &NetFilterConfig,
-        rc: ResilientConfig,
-        topology: &Topology,
-        multi: &MultiHierarchy,
-        data: &SystemData,
-        sim: SimConfig,
-    ) -> World<Des<ResilientProtocol>> {
-        assert_eq!(
-            multi.primary().universe(),
-            data.peer_count(),
-            "universe mismatch"
-        );
-        Self::assemble(config, topology, data, sim, |p, nb, items, t| {
-            ResilientProtocol::new_multi(config, rc, multi, p, nb, items, t)
-        })
-    }
-
-    /// Like [`build_world_multi`](Self::build_world_multi), with the
-    /// reliability envelope on query-critical traffic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universes differ.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_world_multi_reliable(
-        config: &NetFilterConfig,
-        rc: ResilientConfig,
-        topology: &Topology,
-        multi: &MultiHierarchy,
-        data: &SystemData,
-        sim: SimConfig,
-        rel: RelConfig,
-    ) -> World<Des<ResilientProtocol>> {
-        assert_eq!(
-            multi.primary().universe(),
-            data.peer_count(),
-            "universe mismatch"
-        );
-        Self::assemble(config, topology, data, sim, |p, nb, items, t| {
-            ResilientProtocol::new_multi(config, rc, multi, p, nb, items, t)
-                .with_reliability(rel.clone())
-        })
+            .collect()
     }
 
     /// Root only: the completed epochs, oldest first.
@@ -1155,7 +1023,8 @@ impl SansIo for ResilientProtocol {
 mod tests {
     use super::*;
     use crate::Threshold;
-    use ifi_sim::{DetRng, SimTime};
+    use ifi_hierarchy::Hierarchy;
+    use ifi_sim::{sansio_world, DetRng, SimConfig, SimTime};
     use ifi_workload::{GroundTruth, WorkloadParams};
 
     fn rc() -> ResilientConfig {
@@ -1172,10 +1041,11 @@ mod tests {
         }
     }
 
-    fn setup(n: usize, seed: u64) -> (Topology, Hierarchy, SystemData, NetFilterConfig) {
+    /// A one-tree (no failover) system rooted at peer 0.
+    fn setup(n: usize, seed: u64) -> (Topology, MultiHierarchy, SystemData, NetFilterConfig) {
         let mut rng = DetRng::new(seed);
         let topo = Topology::random_regular(n, 5, &mut rng);
-        let h = Hierarchy::bfs(&topo, PeerId::new(0));
+        let h = MultiHierarchy::with_roots(&topo, &[PeerId::new(0)]);
         let data = SystemData::generate_paper(
             &WorkloadParams {
                 peers: n,
@@ -1251,13 +1121,9 @@ mod tests {
         let (topo, h, data, cfg) = setup(60, 111);
         let truth = GroundTruth::compute(&data);
         let t = truth.threshold_for_ratio(0.01);
-        let mut w = ResilientProtocol::build_world(
-            &cfg,
-            rc(),
-            &topo,
-            &h,
-            &data,
+        let mut w = sansio_world(
             SimConfig::default().with_seed(1),
+            ResilientProtocol::peers(&cfg, rc(), &topo, &h, &data, None),
         );
         w.start();
         w.run_until(SimTime::from_micros(30_000_000));
@@ -1287,7 +1153,7 @@ mod tests {
     fn malformed_phase_payloads_warn_and_drop_instead_of_panicking() {
         use ifi_sim::{AllUp, Effect};
 
-        let h = Hierarchy::balanced(3, 2);
+        let h = MultiHierarchy::from_trees(vec![Hierarchy::balanced(3, 2)]);
         let cfg = NetFilterConfig::builder()
             .filter_size(8)
             .filters(2)
@@ -1295,7 +1161,7 @@ mod tests {
             .build();
         let (root, child) = (PeerId::new(0), PeerId::new(1));
         let core = |p: PeerId, neighbors| {
-            ResilientProtocol::new(&cfg, rc(), &h, p, neighbors, vec![(ItemId(7), 3)], 1)
+            ResilientProtocol::new_multi(&cfg, rc(), &h, p, neighbors, vec![(ItemId(7), 3)], 1)
         };
         /// Feeds one event; returns the warnings and how many frames left.
         fn feed(
@@ -1364,21 +1230,18 @@ mod tests {
     #[test]
     fn failure_mid_stream_recovers_in_later_epochs() {
         let (topo, h, data, cfg) = setup(60, 113);
-        let mut w = ResilientProtocol::build_world(
-            &cfg,
-            rc(),
-            &topo,
-            &h,
-            &data,
+        let mut w = sansio_world(
             SimConfig::default().with_seed(2),
+            ResilientProtocol::peers(&cfg, rc(), &topo, &h, &data, None),
         );
         w.start();
 
         // Kill a depth-1 internal peer between epochs 1 and 2.
         let victim = *h
+            .primary()
             .internal_nodes()
             .iter()
-            .max_by_key(|&&p| h.subtree_size(p))
+            .max_by_key(|&&p| h.primary().subtree_size(p))
             .expect("internal nodes exist");
         w.schedule_kill(SimTime::from_micros(9_000_000), victim);
         w.run_until(SimTime::from_micros(80_000_000));
@@ -1430,7 +1293,10 @@ mod tests {
         let sim = SimConfig::default()
             .with_seed(6)
             .with_faults(ifi_sim::FaultPlan::none().with_drop(0.002));
-        let mut w = ResilientProtocol::build_world(&cfg, rc(), &topo, &h, &data, sim);
+        let mut w = sansio_world(
+            sim,
+            ResilientProtocol::peers(&cfg, rc(), &topo, &h, &data, None),
+        );
         w.start();
         w.run_until(SimTime::from_micros(150_000_000));
 
@@ -1471,14 +1337,16 @@ mod tests {
             .with_drop(0.1)
             .with_duplication(0.05);
         let sim = SimConfig::default().with_seed(9).with_faults(faults);
-        let mut w = ResilientProtocol::build_world_reliable(
-            &cfg,
-            rcfg,
-            &topo,
-            &h,
-            &data,
+        let mut w = sansio_world(
             sim,
-            ifi_sim::RelConfig::default(),
+            ResilientProtocol::peers(
+                &cfg,
+                rcfg,
+                &topo,
+                &h,
+                &data,
+                Some(ifi_sim::RelConfig::default()),
+            ),
         );
         w.start();
         w.run_until(SimTime::from_micros(60_000_000));
@@ -1517,20 +1385,16 @@ mod tests {
         let truth_full = GroundTruth::compute(&data);
         let t = cfg.threshold.resolve(data.total_value());
 
-        let victim = *h.leaves().first().expect("leaves exist");
+        let victim = *h.primary().leaves().first().expect("leaves exist");
         let victim_mass: u64 = data.local_items(victim).iter().map(|&(_, v)| v).sum();
         assert!(
             victim_mass > 0,
             "victim must hold data for the test to bite"
         );
 
-        let mut w = ResilientProtocol::build_world(
-            &cfg,
-            rc(),
-            &topo,
-            &h,
-            &data,
+        let mut w = sansio_world(
             SimConfig::default().with_seed(4),
+            ResilientProtocol::peers(&cfg, rc(), &topo, &h, &data, None),
         );
         w.start();
         w.schedule_kill(SimTime::from_micros(9_000_000), victim);
@@ -1575,7 +1439,10 @@ mod tests {
             });
         let mut rcfg = rc();
         rcfg.query_period = Duration::from_secs(4); // epochs overlap in flight
-        let mut w = ResilientProtocol::build_world(&cfg, rcfg, &topo, &h, &data, sim);
+        let mut w = sansio_world(
+            sim,
+            ResilientProtocol::peers(&cfg, rcfg, &topo, &h, &data, None),
+        );
         w.start();
         w.run_until(SimTime::from_micros(60_000_000));
         let root = w.peer(PeerId::new(0));
@@ -1598,13 +1465,9 @@ mod tests {
         let (topo, _h, data, cfg) = setup(60, 137);
         let multi =
             MultiHierarchy::with_roots(&topo, &[PeerId::new(0), PeerId::new(7), PeerId::new(23)]);
-        let mut w = ResilientProtocol::build_world_multi(
-            &cfg,
-            rc(),
-            &topo,
-            &multi,
-            &data,
+        let mut w = sansio_world(
             SimConfig::default().with_seed(5),
+            ResilientProtocol::peers(&cfg, rc(), &topo, &multi, &data, None),
         );
         w.start();
         w.schedule_kill(SimTime::from_micros(12_300_000), PeerId::new(0));
@@ -1649,13 +1512,9 @@ mod tests {
         // or promotion traffic exists.
         let (topo, h, data, cfg) = setup(40, 139);
         let run_single = {
-            let mut w = ResilientProtocol::build_world(
-                &cfg,
-                rc(),
-                &topo,
-                &h,
-                &data,
+            let mut w = sansio_world(
                 SimConfig::default().with_seed(8),
+                ResilientProtocol::peers(&cfg, rc(), &topo, &h, &data, None),
             );
             w.start();
             w.run_until(SimTime::from_micros(30_000_000));
@@ -1669,13 +1528,9 @@ mod tests {
             ]
         };
         let multi = MultiHierarchy::with_roots(&topo, &[PeerId::new(0), PeerId::new(11)]);
-        let mut w = ResilientProtocol::build_world_multi(
-            &cfg,
-            rc(),
-            &topo,
-            &multi,
-            &data,
+        let mut w = sansio_world(
             SimConfig::default().with_seed(8),
+            ResilientProtocol::peers(&cfg, rc(), &topo, &multi, &data, None),
         );
         w.start();
         w.run_until(SimTime::from_micros(30_000_000));

@@ -289,7 +289,7 @@ pub type SketchProtocol = ConvergecastProtocol<SpaceSaving, SketchFinish>;
 mod tests {
     use super::*;
     use ifi_hierarchy::Hierarchy;
-    use ifi_sim::{FaultPlan, PeerId, RelConfig, ReliableMsg, SimConfig};
+    use ifi_sim::{sansio_world, FaultPlan, PeerId, RelConfig, ReliableMsg, SimConfig};
     use ifi_workload::{GroundTruth, WorkloadParams};
 
     fn workload(seed: u64) -> (Hierarchy, SystemData, GroundTruth) {
@@ -362,7 +362,10 @@ mod tests {
     fn engine_never_misses_a_frequent_item() {
         let (h, data, truth) = workload(11);
         let cfg = SketchConfig::new(32);
-        let mut w = SketchProtocol::build_world(&cfg, &h, &data, SimConfig::default().with_seed(2));
+        let mut w = sansio_world(
+            SimConfig::default().with_seed(2),
+            SketchProtocol::peers(&cfg, &h, &data, None),
+        );
         w.start();
         w.run_to_quiescence();
         let answer = w.peer(h.root()).result().expect("root must answer").clone();
@@ -387,7 +390,10 @@ mod tests {
     fn lossy_reliable_run_matches_the_clean_answer() {
         let (h, data, _) = workload(13);
         let cfg = SketchConfig::new(16);
-        let mut clean = SketchProtocol::build_world(&cfg, &h, &data, SimConfig::default());
+        let mut clean = sansio_world(
+            SimConfig::default(),
+            SketchProtocol::peers(&cfg, &h, &data, None),
+        );
         clean.start();
         clean.run_to_quiescence();
         let want = clean.peer(h.root()).result().expect("clean answer").clone();
@@ -395,8 +401,10 @@ mod tests {
         let sim = SimConfig::default()
             .with_seed(9)
             .with_faults(FaultPlan::none().with_drop(0.15).with_duplication(0.1));
-        let mut lossy =
-            SketchProtocol::build_world_reliable(&cfg, &h, &data, sim, RelConfig::default());
+        let mut lossy = sansio_world(
+            sim,
+            SketchProtocol::peers(&cfg, &h, &data, Some(RelConfig::default())),
+        );
         lossy.start();
         lossy.run_to_quiescence();
         let got = lossy.peer(h.root()).result().expect("lossy answer").clone();
@@ -407,7 +415,10 @@ mod tests {
     fn summary_of_another_capacity_warns_and_drops_instead_of_panicking() {
         let (h, data, _) = workload(19);
         let cfg = SketchConfig::new(8);
-        let mut w = SketchProtocol::build_world(&cfg, &h, &data, SimConfig::default());
+        let mut w = sansio_world(
+            SimConfig::default(),
+            SketchProtocol::peers(&cfg, &h, &data, None),
+        );
         w.enable_metrics_sink();
         // Decodes cleanly and comes from a real child; merging it used to
         // take the root down. Injected before `start`, it arrives one hop
@@ -428,7 +439,10 @@ mod tests {
     fn non_root_forwards_exactly_one_summary() {
         let (h, data, _) = workload(17);
         let cfg = SketchConfig::new(8);
-        let mut w = SketchProtocol::build_world(&cfg, &h, &data, SimConfig::default());
+        let mut w = sansio_world(
+            SimConfig::default(),
+            SketchProtocol::peers(&cfg, &h, &data, None),
+        );
         w.enable_metrics_sink();
         w.start();
         w.run_to_quiescence();

@@ -35,8 +35,8 @@ use std::collections::BTreeMap;
 use ifi_agg::{Aggregate, Ascending, Boot, Convergecast, MapSum, TreeSlot};
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::{
-    sansio_world, Des, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, RelConfig,
-    ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime, World,
+    sansio_world, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, RelConfig,
+    ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime,
 };
 use ifi_workload::{ItemId, SystemData};
 
@@ -323,33 +323,12 @@ impl TopKProtocol {
         self.answer.as_ref()
     }
 
-    /// Builds a ready-to-run world over `hierarchy` and `data`.
+    /// The peer population as bare cores for any driver; `rel` turns the
+    /// ack/retransmit envelope on every peer.
     ///
     /// # Panics
     ///
     /// Panics if the hierarchy and data universes differ.
-    pub fn build_world(
-        config: &TopKConfig,
-        hierarchy: &Hierarchy,
-        data: &SystemData,
-        sim: SimConfig,
-    ) -> World<Des<TopKProtocol>> {
-        sansio_world(sim, Self::peers(config, hierarchy, data, None))
-    }
-
-    /// Like [`build_world`](Self::build_world) with the ack/retransmit
-    /// envelope on every peer.
-    pub fn build_world_reliable(
-        config: &TopKConfig,
-        hierarchy: &Hierarchy,
-        data: &SystemData,
-        sim: SimConfig,
-        rel: RelConfig,
-    ) -> World<Des<TopKProtocol>> {
-        sansio_world(sim, Self::peers(config, hierarchy, data, Some(rel)))
-    }
-
-    /// The peer population as bare cores for any driver.
     pub fn peers(
         config: &TopKConfig,
         hierarchy: &Hierarchy,
@@ -561,7 +540,10 @@ pub fn top_k(hierarchy: &Hierarchy, data: &SystemData, k: usize, config: &TopKCo
         k,
         ..config.clone()
     };
-    let mut w = TopKProtocol::build_world(&config, hierarchy, data, SimConfig::default());
+    let mut w = sansio_world(
+        SimConfig::default(),
+        TopKProtocol::peers(&config, hierarchy, data, None),
+    );
     w.start();
     w.run_to_quiescence();
     let answer = w
@@ -667,7 +649,10 @@ mod tests {
     fn lossy_reliable_run_matches_the_clean_answer() {
         let (h, data, _) = setup(307);
         let cfg = TopKConfig::new(12);
-        let mut clean = TopKProtocol::build_world(&cfg, &h, &data, SimConfig::default());
+        let mut clean = sansio_world(
+            SimConfig::default(),
+            TopKProtocol::peers(&cfg, &h, &data, None),
+        );
         clean.start();
         clean.run_to_quiescence();
         let want = clean.peer(h.root()).result().expect("clean answer").clone();
@@ -675,8 +660,10 @@ mod tests {
         let sim = SimConfig::default()
             .with_seed(5)
             .with_faults(FaultPlan::none().with_drop(0.15).with_duplication(0.1));
-        let mut lossy =
-            TopKProtocol::build_world_reliable(&cfg, &h, &data, sim, RelConfig::default());
+        let mut lossy = sansio_world(
+            sim,
+            TopKProtocol::peers(&cfg, &h, &data, Some(RelConfig::default())),
+        );
         lossy.start();
         lossy.run_to_quiescence();
         let got = lossy.peer(h.root()).result().expect("lossy answer").clone();

@@ -10,9 +10,11 @@
 //! * each peer keeps `buckets` time slices of its local counts
 //!   ([`SlidingWindow`]); recording goes to the current slice, and
 //!   [`SlidingWindow::advance`] retires the oldest slice;
-//! * a query materializes every peer's live-window local item set and runs
-//!   ordinary netFilter over it — so all exactness guarantees carry over
-//!   to the windowed answer verbatim.
+//! * a query materializes every peer's live-window local item set
+//!   ([`SlidingWindow::local_items`], into
+//!   `SystemData::from_local_sets`) and runs ordinary netFilter over it —
+//!   so all exactness guarantees carry over to the windowed answer
+//!   verbatim (the `trending` example does exactly this).
 //!
 //! The coordination cost is unchanged (netFilter neither knows nor cares
 //! that local values came from a window); only peer-local state grows, by
@@ -26,12 +28,7 @@
 //! convergecasts instead of re-aggregating.
 
 use ifi_agg::fold_run;
-use ifi_hierarchy::Hierarchy;
-use ifi_sim::PeerId;
-use ifi_workload::{ItemId, SystemData};
-
-use crate::config::NetFilterConfig;
-use crate::engine::{NetFilter, NetFilterRun};
+use ifi_workload::ItemId;
 
 /// A peer-local bucketed sliding window of item counts.
 #[derive(Debug, Clone)]
@@ -117,66 +114,9 @@ impl SlidingWindow {
     }
 }
 
-/// Continuous frequent-item monitoring over sliding windows at every peer.
-#[derive(Debug, Clone)]
-pub struct WindowedMonitor {
-    windows: Vec<SlidingWindow>,
-    universe: u64,
-    config: NetFilterConfig,
-}
-
-impl WindowedMonitor {
-    /// Creates a monitor for `peers` peers with `buckets`-slice windows,
-    /// answering over an item universe of size `universe`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peers == 0` or `buckets == 0`.
-    pub fn new(peers: usize, buckets: usize, universe: u64, config: NetFilterConfig) -> Self {
-        assert!(peers > 0, "need at least one peer");
-        WindowedMonitor {
-            windows: (0..peers).map(|_| SlidingWindow::new(buckets)).collect(),
-            universe,
-            config,
-        }
-    }
-
-    /// Records a local observation at `peer`.
-    pub fn record(&mut self, peer: PeerId, item: ItemId, value: u64) {
-        self.windows[peer.index()].record(item, value);
-    }
-
-    /// Advances every peer's window by one slice (end of a day/hour/…).
-    pub fn advance(&mut self) {
-        for w in &mut self.windows {
-            w.advance();
-        }
-    }
-
-    /// One peer's window, for inspection.
-    pub fn window(&self, peer: PeerId) -> &SlidingWindow {
-        &self.windows[peer.index()]
-    }
-
-    /// Materializes the live windows and runs netFilter over them: the
-    /// exact frequent items **of the current window**.
-    pub fn query(&self, hierarchy: &Hierarchy) -> NetFilterRun {
-        let data = SystemData::from_local_sets(
-            self.windows
-                .iter()
-                .map(SlidingWindow::local_items)
-                .collect(),
-            self.universe,
-        );
-        NetFilter::new(self.config.clone()).run(hierarchy, &data)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Threshold;
-    use ifi_workload::GroundTruth;
 
     #[test]
     fn window_totals_age_out() {
@@ -259,70 +199,6 @@ mod tests {
         w.advance();
         assert_eq!(w.newest(), [(ItemId(2), 2)], "zero-value key dropped");
         assert_eq!(w.local_items(), vec![(ItemId(2), 2)]);
-    }
-
-    fn monitor() -> (WindowedMonitor, Hierarchy) {
-        let config = NetFilterConfig::builder()
-            .filter_size(20)
-            .filters(2)
-            .threshold(Threshold::Absolute(50))
-            .build();
-        (
-            WindowedMonitor::new(30, 3, 1_000, config),
-            Hierarchy::balanced(30, 3),
-        )
-    }
-
-    #[test]
-    fn windowed_query_is_exact_for_the_window() {
-        let (mut m, h) = monitor();
-        // Slice 1: item 0 is hot everywhere.
-        for p in 0..30 {
-            m.record(PeerId::new(p), ItemId(0), 3);
-            m.record(PeerId::new(p), ItemId(p as u64 + 1), 1);
-        }
-        let run = m.query(&h);
-        assert_eq!(run.frequent_items(), &[(ItemId(0), 90)]);
-
-        // The answer matches an oracle over the materialized window.
-        let data = SystemData::from_local_sets(
-            (0..30)
-                .map(|p| m.window(PeerId::new(p)).local_items())
-                .collect(),
-            1_000,
-        );
-        let truth = GroundTruth::compute(&data);
-        assert_eq!(run.frequent_items(), &truth.frequent_items(50)[..]);
-    }
-
-    #[test]
-    fn hot_item_falls_out_of_the_window() {
-        let (mut m, h) = monitor();
-        for p in 0..30 {
-            m.record(PeerId::new(p), ItemId(0), 3); // 90 total in slice 1
-        }
-        assert_eq!(m.query(&h).frequent_items().len(), 1);
-        // Two quiet slices later the burst has aged out (window = 3).
-        m.advance();
-        m.advance();
-        assert_eq!(m.query(&h).frequent_items().len(), 1, "still in window");
-        m.advance();
-        assert!(m.query(&h).frequent_items().is_empty(), "burst aged out");
-    }
-
-    #[test]
-    fn steady_traffic_stays_frequent_across_advances() {
-        let (mut m, h) = monitor();
-        for _slice in 0..6 {
-            for p in 0..30 {
-                m.record(PeerId::new(p), ItemId(42), 1); // 30/slice
-            }
-            m.advance();
-        }
-        // The final advance opened a fresh empty slice, so the live window
-        // holds the last two full slices: 2 × 30 = 60 ≥ 50.
-        let run = m.query(&h);
-        assert_eq!(run.frequent_items(), &[(ItemId(42), 60)]);
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! [`ThresholdSoundnessOracle`]: crate::oracle::ThresholdSoundnessOracle
 
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::{FaultPlan, PeerId, RelConfig, SimConfig};
+use ifi_sim::{sansio_world, FaultPlan, PeerId, RelConfig, SimConfig};
 use ifi_workload::{GroundTruth, ItemId, SystemData};
 use netfilter::local_threshold::{LocalThresholdConfig, LocalThresholdProtocol};
 use netfilter::sketch::{SketchConfig, SketchProtocol};
@@ -65,12 +65,9 @@ fn sketch_clean(seed: u64) -> Case {
     let claimed_epsilon = cfg.claimed_epsilon;
     let root = h.root();
     let build = move |drops: &[u64]| {
-        let mut w = SketchProtocol::build_world_reliable(
-            &cfg,
-            &h,
-            &data,
+        let mut w = sansio_world(
             faulty_sim(seed, drops),
-            RelConfig::default(),
+            SketchProtocol::peers(&cfg, &h, &data, Some(RelConfig::default())),
         );
         w.schedule_kill(kill_at(), PeerId::new(CHURNED_LEAF));
         w.schedule_revive(revive_at(), PeerId::new(CHURNED_LEAF));
@@ -109,8 +106,10 @@ fn sketch_overclaim(seed: u64) -> Case {
         let sim = SimConfig::default()
             .with_seed(seed)
             .with_faults(FaultPlan::none().with_scheduled_drops(drops.iter().copied()));
-        let mut w =
-            SketchProtocol::build_world_reliable(&cfg, &h, &data, sim, RelConfig::default());
+        let mut w = sansio_world(
+            sim,
+            SketchProtocol::peers(&cfg, &h, &data, Some(RelConfig::default())),
+        );
         w.enable_trace(64);
         w
     };
@@ -143,12 +142,9 @@ fn topk_clean(seed: u64) -> Case {
     let expected: Vec<(ItemId, u64)> = truth.globals().iter().copied().take(k).collect();
     let root = h.root();
     let build = move |drops: &[u64]| {
-        let mut w = TopKProtocol::build_world_reliable(
-            &cfg,
-            &h,
-            &data,
+        let mut w = sansio_world(
             faulty_sim(seed, drops),
-            RelConfig::default(),
+            TopKProtocol::peers(&cfg, &h, &data, Some(RelConfig::default())),
         );
         w.schedule_kill(kill_at(), PeerId::new(CHURNED_LEAF));
         w.schedule_revive(revive_at(), PeerId::new(CHURNED_LEAF));
@@ -187,7 +183,10 @@ fn topk_starved(seed: u64) -> Case {
         let sim = SimConfig::default()
             .with_seed(seed)
             .with_faults(FaultPlan::none().with_scheduled_drops(drops.iter().copied()));
-        let mut w = TopKProtocol::build_world_reliable(&cfg, &h, &data, sim, RelConfig::default());
+        let mut w = sansio_world(
+            sim,
+            TopKProtocol::peers(&cfg, &h, &data, Some(RelConfig::default())),
+        );
         w.enable_trace(64);
         w
     };
@@ -220,13 +219,9 @@ fn threshold_clean(seed: u64) -> Case {
     let cfg = LocalThresholdConfig::new(Threshold::Absolute((truth_value / 2).max(1)));
     let root = h.root();
     let build = move |drops: &[u64]| {
-        let mut w = LocalThresholdProtocol::build_world_reliable(
-            &cfg,
-            &h,
-            &data,
-            item,
+        let mut w = sansio_world(
             faulty_sim(seed, drops),
-            RelConfig::default(),
+            LocalThresholdProtocol::peers(&cfg, &h, &data, item, Some(RelConfig::default())),
         );
         w.schedule_kill(kill_at(), PeerId::new(CHURNED_LEAF));
         w.schedule_revive(revive_at(), PeerId::new(CHURNED_LEAF));
@@ -264,13 +259,9 @@ fn threshold_optimist(seed: u64) -> Case {
         let sim = SimConfig::default()
             .with_seed(seed)
             .with_faults(FaultPlan::none().with_scheduled_drops(drops.iter().copied()));
-        let mut w = LocalThresholdProtocol::build_world_reliable(
-            &cfg,
-            &h,
-            &data,
-            item,
+        let mut w = sansio_world(
             sim,
-            RelConfig::default(),
+            LocalThresholdProtocol::peers(&cfg, &h, &data, item, Some(RelConfig::default())),
         );
         w.enable_trace(64);
         w

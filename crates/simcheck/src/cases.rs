@@ -34,7 +34,7 @@
 
 use std::rc::Rc;
 
-use ifi_hierarchy::{Hierarchy, MaintainProtocol};
+use ifi_hierarchy::{Hierarchy, MaintainProtocol, MultiHierarchy};
 use ifi_overlay::{HeartbeatConfig, Topology};
 use ifi_sim::{
     sansio_world, Des, Duration, FaultPlan, PeerId, RelConfig, SansIo, SimConfig, SimTime, World,
@@ -227,8 +227,10 @@ fn netfilter_clean(seed: u64) -> Case {
     let (root, tree) = (h.root(), h.clone());
     let build = move |drops: &[u64]| {
         let sim = faulty_sim(seed, drops);
-        let mut w =
-            NetFilterProtocol::build_world_reliable(&cfg, &h, &data, sim, RelConfig::default());
+        let mut w = sansio_world(
+            sim,
+            NetFilterProtocol::peers(&cfg, &h, &data, Some(RelConfig::default())),
+        );
         w.enable_metrics_sink();
         w.enable_trace(64);
         w
@@ -271,7 +273,7 @@ fn resilient_case(
 ) -> Case {
     let data = workload(seed);
     let topo = Topology::grid(3, 3);
-    let h = Hierarchy::bfs(&topo, PeerId::new(0));
+    let mh = MultiHierarchy::with_roots(&topo, &[PeerId::new(0)]);
     let cfg = nf_config();
     let truth = GroundTruth::compute(&data);
     let expected = truth.frequent_items(cfg.threshold.resolve(data.total_value()));
@@ -282,7 +284,10 @@ fn resilient_case(
                 .with_duplication(0.25)
                 .with_scheduled_drops(drops.iter().copied()),
         );
-        let mut w = ResilientProtocol::build_world(&cfg, rc(), &topo, &h, &data, sim);
+        let mut w = sansio_world(
+            sim,
+            ResilientProtocol::peers(&cfg, rc(), &topo, &mh, &data, None),
+        );
         if legacy_double_merge {
             for i in 0..w.peer_count() {
                 w.peer_mut(PeerId::new(i)).enable_legacy_double_merge();

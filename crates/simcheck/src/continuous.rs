@@ -86,13 +86,9 @@ fn continuous_clean(seed: u64) -> Case {
     let root = h.root();
     let ora = oracle(root, &schedules, &reg);
     let build = move |drops: &[u64]| {
-        let mut w = ContinuousProtocol::build_world_reliable(
-            &cfg,
-            &h,
-            &reg,
-            &schedules,
+        let mut w = sansio_world(
             faulty_sim(seed, drops),
-            RelConfig::default(),
+            ContinuousProtocol::peers(&cfg, &h, &reg, &schedules, Some(RelConfig::default())),
         );
         w.schedule_kill(kill_at(), PeerId::new(CHURNED_LEAF));
         w.schedule_revive(revive_at(), PeerId::new(CHURNED_LEAF));

@@ -19,7 +19,7 @@
 //! A small-`N` twin of the same harness runs in tier-1 so the plumbing
 //! itself can never rot behind the ignore flag.
 
-use ifi_hierarchy::{Hierarchy, MaintainProtocol};
+use ifi_hierarchy::{Hierarchy, MaintainProtocol, MultiHierarchy};
 use ifi_overlay::{HeartbeatConfig, Topology};
 use ifi_sim::{sansio_world, DetRng, Duration, PeerId, SimConfig, SimTime};
 use ifi_workload::{GroundTruth, SystemData, WorkloadParams};
@@ -94,8 +94,10 @@ pub fn run_scale_check(n: usize, seed: u64) -> Vec<ScaleVerdict> {
             expected: expected.clone(),
         };
         let mut cost = CostOracle(h.clone());
-        let mut w =
-            NetFilterProtocol::build_world(&cfg, &h, &data, SimConfig::default().with_seed(seed));
+        let mut w = sansio_world(
+            SimConfig::default().with_seed(seed),
+            NetFilterProtocol::peers(&cfg, &h, &data, None),
+        );
         w.enable_metrics_sink();
         w.start();
         w.run_to_quiescence();
@@ -138,7 +140,7 @@ pub fn run_scale_check(n: usize, seed: u64) -> Vec<ScaleVerdict> {
     // census oracles watch every interval checkpoint plus the horizon.
     {
         let topo = Topology::random_regular(n, 5, &mut DetRng::new(seed ^ 0x5ca1e));
-        let h = Hierarchy::bfs(&topo, PeerId::new(0));
+        let mh = MultiHierarchy::with_roots(&topo, &[PeerId::new(0)]);
         let rc = ResilientConfig {
             heartbeat: hb(),
             query_period: Duration::from_secs(4),
@@ -146,13 +148,9 @@ pub fn run_scale_check(n: usize, seed: u64) -> Vec<ScaleVerdict> {
             takeover_grace: Duration::from_secs(4),
             takeover_stagger: Duration::from_secs(3),
         };
-        let mut w = ResilientProtocol::build_world(
-            &cfg,
-            rc,
-            &topo,
-            &h,
-            &data,
+        let mut w = sansio_world(
             SimConfig::default().with_seed(seed),
+            ResilientProtocol::peers(&cfg, rc, &topo, &mh, &data, None),
         );
         w.start();
         let mut fence = EpochFenceOracle::new();

@@ -117,8 +117,10 @@ fn main() {
         .filters(3)
         .threshold(Threshold::Ratio(0.01))
         .build();
-    let mut query =
-        NetFilterProtocol::build_world(&config, &repaired, &surviving, SimConfig::default());
+    let mut query = sansio_world(
+        SimConfig::default(),
+        NetFilterProtocol::peers(&config, &repaired, &surviving, None),
+    );
     query.start();
     query.run_to_quiescence();
     let result = query.peer(root).result().expect("root finishes").to_vec();

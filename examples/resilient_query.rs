@@ -11,9 +11,9 @@
 //! cargo run --release --example resilient_query
 //! ```
 
-use ifi_hierarchy::Hierarchy;
+use ifi_hierarchy::MultiHierarchy;
 use ifi_overlay::{HeartbeatConfig, Topology};
-use ifi_sim::{DetRng, Duration, PeerId, SimConfig, SimTime};
+use ifi_sim::{sansio_world, DetRng, Duration, PeerId, SimConfig, SimTime};
 use ifi_workload::{GroundTruth, SystemData, WorkloadParams};
 use netfilter::resilient::{ResilientConfig, ResilientProtocol};
 use netfilter::{NetFilterConfig, Threshold};
@@ -22,7 +22,9 @@ fn main() {
     let n = 150;
     let mut rng = DetRng::new(42);
     let topology = Topology::random_regular(n, 5, &mut rng);
-    let hierarchy = Hierarchy::bfs(&topology, PeerId::new(0));
+    // One tree: a single root and no failover.
+    let tree = MultiHierarchy::with_roots(&topology, &[PeerId::new(0)]);
+    let hierarchy = tree.primary();
     let data = SystemData::generate_paper(
         &WorkloadParams {
             peers: n,
@@ -48,13 +50,9 @@ fn main() {
         epoch_timeout: Duration::from_secs(24),
         ..ResilientConfig::default()
     };
-    let mut w = ResilientProtocol::build_world(
-        &config,
-        rc,
-        &topology,
-        &hierarchy,
-        &data,
+    let mut w = sansio_world(
         SimConfig::default().with_seed(7),
+        ResilientProtocol::peers(&config, rc, &topology, &tree, &data, None),
     );
     w.start();
 

@@ -18,7 +18,7 @@ use std::time::Duration as StdDuration;
 
 use ifi_hierarchy::Hierarchy;
 use ifi_overlay::Topology;
-use ifi_sim::{DetRng, MetricsReport, PeerId, SimConfig};
+use ifi_sim::{sansio_world, DetRng, MetricsReport, PeerId, SimConfig};
 use ifi_transport::{run_channel, run_tcp};
 use ifi_workload::{SystemData, WorkloadParams};
 use netfilter::protocol::NetFilterProtocol;
@@ -51,14 +51,10 @@ fn main() {
         .threshold(Threshold::Ratio(0.01))
         .build();
     let threshold = config.threshold.resolve(data.total_value());
+    let cores = || NetFilterProtocol::peers(&config, &hierarchy, &data, None);
 
     // 2. Reference run under the DES.
-    let mut w = NetFilterProtocol::build_world(
-        &config,
-        &hierarchy,
-        &data,
-        SimConfig::default().with_seed(seed),
-    );
+    let mut w = sansio_world(SimConfig::default().with_seed(seed), cores());
     w.enable_metrics_sink();
     w.start();
     w.run_to_quiescence();
@@ -74,22 +70,7 @@ fn main() {
         des_report.total_bytes()
     );
 
-    // 3. The same cores, driven by real threads. `build_world` and this
-    //    closure construct the identical peer population.
-    let cores = || -> Vec<NetFilterProtocol> {
-        (0..peers)
-            .map(|i| {
-                let p = PeerId::new(i);
-                NetFilterProtocol::new(
-                    &config,
-                    &hierarchy,
-                    p,
-                    data.local_items(p).to_vec(),
-                    threshold,
-                )
-            })
-            .collect()
-    };
+    // 3. The same cores, driven by real threads.
     let wait = StdDuration::from_secs(30);
 
     let channel = run_channel(cores(), 1, wait);

@@ -14,10 +14,10 @@
 //! ```
 
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::{DetRng, PeerId};
-use ifi_workload::{ItemId, ZipfSampler};
-use netfilter::windowed::WindowedMonitor;
-use netfilter::{topk, NetFilterConfig, Threshold};
+use ifi_sim::DetRng;
+use ifi_workload::{ItemId, SystemData, ZipfSampler};
+use netfilter::windowed::SlidingWindow;
+use netfilter::{topk, NetFilter, NetFilterConfig, Threshold};
 
 const PEERS: usize = 400;
 const SONGS: u64 = 50_000;
@@ -32,7 +32,12 @@ fn main() {
         .filters(3)
         .threshold(Threshold::Absolute(TREND_BAR))
         .build();
-    let mut monitor = WindowedMonitor::new(PEERS, WINDOW_DAYS, SONGS, config);
+    let mut windows = vec![SlidingWindow::new(WINDOW_DAYS); PEERS];
+    // Every peer's live week, as the data set one netFilter run queries.
+    let week = |windows: &[SlidingWindow]| {
+        let local = windows.iter().map(SlidingWindow::local_items).collect();
+        SystemData::from_local_sets(local, SONGS)
+    };
 
     let catalogue = ZipfSampler::new(SONGS as usize, 0.9);
     let mut rng = DetRng::new(2008).derive(0x3A17);
@@ -41,10 +46,10 @@ fn main() {
     println!("day  viral-downloads(day)  trending songs (week total ≥ {TREND_BAR})");
     for day in 1..=14u32 {
         // Background listening.
-        for p in 0..PEERS {
+        for window in &mut windows {
             for _ in 0..DOWNLOADS_PER_PEER_PER_DAY {
                 let song = ItemId(catalogue.sample(&mut rng) as u64);
-                monitor.record(PeerId::new(p), song, 1);
+                window.record(song, 1);
             }
         }
         // A song goes viral on days 3-5: a burst well above the bar.
@@ -52,11 +57,11 @@ fn main() {
         if viral_today > 0 {
             for _ in 0..viral_today {
                 let p = rng.below(PEERS as u64) as usize;
-                monitor.record(PeerId::new(p), viral_song, 1);
+                windows[p].record(viral_song, 1);
             }
         }
 
-        let run = monitor.query(&hierarchy);
+        let run = NetFilter::new(config.clone()).run(&hierarchy, &week(&windows));
         let viral_now = run
             .frequent_items()
             .iter()
@@ -70,7 +75,9 @@ fn main() {
                 None => String::new(),
             }
         );
-        monitor.advance();
+        for window in &mut windows {
+            window.advance();
+        }
     }
 
     // The viral burst (18k over days 3-5) trends from day 4 (first week
@@ -80,13 +87,12 @@ fn main() {
     println!("\n(the viral song ages out of the 7-day window after day 10, as printed above)");
 
     // Bonus: exact top-5 chart of the final window via the top-k engine.
-    let data = ifi_workload::SystemData::from_local_sets(
-        (0..PEERS)
-            .map(|p| monitor.window(PeerId::new(p)).local_items())
-            .collect(),
-        SONGS,
+    let chart = topk::top_k(
+        &hierarchy,
+        &week(&windows),
+        5,
+        &topk::TopKConfig::lossless(5),
     );
-    let chart = topk::top_k(&hierarchy, &data, 5, &topk::TopKConfig::lossless(5));
     println!(
         "\nfinal-week top-5 chart ({} candidates verified, certified: {}):",
         chart.candidates, chart.certified

@@ -91,11 +91,11 @@ fn parse(args: &[String]) -> Result<Opts, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    if opts.peers == 0 || opts.items == 0 {
-        return Err("--peers and --items must be positive".into());
+    if opts.peers == 0 || opts.items == 0 || opts.g == 0 || opts.f == 0 || opts.branches == 0 {
+        return Err("--peers, --items, --g, --f and --branches must be positive".into());
     }
-    if !(opts.phi > 0.0 && opts.phi <= 1.0) {
-        return Err("--phi must be in (0, 1]".into());
+    if !(opts.phi > 0.0 && opts.phi <= 1.0 && opts.theta.is_finite() && opts.theta >= 0.0) {
+        return Err("--phi must be in (0, 1], --theta finite and non-negative".into());
     }
     Ok(opts)
 }
@@ -332,6 +332,12 @@ mod tests {
         assert!(parse(&sv(&["run", "--peers", "zero"])).is_err());
         assert!(parse(&sv(&["run", "--phi", "1.5"])).is_err());
         assert!(parse(&sv(&["run", "--bogus", "1"])).is_err());
+        // Degenerate values the engines would panic on.
+        assert!(parse(&sv(&["run", "--g", "0"])).is_err());
+        assert!(parse(&sv(&["run", "--f", "0"])).is_err());
+        assert!(parse(&sv(&["tune", "--branches", "0"])).is_err());
+        assert!(parse(&sv(&["run", "--theta", "-1"])).is_err());
+        assert!(parse(&sv(&["run", "--theta", "nan"])).is_err());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use std::time::Duration as StdDuration;
 
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::{MetricsReport, SimConfig};
+use ifi_sim::{sansio_world, MetricsReport, SimConfig};
 use ifi_transport::run_channel;
 use ifi_workload::{SystemData, WorkloadParams};
 use netfilter::phases;
@@ -49,7 +49,10 @@ fn scenario(seed: u64) -> Scenario {
 /// Runs the scenario under the DES and returns (answer, metrics report).
 fn des_run(s: &Scenario) -> (SketchAnswer, MetricsReport) {
     let sim = SimConfig::default().with_seed(0xDE5);
-    let mut w = SketchProtocol::build_world(&s.cfg, &s.hierarchy, &s.data, sim);
+    let mut w = sansio_world(
+        sim,
+        SketchProtocol::peers(&s.cfg, &s.hierarchy, &s.data, None),
+    );
     w.enable_metrics_sink();
     w.start();
     w.run_to_quiescence();

@@ -21,7 +21,7 @@ use std::time::Duration as StdDuration;
 
 use ifi_hierarchy::Hierarchy;
 use ifi_overlay::Topology;
-use ifi_sim::{DetRng, MetricsReport, MsgClass, PeerId, RelConfig, SimConfig};
+use ifi_sim::{sansio_world, DetRng, MetricsReport, MsgClass, PeerId, RelConfig, SimConfig};
 use ifi_transport::{run_channel_chaos, run_tcp_chaos, ChaosPlan, RunOutcome};
 use ifi_workload::{ItemId, SystemData, WorkloadParams};
 use netfilter::protocol::NetFilterProtocol;
@@ -97,13 +97,7 @@ fn des_run_under_faults(s: &Scenario, plan: &ChaosPlan) -> (Vec<(ItemId, u64)>, 
     let sim = SimConfig::default()
         .with_seed(0xDE5)
         .with_faults(plan.fault_plan());
-    let mut w = NetFilterProtocol::build_world_certified(
-        &s.cfg,
-        &s.hierarchy,
-        &s.data,
-        sim,
-        RelConfig::default(),
-    );
+    let mut w = sansio_world(sim, certified_peers(s));
     for (kill, revive, peer) in plan.crash_schedule() {
         w.schedule_kill(kill, peer);
         w.schedule_revive(revive, peer);
@@ -125,24 +119,13 @@ fn des_run_under_faults(s: &Scenario, plan: &ChaosPlan) -> (Vec<(ItemId, u64)>, 
     (answer, w.metrics_report())
 }
 
-/// The same certified peer population `build_world_certified` constructs,
-/// as bare cores for a transport driver.
+/// The scenario's certified peer population — reliable, with census mode
+/// on against the full member roster — for the DES and both transports.
 fn certified_peers(s: &Scenario) -> Vec<NetFilterProtocol> {
-    let threshold = s.cfg.threshold.resolve(s.data.total_value());
     let roster = NetFilterProtocol::roster(&s.hierarchy);
-    (0..s.data.peer_count())
-        .map(|i| {
-            let p = PeerId::new(i);
-            NetFilterProtocol::new(
-                &s.cfg,
-                &s.hierarchy,
-                p,
-                s.data.local_items(p).to_vec(),
-                threshold,
-            )
-            .with_reliability(RelConfig::default())
-            .with_census(roster)
-        })
+    NetFilterProtocol::peers(&s.cfg, &s.hierarchy, &s.data, Some(RelConfig::default()))
+        .into_iter()
+        .map(|core| core.with_census(roster))
         .collect()
 }
 

@@ -12,7 +12,7 @@
 use ifi_hierarchy::MultiHierarchy;
 use ifi_overlay::churn::{ChurnEvent, ChurnSchedule, SessionModel};
 use ifi_overlay::{HeartbeatConfig, Topology};
-use ifi_sim::{Des, DetRng, Duration, PeerId, SimConfig, SimTime, World};
+use ifi_sim::{sansio_world, Des, DetRng, Duration, PeerId, SimConfig, SimTime, World};
 use ifi_workload::ItemId;
 use ifi_workload::{GroundTruth, SystemData, WorkloadParams};
 use netfilter::resilient::{Certificate, ResilientConfig, ResilientProtocol};
@@ -154,13 +154,9 @@ fn killing_root_and_first_successor_mid_epoch_keeps_epochs_coming() {
     let (topo, data, cfg) = setup(n, 211);
     let succession = [PeerId::new(0), PeerId::new(7), PeerId::new(23)];
     let mh = MultiHierarchy::with_roots(&topo, &succession);
-    let mut w = ResilientProtocol::build_world_multi(
-        &cfg,
-        rc(),
-        &topo,
-        &mh,
-        &data,
+    let mut w = sansio_world(
         SimConfig::default().with_seed(212),
+        ResilientProtocol::peers(&cfg, rc(), &topo, &mh, &data, None),
     );
     w.start();
     // Epoch 3 is issued at t = 8 s; kill the root 50 ms into it.
@@ -206,13 +202,9 @@ fn complete_certificates_never_lie_under_adversarial_kill_timing() {
         let (topo, data, cfg) = setup(n, 300 + seed);
         let succession = [PeerId::new(0), PeerId::new(5), PeerId::new(11)];
         let mh = MultiHierarchy::with_roots(&topo, &succession);
-        let mut w = ResilientProtocol::build_world_multi(
-            &cfg,
-            rc(),
-            &topo,
-            &mh,
-            &data,
+        let mut w = sansio_world(
             SimConfig::default().with_seed(400 + seed),
+            ResilientProtocol::peers(&cfg, rc(), &topo, &mh, &data, None),
         );
         w.start();
         let mut rng = DetRng::new(500 + seed);
@@ -273,13 +265,9 @@ fn weibull_churn_schedule_runs_end_to_end_with_failover() {
     )
     .excluding(&succession);
 
-    let mut w = ResilientProtocol::build_world_multi(
-        &cfg,
-        rc(),
-        &topo,
-        &mh,
-        &data,
+    let mut w = sansio_world(
         SimConfig::default().with_seed(603),
+        ResilientProtocol::peers(&cfg, rc(), &topo, &mh, &data, None),
     );
     w.start();
     sched.install_world(&mut w);

@@ -14,7 +14,7 @@
 use std::time::Duration as StdDuration;
 
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::{PeerId, SimConfig};
+use ifi_sim::{sansio_world, PeerId, SimConfig};
 use ifi_transport::run_channel;
 use ifi_workload::{SystemData, WorkloadParams};
 use netfilter::continuous::{
@@ -78,12 +78,9 @@ fn scenario(seed: u64) -> Scenario {
 /// Runs the scenario under the DES and returns the root's certified
 /// history plus the per-class byte totals.
 fn des_run(s: &Scenario) -> (Vec<EpochAnswer>, u64, u64) {
-    let mut w = ContinuousProtocol::build_world(
-        &s.cfg,
-        &s.hierarchy,
-        &s.registry,
-        &s.schedules,
+    let mut w = sansio_world(
         SimConfig::default().with_seed(0xC0DE),
+        ContinuousProtocol::peers(&s.cfg, &s.hierarchy, &s.registry, &s.schedules, None),
     );
     w.enable_metrics_sink();
     w.start();

@@ -10,7 +10,9 @@
 //! that moves a single effect moves at least one of them.
 //!
 //! The constants were recorded at commit bbd546b, before the engines were
-//! rebuilt on `ifi_agg::Convergecast` and `ifi_sim::Envelope`.
+//! rebuilt on `ifi_agg::Convergecast` and `ifi_sim::Envelope`; the
+//! one-tree resilient row at commit 3d256a0, before the resilient engine's
+//! one-tree constructor folded into its succession-line one.
 
 use ifi_hierarchy::{Hierarchy, MaintainProtocol, MultiHierarchy};
 use ifi_overlay::{HeartbeatConfig, Topology};
@@ -105,8 +107,13 @@ const LEAF: (usize, u64, u64) = (N - 1, 40_000, 1_000_000);
 
 #[test]
 fn netfilter_certified_reliable_with_a_leaf_bounce() {
-    let rel = RelConfig::default();
-    let w = NetFilterProtocol::build_world_certified(&filters(), &tree(), &data(1), lossy(11), rel);
+    let (h, rel) = (tree(), Some(RelConfig::default()));
+    let roster = NetFilterProtocol::roster(&h);
+    let peers = NetFilterProtocol::peers(&filters(), &h, &data(1), rel);
+    let w = sansio_world(
+        lossy(11),
+        peers.into_iter().map(|c| c.with_census(roster)).collect(),
+    );
     assert_eq!(prints(w, LEAF, None), NETFILTER);
 }
 
@@ -123,11 +130,38 @@ fn resilient_multi_root_reliable_with_a_root_bounce() {
     };
     let (cfg, data, sim) = (filters(), data(2), lossy(12));
     let rel = RelConfig::default();
-    let w = ResilientProtocol::build_world_multi_reliable(&cfg, rc, &topo, &mh, &data, sim, rel);
+    let w = sansio_world(
+        sim,
+        ResilientProtocol::peers(&cfg, rc, &topo, &mh, &data, Some(rel)),
+    );
     // The primary root dies 50 ms into its second epoch; rank 1 takes
     // over, and the ex-root comes back as a plain member.
     let got = prints(w, (0, 4_050_001, 15_950_000), Some(40_000_000));
     assert_eq!(got, RESILIENT);
+}
+
+#[test]
+fn resilient_single_tree_reliable_with_a_leaf_bounce() {
+    let topo = Topology::random_regular(N, 4, &mut DetRng::new(8));
+    let one = MultiHierarchy::with_roots(&topo, &[PeerId::new(0)]);
+    let leaf = *one.primary().leaves().last().expect("a tree has leaves");
+    let rc = ResilientConfig {
+        heartbeat: heartbeat(),
+        query_period: Duration::from_secs(4),
+        epoch_timeout: Duration::from_secs(12),
+        ..ResilientConfig::default()
+    };
+    let (cfg, data, sim) = (filters(), data(8), lossy(18));
+    let rel = RelConfig::default();
+    let w = sansio_world(
+        sim,
+        ResilientProtocol::peers(&cfg, rc, &topo, &one, &data, Some(rel)),
+    );
+    // The leaf is down when the first epoch is issued at 4 s: that epoch
+    // stalls until its timeout, and the next one, over the repaired tree
+    // with the revived leaf re-attached, completes.
+    let got = prints(w, (leaf.index(), 3_000_001, 2_000_000), Some(20_000_000));
+    assert_eq!(got, RESILIENT_SINGLE);
 }
 
 #[test]
@@ -148,14 +182,20 @@ fn maintain_reliable_with_a_root_bounce() {
 #[test]
 fn sketch_reliable_with_a_leaf_bounce() {
     let (cfg, rel) = (SketchConfig::new(16), RelConfig::default());
-    let w = SketchProtocol::build_world_reliable(&cfg, &tree(), &data(4), lossy(14), rel);
+    let w = sansio_world(
+        lossy(14),
+        SketchProtocol::peers(&cfg, &tree(), &data(4), Some(rel)),
+    );
     assert_eq!(prints(w, LEAF, None), SKETCH);
 }
 
 #[test]
 fn topk_reliable_with_a_leaf_bounce() {
     let (cfg, rel) = (TopKConfig::new(8), RelConfig::default());
-    let w = TopKProtocol::build_world_reliable(&cfg, &tree(), &data(5), lossy(15), rel);
+    let w = sansio_world(
+        lossy(15),
+        TopKProtocol::peers(&cfg, &tree(), &data(5), Some(rel)),
+    );
     assert_eq!(prints(w, LEAF, None), TOPK);
 }
 
@@ -165,7 +205,10 @@ fn local_threshold_reliable_with_a_speaker_bounce() {
     let (top, v_top) = GroundTruth::compute(&data).globals()[0];
     let t = v_top / 2;
     let cfg = LocalThresholdConfig::new(Threshold::Absolute(t));
-    let w = LocalThresholdProtocol::build_world_reliable(&cfg, &tree(), &data, top, sim, rel);
+    let w = sansio_world(
+        sim,
+        LocalThresholdProtocol::peers(&cfg, &tree(), &data, top, Some(rel)),
+    );
     // Only a peer at or over its budget ⌈t/n⌉ ever speaks, so only such
     // a peer has a backlog for its revival to re-send.
     let speaker = (0..N)
@@ -177,19 +220,22 @@ fn local_threshold_reliable_with_a_speaker_bounce() {
 #[test]
 fn continuous_reliable_with_a_leaf_bounce() {
     let schedules = schedule_from_data(&data(7), 6);
-    let w = ContinuousProtocol::build_world_reliable(
-        &ContinuousConfig::new(3, 6),
-        &tree(),
-        &QueryRegistry::single(40, PeerId::new(N - 2)),
-        &schedules,
+    let w = sansio_world(
         lossy(17),
-        RelConfig::default(),
+        ContinuousProtocol::peers(
+            &ContinuousConfig::new(3, 6),
+            &tree(),
+            &QueryRegistry::single(40, PeerId::new(N - 2)),
+            &schedules,
+            Some(RelConfig::default()),
+        ),
     );
     // Down across the third fence: the revival resumes the cadence.
     assert_eq!(prints(w, (N - 1, 450_000, 1_000_000), None), CONTINUOUS);
 }
 
-// `[schedule, metrics, outputs]` per scenario, recorded at commit bbd546b.
+// `[schedule, metrics, outputs]` per scenario, recorded at commit bbd546b
+// (`RESILIENT_SINGLE` at 3d256a0).
 const NETFILTER: [u64; 3] = [
     657337767742314736,
     8288931627456545268,
@@ -199,6 +245,11 @@ const RESILIENT: [u64; 3] = [
     2400785937547300361,
     1757690046126369390,
     17381592913143453414,
+];
+const RESILIENT_SINGLE: [u64; 3] = [
+    7678438644220763219,
+    5658556463313315840,
+    2277666703424414658,
 ];
 const MAINTAIN: [u64; 3] = [
     2160642548144039384,

@@ -3,10 +3,9 @@
 
 use ifi_agg::Aggregate;
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::PeerId;
 use ifi_workload::{GroundTruth, ItemId, SystemData, WorkloadParams};
 use netfilter::sketch::SpaceSaving;
-use netfilter::windowed::{SlidingWindow, WindowedMonitor};
+use netfilter::windowed::SlidingWindow;
 use netfilter::{topk, NetFilterConfig, Threshold};
 use proptest::prelude::*;
 
@@ -79,38 +78,6 @@ proptest! {
         let expect: Vec<(ItemId, u64)> = truth.globals().iter().copied().take(k).collect();
         prop_assert!(run.certified, "lossless runs always certify");
         prop_assert_eq!(run.items, expect);
-    }
-
-    /// A windowed query over any recording pattern equals a one-shot IFI
-    /// over the materialized windows.
-    #[test]
-    fn windowed_query_equals_materialized_ifi(
-        records in prop::collection::vec((0usize..20, 0u64..50, 1u64..20), 1..200),
-        advances in 0usize..3,
-        seed in 0u64..100,
-    ) {
-        let _ = seed;
-        let config = NetFilterConfig::builder()
-            .filter_size(10)
-            .filters(2)
-            .threshold(Threshold::Absolute(25))
-            .build();
-        let mut m = WindowedMonitor::new(20, 3, 100, config);
-        for (i, &(p, item, v)) in records.iter().enumerate() {
-            m.record(PeerId::new(p), ItemId(item), v);
-            if advances > 0 && i % (records.len() / advances + 1) == 0 {
-                m.advance();
-            }
-        }
-        let h = Hierarchy::balanced(20, 3);
-        let run = m.query(&h);
-
-        let data = SystemData::from_local_sets(
-            (0..20).map(|p| m.window(PeerId::new(p)).local_items()).collect(),
-            100,
-        );
-        let truth = GroundTruth::compute(&data);
-        prop_assert_eq!(run.frequent_items(), &truth.frequent_items(25)[..]);
     }
 
     /// Space-Saving merge is exactly commutative: the deficit-form merge is

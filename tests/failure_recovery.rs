@@ -177,14 +177,10 @@ fn single_hierarchy_root_kill_stalls_epochs_forever() {
     // `live_failover_keeps_epochs_coming_past_a_dead_root` (below) fixes.
     let n = 60;
     let (topo, data, cfg) = resilient_setup(n, 71);
-    let h = Hierarchy::bfs(&topo, PeerId::new(0));
-    let mut w = ResilientProtocol::build_world(
-        &cfg,
-        resilient_rc(),
-        &topo,
-        &h,
-        &data,
+    let mh = MultiHierarchy::with_roots(&topo, &[PeerId::new(0)]);
+    let mut w = sansio_world(
         SimConfig::default().with_seed(72),
+        ResilientProtocol::peers(&cfg, resilient_rc(), &topo, &mh, &data, None),
     );
     w.start();
     let kill_at = SimTime::from_micros(12_300_000);
@@ -215,13 +211,9 @@ fn live_failover_keeps_epochs_coming_past_a_dead_root() {
     let n = 60;
     let (topo, data, cfg) = resilient_setup(n, 71);
     let mh = MultiHierarchy::with_roots(&topo, &[PeerId::new(0), PeerId::new(9), PeerId::new(31)]);
-    let mut w = ResilientProtocol::build_world_multi(
-        &cfg,
-        resilient_rc(),
-        &topo,
-        &mh,
-        &data,
+    let mut w = sansio_world(
         SimConfig::default().with_seed(72),
+        ResilientProtocol::peers(&cfg, resilient_rc(), &topo, &mh, &data, None),
     );
     w.start();
     let kill_at = SimTime::from_micros(12_300_000);

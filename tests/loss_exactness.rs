@@ -5,9 +5,11 @@
 //! (identical to the loss-free epoch's `CostBreakdown`), and every byte of
 //! reliability overhead must be metered in its own `retransmit` class.
 
-use ifi_hierarchy::Hierarchy;
+use ifi_hierarchy::{Hierarchy, MultiHierarchy};
 use ifi_overlay::{HeartbeatConfig, Topology};
-use ifi_sim::{DetRng, Duration, FaultPlan, MsgClass, PeerId, RelConfig, SimConfig, SimTime};
+use ifi_sim::{
+    sansio_world, DetRng, Duration, FaultPlan, MsgClass, PeerId, RelConfig, SimConfig, SimTime,
+};
 use ifi_workload::{GroundTruth, SystemData, WorkloadParams};
 use netfilter::naive::{self, NaiveConfig, NaiveProtocol};
 use netfilter::phases;
@@ -68,7 +70,10 @@ fn one_shot_protocol_is_exact_across_the_loss_grid() {
         // ground-truth answer, its aggregation bytes those of the clean
         // run, and every other byte reliability overhead.
         let rel = RelConfig::default();
-        let mut w = NaiveProtocol::build_world_reliable(&naive_cfg, &h, &data, sim.clone(), rel);
+        let mut w = sansio_world(
+            sim.clone(),
+            NaiveProtocol::peers(&naive_cfg, &h, &data, Some(rel)),
+        );
         w.start();
         w.run_to_quiescence();
         let answer = w.peer(PeerId::new(0)).result();
@@ -81,8 +86,10 @@ fn one_shot_protocol_is_exact_across_the_loss_grid() {
         assert_eq!(m.total_bytes(), aggregation + overhead, "drop={drop}");
         assert!(overhead > 0, "drop={drop}: acks alone guarantee overhead");
 
-        let mut w =
-            NetFilterProtocol::build_world_reliable(&cfg, &h, &data, sim, RelConfig::default());
+        let mut w = sansio_world(
+            sim,
+            NetFilterProtocol::peers(&cfg, &h, &data, Some(RelConfig::default())),
+        );
         w.enable_metrics_sink();
         w.start();
         w.run_to_quiescence();
@@ -141,8 +148,10 @@ fn scheduled_drops_are_deterministic_and_recovered() {
     let run = || {
         let faults = FaultPlan::none().with_scheduled_drops([0, 2, 5]);
         let sim = SimConfig::default().with_seed(33).with_faults(faults);
-        let mut w =
-            NetFilterProtocol::build_world_reliable(&cfg, &h, &data, sim, RelConfig::default());
+        let mut w = sansio_world(
+            sim,
+            NetFilterProtocol::peers(&cfg, &h, &data, Some(RelConfig::default())),
+        );
         w.start();
         w.run_to_quiescence();
         let result = w
@@ -180,17 +189,16 @@ fn zero_fault_reliable_run_is_byte_identical_to_plain() {
     let h = Hierarchy::balanced(30, 3);
     let cfg = config(20, 2);
 
-    let mut plain =
-        NetFilterProtocol::build_world(&cfg, &h, &data, SimConfig::default().with_seed(7));
+    let mut plain = sansio_world(
+        SimConfig::default().with_seed(7),
+        NetFilterProtocol::peers(&cfg, &h, &data, None),
+    );
     plain.start();
     plain.run_to_quiescence();
 
-    let mut reliable = NetFilterProtocol::build_world_reliable(
-        &cfg,
-        &h,
-        &data,
+    let mut reliable = sansio_world(
         SimConfig::default().with_seed(7),
-        RelConfig::default(),
+        NetFilterProtocol::peers(&cfg, &h, &data, Some(RelConfig::default())),
     );
     reliable.start();
     reliable.run_to_quiescence();
@@ -232,7 +240,7 @@ fn resilient_epochs_stay_exact_across_the_loss_grid() {
     let n = 50;
     let mut rng = DetRng::new(19);
     let topo = Topology::random_regular(n, 5, &mut rng);
-    let h = Hierarchy::bfs(&topo, PeerId::new(0));
+    let mh = MultiHierarchy::with_roots(&topo, &[PeerId::new(0)]);
     let data = workload(n, 1_500, 19);
     let cfg = config(40, 3);
     let truth = GroundTruth::compute(&data);
@@ -253,14 +261,9 @@ fn resilient_epochs_stay_exact_across_the_loss_grid() {
         let sim = SimConfig::default()
             .with_seed(200 + i as u64)
             .with_faults(chaos(drop));
-        let mut w = ResilientProtocol::build_world_reliable(
-            &cfg,
-            rc,
-            &topo,
-            &h,
-            &data,
+        let mut w = sansio_world(
             sim,
-            RelConfig::default(),
+            ResilientProtocol::peers(&cfg, rc, &topo, &mh, &data, Some(RelConfig::default())),
         );
         w.start();
         w.run_until(SimTime::from_micros(40_000_000));

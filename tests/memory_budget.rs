@@ -7,7 +7,7 @@
 
 use ifi_hierarchy::Hierarchy;
 use ifi_perf::alloc::{self, Counting};
-use ifi_sim::{PeerId, SimConfig};
+use ifi_sim::{sansio_world, PeerId, SimConfig};
 use ifi_workload::{GroundTruth, SystemData, WorkloadParams};
 use netfilter::protocol::NetFilterProtocol;
 use netfilter::{NetFilterConfig, Threshold};
@@ -67,7 +67,7 @@ fn an_exact_epoch_stays_within_its_per_peer_memory_budget() {
         .build();
     let sim = SimConfig::default().with_seed(SEED);
     alloc::reset();
-    let mut w = NetFilterProtocol::build_world(&cfg, &h, &data, sim);
+    let mut w = sansio_world(sim, NetFilterProtocol::peers(&cfg, &h, &data, None));
     let world = alloc::snapshot();
 
     alloc::reset();

@@ -8,7 +8,7 @@
 
 use ifi_hierarchy::Hierarchy;
 use ifi_perf::alloc::{self, Counting};
-use ifi_sim::{FaultPlan, PeerId, RelConfig, SimConfig};
+use ifi_sim::{sansio_world, FaultPlan, PeerId, RelConfig, SimConfig};
 use ifi_workload::{GroundTruth, SystemData, WorkloadParams};
 use netfilter::protocol::{NetFilterProtocol, NfDelivery};
 use netfilter::resilient::Certificate;
@@ -59,8 +59,10 @@ fn a_certified_lossy_epoch_stays_within_its_per_peer_memory_budget() {
         .build();
     let faults = FaultPlan::none().with_drop(0.10).with_duplication(0.02);
     let sim = SimConfig::default().with_seed(SEED).with_faults(faults);
-    let mut w =
-        NetFilterProtocol::build_world_certified(&cfg, &h, &data, sim, RelConfig::default());
+    let roster = NetFilterProtocol::roster(&h);
+    let peers = NetFilterProtocol::peers(&cfg, &h, &data, Some(RelConfig::default()));
+    let certified = peers.into_iter().map(|core| core.with_census(roster));
+    let mut w = sansio_world(sim, certified.collect());
 
     alloc::reset();
     w.start();

@@ -48,7 +48,7 @@ fn recruited_pipeline_answers_over_all_peers_data() {
         },
         seed,
     );
-    let sys = RecruitedSystem::assemble(overlay, &data, &WireSizes::default(), &mut rng);
+    let sys = RecruitedSystem::recruit(overlay, &data, &WireSizes::default(), &mut rng);
     sys.hierarchy.check_invariants(None);
     assert_eq!(sys.folded.total_value(), data.total_value(), "no mass lost");
     assert!(sys.avg_report_bytes() > 0.0);

@@ -123,7 +123,7 @@ proptest! {
         let sim = SimConfig::default()
             .with_seed(seed ^ 0xD15C)
             .with_latency(latency_for(latency_kind));
-        let mut w = NetFilterProtocol::build_world(&cfg, &h, &data, sim);
+        let mut w = sansio_world(sim, NetFilterProtocol::peers(&cfg, &h, &data, None));
         w.start();
         w.run_to_quiescence();
         prop_assert_eq!(w.peer(h.root()).result().expect("root must finish"), &truth[..]);
@@ -206,7 +206,7 @@ proptest! {
             let sim = SimConfig::default()
                 .with_seed(seed)
                 .with_latency(latency_for(kind));
-            let mut w = NetFilterProtocol::build_world(&cfg, &h, &data, sim);
+            let mut w = sansio_world(sim, NetFilterProtocol::peers(&cfg, &h, &data, None));
             w.start();
             w.run_to_quiescence();
             results.push(w.peer(h.root()).result().expect("finished").to_vec());

@@ -14,7 +14,8 @@
 
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::{
-    Des, Duration, FaultPlan, LatencyModel, PeerId, RelConfig, SimConfig, SimTime, World,
+    sansio_world, Des, Duration, FaultPlan, LatencyModel, PeerId, RelConfig, SimConfig, SimTime,
+    World,
 };
 use ifi_workload::{SystemData, WorkloadParams};
 use netfilter::protocol::NetFilterProtocol;
@@ -55,7 +56,10 @@ fn run(mut w: World<Des<NetFilterProtocol>>) -> ([u64; 4], u64) {
 
 fn plain(latency: LatencyModel) -> World<Des<NetFilterProtocol>> {
     let sim = SimConfig::default().with_seed(31).with_latency(latency);
-    NetFilterProtocol::build_world(&filters(), &Hierarchy::balanced(N, 3), &data(), sim)
+    sansio_world(
+        sim,
+        NetFilterProtocol::peers(&filters(), &Hierarchy::balanced(N, 3), &data(), None),
+    )
 }
 
 #[test]
@@ -85,7 +89,7 @@ fn drop_duplication_and_spikes_with_a_leaf_bounce() {
         .with_delay_spikes(0.1, Duration::from_millis(400));
     let sim = SimConfig::default().with_seed(32).with_faults(faults);
     let (cfg, h, rel) = (filters(), Hierarchy::balanced(N, 3), RelConfig::default());
-    let mut w = NetFilterProtocol::build_world_reliable(&cfg, &h, &data(), sim, rel);
+    let mut w = sansio_world(sim, NetFilterProtocol::peers(&cfg, &h, &data(), Some(rel)));
     // The last leaf goes down 40 ms in — after it reported — for a second,
     // so its revival re-sends into retransmits already in flight.
     w.schedule_kill(SimTime::from_micros(40_000), PeerId::new(N - 1));

@@ -15,7 +15,7 @@ use std::time::Duration as StdDuration;
 
 use ifi_hierarchy::Hierarchy;
 use ifi_overlay::Topology;
-use ifi_sim::{DetRng, MetricsReport, PeerId, SimConfig};
+use ifi_sim::{sansio_world, DetRng, MetricsReport, PeerId, SimConfig};
 use ifi_transport::{run_channel, run_tcp};
 use ifi_workload::{ItemId, SystemData, WorkloadParams};
 use netfilter::protocol::{NetFilterProtocol, NfDelivery};
@@ -59,7 +59,7 @@ fn scenario(peers: usize, items: u64, seed: u64) -> Scenario {
 /// Runs the scenario under the DES and returns (answer, metrics report).
 fn des_run(s: &Scenario) -> (Vec<(ItemId, u64)>, MetricsReport) {
     let sim = SimConfig::default().with_seed(0xDE5);
-    let mut w = NetFilterProtocol::build_world(&s.cfg, &s.hierarchy, &s.data, sim);
+    let mut w = sansio_world(sim, peers(s));
     w.enable_metrics_sink();
     w.start();
     w.run_to_quiescence();
@@ -71,22 +71,9 @@ fn des_run(s: &Scenario) -> (Vec<(ItemId, u64)>, MetricsReport) {
     (answer, w.metrics_report())
 }
 
-/// The same peer population `build_world` constructs, as bare cores for a
-/// transport driver.
-fn transport_peers(s: &Scenario) -> Vec<NetFilterProtocol> {
-    let threshold = s.cfg.threshold.resolve(s.data.total_value());
-    (0..s.data.peer_count())
-        .map(|i| {
-            let p = PeerId::new(i);
-            NetFilterProtocol::new(
-                &s.cfg,
-                &s.hierarchy,
-                p,
-                s.data.local_items(p).to_vec(),
-                threshold,
-            )
-        })
-        .collect()
+/// The scenario's peer population, for the DES and both transports.
+fn peers(s: &Scenario) -> Vec<NetFilterProtocol> {
+    NetFilterProtocol::peers(&s.cfg, &s.hierarchy, &s.data, None)
 }
 
 /// Asserts a transport run reconciles with the DES: same root, same
@@ -124,7 +111,7 @@ fn channel_transport_matches_des() {
     let (des_answer, des_report) = des_run(&s);
     assert!(!des_answer.is_empty(), "scenario must have frequent items");
 
-    let outcome = run_channel(transport_peers(&s), 1, MAX_WAIT);
+    let outcome = run_channel(peers(&s), 1, MAX_WAIT);
     assert_reconciles(
         &s,
         &des_answer,
@@ -147,8 +134,8 @@ fn tcp_transport_matches_des() {
     let (des_answer, des_report) = des_run(&s);
     assert!(!des_answer.is_empty(), "scenario must have frequent items");
 
-    let outcome = run_tcp(transport_peers(&s), NfWire::new(s.cfg.sizes), 1, MAX_WAIT)
-        .expect("tcp fabric setup failed");
+    let outcome =
+        run_tcp(peers(&s), NfWire::new(s.cfg.sizes), 1, MAX_WAIT).expect("tcp fabric setup failed");
     assert_reconciles(
         &s,
         &des_answer,
@@ -163,8 +150,8 @@ fn channel_transport_is_deterministic_across_runs() {
     // Thread scheduling may permute event order, but answers and phase
     // totals must not move run to run.
     let s = scenario(17, 120, 3);
-    let first = run_channel(transport_peers(&s), 1, MAX_WAIT);
-    let second = run_channel(transport_peers(&s), 1, MAX_WAIT);
+    let first = run_channel(peers(&s), 1, MAX_WAIT);
+    let second = run_channel(peers(&s), 1, MAX_WAIT);
     assert_eq!(first.outputs, second.outputs);
     for phase in PAPER_PHASES {
         assert_eq!(

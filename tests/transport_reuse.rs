@@ -6,7 +6,7 @@
 use std::time::Duration as StdDuration;
 
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::{PeerId, SimConfig};
+use ifi_sim::{sansio_world, SimConfig};
 use ifi_transport::{run_channel, run_tcp, RunOutcome};
 use ifi_workload::{SystemData, WorkloadParams};
 use netfilter::protocol::NetFilterProtocol;
@@ -35,17 +35,9 @@ fn fifty_back_to_back_runs_per_fabric_match_the_des_twin() {
         .filters(3)
         .threshold(Threshold::Ratio(0.01))
         .build();
-    let threshold = cfg.threshold.resolve(data.total_value());
-    let cores = || -> Vec<NetFilterProtocol> {
-        (0..peers)
-            .map(|i| {
-                let p = PeerId::new(i);
-                NetFilterProtocol::new(&cfg, &hierarchy, p, data.local_items(p).to_vec(), threshold)
-            })
-            .collect()
-    };
+    let cores = || NetFilterProtocol::peers(&cfg, &hierarchy, &data, None);
 
-    let mut w = NetFilterProtocol::build_world(&cfg, &hierarchy, &data, SimConfig::default());
+    let mut w = sansio_world(SimConfig::default(), cores());
     w.enable_metrics_sink();
     w.start();
     w.run_to_quiescence();

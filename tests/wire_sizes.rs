@@ -3,7 +3,7 @@
 //! under any seed, and the codec — and never change the answer.
 
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::{MsgClass, PeerId, SimConfig};
+use ifi_sim::{sansio_world, MsgClass, PeerId, SimConfig};
 use ifi_workload::{GroundTruth, SystemData, WorkloadParams};
 use netfilter::protocol::NetFilterProtocol;
 use netfilter::{NetFilter, NetFilterConfig, Threshold, WireSizes};
@@ -77,7 +77,10 @@ fn des_protocol_honours_wire_sizes() {
     };
     let cfg = config(sizes);
     let base = NetFilter::new(config(WireSizes::default())).run(&h, &data);
-    let mut w = NetFilterProtocol::build_world(&cfg, &h, &data, SimConfig::default().with_seed(3));
+    let mut w = sansio_world(
+        SimConfig::default().with_seed(3),
+        NetFilterProtocol::peers(&cfg, &h, &data, None),
+    );
     w.start();
     w.run_to_quiescence();
     let truth = GroundTruth::compute(&data);
