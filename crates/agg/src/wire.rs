@@ -9,7 +9,6 @@
 /// The paper's evaluation uses 4-byte integers for all three; that is the
 /// [`Default`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WireSizes {
     /// `s_a` — bytes per aggregate value.
     pub sa: u64,

@@ -21,37 +21,21 @@ use netfilter::approx::{self, ApproxRun};
 use netfilter::gossip_filter::{self, GossipFilterConfig};
 use netfilter::{analysis, tuning, NetFilter, NetFilterConfig, Threshold, WireSizes};
 
+use crate::output::{f1, Column, Panel};
 use crate::par::par_map;
 use crate::runner::{summarize_netfilter, Scale};
-use crate::table::{f1, Table};
 use crate::ShapeCheck;
 
-/// Results of the ablation suite.
-#[derive(Debug, Clone)]
-pub struct Ablation {
-    /// `(analytic g_opt, empirically best g, cost at analytic, best cost)`.
-    pub g_opt: (u32, u32, f64, f64),
-    /// `(analytic f_opt, empirically best f, cost at analytic, best cost)`.
-    pub f_opt: (u32, u32, f64, f64),
-    /// `(gossip bytes/peer, hierarchy bytes/peer, gossip max rel. error)`.
-    pub gossip_vs_hierarchy: (f64, f64, f64),
-    /// `(tuned cost, oracle cost)` bytes/peer.
-    pub tuning_gap: (f64, f64),
-    /// Gossip-*filtered* netFilter (§VI future work) vs the base engine:
-    /// `(gossip-variant total B/peer, base total B/peer)`; both exact.
-    pub gossip_filter_gap: (f64, f64),
-    /// `(gossip-variant answer == base answer, gossip-variant item count)`.
-    pub gossip_filter_exact: (bool, usize),
-    /// Count-min approximate comparator at small ε vs exact netFilter:
-    /// `(approx B/peer, exact B/peer, approx false positives)`.
-    pub approx_vs_exact: (f64, f64, usize),
-    /// Hierarchy height under each root selection strategy:
-    /// `(random, most-stable-proxy, sampled-center)`.
-    pub root_heights: (u32, u32, u32),
-}
+/// The headers of the ablation table, whose cells are prose.
+const COLUMNS: [Column; 4] = [
+    ("ablation", None, f1),
+    ("analytic/tuned", None, f1),
+    ("empirical best", None, f1),
+    ("cost gap", None, f1),
+];
 
 /// Runs the ablation suite.
-pub fn run(scale: Scale, seed: u64) -> Ablation {
+pub fn run(scale: Scale, seed: u64) -> Vec<Panel> {
     let data = scale.workload(scale.items_small(), 1.0, seed);
     let h = scale.hierarchy();
     let truth = GroundTruth::compute(&data);
@@ -190,159 +174,124 @@ pub fn run(scale: Scale, seed: u64) -> Ablation {
         Hierarchy::bfs(&topo, r_center).height(),
     );
 
-    Ablation {
-        g_opt: (g_analytic, best_g.0, cost_at_analytic_g, best_g.1),
-        f_opt: (f_analytic, best_f.0, cost_at_analytic_f, best_f.1),
-        gossip_vs_hierarchy: (gossip_bytes, hierarchy_bytes, gossip_err),
-        tuning_gap: (tuned_cost, oracle_cost),
-        gossip_filter_gap,
-        gossip_filter_exact,
-        approx_vs_exact,
-        root_heights,
-    }
-}
-
-impl Ablation {
-    /// Prints the ablation table.
-    pub fn print(&self) {
-        println!("\n== Ablations: analysis vs measurement ==");
-        let mut t = Table::new(&["ablation", "analytic/tuned", "empirical best", "cost gap"]);
-        t.row(vec![
+    // (analytic optimum, empirically best, cost at analytic, best cost).
+    let g_opt = (g_analytic, best_g.0, cost_at_analytic_g, best_g.1);
+    let f_opt = (f_analytic, best_f.0, cost_at_analytic_f, best_f.1);
+    // (gossip B/peer, hierarchy B/peer, gossip max relative error).
+    let gossip_vs_hierarchy = (gossip_bytes, hierarchy_bytes, gossip_err);
+    // (tuned B/peer, oracle B/peer).
+    let tuning_gap = (tuned_cost, oracle_cost);
+    let text = vec![
+        vec![
             "g_opt (Eq. 3)".into(),
-            format!("g = {} ({} B/peer)", self.g_opt.0, f1(self.g_opt.2)),
-            format!("g = {} ({} B/peer)", self.g_opt.1, f1(self.g_opt.3)),
-            format!("{:.2}x", self.g_opt.2 / self.g_opt.3),
-        ]);
-        t.row(vec![
+            format!("g = {} ({} B/peer)", g_opt.0, f1(g_opt.2)),
+            format!("g = {} ({} B/peer)", g_opt.1, f1(g_opt.3)),
+            format!("{:.2}x", g_opt.2 / g_opt.3),
+        ],
+        vec![
             "f_opt (Eq. 6)".into(),
-            format!("f = {} ({} B/peer)", self.f_opt.0, f1(self.f_opt.2)),
-            format!("f = {} ({} B/peer)", self.f_opt.1, f1(self.f_opt.3)),
-            format!("{:.2}x", self.f_opt.2 / self.f_opt.3),
-        ]);
-        t.row(vec![
+            format!("f = {} ({} B/peer)", f_opt.0, f1(f_opt.2)),
+            format!("f = {} ({} B/peer)", f_opt.1, f1(f_opt.3)),
+            format!("{:.2}x", f_opt.2 / f_opt.3),
+        ],
+        vec![
             "gossip vs hierarchy (scalar v)".into(),
             format!(
                 "gossip {} B/peer, err {:.4}",
-                f1(self.gossip_vs_hierarchy.0),
-                self.gossip_vs_hierarchy.2
+                f1(gossip_vs_hierarchy.0),
+                gossip_vs_hierarchy.2
             ),
-            format!("hierarchy {} B/peer, exact", f1(self.gossip_vs_hierarchy.1)),
-            format!(
-                "{:.0}x",
-                self.gossip_vs_hierarchy.0 / self.gossip_vs_hierarchy.1
-            ),
-        ]);
-        t.row(vec![
+            format!("hierarchy {} B/peer, exact", f1(gossip_vs_hierarchy.1)),
+            format!("{:.0}x", gossip_vs_hierarchy.0 / gossip_vs_hierarchy.1),
+        ],
+        vec![
             "sampled tuning (§IV-E)".into(),
-            format!("{} B/peer", f1(self.tuning_gap.0)),
-            format!("{} B/peer (oracle)", f1(self.tuning_gap.1)),
-            format!("{:.2}x", self.tuning_gap.0 / self.tuning_gap.1),
-        ]);
-        t.row(vec![
+            format!("{} B/peer", f1(tuning_gap.0)),
+            format!("{} B/peer (oracle)", f1(tuning_gap.1)),
+            format!("{:.2}x", tuning_gap.0 / tuning_gap.1),
+        ],
+        vec![
             "gossip-filtered netFilter (§VI)".into(),
-            format!("{} B/peer, exact", f1(self.gossip_filter_gap.0)),
-            format!("{} B/peer (tree phase 1)", f1(self.gossip_filter_gap.1)),
-            format!(
-                "{:.1}x",
-                self.gossip_filter_gap.0 / self.gossip_filter_gap.1
-            ),
-        ]);
-        t.row(vec![
+            format!("{} B/peer, exact", f1(gossip_filter_gap.0)),
+            format!("{} B/peer (tree phase 1)", f1(gossip_filter_gap.1)),
+            format!("{:.1}x", gossip_filter_gap.0 / gossip_filter_gap.1),
+        ],
+        vec![
             "count-min approx, eps=5e-4".into(),
             format!(
                 "{} B/peer, {} fps",
-                f1(self.approx_vs_exact.0),
-                self.approx_vs_exact.2
+                f1(approx_vs_exact.0),
+                approx_vs_exact.2
             ),
-            format!("{} B/peer, exact", f1(self.approx_vs_exact.1)),
-            format!("{:.2}x", self.approx_vs_exact.0 / self.approx_vs_exact.1),
-        ]);
-        t.row(vec![
-            "root selection: tree height".into(),
-            format!(
-                "random {} / stable {}",
-                self.root_heights.0, self.root_heights.1
-            ),
-            format!("center {}", self.root_heights.2),
-            format!(
-                "{:+} levels",
-                self.root_heights.2 as i64 - self.root_heights.0 as i64
-            ),
-        ]);
-        t.print();
-    }
-
-    /// Shape checks: the analysis should be near-optimal.
-    pub fn checks(&self) -> Vec<ShapeCheck> {
+            format!("{} B/peer, exact", f1(approx_vs_exact.1)),
+            format!("{:.2}x", approx_vs_exact.0 / approx_vs_exact.1),
+        ],
         vec![
-            ShapeCheck::new(
-                "Eq. 3's g_opt costs within 2x of the empirical best g",
-                self.g_opt.2 <= 2.0 * self.g_opt.3,
-                format!("{:.0} vs {:.0} B/peer", self.g_opt.2, self.g_opt.3),
+            "root selection: tree height".into(),
+            format!("random {} / stable {}", root_heights.0, root_heights.1),
+            format!("center {}", root_heights.2),
+            format!("{:+} levels", root_heights.2 as i64 - root_heights.0 as i64),
+        ],
+    ];
+    // The analysis should be near-optimal.
+    let checks = vec![
+        ShapeCheck::new(
+            "Eq. 3's g_opt costs within 2x of the empirical best g",
+            g_opt.2 <= 2.0 * g_opt.3,
+            format!("{:.0} vs {:.0} B/peer", g_opt.2, g_opt.3),
+        ),
+        ShapeCheck::new(
+            "Eq. 6's f_opt costs within 1.5x of the empirical best f",
+            f_opt.2 <= 1.5 * f_opt.3,
+            format!("{:.0} vs {:.0} B/peer", f_opt.2, f_opt.3),
+        ),
+        ShapeCheck::new(
+            "hierarchical aggregation is far cheaper than gossip for exact scalars",
+            gossip_vs_hierarchy.0 > 5.0 * gossip_vs_hierarchy.1,
+            format!(
+                "gossip {:.0} vs hierarchy {:.1} B/peer",
+                gossip_vs_hierarchy.0, gossip_vs_hierarchy.1
             ),
-            ShapeCheck::new(
-                "Eq. 6's f_opt costs within 1.5x of the empirical best f",
-                self.f_opt.2 <= 1.5 * self.f_opt.3,
-                format!("{:.0} vs {:.0} B/peer", self.f_opt.2, self.f_opt.3),
+        ),
+        ShapeCheck::new(
+            "gossip-filtered variant pays a large premium over the tree engine",
+            gossip_filter_gap.0 > 2.0 * gossip_filter_gap.1,
+            format!(
+                "{:.0} vs {:.0} B/peer",
+                gossip_filter_gap.0, gossip_filter_gap.1
             ),
-            ShapeCheck::new(
-                "hierarchical aggregation is far cheaper than gossip for exact scalars",
-                self.gossip_vs_hierarchy.0 > 5.0 * self.gossip_vs_hierarchy.1,
-                format!(
-                    "gossip {:.0} vs hierarchy {:.1} B/peer",
-                    self.gossip_vs_hierarchy.0, self.gossip_vs_hierarchy.1
-                ),
+        ),
+        ShapeCheck::new(
+            "gossip-filtered variant answers exactly",
+            gossip_filter_exact.0,
+            format!("{} items", gossip_filter_exact.1),
+        ),
+        ShapeCheck::new(
+            "small-eps approximation costs more than the exact answer (footnote 5)",
+            approx_vs_exact.0 > approx_vs_exact.1,
+            format!(
+                "{:.0} vs {:.0} B/peer",
+                approx_vs_exact.0, approx_vs_exact.1
             ),
-            ShapeCheck::new(
-                "gossip-filtered variant pays a large premium over the tree engine",
-                self.gossip_filter_gap.0 > 2.0 * self.gossip_filter_gap.1,
-                format!(
-                    "{:.0} vs {:.0} B/peer",
-                    self.gossip_filter_gap.0, self.gossip_filter_gap.1
-                ),
+        ),
+        ShapeCheck::new(
+            "center-selected roots never yield taller trees than random",
+            root_heights.2 <= root_heights.0.max(root_heights.1),
+            format!(
+                "center {} vs random {}/{}",
+                root_heights.2, root_heights.0, root_heights.1
             ),
-            ShapeCheck::new(
-                "gossip-filtered variant answers exactly",
-                self.gossip_filter_exact.0,
-                format!("{} items", self.gossip_filter_exact.1),
-            ),
-            ShapeCheck::new(
-                "small-eps approximation costs more than the exact answer (footnote 5)",
-                self.approx_vs_exact.0 > self.approx_vs_exact.1,
-                format!(
-                    "{:.0} vs {:.0} B/peer",
-                    self.approx_vs_exact.0, self.approx_vs_exact.1
-                ),
-            ),
-            ShapeCheck::new(
-                "center-selected roots never yield taller trees than random",
-                self.root_heights.2 <= self.root_heights.0.max(self.root_heights.1),
-                format!(
-                    "center {} vs random {}/{}",
-                    self.root_heights.2, self.root_heights.0, self.root_heights.1
-                ),
-            ),
-            ShapeCheck::new(
-                "sampling-tuned (g, f) costs within 3x of oracle",
-                self.tuning_gap.0 <= 3.0 * self.tuning_gap.1,
-                format!(
-                    "{:.0} vs {:.0} B/peer",
-                    self.tuning_gap.0, self.tuning_gap.1
-                ),
-            ),
-        ]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_ablation_passes_checks() {
-        let ab = run(Scale::Quick, 47);
-        for c in ab.checks() {
-            assert!(c.holds, "failed: {} ({})", c.claim, c.detail);
-        }
-    }
+        ),
+        ShapeCheck::new(
+            "sampling-tuned (g, f) costs within 3x of oracle",
+            tuning_gap.0 <= 3.0 * tuning_gap.1,
+            format!("{:.0} vs {:.0} B/peer", tuning_gap.0, tuning_gap.1),
+        ),
+    ];
+    let title = "== Ablations: analysis vs measurement ==";
+    vec![Panel {
+        text,
+        checks,
+        ..Panel::new(title, "ablations", &COLUMNS, Vec::new())
+    }]
 }

@@ -14,8 +14,8 @@
 //! * **threshold**: the verdict and cost for a heavy and a tail item —
 //!   the tail comparison must cost **zero** bytes.
 //!
-//! Run via `experiments smoke --only approx-sweep`, which dumps the three
-//! tables into `--out` as `.dat` files. The committed `approx-*` baselines
+//! Run via `experiments smoke --only approx-sweep`, which prints the three
+//! tables as [`Panel`]s and dumps them into `--out` as `.dat` files. The committed `approx-*` baselines
 //! in `check-baselines` pin the reference tunings' traffic byte-for-byte.
 
 use ifi_hierarchy::Hierarchy;
@@ -26,7 +26,7 @@ use netfilter::local_threshold::{self, LocalThresholdConfig};
 use netfilter::sketch::SketchConfig;
 use netfilter::{topk, NetFilterConfig, Threshold};
 
-use crate::output::DataFile;
+use crate::output::{f1, f3, int, Column, Panel};
 use crate::ShapeCheck;
 
 /// Peers in the sweep workload.
@@ -46,7 +46,7 @@ const THRESHOLD_PHI: f64 = 0.05;
 
 /// One sketch-capacity row.
 #[derive(Debug, Clone)]
-pub struct SketchRow {
+struct SketchRow {
     /// Sketch capacity `c`.
     pub capacity: usize,
     /// Average bytes per peer the run moved.
@@ -63,7 +63,7 @@ pub struct SketchRow {
 
 /// One top-k prune-capacity row.
 #[derive(Debug, Clone)]
-pub struct TopKRow {
+struct TopKRow {
     /// Prune capacity (`usize::MAX` = lossless).
     pub prune_cap: usize,
     /// Average bytes per peer the run moved.
@@ -76,7 +76,7 @@ pub struct TopKRow {
 
 /// One threshold-comparator row.
 #[derive(Debug, Clone)]
-pub struct ThresholdRow {
+struct ThresholdRow {
     /// Which item was compared ("heavy" or "tail").
     pub label: &'static str,
     /// Total bytes the comparison moved.
@@ -91,7 +91,7 @@ pub struct ThresholdRow {
 
 /// The full sweep outcome.
 #[derive(Debug, Clone)]
-pub struct SweepOutcome {
+struct SweepOutcome {
     /// Bytes per peer of the exact anchor run.
     pub exact_bytes_per_peer: f64,
     /// Size of the exact frequent set.
@@ -104,106 +104,104 @@ pub struct SweepOutcome {
     pub threshold: Vec<ThresholdRow>,
 }
 
-impl SweepOutcome {
-    /// Prints the three accuracy-vs-bytes tables.
-    pub fn print(&self) {
-        println!(
-            "\nexact anchor (netFilter): {} frequent items, {:.1} B/peer",
-            self.exact_items, self.exact_bytes_per_peer
-        );
-        println!("\nsketch-merge engine vs exact:");
-        println!("  capacity  B/peer    claimed-bound  max-deficit  recall  precision");
-        for r in &self.sketch {
-            println!(
-                "  {:>8}  {:>8.1}  {:>13}  {:>11}  {:>6.3}  {:>9.3}",
-                r.capacity, r.bytes_per_peer, r.claimed_bound, r.max_deficit, r.recall, r.precision
-            );
-        }
-        println!("\ntop-k engine (k = {K}) vs true top-{K}:");
-        println!("  prune-cap  B/peer    recall  certified");
-        for r in &self.topk {
-            let cap = if r.prune_cap == usize::MAX {
-                "lossless".to_string()
-            } else {
-                r.prune_cap.to_string()
-            };
-            println!(
-                "  {:>9}  {:>8.1}  {:>6.3}  {}",
-                cap, r.bytes_per_peer, r.recall, r.certified
-            );
-        }
-        println!("\nlocal-threshold comparator:");
-        println!("  item   total-bytes  verdict  truth    t");
-        for r in &self.threshold {
-            println!(
-                "  {:<5}  {:>11}  {:>7}  {:>6}  {:>6}",
-                r.label,
-                r.total_bytes,
-                if r.yes { "yes" } else { "no" },
-                r.truth_value,
-                r.threshold
-            );
-        }
-    }
+/// One row per sketch capacity.
+const SKETCH_COLUMNS: [Column; 6] = [
+    ("capacity", Some("capacity"), int),
+    ("B/peer", Some("bytes_per_peer"), f1),
+    ("claimed-bound", Some("claimed_bound"), int),
+    ("max-deficit", Some("max_deficit"), int),
+    ("recall", Some("recall"), f3),
+    ("precision", Some("precision"), f3),
+];
 
-    /// The sweep as plot-ready data files.
-    pub fn to_data(&self) -> Vec<DataFile> {
-        let mut sketch = DataFile::new(
-            "approx_sketch",
-            &[
-                "capacity",
-                "bytes_per_peer",
-                "claimed_bound",
-                "max_deficit",
-                "recall",
-                "precision",
-            ],
-        );
-        for r in &self.sketch {
-            sketch.row(vec![
+/// One row per prune capacity; lossless is prune capacity 0 (no limit).
+const TOPK_COLUMNS: [Column; 4] = [
+    ("prune-cap", Some("prune_cap"), |c| {
+        if c == 0.0 {
+            "lossless".into()
+        } else {
+            int(c)
+        }
+    }),
+    ("B/peer", Some("bytes_per_peer"), f1),
+    ("recall", Some("recall"), f3),
+    ("certified", Some("certified"), |c| (c == 1.0).to_string()),
+];
+
+/// The heavy item's row, then the tail item's.
+const THRESHOLD_COLUMNS: [Column; 5] = [
+    ("item", None, |i| ["heavy", "tail"][i as usize].into()),
+    ("total-bytes", Some("total_bytes"), int),
+    ("verdict", Some("yes"), |y| {
+        if y == 1.0 { "yes" } else { "no" }.into()
+    }),
+    ("truth", Some("truth_value"), int),
+    ("t", Some("threshold"), int),
+];
+
+impl SweepOutcome {
+    /// The three accuracy-vs-bytes tables, the last carrying every check.
+    fn panels(&self) -> Vec<Panel> {
+        let sketch = self.sketch.iter().map(|r| {
+            vec![
                 r.capacity as f64,
                 r.bytes_per_peer,
                 r.claimed_bound as f64,
                 r.max_deficit as f64,
                 r.recall,
                 r.precision,
-            ]);
-        }
-        let mut topk = DataFile::new(
-            "approx_topk",
-            &["prune_cap", "bytes_per_peer", "recall", "certified"],
-        );
-        for r in &self.topk {
-            // Lossless plots as prune_cap 0 (a capacity of "no limit").
+            ]
+        });
+        let topk = self.topk.iter().map(|r| {
             let cap = if r.prune_cap == usize::MAX {
-                0.0
+                0
             } else {
-                r.prune_cap as f64
+                r.prune_cap
             };
-            topk.row(vec![
-                cap,
-                r.bytes_per_peer,
-                r.recall,
-                f64::from(u8::from(r.certified)),
-            ]);
-        }
-        let mut thr = DataFile::new(
-            "approx_threshold",
-            &["total_bytes", "yes", "truth_value", "threshold"],
+            let certified = f64::from(u8::from(r.certified));
+            vec![cap as f64, r.bytes_per_peer, r.recall, certified]
+        });
+        let threshold = self.threshold.iter().enumerate().map(|(i, r)| {
+            let yes = f64::from(u8::from(r.yes));
+            let (truth, t) = (r.truth_value as f64, r.threshold as f64);
+            vec![i as f64, r.total_bytes as f64, yes, truth, t]
+        });
+        let anchor = format!(
+            "exact anchor (netFilter): {} frequent items, {:.1} B/peer",
+            self.exact_items, self.exact_bytes_per_peer
         );
-        for r in &self.threshold {
-            thr.row(vec![
-                r.total_bytes as f64,
-                f64::from(u8::from(r.yes)),
-                r.truth_value as f64,
-                r.threshold as f64,
-            ]);
-        }
-        vec![sketch, topk, thr]
+        let label = "approx-sweep";
+        let title = format!("top-k engine (k = {K}) vs true top-{K}:");
+        vec![
+            Panel {
+                dat: Some("approx_sketch".into()),
+                note: Some(anchor),
+                ..Panel::new(
+                    "sketch-merge engine vs exact:",
+                    label,
+                    &SKETCH_COLUMNS,
+                    sketch.collect(),
+                )
+            },
+            Panel {
+                dat: Some("approx_topk".into()),
+                ..Panel::new(title, label, &TOPK_COLUMNS, topk.collect())
+            },
+            Panel {
+                dat: Some("approx_threshold".into()),
+                checks: self.checks(),
+                ..Panel::new(
+                    "local-threshold comparator:",
+                    label,
+                    &THRESHOLD_COLUMNS,
+                    threshold.collect(),
+                )
+            },
+        ]
     }
 
     /// The qualitative claims the sweep must exhibit.
-    pub fn checks(&self) -> Vec<ShapeCheck> {
+    fn checks(&self) -> Vec<ShapeCheck> {
         let mut checks = Vec::new();
         checks.push(ShapeCheck::new(
             "every sketch capacity undercuts the exact engine's traffic",
@@ -290,7 +288,7 @@ impl SweepOutcome {
 }
 
 /// Runs the sweep at `seed`.
-pub fn run(seed: u64) -> SweepOutcome {
+pub fn run(seed: u64) -> Vec<Panel> {
     let data = SystemData::generate_paper(
         &WorkloadParams {
             peers: PEERS,
@@ -385,13 +383,14 @@ pub fn run(seed: u64) -> SweepOutcome {
     })
     .collect();
 
-    SweepOutcome {
+    let outcome = SweepOutcome {
         exact_bytes_per_peer: exact.avg_bytes_per_peer(),
         exact_items: exact.items.len(),
         sketch,
         topk,
         threshold,
-    }
+    };
+    outcome.panels()
 }
 
 #[cfg(test)]
@@ -401,23 +400,16 @@ mod tests {
     #[test]
     fn sweep_shape_checks_hold_at_the_default_seed() {
         let sweep = run(20080617);
-        for c in sweep.checks() {
+        let rows: Vec<usize> = sweep.iter().map(|p| p.rows.len()).collect();
+        assert_eq!(rows, [CAPACITIES.len(), 4, 2]);
+        for c in sweep.iter().flat_map(|p| &p.checks) {
             assert!(c.holds, "{} ({})", c.claim, c.detail);
         }
-        assert_eq!(sweep.sketch.len(), CAPACITIES.len());
-        assert_eq!(sweep.topk.len(), 4);
-        let data = sweep.to_data();
-        assert_eq!(data.len(), 3);
-        assert!(data.iter().all(|d| !d.is_empty()));
     }
 
     #[test]
     fn sweep_is_deterministic() {
-        let (a, b) = (run(7), run(7));
-        assert_eq!(a.exact_bytes_per_peer, b.exact_bytes_per_peer);
-        for (x, y) in a.sketch.iter().zip(&b.sketch) {
-            assert_eq!(x.bytes_per_peer, y.bytes_per_peer);
-            assert_eq!(x.recall, y.recall);
-        }
+        let rows = |panels: Vec<Panel>| panels.into_iter().map(|p| p.rows).collect::<Vec<_>>();
+        assert_eq!(rows(run(7)), rows(run(7)));
     }
 }

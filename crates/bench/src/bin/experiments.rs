@@ -15,10 +15,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ifi_bench::output::{self, DataFile};
-use ifi_bench::{
-    ablation, baseline, depth, fig5, fig6, fig7, fig8, report_checks, smoke, Scale, ShapeCheck,
-};
+use ifi_bench::{baseline, report_checks, smoke, Scale, ShapeCheck, FIGURES};
 use ifi_simcheck::{find_case, parse_artifact};
 
 /// Makes the epoch benches' memory counters live (see
@@ -35,12 +32,6 @@ fn usage() -> ! {
          \x20                  [--seed <u64>] [--out <dir>] [--baselines <dir>] [--metrics-out <dir>]"
     );
     std::process::exit(2);
-}
-
-fn dump(out: &Option<PathBuf>, data: &DataFile) {
-    if let Some(dir) = out {
-        output::dump(dir, data);
-    }
 }
 
 /// Writes each selected metric scenario's *full* report (wall-clock
@@ -114,8 +105,8 @@ fn main() -> ExitCode {
                 replay_artifact = Some(PathBuf::from(p));
                 which.push("simcheck-replay");
             }
-            "fig5" | "fig6" | "fig7" | "fig8" | "ablation" | "depth" | "all"
-            | "check-baselines" | "write-baselines" | "smoke" => which.push(arg),
+            "all" | "check-baselines" | "write-baselines" | "smoke" => which.push(arg),
+            name if FIGURES.iter().any(|&(n, _)| n == name) => which.push(name),
             _ => usage(),
         }
     }
@@ -225,43 +216,14 @@ fn main() -> ExitCode {
         scale.items_large()
     );
 
-    if want("fig5") {
-        let fig = fig5::run(scale, seed);
-        fig.print();
-        dump(&out, &fig.to_data());
-        all_ok &= report_checks("Figure 5", &fig.checks());
-    }
-    if want("fig6") {
-        let fig = fig6::run(scale, seed);
-        fig.print();
-        dump(&out, &fig.to_data());
-        all_ok &= report_checks("Figure 6", &fig.checks());
-    }
-    if want("fig7") {
-        let (a, b) = fig7::run(scale, seed);
-        a.print();
-        dump(&out, &a.to_data());
-        all_ok &= report_checks("Figure 7(a)", &a.checks());
-        b.print();
-        dump(&out, &b.to_data());
-        all_ok &= report_checks("Figure 7(b)", &b.checks());
-    }
-    if want("fig8") {
-        let fig = fig8::run(scale, seed);
-        fig.print();
-        dump(&out, &fig.to_data());
-        all_ok &= report_checks("Figure 8", &fig.checks());
-    }
-    if want("ablation") {
-        let ab = ablation::run(scale, seed);
-        ab.print();
-        all_ok &= report_checks("ablations", &ab.checks());
-    }
-    if want("depth") {
-        let prof = depth::run(scale, seed);
-        prof.print();
-        dump(&out, &prof.to_data());
-        all_ok &= report_checks("depth profile", &prof.checks());
+    for &(name, run) in FIGURES {
+        if !want(name) {
+            continue;
+        }
+        for panel in run(scale, seed) {
+            panel.print(out.as_deref());
+            all_ok &= report_checks(&panel.label, &panel.checks);
+        }
     }
 
     if all_ok {

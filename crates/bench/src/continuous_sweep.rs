@@ -14,8 +14,8 @@
 //! * **sharing ratio** — total bytes against K × the single-query total:
 //!   the measured form of the "K queries ≪ K× one query" claim.
 //!
-//! Run via `experiments smoke --only continuous-sweep`, which dumps the
-//! table into `--out` as `continuous_sweep.dat`.
+//! Run via `experiments smoke --only continuous-sweep`, which prints the
+//! [`Panel`] and dumps it into `--out` as `continuous_sweep.dat`.
 //!
 //! [`MsgClass::DELTA`]: ifi_sim::MsgClass::DELTA
 //! [`MsgClass::STANDING`]: ifi_sim::MsgClass::STANDING
@@ -27,7 +27,7 @@ use netfilter::continuous::{
     schedule_from_data, ContinuousConfig, ContinuousProtocol, QueryRegistry, StandingQuery,
 };
 
-use crate::output::DataFile;
+use crate::output::{f1, f3, int, Column, Panel};
 use crate::ShapeCheck;
 
 /// Peers in the sweep workload.
@@ -41,26 +41,16 @@ const KS: [usize; 4] = [1, 2, 4, 8];
 /// Threshold of query `i` is `BASE_THRESHOLD + 10·i`.
 const BASE_THRESHOLD: u64 = 40;
 
-/// One K row of the sweep.
-#[derive(Debug, Clone)]
-pub struct KRow {
-    /// Number of standing queries multiplexed at the root.
-    pub k: usize,
-    /// Shared delta-stream bytes per epoch fence.
-    pub delta_per_epoch: f64,
-    /// Per-query answer-split bytes per epoch fence.
-    pub standing_per_epoch: f64,
-    /// (delta + standing) ÷ (K × the single-query total): the sharing
-    /// ratio, 1.0 meaning "no better than K independent queries".
-    pub sharing_ratio: f64,
-}
-
-/// The full sweep outcome.
-#[derive(Debug, Clone)]
-pub struct SweepOutcome {
-    /// One row per swept K.
-    pub rows: Vec<KRow>,
-}
+/// One row per swept K: the shared delta-stream and the per-query
+/// answer-split bytes per epoch fence, and the sharing ratio — (delta +
+/// standing) ÷ (K × the single-query total), 1.0 meaning "no better than
+/// K independent queries".
+const COLUMNS: [Column; 4] = [
+    ("K", Some("k"), int),
+    ("delta-B/epoch", Some("delta_bytes_per_epoch"), f1),
+    ("standing-B/epoch", Some("standing_bytes_per_epoch"), f1),
+    ("sharing-ratio", Some("sharing_ratio"), f3),
+];
 
 fn registry(k: usize) -> QueryRegistry {
     let mut r = QueryRegistry::new();
@@ -75,7 +65,7 @@ fn registry(k: usize) -> QueryRegistry {
 }
 
 /// Runs the sweep at `seed`.
-pub fn run(seed: u64) -> SweepOutcome {
+pub fn run(seed: u64) -> Vec<Panel> {
     let data = SystemData::generate_paper(
         &WorkloadParams {
             peers: PEERS,
@@ -102,131 +92,74 @@ pub fn run(seed: u64) -> SweepOutcome {
     };
     let (delta_1, standing_1) = classes(1);
     let single_total = delta_1 + standing_1;
-    let rows = KS
-        .iter()
-        .map(|&k| {
-            let (delta, standing) = classes(k);
-            KRow {
-                k,
-                delta_per_epoch: delta as f64 / EPOCHS as f64,
-                standing_per_epoch: standing as f64 / EPOCHS as f64,
-                sharing_ratio: (delta + standing) as f64 / (k as u64 * single_total) as f64,
-            }
-        })
-        .collect();
-    SweepOutcome { rows }
+    let rows = KS.iter().map(|&k| {
+        let (delta, standing) = classes(k);
+        vec![
+            k as f64,
+            delta as f64 / EPOCHS as f64,
+            standing as f64 / EPOCHS as f64,
+            (delta + standing) as f64 / (k as u64 * single_total) as f64,
+        ]
+    });
+    let title = format!(
+        "continuous sweep — bytes per epoch fence vs K ({PEERS} peers, {EPOCHS} epochs, \
+         window {WINDOW}):"
+    );
+    let panel = Panel::new(title, "continuous-sweep", &COLUMNS, rows.collect());
+    vec![Panel {
+        dat: Some("continuous_sweep".into()),
+        checks: checks(&panel),
+        ..panel
+    }]
 }
 
-impl SweepOutcome {
-    /// Prints the bytes-per-epoch-vs-K table.
-    pub fn print(&self) {
-        println!(
-            "\ncontinuous sweep — bytes per epoch fence vs K ({PEERS} peers, {EPOCHS} epochs, \
-             window {WINDOW}):"
-        );
-        println!("  K  delta-B/epoch  standing-B/epoch  sharing-ratio");
-        for r in &self.rows {
-            println!(
-                "  {:<2} {:>12.1}  {:>15.1}  {:>12.3}",
-                r.k, r.delta_per_epoch, r.standing_per_epoch, r.sharing_ratio
-            );
-        }
-    }
-
-    /// The sweep as a plot-ready data file.
-    pub fn to_data(&self) -> DataFile {
-        let mut f = DataFile::new(
-            "continuous_sweep",
-            &[
-                "k",
-                "delta_bytes_per_epoch",
-                "standing_bytes_per_epoch",
-                "sharing_ratio",
-            ],
-        );
-        for r in &self.rows {
-            f.row(vec![
-                r.k as f64,
-                r.delta_per_epoch,
-                r.standing_per_epoch,
-                r.sharing_ratio,
-            ]);
-        }
-        f
-    }
-
-    /// The qualitative claims the sweep must exhibit.
-    pub fn checks(&self) -> Vec<ShapeCheck> {
-        let mut checks = Vec::new();
-        checks.push(ShapeCheck::new(
+/// The qualitative claims the sweep must exhibit.
+fn checks(panel: &Panel) -> Vec<ShapeCheck> {
+    let (delta, standing) = (
+        panel.column("delta-B/epoch"),
+        panel.column("standing-B/epoch"),
+    );
+    let ratio = panel.column("sharing-ratio");
+    // `(K, value)` pairs, as the details print them.
+    let by_k = |values: &[f64]| -> Vec<(usize, f64)> {
+        let ks = panel.column("K").into_iter().map(|k| k as usize);
+        ks.zip(values.iter().copied()).collect()
+    };
+    let rounded: Vec<f64> = ratio
+        .iter()
+        .map(|r| (r * 1000.0).round() / 1000.0)
+        .collect();
+    let k8 = by_k(&ratio)
+        .into_iter()
+        .find(|&(k, _)| k == 8)
+        .map(|(_, r)| r);
+    vec![
+        ShapeCheck::new(
             "the shared delta stream is byte-identical across K",
-            self.rows
-                .windows(2)
-                .all(|w| w[0].delta_per_epoch == w[1].delta_per_epoch),
-            format!(
-                "{:?}",
-                self.rows
-                    .iter()
-                    .map(|r| (r.k, r.delta_per_epoch))
-                    .collect::<Vec<_>>()
-            ),
-        ));
-        checks.push(ShapeCheck::new(
+            delta.windows(2).all(|w| w[0] == w[1]),
+            format!("{:?}", by_k(&delta)),
+        ),
+        ShapeCheck::new(
             "answer-split traffic never shrinks as K grows",
-            self.rows
-                .windows(2)
-                .all(|w| w[0].standing_per_epoch <= w[1].standing_per_epoch),
-            format!(
-                "{:?}",
-                self.rows
-                    .iter()
-                    .map(|r| (r.k, r.standing_per_epoch))
-                    .collect::<Vec<_>>()
-            ),
-        ));
-        checks.push(ShapeCheck::new(
+            standing.windows(2).all(|w| w[0] <= w[1]),
+            format!("{:?}", by_k(&standing)),
+        ),
+        ShapeCheck::new(
             "every multi-query row clearly undercuts K independent queries",
-            self.rows
-                .iter()
-                .filter(|r| r.k > 1)
-                .all(|r| r.sharing_ratio < 0.75),
-            format!(
-                "{:?}",
-                self.rows
-                    .iter()
-                    .map(|r| (r.k, (r.sharing_ratio * 1000.0).round() / 1000.0))
-                    .collect::<Vec<_>>()
-            ),
-        ));
-        checks.push(ShapeCheck::new(
+            by_k(&ratio).iter().filter(|r| r.0 > 1).all(|r| r.1 < 0.75),
+            format!("{:?}", by_k(&rounded)),
+        ),
+        ShapeCheck::new(
             "the eight-query row costs well under half of 8 independent queries",
-            self.rows
-                .iter()
-                .find(|r| r.k == 8)
-                .is_some_and(|r| r.sharing_ratio < 0.5),
-            format!(
-                "K=8 ratio {:.3}",
-                self.rows
-                    .iter()
-                    .find(|r| r.k == 8)
-                    .map_or(f64::NAN, |r| r.sharing_ratio)
-            ),
-        ));
-        checks.push(ShapeCheck::new(
+            k8.is_some_and(|r| r < 0.5),
+            format!("K=8 ratio {:.3}", k8.unwrap_or(f64::NAN)),
+        ),
+        ShapeCheck::new(
             "the sharing ratio improves monotonically with K",
-            self.rows
-                .windows(2)
-                .all(|w| w[1].sharing_ratio <= w[0].sharing_ratio),
-            format!(
-                "{:?}",
-                self.rows
-                    .iter()
-                    .map(|r| (r.k, (r.sharing_ratio * 1000.0).round() / 1000.0))
-                    .collect::<Vec<_>>()
-            ),
-        ));
-        checks
-    }
+            ratio.windows(2).all(|w| w[1] <= w[0]),
+            format!("{:?}", by_k(&rounded)),
+        ),
+    ]
 }
 
 #[cfg(test)]
@@ -236,20 +169,14 @@ mod tests {
     #[test]
     fn sweep_shape_checks_hold_at_the_default_seed() {
         let sweep = run(20080617);
-        assert_eq!(sweep.rows.len(), KS.len());
-        for c in sweep.checks() {
+        assert_eq!(sweep[0].rows.len(), KS.len());
+        for c in &sweep[0].checks {
             assert!(c.holds, "{} ({})", c.claim, c.detail);
         }
-        assert!(!sweep.to_data().is_empty());
     }
 
     #[test]
     fn sweep_is_deterministic() {
-        let (a, b) = (run(7), run(7));
-        for (x, y) in a.rows.iter().zip(&b.rows) {
-            assert_eq!(x.delta_per_epoch, y.delta_per_epoch);
-            assert_eq!(x.standing_per_epoch, y.standing_per_epoch);
-            assert_eq!(x.sharing_ratio, y.sharing_ratio);
-        }
+        assert_eq!(run(7)[0].rows, run(7)[0].rows);
     }
 }

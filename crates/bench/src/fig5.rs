@@ -5,154 +5,58 @@
 //! heavy item groups; panel (b): cost breakdown. The paper observes the
 //! total cost is minimized around `g = 100` (Eq. 3 predicts `c + 80`).
 
-use crate::runner::{summarize_netfilter, RunSummary, Scale};
-use crate::table::{f1, Table};
+use crate::output::Panel;
+use crate::runner::{argmin, summary_rows, RunSummary, Scale};
 use crate::ShapeCheck;
-
-/// One sweep point.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig5Row {
-    /// The filter size `g`.
-    pub g: u32,
-    /// The measured run summary.
-    pub summary: RunSummary,
-}
-
-/// The regenerated Figure 5 data.
-#[derive(Debug, Clone)]
-pub struct Fig5 {
-    /// Sweep points in ascending `g`.
-    pub rows: Vec<Fig5Row>,
-    /// The fixed number of filters (3).
-    pub f: u32,
-}
 
 /// The paper's sweep values for `g`.
 pub const G_SWEEP: [u32; 9] = [25, 50, 75, 100, 150, 200, 300, 400, 500];
 
-/// Runs the Figure 5 sweep.
-pub fn run(scale: Scale, seed: u64) -> Fig5 {
-    let data = scale.workload(scale.items_small(), 1.0, seed);
-    let h = scale.hierarchy();
+/// Runs the Figure 5 sweep: one [`RunSummary`] row per `g`, both panels
+/// in one table.
+pub fn run(scale: Scale, seed: u64) -> Vec<Panel> {
     let f = 3;
-    let rows = crate::par::par_map(G_SWEEP.to_vec(), |g| Fig5Row {
-        g,
-        summary: summarize_netfilter(&h, &data, g, f, 0.01),
-    });
-    Fig5 { rows, f }
+    let rows = summary_rows(scale, seed, G_SWEEP.to_vec(), |g| (g, f));
+    let title = format!("== Figure 5: effect of filter size (f = {f}, phi = 0.01) ==");
+    let panel = Panel::new(title, "Figure 5", &RunSummary::columns("g"), rows);
+    vec![Panel {
+        dat: Some("fig5".into()),
+        checks: checks(&panel),
+        ..panel
+    }]
 }
 
-impl Fig5 {
-    /// Prints both panels as one table.
-    pub fn print(&self) {
-        println!(
-            "\n== Figure 5: effect of filter size (f = {}, phi = 0.01) ==",
-            self.f
-        );
-        let mut t = Table::new(&[
-            "g",
-            "cand/peer",
-            "heavy-groups",
-            "total B/peer",
-            "filtering",
-            "dissemination",
-            "aggregation",
-        ]);
-        for r in &self.rows {
-            let s = r.summary;
-            t.row(vec![
-                r.g.to_string(),
-                f1(s.candidates_per_peer),
-                s.heavy_groups.to_string(),
-                f1(s.total),
-                f1(s.filtering),
-                f1(s.dissemination),
-                f1(s.aggregation),
-            ]);
-        }
-        t.print();
-    }
-
-    /// The plottable series (Figure 5a counts + 5b cost breakdown).
-    pub fn to_data(&self) -> crate::output::DataFile {
-        let mut d = crate::output::DataFile::new(
-            "fig5",
-            &[
-                "g",
-                "candidates_per_peer",
-                "heavy_groups",
-                "total",
-                "filtering",
-                "dissemination",
-                "aggregation",
-            ],
-        );
-        for r in &self.rows {
-            let s = r.summary;
-            d.row(vec![
-                r.g as f64,
-                s.candidates_per_peer,
-                s.heavy_groups as f64,
-                s.total,
-                s.filtering,
-                s.dissemination,
-                s.aggregation,
-            ]);
-        }
-        d
-    }
-
-    /// The qualitative claims of §V-A.
-    pub fn checks(&self) -> Vec<ShapeCheck> {
-        let totals: Vec<f64> = self.rows.iter().map(|r| r.summary.total).collect();
-        let cands: Vec<f64> = self
-            .rows
-            .iter()
-            .map(|r| r.summary.candidates_per_peer)
-            .collect();
-        let min_idx = totals
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite costs"))
-            .map(|(i, _)| i)
-            .expect("nonempty sweep");
-
-        let interior = min_idx > 0 && min_idx + 1 < totals.len();
-        let g_at_min = self.rows[min_idx].g;
-
-        let candidates_shrink =
-            cands.first().copied().unwrap_or(0.0) > cands.last().copied().unwrap_or(0.0);
-
-        // Filtering cost grows linearly in g: check the slope ratio of the
-        // last and first points matches g's ratio.
-        let filt_first = self
-            .rows
-            .first()
-            .map(|r| r.summary.filtering)
-            .unwrap_or(0.0);
-        let filt_last = self.rows.last().map(|r| r.summary.filtering).unwrap_or(0.0);
-        let g_first = self.rows.first().map(|r| r.g).unwrap_or(1) as f64;
-        let g_last = self.rows.last().map(|r| r.g).unwrap_or(1) as f64;
-        let linear = (filt_last / filt_first - g_last / g_first).abs() < 0.05;
-
-        vec![
-            ShapeCheck::new(
-                "total cost has an interior minimum in g (paper: g ≈ 100)",
-                interior,
-                format!("min at g = {g_at_min}"),
+/// The qualitative claims of §V-A.
+fn checks(panel: &Panel) -> Vec<ShapeCheck> {
+    let g = panel.column("g");
+    let cands = panel.column("cand/peer");
+    let filt = panel.column("filtering");
+    let min_idx = argmin(&panel.column("total B/peer"));
+    let last = g.len() - 1;
+    let interior = min_idx > 0 && min_idx < last;
+    // Filtering cost grows linearly in g: check the slope ratio of the
+    // last and first points matches g's ratio.
+    let linear = (filt[last] / filt[0] - g[last] / g[0]).abs() < 0.05;
+    vec![
+        ShapeCheck::new(
+            "total cost has an interior minimum in g (paper: g ≈ 100)",
+            interior,
+            format!("min at g = {}", g[min_idx]),
+        ),
+        ShapeCheck::new(
+            "candidates per peer decrease as g grows",
+            cands[0] > cands[last],
+            format!("{:.1} → {:.1}", cands[0], cands[last]),
+        ),
+        ShapeCheck::new(
+            "candidate-filtering cost grows linearly with g",
+            linear,
+            format!(
+                "{:.0} B @ g={} vs {:.0} B @ g={}",
+                filt[0], g[0], filt[last], g[last]
             ),
-            ShapeCheck::new(
-                "candidates per peer decrease as g grows",
-                candidates_shrink,
-                format!("{:.1} → {:.1}", cands[0], cands[cands.len() - 1]),
-            ),
-            ShapeCheck::new(
-                "candidate-filtering cost grows linearly with g",
-                linear,
-                format!("{filt_first:.0} B @ g={g_first} vs {filt_last:.0} B @ g={g_last}"),
-            ),
-        ]
-    }
+        ),
+    ]
 }
 
 #[cfg(test)]
@@ -160,24 +64,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_sweep_matches_paper_shapes() {
-        let fig = run(Scale::Quick, 42);
-        assert_eq!(fig.rows.len(), G_SWEEP.len());
-        for c in fig.checks() {
-            assert!(c.holds, "failed: {} ({})", c.claim, c.detail);
-        }
-    }
-
-    #[test]
     fn tiny_g_prunes_poorly() {
         // §V-A: at g ≤ 50 "the filtering performance is poor".
-        let fig = run(Scale::Quick, 43);
-        let first = fig.rows.first().unwrap().summary;
-        let best = fig
-            .rows
-            .iter()
-            .map(|r| r.summary.candidates_per_peer)
-            .fold(f64::INFINITY, f64::min);
-        assert!(first.candidates_per_peer > 3.0 * best);
+        let cands = run(Scale::Quick, 43)[0].column("cand/peer");
+        let best = cands.iter().copied().fold(f64::INFINITY, f64::min);
+        assert!(cands[0] > 3.0 * best);
     }
 }

@@ -4,162 +4,57 @@
 //! candidates per peer fall with `f` while heavy groups grow ~linearly;
 //! panel (b): the total cost is minimized at `f = 3`, confirming Eq. 6.
 
-use crate::runner::{summarize_netfilter, RunSummary, Scale};
-use crate::table::{f1, Table};
+use crate::output::Panel;
+use crate::runner::{argmin, summary_rows, RunSummary, Scale};
 use crate::ShapeCheck;
 
-/// One sweep point.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig6Row {
-    /// The number of filters `f`.
-    pub f: u32,
-    /// The measured run summary.
-    pub summary: RunSummary,
-}
-
-/// The regenerated Figure 6 data.
-#[derive(Debug, Clone)]
-pub struct Fig6 {
-    /// Sweep points in ascending `f`.
-    pub rows: Vec<Fig6Row>,
-    /// The fixed filter size (100).
-    pub g: u32,
-}
-
-/// Runs the Figure 6 sweep.
-pub fn run(scale: Scale, seed: u64) -> Fig6 {
-    let data = scale.workload(scale.items_small(), 1.0, seed);
-    let h = scale.hierarchy();
+/// Runs the Figure 6 sweep: one [`RunSummary`] row per `f`, both panels
+/// in one table.
+pub fn run(scale: Scale, seed: u64) -> Vec<Panel> {
     let g = 100;
-    let rows = crate::par::par_map((1..=10).collect(), |f| Fig6Row {
-        f,
-        summary: summarize_netfilter(&h, &data, g, f, 0.01),
-    });
-    Fig6 { rows, g }
+    let rows = summary_rows(scale, seed, (1..=10).collect(), |f| (g, f));
+    let title = format!("== Figure 6: effect of number of filters (g = {g}, phi = 0.01) ==");
+    let panel = Panel::new(title, "Figure 6", &RunSummary::columns("f"), rows);
+    vec![Panel {
+        dat: Some("fig6".into()),
+        checks: checks(&panel),
+        ..panel
+    }]
 }
 
-impl Fig6 {
-    /// Prints both panels as one table.
-    pub fn print(&self) {
-        println!(
-            "\n== Figure 6: effect of number of filters (g = {}, phi = 0.01) ==",
-            self.g
-        );
-        let mut t = Table::new(&[
-            "f",
-            "cand/peer",
-            "heavy-groups",
-            "total B/peer",
-            "filtering",
-            "dissemination",
-            "aggregation",
-        ]);
-        for r in &self.rows {
-            let s = r.summary;
-            t.row(vec![
-                r.f.to_string(),
-                f1(s.candidates_per_peer),
-                s.heavy_groups.to_string(),
-                f1(s.total),
-                f1(s.filtering),
-                f1(s.dissemination),
-                f1(s.aggregation),
-            ]);
-        }
-        t.print();
-    }
-
-    /// The plottable series (Figure 6a counts + 6b cost breakdown).
-    pub fn to_data(&self) -> crate::output::DataFile {
-        let mut d = crate::output::DataFile::new(
-            "fig6",
-            &[
-                "f",
-                "candidates_per_peer",
-                "heavy_groups",
-                "total",
-                "filtering",
-                "dissemination",
-                "aggregation",
-            ],
-        );
-        for r in &self.rows {
-            let s = r.summary;
-            d.row(vec![
-                r.f as f64,
-                s.candidates_per_peer,
-                s.heavy_groups as f64,
-                s.total,
-                s.filtering,
-                s.dissemination,
-                s.aggregation,
-            ]);
-        }
-        d
-    }
-
-    /// The qualitative claims of §V-B.
-    pub fn checks(&self) -> Vec<ShapeCheck> {
-        let totals: Vec<f64> = self.rows.iter().map(|r| r.summary.total).collect();
-        let min_idx = totals
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite costs"))
-            .map(|(i, _)| i)
-            .expect("nonempty sweep");
-        let f_at_min = self.rows[min_idx].f;
-
-        let cands: Vec<f64> = self
-            .rows
-            .iter()
-            .map(|r| r.summary.candidates_per_peer)
-            .collect();
-        let monotone_candidates = cands.windows(2).all(|w| w[1] <= w[0] + 1e-9);
-
-        let heavy: Vec<usize> = self.rows.iter().map(|r| r.summary.heavy_groups).collect();
-        let heavy_grows = heavy.windows(2).all(|w| w[1] >= w[0]);
-
-        let filt: Vec<f64> = self.rows.iter().map(|r| r.summary.filtering).collect();
-        let filtering_linear = filt
-            .iter()
-            .enumerate()
-            .all(|(i, &c)| (c - (i as f64 + 1.0) * filt[0]).abs() < 0.05 * filt[0].max(1.0));
-
-        vec![
-            ShapeCheck::new(
-                "total cost is minimized at a small interior f (paper: f = 3)",
-                (2..=5).contains(&f_at_min),
-                format!("min at f = {f_at_min}"),
-            ),
-            ShapeCheck::new(
-                "candidates per peer decrease monotonically with f",
-                monotone_candidates,
-                format!("{:.1} → {:.1}", cands[0], cands[cands.len() - 1]),
-            ),
-            ShapeCheck::new(
-                "heavy item groups grow (about linearly) with f",
-                heavy_grows,
-                format!("{} → {}", heavy[0], heavy[heavy.len() - 1]),
-            ),
-            ShapeCheck::new(
-                "candidate-filtering cost grows linearly with f",
-                filtering_linear,
-                format!("{:.0} B at f=1, {:.0} B at f=10", filt[0], filt[9]),
-            ),
-        ]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_sweep_matches_paper_shapes() {
-        let fig = run(Scale::Quick, 44);
-        assert_eq!(fig.rows.len(), 10);
-        for c in fig.checks() {
-            assert!(c.holds, "failed: {} ({})", c.claim, c.detail);
-        }
-    }
+/// The qualitative claims of §V-B.
+fn checks(panel: &Panel) -> Vec<ShapeCheck> {
+    let f_at_min = panel.column("f")[argmin(&panel.column("total B/peer"))];
+    let cands = panel.column("cand/peer");
+    let monotone_candidates = cands.windows(2).all(|w| w[1] <= w[0] + 1e-9);
+    let heavy = panel.column("heavy-groups");
+    let heavy_grows = heavy.windows(2).all(|w| w[1] >= w[0]);
+    let filt = panel.column("filtering");
+    let filtering_linear = filt
+        .iter()
+        .enumerate()
+        .all(|(i, &c)| (c - (i as f64 + 1.0) * filt[0]).abs() < 0.05 * filt[0].max(1.0));
+    let last = cands.len() - 1;
+    vec![
+        ShapeCheck::new(
+            "total cost is minimized at a small interior f (paper: f = 3)",
+            (2.0..=5.0).contains(&f_at_min),
+            format!("min at f = {f_at_min}"),
+        ),
+        ShapeCheck::new(
+            "candidates per peer decrease monotonically with f",
+            monotone_candidates,
+            format!("{:.1} → {:.1}", cands[0], cands[last]),
+        ),
+        ShapeCheck::new(
+            "heavy item groups grow (about linearly) with f",
+            heavy_grows,
+            format!("{} → {}", heavy[0], heavy[last]),
+        ),
+        ShapeCheck::new(
+            "candidate-filtering cost grows linearly with f",
+            filtering_linear,
+            format!("{:.0} B at f=1, {:.0} B at f=10", filt[0], filt[9]),
+        ),
+    ]
 }

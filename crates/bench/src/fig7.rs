@@ -8,8 +8,8 @@
 use ifi_workload::SystemData;
 use netfilter::{naive, Threshold, WireSizes};
 
+use crate::output::{f1, f3, Column, Panel};
 use crate::runner::{summarize_netfilter, Scale};
-use crate::table::{f1, f3, Table};
 use crate::ShapeCheck;
 
 /// One sweep point: netFilter vs naive at a given skew.
@@ -30,7 +30,8 @@ impl Fig7Row {
     }
 }
 
-/// One regenerated panel of Figure 7.
+/// One regenerated panel of Figure 7: typed, for the perf rows that pin
+/// its sweep, and as a [`Panel`] for the harness.
 #[derive(Debug, Clone)]
 pub struct Fig7Panel {
     /// Panel label (`"a"` for the small universe, `"b"` for the large).
@@ -82,39 +83,39 @@ pub fn run(scale: Scale, seed: u64) -> (Fig7Panel, Fig7Panel) {
     )
 }
 
+/// Both panels, printed, dumped and checked alike: the `fig7` row of
+/// [`FIGURES`](crate::FIGURES).
+pub fn panels(scale: Scale, seed: u64) -> Vec<Panel> {
+    let (a, b) = run(scale, seed);
+    vec![a.panel(), b.panel()]
+}
+
+/// The columns of [`Fig7Panel::panel`] (log-scale y in the paper).
+const COLUMNS: [Column; 4] = [
+    ("theta", Some("theta"), f1),
+    ("netFilter B/peer", Some("netfilter"), f1),
+    ("naive B/peer", Some("naive"), f1),
+    ("ratio", None, f3),
+];
+
 impl Fig7Panel {
-    /// Prints the panel.
-    pub fn print(&self) {
-        println!(
-            "\n== Figure 7({}): effect of data skewness (n = {}, g = {}, f = {}) ==",
+    fn panel(&self) -> Panel {
+        let title = format!(
+            "== Figure 7({}): effect of data skewness (n = {}, g = {}, f = {}) ==",
             self.label, self.items, self.setting.0, self.setting.1
         );
-        let mut t = Table::new(&["theta", "netFilter B/peer", "naive B/peer", "ratio"]);
-        for r in &self.rows {
-            t.row(vec![
-                f1(r.theta),
-                f1(r.netfilter),
-                f1(r.naive),
-                f3(r.ratio()),
-            ]);
+        let rows = self.rows.iter();
+        let rows = rows.map(|r| vec![r.theta, r.netfilter, r.naive, r.ratio()]);
+        let label = format!("Figure 7({})", self.label);
+        Panel {
+            dat: Some(format!("fig7{}", self.label)),
+            checks: self.checks(),
+            ..Panel::new(title, label, &COLUMNS, rows.collect())
         }
-        t.print();
-    }
-
-    /// The plottable series (log-scale y in the paper).
-    pub fn to_data(&self) -> crate::output::DataFile {
-        let mut d = crate::output::DataFile::new(
-            &format!("fig7{}", self.label),
-            &["theta", "netfilter", "naive"],
-        );
-        for r in &self.rows {
-            d.row(vec![r.theta, r.netfilter, r.naive]);
-        }
-        d
     }
 
     /// The qualitative claims of §V-C.
-    pub fn checks(&self) -> Vec<ShapeCheck> {
+    fn checks(&self) -> Vec<ShapeCheck> {
         let always_cheaper = self.rows.iter().all(|r| r.netfilter < r.naive);
         let worst_ratio = self.rows.iter().map(Fig7Row::ratio).fold(0.0f64, f64::max);
 
@@ -154,18 +155,5 @@ impl Fig7Panel {
             ));
         }
         checks
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_panels_match_paper_shapes() {
-        let (a, b) = run(Scale::Quick, 45);
-        for c in a.checks().into_iter().chain(b.checks()) {
-            assert!(c.holds, "failed: {} ({})", c.claim, c.detail);
-        }
     }
 }

@@ -7,135 +7,68 @@
 
 use netfilter::{naive, Threshold, WireSizes};
 
+use crate::output::{f1, Column, Panel};
 use crate::runner::{summarize_netfilter, Scale};
-use crate::table::{f1, Table};
 use crate::ShapeCheck;
 
 /// The three threshold settings, with the paper's tuned `(g, f)`.
 pub const SERIES: [(f64, u32, u32); 3] = [(0.1, 10, 6), (0.01, 100, 5), (0.001, 1000, 2)];
 
-/// One sweep point across all series.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig8Row {
-    /// Zipf skew `θ`.
-    pub theta: f64,
-    /// netFilter bytes/peer for `φ = 0.1, 0.01, 0.001` (paper order).
-    pub netfilter: [f64; 3],
-    /// Naive bytes/peer.
-    pub naive: f64,
-}
+/// θ, the netFilter series in [`SERIES`] order, then naive (log-scale y
+/// in the paper).
+const COLUMNS: [Column; 5] = [
+    ("theta", Some("theta"), f1),
+    ("nf phi=0.1", Some("nf_phi0.1"), f1),
+    ("nf phi=0.01", Some("nf_phi0.01"), f1),
+    ("nf phi=0.001", Some("nf_phi0.001"), f1),
+    ("naive", Some("naive"), f1),
+];
 
-/// The regenerated Figure 8 data.
-#[derive(Debug, Clone)]
-pub struct Fig8 {
-    /// Universe size used.
-    pub items: u64,
-    /// Sweep rows in ascending `θ`.
-    pub rows: Vec<Fig8Row>,
-}
-
-/// Runs the Figure 8 sweep.
-pub fn run(scale: Scale, seed: u64) -> Fig8 {
+/// Runs the Figure 8 sweep: one row per θ.
+pub fn run(scale: Scale, seed: u64) -> Vec<Panel> {
     let items = scale.items_large();
     let h = scale.hierarchy();
     let rows = crate::par::par_map(crate::fig7::THETA_SWEEP.to_vec(), |theta| {
         let data = scale.workload(items, theta, seed);
-        let mut nf = [0.0f64; 3];
-        for (k, &(phi, g, f)) in SERIES.iter().enumerate() {
-            nf[k] = summarize_netfilter(&h, &data, g, f, phi).total;
+        let mut row = vec![theta];
+        for &(phi, g, f) in &SERIES {
+            row.push(summarize_netfilter(&h, &data, g, f, phi).total);
         }
         let nv = naive::run(&h, &data, Threshold::Ratio(0.01), &WireSizes::default());
-        Fig8Row {
-            theta,
-            netfilter: nf,
-            naive: nv.avg_bytes_per_peer(),
-        }
+        row.push(nv.avg_bytes_per_peer());
+        row
     });
-    Fig8 { items, rows }
+    let title = format!("== Figure 8: effect of threshold (n = {items}) ==");
+    let panel = Panel::new(title, "Figure 8", &COLUMNS, rows);
+    vec![Panel {
+        dat: Some("fig8".into()),
+        checks: checks(&panel),
+        ..panel
+    }]
 }
 
-impl Fig8 {
-    /// Prints the figure as a table.
-    pub fn print(&self) {
-        println!("\n== Figure 8: effect of threshold (n = {}) ==", self.items);
-        let mut t = Table::new(&[
-            "theta",
-            "nf phi=0.1",
-            "nf phi=0.01",
-            "nf phi=0.001",
-            "naive",
-        ]);
-        for r in &self.rows {
-            t.row(vec![
-                f1(r.theta),
-                f1(r.netfilter[0]),
-                f1(r.netfilter[1]),
-                f1(r.netfilter[2]),
-                f1(r.naive),
-            ]);
-        }
-        t.print();
-    }
-
-    /// The plottable series (log-scale y in the paper).
-    pub fn to_data(&self) -> crate::output::DataFile {
-        let mut d = crate::output::DataFile::new(
-            "fig8",
-            &["theta", "nf_phi0.1", "nf_phi0.01", "nf_phi0.001", "naive"],
-        );
-        for r in &self.rows {
-            d.row(vec![
-                r.theta,
-                r.netfilter[0],
-                r.netfilter[1],
-                r.netfilter[2],
-                r.naive,
-            ]);
-        }
-        d
-    }
-
-    /// The qualitative claims of §V-D.
-    pub fn checks(&self) -> Vec<ShapeCheck> {
-        // Mean cost per series.
-        let mean = |k: usize| -> f64 {
-            self.rows.iter().map(|r| r.netfilter[k]).sum::<f64>() / self.rows.len() as f64
-        };
-        let (m01, m001, m0001) = (mean(0), mean(1), mean(2));
-        let ordered = m01 < m001 && m001 < m0001;
-
-        let all_beat_naive = self
-            .rows
-            .iter()
-            .all(|r| r.netfilter.iter().all(|&c| c < r.naive));
-
-        vec![
-            ShapeCheck::new(
-                "larger threshold ratio ⇒ lower cost (0.1 < 0.01 < 0.001)",
-                ordered,
-                format!("means {:.0} / {:.0} / {:.0} B/peer", m01, m001, m0001),
-            ),
-            ShapeCheck::new(
-                "every netFilter series beats naive at every θ",
-                all_beat_naive,
-                format!(
-                    "naive mean {:.0} B/peer",
-                    self.rows.iter().map(|r| r.naive).sum::<f64>() / self.rows.len() as f64
-                ),
-            ),
-        ]
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_sweep_matches_paper_shapes() {
-        let fig = run(Scale::Quick, 46);
-        for c in fig.checks() {
-            assert!(c.holds, "failed: {} ({})", c.claim, c.detail);
-        }
-    }
+/// The qualitative claims of §V-D.
+fn checks(panel: &Panel) -> Vec<ShapeCheck> {
+    let mean = |header: &str| {
+        let column = panel.column(header);
+        column.iter().sum::<f64>() / column.len() as f64
+    };
+    let (m01, m001, m0001) = (
+        mean("nf phi=0.1"),
+        mean("nf phi=0.01"),
+        mean("nf phi=0.001"),
+    );
+    let all_beat_naive = (panel.rows.iter()).all(|r| r[1..4].iter().all(|&c| c < r[4]));
+    vec![
+        ShapeCheck::new(
+            "larger threshold ratio ⇒ lower cost (0.1 < 0.01 < 0.001)",
+            m01 < m001 && m001 < m0001,
+            format!("means {:.0} / {:.0} / {:.0} B/peer", m01, m001, m0001),
+        ),
+        ShapeCheck::new(
+            "every netFilter series beats naive at every θ",
+            all_beat_naive,
+            format!("naive mean {:.0} B/peer", mean("naive")),
+        ),
+    ]
 }

@@ -2,10 +2,12 @@
 //!
 //! Each point of a figure sweep (a `θ` value, a `g` value, …) generates
 //! its own workload and runs its own engines — embarrassingly parallel.
-//! [`par_map`] fans the points out over scoped crossbeam threads and
+//! [`par_map`] fans the points out over scoped std threads and
 //! returns results in input order, so tables and checks are unaffected by
 //! scheduling. Determinism is preserved because every sweep point derives
 //! its randomness from its own explicit seed, never from shared state.
+
+use std::sync::{mpsc, Mutex};
 
 /// Applies `f` to every item on its own thread (bounded by available
 /// parallelism), returning outputs in input order.
@@ -41,33 +43,27 @@ where
     let n = items.len();
     let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
     // Work queue of (index, item); results land in their slot.
-    let queue = crossbeam::queue::SegQueue::new();
-    for pair in items.into_iter().enumerate() {
-        queue.push(pair);
-    }
-    crossbeam::thread::scope(|scope| {
+    let queue = Mutex::new(items.into_iter().enumerate());
+    std::thread::scope(|scope| {
         // Bounded to `n`: the channel can never hold more than one result
         // per item, so a capacity of `n` makes the bound explicit (and a
         // stalled collector backpressures workers instead of buffering
         // without limit).
-        let (tx, rx) = crossbeam::channel::bounded::<(usize, U)>(n);
+        let (tx, rx) = mpsc::sync_channel::<(usize, U)>(n);
         for _ in 0..workers.min(n) {
-            let queue = &queue;
-            let f = &f;
-            let tx = tx.clone();
-            scope.spawn(move |_| {
-                while let Some((i, item)) = queue.pop() {
-                    let out = f(item);
-                    tx.send((i, out)).expect("collector outlives workers");
-                }
+            let (queue, f, tx) = (&queue, &f, tx.clone());
+            scope.spawn(move || loop {
+                let Some((i, item)) = queue.lock().expect("queue lock").next() else {
+                    return;
+                };
+                tx.send((i, f(item))).expect("collector outlives workers");
             });
         }
         drop(tx);
         for (i, out) in rx {
             slots[i] = Some(out);
         }
-    })
-    .expect("worker panicked");
+    });
 
     slots
         .into_iter()

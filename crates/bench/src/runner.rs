@@ -4,6 +4,8 @@ use ifi_hierarchy::Hierarchy;
 use ifi_workload::{SystemData, WorkloadParams};
 use netfilter::{MetricsReport, NetFilter, NetFilterConfig, Threshold, WireSizes};
 
+use crate::output::{f1, int, Column};
+
 /// Experiment scale: the paper's full setting, a fast smoke setting, or an
 /// explicit point (used by the scale lane to push `N` past the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,6 +93,64 @@ pub struct RunSummary {
     pub dissemination: f64,
     /// Candidate-aggregation component.
     pub aggregation: f64,
+}
+
+impl RunSummary {
+    /// Figures 5 and 6's one column list: the sweep value `x`, then the
+    /// summary, as [`row`](Self::row) lays them out.
+    pub fn columns(x: &'static str) -> [Column; 7] {
+        [
+            (x, Some(x), int),
+            ("cand/peer", Some("candidates_per_peer"), f1),
+            ("heavy-groups", Some("heavy_groups"), int),
+            ("total B/peer", Some("total"), f1),
+            ("filtering", Some("filtering"), f1),
+            ("dissemination", Some("dissemination"), f1),
+            ("aggregation", Some("aggregation"), f1),
+        ]
+    }
+
+    /// The sweep value `x`, then the summary.
+    pub fn row(&self, x: u32) -> Vec<f64> {
+        vec![
+            f64::from(x),
+            self.candidates_per_peer,
+            self.heavy_groups as f64,
+            self.total,
+            self.filtering,
+            self.dissemination,
+            self.aggregation,
+        ]
+    }
+}
+
+/// One netFilter run per sweep value `x` at `(g, f) = gf(x)` and
+/// `phi = 0.01` on the base workload, as [`RunSummary::row`]s.
+pub(crate) fn summary_rows(
+    scale: Scale,
+    seed: u64,
+    xs: Vec<u32>,
+    gf: impl Fn(u32) -> (u32, u32) + Sync,
+) -> Vec<Vec<f64>> {
+    let data = scale.workload(scale.items_small(), 1.0, seed);
+    let h = scale.hierarchy();
+    crate::par::par_map(xs, |x| {
+        let (g, f) = gf(x);
+        summarize_netfilter(&h, &data, g, f, 0.01).row(x)
+    })
+}
+
+/// The index of the first minimum of `xs`.
+///
+/// # Panics
+///
+/// Panics on an empty or non-finite slice.
+pub(crate) fn argmin(xs: &[f64]) -> usize {
+    let min = xs
+        .iter()
+        .enumerate()
+        .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"));
+    min.map(|(i, _)| i).expect("nonempty sweep")
 }
 
 /// Runs netFilter once and flattens the result for table printing.

@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use ifi_sim::MetricsReport;
 use ifi_simcheck::{all_cases, approx_cases, continuous_cases};
 
-use crate::{approx_sweep, continuous_sweep, output, report_checks, select, ShapeCheck};
+use crate::{approx_sweep, continuous_sweep, report_checks, select, Panel, ShapeCheck};
 
 mod churn;
 mod continuous;
@@ -147,29 +147,27 @@ fn chaos_row(seed: u64, _: &Path) -> Vec<SmokeRun> {
 /// checks gate the qualitative claims and the three tables go to `<out>`
 /// as `.dat` files. `check-baselines` pins the reference tunings' bytes.
 fn approx_sweep_row(seed: u64, out: &Path) -> Vec<SmokeRun> {
-    let sweep = approx_sweep::run(seed);
-    sweep.print();
-    for data in sweep.to_data() {
-        output::dump(out, &data);
-    }
-    vec![SmokeRun {
-        name: "approx-sweep",
-        report: None,
-        checks: sweep.checks(),
-    }]
+    sweep("approx-sweep", approx_sweep::run(seed), out)
 }
 
 /// Bytes per epoch vs the number of multiplexed standing queries
 /// ([`continuous_sweep`]); shape checks gate the monotone sharing-ratio
 /// claim and the table goes to `<out>/continuous_sweep.dat`.
 fn continuous_sweep_row(seed: u64, out: &Path) -> Vec<SmokeRun> {
-    let sweep = continuous_sweep::run(seed);
-    sweep.print();
-    output::dump(out, &sweep.to_data());
+    sweep("continuous-sweep", continuous_sweep::run(seed), out)
+}
+
+/// Prints and dumps a sweep's panels; their checks become one scenario.
+fn sweep(name: &'static str, panels: Vec<Panel>, out: &Path) -> Vec<SmokeRun> {
+    let mut checks = Vec::new();
+    for panel in panels {
+        panel.print(Some(out));
+        checks.extend(panel.checks);
+    }
     vec![SmokeRun {
-        name: "continuous-sweep",
+        name,
         report: None,
-        checks: sweep.checks(),
+        checks,
     }]
 }
 

@@ -4,7 +4,6 @@ use ifi_agg::WireSizes;
 
 /// How the IFI threshold `t` is specified.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Threshold {
     /// An absolute global-value threshold.
     Absolute(u64),
@@ -37,7 +36,6 @@ impl Threshold {
 
 /// Full parameterization of a netFilter run (Table II symbols).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetFilterConfig {
     /// `g` — the filter size: number of item groups per filter.
     pub filter_size: u32,
@@ -193,22 +191,5 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn zero_filter_size_panics() {
         let _ = NetFilterConfig::builder().filter_size(0).build();
-    }
-
-    /// C-SERDE: the public data types implement Serialize/Deserialize when
-    /// the `serde` feature is on. A bound check suffices — no format crate
-    /// is pulled in.
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_impls_exist() {
-        fn assert_serde<T: serde::Serialize + serde::de::DeserializeOwned>() {}
-        assert_serde::<Threshold>();
-        assert_serde::<NetFilterConfig>();
-        assert_serde::<WireSizes>();
-        assert_serde::<ifi_workload::ItemId>();
-        assert_serde::<ifi_workload::WorkloadParams>();
-        assert_serde::<ifi_sim::PeerId>();
-        assert_serde::<ifi_sim::SimTime>();
-        assert_serde::<ifi_sim::Duration>();
     }
 }

@@ -402,7 +402,9 @@ impl NetFilterProtocol {
     /// taking a peer thread down.
     fn on_payload(&mut self, fx: &mut Effects<Self>, from: PeerId, msg: NfMsg) {
         let slot = &mut self.slot;
-        let any = |_: &Census, _: &Census| true;
+        // A census counting more peers than the roster holds is malformed.
+        let roster = self.census.as_deref().map_or(0, |c| c.roster.count);
+        let within = |mine: &Census, c: &Census| mine.count.saturating_add(c.count) <= roster;
         let absorbed = match msg {
             NfMsg::GroupAgg(v) => {
                 let same_dimension = |mine: &VecSum, v: &VecSum| mine.len() == v.len();
@@ -410,8 +412,8 @@ impl NetFilterProtocol {
             }
             NfMsg::CandidateAgg(m) => self.p2.absorb(slot, from, m, |_, _| true),
             NfMsg::PhaseCensus { phase, census } => match (self.census.as_deref_mut(), phase) {
-                (Some(c), 1) => c.p1.absorb(slot, from, census, any),
-                (Some(c), 2) => c.p2.absorb(slot, from, census, any),
+                (Some(c), 1) => c.p1.absorb(slot, from, census, within),
+                (Some(c), 2) => c.p2.absorb(slot, from, census, within),
                 _ => Err("unexpected-census"),
             },
             NfMsg::Heavy(_) if Some(from) != slot.parent() => Err("unexpected-sender"),
@@ -688,6 +690,48 @@ mod tests {
             })
         );
         assert!(root.result().is_some(), "partial coverage still answers");
+    }
+
+    #[test]
+    fn a_census_counting_past_the_roster_is_dropped_not_wrapped() {
+        use crate::wire::NfWire;
+        use ifi_transport::WireCodec;
+
+        let data = workload(12, 200, 97);
+        let h = Hierarchy::balanced(12, 3);
+        let cfg = config(10, 2);
+        let roster = NetFilterProtocol::roster(&h);
+        let peers = NetFilterProtocol::peers(&cfg, &h, &data, None);
+        let certified = peers.into_iter().map(|core| core.with_census(roster));
+        let mut w = sansio_world(SimConfig::default().with_seed(9), certified.collect());
+        w.enable_metrics_sink();
+        // Off the wire, ahead of the child's genuine census: a count that
+        // used to overflow the root's merge (a panic in debug builds, a
+        // wrap to a small count in release).
+        let forged = Census {
+            count: u32::MAX,
+            digest: 0,
+        };
+        let wire = NfWire::new(cfg.sizes);
+        let frame = wire
+            .encode(&ReliableMsg::Plain(NfMsg::PhaseCensus {
+                phase: 1,
+                census: forged,
+            }))
+            .and_then(|bytes| wire.decode(&bytes))
+            .expect("well-formed for the codec");
+        w.inject(PeerId::new(1), PeerId::new(0), frame, 0, MsgClass::DATA);
+        w.start();
+        w.run_to_quiescence();
+
+        assert_eq!(
+            w.metrics_report().warnings,
+            [("malformed-report".to_string(), 1)]
+        );
+        // The genuine census still counts, so coverage certifies exactly.
+        let root = w.peer(PeerId::new(0));
+        assert_eq!(root.certificate(), Some(Certificate::Complete));
+        assert_eq!(root.result(), Some(truth(&cfg, &data).as_slice()));
     }
 
     #[test]

@@ -133,9 +133,9 @@ impl Census {
         self.merge(Census::solo(peer));
     }
 
-    /// Merges another census (disjoint union of the underlying sets).
+    /// Merges another census (disjoint union); the count saturates.
     pub fn merge(&mut self, other: Census) {
-        self.count += other.count;
+        self.count = self.count.saturating_add(other.count);
         self.digest ^= other.digest;
     }
 
@@ -866,9 +866,12 @@ impl ResilientProtocol {
                 let Some(acc) = self.p1_acc.as_mut() else {
                     return;
                 };
-                // A decodable report of the wrong dimension is a broken
-                // child, not a reason to take this peer down with it.
-                if vector.len() != acc.len() {
+                // A decodable report of the wrong dimension, or counting
+                // more peers than exist, is a broken child, not a reason
+                // to take this peer down with it. (Bounding each report
+                // rather than the merged count keeps a double merge an
+                // inflated answer, which the legacy toggle must show.)
+                if vector.len() != acc.len() || census.count as usize > self.universe {
                     return fx.warn("malformed-report");
                 }
                 let fresh = self.p1_received.insert(from);
@@ -892,6 +895,9 @@ impl ResilientProtocol {
                 census,
             } => {
                 if epoch == self.epoch && !self.p2_sent && self.p2_acc.is_some() {
+                    if census.count as usize > self.universe {
+                        return fx.warn("malformed-report");
+                    }
                     let fresh = self.p2_received.insert(from);
                     if fresh || self.legacy_double_merge {
                         self.p2_acc
@@ -1225,6 +1231,62 @@ mod tests {
         let (warnings, sends) = feed(&mut c, from(root, heavy(vec![vec![1], vec![7]])));
         assert!(warnings.is_empty());
         assert_eq!(sends, 1, "the leaf answers the genuine lists");
+    }
+
+    #[test]
+    fn a_census_counting_past_the_universe_is_dropped_not_wrapped() {
+        use ifi_sim::{AllUp, Effect};
+
+        let h = MultiHierarchy::from_trees(vec![Hierarchy::balanced(3, 2)]);
+        let cfg = NetFilterConfig::builder()
+            .filter_size(8)
+            .filters(2)
+            .threshold(Threshold::Absolute(1))
+            .build();
+        let (root, child) = (PeerId::new(0), PeerId::new(1));
+        let mut r = ResilientProtocol::new_multi(
+            &cfg,
+            rc(),
+            &h,
+            root,
+            vec![child, PeerId::new(2)],
+            vec![(ItemId(7), 3)],
+            1,
+        );
+        let mut feed = |ev: NodeEvent<ReliableMsg<RMsg>, RTimer>| {
+            let mut fx = Effects::new();
+            r.on_event(ev, SimTime::ZERO, &AllUp(3), &mut fx);
+            let warnings = fx.drain().filter_map(|e| match e {
+                Effect::Warn { label } => Some(label),
+                _ => None,
+            });
+            warnings.collect::<Vec<_>>()
+        };
+        feed(NodeEvent::Start);
+        feed(NodeEvent::Timer {
+            tag: RTimer::NewEpoch,
+        });
+        let epoch = 1;
+        let report = |count| {
+            let census = Census {
+                count,
+                ..Census::solo(child)
+            };
+            NodeEvent::Message {
+                from: child,
+                msg: ReliableMsg::Plain(RMsg::GroupAgg {
+                    epoch,
+                    vector: VecSum::from(vec![1; 16]),
+                    census,
+                }),
+            }
+        };
+        // A count past the three peers that exist used to overflow the
+        // root's merge: a panic in debug builds, a wrap in release.
+        assert_eq!(feed(report(u32::MAX)), ["malformed-report"]);
+        assert_eq!(feed(report(4)), ["malformed-report"]);
+        // Neither was counted as the child's report: the genuine one merges.
+        assert!(feed(report(1)).is_empty());
     }
 
     #[test]

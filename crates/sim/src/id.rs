@@ -14,7 +14,6 @@ use std::fmt;
 /// assert_eq!(format!("{p}"), "P3");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PeerId(u32);
 
 impl PeerId {

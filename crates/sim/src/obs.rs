@@ -406,7 +406,7 @@ impl MetricsReport {
 
     /// Serializes the report to JSON, including wall-clock fields.
     ///
-    /// Hand-rolled (this workspace builds without serde's machinery); the
+    /// Hand-rolled (the workspace has no serialization dependency); the
     /// output is stable: one field per line, phases in first-activity
     /// order, classes in index order.
     pub fn to_json(&self) -> String {

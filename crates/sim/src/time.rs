@@ -16,7 +16,6 @@ use std::ops::{Add, AddAssign, Sub};
 /// assert_eq!(t.as_micros(), 5_000);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -82,7 +81,6 @@ impl Sub<SimTime> for SimTime {
 
 /// A span of simulated time, in microseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Duration(u64);
 
 impl Duration {

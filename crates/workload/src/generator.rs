@@ -11,7 +11,6 @@ use crate::zipf::ZipfSampler;
 /// generators can encode composite items (e.g. keyword *pairs*) without
 /// collisions, and let the wire-size configuration decide encoded width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ItemId(pub u64);
 
 impl std::fmt::Display for ItemId {
@@ -22,7 +21,6 @@ impl std::fmt::Display for ItemId {
 
 /// Parameters of the synthetic workload (Table III defaults).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkloadParams {
     /// `N` — number of peers.
     pub peers: usize,

@@ -14,27 +14,29 @@ const NON_TEST_LINES: &[(&str, usize)] = &[
     ("src", 308),
     // 1 226 with the instant walk in place of the one-pass convergecast core;
     // 1 266 with a `build_world` pair beside `peers`.
-    ("crates/agg", 1250),
+    ("crates/agg", 1249),
     // 4 881 while each of nine smoke lanes kept its own run struct,
     // subcommand and `write_metrics`; 4 550 while metric and perf
     // snapshots had two gates, each with its own tolerance; 4 344 while
-    // the fabric smoke hand-built its `NetFilterProtocol` population.
-    ("crates/bench", 4305),
+    // the fabric smoke hand-built its `NetFilterProtocol` population; 4 305
+    // while every figure wrote each column twice, in `print` and `to_data`.
+    ("crates/bench", 3948),
     // 6 313 while `NetFilter::run` walked the tree beside the protocol;
     // 6 264 while the sketch engine kept its own copy of the one-pass core;
-    // 6 142 with thirteen `build_world*` wrappers and `WindowedMonitor`.
-    ("crates/core", 5872),
+    // 6 142 with thirteen `build_world*` wrappers and `WindowedMonitor`;
+    // 5 872 before census reports were bounded by the roster.
+    ("crates/core", 5878),
     ("crates/hierarchy", 1164),
     ("crates/overlay", 1184),
     // 518 with a wall-clock role, `BenchReport::parse` and its comparator.
     ("crates/perf", 166),
     // 3 854 while the kernel also drove the `Protocol`/`Ctx` interface.
-    ("crates/sim", 3734),
+    ("crates/sim", 3731),
     // 2 357 with a `find_*` lookup per case registry; 2 354 while the
     // approx and continuous registries each kept their own fault helpers.
     ("crates/simcheck", 2304),
     ("crates/transport", 1588),
-    ("crates/workload", 838),
+    ("crates/workload", 836),
 ];
 
 /// Non-blank lines before the first `#[cfg(test)]` of one file.
