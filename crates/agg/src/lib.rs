@@ -32,6 +32,7 @@ pub use hierarchical::{
     Boot, Collect, Convergecast, ConvergecastProtocol, Finish, OnePass, TreeSlot,
 };
 pub use merge::{
-    fold_run, is_run, merge_join, Aggregate, Ascending, Fold, MapSum, OnArrival, ScalarSum, VecSum,
+    fold_run, is_run, merge_join, merge_runs, Aggregate, Ascending, Fold, MapSum, OnArrival,
+    Overflow, ScalarSum, VecSum,
 };
 pub use wire::WireSizes;

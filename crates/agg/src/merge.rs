@@ -424,8 +424,8 @@ pub fn is_run<V: Default + PartialEq>(pairs: &[(ItemId, V)]) -> bool {
 }
 
 /// Folds arbitrary `(item, value)` pairs into a run in place: equal items
-/// are summed, zero sums dropped. The sort is stable and adaptive, so a
-/// concatenation of runs — what callers pass — merges in linear time.
+/// are summed, zero sums dropped. For input that is not already runs; two
+/// runs sum in one pass with [`merge_runs`].
 pub fn fold_run<V>(pairs: &mut Vec<(ItemId, V)>)
 where
     V: Copy + Default + PartialEq + std::ops::AddAssign,
@@ -443,6 +443,47 @@ fn sum_adjacent<V: Copy + std::ops::AddAssign>(pairs: &mut Vec<(ItemId, V)>) {
             true
         }
     });
+}
+
+/// A sum that does not fit its value type: refused whole.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Overflow;
+
+/// Adds run `run` into run `acc` in one pass: equal items summed with the
+/// overflow checked, zero sums dropped. An empty side costs nothing — an
+/// empty `acc` takes `run`'s storage over — and otherwise the sum is
+/// written to one buffer sized for both sides. On [`Overflow`] that buffer
+/// is dropped and `acc` is exactly as it was.
+pub fn merge_runs<V>(acc: &mut Vec<(ItemId, V)>, run: Vec<(ItemId, V)>) -> Result<(), Overflow>
+where
+    V: Copy + Default + PartialEq + Into<i128> + TryFrom<i128>,
+{
+    if acc.is_empty() || run.is_empty() {
+        if acc.is_empty() {
+            *acc = run;
+        }
+        return Ok(());
+    }
+    let (a, b) = (&acc[..], &run[..]);
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        let (lt, gt) = (x.0 < y.0, y.0 < x.0);
+        let v = match (lt, gt) {
+            (true, _) => Ok(x.1),
+            (_, true) => Ok(y.1),
+            _ => V::try_from(x.1.into() + y.1.into()).map_err(|_| Overflow),
+        }?;
+        if v != V::default() {
+            out.push((if gt { y.0 } else { x.0 }, v));
+        }
+        i += usize::from(!gt);
+        j += usize::from(!lt);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    *acc = out;
+    Ok(())
 }
 
 /// Walks two runs in step: one `(item, a, b)` per item present in either,
@@ -800,6 +841,63 @@ mod tests {
             let both: Vec<(ItemId, i64)> = a.iter().chain(&b).copied().collect();
             proptest::prop_assert_eq!(summed, tree_sum(&both));
         }
+    }
+
+    proptest::proptest! {
+        /// Runs summed on arrival with `merge_runs`, in any order, equal
+        /// `fold_run` of their concatenation — cancellations to zero, empty
+        /// runs and the first run adopted by an empty accumulator included.
+        #[test]
+        fn merging_runs_on_arrival_equals_folding_their_concatenation(
+            lists in proptest::collection::vec(arb_pairs(), 0..6),
+            keys in proptest::collection::vec(0u64..1_000, 6),
+        ) {
+            let mut runs: Vec<(u64, Vec<(ItemId, i64)>)> = lists
+                .into_iter()
+                .zip(keys)
+                .map(|(mut pairs, key)| {
+                    fold_run(&mut pairs);
+                    (key, pairs)
+                })
+                .collect();
+            let mut want: Vec<_> = runs.iter().flat_map(|r| r.1.clone()).collect();
+            fold_run(&mut want);
+            // The generated order, then an arbitrary one.
+            for pass in 0..2 {
+                if pass == 1 {
+                    runs.sort_by_key(|r| r.0);
+                }
+                let mut acc = Vec::new();
+                for (_, run) in runs.clone() {
+                    let adopted = (acc.is_empty() && !run.is_empty()).then_some(run.as_ptr());
+                    proptest::prop_assert_eq!(merge_runs(&mut acc, run), Ok(()));
+                    proptest::prop_assert!(is_run(&acc));
+                    if let Some(at) = adopted {
+                        proptest::prop_assert_eq!(acc.as_ptr(), at, "adopted, not copied");
+                    }
+                }
+                proptest::prop_assert_eq!(&acc, &want);
+            }
+        }
+    }
+
+    #[test]
+    fn merge_runs_refuses_an_overflowing_sum_whole() {
+        let p = |k, v: i64| (ItemId(k), v);
+        let mut acc = vec![p(0, 2), p(5, 1)];
+        let before = (acc.clone(), acc.as_ptr());
+        for run in [vec![p(0, i64::MAX)], vec![p(3, 1), p(5, i64::MAX)]] {
+            assert_eq!(merge_runs(&mut acc, run), Err(Overflow));
+            assert_eq!((acc.clone(), acc.as_ptr()), before, "untouched");
+        }
+        let mut low = vec![(ItemId(1), u64::MAX)];
+        assert_eq!(merge_runs(&mut low, vec![(ItemId(1), 1)]), Err(Overflow));
+        assert_eq!(merge_runs(&mut acc, vec![p(0, -2), p(5, i64::MIN)]), Ok(()));
+        assert_eq!(acc, [p(5, i64::MIN + 1)], "a cancelled item is dropped");
+        // An empty side keeps the other side's storage.
+        let at = acc.as_ptr();
+        assert_eq!(merge_runs(&mut acc, Vec::new()), Ok(()));
+        assert_eq!(acc.as_ptr(), at);
     }
 
     #[test]

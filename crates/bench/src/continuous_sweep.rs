@@ -22,7 +22,7 @@
 
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::{sansio_world, MsgClass, PeerId, SimConfig};
-use ifi_workload::{SystemData, WorkloadParams};
+use ifi_workload::{ItemId, SystemData, WorkloadParams};
 use netfilter::continuous::{
     schedule_from_data, ContinuousConfig, ContinuousProtocol, QueryRegistry, StandingQuery,
 };
@@ -30,12 +30,12 @@ use netfilter::continuous::{
 use crate::output::{f1, f3, int, Column, Panel};
 use crate::ShapeCheck;
 
-/// Peers in the sweep workload.
-const PEERS: usize = 30;
+/// Peers in the sweep workload (and the `continuous` smoke row's).
+pub(crate) const PEERS: usize = 30;
 /// Epoch fences per run.
-const EPOCHS: usize = 24;
+pub(crate) const EPOCHS: usize = 24;
 /// Window size in buckets.
-const WINDOW: usize = 4;
+pub(crate) const WINDOW: usize = 4;
 /// Query counts swept.
 const KS: [usize; 4] = [1, 2, 4, 8];
 /// Threshold of query `i` is `BASE_THRESHOLD + 10·i`.
@@ -64,8 +64,8 @@ fn registry(k: usize) -> QueryRegistry {
     r
 }
 
-/// Runs the sweep at `seed`.
-pub fn run(seed: u64) -> Vec<Panel> {
+/// Every peer's fence batches of the sweep workload at `seed`.
+pub(crate) fn schedules(seed: u64) -> Vec<Vec<Vec<(ItemId, u64)>>> {
     let data = SystemData::generate_paper(
         &WorkloadParams {
             peers: PEERS,
@@ -75,25 +75,32 @@ pub fn run(seed: u64) -> Vec<Panel> {
         },
         seed,
     );
-    let schedules = schedule_from_data(&data, EPOCHS);
+    schedule_from_data(&data, EPOCHS)
+}
+
+/// The delta- and standing-class bytes of the sweep workload at `seed`
+/// with `k` standing queries.
+pub(crate) fn class_bytes(seed: u64, k: usize) -> (u64, u64) {
     let h = Hierarchy::balanced(PEERS, 3);
     let cfg = ContinuousConfig::new(WINDOW, EPOCHS);
-    let classes = |k: usize| -> (u64, u64) {
-        let mut w = sansio_world(
-            SimConfig::default().with_seed(seed),
-            ContinuousProtocol::peers(&cfg, &h, &registry(k), &schedules, None),
-        );
-        w.start();
-        w.run_to_quiescence();
-        (
-            w.metrics().class_bytes(MsgClass::DELTA),
-            w.metrics().class_bytes(MsgClass::STANDING),
-        )
-    };
-    let (delta_1, standing_1) = classes(1);
+    let mut w = sansio_world(
+        SimConfig::default().with_seed(seed),
+        ContinuousProtocol::peers(&cfg, &h, &registry(k), &schedules(seed), None),
+    );
+    w.start();
+    w.run_to_quiescence();
+    (
+        w.metrics().class_bytes(MsgClass::DELTA),
+        w.metrics().class_bytes(MsgClass::STANDING),
+    )
+}
+
+/// Runs the sweep at `seed`.
+pub fn run(seed: u64) -> Vec<Panel> {
+    let (delta_1, standing_1) = class_bytes(seed, 1);
     let single_total = delta_1 + standing_1;
     let rows = KS.iter().map(|&k| {
-        let (delta, standing) = classes(k);
+        let (delta, standing) = class_bytes(seed, k);
         vec![
             k as f64,
             delta as f64 / EPOCHS as f64,

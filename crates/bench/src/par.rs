@@ -90,23 +90,6 @@ pub fn build_multi_hierarchy(
     ifi_hierarchy::MultiHierarchy::from_trees(trees)
 }
 
-/// [`par_map`] that additionally measures each sweep point's wall-clock
-/// duration on its worker thread, returning `(output, duration)` pairs in
-/// input order. Used to profile figure sweeps without perturbing their
-/// deterministic outputs.
-pub fn par_map_timed<T, U, F>(items: Vec<T>, f: F) -> Vec<(U, std::time::Duration)>
-where
-    T: Send,
-    U: Send,
-    F: Fn(T) -> U + Sync,
-{
-    par_map(items, |item| {
-        let t0 = std::time::Instant::now();
-        let out = f(item);
-        (out, t0.elapsed())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,30 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn timed_map_preserves_outputs_and_measures() {
-        let out = par_map_timed((0..8).collect(), |x: u64| {
-            let mut acc = x;
-            for _ in 0..1000 {
-                acc = ifi_sim::mix64(acc);
-            }
-            acc
-        });
-        let plain: Vec<u64> = out.iter().map(|&(v, _)| v).collect();
-        assert_eq!(
-            plain,
-            par_map((0..8).collect(), |x: u64| {
-                let mut acc = x;
-                for _ in 0..1000 {
-                    acc = ifi_sim::mix64(acc);
-                }
-                acc
-            })
-        );
-        // Durations are measured (non-negative by type; at least present).
-        assert_eq!(out.len(), 8);
-    }
-
-    #[test]
     fn preserves_order_under_shuffled_completion() {
         // Force completion order to differ from input order: each item
         // sleeps for a duration drawn from a seeded shuffle, so late
@@ -206,17 +165,6 @@ mod tests {
     #[should_panic]
     fn worker_panics_propagate() {
         let _ = par_map(vec![1u32, 2, 3], |x| {
-            assert!(x != 2, "boom");
-            x
-        });
-    }
-
-    #[test]
-    #[should_panic]
-    fn timed_worker_panics_propagate() {
-        // The timing wrapper must not swallow a worker panic: a sweep
-        // point that dies should still abort the whole figure run.
-        let _ = par_map_timed(vec![1u32, 2, 3], |x| {
             assert!(x != 2, "boom");
             x
         });

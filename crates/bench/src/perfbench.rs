@@ -33,7 +33,7 @@
 //! regression that balloons memory, or a per-pair allocation on the delta
 //! path, shows up as exact counter drift.
 
-use ifi_agg::{MapSum, VecSum};
+use ifi_agg::{fold_run, merge_runs, MapSum, VecSum};
 use ifi_hierarchy::{Hierarchy, MaintainProtocol};
 use ifi_overlay::{HeartbeatConfig, Topology};
 use ifi_perf::{run_bench, Sample};
@@ -332,39 +332,29 @@ fn full_reaggregation_bytes(
     window: usize,
     sizes: &WireSizes,
 ) -> u64 {
-    use std::collections::BTreeMap;
     let lo = (epoch + 2).saturating_sub(window); // epoch − (W − 2)
-    let per_peer: Vec<BTreeMap<ItemId, u64>> = schedules
+    let mut sets: Vec<Vec<(ItemId, u64)>> = schedules
         .iter()
         .map(|sched| {
-            let mut win = BTreeMap::new();
-            for batch in sched.iter().take(epoch + 1).skip(lo) {
-                for &(item, v) in batch {
-                    *win.entry(item).or_insert(0) += v;
-                }
-            }
+            let mut win = sched
+                .iter()
+                .take(epoch + 1)
+                .skip(lo)
+                .flatten()
+                .copied()
+                .collect();
+            fold_run(&mut win);
             win
         })
         .collect();
-    fn fold_up(
-        h: &Hierarchy,
-        p: PeerId,
-        per_peer: &[std::collections::BTreeMap<ItemId, u64>],
-        sizes: &WireSizes,
-        total: &mut u64,
-    ) -> std::collections::BTreeMap<ItemId, u64> {
-        let mut acc = per_peer[p.index()].clone();
-        for &c in h.children(p) {
-            let sub = fold_up(h, c, per_peer, sizes, total);
-            *total += sizes.si + sizes.pair() * sub.len() as u64;
-            for (k, v) in sub {
-                *acc.entry(k).or_insert(0) += v;
-            }
-        }
-        acc
-    }
     let mut total = 0;
-    fold_up(h, h.root(), &per_peer, sizes, &mut total);
+    for p in h.post_order() {
+        for &c in h.children(p) {
+            let sub = std::mem::take(&mut sets[c.index()]);
+            total += sizes.si + sizes.pair() * sub.len() as u64;
+            merge_runs(&mut sets[p.index()], sub).expect("window totals fit a u64");
+        }
+    }
     total
 }
 

@@ -2,78 +2,48 @@
 //! [`super`]): a long haul under loss and the K-query sharing ratio.
 
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::{sansio_world, Des, FaultPlan, MsgClass, PeerId, RelConfig, SimConfig, World};
-use ifi_workload::{ItemId, SystemData, WorkloadParams};
+use ifi_sim::{sansio_world, FaultPlan, PeerId, RelConfig, SimConfig};
+use ifi_workload::ItemId;
 use netfilter::continuous::{
-    schedule_from_data, window_totals_from_scratch, ContinuousConfig, ContinuousProtocol,
-    QueryRegistry, StandingQuery,
+    window_totals_from_scratch, ContinuousConfig, ContinuousProtocol, QueryRegistry, StandingQuery,
 };
 
+use crate::continuous_sweep::{self, EPOCHS, PEERS, WINDOW};
 use crate::ShapeCheck;
 
-/// Peers in the long-haul and sharing workloads.
-const PEERS: usize = 30;
-/// Epoch fences the long-haul run certifies.
-const EPOCHS: usize = 24;
-/// Window size in buckets.
-const WINDOW: usize = 4;
 /// Thresholds of the two long-haul queries.
 const THRESHOLDS: [u64; 2] = [40, 80];
 /// Queries in the many-tenant sharing run.
 const K: usize = 8;
 
-fn smoke_workload(seed: u64) -> Vec<Vec<Vec<(ItemId, u64)>>> {
-    let data = SystemData::generate_paper(
-        &WorkloadParams {
-            peers: PEERS,
-            items: 400,
-            instances_per_item: 10,
-            theta: 1.0,
-        },
-        seed,
-    );
-    schedule_from_data(&data, EPOCHS)
-}
-
-fn subscriber() -> PeerId {
-    PeerId::new(PEERS - 1)
-}
-
-fn run_world(
-    schedules: &[Vec<Vec<(ItemId, u64)>>],
-    registry: &QueryRegistry,
-    sim: SimConfig,
-    rel: Option<RelConfig>,
-) -> World<Des<ContinuousProtocol>> {
-    let h = Hierarchy::balanced(PEERS, 3);
-    let cfg = ContinuousConfig::new(WINDOW, EPOCHS);
-    let mut w = sansio_world(
-        sim,
-        ContinuousProtocol::peers(&cfg, &h, registry, schedules, rel),
-    );
-    w.start();
-    w.run_to_quiescence();
-    w
-}
-
-/// The long-haul leg: every fence certifies under loss and every
-/// certified answer equals the from-scratch window.
+/// The long-haul leg, on the continuous sweep's workload: every fence
+/// certifies under loss and every certified answer equals the
+/// from-scratch window.
 pub fn long_haul_checks(seed: u64) -> Vec<ShapeCheck> {
-    let schedules = smoke_workload(seed);
+    let schedules = continuous_sweep::schedules(seed);
     let mut registry = QueryRegistry::new();
     for (i, &t) in THRESHOLDS.iter().enumerate() {
         registry.register(StandingQuery {
             id: i as u32,
             threshold: t,
-            subscriber: subscriber(),
+            subscriber: PeerId::new(PEERS - 1),
         });
     }
     let sim = SimConfig::default()
         .with_seed(seed)
         .with_faults(FaultPlan::none().with_drop(0.10).with_duplication(0.05));
-    let root = Hierarchy::balanced(PEERS, 3).root();
-    let w = run_world(&schedules, &registry, sim, Some(RelConfig::default()));
-    let history = w.peer(root).delivered().to_vec();
+    let (h, cfg) = (
+        Hierarchy::balanced(PEERS, 3),
+        ContinuousConfig::new(WINDOW, EPOCHS),
+    );
+    let rel = Some(RelConfig::default());
+    let mut w = sansio_world(
+        sim,
+        ContinuousProtocol::peers(&cfg, &h, &registry, &schedules, rel),
+    );
+    w.start();
+    w.run_to_quiescence();
+    let history = w.peer(h.root()).delivered();
 
     let mut checks = Vec::new();
     checks.push(ShapeCheck::new(
@@ -82,7 +52,7 @@ pub fn long_haul_checks(seed: u64) -> Vec<ShapeCheck> {
         format!("{} of {EPOCHS} certified", history.len()),
     ));
     let mut mismatches = 0usize;
-    for ans in &history {
+    for ans in history {
         let scratch = window_totals_from_scratch(&schedules, ans.epoch, WINDOW);
         for (qi, &t) in THRESHOLDS.iter().enumerate() {
             let mut want: Vec<(ItemId, u64)> = scratch
@@ -107,33 +77,11 @@ pub fn long_haul_checks(seed: u64) -> Vec<ShapeCheck> {
     checks
 }
 
-/// The sharing leg: K standing queries over one delta stream.
+/// The sharing leg: K standing queries over one delta stream — the
+/// continuous sweep's workload at K = 1 and K = 8.
 pub fn sharing_checks(seed: u64) -> Vec<ShapeCheck> {
-    let schedules = smoke_workload(seed);
-    let bytes = |registry: &QueryRegistry| {
-        let w = run_world(
-            &schedules,
-            registry,
-            SimConfig::default().with_seed(seed),
-            None,
-        );
-        (
-            w.metrics().class_bytes(MsgClass::DELTA),
-            w.metrics().class_bytes(MsgClass::STANDING),
-        )
-    };
-    let single = QueryRegistry::single(THRESHOLDS[0], subscriber());
-    let mut many = QueryRegistry::new();
-    for i in 0..K {
-        many.register(StandingQuery {
-            id: i as u32,
-            threshold: THRESHOLDS[0] + 10 * i as u64,
-            subscriber: subscriber(),
-        });
-    }
-    let (delta_1, _standing_1) = bytes(&single);
-    let (delta_k, standing_k) = bytes(&many);
-
+    let (delta_1, _) = continuous_sweep::class_bytes(seed, 1);
+    let (delta_k, standing_k) = continuous_sweep::class_bytes(seed, K);
     let mut checks = Vec::new();
     checks.push(ShapeCheck::new(
         "the shared delta stream is K-independent (K=8 bytes == K=1 bytes)",

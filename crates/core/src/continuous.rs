@@ -39,13 +39,13 @@
 //!   integer arithmetic, so fade evaluation is an order-independent pure
 //!   fold over epoch-keyed contributions (see [`FadedAccumulator`]).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
-use ifi_agg::{fold_run, is_run, merge_join, Boot, TreeSlot};
+use ifi_agg::{fold_run, is_run, merge_join, merge_runs, Boot, Overflow, TreeSlot};
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::{
-    mix64, Duration, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, PeerSet,
-    RelConfig, ReliableMsg, RetransmitTimer, SansIo, SimTime,
+    mix64, Duration, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, RelConfig,
+    ReliableMsg, RetransmitTimer, SansIo, SimTime,
 };
 use ifi_workload::{ItemId, SystemData};
 
@@ -260,8 +260,8 @@ pub struct EpochAnswer {
 /// `fade_is_order_independent` proptest pins exactly that.
 #[derive(Debug, Clone, Default)]
 pub struct FadedAccumulator {
-    /// Per epoch, the batch totals as a run.
-    batches: BTreeMap<u64, Vec<(ItemId, u64)>>,
+    /// Per epoch, ascending, the batch totals as a run.
+    batches: Vec<(u64, Vec<(ItemId, u64)>)>,
 }
 
 impl FadedAccumulator {
@@ -270,28 +270,35 @@ impl FadedAccumulator {
         FadedAccumulator::default()
     }
 
-    /// Adds `value` of `item` to epoch `epoch`'s batch totals.
-    pub fn absorb(&mut self, epoch: u64, item: ItemId, value: u64) {
-        self.absorb_pairs(epoch, [(item, value)]);
-    }
-
     /// Adds `pairs` (any order, items may repeat) to epoch `epoch`'s batch
-    /// totals.
-    pub fn absorb_pairs(&mut self, epoch: u64, pairs: impl IntoIterator<Item = (ItemId, u64)>) {
-        let batch = self.batches.entry(epoch).or_default();
-        batch.extend(pairs);
-        fold_run(batch);
+    /// totals. A run — what the root passes — is summed in as it is; a
+    /// total that overflows leaves the batch as it was.
+    pub fn absorb_pairs(
+        &mut self,
+        epoch: u64,
+        pairs: impl IntoIterator<Item = (ItemId, u64)>,
+    ) -> Result<(), Overflow> {
+        let mut pairs: Vec<(ItemId, u64)> = pairs.into_iter().collect();
+        if !is_run(&pairs) {
+            fold_run(&mut pairs);
+        }
+        let at = self.batches.partition_point(|b| b.0 < epoch);
+        if self.batches.get(at).is_none_or(|b| b.0 != epoch) {
+            self.batches.insert(at, (epoch, Vec::new()));
+        }
+        merge_runs(&mut self.batches[at].1, pairs)
     }
 
     /// The reconstructed batch totals for one epoch as a run (empty if
     /// none were absorbed).
     pub fn batch(&self, epoch: u64) -> &[(ItemId, u64)] {
-        self.batches.get(&epoch).map_or(&[], Vec::as_slice)
+        let at = self.batches.binary_search_by_key(&epoch, |b| b.0);
+        at.map_or(&[], |at| &self.batches[at].1)
     }
 
     /// Drops every epoch before `lo` (aged out of the window).
     pub fn retain_from(&mut self, lo: u64) {
-        self.batches = self.batches.split_off(&lo);
+        self.batches.retain(|b| b.0 >= lo);
     }
 
     /// The scaled faded value of `item` at fence `epoch` for a `window`-
@@ -309,7 +316,7 @@ impl FadedAccumulator {
         let full = (window - 1) as u64; // full batches a live window holds
         let lo = epoch.saturating_sub(full - 1);
         let mut acc: u128 = 0;
-        for (&j, batch) in self.batches.range(lo..=epoch) {
+        for (j, batch) in self.batches.iter().filter(|b| (lo..=epoch).contains(&b.0)) {
             let age = (epoch - j) as u32;
             let weight = (num as u128).pow(age) * (den as u128).pow((full - 1) as u32 - age);
             let value = batch
@@ -324,34 +331,34 @@ impl FadedAccumulator {
 /// Per-epoch merge buffer at one node: its subtree's contributions so far.
 #[derive(Debug, Clone, Default)]
 struct PendingEpoch {
-    /// The admitted contributions' runs, concatenated; folded into one run
-    /// when the epoch completes.
+    /// The admitted contributions, summed into one run as they arrive.
     diffs: Vec<(ItemId, i64)>,
     census_count: u32,
     census_digest: u64,
-    /// Children whose merged delta already arrived (per-epoch dedup).
-    reported: PeerSet,
-    /// Whether this node's own fence contribution is merged.
-    own_done: bool,
 }
 
 /// The sans-io continuous standing-query core for one peer.
 #[derive(Debug, Clone)]
 pub struct ContinuousProtocol {
     // Static.
-    epochs: usize,
     epoch_len: Duration,
     sizes: WireSizes,
     me: PeerId,
     slot: TreeSlot,
-    members: usize,
-    /// This peer's per-epoch record batches, pre-loaded.
-    schedule: Vec<Vec<(ItemId, u64)>>,
+    members: u32,
+    /// This peer's record batches, pre-loaded: every fence's pairs back to
+    /// back, the batch of fence `f` ending at `ends[f]`. One end per
+    /// configured fence, so `ends.len()` is the epoch count.
+    schedule: Box<[(ItemId, u64)]>,
+    ends: Box<[u32]>,
     // Dynamic.
     win: SlidingWindow,
     /// Next local fence index (epochs `< fence` are locally closed).
     fence: usize,
-    pending: BTreeMap<u64, PendingEpoch>,
+    /// The epochs from `next_forward` on, opened by a fence or a delta.
+    pending: VecDeque<PendingEpoch>,
+    /// Per pending epoch, `words()` words: a bit per child already in.
+    reported: VecDeque<u64>,
     /// Next epoch to forward upward (interior) or certify (root).
     next_forward: u64,
     env: Envelope<EpochDelta>,
@@ -361,7 +368,7 @@ pub struct ContinuousProtocol {
 
 // One pointer is all the other N − 1 peers pay for the root's state; a
 // field added in line shows up here before it shows up as N copies.
-const _: () = assert!(std::mem::size_of::<ContinuousProtocol>() == 224);
+const _: () = assert!(std::mem::size_of::<ContinuousProtocol>() == 256);
 
 /// What only the root holds: what it certifies against, the queries it
 /// splits answers for, and the standing state certified deltas fold into.
@@ -398,7 +405,7 @@ impl ContinuousProtocol {
         hierarchy: &Hierarchy,
         registry: &QueryRegistry,
         peer: PeerId,
-        schedule: Vec<Vec<(ItemId, u64)>>,
+        schedule: &[Vec<(ItemId, u64)>],
     ) -> Self {
         assert!(config.window >= 2, "continuous windows need ≥ 2 buckets");
         assert_eq!(
@@ -428,17 +435,23 @@ impl ContinuousProtocol {
                 prev_answers: vec![Vec::new(); registry.len()],
             })
         });
+        let mut end = 0;
+        let ends = (0..config.epochs).map(|f| {
+            end += schedule.get(f).map_or(0, Vec::len);
+            end as u32
+        });
         ContinuousProtocol {
-            epochs: config.epochs,
             epoch_len: config.epoch,
             sizes: config.sizes,
             me: peer,
             slot,
-            members: hierarchy.member_count(),
-            schedule,
+            members: hierarchy.member_count() as u32,
+            schedule: schedule.concat().into_boxed_slice(),
+            ends: ends.collect(),
             win: SlidingWindow::new(config.window),
             fence: 0,
-            pending: BTreeMap::new(),
+            pending: VecDeque::new(),
+            reported: VecDeque::new(),
             next_forward: 0,
             env: Envelope::plain(),
             root,
@@ -490,15 +503,9 @@ impl ContinuousProtocol {
             schedules.len(),
             "hierarchy and schedule peer universes differ"
         );
-        (0..schedules.len())
-            .map(|i| {
-                let core = ContinuousProtocol::new(
-                    config,
-                    hierarchy,
-                    registry,
-                    PeerId::new(i),
-                    schedules[i].clone(),
-                );
+        (schedules.iter().enumerate())
+            .map(|(i, schedule)| {
+                let core = Self::new(config, hierarchy, registry, PeerId::new(i), schedule);
                 match &rel {
                     None => core,
                     Some(cfg) => core.with_reliability(cfg.clone()),
@@ -507,71 +514,91 @@ impl ContinuousProtocol {
             .collect()
     }
 
+    /// Opens every pending epoch up to `epoch` (which is at least
+    /// `next_forward`) and returns its place in the ring.
+    fn open(&mut self, epoch: u64) -> usize {
+        let at = (epoch - self.next_forward) as usize;
+        let len = self.pending.len().max(at + 1);
+        self.pending.resize_with(len, PendingEpoch::default);
+        self.reported.resize(len * self.words(), 0);
+        at
+    }
+
+    /// Words of child bits each pending epoch holds in `reported`.
+    fn words(&self) -> usize {
+        self.slot.children().len().div_ceil(64)
+    }
+
     /// Closes the current epoch: record the batch, advance the window,
-    /// merge the local delta, flush whatever became forwardable.
+    /// merge the local delta, flush whatever became forwardable. A delta
+    /// that does not fit an `i64`, or whose sum with what is pending does
+    /// not, is refused with `malformed-report` and leaves the census short.
     fn do_fence(&mut self, fx: &mut Effects<Self>) {
         let e = self.fence as u64;
-        for &(item, v) in self.schedule.get(self.fence).into_iter().flatten() {
-            self.win.record(item, v);
-        }
+        let all = self.schedule.len(); // a fence past the last end: no batch
+        let end = |f| self.ends.get(f).map_or(all, |&n| n as usize);
+        let batch = &self.schedule[self.fence.checked_sub(1).map_or(0, end)..end(self.fence)];
+        self.win.extend(batch.iter().copied());
         let retired = self.win.advance();
-        let batch = self.win.newest();
-        let p = self.pending.entry(e).or_default();
-        let diffs = merge_join(batch, &retired).filter_map(|(item, new, old)| {
-            let diff = new.unwrap_or(0) as i64 - old.unwrap_or(0) as i64;
-            (diff != 0).then_some((item, diff))
+        let changed = || merge_join(self.win.newest(), &retired).filter(|row| row.1 != row.2);
+        let mut own = Vec::with_capacity(changed().count());
+        let fits = changed().try_for_each(|(item, new, old)| {
+            let diff = i128::from(new.unwrap_or(0)) - i128::from(old.unwrap_or(0));
+            own.push((item, i64::try_from(diff).map_err(|_| Overflow)?));
+            Ok(())
         });
-        p.diffs.reserve(batch.len() + retired.len());
-        p.diffs.extend(diffs);
-        p.own_done = true;
-        // Only over a child's lie can this saturate, and then no root
-        // certifies the epoch.
-        p.census_count = p.census_count.saturating_add(1);
-        p.census_digest ^= mix64(self.me.index() as u64);
+        let at = self.open(e);
+        let p = &mut self.pending[at];
+        if fits.and_then(|()| merge_runs(&mut p.diffs, own)).is_ok() {
+            // Only over a child's lie can this saturate, and then no root
+            // certifies the epoch.
+            p.census_count = p.census_count.saturating_add(1);
+            p.census_digest ^= mix64(self.me.index() as u64);
+        } else {
+            fx.warn("malformed-report");
+        }
         self.fence += 1;
         self.flush(fx);
-        if self.fence < self.epochs {
+        if self.fence < self.ends.len() {
             fx.set_timer(self.epoch_len, ContTimer::Fence);
         }
     }
 
-    /// Admits a child's delta into its epoch's pending buffer. It is what
-    /// the wire handed over, so it is checked before the child's dedup bit
-    /// is set: taken only as a run, and with a census the roster can hold;
-    /// anything else is dropped whole, for the honest resend to replace.
-    fn admit(&mut self, fx: &mut Effects<Self>, from: PeerId, delta: EpochDelta) {
-        let p = self.pending.entry(delta.epoch).or_default();
-        if p.reported.contains(from) {
+    /// Sums a child's delta into its epoch's pending run. It is what the
+    /// wire handed over, so it is checked before the child's dedup bit is
+    /// set: taken only as a run, with a census the roster can hold and
+    /// sums that fit; anything else is dropped whole, pending state
+    /// untouched, for the honest resend to replace.
+    fn admit(&mut self, fx: &mut Effects<Self>, child: usize, delta: EpochDelta) {
+        let at = self.open(delta.epoch);
+        let (word, bit) = (at * self.words() + child / 64, 1 << (child % 64));
+        if self.reported[word] & bit != 0 {
             return fx.warn("duplicate-delta");
         }
+        let p = &mut self.pending[at];
         let census = p.census_count.checked_add(delta.census_count);
-        let census = census.filter(|&c| c as usize <= self.members && is_run(&delta.diffs));
-        let Some(census) = census else {
+        let census = census.filter(|&c| c <= self.members && is_run(&delta.diffs));
+        let Some(census) = census.filter(|_| merge_runs(&mut p.diffs, delta.diffs).is_ok()) else {
             return fx.warn("malformed-report");
         };
-        p.reported.insert(from);
-        p.diffs.extend(delta.diffs);
+        self.reported[word] |= bit;
         p.census_count = census;
         p.census_digest ^= delta.census_digest;
     }
 
     /// Forwards (interior) or certifies (root) every complete epoch at the
-    /// head of the in-order queue.
+    /// head of the in-order queue: its own fence has passed (so it is
+    /// open) and every child has reported.
     fn flush(&mut self, fx: &mut Effects<Self>) {
-        loop {
-            let e = self.next_forward;
-            if e >= self.fence as u64 {
-                return; // own fence for e hasn't passed yet
-            }
-            let complete = match self.pending.get(&e) {
-                Some(p) => p.own_done && p.reported.len() == self.slot.children().len(),
-                None => false,
-            };
-            if !complete {
+        let words = self.words();
+        while self.next_forward < self.fence as u64 {
+            let reported: u32 = self.reported.range(..words).map(|w| w.count_ones()).sum();
+            if (reported as usize) < self.slot.children().len() {
                 return;
             }
-            let mut p = self.pending.remove(&e).expect("checked above");
-            fold_run(&mut p.diffs);
+            let p = self.pending.pop_front().expect("a passed fence is open");
+            self.reported.drain(..words);
+            let e = self.next_forward;
             match &mut self.root {
                 Some(root) => root.certify(fx, &self.sizes, self.members, e, p),
                 None => self.forward(fx, e, p),
@@ -608,25 +635,25 @@ impl RootState {
         &mut self,
         fx: &mut Fx,
         sizes: &WireSizes,
-        members: usize,
+        members: u32,
         epoch: u64,
         p: PendingEpoch,
     ) {
-        if p.census_count as usize != members || p.census_digest != self.roster_digest {
+        if p.census_count != members || p.census_digest != self.roster_digest {
             fx.warn("census-mismatch");
             return;
         }
         self.standing = self.apply(fx, "negative-standing", &self.standing, &p.diffs);
         if let FadePolicy::Exponential { .. } = self.fade {
             // Batch reconstruction for the faded variant: the global
-            // epoch-`e` batch is `Δ_e + B_{e−(W−1)}` (the retired batch the
-            // delta subtracted), so fading needs zero extra traffic.
+            // epoch-`e` batch is `Δ_e + B_{e−(W−1)}` (the delta subtracted the
+            // retired one), new at each epoch: fading costs no extra traffic.
             let full = (self.window - 1) as u64;
             let retired = epoch
                 .checked_sub(full)
                 .map_or(&[][..], |j| self.faded.batch(j));
             let batch = self.apply(fx, "negative-batch", retired, &p.diffs);
-            self.faded.absorb_pairs(epoch, batch);
+            self.faded.absorb_pairs(epoch, batch).expect("new epoch");
             self.faded.retain_from(epoch.saturating_sub(full - 1));
         }
         let answers = self.split_answers(fx, sizes, epoch);
@@ -720,7 +747,7 @@ impl SansIo for ContinuousProtocol {
                 if self.slot.boot() == Boot::Revival {
                     self.env.revive(fx);
                 }
-                if self.fence < self.epochs {
+                if self.fence < self.ends.len() {
                     fx.set_timer(self.epoch_len, ContTimer::Fence);
                 }
             }
@@ -728,10 +755,11 @@ impl SansIo for ContinuousProtocol {
                 let Some(delta) = self.env.on_frame(fx, from, msg) else {
                     return;
                 };
-                if let Err(warn) = self.slot.child(from) {
-                    return fx.warn(warn);
-                }
-                if delta.epoch >= self.epochs as u64 {
+                let child = match self.slot.child(from) {
+                    Ok(child) => child,
+                    Err(warn) => return fx.warn(warn),
+                };
+                if delta.epoch >= self.ends.len() as u64 {
                     fx.warn("epoch-out-of-range");
                     return;
                 }
@@ -739,7 +767,7 @@ impl SansIo for ContinuousProtocol {
                     fx.warn("stale-delta");
                     return;
                 }
-                self.admit(fx, from, delta);
+                self.admit(fx, child, delta);
                 self.flush(fx);
             }
             NodeEvent::Timer { tag } => match tag {
@@ -783,18 +811,13 @@ pub fn window_totals_from_scratch(
     epoch: u64,
     window: usize,
 ) -> BTreeMap<ItemId, u64> {
-    let full = (window - 1) as u64;
-    let lo = epoch.saturating_sub(full - 1);
+    let lo = (epoch + 2).saturating_sub(window as u64); // epoch − (W − 2)
+    let live = schedules
+        .iter()
+        .flat_map(|s| s.iter().take(epoch as usize + 1).skip(lo as usize));
     let mut totals: BTreeMap<ItemId, u64> = BTreeMap::new();
-    for schedule in schedules {
-        for (j, batch) in schedule.iter().enumerate() {
-            let j = j as u64;
-            if j >= lo && j <= epoch {
-                for &(item, v) in batch {
-                    *totals.entry(item).or_insert(0) += v;
-                }
-            }
-        }
+    for &(item, v) in live.flatten() {
+        *totals.entry(item).or_insert(0) += v;
     }
     totals.retain(|_, v| *v > 0);
     totals
@@ -990,9 +1013,10 @@ mod tests {
         );
     }
 
-    /// A delta that is not a run, or whose census the roster cannot hold,
-    /// is dropped whole with `malformed-report` — before the child's dedup
-    /// bit is set, so the honest resend still certifies the epoch exactly.
+    /// A delta that is not a run, whose census the roster cannot hold, or
+    /// whose sum with what is pending overflows, is dropped whole with
+    /// `malformed-report` — before the child's dedup bit is set, so the
+    /// honest resend still certifies the epoch exactly.
     #[test]
     fn malformed_deltas_are_dropped_and_the_honest_resend_certifies() {
         use ifi_sim::{AllUp, Effect};
@@ -1089,6 +1113,34 @@ mod tests {
             let scratch = window_totals_from_scratch(&schedules, 0, 3);
             assert!(root.standing().iter().copied().eq(scratch), "{what}");
         }
+
+        // An `i64::MAX` diff is a run, but item 0 is in every contribution.
+        let overflow = diffs(&[(0, i64::MAX), (5, 1)]);
+        let warned = |fx: &Fx| {
+            let malformed =
+                |e: &_| matches!(e, Effect::Warn { label } if *label == "malformed-report");
+            !fx.is_empty() && fx.iter().all(malformed)
+        };
+        // After the root's own fence, the child's delta is what overflows:
+        // refused, its dedup bit clear, and the honest resend certifies.
+        let mut root = core(0);
+        drive(&mut root, fence());
+        assert!(warned(&drive(&mut root, from(1, &overflow))));
+        let mut fx = drive(&mut root, from(1, &d1));
+        fx.extend(drive(&mut root, from(2, &d2)));
+        assert!(fx
+            .iter()
+            .any(|e| matches!(e, Effect::Deliver(a) if a.contributors == 3)));
+        let scratch = window_totals_from_scratch(&schedules, 0, 3);
+        assert!(root.standing().iter().copied().eq(scratch));
+        // Before it, the child's delta is taken over as the pending run, so
+        // the root's own contribution and the other child's are what
+        // overflow: both refused, the census stays short, nothing certifies.
+        let mut root = core(0);
+        assert!(drive(&mut root, from(1, &overflow)).is_empty());
+        assert!(warned(&drive(&mut root, fence())));
+        assert!(warned(&drive(&mut root, from(2, &d2))));
+        assert!(root.standing().is_empty());
     }
 
     #[test]
@@ -1220,10 +1272,10 @@ mod tests {
             let mut a = FadedAccumulator::new();
             let mut b = FadedAccumulator::new();
             for &(epoch, item, v) in &in_order {
-                a.absorb(epoch, ItemId(item), v);
+                prop_assert_eq!(a.absorb_pairs(epoch, [(ItemId(item), v)]), Ok(()));
             }
             for &(epoch, item, v) in &contributions {
-                b.absorb(epoch, ItemId(item), v);
+                prop_assert_eq!(b.absorb_pairs(epoch, [(ItemId(item), v)]), Ok(()));
             }
             for epoch in 0..8 {
                 for item in 0..6 {

@@ -114,6 +114,13 @@ impl SlidingWindow {
     }
 }
 
+/// Records a whole batch into the current time slice at once.
+impl Extend<(ItemId, u64)> for SlidingWindow {
+    fn extend<I: IntoIterator<Item = (ItemId, u64)>>(&mut self, records: I) {
+        self.open.extend(records);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,19 +13,23 @@ use std::path::Path;
 const NON_TEST_LINES: &[(&str, usize)] = &[
     ("src", 308),
     // 1 226 with the instant walk in place of the one-pass convergecast core;
-    // 1 266 with a `build_world` pair beside `peers`.
-    ("crates/agg", 1249),
+    // 1 266 with a `build_world` pair beside `peers`; 1 249 before runs
+    // were summed on arrival with checked sums.
+    ("crates/agg", 1289),
     // 4 881 while each of nine smoke lanes kept its own run struct,
     // subcommand and `write_metrics`; 4 550 while metric and perf
     // snapshots had two gates, each with its own tolerance; 4 344 while
     // the fabric smoke hand-built its `NetFilterProtocol` population; 4 305
-    // while every figure wrote each column twice, in `print` and `to_data`.
-    ("crates/bench", 3948),
+    // while every figure wrote each column twice, in `print` and `to_data`;
+    // 3 948 while the continuous smoke row built its own copy of the sweep
+    // workload.
+    ("crates/bench", 3879),
     // 6 313 while `NetFilter::run` walked the tree beside the protocol;
     // 6 264 while the sketch engine kept its own copy of the one-pass core;
     // 6 142 with thirteen `build_world*` wrappers and `WindowedMonitor`;
-    // 5 872 before census reports were bounded by the roster.
-    ("crates/core", 5878),
+    // 5 872 before census reports were bounded by the roster; 5 878 while
+    // continuous deltas were concatenated and sorted at each fence.
+    ("crates/core", 5906),
     ("crates/hierarchy", 1164),
     ("crates/overlay", 1184),
     // 518 with a wall-clock role, `BenchReport::parse` and its comparator.
