@@ -15,7 +15,7 @@
 use ifi_agg::gossip;
 use ifi_hierarchy::{select_root, Hierarchy, RootSelection};
 use ifi_overlay::Topology;
-use ifi_sim::{DetRng, PeerId};
+use ifi_sim::{DetRng, EventSink, PeerId};
 use ifi_workload::GroundTruth;
 use netfilter::approx::{self, ApproxRun};
 use netfilter::gossip_filter::{self, GossipFilterConfig};
@@ -135,7 +135,8 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Panel> {
         n_peers,
     );
     let gf_hierarchy = Hierarchy::bfs(&topo, PeerId::new(0));
-    let gf = gossip_filter::run(&topo, &gf_hierarchy, &data, &gf_cfg, &mut rng);
+    let mut off = EventSink::disabled();
+    let gf = gossip_filter::run(&topo, &gf_hierarchy, &data, &gf_cfg, &mut rng, &mut off);
     let base = NetFilter::new(gf_cfg.base.clone()).run(&h, &data);
     let gossip_filter_exact = (
         gf.frequent_items() == base.frequent_items(),

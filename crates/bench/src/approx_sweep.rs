@@ -21,10 +21,11 @@
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::SimConfig;
 use ifi_workload::{GroundTruth, ItemId, SystemData, WorkloadParams};
-use netfilter::engines::{Engine, ExactEngine, SketchEngine};
-use netfilter::local_threshold::{self, LocalThresholdConfig};
+use netfilter::engines::{Engine, ExactEngine, SketchEngine, ThresholdEngine, TopKEngine};
+use netfilter::local_threshold::LocalThresholdConfig;
 use netfilter::sketch::SketchConfig;
-use netfilter::{topk, NetFilterConfig, Threshold};
+use netfilter::topk::TopKConfig;
+use netfilter::{NetFilterConfig, Threshold};
 
 use crate::output::{f1, f3, int, Column, Panel};
 use crate::ShapeCheck;
@@ -346,11 +347,11 @@ pub fn run(seed: u64) -> Vec<Panel> {
         .iter()
         .map(|&prune_cap| {
             let cfg = if prune_cap == usize::MAX {
-                topk::TopKConfig::lossless(K)
+                TopKConfig::lossless(K)
             } else {
-                topk::TopKConfig::new(K).with_prune_cap(prune_cap)
+                TopKConfig::new(K).with_prune_cap(prune_cap)
             };
-            let run = topk::top_k(&h, &data, K, &cfg);
+            let run = TopKEngine::new(cfg).run_des(&h, &data, SimConfig::default());
             let hit = run
                 .items
                 .iter()
@@ -358,27 +359,29 @@ pub fn run(seed: u64) -> Vec<Panel> {
                 .count();
             TopKRow {
                 prune_cap,
-                bytes_per_peer: run.avg_bytes_per_peer(PEERS),
+                bytes_per_peer: run.avg_bytes_per_peer(),
                 recall: hit as f64 / true_topk.len().max(1) as f64,
                 certified: run.certified,
             }
         })
         .collect();
 
-    let cfg = LocalThresholdConfig::new(Threshold::Ratio(THRESHOLD_PHI));
+    let config = LocalThresholdConfig::new(Threshold::Ratio(THRESHOLD_PHI));
+    let t = config.threshold.resolve(data.total_value());
     let threshold = [
         ("heavy", truth.globals()[0]),
         ("tail", *truth.globals().last().expect("nonempty workload")),
     ]
     .iter()
     .map(|&(label, (item, truth_value))| {
-        let run = local_threshold::compare(&h, &data, item, &cfg);
+        let config = config.clone();
+        let run = ThresholdEngine { config, item }.run_des(&h, &data, SimConfig::default());
         ThresholdRow {
             label,
             total_bytes: run.total_bytes,
-            yes: run.verdict.answer,
+            yes: !run.items.is_empty(),
             truth_value,
-            threshold: run.verdict.threshold,
+            threshold: t,
         }
     })
     .collect();

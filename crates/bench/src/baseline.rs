@@ -130,7 +130,7 @@ fn gossip_scenario(name: &'static str) -> BaselineRun {
         .build();
     let cfg = gossip_filter::GossipFilterConfig::conservative(base, PEERS);
     let mut sink = EventSink::new(PEERS);
-    let run = gossip_filter::run_with_sink(&topo, &h, &data, &cfg, &mut rng, &mut sink);
+    let run = gossip_filter::run(&topo, &h, &data, &cfg, &mut rng, &mut sink);
     BaselineRun {
         name,
         report: sink.report(),

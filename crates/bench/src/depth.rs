@@ -8,10 +8,10 @@
 //! under the default setting, for both netFilter and the naive approach
 //! (which *does* concentrate load toward the root).
 
-use netfilter::{naive, NetFilter, NetFilterConfig, Threshold, WireSizes};
+use netfilter::{phases, NetFilter, NetFilterConfig, Threshold};
 
 use crate::output::{f1, int, Column, Panel};
-use crate::runner::Scale;
+use crate::runner::{run_naive, Scale};
 use crate::ShapeCheck;
 
 /// One row per hierarchy depth (root = 0): its peers and each engine's
@@ -35,14 +35,16 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Panel> {
             .build(),
     )
     .run(&h, &data);
-    let nv = naive::run(&h, &data, Threshold::Ratio(0.01), &WireSizes::default());
+    let nv = run_naive(&h, &data, 0.01);
+    let nv_bytes = nv.report.phase_peer_bytes(phases::AGGREGATION);
+    let nv_bytes = nv_bytes.expect("naive traffic is metered as aggregation");
 
     // Naive per-depth: group the per-peer bytes ourselves.
     let mut naive_sum: std::collections::BTreeMap<u32, (u64, usize)> = Default::default();
     for p in h.members() {
         let d = h.depth(p).expect("member");
         let e = naive_sum.entry(d).or_insert((0, 0));
-        e.0 += nv.bytes_per_peer()[p.index()];
+        e.0 += nv_bytes[p.index()];
         e.1 += 1;
     }
     let rows = (run.cost().by_depth(&h).into_iter())

@@ -6,10 +6,9 @@
 //! 2–5 % of naive, and both costs fall as skew rises.
 
 use ifi_workload::SystemData;
-use netfilter::{naive, Threshold, WireSizes};
 
 use crate::output::{f1, f3, Column, Panel};
-use crate::runner::{summarize_netfilter, Scale};
+use crate::runner::{run_naive, summarize_netfilter, Scale};
 use crate::ShapeCheck;
 
 /// One sweep point: netFilter vs naive at a given skew.
@@ -60,7 +59,7 @@ pub fn run_panel(
     let rows = crate::par::par_map(THETA_SWEEP.to_vec(), |theta| {
         let data: SystemData = scale.workload(items, theta, seed);
         let nf = summarize_netfilter(&h, &data, g, f, 0.01);
-        let nv = naive::run(&h, &data, Threshold::Ratio(0.01), &WireSizes::default());
+        let nv = run_naive(&h, &data, 0.01);
         Fig7Row {
             theta,
             netfilter: nf.total,

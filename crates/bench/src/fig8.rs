@@ -5,10 +5,8 @@
 //! `(10,6)`, `(100,5)`, `(1000,2)`) plus the naive baseline. Larger
 //! thresholds mean fewer qualifying items and lower cost.
 
-use netfilter::{naive, Threshold, WireSizes};
-
 use crate::output::{f1, Column, Panel};
-use crate::runner::{summarize_netfilter, Scale};
+use crate::runner::{run_naive, summarize_netfilter, Scale};
 use crate::ShapeCheck;
 
 /// The three threshold settings, with the paper's tuned `(g, f)`.
@@ -34,8 +32,7 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Panel> {
         for &(phi, g, f) in &SERIES {
             row.push(summarize_netfilter(&h, &data, g, f, phi).total);
         }
-        let nv = naive::run(&h, &data, Threshold::Ratio(0.01), &WireSizes::default());
-        row.push(nv.avg_bytes_per_peer());
+        row.push(run_naive(&h, &data, 0.01).avg_bytes_per_peer());
         row
     });
     let title = format!("== Figure 8: effect of threshold (n = {items}) ==");

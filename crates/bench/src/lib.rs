@@ -46,7 +46,7 @@ mod runner;
 pub mod smoke;
 
 pub use output::Panel;
-pub use runner::{instrumented_summary, summarize_netfilter, RunSummary, Scale};
+pub use runner::{summarize_netfilter, RunSummary, Scale};
 
 /// A figure row: `(scale, seed) → panels`.
 pub type Figure = fn(Scale, u64) -> Vec<Panel>;

@@ -1,8 +1,11 @@
 //! Shared experiment plumbing.
 
 use ifi_hierarchy::Hierarchy;
+use ifi_sim::SimConfig;
 use ifi_workload::{SystemData, WorkloadParams};
-use netfilter::{MetricsReport, NetFilter, NetFilterConfig, Threshold, WireSizes};
+use netfilter::engines::{Engine, EngineOutcome, NaiveEngine};
+use netfilter::naive::NaiveConfig;
+use netfilter::{NetFilter, NetFilterConfig, Threshold, WireSizes};
 
 use crate::output::{f1, int, Column};
 
@@ -155,10 +158,9 @@ pub(crate) fn argmin(xs: &[f64]) -> usize {
 
 /// Runs netFilter once and flattens the result for table printing.
 ///
-/// Every figure run goes through the instrumented engine path, so the
-/// sink's [`MetricsReport`] is reconciled byte-for-byte against the
-/// engine's `CostBreakdown` on *every* sweep point of *every* figure (the
-/// reconciliation assert lives in `NetFilter::run_instrumented`).
+/// Every figure run goes through the engine's one DES path, so its sink
+/// report is reconciled byte-for-byte against the `CostBreakdown` on
+/// *every* sweep point of *every* figure.
 pub fn summarize_netfilter(
     hierarchy: &Hierarchy,
     data: &SystemData,
@@ -166,27 +168,15 @@ pub fn summarize_netfilter(
     f: u32,
     phi: f64,
 ) -> RunSummary {
-    instrumented_summary(hierarchy, data, g, f, phi).0
-}
-
-/// [`summarize_netfilter`] that also returns the run's [`MetricsReport`]
-/// (richer per-phase/per-peer/wall-clock view of the same bytes).
-pub fn instrumented_summary(
-    hierarchy: &Hierarchy,
-    data: &SystemData,
-    g: u32,
-    f: u32,
-    phi: f64,
-) -> (RunSummary, MetricsReport) {
     let config = NetFilterConfig::builder()
         .filter_size(g)
         .filters(f)
         .threshold(Threshold::Ratio(phi))
         .build();
-    let (run, report) = NetFilter::new(config).run_instrumented(hierarchy, data);
+    let run = NetFilter::new(config).run(hierarchy, data);
     let cost = run.cost();
     let counts = run.counts();
-    let summary = RunSummary {
+    RunSummary {
         candidates_per_peer: counts
             .candidates_per_peer(&WireSizes::default(), hierarchy.universe()),
         heavy_groups: counts.heavy_groups_total,
@@ -196,8 +186,16 @@ pub fn instrumented_summary(
         filtering: cost.avg_filtering(),
         dissemination: cost.avg_dissemination(),
         aggregation: cost.avg_aggregation(),
+    }
+}
+
+/// Runs the naive approach (§IV-B) once at threshold ratio `phi`.
+pub(crate) fn run_naive(hierarchy: &Hierarchy, data: &SystemData, phi: f64) -> EngineOutcome {
+    let config = NaiveConfig {
+        threshold: Threshold::Ratio(phi),
+        sizes: WireSizes::default(),
     };
-    (summary, report)
+    NaiveEngine { config }.run_des(hierarchy, data, SimConfig::default())
 }
 
 #[cfg(test)]
@@ -233,18 +231,5 @@ mod tests {
         assert!((s.filtering + s.dissemination + s.aggregation - s.total).abs() < 1e-9);
         assert!(s.candidates_per_peer >= 0.0);
         assert!(s.heavy_items + s.false_positives >= s.heavy_items);
-    }
-
-    #[test]
-    fn instrumented_summary_report_matches_the_flat_view() {
-        let scale = Scale::Quick;
-        let data = scale.workload(2_000, 1.0, 2);
-        let h = scale.hierarchy();
-        let (s, report) = instrumented_summary(&h, &data, 50, 3, 0.01);
-        assert!((report.avg_bytes_per_peer() - s.total).abs() < 1e-9);
-        let n = h.universe() as f64;
-        assert!((report.phase_bytes("filtering") as f64 / n - s.filtering).abs() < 1e-9);
-        assert!((report.phase_bytes("dissemination") as f64 / n - s.dissemination).abs() < 1e-9);
-        assert!((report.phase_bytes("aggregation") as f64 / n - s.aggregation).abs() < 1e-9);
     }
 }

@@ -385,6 +385,9 @@ struct RootState {
     /// once the window fills. Exists so the simcheck `window-consistency`
     /// oracle has a demonstrable bug to catch.
     drop_retirements: bool,
+    /// Set once an epoch is skipped for its census: the standing run then
+    /// lacks that epoch's delta, so no later epoch can certify from it.
+    skipped: bool,
     /// The global window totals, as a run.
     standing: Vec<(ItemId, u64)>,
     faded: FadedAccumulator,
@@ -430,6 +433,7 @@ impl ContinuousProtocol {
                 registry: registry.clone(),
                 sub_hops: registry.queries().iter().map(hops).collect(),
                 drop_retirements: false,
+                skipped: false,
                 standing: Vec::new(),
                 faded: FadedAccumulator::new(),
                 prev_answers: vec![Vec::new(); registry.len()],
@@ -630,7 +634,8 @@ type Fx = Effects<ContinuousProtocol>;
 impl RootState {
     /// Certifies one complete epoch: checks the census, folds the delta
     /// into the standing state, splits per-query answers, and delivers the
-    /// [`EpochAnswer`].
+    /// [`EpochAnswer`]. An epoch whose census does not match is skipped
+    /// with `census-mismatch`, and so is every epoch after it.
     fn certify(
         &mut self,
         fx: &mut Fx,
@@ -639,9 +644,9 @@ impl RootState {
         epoch: u64,
         p: PendingEpoch,
     ) {
-        if p.census_count != members || p.census_digest != self.roster_digest {
-            fx.warn("census-mismatch");
-            return;
+        self.skipped |= p.census_count != members || p.census_digest != self.roster_digest;
+        if self.skipped {
+            return fx.warn("census-mismatch");
         }
         self.standing = self.apply(fx, "negative-standing", &self.standing, &p.diffs);
         if let FadePolicy::Exponential { .. } = self.fade {
@@ -1141,6 +1146,68 @@ mod tests {
         assert!(warned(&drive(&mut root, fence())));
         assert!(warned(&drive(&mut root, from(2, &d2))));
         assert!(root.standing().is_empty());
+    }
+
+    /// An epoch skipped for its census leaves the standing run without
+    /// its delta, so the root certifies no later epoch either: each one
+    /// warns `census-mismatch` and delivers nothing.
+    #[test]
+    fn a_skipped_epoch_stops_every_later_certification() {
+        use ifi_sim::{AllUp, Effect};
+
+        let schedules = vec![vec![vec![(ItemId(0), 2)]; 2]; 2];
+        let h = Hierarchy::balanced(2, 1);
+        let cfg = ContinuousConfig::new(3, 2);
+        let reg = QueryRegistry::single(1, PeerId::new(1));
+        let (env, now) = (AllUp(2), SimTime::ZERO);
+        type Fx = Vec<Effect<ReliableMsg<EpochDelta>, ContTimer, EpochAnswer>>;
+        let drive = |core: &mut ContinuousProtocol, ev| -> Fx {
+            let mut fx = Effects::new();
+            core.on_event(ev, now, &env, &mut fx);
+            fx.drain().collect()
+        };
+        let fence = || NodeEvent::Timer {
+            tag: ContTimer::Fence,
+        };
+        let mut cores = ContinuousProtocol::peers(&cfg, &h, &reg, &schedules, None);
+        let (mut root, mut leaf) = (cores.remove(0), cores.remove(0));
+        drive(&mut root, NodeEvent::Start);
+        drive(&mut leaf, NodeEvent::Start);
+        let mut sent = (0..2).map(|_| {
+            let fx = drive(&mut leaf, fence());
+            fx.into_iter()
+                .find_map(|e| match e {
+                    Effect::Send {
+                        msg: ReliableMsg::Plain(delta),
+                        ..
+                    } => Some(delta),
+                    _ => None,
+                })
+                .expect("the leaf forwards its delta at each fence")
+        });
+        let forged = EpochDelta {
+            census_digest: 0xF0F0,
+            ..sent.next().unwrap()
+        };
+        let honest = sent.next().unwrap();
+        let from_leaf = |delta: EpochDelta| NodeEvent::Message {
+            from: PeerId::new(1),
+            msg: ReliableMsg::Plain(delta),
+        };
+        let census_mismatch = |fx: &Fx| {
+            matches!(
+                fx[..],
+                [Effect::Warn {
+                    label: "census-mismatch"
+                }]
+            )
+        };
+        for delta in [forged, honest] {
+            drive(&mut root, fence());
+            let fx = drive(&mut root, from_leaf(delta));
+            assert!(census_mismatch(&fx), "{fx:?}");
+        }
+        assert!(root.standing().is_empty(), "no delta was folded in");
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::local_threshold::{LocalThresholdConfig, LocalThresholdProtocol};
 use crate::naive::{NaiveConfig, NaiveProtocol};
 use crate::sketch::{SketchConfig, SketchProtocol};
 use crate::topk::{TopKConfig, TopKProtocol};
-use crate::{phases, NetFilter, NetFilterConfig, Threshold, WireSizes};
+use crate::{NetFilter, NetFilterConfig, Threshold, WireSizes};
 
 /// What an engine promises about its answer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,6 +53,11 @@ pub struct EngineOutcome {
     pub items: Vec<(ItemId, u64)>,
     /// The claim the answer is held to.
     pub claim: ErrorClaim,
+    /// Whether the root proved the answer equal to the exact answer:
+    /// always for netFilter and naive, when its final fence certified for
+    /// continuous, per run for top-k (its certification calculus), never
+    /// for engines whose claims are bounds.
+    pub certified: bool,
     /// Full per-phase traffic report of the run.
     pub report: MetricsReport,
     /// Total bytes across all phases.
@@ -68,35 +73,37 @@ impl EngineOutcome {
 
 /// An engine of the family: anything that can answer a frequency query
 /// over a hierarchy + workload in one DES run, under a stated error claim.
+/// [`Engine::run_des`] is the one way to run a one-shot engine to an
+/// answer.
 pub trait Engine {
     /// Stable engine name (used in sweep tables and baselines).
     fn name(&self) -> &'static str;
     /// The claim this engine's tuning promises.
     fn claim(&self) -> ErrorClaim;
-    /// The [`MsgClass`](ifi_sim::MsgClass)/phase label its traffic is
-    /// metered under.
-    fn class_label(&self) -> &'static str;
     /// Runs the engine to quiescence under the deterministic simulator.
     fn run_des(&self, hierarchy: &Hierarchy, data: &SystemData, sim: SimConfig) -> EngineOutcome;
 }
 
 /// Runs `cores` to quiescence under `sim` with the sink on, and reports
-/// what `answer` reads off the core at `root`.
+/// what `answer` reads off the core at `root`: the items and whether
+/// they are certified.
 fn drive<P: SansIo>(
     engine: &dyn Engine,
     sim: SimConfig,
     cores: Vec<P>,
     root: PeerId,
-    answer: impl FnOnce(&Des<P>) -> Vec<(ItemId, u64)>,
+    answer: impl FnOnce(&Des<P>) -> (Vec<(ItemId, u64)>, bool),
 ) -> EngineOutcome {
     let mut w = sansio_world(sim, cores);
     w.enable_metrics_sink();
     w.start();
     w.run_to_quiescence();
+    let (items, certified) = answer(w.peer(root));
     EngineOutcome {
         engine: engine.name(),
-        items: answer(w.peer(root)),
+        items,
         claim: engine.claim(),
+        certified,
         report: w.metrics_report(),
         total_bytes: w.metrics().total_bytes(),
     }
@@ -119,16 +126,13 @@ impl Engine for ExactEngine {
         ErrorClaim::Exact
     }
 
-    fn class_label(&self) -> &'static str {
-        phases::AGGREGATION
-    }
-
     fn run_des(&self, hierarchy: &Hierarchy, data: &SystemData, sim: SimConfig) -> EngineOutcome {
         let (run, report) = NetFilter::new(self.config.clone()).run_des(hierarchy, data, sim);
         EngineOutcome {
             engine: self.name(),
             items: run.frequent_items().to_vec(),
             claim: self.claim(),
+            certified: true,
             total_bytes: report.total_bytes(),
             report,
         }
@@ -152,15 +156,11 @@ impl Engine for NaiveEngine {
         ErrorClaim::Exact
     }
 
-    fn class_label(&self) -> &'static str {
-        phases::AGGREGATION
-    }
-
     fn run_des(&self, hierarchy: &Hierarchy, data: &SystemData, sim: SimConfig) -> EngineOutcome {
         let cores = NaiveProtocol::peers(&self.config, hierarchy, data, None);
         drive(self, sim, cores, hierarchy.root(), |root| {
             let answer = root.result().expect("quiescent naive run must answer");
-            answer.items.clone()
+            (answer.items.clone(), true)
         })
     }
 }
@@ -181,15 +181,11 @@ impl Engine for SketchEngine {
         ErrorClaim::Epsilon(self.config.claimed_epsilon)
     }
 
-    fn class_label(&self) -> &'static str {
-        phases::SKETCH
-    }
-
     fn run_des(&self, hierarchy: &Hierarchy, data: &SystemData, sim: SimConfig) -> EngineOutcome {
         let cores = SketchProtocol::peers(&self.config, hierarchy, data, None);
         drive(self, sim, cores, hierarchy.root(), |root| {
             let answer = root.result().expect("quiescent sketch run must answer");
-            answer.items.clone()
+            (answer.items.clone(), false)
         })
     }
 }
@@ -225,15 +221,11 @@ impl Engine for TopKEngine {
         ErrorClaim::Recall(self.claimed_recall)
     }
 
-    fn class_label(&self) -> &'static str {
-        phases::TOPK
-    }
-
     fn run_des(&self, hierarchy: &Hierarchy, data: &SystemData, sim: SimConfig) -> EngineOutcome {
         let cores = TopKProtocol::peers(&self.config, hierarchy, data, None);
         drive(self, sim, cores, hierarchy.root(), |root| {
             let answer = root.result().expect("quiescent top-k run must answer");
-            answer.items.clone()
+            (answer.items.clone(), answer.certified)
         })
     }
 }
@@ -256,26 +248,24 @@ impl Engine for ThresholdEngine {
         ErrorClaim::Soundness
     }
 
-    fn class_label(&self) -> &'static str {
-        phases::THRESHOLD
-    }
-
     fn run_des(&self, hierarchy: &Hierarchy, data: &SystemData, sim: SimConfig) -> EngineOutcome {
         let (config, item) = (&self.config, self.item);
         let cores = LocalThresholdProtocol::peers(config, hierarchy, data, item, None);
         drive(self, sim, cores, hierarchy.root(), |root| {
             let verdict = root.verdict();
             let yes = verdict.answer.then_some((item, verdict.lower_bound));
-            yes.into_iter().collect()
+            (yes.into_iter().collect(), false)
         })
     }
 }
 
 /// The continuous standing-query engine as a family member: the workload
 /// is split round-robin into per-epoch batches, run through the delta
-/// convergecast, and the answer is the **final certified fence's**
+/// convergecast, and the answer is the **final fence's** certified
 /// standing result — exact for its window by the telescoping-delta
-/// invariant.
+/// invariant. A run whose final fence does not certify (an epoch's
+/// census failed, say over a delta too large for an `i64`) answers
+/// nothing, uncertified.
 ///
 /// Deliberately *not* part of [`reference_family`]: its windowed answer
 /// is not comparable row-for-row with the one-shot engines' all-time
@@ -297,19 +287,18 @@ impl Engine for ContinuousEngine {
         ErrorClaim::Exact
     }
 
-    fn class_label(&self) -> &'static str {
-        phases::DELTA
-    }
-
     fn run_des(&self, hierarchy: &Hierarchy, data: &SystemData, sim: SimConfig) -> EngineOutcome {
-        let schedules = schedule_from_data(data, self.config.epochs.max(1));
+        let epochs = self.config.epochs.max(1);
+        let schedules = schedule_from_data(data, epochs);
         let subscriber = PeerId::new(data.peer_count().saturating_sub(1));
         let registry = QueryRegistry::single(self.threshold, subscriber);
         let cores = ContinuousProtocol::peers(&self.config, hierarchy, &registry, &schedules, None);
+        let last = epochs as u64 - 1;
         drive(self, sim, cores, hierarchy.root(), |root| {
-            let last = root.delivered().last();
-            let fence = last.expect("a quiescent continuous run certifies its final fence");
-            fence.answers[0].items.clone()
+            match root.delivered().last() {
+                Some(fence) if fence.epoch == last => (fence.answers[0].items.clone(), true),
+                _ => (Vec::new(), false),
+            }
         })
     }
 }
@@ -344,6 +333,7 @@ pub fn reference_family(item: ItemId) -> Vec<Box<dyn Engine>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phases;
     use ifi_workload::{GroundTruth, WorkloadParams};
 
     fn setup() -> (Hierarchy, SystemData, GroundTruth) {
@@ -364,14 +354,21 @@ mod tests {
     fn every_engine_meters_bytes_in_its_own_class() {
         let (h, data, truth) = setup();
         let heavy = truth.globals()[0].0;
+        let labels = [
+            ("netfilter-exact", phases::AGGREGATION),
+            ("naive", phases::AGGREGATION),
+            ("sketch-merge", phases::SKETCH),
+            ("topk-prune", phases::TOPK),
+            ("threshold-local", phases::THRESHOLD),
+        ];
         for engine in reference_family(heavy) {
             let out = engine.run_des(&h, &data, SimConfig::default());
             assert_eq!(out.engine, engine.name());
+            let label = labels.iter().find(|(n, _)| *n == out.engine).unwrap().1;
             assert!(
-                out.report.phase_bytes(engine.class_label()) > 0,
-                "{}: no bytes metered under {:?}",
+                out.report.phase_bytes(label) > 0,
+                "{}: no bytes metered under {label:?}",
                 engine.name(),
-                engine.class_label()
             );
             assert!(out.total_bytes > 0);
         }
@@ -426,6 +423,7 @@ mod tests {
         };
         let out = engine.run_des(&h, &data, SimConfig::default());
         assert_eq!(out.engine, "continuous-delta");
+        assert!(out.certified, "the final fence certifies");
         assert!(
             out.report.phase_bytes(phases::DELTA) > 0,
             "delta stream must be metered in its own class"

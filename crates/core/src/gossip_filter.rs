@@ -111,33 +111,17 @@ impl GossipFilterRun {
 }
 
 /// Runs the gossip-filtered variant: push-sum filtering over `topology`,
-/// exact verification over `hierarchy`.
+/// exact verification over `hierarchy`. Phase 1 is charged into `sink`
+/// under [`phases::GOSSIP_FILTERING`] (per sender per round) and phase 2
+/// under [`phases::AGGREGATION`] (bulk per-peer vector); recording draws
+/// no randomness, so [`EventSink::disabled`] yields the same outcome.
 ///
 /// # Panics
 ///
-/// Panics if the topology, hierarchy, and data universes differ, or if
-/// `margin ∉ [0, 1)`.
+/// Panics if the topology, hierarchy, and data universes differ, if
+/// `margin ∉ [0, 1)`, or if an enabled `sink` was sized for a different
+/// peer universe.
 pub fn run(
-    topology: &Topology,
-    hierarchy: &Hierarchy,
-    data: &SystemData,
-    config: &GossipFilterConfig,
-    rng: &mut DetRng,
-) -> GossipFilterRun {
-    let mut sink = EventSink::disabled();
-    run_with_sink(topology, hierarchy, data, config, rng, &mut sink)
-}
-
-/// [`run`] that additionally charges phase 1 into `sink` under
-/// [`phases::GOSSIP_FILTERING`] (per sender per round) and phase 2 under
-/// [`phases::AGGREGATION`] (bulk per-peer vector). Recording draws no
-/// randomness, so the outcome is identical to the plain variant.
-///
-/// # Panics
-///
-/// As [`run`]; additionally if an enabled `sink` was sized for a
-/// different peer universe.
-pub fn run_with_sink(
     topology: &Topology,
     hierarchy: &Hierarchy,
     data: &SystemData,
@@ -237,6 +221,10 @@ mod tests {
         (topo, h, data, truth)
     }
 
+    fn off() -> EventSink {
+        EventSink::disabled()
+    }
+
     fn base() -> NetFilterConfig {
         NetFilterConfig::builder()
             .filter_size(60)
@@ -249,7 +237,7 @@ mod tests {
     fn gossip_variant_is_still_exact() {
         let (topo, h, data, truth) = setup(101);
         let cfg = GossipFilterConfig::conservative(base(), 120);
-        let run = run(&topo, &h, &data, &cfg, &mut DetRng::new(5));
+        let run = run(&topo, &h, &data, &cfg, &mut DetRng::new(5), &mut off());
         let t = truth.threshold_for_ratio(0.01);
         assert!(
             run.gossip_error < cfg.margin,
@@ -267,8 +255,8 @@ mod tests {
         narrow.margin = 0.05;
         let mut wide = narrow.clone();
         wide.margin = 0.6;
-        let a = run(&topo, &h, &data, &narrow, &mut DetRng::new(7));
-        let b = run(&topo, &h, &data, &wide, &mut DetRng::new(7));
+        let a = run(&topo, &h, &data, &narrow, &mut DetRng::new(7), &mut off());
+        let b = run(&topo, &h, &data, &wide, &mut DetRng::new(7), &mut off());
         assert!(b.candidates >= a.candidates);
         assert!(b.verification_bytes_per_peer >= a.verification_bytes_per_peer);
         // Both remain exact (verification fixes everything the margin
@@ -282,7 +270,7 @@ mod tests {
         // hierarchies.
         let (topo, h, data, _) = setup(107);
         let cfg = GossipFilterConfig::conservative(base(), 120);
-        let gossip_run = run(&topo, &h, &data, &cfg, &mut DetRng::new(9));
+        let gossip_run = run(&topo, &h, &data, &cfg, &mut DetRng::new(9), &mut off());
         let tree_run = NetFilter::new(base()).run(&h, &data);
         assert!(
             gossip_run.gossip_bytes_per_peer > 3.0 * tree_run.cost().avg_filtering(),
@@ -298,9 +286,9 @@ mod tests {
     fn sink_variant_matches_plain_and_splits_phases() {
         let (topo, h, data, _) = setup(111);
         let cfg = GossipFilterConfig::conservative(base(), 120);
-        let plain = run(&topo, &h, &data, &cfg, &mut DetRng::new(11));
+        let plain = run(&topo, &h, &data, &cfg, &mut DetRng::new(11), &mut off());
         let mut sink = EventSink::new(120);
-        let sunk = run_with_sink(&topo, &h, &data, &cfg, &mut DetRng::new(11), &mut sink);
+        let sunk = run(&topo, &h, &data, &cfg, &mut DetRng::new(11), &mut sink);
         assert_eq!(sunk.frequent_items(), plain.frequent_items());
         assert_eq!(sunk.candidates, plain.candidates);
         let report = sink.report();
@@ -318,6 +306,6 @@ mod tests {
         let (topo, h, data, _) = setup(109);
         let mut cfg = GossipFilterConfig::conservative(base(), 120);
         cfg.margin = 1.0;
-        let _ = run(&topo, &h, &data, &cfg, &mut DetRng::new(1));
+        let _ = run(&topo, &h, &data, &cfg, &mut DetRng::new(1), &mut off());
     }
 }

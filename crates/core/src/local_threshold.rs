@@ -28,8 +28,8 @@
 use ifi_agg::{Boot, TreeSlot};
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::{
-    sansio_world, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, PeerSet, RelConfig,
-    ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime,
+    Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, PeerSet, RelConfig, ReliableMsg,
+    RetransmitTimer, SansIo, SimTime,
 };
 use ifi_workload::{ItemId, SystemData};
 
@@ -269,42 +269,11 @@ impl SansIo for LocalThresholdProtocol {
     }
 }
 
-/// Result of an instant (DES-backed) comparison.
-#[derive(Debug, Clone)]
-pub struct CompareRun {
-    /// The root's decision after quiescence.
-    pub verdict: ThresholdVerdict,
-    /// Total bytes spent — zero when every peer stayed under budget.
-    pub total_bytes: u64,
-}
-
-/// Answers "is `v_item ≥ t`?" in one DES run of [`LocalThresholdProtocol`].
-///
-/// # Panics
-///
-/// Panics if the hierarchy and data universes differ.
-pub fn compare(
-    hierarchy: &Hierarchy,
-    data: &SystemData,
-    item: ItemId,
-    config: &LocalThresholdConfig,
-) -> CompareRun {
-    let mut w = sansio_world(
-        SimConfig::default(),
-        LocalThresholdProtocol::peers(config, hierarchy, data, item, None),
-    );
-    w.start();
-    w.run_to_quiescence();
-    CompareRun {
-        verdict: w.peer(hierarchy.root()).verdict(),
-        total_bytes: w.metrics().total_bytes(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ifi_sim::FaultPlan;
+    use crate::engines::{Engine, EngineOutcome, ThresholdEngine};
+    use ifi_sim::{sansio_world, FaultPlan, SimConfig};
     use ifi_workload::{GroundTruth, WorkloadParams};
 
     fn nine_peer_split() -> SystemData {
@@ -314,6 +283,33 @@ mod tests {
         sets.push(vec![]);
         sets.push(vec![]);
         SystemData::from_local_sets(sets, 1)
+    }
+
+    fn compare(
+        h: &Hierarchy,
+        data: &SystemData,
+        item: ItemId,
+        config: LocalThresholdConfig,
+    ) -> EngineOutcome {
+        let engine = ThresholdEngine { config, item };
+        engine.run_des(h, data, SimConfig::default())
+    }
+
+    /// The root's full verdict after quiescence, for the fields the
+    /// engine's answer does not carry.
+    fn verdict(
+        h: &Hierarchy,
+        data: &SystemData,
+        item: ItemId,
+        config: &LocalThresholdConfig,
+        sim: SimConfig,
+        rel: Option<RelConfig>,
+    ) -> ThresholdVerdict {
+        let cores = LocalThresholdProtocol::peers(config, h, data, item, rel);
+        let mut w = sansio_world(sim, cores);
+        w.start();
+        w.run_to_quiescence();
+        w.peer(h.root()).verdict()
     }
 
     #[test]
@@ -332,10 +328,14 @@ mod tests {
         let (top, v_top) = truth.globals()[0];
         // Ask for a bar the head item clears with room: t = v_top / 2.
         let cfg = LocalThresholdConfig::new(Threshold::Absolute(v_top / 2));
-        let run = compare(&h, &data, top, &cfg);
-        assert!(run.verdict.answer, "the head item clears half its value");
-        assert!(run.verdict.lower_bound >= v_top / 2);
-        assert!(run.verdict.lower_bound <= v_top, "bound stays sound");
+        let out = compare(&h, &data, top, cfg);
+        let [(item, lower_bound)] = out.items[..] else {
+            panic!("the head item clears half its value: {:?}", out.items);
+        };
+        assert_eq!(item, top);
+        assert!(lower_bound >= v_top / 2);
+        assert!(lower_bound <= v_top, "bound stays sound");
+        assert!(!out.certified, "a lower bound is not the exact value");
     }
 
     #[test]
@@ -343,15 +343,12 @@ mod tests {
         let data = nine_peer_split();
         let h = Hierarchy::balanced(9, 3);
         // t = 100 → budget ⌈100/9⌉ = 12 > 9: everyone is under budget.
-        let run = compare(
-            &h,
-            &data,
-            ItemId(0),
-            &LocalThresholdConfig::new(Threshold::Absolute(100)),
-        );
-        assert!(!run.verdict.answer, "63 < 100");
-        assert_eq!(run.total_bytes, 0, "silence is the whole protocol");
-        assert_eq!(run.verdict.reporters, 0);
+        let cfg = LocalThresholdConfig::new(Threshold::Absolute(100));
+        let out = compare(&h, &data, ItemId(0), cfg.clone());
+        assert!(out.items.is_empty(), "63 < 100");
+        assert_eq!(out.total_bytes, 0, "silence is the whole protocol");
+        let sim = SimConfig::default();
+        assert_eq!(verdict(&h, &data, ItemId(0), &cfg, sim, None).reporters, 0);
     }
 
     #[test]
@@ -359,15 +356,12 @@ mod tests {
         let data = nine_peer_split();
         let h = Hierarchy::balanced(9, 3);
         // t = 70: all seven holders report (9 ≥ budget 8), L = 63 < 70.
-        let run = compare(
-            &h,
-            &data,
-            ItemId(0),
-            &LocalThresholdConfig::new(Threshold::Absolute(70)),
-        );
-        assert_eq!(run.verdict.lower_bound, 63);
-        assert_eq!(run.verdict.reporters, 7);
-        assert!(!run.verdict.answer, "63 < 70 must stay a no");
+        let cfg = LocalThresholdConfig::new(Threshold::Absolute(70));
+        let v = verdict(&h, &data, ItemId(0), &cfg, SimConfig::default(), None);
+        assert_eq!(v.lower_bound, 63);
+        assert_eq!(v.reporters, 7);
+        assert!(!v.answer, "63 < 70 must stay a no");
+        assert!(compare(&h, &data, ItemId(0), cfg).items.is_empty());
     }
 
     #[test]
@@ -377,14 +371,12 @@ mod tests {
         // Same split, optimistic: L + 2·(8−1) = 77 ≥ 70 → an unsound yes
         // (the truth is 63). This is the negative the soundness oracle
         // must catch.
-        let run = compare(
-            &h,
-            &data,
-            ItemId(0),
-            &LocalThresholdConfig::new(Threshold::Absolute(70)).with_optimism(),
-        );
-        assert!(run.verdict.answer, "optimism must overclaim here");
-        assert!(run.verdict.lower_bound < run.verdict.threshold);
+        let cfg = LocalThresholdConfig::new(Threshold::Absolute(70)).with_optimism();
+        let out = compare(&h, &data, ItemId(0), cfg);
+        let [(_, lower_bound)] = out.items[..] else {
+            panic!("optimism must overclaim here: {:?}", out.items);
+        };
+        assert!(lower_bound < 70);
     }
 
     #[test]
@@ -403,17 +395,11 @@ mod tests {
         let (top, v_top) = truth.globals()[0];
         let cfg = LocalThresholdConfig::new(Threshold::Absolute(v_top / 2));
 
-        let clean = compare(&h, &data, top, &cfg);
+        let clean = verdict(&h, &data, top, &cfg, SimConfig::default(), None);
         let sim = SimConfig::default()
             .with_seed(9)
             .with_faults(FaultPlan::none().with_drop(0.15).with_duplication(0.1));
-        let mut lossy = sansio_world(
-            sim,
-            LocalThresholdProtocol::peers(&cfg, &h, &data, top, Some(RelConfig::default())),
-        );
-        lossy.start();
-        lossy.run_to_quiescence();
-        let got = lossy.peer(h.root()).verdict();
-        assert_eq!(got, clean.verdict, "loss must not change the verdict");
+        let got = verdict(&h, &data, top, &cfg, sim, Some(RelConfig::default()));
+        assert_eq!(got, clean, "loss must not change the verdict");
     }
 }

@@ -14,12 +14,13 @@
 //! holds because a peer only forwards the items with nonzero values in its
 //! subtree, whose expected distinct count per forwarding peer stays `O(o)`
 //! on average. Our byte accounting measures the real union sizes, and the
-//! bound is asserted in this module's tests. A run is one epoch of the
-//! one-pass [`ConvergecastProtocol`] under the DES.
+//! bound ([`naive_bounds`](crate::analysis::naive_bounds)) is asserted in
+//! this module's tests. A run is one epoch of the one-pass
+//! [`ConvergecastProtocol`] under the DES, through
+//! [`NaiveEngine`](crate::engines::NaiveEngine).
 
 use ifi_agg::{ConvergecastProtocol, Finish, MapSum, OnePass};
-use ifi_hierarchy::Hierarchy;
-use ifi_sim::{MsgClass, SimConfig};
+use ifi_sim::MsgClass;
 use ifi_workload::{ItemId, SystemData};
 
 use crate::config::Threshold;
@@ -89,77 +90,14 @@ impl Finish<MapSum> for Frequent {
 /// convergecast) for one peer.
 pub type NaiveProtocol = ConvergecastProtocol<MapSum, Frequent>;
 
-/// Result of a naive-approach run.
-#[derive(Debug, Clone)]
-pub struct NaiveRun {
-    frequent: Vec<(ItemId, u64)>,
-    threshold: u64,
-    bytes_per_peer: Vec<u64>,
-    distinct_items: usize,
-}
-
-impl NaiveRun {
-    /// The frequent items with exact global values, descending by value
-    /// (ties by ascending id) — same contract as netFilter's result.
-    pub fn frequent_items(&self) -> &[(ItemId, u64)] {
-        &self.frequent
-    }
-
-    /// The resolved absolute threshold.
-    pub fn threshold(&self) -> u64 {
-        self.threshold
-    }
-
-    /// Bytes each peer propagated upward.
-    pub fn bytes_per_peer(&self) -> &[u64] {
-        &self.bytes_per_peer
-    }
-
-    /// Total bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes_per_peer.iter().sum()
-    }
-
-    /// The paper's metric: average bytes per peer.
-    pub fn avg_bytes_per_peer(&self) -> f64 {
-        self.total_bytes() as f64 / self.bytes_per_peer.len().max(1) as f64
-    }
-
-    /// Number of distinct items whose global value reached the root.
-    pub fn distinct_items(&self) -> usize {
-        self.distinct_items
-    }
-}
-
-/// Runs the naive approach over `hierarchy` and `data`: one epoch of
-/// [`NaiveProtocol`] under the DES.
-///
-/// # Panics
-///
-/// Panics if `hierarchy` and `data` cover different peer universes.
-pub fn run(
-    hierarchy: &Hierarchy,
-    data: &SystemData,
-    threshold: Threshold,
-    sizes: &WireSizes,
-) -> NaiveRun {
-    let config = NaiveConfig {
-        threshold,
-        sizes: *sizes,
-    };
-    let cores = NaiveProtocol::peers(&config, hierarchy, data, None);
-    let (answer, bytes_per_peer) = NaiveProtocol::run(cores, SimConfig::default());
-    NaiveRun {
-        frequent: answer.items,
-        threshold: threshold.resolve(data.total_value()),
-        distinct_items: answer.distinct,
-        bytes_per_peer,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::naive_bounds;
+    use crate::engines::{Engine, EngineOutcome, NaiveEngine};
+    use crate::phases;
+    use ifi_hierarchy::Hierarchy;
+    use ifi_sim::SimConfig;
     use ifi_workload::{GroundTruth, WorkloadParams};
 
     fn workload(peers: usize, items: u64, seed: u64) -> SystemData {
@@ -174,15 +112,30 @@ mod tests {
         )
     }
 
+    fn config() -> NaiveConfig {
+        NaiveConfig {
+            threshold: Threshold::Ratio(0.01),
+            sizes: WireSizes::default(),
+        }
+    }
+
+    fn run(h: &Hierarchy, data: &SystemData) -> EngineOutcome {
+        let engine = NaiveEngine { config: config() };
+        engine.run_des(h, data, SimConfig::default())
+    }
+
     #[test]
     fn naive_is_exact() {
         let data = workload(60, 1_000, 3);
         let h = Hierarchy::balanced(60, 3);
-        let run = run(&h, &data, Threshold::Ratio(0.01), &WireSizes::default());
+        let out = run(&h, &data);
         let truth = GroundTruth::compute(&data);
         let t = truth.threshold_for_ratio(0.01);
-        assert_eq!(run.frequent_items(), &truth.frequent_items(t)[..]);
-        assert_eq!(run.distinct_items(), data.distinct_items());
+        assert_eq!(out.items, truth.frequent_items(t));
+        assert!(out.certified);
+        let cores = NaiveProtocol::peers(&config(), &h, &data, None);
+        let (answer, _) = NaiveProtocol::run(cores, SimConfig::default());
+        assert_eq!(answer.distinct, data.distinct_items());
     }
 
     #[test]
@@ -190,12 +143,10 @@ mod tests {
         // (sa+si)·o ≤ C_naive ≤ (sa+si)·o·(h−1).
         let data = workload(100, 5_000, 5);
         let h = Hierarchy::balanced(100, 3);
-        let run = run(&h, &data, Threshold::Ratio(0.01), &WireSizes::default());
+        let c = run(&h, &data).avg_bytes_per_peer();
         let o = data.avg_distinct_per_peer();
-        let pair = 8.0;
-        let c = run.avg_bytes_per_peer();
-        let lower = pair * o * 0.99; // slack: the root forwards nothing
-        let upper = pair * o * (h.height() as f64 - 1.0);
+        let (lower, upper) = naive_bounds(&WireSizes::default(), o, h.height());
+        let lower = lower * 0.99; // slack: the root forwards nothing
         assert!(c >= lower, "C_naive = {c} below lower bound {lower}");
         assert!(c <= upper, "C_naive = {c} above upper bound {upper}");
     }
@@ -204,12 +155,13 @@ mod tests {
     fn leaves_pay_exactly_their_local_set() {
         let data = workload(13, 200, 7);
         let h = Hierarchy::balanced(13, 3);
-        let run = run(&h, &data, Threshold::Ratio(0.01), &WireSizes::default());
+        let out = run(&h, &data);
+        let bytes = out.report.phase_peer_bytes(phases::AGGREGATION).unwrap();
         for p in h.leaves() {
             let expect = 8 * data.local_items(p).len() as u64;
-            assert_eq!(run.bytes_per_peer()[p.index()], expect, "leaf {p}");
+            assert_eq!(bytes[p.index()], expect, "leaf {p}");
         }
-        assert_eq!(run.bytes_per_peer()[0], 0, "root sends nothing");
+        assert_eq!(bytes[0], 0, "root sends nothing");
     }
 
     #[test]
@@ -217,39 +169,16 @@ mod tests {
         // §V-C: "as the data skewness increases, the average number of
         // distinct items that a peer propagates … is reduced".
         let h = Hierarchy::balanced(100, 3);
-        let flat = run(
-            &h,
-            &SystemData::generate(
-                &WorkloadParams {
-                    peers: 100,
-                    items: 20_000,
-                    instances_per_item: 10,
-                    theta: 0.0,
-                },
-                9,
-            ),
-            Threshold::Ratio(0.01),
-            &WireSizes::default(),
-        );
-        let skewed = run(
-            &h,
-            &SystemData::generate(
-                &WorkloadParams {
-                    peers: 100,
-                    items: 20_000,
-                    instances_per_item: 10,
-                    theta: 2.0,
-                },
-                9,
-            ),
-            Threshold::Ratio(0.01),
-            &WireSizes::default(),
-        );
-        assert!(
-            skewed.avg_bytes_per_peer() < flat.avg_bytes_per_peer(),
-            "skewed {} !< flat {}",
-            skewed.avg_bytes_per_peer(),
-            flat.avg_bytes_per_peer()
-        );
+        let cost = |theta| {
+            let params = WorkloadParams {
+                peers: 100,
+                items: 20_000,
+                instances_per_item: 10,
+                theta,
+            };
+            run(&h, &SystemData::generate(&params, 9)).avg_bytes_per_peer()
+        };
+        let (flat, skewed) = (cost(0.0), cost(2.0));
+        assert!(skewed < flat, "skewed {skewed} !< flat {flat}");
     }
 }

@@ -269,7 +269,7 @@ impl Finish<SpaceSaving> for SketchFinish {
         let bound = (self.claimed_epsilon * acc.weight() as f64).ceil() as u64;
         let mut items: Vec<(ItemId, u64)> = acc
             .entries()
-            .filter(|&(_, est)| est + bound >= self.threshold)
+            .filter(|&(_, est)| est.saturating_add(bound) >= self.threshold)
             .collect();
         items.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         SketchAnswer {

@@ -35,8 +35,8 @@ use std::collections::BTreeMap;
 use ifi_agg::{Aggregate, Ascending, Boot, Convergecast, MapSum, TreeSlot};
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::{
-    sansio_world, Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, RelConfig,
-    ReliableMsg, RetransmitTimer, SansIo, SimConfig, SimTime,
+    Effects, Envelope, Membership, MsgClass, NodeEvent, PeerId, RelConfig, ReliableMsg,
+    RetransmitTimer, SansIo, SimTime,
 };
 use ifi_workload::{ItemId, SystemData};
 
@@ -507,62 +507,11 @@ impl SansIo for TopKProtocol {
     }
 }
 
-/// Result of an instant (DES-backed) top-k query — the convenience shape
-/// `examples/` and the property suites consume.
-#[derive(Debug, Clone)]
-pub struct TopKRun {
-    /// The returned items with exact global values (descending; ties by
-    /// ascending id), at most `k`.
-    pub items: Vec<(ItemId, u64)>,
-    /// Whether the set is provably the true top-k.
-    pub certified: bool,
-    /// Candidates verified in phase 2.
-    pub candidates: usize,
-    /// Total bytes across both phases.
-    pub total_bytes: u64,
-}
-
-impl TopKRun {
-    /// The paper's metric.
-    pub fn avg_bytes_per_peer(&self, peers: usize) -> f64 {
-        self.total_bytes as f64 / peers.max(1) as f64
-    }
-}
-
-/// Finds the top-`k` items by global value in one DES run of
-/// [`TopKProtocol`].
-///
-/// # Panics
-///
-/// Panics if the hierarchy and data universes differ.
-pub fn top_k(hierarchy: &Hierarchy, data: &SystemData, k: usize, config: &TopKConfig) -> TopKRun {
-    let config = TopKConfig {
-        k,
-        ..config.clone()
-    };
-    let mut w = sansio_world(
-        SimConfig::default(),
-        TopKProtocol::peers(&config, hierarchy, data, None),
-    );
-    w.start();
-    w.run_to_quiescence();
-    let answer = w
-        .peer(hierarchy.root())
-        .result()
-        .expect("quiescent top-k run must answer")
-        .clone();
-    TopKRun {
-        items: answer.items,
-        certified: answer.certified,
-        candidates: answer.candidates,
-        total_bytes: w.metrics().total_bytes(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ifi_sim::FaultPlan;
+    use crate::engines::{Engine, EngineOutcome, TopKEngine};
+    use ifi_sim::{sansio_world, FaultPlan, SimConfig};
     use ifi_workload::{GroundTruth, WorkloadParams};
 
     fn setup(seed: u64) -> (Hierarchy, SystemData, GroundTruth) {
@@ -579,11 +528,15 @@ mod tests {
         (Hierarchy::balanced(50, 3), data, truth)
     }
 
+    fn top_k(h: &Hierarchy, data: &SystemData, config: TopKConfig) -> EngineOutcome {
+        TopKEngine::new(config).run_des(h, data, SimConfig::default())
+    }
+
     #[test]
     fn lossless_matches_the_oracle_top_k() {
         let (h, data, truth) = setup(301);
         for k in [1usize, 5, 20, 100] {
-            let run = top_k(&h, &data, k, &TopKConfig::lossless(k));
+            let run = top_k(&h, &data, TopKConfig::lossless(k));
             let expect: Vec<(ItemId, u64)> = truth.globals().iter().copied().take(k).collect();
             assert_eq!(run.items, expect, "k = {k}");
             assert!(run.certified, "lossless run must certify (k = {k})");
@@ -597,7 +550,7 @@ mod tests {
         // A cap comfortably above the per-peer distinct count (~400 here)
         // keeps local lists exact; only upper-tree merges prune, so `tau`
         // stays far below the Zipf head and the answer certifies.
-        let run = top_k(&h, &data, k, &TopKConfig::new(k).with_prune_cap(512));
+        let run = top_k(&h, &data, TopKConfig::new(k).with_prune_cap(512));
         let expect: Vec<(ItemId, u64)> = truth.globals().iter().copied().take(k).collect();
         assert!(
             run.certified,
@@ -605,7 +558,7 @@ mod tests {
         );
         assert_eq!(run.items, expect);
         // And pruning actually saved bytes over the lossless run.
-        let lossless = top_k(&h, &data, k, &TopKConfig::lossless(k));
+        let lossless = top_k(&h, &data, TopKConfig::lossless(k));
         assert!(run.total_bytes < lossless.total_bytes);
     }
 
@@ -613,7 +566,7 @@ mod tests {
     fn starved_prune_cap_degrades_honestly() {
         let (h, data, truth) = setup(305);
         let k = 8;
-        let run = top_k(&h, &data, k, &TopKConfig::new(k).with_prune_cap(1));
+        let run = top_k(&h, &data, TopKConfig::new(k).with_prune_cap(1));
         assert!(!run.certified, "a one-entry slate cannot certify an 8-set");
         // Values returned are still exact for whatever was returned.
         for &(item, v) in &run.items {
@@ -628,7 +581,7 @@ mod tests {
             10,
         );
         let h = Hierarchy::balanced(2, 2);
-        let run = top_k(&h, &data, 50, &TopKConfig::lossless(50));
+        let run = top_k(&h, &data, TopKConfig::lossless(50));
         assert_eq!(
             run.items,
             vec![(ItemId(1), 5), (ItemId(2), 3), (ItemId(3), 1)]
@@ -640,7 +593,7 @@ mod tests {
     fn empty_system_returns_empty() {
         let data = SystemData::from_local_sets(vec![vec![], vec![]], 5);
         let h = Hierarchy::balanced(2, 2);
-        let run = top_k(&h, &data, 3, &TopKConfig::new(3));
+        let run = top_k(&h, &data, TopKConfig::new(3));
         assert!(run.items.is_empty());
         assert!(run.certified, "an empty system is trivially exact");
     }

@@ -10,9 +10,11 @@
 
 use ifi_hierarchy::Hierarchy;
 use ifi_overlay::Topology;
-use ifi_sim::{DetRng, PeerId};
+use ifi_sim::{DetRng, PeerId, SimConfig};
 use ifi_workload::{GroundTruth, SystemData, WorkloadParams};
-use netfilter::{naive, NetFilter, NetFilterConfig, Threshold, WireSizes};
+use netfilter::engines::{Engine, NaiveEngine};
+use netfilter::naive::NaiveConfig;
+use netfilter::{NetFilter, NetFilterConfig, Threshold, WireSizes};
 
 fn main() {
     let seed = 2008;
@@ -69,12 +71,11 @@ fn main() {
     println!("\nverified: no false positives, no false negatives, exact values");
 
     // 5. Compare communication cost against the naive approach (§IV-B).
-    let nv = naive::run(
-        &hierarchy,
-        &data,
-        Threshold::Ratio(0.01),
-        &WireSizes::default(),
-    );
+    let config = NaiveConfig {
+        threshold: Threshold::Ratio(0.01),
+        sizes: WireSizes::default(),
+    };
+    let nv = NaiveEngine { config }.run_des(&hierarchy, &data, SimConfig::default());
     let cost = run.cost();
     println!("\ncommunication cost (average bytes per peer):");
     println!("  netFilter total   {:>10.1}", cost.avg_total());

@@ -14,10 +14,12 @@
 //! ```
 
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::DetRng;
+use ifi_sim::{DetRng, SimConfig};
 use ifi_workload::{ItemId, SystemData, ZipfSampler};
+use netfilter::engines::{Engine, TopKEngine};
+use netfilter::topk::TopKConfig;
 use netfilter::windowed::SlidingWindow;
-use netfilter::{topk, NetFilter, NetFilterConfig, Threshold};
+use netfilter::{NetFilter, NetFilterConfig, Threshold};
 
 const PEERS: usize = 400;
 const SONGS: u64 = 50_000;
@@ -87,16 +89,9 @@ fn main() {
     println!("\n(the viral song ages out of the 7-day window after day 10, as printed above)");
 
     // Bonus: exact top-5 chart of the final window via the top-k engine.
-    let chart = topk::top_k(
-        &hierarchy,
-        &week(&windows),
-        5,
-        &topk::TopKConfig::lossless(5),
-    );
-    println!(
-        "\nfinal-week top-5 chart ({} candidates verified, certified: {}):",
-        chart.candidates, chart.certified
-    );
+    let engine = TopKEngine::new(TopKConfig::lossless(5));
+    let chart = engine.run_des(&hierarchy, &week(&windows), SimConfig::default());
+    println!("\nfinal-week top-5 chart (certified: {}):", chart.certified);
     for (rank, &(song, downloads)) in chart.items.iter().enumerate() {
         println!(
             "  #{:<2} song {:>6}: {:>7} downloads",

@@ -12,9 +12,11 @@
 use std::process::ExitCode;
 
 use ifi_hierarchy::Hierarchy;
-use ifi_sim::DetRng;
+use ifi_sim::{DetRng, SimConfig};
 use ifi_workload::{GroundTruth, SystemData, WorkloadParams};
-use netfilter::{approx, naive, tuning, NetFilter, NetFilterConfig, Threshold, WireSizes};
+use netfilter::engines::{Engine, NaiveEngine};
+use netfilter::naive::NaiveConfig;
+use netfilter::{approx, tuning, NetFilter, NetFilterConfig, Threshold, WireSizes};
 
 /// Parsed command-line options.
 #[derive(Debug, Clone, PartialEq)]
@@ -183,7 +185,11 @@ fn cmd_compare(opts: &Opts) {
     let t = truth.threshold_for_ratio(opts.phi);
 
     let nf = NetFilter::new(config(opts)).run(&h, &data);
-    let nv = naive::run(&h, &data, Threshold::Ratio(opts.phi), &WireSizes::default());
+    let naive = NaiveConfig {
+        threshold: Threshold::Ratio(opts.phi),
+        sizes: WireSizes::default(),
+    };
+    let nv = NaiveEngine { config: naive }.run_des(&h, &data, SimConfig::default());
     let (ag, af) = approx::ApproxRun::dimensions_for(opts.phi / 10.0, 0.01);
     let mut approx_cfg = config(opts);
     approx_cfg.filter_size = ag;
@@ -210,7 +216,7 @@ fn cmd_compare(opts: &Opts) {
         "{:<26} {:>14.1} {:>10} {:>8}",
         "naive",
         nv.avg_bytes_per_peer(),
-        nv.frequent_items().len(),
+        nv.items.len(),
         "yes"
     );
     println!(

@@ -4,9 +4,12 @@
 
 use ifi_hierarchy::Hierarchy;
 use ifi_overlay::Topology;
-use ifi_sim::{DetRng, PeerId};
-use ifi_workload::{scenarios, GroundTruth, SystemData, WorkloadParams};
-use netfilter::{naive, NetFilter, NetFilterConfig, Threshold, WireSizes};
+use ifi_sim::{DetRng, PeerId, SimConfig};
+use ifi_workload::{scenarios, GroundTruth, ItemId, SystemData, WorkloadParams};
+use netfilter::continuous::ContinuousConfig;
+use netfilter::engines::{reference_family, ContinuousEngine, Engine, ErrorClaim, NaiveEngine};
+use netfilter::naive::NaiveConfig;
+use netfilter::{NetFilter, NetFilterConfig, Threshold, WireSizes};
 use proptest::prelude::*;
 
 /// Builds a hierarchy of the requested shape over `peers` peers.
@@ -92,8 +95,9 @@ proptest! {
                 .build(),
         )
         .run(&h, &data);
-        let nv = naive::run(&h, &data, Threshold::Ratio(phi), &WireSizes::default());
-        prop_assert_eq!(nf.frequent_items(), nv.frequent_items());
+        let config = NaiveConfig { threshold: Threshold::Ratio(phi), sizes: WireSizes::default() };
+        let nv = NaiveEngine { config }.run_des(&h, &data, SimConfig::default());
+        prop_assert_eq!(nf.frequent_items(), &nv.items[..]);
     }
 
     /// Candidate counts always bound the result: every heavy item is a
@@ -177,41 +181,53 @@ fn every_table_i_scenario_reduces_to_exact_ifi() {
     }
 }
 
+/// Every engine of the family, the continuous one included, on the
+/// corner inputs: none may panic, and the one-shot exact engines
+/// (netFilter, naive) must equal the ground truth.
 #[test]
 fn degenerate_workloads() {
-    // Single peer, single item, threshold exactly at the value.
-    let data = SystemData::from_local_sets(vec![vec![(netfilter::ItemId(3), 7)]], 4);
+    let one =
+        |item, value| SystemData::from_local_sets(vec![vec![(ItemId(item), value)]], item + 1);
+    let corners = [
+        ("one peer, one item", one(3, 7)),
+        (
+            "two peers, one empty",
+            SystemData::from_local_sets(vec![vec![(ItemId(1), 5)], vec![]], 4),
+        ),
+        (
+            "every peer empty",
+            SystemData::from_local_sets(vec![vec![], vec![]], 10),
+        ),
+        ("one item at u64::MAX - 1", one(0, u64::MAX - 1)),
+    ];
+    for (input, data) in &corners {
+        let h = Hierarchy::balanced(data.peer_count(), 3);
+        let truth = GroundTruth::compute(data);
+        let want = truth.frequent_items(Threshold::Ratio(0.01).resolve(data.total_value()));
+        let heavy = truth.globals().first().map_or(ItemId(0), |&(item, _)| item);
+        let mut family = reference_family(heavy);
+        family.push(Box::new(ContinuousEngine {
+            config: ContinuousConfig::new(3, 2),
+            threshold: 1,
+        }));
+        for engine in &family {
+            let out = engine.run_des(&h, data, SimConfig::default());
+            if out.claim == ErrorClaim::Exact && out.engine != "continuous-delta" {
+                assert_eq!(out.items, want, "{input}: {}", out.engine);
+            }
+        }
+    }
+
+    // netFilter with the threshold exactly at the single value, and above
+    // it: the item, then an empty result.
     let h = Hierarchy::balanced(1, 3);
-    let run = NetFilter::new(
-        NetFilterConfig::builder()
+    for (t, want) in [(7, vec![(ItemId(3), 7)]), (8, vec![])] {
+        let config = NetFilterConfig::builder()
             .filter_size(2)
             .filters(1)
-            .threshold(Threshold::Absolute(7))
-            .build(),
-    )
-    .run(&h, &data);
-    assert_eq!(run.frequent_items(), &[(netfilter::ItemId(3), 7)]);
-
-    // Threshold above everything: empty result, zero aggregation traffic
-    // beyond the (empty) candidate maps.
-    let run = NetFilter::new(
-        NetFilterConfig::builder()
-            .filter_size(2)
-            .filters(1)
-            .threshold(Threshold::Absolute(8))
-            .build(),
-    )
-    .run(&h, &data);
-    assert!(run.frequent_items().is_empty());
-
-    // Empty system: no peers hold anything.
-    let empty = SystemData::from_local_sets(vec![vec![], vec![]], 10);
-    let h2 = Hierarchy::balanced(2, 3);
-    let run = NetFilter::new(
-        NetFilterConfig::builder()
-            .threshold(Threshold::Absolute(1))
-            .build(),
-    )
-    .run(&h2, &empty);
-    assert!(run.frequent_items().is_empty());
+            .threshold(Threshold::Absolute(t))
+            .build();
+        let run = NetFilter::new(config).run(&h, &one(3, 7));
+        assert_eq!(run.frequent_items(), &want[..], "t = {t}");
+    }
 }

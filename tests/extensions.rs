@@ -3,10 +3,13 @@
 
 use ifi_agg::Aggregate;
 use ifi_hierarchy::Hierarchy;
+use ifi_sim::SimConfig;
 use ifi_workload::{GroundTruth, ItemId, SystemData, WorkloadParams};
+use netfilter::engines::{Engine, TopKEngine};
 use netfilter::sketch::SpaceSaving;
+use netfilter::topk::TopKConfig;
 use netfilter::windowed::SlidingWindow;
-use netfilter::{topk, NetFilterConfig, Threshold};
+use netfilter::{NetFilterConfig, Threshold};
 use proptest::prelude::*;
 
 proptest! {
@@ -74,7 +77,8 @@ proptest! {
         );
         let h = Hierarchy::balanced(peers, 3);
         let truth = GroundTruth::compute(&data);
-        let run = topk::top_k(&h, &data, k, &topk::TopKConfig::lossless(k));
+        let engine = TopKEngine::new(TopKConfig::lossless(k));
+        let run = engine.run_des(&h, &data, SimConfig::default());
         let expect: Vec<(ItemId, u64)> = truth.globals().iter().copied().take(k).collect();
         prop_assert!(run.certified, "lossless runs always certify");
         prop_assert_eq!(run.items, expect);
@@ -162,8 +166,8 @@ proptest! {
         );
         let h = Hierarchy::balanced(peers, 3);
         let truth = GroundTruth::compute(&data);
-        let cfg = topk::TopKConfig::new(k).with_prune_cap(k + extra_cap);
-        let run = topk::top_k(&h, &data, k, &cfg);
+        let engine = TopKEngine::new(TopKConfig::new(k).with_prune_cap(k + extra_cap));
+        let run = engine.run_des(&h, &data, SimConfig::default());
         // Returned values are always exact, certified or not.
         for &(item, v) in &run.items {
             prop_assert_eq!(v, truth.value_of(item));

@@ -11,7 +11,8 @@ use std::path::Path;
 /// `(crate, non-test lines)`, one row per crate under `crates/` plus the
 /// umbrella package, whose sources are the root `src/`.
 const NON_TEST_LINES: &[(&str, usize)] = &[
-    ("src", 308),
+    // 308 while `ifi compare` ran naive through its own runner.
+    ("src", 314),
     // 1 226 with the instant walk in place of the one-pass convergecast core;
     // 1 266 with a `build_world` pair beside `peers`; 1 249 before runs
     // were summed on arrival with checked sums.
@@ -22,14 +23,17 @@ const NON_TEST_LINES: &[(&str, usize)] = &[
     // the fabric smoke hand-built its `NetFilterProtocol` population; 4 305
     // while every figure wrote each column twice, in `print` and `to_data`;
     // 3 948 while the continuous smoke row built its own copy of the sweep
-    // workload.
-    ("crates/bench", 3879),
+    // workload; 3 879 with a report-returning twin of
+    // `summarize_netfilter`.
+    ("crates/bench", 3880),
     // 6 313 while `NetFilter::run` walked the tree beside the protocol;
     // 6 264 while the sketch engine kept its own copy of the one-pass core;
     // 6 142 with thirteen `build_world*` wrappers and `WindowedMonitor`;
     // 5 872 before census reports were bounded by the roster; 5 878 while
-    // continuous deltas were concatenated and sorted at each fence.
-    ("crates/core", 5906),
+    // continuous deltas were concatenated and sorted at each fence; 5 906
+    // while naive, top-k and the local-threshold comparator each had a
+    // runner and result type beside their `Engine` impl.
+    ("crates/core", 5753),
     ("crates/hierarchy", 1164),
     ("crates/overlay", 1184),
     // 518 with a wall-clock role, `BenchReport::parse` and its comparator.

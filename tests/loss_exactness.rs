@@ -11,7 +11,8 @@ use ifi_sim::{
     sansio_world, DetRng, Duration, FaultPlan, MsgClass, PeerId, RelConfig, SimConfig, SimTime,
 };
 use ifi_workload::{GroundTruth, SystemData, WorkloadParams};
-use netfilter::naive::{self, NaiveConfig, NaiveProtocol};
+use netfilter::engines::{Engine, NaiveEngine};
+use netfilter::naive::{NaiveConfig, NaiveProtocol};
 use netfilter::phases;
 use netfilter::protocol::NetFilterProtocol;
 use netfilter::resilient::{ResilientConfig, ResilientProtocol};
@@ -58,7 +59,7 @@ fn one_shot_protocol_is_exact_across_the_loss_grid() {
         threshold: Threshold::Ratio(0.01),
         sizes: WireSizes::default(),
     };
-    let naive_clean = naive::run(&h, &data, naive_cfg.threshold, &naive_cfg.sizes);
+    let naive_clean = NaiveEngine { config: naive_cfg }.run_des(&h, &data, SimConfig::default());
     let truth = GroundTruth::compute(&data).frequent_items(loss_free.threshold());
 
     for (i, &drop) in DROP_GRID.iter().enumerate() {
@@ -81,7 +82,7 @@ fn one_shot_protocol_is_exact_across_the_loss_grid() {
         assert_eq!(answer.items, truth, "drop={drop}: wrong naive answer");
         let m = w.metrics();
         let aggregation = m.class_bytes(MsgClass::AGGREGATION);
-        assert_eq!(aggregation, naive_clean.total_bytes(), "drop={drop}");
+        assert_eq!(aggregation, naive_clean.total_bytes, "drop={drop}");
         let overhead = m.class_bytes(MsgClass::RETRANSMIT);
         assert_eq!(m.total_bytes(), aggregation + overhead, "drop={drop}");
         assert!(overhead > 0, "drop={drop}: acks alone guarantee overhead");
