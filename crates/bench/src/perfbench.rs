@@ -12,7 +12,7 @@
 //! | bench | exercises |
 //! |-------|-----------|
 //! | `event_queue`   | DES kernel: timer + message scheduling on a ring |
-//! | `codec`         | wire codec: `encode_into` buffer reuse + decode |
+//! | `codec`         | wire codec: encode into one reused buffer, decode |
 //! | `epoch_n1000`   | a full netFilter epoch at `N = 1000` over the DES |
 //! | `maintain_tick` | heartbeat/maintenance tick loop, 200 peers, 30 s |
 //! | `fig7_quick`    | the fig. 7 sweep at `--quick` scale (both panels) |
@@ -42,8 +42,8 @@ use ifi_sim::{
     PeerId, SansIo, SimConfig, SimTime,
 };
 use ifi_workload::{ItemId, SystemData, WorkloadParams};
-use netfilter::codec::Codec;
 use netfilter::protocol::{NetFilterProtocol, NfMsg};
+use netfilter::wire::NfWire;
 use netfilter::{NetFilterConfig, Threshold, WireSizes};
 
 use crate::fig7;
@@ -124,7 +124,7 @@ pub(crate) fn event_queue(name: &str) -> Sample {
     })
 }
 
-// --- codec: encode_into buffer reuse + decode over a message mix. ---
+// --- codec: encode + decode over a message mix, one buffer drained per message. ---
 
 fn codec_messages() -> Vec<NfMsg> {
     let mut rng = DetRng::new(PERF_SEED ^ 0xC0DE);
@@ -147,19 +147,19 @@ fn codec_messages() -> Vec<NfMsg> {
 }
 
 pub(crate) fn codec(name: &str) -> Sample {
-    let codec = Codec::new(WireSizes::default());
+    let codec = NfWire::new(WireSizes::default());
     let msgs = codec_messages();
     run_bench(name, || {
-        let mut buf = bytes::BytesMut::new();
+        let mut buf = Vec::new();
         let mut encoded_bytes = 0u64;
         let mut digest = 0u64;
         for msg in &msgs {
-            codec.encode_into(msg, &mut buf).expect("encodes");
+            codec.encode_msg(msg, &mut buf).expect("encodes");
             encoded_bytes += buf.len() as u64;
-            digest = buf.iter().fold(digest, |acc, &b| {
-                acc.wrapping_mul(31).wrapping_add(b as u64)
-            });
-            let decoded = codec.decode(&buf).expect("decodes");
+            let decoded = codec.decode_msg(&buf).expect("decodes");
+            digest = buf
+                .drain(..)
+                .fold(digest, |acc, b| acc.wrapping_mul(31).wrapping_add(b as u64));
             digest = fold(digest, codec.payload_len(&decoded));
         }
         Sample {

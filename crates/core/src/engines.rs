@@ -263,9 +263,11 @@ impl Engine for ThresholdEngine {
 /// is split round-robin into per-epoch batches, run through the delta
 /// convergecast, and the answer is the **final fence's** certified
 /// standing result — exact for its window by the telescoping-delta
-/// invariant. A run whose final fence does not certify (an epoch's
-/// census failed, say over a delta too large for an `i64`) answers
-/// nothing, uncertified.
+/// invariant. A run whose final fence does not certify answers nothing,
+/// uncertified. Each epoch's delta carries a signed `i64` per item, so a
+/// peer's value for one item within one epoch is bounded by `i64::MAX`:
+/// past it the delta is refused, that epoch's census falls short, and no
+/// fence from then on certifies.
 ///
 /// Deliberately *not* part of [`reference_family`]: its windowed answer
 /// is not comparable row-for-row with the one-shot engines' all-time

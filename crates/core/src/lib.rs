@@ -40,7 +40,7 @@
 //! | [`NetFilter`] / [`NetFilterRun`] | the query engine: one protocol epoch on the DES, read back |
 //! | [`protocol`] | Algorithm 1 + 2 as a message-level (sans-io) protocol |
 //! | [`naive`] | the baseline that forwards whole local item sets, on the one-pass convergecast core |
-//! | [`codec`] | real wire encodings at the paper's `s_a`/`s_g`/`s_i` widths |
+//! | [`wire`] | real wire encodings at the paper's `s_a`/`s_g`/`s_i` widths, in the transport's reliability envelope |
 //! | [`gossip_filter`] | gossip-based candidate filtering (§VI future work) |
 //! | [`approx`] | an ε-approximate comparator in the style of the related work |
 //! | [`resilient`] | epoch-based re-query over a self-repairing hierarchy |
@@ -85,7 +85,6 @@
 
 pub mod analysis;
 pub mod approx;
-pub mod codec;
 mod config;
 pub mod continuous;
 mod engine;

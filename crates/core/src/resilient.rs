@@ -383,8 +383,6 @@ pub struct ResilientProtocol {
     p2_census: Census,
     p2_sent: bool,
 
-    /// Root only: phase-1 census frozen when phase 2 began.
-    p1_final: Option<Census>,
     /// Root only: live peers at issue time (the completeness yardstick).
     roster: Census,
     /// Root only: every completed epoch, oldest first.
@@ -449,7 +447,6 @@ impl ResilientProtocol {
             p2_acc: None,
             p2_census: Census::empty(),
             p2_sent: false,
-            p1_final: None,
             roster: Census::empty(),
             completed: Vec::new(),
             epoch_started_at: SimTime::ZERO,
@@ -600,7 +597,6 @@ impl ResilientProtocol {
         self.p2_acc = None;
         self.p2_census = Census::solo(self.me);
         self.p2_sent = false;
-        self.p1_final = None;
     }
 
     fn children_covered(&self, received: &PeerSet) -> bool {
@@ -608,10 +604,7 @@ impl ResilientProtocol {
     }
 
     fn check_p1(&mut self, fx: &mut Effects<Self>) {
-        if self.p1_sent
-            || self.p1_acc.is_none()
-            || !self.children_covered(&self.p1_received.clone())
-        {
+        if self.p1_sent || self.p1_acc.is_none() || !self.children_covered(&self.p1_received) {
             return;
         }
         self.p1_sent = true;
@@ -640,9 +633,6 @@ impl ResilientProtocol {
     }
 
     fn enter_phase2(&mut self, fx: &mut Effects<Self>, heavy: HeavyGroups) {
-        if self.active_root {
-            self.p1_final = Some(self.p1_census);
-        }
         let list_bytes = self.sizes.sg * heavy.total_heavy() as u64;
         fx.mark_phase(phases::DISSEMINATION);
         for c in self.core.children() {
@@ -669,14 +659,14 @@ impl ResilientProtocol {
         if self.p2_sent
             || !self.heavy_seen
             || self.p2_acc.is_none()
-            || !self.children_covered(&self.p2_received.clone())
+            || !self.children_covered(&self.p2_received)
         {
             return;
         }
         self.p2_sent = true;
         let acc = self.p2_acc.take().expect("guarded above");
         if self.active_root {
-            let phase1 = self.p1_final.unwrap_or(self.p1_census);
+            let phase1 = self.p1_census;
             let phase2 = self.p2_census;
             let result = EpochResult {
                 epoch: self.epoch,

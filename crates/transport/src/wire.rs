@@ -3,9 +3,9 @@
 //! The in-process channel transport moves `P::Msg` values directly; only
 //! the TCP loopback hub needs bytes on a wire. [`WireCodec`] is the
 //! pluggable (de)serializer a protocol supplies for its message type —
-//! the `netfilter` crate implements it over its existing paper-width
-//! `Codec`, so the bytes on the loopback socket are the very bytes the
-//! cost model prices.
+//! the `netfilter` crate's `NfWire` encodes at the paper's field widths,
+//! so the bytes on the loopback socket are the very bytes the cost model
+//! prices.
 
 use std::fmt;
 

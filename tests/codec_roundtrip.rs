@@ -3,10 +3,16 @@
 //! identity that grounds the paper's cost accounting.
 
 use ifi_agg::{Aggregate, MapSum, VecSum, WireSizes};
-use netfilter::codec::{Codec, CodecError};
 use netfilter::protocol::NfMsg;
+use netfilter::wire::{CodecError, NfWire};
 use netfilter::{HeavyLists, ItemId};
 use proptest::prelude::*;
+
+/// `msg` encoded on its own.
+fn encode(codec: &NfWire, msg: &NfMsg) -> Result<Vec<u8>, CodecError> {
+    let mut buf = Vec::new();
+    codec.encode_msg(msg, &mut buf).map(|()| buf)
+}
 
 fn arb_sizes() -> impl Strategy<Value = WireSizes> {
     (1u64..=8, 1u64..=8, 1u64..=8).prop_map(|(sa, sg, si)| WireSizes { sa, sg, si })
@@ -60,11 +66,11 @@ proptest! {
     /// decode(encode(m)) reproduces m, at any field widths.
     #[test]
     fn round_trip(msg in arb_msg(), sizes in arb_sizes()) {
-        let codec = Codec::new(sizes);
-        let encoded = codec.encode(&msg).expect("small values fit all widths");
-        let decoded = codec.decode(&encoded).expect("decodes");
+        let codec = NfWire::new(sizes);
+        let encoded = encode(&codec, &msg).expect("small values fit all widths");
+        let decoded = codec.decode_msg(&encoded).expect("decodes");
         // Compare via re-encoding (NfMsg intentionally carries no PartialEq).
-        prop_assert_eq!(codec.encode(&decoded).unwrap(), encoded.clone());
+        prop_assert_eq!(encode(&codec, &decoded).unwrap(), encoded.clone());
         // Length identity.
         prop_assert_eq!(
             encoded.len() as u64,
@@ -80,7 +86,7 @@ proptest! {
         m in arb_candidates(),
         sizes in arb_sizes(),
     ) {
-        let codec = Codec::new(sizes);
+        let codec = NfWire::new(sizes);
         prop_assert_eq!(
             codec.payload_len(&NfMsg::GroupAgg(v.clone())),
             v.encoded_bytes(&sizes)
@@ -99,10 +105,10 @@ proptest! {
         let (array, run) = (VecSum::from(slots.clone()), fed(&slots));
         prop_assert_eq!(&array, &run);
         prop_assert_eq!(run.encoded_bytes(&sizes), sizes.sa * slots.len() as u64);
-        let codec = Codec::new(sizes);
+        let codec = NfWire::new(sizes);
         prop_assert_eq!(
-            codec.encode(&NfMsg::GroupAgg(run)),
-            codec.encode(&NfMsg::GroupAgg(array))
+            encode(&codec, &NfMsg::GroupAgg(run)),
+            encode(&codec, &NfMsg::GroupAgg(array))
         );
     }
 
@@ -110,11 +116,11 @@ proptest! {
     /// truncation).
     #[test]
     fn prefixes_never_decode(msg in arb_msg()) {
-        let codec = Codec::new(WireSizes::default());
-        let encoded = codec.encode(&msg).unwrap();
+        let codec = NfWire::new(WireSizes::default());
+        let encoded = encode(&codec, &msg).unwrap();
         for cut in 0..encoded.len() {
             prop_assert!(
-                codec.decode(&encoded[..cut]).is_err(),
+                codec.decode_msg(&encoded[..cut]).is_err(),
                 "prefix of {} bytes decoded",
                 cut
             );
@@ -124,11 +130,11 @@ proptest! {
     /// Appending garbage is always detected.
     #[test]
     fn trailing_bytes_rejected(msg in arb_msg(), junk in 1usize..8) {
-        let codec = Codec::new(WireSizes::default());
-        let mut bytes = codec.encode(&msg).unwrap().to_vec();
+        let codec = NfWire::new(WireSizes::default());
+        let mut bytes = encode(&codec, &msg).unwrap();
         bytes.extend(std::iter::repeat_n(0xAB, junk));
         prop_assert!(matches!(
-            codec.decode(&bytes),
+            codec.decode_msg(&bytes),
             Err(CodecError::TrailingBytes(_))
         ));
     }
@@ -137,40 +143,40 @@ proptest! {
     #[test]
     fn overflow_rejected(extra in 1u64..1_000_000) {
         let sizes = WireSizes { sa: 2, sg: 4, si: 4 };
-        let codec = Codec::new(sizes);
+        let codec = NfWire::new(sizes);
         let too_big = (1u64 << 16) - 1 + extra;
         let msg = NfMsg::GroupAgg(VecSum::from(vec![too_big]));
-        let overflowed = matches!(codec.encode(&msg), Err(CodecError::ValueOverflow { .. }));
+        let overflowed = matches!(encode(&codec, &msg), Err(CodecError::ValueOverflow { .. }));
         prop_assert!(overflowed);
     }
 }
 
 /// Pinned proptest counterexample: a candidate value of 256 must overflow
 /// a 1-byte aggregate field (256 == 1 << 8 is the first value that does
-/// not fit, an off-by-one the `>=` bound in `put_uint` has to get right).
+/// not fit, an off-by-one the `>=` bound in the encoder has to get right).
 /// Kept as a deterministic test so the case survives shrink-seed loss.
 #[test]
 fn candidate_overflow_at_one_byte_width_regression() {
-    let codec = Codec::new(WireSizes {
+    let codec = NfWire::new(WireSizes {
         sa: 1,
         sg: 1,
         si: 1,
     });
     let msg = NfMsg::CandidateAgg(MapSum::from_pairs([(ItemId(62), 256)]));
     assert_eq!(
-        codec.encode(&msg),
+        encode(&codec, &msg),
         Err(CodecError::ValueOverflow {
             value: 256,
             width: 1
         })
     );
     // The same message fits as soon as the width can hold 256.
-    let wide = Codec::new(WireSizes {
+    let wide = NfWire::new(WireSizes {
         sa: 2,
         sg: 1,
         si: 1,
     });
     let msg = NfMsg::CandidateAgg(MapSum::from_pairs([(ItemId(62), 256)]));
-    let encoded = wide.encode(&msg).expect("2-byte field holds 256");
-    wide.decode(&encoded).expect("round-trips");
+    let encoded = encode(&wide, &msg).expect("2-byte field holds 256");
+    wide.decode_msg(&encoded).expect("round-trips");
 }

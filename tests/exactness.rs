@@ -188,34 +188,55 @@ fn every_table_i_scenario_reduces_to_exact_ifi() {
 fn degenerate_workloads() {
     let one =
         |item, value| SystemData::from_local_sets(vec![vec![(ItemId(item), value)]], item + 1);
+    // The last field is whether the continuous engine certifies: it
+    // carries each epoch's delta per item as an `i64`, so one past
+    // `i64::MAX` is refused and the run answers nothing, uncertified.
     let corners = [
-        ("one peer, one item", one(3, 7)),
+        ("one peer, one item", one(3, 7), true),
         (
             "two peers, one empty",
             SystemData::from_local_sets(vec![vec![(ItemId(1), 5)], vec![]], 4),
+            true,
         ),
         (
             "every peer empty",
             SystemData::from_local_sets(vec![vec![], vec![]], 10),
+            true,
         ),
-        ("one item at u64::MAX - 1", one(0, u64::MAX - 1)),
+        ("one item at i64::MAX", one(0, i64::MAX as u64), true),
+        (
+            "one item at i64::MAX + 1",
+            one(0, i64::MAX as u64 + 1),
+            false,
+        ),
+        ("one item at u64::MAX - 1", one(0, u64::MAX - 1), false),
     ];
-    for (input, data) in &corners {
+    let continuous = ContinuousEngine {
+        config: ContinuousConfig::new(3, 2),
+        threshold: 1,
+    };
+    for (input, data, certifies) in &corners {
         let h = Hierarchy::balanced(data.peer_count(), 3);
         let truth = GroundTruth::compute(data);
         let want = truth.frequent_items(Threshold::Ratio(0.01).resolve(data.total_value()));
         let heavy = truth.globals().first().map_or(ItemId(0), |&(item, _)| item);
-        let mut family = reference_family(heavy);
-        family.push(Box::new(ContinuousEngine {
-            config: ContinuousConfig::new(3, 2),
-            threshold: 1,
-        }));
-        for engine in &family {
+        for engine in &reference_family(heavy) {
             let out = engine.run_des(&h, data, SimConfig::default());
-            if out.claim == ErrorClaim::Exact && out.engine != "continuous-delta" {
+            if out.claim == ErrorClaim::Exact {
                 assert_eq!(out.items, want, "{input}: {}", out.engine);
             }
         }
+        let out = continuous.run_des(&h, data, SimConfig::default());
+        let want = if *certifies {
+            truth.frequent_items(1)
+        } else {
+            Vec::new()
+        };
+        assert_eq!(
+            (out.items, out.certified),
+            (want, *certifies),
+            "{input}: continuous"
+        );
     }
 
     // netFilter with the threshold exactly at the single value, and above
