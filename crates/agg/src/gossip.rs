@@ -42,7 +42,7 @@ pub fn push_sum(
 /// [`push_sum`] that additionally charges each round's sends into `sink`
 /// (class [`MsgClass::GOSSIP`], one event per sender per round). Recording
 /// draws no randomness, so the outcome is identical to the plain variant.
-pub fn push_sum_with_sink(
+pub(crate) fn push_sum_with_sink(
     topology: &Topology,
     values: &[f64],
     rounds: usize,
@@ -61,12 +61,10 @@ pub fn push_sum_with_sink(
 pub struct GossipVecOutcome {
     /// `avg_estimates[p][k]` — peer `p`'s estimate of the global average
     /// of component `k` after the final round.
-    pub avg_estimates: Vec<Vec<f64>>,
-    /// Rounds executed.
-    pub rounds: usize,
+    pub(crate) avg_estimates: Vec<Vec<f64>>,
     /// Total bytes sent: each message carries `dim` sums plus one weight,
     /// `(dim + 1)·s_a` bytes.
-    pub total_bytes: u64,
+    pub(crate) total_bytes: u64,
 }
 
 impl GossipVecOutcome {
@@ -106,26 +104,13 @@ impl GossipVecOutcome {
 /// components share one weight, so a single gossip execution estimates
 /// every component simultaneously (this is how the gossip variant of
 /// netFilter's candidate filtering moves all `f·g` item-group aggregates
-/// at once).
+/// at once). Each round's sends are charged into `sink` (class
+/// [`MsgClass::GOSSIP`]); recording draws no randomness.
 ///
 /// # Panics
 ///
 /// Panics if peers disagree on the vector dimension, the value count
 /// differs from the peer count, or any peer is isolated.
-pub fn push_sum_vec(
-    topology: &Topology,
-    values: &[Vec<f64>],
-    rounds: usize,
-    sizes: &WireSizes,
-    rng: &mut DetRng,
-) -> GossipVecOutcome {
-    let mut sink = EventSink::disabled();
-    push_sum_vec_with_sink(topology, values, rounds, sizes, rng, &mut sink)
-}
-
-/// [`push_sum_vec`] that additionally charges each round's sends into
-/// `sink` (class [`MsgClass::GOSSIP`]). Recording draws no randomness, so
-/// the outcome is identical to the plain variant.
 pub fn push_sum_vec_with_sink(
     topology: &Topology,
     values: &[Vec<f64>],
@@ -188,7 +173,6 @@ pub fn push_sum_vec_with_sink(
         .collect();
     GossipVecOutcome {
         avg_estimates,
-        rounds,
         total_bytes,
     }
 }
@@ -205,6 +189,23 @@ pub fn recommended_rounds(n: usize, eps: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn push_sum_vec(
+        topology: &Topology,
+        values: &[Vec<f64>],
+        rounds: usize,
+        sizes: &WireSizes,
+        rng: &mut DetRng,
+    ) -> GossipVecOutcome {
+        push_sum_vec_with_sink(
+            topology,
+            values,
+            rounds,
+            sizes,
+            rng,
+            &mut EventSink::disabled(),
+        )
+    }
 
     fn values(n: usize) -> Vec<f64> {
         (0..n).map(|i| (i % 13) as f64 + 1.0).collect()
@@ -266,7 +267,6 @@ mod tests {
         let out = push_sum(&topo, &values(10), 7, &WireSizes::default(), &mut rng);
         assert_eq!(out.total_bytes, 7 * 10 * 8);
         assert_eq!(out.avg_bytes_per_peer(), 7.0 * 8.0);
-        assert_eq!(out.rounds, 7);
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl Default for SamplingConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampledStats {
     /// Eq. 8: mean of the scaled sampled aggregates, `Σ v̂_i / x`.
-    pub v_bar_sampled: f64,
+    pub(crate) v_bar_sampled: f64,
     /// Eq. 7: mean of the scaled sampled aggregates below `t`.
     pub v_light_bar: f64,
     /// Occupancy estimate of the number of distinct items `n`.

@@ -35,7 +35,7 @@ const COLUMNS: [Column; 4] = [
 ];
 
 /// Runs the ablation suite.
-pub fn run(scale: Scale, seed: u64) -> Vec<Panel> {
+pub(crate) fn run(scale: Scale, seed: u64) -> Vec<Panel> {
     let data = scale.workload(scale.items_small(), 1.0, seed);
     let h = scale.hierarchy();
     let truth = GroundTruth::compute(&data);

@@ -49,60 +49,60 @@ const THRESHOLD_PHI: f64 = 0.05;
 #[derive(Debug, Clone)]
 struct SketchRow {
     /// Sketch capacity `c`.
-    pub capacity: usize,
+    pub(crate) capacity: usize,
     /// Average bytes per peer the run moved.
-    pub bytes_per_peer: f64,
+    pub(crate) bytes_per_peer: f64,
     /// The engine's claimed `⌈ε·V⌉` bound at this capacity.
-    pub claimed_bound: u64,
+    pub(crate) claimed_bound: u64,
     /// Worst observed deficit across reported items.
-    pub max_deficit: u64,
+    pub(crate) max_deficit: u64,
     /// Fraction of the exact frequent set recovered.
-    pub recall: f64,
+    pub(crate) recall: f64,
     /// Fraction of reported items that are truly frequent.
-    pub precision: f64,
+    pub(crate) precision: f64,
 }
 
 /// One top-k prune-capacity row.
 #[derive(Debug, Clone)]
 struct TopKRow {
     /// Prune capacity (`usize::MAX` = lossless).
-    pub prune_cap: usize,
+    pub(crate) prune_cap: usize,
     /// Average bytes per peer the run moved.
-    pub bytes_per_peer: f64,
+    pub(crate) bytes_per_peer: f64,
     /// Fraction of the true top-k recovered.
-    pub recall: f64,
+    pub(crate) recall: f64,
     /// Whether the run certified its answer.
-    pub certified: bool,
+    pub(crate) certified: bool,
 }
 
 /// One threshold-comparator row.
 #[derive(Debug, Clone)]
 struct ThresholdRow {
     /// Which item was compared ("heavy" or "tail").
-    pub label: &'static str,
+    pub(crate) label: &'static str,
     /// Total bytes the comparison moved.
-    pub total_bytes: u64,
+    pub(crate) total_bytes: u64,
     /// The root's verdict.
-    pub yes: bool,
+    pub(crate) yes: bool,
     /// The item's true global value.
-    pub truth_value: u64,
+    pub(crate) truth_value: u64,
     /// The resolved threshold.
-    pub threshold: u64,
+    pub(crate) threshold: u64,
 }
 
 /// The full sweep outcome.
 #[derive(Debug, Clone)]
 struct SweepOutcome {
     /// Bytes per peer of the exact anchor run.
-    pub exact_bytes_per_peer: f64,
+    pub(crate) exact_bytes_per_peer: f64,
     /// Size of the exact frequent set.
-    pub exact_items: usize,
+    pub(crate) exact_items: usize,
     /// Sketch rows, one per capacity.
-    pub sketch: Vec<SketchRow>,
+    pub(crate) sketch: Vec<SketchRow>,
     /// Top-k rows, one per prune capacity.
-    pub topk: Vec<TopKRow>,
+    pub(crate) topk: Vec<TopKRow>,
     /// Threshold rows (heavy item, tail item).
-    pub threshold: Vec<ThresholdRow>,
+    pub(crate) threshold: Vec<ThresholdRow>,
 }
 
 /// One row per sketch capacity.
@@ -289,7 +289,7 @@ impl SweepOutcome {
 }
 
 /// Runs the sweep at `seed`.
-pub fn run(seed: u64) -> Vec<Panel> {
+pub(crate) fn run(seed: u64) -> Vec<Panel> {
     let data = SystemData::generate_paper(
         &WorkloadParams {
             peers: PEERS,

@@ -11,7 +11,7 @@
 //!   *stable* report JSON (wall-clock fields excluded) as
 //!   `<name>.baseline.json`;
 //! * six default **perf** benches and three scale benches
-//!   ([`crate::perfbench`]) snapshot their exact counters as
+//!   (`crate::perfbench`) snapshot their exact counters as
 //!   `perf/<name>.json`. The scale rows run only when named with `--only`.
 //!
 //! `experiments write-baselines [--only <rows>]` writes each row's text.
@@ -41,7 +41,7 @@ use crate::{perfbench, select, ShapeCheck};
 use Snapshot::{Metric, Perf};
 
 /// Seed shared by every baseline scenario (the harness default).
-pub const BASELINE_SEED: u64 = 20080617;
+pub(crate) const BASELINE_SEED: u64 = 20080617;
 /// Peers in every baseline scenario.
 const PEERS: usize = 100;
 /// Distinct items in every baseline scenario.
@@ -51,21 +51,21 @@ const ITEMS: u64 = 1_000;
 #[derive(Debug, Clone)]
 pub struct BaselineRun {
     /// Scenario name (also the snapshot's file stem).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// The run's metrics report (with wall-clock data — strip via
     /// [`MetricsReport::to_json_stable`] for snapshots).
     pub report: MetricsReport,
     /// Resolved absolute threshold of the query (0 where not applicable).
-    pub threshold: u64,
+    pub(crate) threshold: u64,
     /// Result size of the query (0 where not applicable).
-    pub result_items: usize,
+    pub(crate) result_items: usize,
     /// Order-sensitive digest of the result `(id, value)` pairs.
-    pub result_checksum: u64,
+    pub(crate) result_checksum: u64,
 }
 
 impl BaselineRun {
     /// The snapshot file contents: answer digest header + stable report.
-    pub fn snapshot(&self) -> String {
+    pub(crate) fn snapshot(&self) -> String {
         format!(
             "{{\n\"scenario\": {:?},\n\"threshold\": {},\n\"result_items\": {},\n\"result_checksum\": {},\n\"report\": {}}}\n",
             self.name,
@@ -225,7 +225,7 @@ pub enum Snapshot {
 
 impl Snapshot {
     /// The row's file, relative to the baselines directory.
-    pub fn path(self, name: &str) -> String {
+    pub(crate) fn path(self, name: &str) -> String {
         match self {
             Metric(_) => format!("{name}.baseline.json"),
             Perf(_) => format!("perf/{name}.json"),
@@ -233,7 +233,7 @@ impl Snapshot {
     }
 
     /// Runs the row and renders the text its file must hold.
-    pub fn text(self, name: &'static str) -> String {
+    pub(crate) fn text(self, name: &'static str) -> String {
         match self {
             Metric(run) => run(name).snapshot(),
             Perf(bench) => bench(name).to_json(name),

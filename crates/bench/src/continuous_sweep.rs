@@ -96,7 +96,7 @@ pub(crate) fn class_bytes(seed: u64, k: usize) -> (u64, u64) {
 }
 
 /// Runs the sweep at `seed`.
-pub fn run(seed: u64) -> Vec<Panel> {
+pub(crate) fn run(seed: u64) -> Vec<Panel> {
     let (delta_1, standing_1) = class_bytes(seed, 1);
     let single_total = delta_1 + standing_1;
     let rows = KS.iter().map(|&k| {

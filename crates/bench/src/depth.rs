@@ -24,7 +24,7 @@ const COLUMNS: [Column; 4] = [
 ];
 
 /// Runs the per-level profile at the default operating point.
-pub fn run(scale: Scale, seed: u64) -> Vec<Panel> {
+pub(crate) fn run(scale: Scale, seed: u64) -> Vec<Panel> {
     let data = scale.workload(scale.items_small(), 1.0, seed);
     let h = scale.hierarchy();
     let run = NetFilter::new(
@@ -115,7 +115,11 @@ mod tests {
         let scale = Scale::Quick;
         let data = scale.workload(scale.items_small(), 1.0, 49);
         let nf = NetFilter::new(NetFilterConfig::default()).run(&scale.hierarchy(), &data);
-        let (_, max_bytes) = nf.cost().max_peer();
+        let c = nf.cost();
+        let max_bytes = (0..c.filtering.len())
+            .map(|i| c.filtering[i] + c.dissemination[i] + c.aggregation[i])
+            .max()
+            .unwrap();
         // The global average, from the per-level rows.
         let prof = run(scale, 49).remove(0);
         let bytes: f64 = prof.rows.iter().map(|r| r[1] * r[2]).sum();

@@ -10,11 +10,11 @@ use crate::runner::{argmin, summary_rows, RunSummary, Scale};
 use crate::ShapeCheck;
 
 /// The paper's sweep values for `g`.
-pub const G_SWEEP: [u32; 9] = [25, 50, 75, 100, 150, 200, 300, 400, 500];
+pub(crate) const G_SWEEP: [u32; 9] = [25, 50, 75, 100, 150, 200, 300, 400, 500];
 
 /// Runs the Figure 5 sweep: one [`RunSummary`] row per `g`, both panels
 /// in one table.
-pub fn run(scale: Scale, seed: u64) -> Vec<Panel> {
+pub(crate) fn run(scale: Scale, seed: u64) -> Vec<Panel> {
     let f = 3;
     let rows = summary_rows(scale, seed, G_SWEEP.to_vec(), |g| (g, f));
     let title = format!("== Figure 5: effect of filter size (f = {f}, phi = 0.01) ==");

@@ -10,7 +10,7 @@ use crate::ShapeCheck;
 
 /// Runs the Figure 6 sweep: one [`RunSummary`] row per `f`, both panels
 /// in one table.
-pub fn run(scale: Scale, seed: u64) -> Vec<Panel> {
+pub(crate) fn run(scale: Scale, seed: u64) -> Vec<Panel> {
     let g = 100;
     let rows = summary_rows(scale, seed, (1..=10).collect(), |f| (g, f));
     let title = format!("== Figure 6: effect of number of filters (g = {g}, phi = 0.01) ==");

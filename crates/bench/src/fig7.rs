@@ -15,16 +15,16 @@ use crate::ShapeCheck;
 #[derive(Debug, Clone, Copy)]
 pub struct Fig7Row {
     /// Zipf skew `θ`.
-    pub theta: f64,
+    pub(crate) theta: f64,
     /// netFilter average bytes per peer.
-    pub netfilter: f64,
+    pub(crate) netfilter: f64,
     /// Naive average bytes per peer.
-    pub naive: f64,
+    pub(crate) naive: f64,
 }
 
 impl Fig7Row {
     /// netFilter cost as a fraction of naive.
-    pub fn ratio(&self) -> f64 {
+    pub(crate) fn ratio(&self) -> f64 {
         self.netfilter / self.naive.max(f64::MIN_POSITIVE)
     }
 }
@@ -34,20 +34,20 @@ impl Fig7Row {
 #[derive(Debug, Clone)]
 pub struct Fig7Panel {
     /// Panel label (`"a"` for the small universe, `"b"` for the large).
-    pub label: &'static str,
+    pub(crate) label: &'static str,
     /// Universe size `n`.
-    pub items: u64,
+    pub(crate) items: u64,
     /// `(g, f)` used.
-    pub setting: (u32, u32),
+    pub(crate) setting: (u32, u32),
     /// Sweep rows in ascending `θ`.
-    pub rows: Vec<Fig7Row>,
+    pub(crate) rows: Vec<Fig7Row>,
 }
 
 /// The θ values swept (the paper's x-axis spans 0..5).
-pub const THETA_SWEEP: [f64; 6] = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0];
+pub(crate) const THETA_SWEEP: [f64; 6] = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0];
 
 /// Runs one panel.
-pub fn run_panel(
+pub(crate) fn run_panel(
     scale: Scale,
     label: &'static str,
     items: u64,
@@ -75,7 +75,7 @@ pub fn run_panel(
 }
 
 /// Runs both panels with the paper's settings.
-pub fn run(scale: Scale, seed: u64) -> (Fig7Panel, Fig7Panel) {
+pub(crate) fn run(scale: Scale, seed: u64) -> (Fig7Panel, Fig7Panel) {
     (
         run_panel(scale, "a", scale.items_small(), 100, 3, seed),
         run_panel(scale, "b", scale.items_large(), 100, 5, seed),
@@ -84,7 +84,7 @@ pub fn run(scale: Scale, seed: u64) -> (Fig7Panel, Fig7Panel) {
 
 /// Both panels, printed, dumped and checked alike: the `fig7` row of
 /// [`FIGURES`](crate::FIGURES).
-pub fn panels(scale: Scale, seed: u64) -> Vec<Panel> {
+pub(crate) fn panels(scale: Scale, seed: u64) -> Vec<Panel> {
     let (a, b) = run(scale, seed);
     vec![a.panel(), b.panel()]
 }

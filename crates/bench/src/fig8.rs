@@ -10,7 +10,7 @@ use crate::runner::{run_naive, summarize_netfilter, Scale};
 use crate::ShapeCheck;
 
 /// The three threshold settings, with the paper's tuned `(g, f)`.
-pub const SERIES: [(f64, u32, u32); 3] = [(0.1, 10, 6), (0.01, 100, 5), (0.001, 1000, 2)];
+pub(crate) const SERIES: [(f64, u32, u32); 3] = [(0.1, 10, 6), (0.01, 100, 5), (0.001, 1000, 2)];
 
 /// θ, the netFilter series in [`SERIES`] order, then naive (log-scale y
 /// in the paper).
@@ -23,7 +23,7 @@ const COLUMNS: [Column; 5] = [
 ];
 
 /// Runs the Figure 8 sweep: one row per θ.
-pub fn run(scale: Scale, seed: u64) -> Vec<Panel> {
+pub(crate) fn run(scale: Scale, seed: u64) -> Vec<Panel> {
     let items = scale.items_large();
     let h = scale.hierarchy();
     let rows = crate::par::par_map(crate::fig7::THETA_SWEEP.to_vec(), |theta| {

@@ -31,25 +31,25 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod approx_sweep;
+mod approx_sweep;
 pub mod baseline;
-pub mod continuous_sweep;
+mod continuous_sweep;
 pub mod depth;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod output;
-pub mod par;
-pub mod perfbench;
+mod par;
+mod perfbench;
 mod runner;
 pub mod smoke;
 
-pub use output::Panel;
-pub use runner::{summarize_netfilter, RunSummary, Scale};
+pub(crate) use output::Panel;
+pub use runner::Scale;
 
 /// A figure row: `(scale, seed) → panels`.
-pub type Figure = fn(Scale, u64) -> Vec<Panel>;
+pub(crate) type Figure = fn(Scale, u64) -> Vec<Panel>;
 
 /// Every experiment of the evaluation by name, in the order
 /// `experiments all` runs them.
@@ -66,11 +66,11 @@ pub const FIGURES: &[(&str, Figure)] = &[
 #[derive(Debug, Clone)]
 pub struct ShapeCheck {
     /// What the paper claims.
-    pub claim: String,
+    pub(crate) claim: String,
     /// Whether the regenerated data exhibits it.
-    pub holds: bool,
+    pub(crate) holds: bool,
     /// Supporting numbers.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 impl ShapeCheck {
@@ -84,7 +84,7 @@ impl ShapeCheck {
     }
 
     /// Prints the check as a `[PASS]`/`[FAIL]` line.
-    pub fn print(&self) {
+    pub(crate) fn print(&self) {
         println!(
             "  [{}] {} ({})",
             if self.holds { "PASS" } else { "FAIL" },

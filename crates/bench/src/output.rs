@@ -19,26 +19,26 @@ use crate::ShapeCheck;
 
 /// One column of a [`Panel`]: its printed header, its `.dat` header
 /// (`None`: printed only), and how one of its cells prints.
-pub type Column = (&'static str, Option<&'static str>, fn(f64) -> String);
+pub(crate) type Column = (&'static str, Option<&'static str>, fn(f64) -> String);
 
 /// One experiment's table, its `.dat` file and its shape checks.
 #[derive(Debug, Clone)]
 pub struct Panel {
     /// The heading printed above the table.
-    pub title: String,
+    pub(crate) title: String,
     /// The heading the shape checks print under.
     pub label: String,
     /// Stem of the `.dat` file; `None` writes none.
-    pub dat: Option<String>,
+    pub(crate) dat: Option<String>,
     /// The one column list the table and the `.dat` file both come from.
-    pub columns: Vec<Column>,
+    pub(crate) columns: Vec<Column>,
     /// One value per column, per row.
-    pub rows: Vec<Vec<f64>>,
+    pub(crate) rows: Vec<Vec<f64>>,
     /// Prose cells printed under the column headers in place of `rows`,
     /// for a table whose cells are not numbers.
-    pub text: Vec<Vec<String>>,
+    pub(crate) text: Vec<Vec<String>>,
     /// A line printed under the table.
-    pub note: Option<String>,
+    pub(crate) note: Option<String>,
     /// The claims the rows must exhibit.
     pub checks: Vec<ShapeCheck>,
 }
@@ -49,7 +49,7 @@ impl Panel {
     /// # Panics
     ///
     /// Panics if a row's width differs from the column list's.
-    pub fn new(
+    pub(crate) fn new(
         title: impl Into<String>,
         label: impl Into<String>,
         columns: &[Column],
@@ -76,14 +76,14 @@ impl Panel {
     /// # Panics
     ///
     /// Panics if no column is printed as `header`.
-    pub fn column(&self, header: &str) -> Vec<f64> {
+    pub(crate) fn column(&self, header: &str) -> Vec<f64> {
         let i = self.columns.iter().position(|c| c.0 == header);
         let i = i.unwrap_or_else(|| panic!("no column {header:?}"));
         self.rows.iter().map(|r| r[i]).collect()
     }
 
     /// The table: right-aligned columns under a rule.
-    pub fn table(&self) -> String {
+    pub(crate) fn table(&self) -> String {
         let header: Vec<String> = self.columns.iter().map(|c| c.0.to_string()).collect();
         let cells: Vec<Vec<String>> = if self.text.is_empty() {
             let cells = |r: &Vec<f64>| self.columns.iter().zip(r).map(|(c, &v)| c.2(v)).collect();
@@ -114,7 +114,7 @@ impl Panel {
     }
 
     /// The `.dat` contents: the `.dat`-headed columns only.
-    pub fn dat_text(&self) -> String {
+    pub(crate) fn dat_text(&self) -> String {
         let kept: Vec<(usize, &str)> = (self.columns.iter().enumerate())
             .filter_map(|(i, c)| Some((i, c.1?)))
             .collect();
@@ -147,17 +147,17 @@ impl Panel {
 }
 
 /// A cell with 1 decimal place.
-pub fn f1(x: f64) -> String {
+pub(crate) fn f1(x: f64) -> String {
     format!("{x:.1}")
 }
 
 /// A cell with 3 decimal places.
-pub fn f3(x: f64) -> String {
+pub(crate) fn f3(x: f64) -> String {
     format!("{x:.3}")
 }
 
 /// A cell as its shortest exact form: integers print without a point.
-pub fn int(x: f64) -> String {
+pub(crate) fn int(x: f64) -> String {
     format!("{x}")
 }
 

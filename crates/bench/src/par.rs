@@ -15,7 +15,7 @@ use std::sync::{mpsc, Mutex};
 /// # Panics
 ///
 /// Propagates the first worker panic.
-pub fn par_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
+pub(crate) fn par_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
     U: Send,
@@ -80,7 +80,7 @@ where
 /// # Panics
 ///
 /// As `MultiHierarchy::from_trees`: empty or duplicate `roots`.
-pub fn build_multi_hierarchy(
+pub(crate) fn build_multi_hierarchy(
     topology: &ifi_overlay::Topology,
     roots: &[ifi_sim::PeerId],
 ) -> ifi_hierarchy::MultiHierarchy {

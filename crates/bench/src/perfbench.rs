@@ -50,7 +50,7 @@ use crate::fig7;
 use crate::runner::Scale;
 
 /// Seed shared by every perf workload (the harness default).
-pub const PERF_SEED: u64 = 20080617;
+pub(crate) const PERF_SEED: u64 = 20080617;
 
 fn fold(acc: u64, v: u64) -> u64 {
     mix64(acc ^ v)

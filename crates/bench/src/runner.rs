@@ -59,7 +59,7 @@ impl Scale {
 
     /// Generates the Table III workload for this scale, using the paper's
     /// replica-split placement (see `SystemData::generate_paper`).
-    pub fn workload(self, items: u64, theta: f64, seed: u64) -> SystemData {
+    pub(crate) fn workload(self, items: u64, theta: f64, seed: u64) -> SystemData {
         SystemData::generate_paper(
             &WorkloadParams {
                 peers: self.peers(),
@@ -72,36 +72,36 @@ impl Scale {
     }
 
     /// The paper's hierarchy: `b = 3` downstream neighbors per peer.
-    pub fn hierarchy(self) -> Hierarchy {
+    pub(crate) fn hierarchy(self) -> Hierarchy {
         Hierarchy::balanced(self.peers(), 3)
     }
 }
 
 /// Flat per-run summary used by the figure tables.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunSummary {
+pub(crate) struct RunSummary {
     /// Average candidate pairs propagated per peer (Fig. 5a/6a, left line).
-    pub candidates_per_peer: f64,
+    pub(crate) candidates_per_peer: f64,
     /// Total heavy item groups across filters (Fig. 5a/6a, right line).
-    pub heavy_groups: usize,
+    pub(crate) heavy_groups: usize,
     /// Heavy items `r` (= result size).
-    pub heavy_items: usize,
+    pub(crate) heavy_items: usize,
     /// False positives in the candidate set.
-    pub false_positives: usize,
+    pub(crate) false_positives: usize,
     /// Average bytes per peer: total and per phase (Fig. 5b/6b lines).
-    pub total: f64,
+    pub(crate) total: f64,
     /// Candidate-filtering component.
-    pub filtering: f64,
+    pub(crate) filtering: f64,
     /// Candidate-dissemination component.
-    pub dissemination: f64,
+    pub(crate) dissemination: f64,
     /// Candidate-aggregation component.
-    pub aggregation: f64,
+    pub(crate) aggregation: f64,
 }
 
 impl RunSummary {
     /// Figures 5 and 6's one column list: the sweep value `x`, then the
     /// summary, as [`row`](Self::row) lays them out.
-    pub fn columns(x: &'static str) -> [Column; 7] {
+    pub(crate) fn columns(x: &'static str) -> [Column; 7] {
         [
             (x, Some(x), int),
             ("cand/peer", Some("candidates_per_peer"), f1),
@@ -114,7 +114,7 @@ impl RunSummary {
     }
 
     /// The sweep value `x`, then the summary.
-    pub fn row(&self, x: u32) -> Vec<f64> {
+    pub(crate) fn row(&self, x: u32) -> Vec<f64> {
         vec![
             f64::from(x),
             self.candidates_per_peer,
@@ -161,7 +161,7 @@ pub(crate) fn argmin(xs: &[f64]) -> usize {
 /// Every figure run goes through the engine's one DES path, so its sink
 /// report is reconciled byte-for-byte against the `CostBreakdown` on
 /// *every* sweep point of *every* figure.
-pub fn summarize_netfilter(
+pub(crate) fn summarize_netfilter(
     hierarchy: &Hierarchy,
     data: &SystemData,
     g: u32,

@@ -255,6 +255,6 @@ fn weibull_failover(seed: u64) -> SmokeRun {
 }
 
 /// Runs both churn scenarios.
-pub fn run_smoke(seed: u64) -> Vec<SmokeRun> {
+pub(crate) fn run_smoke(seed: u64) -> Vec<SmokeRun> {
     vec![control(seed), weibull_failover(seed)]
 }

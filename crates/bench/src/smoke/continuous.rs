@@ -19,7 +19,7 @@ const K: usize = 8;
 /// The long-haul leg, on the continuous sweep's workload: every fence
 /// certifies under loss and every certified answer equals the
 /// from-scratch window.
-pub fn long_haul_checks(seed: u64) -> Vec<ShapeCheck> {
+pub(crate) fn long_haul_checks(seed: u64) -> Vec<ShapeCheck> {
     let schedules = continuous_sweep::schedules(seed);
     let mut registry = QueryRegistry::new();
     for (i, &t) in THRESHOLDS.iter().enumerate() {
@@ -79,7 +79,7 @@ pub fn long_haul_checks(seed: u64) -> Vec<ShapeCheck> {
 
 /// The sharing leg: K standing queries over one delta stream — the
 /// continuous sweep's workload at K = 1 and K = 8.
-pub fn sharing_checks(seed: u64) -> Vec<ShapeCheck> {
+pub(crate) fn sharing_checks(seed: u64) -> Vec<ShapeCheck> {
     let (delta_1, _) = continuous_sweep::class_bytes(seed, 1);
     let (delta_k, standing_k) = continuous_sweep::class_bytes(seed, K);
     let mut checks = Vec::new();

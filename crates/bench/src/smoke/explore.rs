@@ -13,10 +13,10 @@ use super::SmokeRun;
 use crate::ShapeCheck;
 
 /// The distinct-schedule floor each clean case must clear.
-pub const MIN_DISTINCT_SCHEDULES: usize = 50;
+pub(crate) const MIN_DISTINCT_SCHEDULES: usize = 50;
 
 /// Explores every case and writes bug artifacts to `<out>/simcheck`.
-pub fn explore_all(cases: Vec<Case>, out: &Path) -> Vec<SmokeRun> {
+pub(crate) fn explore_all(cases: Vec<Case>, out: &Path) -> Vec<SmokeRun> {
     let dir = out.join("simcheck");
     cases
         .iter()

@@ -42,13 +42,13 @@ struct Lane {
 }
 
 /// The clean lane: 40 peers, deep enough for a multi-level convergecast.
-pub fn transport(seed: u64) -> Vec<SmokeRun> {
+pub(crate) fn transport(seed: u64) -> Vec<SmokeRun> {
     Lane::new(seed, 40, 400, 32).run(seed, ["transport-channel", "transport-tcp"])
 }
 
 /// The chaos lane: 24 peers, deep enough that the crashed peer has a
 /// subtree to strand.
-pub fn chaos(seed: u64) -> Vec<SmokeRun> {
+pub(crate) fn chaos(seed: u64) -> Vec<SmokeRun> {
     let mut lane = Lane::new(seed, 24, 200, 24);
     lane.chaos = Some(lane.chaos_plan());
     lane.run(seed, ["chaos-channel", "chaos-tcp"])

@@ -18,7 +18,7 @@ use super::SmokeRun;
 use crate::ShapeCheck;
 
 /// Drop probability the CI smoke runs at.
-pub const DEFAULT_DROP: f64 = 0.10;
+pub(crate) const DEFAULT_DROP: f64 = 0.10;
 
 /// Peers in each smoke scenario (small enough for a CI smoke lane).
 const PEERS: usize = 40;
@@ -173,7 +173,7 @@ fn resilient(drop: f64, seed: u64) -> SmokeRun {
 }
 
 /// Runs both lossy scenarios at the given drop probability.
-pub fn run_smoke(drop: f64, seed: u64) -> Vec<SmokeRun> {
+pub(crate) fn run_smoke(drop: f64, seed: u64) -> Vec<SmokeRun> {
     vec![one_shot(drop, seed), resilient(drop, seed)]
 }
 

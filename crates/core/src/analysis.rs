@@ -5,13 +5,14 @@
 //! * Eq. 1 — netFilter cost: `C_filter = s_a·f·g + s_g·f·w + (s_a+s_i)·(r+fp)`
 //! * Eq. 2 — naive bounds: `(s_a+s_i)·o ≤ C_naive ≤ (s_a+s_i)·o·(h−1)`
 //! * Eq. 3 — optimal filter size: `g_opt = c + v̄_light/(φ·v̄)`
-//! * Eq. 4 — heterogeneous false positives: `fp₂ = (n−r)·(1−(1−1/g)^r)^f`
 //! * Eq. 6 — optimal filter count:
 //!   `f_opt = ⌈log_{1/(1−(1−1/g)^r)} ((s_a+s_i)·(n−r)/(g·s_a))⌉`
 //!
 //! These are *models*: the measured quantities from
 //! [`NetFilterRun`](crate::NetFilterRun) are compared against them in this
-//! module's tests and in the `ifi-bench` ablation experiments.
+//! module's tests. Eq. 1 and 2 stay public although no code in the
+//! workspace calls them yet: they are the paper's cost model, kept for
+//! checking measured runs against it.
 
 use crate::WireSizes;
 
@@ -31,16 +32,6 @@ pub fn netfilter_cost(sizes: &WireSizes, f: u32, g: u32, w: f64, r: f64, fp: f64
 pub fn naive_bounds(sizes: &WireSizes, o: f64, height: u32) -> (f64, f64) {
     let pair = sizes.pair() as f64;
     (pair * o, pair * o * (height.saturating_sub(1)) as f64)
-}
-
-/// Eq. 4 — expected heterogeneous false positives for a universe of `n`
-/// items with `r` heavy ones, filter size `g`, and `f` filters.
-pub fn expected_fp2(n: u64, r: u64, g: u32, f: u32) -> f64 {
-    if n <= r {
-        return 0.0;
-    }
-    let p_share = 1.0 - (1.0 - 1.0 / g as f64).powi(r.min(i32::MAX as u64) as i32);
-    (n - r) as f64 * p_share.powi(f as i32)
 }
 
 /// Eq. 3 — the optimal filter size `g_opt = c + v̄_light / (φ·v̄)`.
@@ -86,42 +77,12 @@ pub fn optimal_f(sizes: &WireSizes, n: u64, r: u64, g: u32) -> u32 {
     (arg.ln() / base.ln()).ceil().clamp(1.0, 64.0) as u32
 }
 
-/// Eq. 5-style simplified model: cost with homogeneous false positives
-/// designed out (so `fp = fp₂`), used by [`model_optimal`].
-pub fn simplified_cost(sizes: &WireSizes, n: u64, r: u64, g: u32, f: u32) -> f64 {
-    sizes.sa as f64 * f as f64 * g as f64
-        + sizes.pair() as f64 * (r as f64 + expected_fp2(n, r, g, f))
-}
-
-/// Grid-searches the simplified model for the `(g, f)` minimizing predicted
-/// cost — a numeric cross-check of Eq. 3/6 used by the ablation benches.
-pub fn model_optimal(
-    sizes: &WireSizes,
-    n: u64,
-    r: u64,
-    g_candidates: impl IntoIterator<Item = u32>,
-    f_max: u32,
-) -> (u32, u32) {
-    let mut best = (1u32, 1u32);
-    let mut best_cost = f64::INFINITY;
-    for g in g_candidates {
-        for f in 1..=f_max {
-            let c = simplified_cost(sizes, n, r, g, f);
-            if c < best_cost {
-                best_cost = c;
-                best = (g, f);
-            }
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{NetFilter, NetFilterConfig, Threshold};
     use ifi_hierarchy::Hierarchy;
-    use ifi_workload::{GroundTruth, SystemData, WorkloadParams};
+    use ifi_workload::{SystemData, WorkloadParams};
 
     #[test]
     fn eq1_terms_add_up() {
@@ -137,19 +98,6 @@ mod tests {
         assert_eq!(lo, 8000.0);
         assert_eq!(hi, 48_000.0);
         assert!(lo <= hi);
-    }
-
-    #[test]
-    fn eq4_limits() {
-        // No light items → no heterogeneous fps.
-        assert_eq!(expected_fp2(10, 10, 100, 3), 0.0);
-        // One group → every light item collides with the heavy ones.
-        let all = expected_fp2(1000, 10, 1, 3);
-        assert!((all - 990.0).abs() < 1e-9);
-        // More filters → fewer fps.
-        assert!(expected_fp2(1000, 10, 50, 4) < expected_fp2(1000, 10, 50, 1));
-        // Larger g → fewer fps.
-        assert!(expected_fp2(1000, 10, 500, 2) < expected_fp2(1000, 10, 50, 2));
     }
 
     #[test]
@@ -173,57 +121,6 @@ mod tests {
         assert_eq!(optimal_f(&s, 50, 50, 100), 1);
         // Degenerate single group: extra filters can never separate items.
         assert_eq!(optimal_f(&s, 1000, 10, 1), 64);
-    }
-
-    #[test]
-    fn eq4_predicts_measured_heterogeneous_fps() {
-        // Compare the model against a real run on a uniform workload (the
-        // model assumes independent uniform hashing, which holds; the
-        // workload's light values don't matter for *heterogeneous* fps).
-        let params = WorkloadParams {
-            peers: 100,
-            items: 20_000,
-            instances_per_item: 10,
-            theta: 1.5, // strong skew → few heavy items, many tiny light items
-        };
-        let data = SystemData::generate(&params, 51);
-        let truth = GroundTruth::compute(&data);
-        let t = truth.threshold_for_ratio(0.01);
-        let r = truth.heavy_count(t) as u64;
-        assert!(r > 0);
-
-        let g = 200u32;
-        let f = 2u32;
-        let run = NetFilter::new(
-            NetFilterConfig::builder()
-                .filter_size(g)
-                .filters(f)
-                .threshold(Threshold::Ratio(0.01))
-                .build(),
-        )
-        .run(&Hierarchy::balanced(100, 3), &data);
-
-        let measured = run.counts().fp_heterogeneous as f64;
-        // Predict over items *present* in the system (absent items cannot
-        // become candidates).
-        let present = data.distinct_items() as u64;
-        let predicted = expected_fp2(present, r, g, f);
-        assert!(
-            measured <= predicted * 2.0 + 20.0 && measured >= predicted / 4.0 - 1.0,
-            "measured {measured} vs predicted {predicted}"
-        );
-    }
-
-    #[test]
-    fn model_optimal_is_interior() {
-        let s = WireSizes::default();
-        let (g, f) = model_optimal(&s, 100_000, 40, (10..=1000).step_by(10), 10);
-        assert!(g > 10 && g < 1000, "g = {g} hit the grid edge");
-        assert!((1..=10).contains(&f));
-        // The model's optimum must beat neighboring settings.
-        let best = simplified_cost(&s, 100_000, 40, g, f);
-        assert!(best <= simplified_cost(&s, 100_000, 40, g + 10, f));
-        assert!(best <= simplified_cost(&s, 100_000, 40, g - 10, f));
     }
 
     #[test]

@@ -41,13 +41,11 @@ use crate::WireSizes;
 pub struct ApproxRun {
     /// Reported items with their **estimated** (over-)values, descending.
     pub items: Vec<(ItemId, u64)>,
-    /// The absolute threshold used.
-    pub threshold: u64,
     /// Average bytes per peer: sketch aggregation.
-    pub sketch_bytes_per_peer: f64,
+    pub(crate) sketch_bytes_per_peer: f64,
     /// Average bytes per peer: heavy-group dissemination + identifier
     /// collection.
-    pub collect_bytes_per_peer: f64,
+    pub(crate) collect_bytes_per_peer: f64,
 }
 
 impl ApproxRun {
@@ -131,7 +129,6 @@ pub fn run(hierarchy: &Hierarchy, data: &SystemData, config: &NetFilterConfig) -
     let n = data.peer_count().max(1) as f64;
     ApproxRun {
         items,
-        threshold,
         sketch_bytes_per_peer: sketch_bytes.iter().sum::<u64>() as f64 / n,
         collect_bytes_per_peer: collect_total as f64 / n,
     }

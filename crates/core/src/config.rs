@@ -56,11 +56,6 @@ impl NetFilterConfig {
     pub fn builder() -> NetFilterConfigBuilder {
         NetFilterConfigBuilder::new()
     }
-
-    /// Total number of item groups across all filters, `f·g`.
-    pub fn total_groups(&self) -> usize {
-        self.filters as usize * self.filter_size as usize
-    }
 }
 
 impl Default for NetFilterConfig {
@@ -81,7 +76,7 @@ pub struct NetFilterConfigBuilder {
 
 impl NetFilterConfigBuilder {
     /// Creates a builder with the paper's defaults.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         NetFilterConfigBuilder {
             filter_size: 100,
             filters: 3,
@@ -156,7 +151,6 @@ mod tests {
         assert_eq!(c.filters, 3);
         assert_eq!(c.threshold, Threshold::Ratio(0.01));
         assert_eq!(c.sizes, WireSizes::default());
-        assert_eq!(c.total_groups(), 300);
     }
 
     #[test]

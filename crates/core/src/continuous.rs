@@ -32,12 +32,12 @@
 //!   cost exactly 1× the delta stream plus per-query split traffic — the
 //!   `≪ K×` sharing claim the `continuous` smoke row checks as a
 //!   number;
-//! * a time-faded variant ([`FadePolicy::Exponential`]) follows the
+//! * a time-faded variant (`FadePolicy::Exponential`) follows the
 //!   P2PTFHH line of work: the root reconstructs global per-epoch batch
 //!   totals by induction (`B_e = Δ_e + B_{e−(W−1)}`) — costing zero extra
 //!   traffic — and weights batch `j` by `(num/den)^(e−j)` in scaled
 //!   integer arithmetic, so fade evaluation is an order-independent pure
-//!   fold over epoch-keyed contributions (see [`FadedAccumulator`]).
+//!   fold over epoch-keyed contributions (see `FadedAccumulator`).
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -54,7 +54,7 @@ use crate::WireSizes;
 
 /// How bucket weights decay with age when evaluating standing queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FadePolicy {
+pub(crate) enum FadePolicy {
     /// No decay: every live bucket weighs 1 (the plain windowed answer).
     None,
     /// P2PTFHH-style exponential decay: a batch aged `a` epochs weighs
@@ -126,18 +126,13 @@ impl QueryRegistry {
     }
 
     /// Number of registered queries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.queries.len()
-    }
-
-    /// Whether no query is registered.
-    pub fn is_empty(&self) -> bool {
-        self.queries.is_empty()
     }
 
     /// The smallest registered threshold — the superset bar the shared
     /// phase-1 split is computed at.
-    pub fn min_threshold(&self) -> Option<u64> {
+    pub(crate) fn min_threshold(&self) -> Option<u64> {
         self.queries.iter().map(|q| q.threshold).min()
     }
 }
@@ -152,9 +147,9 @@ pub struct EpochDelta {
     /// entries pruned, sorted by item id.
     pub diffs: Vec<(ItemId, i64)>,
     /// Members of the sending subtree that contributed to this epoch.
-    pub census_count: u32,
+    pub(crate) census_count: u32,
     /// Xor of `mix64(peer)` over the contributing members.
-    pub census_digest: u64,
+    pub(crate) census_digest: u64,
 }
 
 /// Timer tags of the continuous core: the epoch fence plus the reliability
@@ -178,16 +173,16 @@ impl From<RetransmitTimer> for ContTimer {
 pub struct ContinuousConfig {
     /// Window size `W` in buckets (≥ 2); after fence `e` the live window
     /// holds the last `W − 1` full batches.
-    pub window: usize,
+    pub(crate) window: usize,
     /// Number of epoch fences each peer runs.
-    pub epochs: usize,
+    pub(crate) epochs: usize,
     /// Epoch length (sim time under the DES, wall time under the threaded
     /// transport — keep it tens of milliseconds there).
-    pub epoch: Duration,
+    pub(crate) epoch: Duration,
     /// Bucket-weight decay for standing-query evaluation.
-    pub fade: FadePolicy,
+    pub(crate) fade: FadePolicy,
     /// Wire widths for byte pricing.
-    pub sizes: WireSizes,
+    pub(crate) sizes: WireSizes,
 }
 
 impl ContinuousConfig {
@@ -259,21 +254,21 @@ pub struct EpochAnswer {
 /// once) and [`FadedAccumulator::faded_scaled`] reads the same value; the
 /// `fade_is_order_independent` proptest pins exactly that.
 #[derive(Debug, Clone, Default)]
-pub struct FadedAccumulator {
+pub(crate) struct FadedAccumulator {
     /// Per epoch, ascending, the batch totals as a run.
     batches: Vec<(u64, Vec<(ItemId, u64)>)>,
 }
 
 impl FadedAccumulator {
     /// An empty accumulator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FadedAccumulator::default()
     }
 
     /// Adds `pairs` (any order, items may repeat) to epoch `epoch`'s batch
     /// totals. A run — what the root passes — is summed in as it is; a
     /// total that overflows leaves the batch as it was.
-    pub fn absorb_pairs(
+    pub(crate) fn absorb_pairs(
         &mut self,
         epoch: u64,
         pairs: impl IntoIterator<Item = (ItemId, u64)>,
@@ -291,13 +286,13 @@ impl FadedAccumulator {
 
     /// The reconstructed batch totals for one epoch as a run (empty if
     /// none were absorbed).
-    pub fn batch(&self, epoch: u64) -> &[(ItemId, u64)] {
+    pub(crate) fn batch(&self, epoch: u64) -> &[(ItemId, u64)] {
         let at = self.batches.binary_search_by_key(&epoch, |b| b.0);
         at.map_or(&[], |at| &self.batches[at].1)
     }
 
     /// Drops every epoch before `lo` (aged out of the window).
-    pub fn retain_from(&mut self, lo: u64) {
+    pub(crate) fn retain_from(&mut self, lo: u64) {
         self.batches.retain(|b| b.0 >= lo);
     }
 
@@ -305,7 +300,7 @@ impl FadedAccumulator {
     /// bucket window: `Σ_j B_j(item) · num^(epoch−j) · den^(W−2−(epoch−j))`
     /// over the live batches `j ∈ [epoch−(W−2), epoch]`. Compare against
     /// `threshold · den^(W−2)`.
-    pub fn faded_scaled(
+    pub(crate) fn faded_scaled(
         &self,
         item: ItemId,
         epoch: u64,
@@ -403,7 +398,7 @@ impl ContinuousProtocol {
     /// Panics if the hierarchy has non-member peers (the census needs the
     /// full roster fencing) or the schedule is longer than the configured
     /// epoch count.
-    pub fn new(
+    pub(crate) fn new(
         config: &ContinuousConfig,
         hierarchy: &Hierarchy,
         registry: &QueryRegistry,
@@ -463,7 +458,7 @@ impl ContinuousProtocol {
     }
 
     /// Enables the ack/retransmit envelope with the given tuning.
-    pub fn with_reliability(mut self, cfg: RelConfig) -> Self {
+    pub(crate) fn with_reliability(mut self, cfg: RelConfig) -> Self {
         self.env = Envelope::reliable(cfg);
         self
     }

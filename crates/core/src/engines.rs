@@ -194,12 +194,12 @@ impl Engine for SketchEngine {
 #[derive(Debug, Clone)]
 pub struct TopKEngine {
     /// `k`, prune capacity, wire widths.
-    pub config: TopKConfig,
+    pub(crate) config: TopKConfig,
     /// The recall this tuning is held to. [`TopKEngine::new`] claims 1.0 —
     /// honest whenever the tuning certifies; a mis-tuned engine claiming
     /// more recall than its prune capacity can deliver is exactly what the
     /// `topk-recall` oracle exists to catch.
-    pub claimed_recall: f64,
+    pub(crate) claimed_recall: f64,
 }
 
 impl TopKEngine {

@@ -27,7 +27,7 @@ impl LocalFilter {
     }
 
     /// The shared hash family.
-    pub fn family(&self) -> &HashFamily {
+    pub(crate) fn family(&self) -> &HashFamily {
         &self.family
     }
 
@@ -42,7 +42,7 @@ impl LocalFilter {
 
     /// Adds the peer's [`group_vector`](Self::group_vector) into `acc`, an
     /// `f·g` vector, without building it first.
-    pub fn add_group_vector(&self, acc: &mut VecSum, local_items: &[(ItemId, u64)]) {
+    pub(crate) fn add_group_vector(&self, acc: &mut VecSum, local_items: &[(ItemId, u64)]) {
         // Filter by filter, so each filter's seed is derived once.
         let rows = (0..self.family.filters()).map(|i| {
             let hash = self.family.filter(i);
@@ -180,21 +180,11 @@ impl HeavyGroups {
     /// `None` unless there is exactly one list per filter of `family` and
     /// every group id is below its `g` — the two conditions
     /// [`is_candidate`](Self::is_candidate) relies on.
-    pub fn for_family(family: &HashFamily, lists: HeavyLists) -> Option<Self> {
+    pub(crate) fn for_family(family: &HashFamily, lists: HeavyLists) -> Option<Self> {
         if lists.len() != family.filters() as usize {
             return None;
         }
         Self::index(lists, family.groups()).ok()
-    }
-
-    /// `f` — number of filters covered.
-    pub fn filters(&self) -> u32 {
-        self.0.per_filter.len() as u32
-    }
-
-    /// The sorted heavy group ids of filter `i` (`w_i` entries).
-    pub fn heavy_of(&self, filter: u32) -> &[u32] {
-        &self.0.per_filter[filter as usize]
     }
 
     /// Total heavy-group count across filters, `Σ_i w_i` — what the
@@ -206,13 +196,13 @@ impl HeavyGroups {
     /// §III-B.2: an item is a candidate iff **each** of the `f` item groups
     /// it belongs to is heavy.
     #[inline]
-    pub fn is_candidate(&self, family: &HashFamily, item: ItemId) -> bool {
+    pub(crate) fn is_candidate(&self, family: &HashFamily, item: ItemId) -> bool {
         debug_assert_eq!(family.groups(), self.0.groups);
         family.slots_of(item).all(|slot| self.0.bitmap[slot])
     }
 
     /// The per-filter lists, for serialization.
-    pub fn lists(&self) -> &[Vec<u32>] {
+    pub(crate) fn lists(&self) -> &[Vec<u32>] {
         &self.0.per_filter
     }
 }
@@ -293,9 +283,9 @@ mod tests {
         agg.add(fam.slot(0, 4), 9);
         agg.add(fam.slot(2, 7), 25);
         let heavy = HeavyGroups::from_aggregate(&fam, &agg, 10);
-        assert_eq!(heavy.heavy_of(0), &[3]);
-        assert_eq!(heavy.heavy_of(1), &[] as &[u32]);
-        assert_eq!(heavy.heavy_of(2), &[7]);
+        assert_eq!(heavy.lists()[0], &[3]);
+        assert_eq!(heavy.lists()[1], &[] as &[u32]);
+        assert_eq!(heavy.lists()[2], &[7]);
         assert_eq!(heavy.total_heavy(), 2);
     }
 
@@ -336,13 +326,13 @@ mod tests {
         let lists = vec![vec![1, 5, 9], vec![], vec![0]];
         let heavy = HeavyGroups::from_lists(lists.clone(), 10);
         assert_eq!(heavy.lists(), &lists[..]);
-        assert_eq!(heavy.filters(), 3);
+        assert_eq!(heavy.lists().len(), 3);
     }
 
     #[test]
     fn from_lists_sorts_and_dedups() {
         let heavy = HeavyGroups::from_lists(vec![vec![5, 1, 5]], 10);
-        assert_eq!(heavy.heavy_of(0), &[1, 5]);
+        assert_eq!(heavy.lists()[0], &[1, 5]);
         assert_eq!(heavy.total_heavy(), 2);
     }
 

@@ -57,12 +57,12 @@ pub struct GossipFilterConfig {
     pub base: NetFilterConfig,
     /// Push-sum rounds for phase 1. [`gossip::recommended_rounds`] with a
     /// small `eps` is a good default.
-    pub rounds: usize,
+    pub(crate) rounds: usize,
     /// Relative safety margin on the filtering threshold: groups are kept
     /// when the *estimated* aggregate is ≥ `t·(1 − margin)`. Must cover
     /// the worst-case gossip error for the no-false-negative guarantee to
     /// hold.
-    pub margin: f64,
+    pub(crate) margin: f64,
 }
 
 impl GossipFilterConfig {
@@ -83,13 +83,12 @@ pub struct GossipFilterRun {
     frequent: Vec<(ItemId, u64)>,
     threshold: u64,
     /// Average gossip (phase 1) bytes per peer.
-    pub gossip_bytes_per_peer: f64,
+    pub(crate) gossip_bytes_per_peer: f64,
     /// Average verification (phase 2) bytes per peer.
-    pub verification_bytes_per_peer: f64,
+    pub(crate) verification_bytes_per_peer: f64,
     /// Candidates that reached verification (root's view).
-    pub candidates: usize,
-    /// Worst relative error of the gossip estimates at any peer/group.
-    pub gossip_error: f64,
+    #[cfg(test)]
+    candidates: usize,
 }
 
 impl GossipFilterRun {
@@ -112,7 +111,7 @@ impl GossipFilterRun {
 
 /// Runs the gossip-filtered variant: push-sum filtering over `topology`,
 /// exact verification over `hierarchy`. Phase 1 is charged into `sink`
-/// under [`phases::GOSSIP_FILTERING`] (per sender per round) and phase 2
+/// under `phases::GOSSIP_FILTERING` (per sender per round) and phase 2
 /// under [`phases::AGGREGATION`] (bulk per-peer vector); recording draws
 /// no randomness, so [`EventSink::disabled`] yields the same outcome.
 ///
@@ -147,26 +146,10 @@ pub fn run(
     let n = data.peer_count();
 
     // --- Phase 1 by gossip: all f·g group aggregates in one push-sum. ---
-    let vectors: Vec<Vec<f64>> = (0..n)
-        .map(|i| {
-            local_filter
-                .group_vector(data.local_items(PeerId::new(i)))
-                .to_dense()
-                .iter()
-                .map(|&v| v as f64)
-                .collect()
-        })
-        .collect();
-    let mut true_sums = vec![0.0f64; base.total_groups()];
-    for v in &vectors {
-        for (k, &x) in v.iter().enumerate() {
-            true_sums[k] += x;
-        }
-    }
+    let vectors = group_vectors(&local_filter, data);
     sink.enter(phases::GOSSIP_FILTERING);
     let out = gossip::push_sum_vec_with_sink(topology, &vectors, config.rounds, &sizes, rng, sink);
     sink.exit();
-    let gossip_error = out.max_relative_error(&true_sums);
 
     // --- Phase 2: exact verification along the hierarchy, each peer
     // materializing from the heavy groups of its own estimate. ---
@@ -192,9 +175,23 @@ pub fn run(
         threshold,
         gossip_bytes_per_peer: out.avg_bytes_per_peer(),
         verification_bytes_per_peer: phase2_bytes.iter().sum::<u64>() as f64 / n as f64,
+        #[cfg(test)]
         candidates: answer.distinct,
-        gossip_error,
     }
+}
+
+/// Every peer's dense `f·g` group vector, the push-sum input of phase 1.
+fn group_vectors(local_filter: &LocalFilter, data: &SystemData) -> Vec<Vec<f64>> {
+    (0..data.peer_count())
+        .map(|i| {
+            local_filter
+                .group_vector(data.local_items(PeerId::new(i)))
+                .to_dense()
+                .iter()
+                .map(|&v| v as f64)
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -239,10 +236,25 @@ mod tests {
         let cfg = GossipFilterConfig::conservative(base(), 120);
         let run = run(&topo, &h, &data, &cfg, &mut DetRng::new(5), &mut off());
         let t = truth.threshold_for_ratio(0.01);
+        // Replay phase 1 with the run's seed: the margin must cover the
+        // push-sum error the run actually saw.
+        let b = &cfg.base;
+        let family = HashFamily::new(b.filters, b.filter_size, b.hash_seed);
+        let vectors = group_vectors(&LocalFilter::new(family), &data);
+        let mut true_sums = vec![0.0f64; vectors[0].len()];
+        for v in &vectors {
+            for (k, &x) in v.iter().enumerate() {
+                true_sums[k] += x;
+            }
+        }
+        let (rounds, mut rng) = (cfg.rounds, DetRng::new(5));
+        let out =
+            gossip::push_sum_vec_with_sink(&topo, &vectors, rounds, &b.sizes, &mut rng, &mut off());
+        assert_eq!(out.avg_bytes_per_peer(), run.gossip_bytes_per_peer);
+        let gossip_error = out.max_relative_error(&true_sums);
         assert!(
-            run.gossip_error < cfg.margin,
-            "gossip error {} exceeded margin — increase rounds",
-            run.gossip_error
+            gossip_error < cfg.margin,
+            "gossip error {gossip_error} exceeded margin — increase rounds"
         );
         assert_eq!(run.frequent_items(), &truth.frequent_items(t)[..]);
         assert_eq!(run.threshold(), t);

@@ -43,17 +43,17 @@ impl HashFamily {
     }
 
     /// `f` — the number of filters.
-    pub fn filters(&self) -> u32 {
+    pub(crate) fn filters(&self) -> u32 {
         self.filter_count
     }
 
     /// `g` — item groups per filter.
-    pub fn groups(&self) -> u32 {
+    pub(crate) fn groups(&self) -> u32 {
         self.group_count
     }
 
     /// `f·g` — the length of the group-aggregate vector.
-    pub fn total_groups(&self) -> usize {
+    pub(crate) fn total_groups(&self) -> usize {
         self.filter_count as usize * self.group_count as usize
     }
 
@@ -64,7 +64,7 @@ impl HashFamily {
     ///
     /// Panics if `filter ≥ f`.
     #[inline]
-    pub fn filter(&self, filter: u32) -> FilterHash {
+    pub(crate) fn filter(&self, filter: u32) -> FilterHash {
         assert!(filter < self.filter_count, "filter {filter} out of range");
         FilterHash {
             seed: mix64(self.seed ^ mix64(filter as u64 + 1)),
@@ -79,20 +79,20 @@ impl HashFamily {
     ///
     /// Panics if `filter ≥ f`.
     #[inline]
-    pub fn group_of(&self, filter: u32, item: ItemId) -> u32 {
+    pub(crate) fn group_of(&self, filter: u32, item: ItemId) -> u32 {
         self.filter(filter).group_of(item)
     }
 
     /// The flat slot index of `(filter, group)` in the `f·g` aggregate
     /// vector: `filter · g + group`.
     #[inline]
-    pub fn slot(&self, filter: u32, group: u32) -> usize {
+    pub(crate) fn slot(&self, filter: u32, group: u32) -> usize {
         debug_assert!(group < self.group_count);
         filter as usize * self.group_count as usize + group as usize
     }
 
     /// All `f` flat slots of an item, one per filter.
-    pub fn slots_of(&self, item: ItemId) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn slots_of(&self, item: ItemId) -> impl Iterator<Item = usize> + '_ {
         (0..self.filters()).map(move |i| self.filter(i).slot_of(item))
     }
 }
@@ -100,7 +100,7 @@ impl HashFamily {
 /// One hash function of a [`HashFamily`]: items onto the `g` groups of
 /// its filter.
 #[derive(Debug, Clone, Copy)]
-pub struct FilterHash {
+pub(crate) struct FilterHash {
     seed: u64,
     groups: u64,
     /// Flat slot of this filter's group 0.
@@ -110,13 +110,13 @@ pub struct FilterHash {
 impl FilterHash {
     /// The group this filter assigns `item` to, in `0..g`.
     #[inline]
-    pub fn group_of(&self, item: ItemId) -> u32 {
+    pub(crate) fn group_of(&self, item: ItemId) -> u32 {
         (mix64(item.0 ^ self.seed) % self.groups) as u32
     }
 
     /// The flat slot of `item`'s group in the `f·g` aggregate vector.
     #[inline]
-    pub fn slot_of(&self, item: ItemId) -> usize {
+    pub(crate) fn slot_of(&self, item: ItemId) -> usize {
         self.base + self.group_of(item) as usize
     }
 }

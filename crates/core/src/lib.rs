@@ -50,10 +50,8 @@
 //! | [`sketch`] | gossip sketch-merge engine (Space-Saving summaries) |
 //! | [`local_threshold`] | zero-traffic "is `v_x ≥ t`" comparator |
 //! | [`engines`] | the one trait every engine, exact or comparator, answers through |
-//! | [`recruitment`] | stable-peer recruitment pipeline (§III-A) |
 //! | [`analysis`] | cost models and optima: Eq. 1, 2, 3, 4, 6 |
 //! | [`tuning`] | practical optimal settings via sampling (§IV-E) |
-//! | [`requests`] | multi-request sharing at the root (§III-A.1) |
 //!
 //! ## Quickstart
 //!
@@ -96,8 +94,6 @@ pub mod local_threshold;
 pub mod naive;
 pub mod phases;
 pub mod protocol;
-pub mod recruitment;
-pub mod requests;
 pub mod resilient;
 pub mod sketch;
 pub mod topk;

@@ -41,13 +41,13 @@ pub struct LocalThresholdConfig {
     /// The frequency threshold `t` the item is compared against.
     pub threshold: Threshold,
     /// Wire widths for byte pricing.
-    pub sizes: WireSizes,
+    pub(crate) sizes: WireSizes,
     /// Negative-path toggle: answer *yes* assuming every silent peer holds
     /// a full `b − 1` under-budget value. Unsound by construction — the
     /// `threshold-soundness` oracle exists to catch engines tuned like
     /// this.
     #[doc(hidden)]
-    pub optimistic: bool,
+    pub(crate) optimistic: bool,
 }
 
 impl LocalThresholdConfig {
@@ -76,9 +76,9 @@ pub struct ThresholdVerdict {
     /// The sound lower bound `L ≤ v_x` the answer rests on.
     pub lower_bound: u64,
     /// Peers whose reports reached the root.
-    pub reporters: usize,
+    pub(crate) reporters: usize,
     /// Members still silent (under budget or in flight).
-    pub silent: usize,
+    pub(crate) silent: usize,
     /// The resolved threshold `t`.
     pub threshold: u64,
 }
@@ -87,9 +87,9 @@ pub struct ThresholdVerdict {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BudgetReport {
     /// The peer whose local value crossed the budget.
-    pub origin: PeerId,
+    pub(crate) origin: PeerId,
     /// Its exact local value.
-    pub value: u64,
+    pub(crate) value: u64,
 }
 
 /// The sans-io comparator core for one peer and one item.
@@ -116,7 +116,7 @@ impl LocalThresholdProtocol {
     /// Creates the state for `peer` holding `local_value` of the queried
     /// item. `threshold` must already be resolved against the system's
     /// total value.
-    pub fn new(
+    pub(crate) fn new(
         config: &LocalThresholdConfig,
         hierarchy: &Hierarchy,
         peer: PeerId,
@@ -142,7 +142,7 @@ impl LocalThresholdProtocol {
     }
 
     /// Enables the ack/retransmit envelope with the given tuning.
-    pub fn with_reliability(mut self, cfg: RelConfig) -> Self {
+    pub(crate) fn with_reliability(mut self, cfg: RelConfig) -> Self {
         self.env = Envelope::reliable(cfg);
         self
     }

@@ -61,7 +61,7 @@ impl OnePass for NaiveConfig {
 #[derive(Debug, Clone, Copy)]
 pub struct Frequent {
     /// The resolved absolute threshold.
-    pub threshold: u64,
+    pub(crate) threshold: u64,
 }
 
 /// What [`Frequent`] answers.
@@ -71,7 +71,7 @@ pub struct FrequentAnswer {
     /// (ties by ascending id).
     pub items: Vec<(ItemId, u64)>,
     /// Number of distinct items that reached the root.
-    pub distinct: usize,
+    pub(crate) distinct: usize,
 }
 
 impl Finish<MapSum> for Frequent {

@@ -17,15 +17,13 @@ pub const AGGREGATION: &str = "aggregation";
 /// The three netFilter phases, in protocol order.
 pub const NETFILTER: [&str; 3] = [FILTERING, DISSEMINATION, AGGREGATION];
 /// Gossip-based candidate filtering (the `gossip_filter` variant).
-pub const GOSSIP_FILTERING: &str = "gossip-filtering";
+pub(crate) const GOSSIP_FILTERING: &str = "gossip-filtering";
 /// Sampling traffic for parameter estimation (§IV-E).
 pub const SAMPLING: &str = "sampling";
-/// Hierarchy construction / repair control traffic.
-pub const CONSTRUCTION: &str = "construction";
 /// Hierarchy maintenance (heartbeats, repair) control traffic.
-pub const MAINTENANCE: &str = "maintenance";
+pub(crate) const MAINTENANCE: &str = "maintenance";
 /// One epoch of the resilient re-querying protocol.
-pub const EPOCH: &str = "epoch";
+pub(crate) const EPOCH: &str = "epoch";
 /// Failover overhead: root-succession control traffic plus the
 /// contributor-census / epoch-fence fields piggybacked on other messages.
 /// Equals the [`MsgClass::FAILOVER`](ifi_sim::MsgClass::FAILOVER) label for
@@ -56,5 +54,3 @@ pub const DELTA: &str = "delta";
 /// each subscriber after an epoch certifies. Equals the
 /// [`MsgClass::STANDING`](ifi_sim::MsgClass::STANDING) label.
 pub const STANDING: &str = "standing";
-/// Wall-clock phase for the DES scheduler loop (charged by `ifi-sim`).
-pub const SCHEDULER: &str = "scheduler";

@@ -58,7 +58,7 @@ pub enum NfMsg {
     CandidateAgg(MapSum),
     /// Census mode only: the merged contributor census of one phase
     /// (`1` or `2`), moving rootward beside the phase report it certifies.
-    /// Metered at [`CENSUS_BYTES`] under [`MsgClass::FAILOVER`], exactly
+    /// Metered at `CENSUS_BYTES` under [`MsgClass::FAILOVER`], exactly
     /// like the resilient engine's census piggyback, so enabling
     /// certification never touches the paper's phase classes.
     PhaseCensus {
@@ -285,7 +285,7 @@ impl NetFilterProtocol {
     }
 
     /// The resolved threshold (root only: no other peer applies one).
-    pub fn threshold(&self) -> Option<u64> {
+    pub(crate) fn threshold(&self) -> Option<u64> {
         Some(self.root.as_ref()?.threshold)
     }
 

@@ -99,7 +99,7 @@ const STAMP_BYTES: u64 = 8;
 /// Piggyback size of a [`Census`] on rootward reports: `u32` count plus
 /// `u64` digest. Shared with the one-shot protocol's census mode
 /// (`crate::protocol`), so both engines price certification identically.
-pub const CENSUS_BYTES: u64 = 12;
+pub(crate) const CENSUS_BYTES: u64 = 12;
 
 /// An order-independent summary of a set of contributing peers: how many,
 /// plus the xor of a 64-bit mix of each peer id. Two censuses are equal
@@ -116,12 +116,12 @@ pub struct Census {
 
 impl Census {
     /// The empty census.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Census::default()
     }
 
     /// The census of exactly one peer.
-    pub fn solo(peer: PeerId) -> Self {
+    pub(crate) fn solo(peer: PeerId) -> Self {
         Census {
             count: 1,
             digest: mix64(peer.index() as u64),
@@ -129,12 +129,12 @@ impl Census {
     }
 
     /// Adds one peer.
-    pub fn add(&mut self, peer: PeerId) {
+    pub(crate) fn add(&mut self, peer: PeerId) {
         self.merge(Census::solo(peer));
     }
 
     /// Merges another census (disjoint union); the count saturates.
-    pub fn merge(&mut self, other: Census) {
+    pub(crate) fn merge(&mut self, other: Census) {
         self.count = self.count.saturating_add(other.count);
         self.digest ^= other.digest;
     }
@@ -142,7 +142,7 @@ impl Census {
     /// The delta between two censuses: absolute count difference and xor
     /// of digests. When `other` is a subset of `self`, this is exactly the
     /// census of the missing peers.
-    pub fn minus(&self, other: Census) -> Census {
+    pub(crate) fn minus(&self, other: Census) -> Census {
         Census {
             count: self.count.abs_diff(other.count),
             digest: self.digest ^ other.digest,
@@ -151,7 +151,7 @@ impl Census {
 }
 
 /// Censuses ride the tree beside the aggregates they certify, merged the
-/// same way and priced at [`CENSUS_BYTES`].
+/// same way and priced at `CENSUS_BYTES`.
 impl Aggregate for Census {
     type Fold = OnArrival;
 
@@ -185,7 +185,7 @@ impl Certificate {
     /// exactly when both equal the roster, otherwise
     /// [`Partial`](Certificate::Partial) against the first phase that
     /// fell short.
-    pub fn from_phases(roster: Census, phase1: Census, phase2: Census) -> Self {
+    pub(crate) fn from_phases(roster: Census, phase1: Census, phase2: Census) -> Self {
         match [phase1, phase2].into_iter().find(|&phase| phase != roster) {
             None => Certificate::Complete,
             Some(short) => Certificate::Partial {
@@ -197,7 +197,7 @@ impl Certificate {
 
 /// The root's last step of an exact run: the merged candidates at or over
 /// `threshold`, sorted by value descending, then id.
-pub fn frequent_items(candidates: &MapSum, threshold: u64) -> Vec<(ItemId, u64)> {
+pub(crate) fn frequent_items(candidates: &MapSum, threshold: u64) -> Vec<(ItemId, u64)> {
     let over = candidates.0.iter().filter(|&(_, &v)| v >= threshold);
     let mut frequent: Vec<(ItemId, u64)> = over.map(|(&k, &v)| (k, v)).collect();
     frequent.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -408,7 +408,7 @@ impl ResilientProtocol {
     /// form the failover order. A one-tree `multi` is a single root with
     /// no live failover: if it dies, epochs stop until it revives.
     #[allow(clippy::too_many_arguments)]
-    pub fn new_multi(
+    pub(crate) fn new_multi(
         config: &NetFilterConfig,
         rc: ResilientConfig,
         multi: &MultiHierarchy,
@@ -472,13 +472,13 @@ impl ResilientProtocol {
     /// receivers drop duplicates before dispatching the payload.
     /// Maintenance traffic is untouched.
     #[must_use]
-    pub fn with_reliability(mut self, cfg: RelConfig) -> Self {
+    pub(crate) fn with_reliability(mut self, cfg: RelConfig) -> Self {
         self.env = Envelope::reliable(cfg);
         self
     }
 
     /// One core per peer of `data`, on `topology`'s neighbor lists and
-    /// `multi`'s succession line (see [`new_multi`](Self::new_multi)).
+    /// `multi`'s succession line (see `new_multi`).
     /// `rel` wraps every peer's query-critical traffic in the reliability
     /// envelope.
     ///
@@ -530,24 +530,9 @@ impl ResilientProtocol {
         self.active_root
     }
 
-    /// This peer's position in the succession line, if any.
-    pub fn rank(&self) -> Option<usize> {
-        self.rank
-    }
-
     /// The epoch this peer currently serves.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Whether the peer is currently detached from the tree.
-    pub fn is_detached(&self) -> bool {
-        self.core.is_detached()
-    }
-
-    /// The resolved threshold.
-    pub fn threshold(&self) -> u64 {
-        self.threshold
     }
 
     /// Whether live failover is in play (more than one candidate root).

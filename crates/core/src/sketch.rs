@@ -66,7 +66,7 @@ impl SpaceSaving {
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "a zero-capacity summary holds nothing");
         SpaceSaving {
             capacity,
@@ -117,23 +117,8 @@ impl SpaceSaving {
         self.weight
     }
 
-    /// Counter capacity `c`.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of live counters (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no counter is live.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// The live counters, ascending by item id.
-    pub fn entries(&self) -> impl Iterator<Item = (ItemId, u64)> + '_ {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (ItemId, u64)> + '_ {
         self.entries.iter().map(|(&k, &v)| (k, v))
     }
 }
@@ -173,7 +158,7 @@ impl Aggregate for SpaceSaving {
 pub struct SketchConfig {
     /// Counters per summary (`c`). Larger is more accurate and costs more
     /// bytes per hop — the approx-sweep axis.
-    pub capacity: usize,
+    pub(crate) capacity: usize,
     /// The error the engine *claims*: the root admits items with
     /// `est + ⌈ε·V⌉ ≥ t`. Honest when ≥ `1/(capacity+1)`; the simcheck
     /// `epsilon-bound` oracle exists to catch dishonest claims.
@@ -181,7 +166,7 @@ pub struct SketchConfig {
     /// The IFI threshold.
     pub threshold: Threshold,
     /// Wire widths for byte pricing.
-    pub sizes: WireSizes,
+    pub(crate) sizes: WireSizes,
 }
 
 impl SketchConfig {
@@ -221,11 +206,11 @@ pub struct SketchAnswer {
     /// descending by estimate then ascending by id.
     pub items: Vec<(ItemId, u64)>,
     /// Total weight `V` the root's summary covers (exact).
-    pub weight: u64,
+    pub(crate) weight: u64,
     /// The absolute error bound the claim translates to: `⌈ε·V⌉`.
-    pub error_bound: u64,
+    pub(crate) error_bound: u64,
     /// The resolved absolute threshold.
-    pub threshold: u64,
+    pub(crate) threshold: u64,
 }
 
 impl OnePass for SketchConfig {
@@ -312,7 +297,7 @@ mod tests {
         let s = SpaceSaving::from_items(8, &items);
         let total: u64 = items.iter().map(|&(_, v)| v).sum();
         assert_eq!(s.weight(), total);
-        assert!(s.len() <= 8);
+        assert!(s.entries.len() <= 8);
         for &(item, v) in &items {
             let est = s.estimate(item);
             assert!(est <= v, "overestimate for {item:?}");

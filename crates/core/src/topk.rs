@@ -47,9 +47,9 @@ use crate::WireSizes;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bounds {
     /// Sum of the lower bounds seen — never exceeds the true subtree value.
-    pub lower: u64,
+    pub(crate) lower: u64,
     /// Upper bound on the true subtree value.
-    pub upper: u64,
+    pub(crate) upper: u64,
 }
 
 /// A pruned candidate list: bounded entries plus `tau`, an upper bound on
@@ -71,7 +71,7 @@ impl CandidateList {
     /// # Panics
     ///
     /// Panics if `cap == 0`.
-    pub fn from_items(cap: usize, items: &[(ItemId, u64)]) -> Self {
+    pub(crate) fn from_items(cap: usize, items: &[(ItemId, u64)]) -> Self {
         assert!(cap > 0, "a zero-capacity candidate list holds nothing");
         let mut exact_map: BTreeMap<ItemId, u64> = BTreeMap::new();
         for &(item, v) in items {
@@ -106,40 +106,25 @@ impl CandidateList {
         self.exact = false;
     }
 
-    /// The bounds for `item`, if listed.
-    pub fn bounds(&self, item: ItemId) -> Option<Bounds> {
-        self.entries.get(&item).copied()
-    }
-
     /// Upper bound on every unlisted item.
-    pub fn tau(&self) -> u64 {
+    pub(crate) fn tau(&self) -> u64 {
         self.tau
     }
 
     /// Whether the list is provably complete and exact.
-    pub fn is_exact(&self) -> bool {
+    pub(crate) fn is_exact(&self) -> bool {
         self.exact
     }
 
-    /// Number of listed candidates (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no candidate is listed.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Listed candidates, ascending by item id.
-    pub fn entries(&self) -> impl Iterator<Item = (ItemId, Bounds)> + '_ {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (ItemId, Bounds)> + '_ {
         self.entries.iter().map(|(&i, &b)| (i, b))
     }
 
     /// The `n` best listed candidates by descending lower bound (ties to
     /// the smaller id) — the same comparator ground truth uses on exact
     /// values, so lossless lists reproduce the oracle prefix.
-    pub fn best(&self, n: usize) -> Vec<ItemId> {
+    pub(crate) fn best(&self, n: usize) -> Vec<ItemId> {
         let mut order: Vec<(ItemId, Bounds)> = self.entries.iter().map(|(&i, &b)| (i, b)).collect();
         order.sort_by(|a, b| b.1.lower.cmp(&a.1.lower).then(a.0.cmp(&b.0)));
         order.truncate(n);
@@ -199,12 +184,12 @@ impl Aggregate for CandidateList {
 #[derive(Debug, Clone)]
 pub struct TopKConfig {
     /// How many items to return.
-    pub k: usize,
+    pub(crate) k: usize,
     /// Candidate-list capacity per hop. Larger prunes less (more bytes,
     /// more certain); must be ≥ `k` for a full candidate slate.
-    pub prune_cap: usize,
+    pub(crate) prune_cap: usize,
     /// Wire widths for byte pricing.
-    pub sizes: WireSizes,
+    pub(crate) sizes: WireSizes,
 }
 
 impl TopKConfig {
@@ -249,9 +234,9 @@ pub struct TopKAnswer {
     /// Whether the returned set provably equals the true top-k.
     pub certified: bool,
     /// The `k` requested.
-    pub k: usize,
+    pub(crate) k: usize,
     /// Candidates verified in phase 2.
-    pub candidates: usize,
+    pub(crate) candidates: usize,
 }
 
 /// Wire messages of the top-k engine.
@@ -289,7 +274,7 @@ pub struct TopKProtocol {
 
 impl TopKProtocol {
     /// Creates the state for `peer`.
-    pub fn new(
+    pub(crate) fn new(
         config: &TopKConfig,
         hierarchy: &Hierarchy,
         peer: PeerId,
@@ -313,7 +298,7 @@ impl TopKProtocol {
     }
 
     /// Enables the ack/retransmit envelope with the given tuning.
-    pub fn with_reliability(mut self, cfg: RelConfig) -> Self {
+    pub(crate) fn with_reliability(mut self, cfg: RelConfig) -> Self {
         self.env = Envelope::reliable(cfg);
         self
     }
@@ -683,7 +668,7 @@ mod tests {
         );
         let mut m = a.clone();
         m.merge(&b);
-        assert!(m.len() <= 3);
+        assert!(m.entries.len() <= 3);
         // True combined values.
         let truth = [
             (ItemId(1), 10),
@@ -694,7 +679,7 @@ mod tests {
             (ItemId(6), 2),
         ];
         for (item, v) in truth {
-            match m.bounds(item) {
+            match m.entries.get(&item).copied() {
                 Some(bounds) => {
                     assert!(bounds.lower <= v, "{item:?}: lower {} > {v}", bounds.lower);
                     assert!(bounds.upper >= v, "{item:?}: upper {} < {v}", bounds.upper);

@@ -23,7 +23,7 @@
 //! open slice as an append buffer folded when it closes, and the window
 //! totals are computed from those ≤ `buckets` runs on demand.
 //! [`SlidingWindow::advance`] returns the retired run and
-//! [`SlidingWindow::newest`] the one just closed — the two sides of the
+//! `SlidingWindow::newest` the one just closed — the two sides of the
 //! per-epoch deltas the [`continuous`](crate::continuous) engine
 //! convergecasts instead of re-aggregating.
 
@@ -81,13 +81,8 @@ impl SlidingWindow {
     /// The slice the last [`advance`](Self::advance) closed, as a run
     /// (empty before the first, and in a 1-bucket window, which retires it
     /// at once).
-    pub fn newest(&self) -> &[(ItemId, u64)] {
+    pub(crate) fn newest(&self) -> &[(ItemId, u64)] {
         self.closed.last().map_or(&[], Vec::as_slice)
-    }
-
-    /// Number of live slices (≤ the configured bucket count).
-    pub fn live_buckets(&self) -> usize {
-        self.closed.len() + 1
     }
 
     /// Number of distinct items with a non-zero window total.
@@ -137,7 +132,7 @@ mod tests {
         assert_eq!(w.value(ItemId(1)), 3);
         w.advance(); // bucket with 3 retires
         assert_eq!(w.value(ItemId(1)), 0);
-        assert_eq!(w.live_buckets(), 3);
+        assert_eq!(w.closed.len() + 1, 3, "live slices");
         assert!(w.local_items().is_empty());
     }
 

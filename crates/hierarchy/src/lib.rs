@@ -12,10 +12,10 @@
 //! * multiple redundant hierarchies can be built to mask root failure
 //!   (§III-A.1, "we can construct multiple hierarchies").
 //!
-//! [`Hierarchy`] is the materialized tree (used by the *instant* engines in
-//! `ifi-agg` and `netfilter`); [`BuildProtocol`] and [`MaintainProtocol`]
-//! are the message-level construction and heartbeat/repair protocols that
-//! run on the `ifi-sim` DES and converge to the same structure.
+//! [`Hierarchy`] is the materialized tree every engine runs over;
+//! [`MaintainProtocol`] is the message-level heartbeat/repair protocol
+//! that runs on the `ifi-sim` DES and keeps that tree spanning the live
+//! peers.
 //!
 //! ```
 //! use ifi_overlay::Topology;
@@ -39,6 +39,6 @@ mod tree;
 
 pub use maintain_core::{MaintainCore, Outbox, TickOutcome};
 pub use multi::MultiHierarchy;
-pub use protocol::{BuildMsg, BuildProtocol, MaintainMsg, MaintainProtocol, MaintainTimer};
+pub use protocol::{MaintainMsg, MaintainProtocol, MaintainTimer};
 pub use roots::{select_root, RootSelection};
 pub use tree::Hierarchy;

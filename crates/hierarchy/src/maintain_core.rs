@@ -58,7 +58,7 @@ pub struct MaintainCore {
     /// death reporting in [`TickOutcome::newly_dead`].
     last_suspected: PeerSet,
     /// Number of detach events this peer underwent.
-    pub detach_count: u32,
+    pub(crate) detach_count: u32,
     /// Regression toggle: restore the pre-fix tick order that forgot
     /// suspected neighbors before the parent status check, combined with
     /// the tracker's strict (panicking) status lookup. Reproduces the
@@ -106,7 +106,7 @@ impl MaintainCore {
     /// untracked peers, so a dying parent crashes the peer. Test tooling
     /// only.
     #[doc(hidden)]
-    pub fn enable_legacy_churn_race(&mut self) {
+    pub(crate) fn enable_legacy_churn_race(&mut self) {
         self.legacy_churn_race = true;
         self.tracker.set_legacy_strict_status(true);
     }
@@ -116,22 +116,22 @@ impl MaintainCore {
     /// attach bound, so attachment cycles formed after a root death keep
     /// their stale finite depths forever. Test tooling only.
     #[doc(hidden)]
-    pub fn enable_legacy_unbounded_depth(&mut self) {
+    pub(crate) fn enable_legacy_unbounded_depth(&mut self) {
         self.legacy_unbounded_depth = true;
     }
 
     /// The heartbeat configuration.
-    pub fn config(&self) -> HeartbeatConfig {
+    pub(crate) fn config(&self) -> HeartbeatConfig {
         self.tracker.config()
     }
 
     /// Current depth, or `None` while detached.
-    pub fn depth(&self) -> Option<u32> {
+    pub(crate) fn depth(&self) -> Option<u32> {
         (self.depth != DEPTH_INF).then_some(self.depth)
     }
 
     /// Current parent.
-    pub fn parent(&self) -> Option<PeerId> {
+    pub(crate) fn parent(&self) -> Option<PeerId> {
         self.parent
     }
 
@@ -142,24 +142,19 @@ impl MaintainCore {
 
     /// Peak number of children ever held — arena occupancy for the perf
     /// benches' state-layout counters.
-    pub fn children_high_water(&self) -> usize {
+    pub(crate) fn children_high_water(&self) -> usize {
         self.children.high_water()
     }
 
     /// Peak number of neighbors the heartbeat tracker ever held — arena
     /// occupancy for the perf benches' state-layout counters.
-    pub fn tracked_high_water(&self) -> usize {
+    pub(crate) fn tracked_high_water(&self) -> usize {
         self.tracker.tracked_high_water()
     }
 
     /// Whether the peer is detached (depth ∞ and not the root).
     pub fn is_detached(&self) -> bool {
         self.depth == DEPTH_INF && !self.is_root
-    }
-
-    /// Whether the peer currently acts as the hierarchy root.
-    pub fn is_root(&self) -> bool {
-        self.is_root
     }
 
     /// Promotes this peer to hierarchy root (depth 0, no parent). The tree
@@ -510,7 +505,7 @@ mod tests {
         let _ = c.on_tick(t(400)); // parent silent -> detached
         assert!(c.is_detached());
         c.promote_to_root();
-        assert!(c.is_root());
+        assert!(c.is_root);
         assert_eq!(c.depth(), Some(0));
         assert_eq!(c.parent(), None);
         assert!(!c.is_detached());
@@ -518,7 +513,7 @@ mod tests {
         let _ = c.on_message(PeerId::new(2), MaintainMsg::Attach, t(450));
         assert_eq!(c.children(), vec![PeerId::new(2)]);
         let out = c.demote();
-        assert!(!c.is_root());
+        assert!(!c.is_root);
         assert!(c.is_detached());
         assert!(out.contains(&(PeerId::new(2), MaintainMsg::Detach)));
         assert!(c.children().is_empty());

@@ -71,16 +71,6 @@ impl MultiHierarchy {
         MultiHierarchy { trees }
     }
 
-    /// Number of redundant trees.
-    pub fn len(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Whether there are no trees (never true for a constructed value).
-    pub fn is_empty(&self) -> bool {
-        self.trees.is_empty()
-    }
-
     /// All trees, primary first.
     pub fn trees(&self) -> &[Hierarchy] {
         &self.trees
@@ -112,7 +102,7 @@ mod tests {
     fn build_distinct_roots() {
         let topo = Topology::random_regular(50, 4, &mut DetRng::new(1));
         let mh = MultiHierarchy::build(&topo, 3, &mut DetRng::new(2));
-        assert_eq!(mh.len(), 3);
+        assert_eq!(mh.trees().len(), 3);
         let mut roots: Vec<PeerId> = mh.trees().iter().map(|t| t.root()).collect();
         roots.dedup();
         assert_eq!(roots.len(), 3, "roots must be distinct");

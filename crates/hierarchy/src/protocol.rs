@@ -1,7 +1,6 @@
-//! Message-level hierarchy construction and maintenance on the DES.
+//! Message-level hierarchy maintenance on the DES.
 //!
-//! [`BuildProtocol`] implements §III-A.1 (BFS construction from a
-//! designated root); [`MaintainProtocol`] implements §III-A.3 (periodic
+//! [`MaintainProtocol`] implements §III-A.3 (periodic
 //! heartbeats carrying a `DEPTH` counter, failure detection, depth-∞
 //! detachment flooding, and re-attachment to the first finite-depth
 //! neighbor heard from).
@@ -16,152 +15,9 @@ use ifi_sim::{
 
 use crate::tree::Hierarchy;
 
-/// Depth value encoding the paper's "∞" (detached) state.
-const DEPTH_INF: u32 = u32::MAX;
-
-/// Wire size of a construction/maintenance control message: one depth
+/// Wire size of a maintenance control message: one depth
 /// counter plus a small header.
 const CTRL_BYTES: u64 = 8;
-
-/// Messages of the BFS construction protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BuildMsg {
-    /// "I am at `depth`; join beneath me." Sent by every peer that settles.
-    Invite {
-        /// The sender's depth in the forming hierarchy.
-        depth: u32,
-    },
-    /// "You are now my upstream neighbor."
-    Attach,
-    /// "I found a shorter path; I am no longer your child."
-    Detach,
-}
-
-/// BFS hierarchy construction (§III-A.1).
-///
-/// The designated root starts at depth 0 and invites its neighbors; a peer
-/// adopts the first (or any strictly better) invitation, attaches to the
-/// sender, and re-invites its own neighbors. Under constant latency this is
-/// exactly breadth-first search; under variable latency the
-/// strictly-better-offer rule makes it converge to the same shortest-path
-/// tree (asynchronous Bellman–Ford over hop counts).
-#[derive(Debug, Clone)]
-pub struct BuildProtocol {
-    neighbors: Vec<PeerId>,
-    is_root: bool,
-    /// Current depth; `DEPTH_INF` until settled.
-    depth: u32,
-    parent: Option<PeerId>,
-    children: Vec<PeerId>,
-}
-
-impl BuildProtocol {
-    /// Creates the per-peer state. `neighbors` are the peer's overlay
-    /// neighbors that participate in netFilter.
-    pub fn new(neighbors: Vec<PeerId>, is_root: bool) -> Self {
-        BuildProtocol {
-            neighbors,
-            is_root,
-            depth: DEPTH_INF,
-            parent: None,
-            children: Vec::new(),
-        }
-    }
-
-    /// The settled depth, if the peer has joined the hierarchy.
-    pub fn depth(&self) -> Option<u32> {
-        (self.depth != DEPTH_INF).then_some(self.depth)
-    }
-
-    /// The settled parent.
-    pub fn parent(&self) -> Option<PeerId> {
-        self.parent
-    }
-
-    /// The settled children (sorted).
-    pub fn children(&self) -> Vec<PeerId> {
-        let mut c = self.children.clone();
-        c.sort_unstable();
-        c
-    }
-
-    fn settle(&mut self, fx: &mut Effects<Self>, depth: u32, parent: Option<PeerId>) {
-        fx.mark_phase("construction");
-        if let Some(old) = self.parent {
-            fx.send(old, BuildMsg::Detach, CTRL_BYTES, MsgClass::CONTROL);
-        }
-        self.depth = depth;
-        self.parent = parent;
-        if let Some(p) = parent {
-            fx.send(p, BuildMsg::Attach, CTRL_BYTES, MsgClass::CONTROL);
-        }
-        for &nb in &self.neighbors.clone() {
-            if Some(nb) != parent {
-                fx.send(
-                    nb,
-                    BuildMsg::Invite { depth },
-                    CTRL_BYTES,
-                    MsgClass::CONTROL,
-                );
-            }
-        }
-    }
-
-    /// Snapshots the converged construction into a [`Hierarchy`].
-    ///
-    /// `states` yields every peer's protocol state in id order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the recorded parents do not form a tree rooted at `root`
-    /// (construction has not converged).
-    pub fn snapshot<'a>(
-        root: PeerId,
-        states: impl Iterator<Item = &'a Des<BuildProtocol>>,
-    ) -> Hierarchy {
-        let parents: Vec<Option<PeerId>> = states.map(|s| s.parent).collect();
-        Hierarchy::from_parents(root, &parents)
-    }
-}
-
-impl SansIo for BuildProtocol {
-    type Msg = BuildMsg;
-    type Timer = ();
-    type Output = ();
-
-    fn on_event(
-        &mut self,
-        ev: NodeEvent<BuildMsg, ()>,
-        _now: SimTime,
-        _env: &dyn Membership,
-        fx: &mut Effects<Self>,
-    ) {
-        match ev {
-            NodeEvent::Start => {
-                if self.is_root && self.depth == DEPTH_INF {
-                    self.settle(fx, 0, None);
-                }
-            }
-            NodeEvent::Message { from, msg } => match msg {
-                BuildMsg::Invite { depth } => {
-                    let offered = depth.saturating_add(1);
-                    if offered < self.depth {
-                        self.settle(fx, offered, Some(from));
-                    }
-                }
-                BuildMsg::Attach => {
-                    if !self.children.contains(&from) {
-                        self.children.push(from);
-                    }
-                }
-                BuildMsg::Detach => {
-                    self.children.retain(|&c| c != from);
-                }
-            },
-            NodeEvent::Timer { tag: () } => {}
-        }
-    }
-}
 
 /// Messages of the maintenance (heartbeat + repair) protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,7 +41,7 @@ impl MaintainMsg {
     /// notices. `Heartbeat` and `Attach` are refreshed every tick — their
     /// redundancy *is* their reliability — but a `Detach` cascade fires
     /// once, which is what the optional ack/retransmit envelope protects.
-    pub fn is_send_once(&self) -> bool {
+    pub(crate) fn is_send_once(&self) -> bool {
         matches!(self, MaintainMsg::Detach)
     }
 }
@@ -243,7 +99,7 @@ impl MaintainProtocol {
     }
 
     /// Enables the ack/retransmit envelope for send-once repair messages
-    /// (see [`MaintainMsg::is_send_once`]). Periodic traffic is untouched,
+    /// (see `MaintainMsg::is_send_once`). Periodic traffic is untouched,
     /// so a fault-free run sends exactly the same bytes as without this.
     #[must_use]
     pub fn with_reliability(mut self, cfg: RelConfig) -> Self {
@@ -259,11 +115,6 @@ impl MaintainProtocol {
     /// Current parent.
     pub fn parent(&self) -> Option<PeerId> {
         self.core.parent()
-    }
-
-    /// Current children (sorted).
-    pub fn children(&self) -> Vec<PeerId> {
-        self.core.children()
     }
 
     /// Whether the peer is detached (depth ∞).
@@ -419,59 +270,6 @@ mod tests {
     use super::*;
     use ifi_overlay::Topology;
     use ifi_sim::{sansio_world, DetRng, Duration, SimConfig, SimTime, World};
-
-    fn build_world(topo: &Topology, root: PeerId, seed: u64) -> World<Des<BuildProtocol>> {
-        let peers: Vec<BuildProtocol> = topo
-            .peers()
-            .map(|p| BuildProtocol::new(topo.neighbors(p).to_vec(), p == root))
-            .collect();
-        sansio_world(SimConfig::default().with_seed(seed), peers)
-    }
-
-    #[test]
-    fn build_converges_to_bfs_tree_constant_latency() {
-        let topo = Topology::random_regular(150, 4, &mut DetRng::new(2));
-        let root = PeerId::new(0);
-        let mut w = build_world(&topo, root, 1);
-        w.start();
-        w.run_to_quiescence();
-        let h = BuildProtocol::snapshot(root, w.peers());
-        h.check_invariants(Some(&topo)); // exact BFS depths under constant latency
-        assert_eq!(h.member_count(), 150);
-    }
-
-    #[test]
-    fn build_converges_under_variable_latency() {
-        let topo = Topology::random_regular(100, 4, &mut DetRng::new(4));
-        let root = PeerId::new(5);
-        let peers: Vec<BuildProtocol> = topo
-            .peers()
-            .map(|p| BuildProtocol::new(topo.neighbors(p).to_vec(), p == root))
-            .collect();
-        let cfg = SimConfig::default()
-            .with_seed(9)
-            .with_latency(ifi_sim::LatencyModel::Uniform {
-                lo: Duration::from_millis(10),
-                hi: Duration::from_millis(200),
-            });
-        let mut w = sansio_world(cfg, peers);
-        w.start();
-        w.run_to_quiescence();
-        let h = BuildProtocol::snapshot(root, w.peers());
-        // The strictly-better rule still yields true shortest-path depths.
-        h.check_invariants(Some(&topo));
-        assert_eq!(h.member_count(), 100);
-    }
-
-    #[test]
-    fn build_on_line_matches_instant_bfs() {
-        let topo = Topology::line(10);
-        let mut w = build_world(&topo, PeerId::new(0), 3);
-        w.start();
-        w.run_to_quiescence();
-        let h = BuildProtocol::snapshot(PeerId::new(0), w.peers());
-        assert_eq!(h, Hierarchy::bfs(&topo, PeerId::new(0)));
-    }
 
     fn maintain_world(topo: &Topology, h: &Hierarchy, seed: u64) -> World<Des<MaintainProtocol>> {
         let cfg = HeartbeatConfig {
@@ -702,24 +500,16 @@ mod tests {
         // timers carried an incarnation stamp, that stale Tick fired after
         // the revival's fresh chain and the peer heartbeated at twice the
         // configured rate forever.
-        use ifi_overlay::churn::{ChurnEvent, ChurnSchedule};
         let topo = Topology::ring(4);
         let h = Hierarchy::bfs(&topo, PeerId::new(0));
         let victim = PeerId::new(2);
         let horizon = SimTime::from_micros(60_000_000);
         // Interval 500ms: the Tick armed at 1.0s is due at 1.5s, after the
         // 1.3s revival.
-        let sched = ChurnSchedule::from_events(
-            4,
-            vec![
-                ChurnEvent::Down(SimTime::from_micros(1_200_000), victim),
-                ChurnEvent::Up(SimTime::from_micros(1_300_000), victim),
-            ],
-            horizon,
-        );
         let mut w = maintain_world(&topo, &h, 53);
         w.start();
-        sched.install_world(&mut w);
+        w.schedule_kill(SimTime::from_micros(1_200_000), victim);
+        w.schedule_revive(SimTime::from_micros(1_300_000), victim);
         w.run_until(horizon);
         let hb_msgs = |i: usize| {
             w.metrics()
@@ -744,7 +534,6 @@ mod tests {
         // revives moments later. Before timers carried an incarnation
         // stamp, the stale timer fired in the new incarnation and resent a
         // frame from the previous life.
-        use ifi_overlay::churn::{ChurnEvent, ChurnSchedule};
         let topo = Topology::line(3);
         let h = Hierarchy::bfs(&topo, PeerId::new(0));
         let cfg = HeartbeatConfig {
@@ -771,17 +560,10 @@ mod tests {
         // back 3.54s). Killing P1 at 3.53s catches the ack in flight, so
         // the frame stays unacked with a Retransmit timer due ~3.9-4.1s
         // (base_rto 400ms + jitter) — after the 3.8s revival.
-        let sched = ChurnSchedule::from_events(
-            3,
-            vec![
-                ChurnEvent::Down(SimTime::from_micros(2_000_000), PeerId::new(0)),
-                ChurnEvent::Down(SimTime::from_micros(3_530_000), PeerId::new(1)),
-                ChurnEvent::Up(SimTime::from_micros(3_800_000), PeerId::new(1)),
-            ],
-            horizon,
-        );
         w.start();
-        sched.install_world(&mut w);
+        w.schedule_kill(SimTime::from_micros(2_000_000), PeerId::new(0));
+        w.schedule_kill(SimTime::from_micros(3_530_000), PeerId::new(1));
+        w.schedule_revive(SimTime::from_micros(3_800_000), PeerId::new(1));
         w.run_until(horizon);
         // Preconditions: the cascade really happened over the reliable
         // envelope (P1 detached once and P2 heard it and acked).
@@ -813,7 +595,6 @@ mod tests {
         // reuses seq 0. Without incarnation stamps on the wire, P2 would
         // suppress the new Detach as a replay of the old one and keep
         // trusting a detached parent until the slower ∞-heartbeat repair.
-        use ifi_overlay::churn::{ChurnEvent, ChurnSchedule};
         let topo = Topology::line(3);
         let h = Hierarchy::bfs(&topo, PeerId::new(0));
         let cfg = HeartbeatConfig {
@@ -845,18 +626,11 @@ mod tests {
         // its 9.5s tick, and the detached P1 bounces the reliable Detach
         // (life 1, seq 0), delivered at 9.54s.
         let horizon = SimTime::from_micros(9_700_000);
-        let sched = ChurnSchedule::from_events(
-            3,
-            vec![
-                ChurnEvent::Down(SimTime::from_micros(2_050_000), PeerId::new(0)),
-                ChurnEvent::Up(SimTime::from_micros(6_100_000), PeerId::new(0)),
-                ChurnEvent::Down(SimTime::from_micros(9_050_000), PeerId::new(1)),
-                ChurnEvent::Up(SimTime::from_micros(9_300_000), PeerId::new(1)),
-            ],
-            horizon,
-        );
         w.start();
-        sched.install_world(&mut w);
+        w.schedule_kill(SimTime::from_micros(2_050_000), PeerId::new(0));
+        w.schedule_revive(SimTime::from_micros(6_100_000), PeerId::new(0));
+        w.schedule_kill(SimTime::from_micros(9_050_000), PeerId::new(1));
+        w.schedule_revive(SimTime::from_micros(9_300_000), PeerId::new(1));
         w.run_until(horizon);
         // The horizon stops before P1's first post-revival tick (9.8s),
         // so the ∞-heartbeat repair path cannot have run yet: only the
@@ -878,7 +652,8 @@ mod tests {
         // start) attaches to the first finite-depth neighbor it hears —
         // the paper's new-peer accommodation.
         let topo = Topology::ring(6);
-        let h = Hierarchy::bfs_filtered(&topo, PeerId::new(0), |p| p.index() != 3);
+        let p = |i| Some(PeerId::new(i));
+        let h = Hierarchy::from_parents(PeerId::new(0), &[None, p(0), p(1), None, p(5), p(0)]);
         assert!(!h.is_member(PeerId::new(3)));
         let mut w = maintain_world(&topo, &h, 31);
         w.start();

@@ -11,8 +11,8 @@ use ifi_sim::{DetRng, PeerId};
 /// Structure follows §III-A.1 of the paper: the root is at depth 0, a
 /// peer's depth is its shortest-hop distance from the root in the overlay,
 /// its *upstream neighbor* is its parent and its *downstream neighbors* are
-/// its children. Peers that are unreachable from the root (or excluded from
-/// participation) are simply not members.
+/// its children. Peers that are unreachable from the root (or that a
+/// maintained tree has detached) are simply not members.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hierarchy {
     root: PeerId,
@@ -27,21 +27,6 @@ impl Hierarchy {
     /// (§III-A.1: neighbors of the root become depth 1, their not-yet-
     /// included neighbors depth 2, and so on).
     pub fn bfs(topology: &Topology, root: PeerId) -> Self {
-        Self::bfs_filtered(topology, root, |_| true)
-    }
-
-    /// Builds the BFS hierarchy over only the peers satisfying `include`
-    /// (used to restrict the tree to netFilter participants).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `root` itself is excluded.
-    pub fn bfs_filtered(
-        topology: &Topology,
-        root: PeerId,
-        include: impl Fn(PeerId) -> bool,
-    ) -> Self {
-        assert!(include(root), "root {root} is excluded from the hierarchy");
         let n = topology.peer_count();
         let mut h = Hierarchy {
             root,
@@ -54,7 +39,7 @@ impl Hierarchy {
         while let Some(u) = q.pop_front() {
             let du = h.depth[u.index()].expect("queued member must have depth");
             for &v in topology.neighbors(u) {
-                if include(v) && h.depth[v.index()].is_none() {
+                if h.depth[v.index()].is_none() {
                     h.depth[v.index()] = Some(du + 1);
                     h.parent[v.index()] = Some(u);
                     h.children[u.index()].push(v);
@@ -322,17 +307,6 @@ mod tests {
         h.check_invariants(Some(&topo));
         assert_eq!(h.member_count(), 200);
         assert_eq!(h.root(), PeerId::new(17));
-    }
-
-    #[test]
-    fn bfs_filtered_excludes_and_reroutes() {
-        // Ring of 6; exclude peer 1: BFS from 0 must go the other way.
-        let topo = Topology::ring(6);
-        let h = Hierarchy::bfs_filtered(&topo, PeerId::new(0), |p| p.index() != 1);
-        h.check_invariants(None);
-        assert!(!h.is_member(PeerId::new(1)));
-        assert_eq!(h.depth(PeerId::new(2)), Some(4)); // 0-5-4-3-2
-        assert_eq!(h.member_count(), 5);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub enum SessionModel {
 
 impl SessionModel {
     /// Samples one online-session length.
-    pub fn sample_on(&self, rng: &mut DetRng) -> Duration {
+    pub(crate) fn sample_on(&self, rng: &mut DetRng) -> Duration {
         match *self {
             SessionModel::Exponential { mean_on, .. } => {
                 Duration::from_micros(rng.exponential(mean_on.as_micros() as f64).max(1.0) as u64)
@@ -67,7 +67,7 @@ impl SessionModel {
     }
 
     /// Samples one offline gap.
-    pub fn sample_off(&self, rng: &mut DetRng) -> Duration {
+    pub(crate) fn sample_off(&self, rng: &mut DetRng) -> Duration {
         let mean_off = match *self {
             SessionModel::Exponential { mean_off, .. } => mean_off,
             SessionModel::ParetoOn { mean_off, .. } => mean_off,
@@ -88,7 +88,7 @@ pub enum ChurnEvent {
 
 impl ChurnEvent {
     /// The instant the event fires.
-    pub fn time(self) -> SimTime {
+    pub(crate) fn time(self) -> SimTime {
         match self {
             ChurnEvent::Down(t, _) | ChurnEvent::Up(t, _) => t,
         }
@@ -146,75 +146,13 @@ impl ChurnSchedule {
         }
     }
 
-    /// A schedule from an explicit event list, for tests that pin exact
-    /// kill/revive instants (e.g. a revival inside one heartbeat interval).
-    /// Events are sorted by time; online time is replayed per peer, with
-    /// every peer starting online at `t = 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an event lies beyond `horizon`, names a peer `>= n`, or
-    /// breaks a peer's down/up alternation (down while down, up while up).
-    pub fn from_events(n: usize, mut events: Vec<ChurnEvent>, horizon: SimTime) -> Self {
-        events.sort_by_key(|e| e.time());
-        let mut online_time = vec![Duration::ZERO; n];
-        let mut up_since = vec![Some(SimTime::ZERO); n];
-        for &e in &events {
-            assert!(e.time() < horizon, "churn event beyond the horizon");
-            match e {
-                ChurnEvent::Down(t, p) => {
-                    let since = up_since[p.index()].expect("down event for a peer already down");
-                    online_time[p.index()] = online_time[p.index()] + (t - since);
-                    up_since[p.index()] = None;
-                }
-                ChurnEvent::Up(t, p) => {
-                    assert!(
-                        up_since[p.index()].is_none(),
-                        "up event for a peer already up"
-                    );
-                    up_since[p.index()] = Some(t);
-                }
-            }
-        }
-        for (i, since) in up_since.into_iter().enumerate() {
-            if let Some(t) = since {
-                online_time[i] = online_time[i] + (horizon - t);
-            }
-        }
-        ChurnSchedule {
-            events,
-            online_time,
-            horizon,
-        }
-    }
-
-    /// A schedule with no churn at all.
-    pub fn quiet(n: usize, horizon: SimTime) -> Self {
-        ChurnSchedule {
-            events: Vec::new(),
-            online_time: vec![horizon - SimTime::ZERO; n],
-            horizon,
-        }
-    }
-
     /// The time-ordered events.
     pub fn events(&self) -> &[ChurnEvent] {
         &self.events
     }
 
-    /// Total online time of `peer` within the horizon — the stability score
-    /// used for participant recruitment.
-    pub fn online_time(&self, peer: PeerId) -> Duration {
-        self.online_time[peer.index()]
-    }
-
-    /// The schedule's horizon.
-    pub fn horizon(&self) -> SimTime {
-        self.horizon
-    }
-
     /// Peers ranked most-stable-first (by total online time, ties by id).
-    pub fn stability_ranking(&self) -> Vec<PeerId> {
+    pub(crate) fn stability_ranking(&self) -> Vec<PeerId> {
         let mut ids: Vec<PeerId> = (0..self.online_time.len()).map(PeerId::new).collect();
         ids.sort_by(|&a, &b| {
             self.online_time[b.index()]
@@ -234,21 +172,6 @@ impl ChurnSchedule {
         let mut top: Vec<PeerId> = self.stability_ranking().into_iter().take(k).collect();
         top.sort_unstable();
         top
-    }
-
-    /// Installs every event into a DES world via the provided callbacks.
-    /// (Generic so it does not depend on the concrete protocol type.)
-    pub fn install(
-        &self,
-        mut kill: impl FnMut(SimTime, PeerId),
-        mut revive: impl FnMut(SimTime, PeerId),
-    ) {
-        for &e in &self.events {
-            match e {
-                ChurnEvent::Down(t, p) => kill(t, p),
-                ChurnEvent::Up(t, p) => revive(t, p),
-            }
-        }
     }
 
     /// Schedules every event directly into a [`World`](ifi_sim::World) as
@@ -331,18 +254,10 @@ mod tests {
         let horizon = SimTime::from_micros(500_000_000);
         let sched = ChurnSchedule::generate(50, model(), horizon, &mut rng());
         for i in 0..50 {
-            let ot = sched.online_time(PeerId::new(i));
+            let ot = sched.online_time[i];
             assert!(ot <= horizon - SimTime::ZERO);
             assert!(ot > Duration::ZERO, "everyone starts online");
         }
-    }
-
-    #[test]
-    fn quiet_schedule_is_fully_online() {
-        let horizon = SimTime::from_micros(1_000);
-        let s = ChurnSchedule::quiet(3, horizon);
-        assert!(s.events().is_empty());
-        assert_eq!(s.online_time(PeerId::new(2)), Duration::from_micros(1_000));
     }
 
     #[test]
@@ -351,11 +266,15 @@ mod tests {
             ChurnSchedule::generate(30, model(), SimTime::from_micros(2_000_000_000), &mut rng());
         let top = sched.most_stable(5);
         assert_eq!(top.len(), 5);
-        let worst_top = top.iter().map(|&p| sched.online_time(p)).min().unwrap();
+        let worst_top = top
+            .iter()
+            .map(|&p| sched.online_time[p.index()])
+            .min()
+            .unwrap();
         let rest_best = (0..30)
             .map(PeerId::new)
             .filter(|p| !top.contains(p))
-            .map(|p| sched.online_time(p))
+            .map(|p| sched.online_time[p.index()])
             .max()
             .unwrap();
         assert!(worst_top >= rest_best);
@@ -377,18 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn install_replays_all_events() {
-        let sched =
-            ChurnSchedule::generate(10, model(), SimTime::from_micros(800_000_000), &mut rng());
-        let mut downs = 0;
-        let mut ups = 0;
-        sched.install(|_, _| downs += 1, |_, _| ups += 1);
-        let total = sched.events().len();
-        assert_eq!(downs + ups, total);
-        assert!(downs >= ups, "cannot revive before going down");
-    }
-
-    #[test]
     fn weibull_sessions_sample_and_alternate() {
         let m = SessionModel::Weibull {
             scale: Duration::from_secs(60),
@@ -401,7 +308,7 @@ mod tests {
             "weibull churn produced no events"
         );
         for i in 0..25 {
-            assert!(sched.online_time(PeerId::new(i)) > Duration::ZERO);
+            assert!(sched.online_time[i] > Duration::ZERO);
         }
     }
 
@@ -418,7 +325,7 @@ mod tests {
             assert!(!shielded.contains(&p), "event for excluded peer {p}");
         }
         for p in shielded {
-            assert_eq!(filtered.online_time(p), horizon - SimTime::ZERO);
+            assert_eq!(filtered.online_time[p.index()], horizon - SimTime::ZERO);
         }
         // Everyone else keeps their original events and scores.
         let kept = |s: &ChurnSchedule| {
@@ -430,38 +337,7 @@ mod tests {
                 .count()
         };
         assert_eq!(kept(&sched), filtered.events().len());
-        assert_eq!(
-            sched.online_time(PeerId::new(3)),
-            filtered.online_time(PeerId::new(3))
-        );
-    }
-
-    #[test]
-    fn from_events_sorts_and_replays_online_time() {
-        let horizon = SimTime::from_micros(10_000);
-        let p = PeerId::new(1);
-        // Deliberately out of order; peer 1 is down for 2000us total.
-        let events = vec![
-            ChurnEvent::Up(SimTime::from_micros(5_000), p),
-            ChurnEvent::Down(SimTime::from_micros(3_000), p),
-        ];
-        let s = ChurnSchedule::from_events(3, events, horizon);
-        let ts: Vec<_> = s.events().iter().map(|e| e.time()).collect();
-        assert!(ts.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(s.online_time(p), Duration::from_micros(8_000));
-        assert_eq!(s.online_time(PeerId::new(0)), Duration::from_micros(10_000));
-        assert_eq!(s.horizon(), horizon);
-    }
-
-    #[test]
-    #[should_panic(expected = "already down")]
-    fn from_events_rejects_double_down() {
-        let p = PeerId::new(0);
-        let events = vec![
-            ChurnEvent::Down(SimTime::from_micros(1), p),
-            ChurnEvent::Down(SimTime::from_micros(2), p),
-        ];
-        let _ = ChurnSchedule::from_events(1, events, SimTime::from_micros(10));
+        assert_eq!(sched.online_time[3], filtered.online_time[3]);
     }
 
     #[test]

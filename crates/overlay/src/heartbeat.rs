@@ -157,16 +157,6 @@ impl HeartbeatTracker {
             .collect()
     }
 
-    /// The last depth advertised by `peer`, if any heartbeat arrived.
-    pub fn advertised_depth(&self, peer: PeerId) -> Option<u32> {
-        self.last.get(peer).and_then(|&(_, d)| d)
-    }
-
-    /// Tracked neighbors (sorted).
-    pub fn tracked(&self) -> Vec<PeerId> {
-        self.last.keys().collect()
-    }
-
     /// Peak number of neighbors ever tracked — arena occupancy for the perf
     /// benches' state-layout counters.
     pub fn tracked_high_water(&self) -> usize {
@@ -234,14 +224,14 @@ mod tests {
             hb.status(PeerId::new(1), t(1100)),
             NeighborStatus::Alive(Some(7))
         );
-        assert_eq!(hb.advertised_depth(PeerId::new(1)), Some(7));
+        assert_eq!(hb.last.get(PeerId::new(1)).and_then(|&(_, d)| d), Some(7));
     }
 
     #[test]
     fn unknown_sender_becomes_tracked() {
         let mut hb = tracker();
         hb.on_heartbeat(PeerId::new(9), 4, t(50));
-        assert!(hb.tracked().contains(&PeerId::new(9)));
+        assert!(hb.last.keys().any(|p| p == PeerId::new(9)));
         assert_eq!(
             hb.status(PeerId::new(9), t(60)),
             NeighborStatus::Alive(Some(4))
@@ -272,7 +262,7 @@ mod tests {
     fn forget_removes_neighbor() {
         let mut hb = tracker();
         hb.forget(PeerId::new(2));
-        assert_eq!(hb.tracked(), vec![PeerId::new(1)]);
+        assert!(hb.last.keys().eq([PeerId::new(1)]));
     }
 
     #[test]
@@ -296,7 +286,7 @@ mod tests {
             NeighborStatus::Alive(Some(3)),
             "a late heartbeat re-registers the departed peer"
         );
-        assert!(hb.tracked().contains(&PeerId::new(2)));
+        assert!(hb.last.keys().any(|p| p == PeerId::new(2)));
     }
 
     #[test]

@@ -1,29 +1,24 @@
 //! # ifi-overlay — unstructured P2P overlay substrate
 //!
 //! The netFilter paper assumes "peers form an unstructured P2P system where
-//! no global index structure is maintained" (§I) and recruits the more
-//! stable peers to participate in the aggregation hierarchy (§III-A). This
-//! crate provides that substrate:
+//! no global index structure is maintained" (§I). This crate provides that
+//! substrate:
 //!
-//! * [`Topology`] — undirected overlay graphs with the standard generators
-//!   (random-regular, Erdős–Rényi G(n,m), Watts–Strogatz small-world, plus
-//!   deterministic shapes for tests) and graph queries (BFS layers,
-//!   connectivity, eccentricity estimates),
+//! * [`Topology`] — undirected overlay graphs: random-regular, plus
+//!   deterministic shapes for tests, and graph queries (BFS layers,
+//!   eccentricity),
 //! * [`churn`] — session-length models and churn schedules
 //!   (join/leave/failure event streams for the DES),
-//! * [`Overlay`] — the full membership view: which peers are *stable*
-//!   (netFilter participants), and how every non-participant attaches to a
-//!   participant that aggregates on its behalf,
 //! * [`HeartbeatTracker`] — the periodic heartbeat bookkeeping (with the
 //!   paper's `DEPTH` counter) that hierarchy repair builds on (§III-A.3).
 //!
 //! ```
 //! use ifi_overlay::Topology;
-//! use ifi_sim::DetRng;
+//! use ifi_sim::{DetRng, PeerId};
 //!
 //! let mut rng = DetRng::new(42);
 //! let topo = Topology::random_regular(100, 4, &mut rng);
-//! assert!(topo.is_connected());
+//! assert!(topo.bfs_depths(PeerId::new(0)).iter().all(Option::is_some));
 //! assert!(topo.peers().all(|p| topo.degree(p) >= 3));
 //! ```
 
@@ -32,10 +27,8 @@
 
 pub mod churn;
 mod heartbeat;
-mod overlay;
 pub mod search;
 mod topology;
 
 pub use heartbeat::{HeartbeatConfig, HeartbeatTracker, NeighborStatus};
-pub use overlay::{Overlay, StableSelection};
 pub use topology::Topology;

@@ -4,12 +4,10 @@
 //! "collaborate with each other to perform various tasks including
 //! routing, indexing, and searching" (§I), and several Table I
 //! applications ("frequent keywords", "popular peers") count events that
-//! query traffic generates. This module provides the two classic blind
-//! search primitives of such systems — TTL-bounded **flooding** and
-//! bounded **random walks** — with message accounting, so workloads and
-//! examples can model realistic query traffic and its cost.
-
-use std::collections::VecDeque;
+//! query traffic generates. This module provides the classic blind
+//! search primitive of such systems, the bounded **random walk**, with
+//! message accounting, so workloads can model realistic query traffic and
+//! its cost.
 
 use ifi_sim::{DetRng, PeerId};
 
@@ -21,64 +19,17 @@ pub struct SearchOutcome {
     /// Distinct holders discovered, sorted by peer id.
     pub found: Vec<PeerId>,
     /// Overlay messages spent.
-    pub messages: u64,
+    pub(crate) messages: u64,
     /// Hops from the origin to the first holder discovered, if any
     /// (0 when the origin itself holds the object).
-    pub hops_to_first: Option<u32>,
-}
-
-/// TTL-bounded flooding from `origin`: every peer forwards the query to
-/// all neighbors until the TTL expires; `holds` marks object holders.
-///
-/// Finds **every** holder within `ttl` hops, at a message cost that grows
-/// with the neighborhood size — the classic Gnutella trade-off.
-pub fn flood(
-    topology: &Topology,
-    origin: PeerId,
-    ttl: u32,
-    holds: impl Fn(PeerId) -> bool,
-) -> SearchOutcome {
-    let n = topology.peer_count();
-    let mut depth: Vec<Option<u32>> = vec![None; n];
-    depth[origin.index()] = Some(0);
-    let mut queue = VecDeque::from([origin]);
-    let mut messages = 0u64;
-    let mut found = Vec::new();
-    let mut hops_to_first = None;
-
-    while let Some(u) = queue.pop_front() {
-        let du = depth[u.index()].expect("queued peers have depth");
-        if holds(u) {
-            found.push(u);
-            hops_to_first.get_or_insert(du);
-        }
-        if du == ttl {
-            continue;
-        }
-        for &v in topology.neighbors(u) {
-            // Every forwarded copy is a message, even to peers that have
-            // already seen the query (they discard duplicates).
-            messages += 1;
-            if depth[v.index()].is_none() {
-                depth[v.index()] = Some(du + 1);
-                queue.push_back(v);
-            }
-        }
-    }
-    found.sort_unstable();
-    SearchOutcome {
-        found,
-        messages,
-        hops_to_first,
-    }
+    pub(crate) hops_to_first: Option<u32>,
 }
 
 /// `walkers` independent random walks of at most `max_steps` hops each,
 /// stopping early once any walker finds a holder.
 ///
 /// Finds *a* holder (probabilistically) at a message cost bounded by
-/// `walkers · max_steps`, independent of node degrees — the standard
-/// low-overhead alternative to flooding for popular objects.
+/// `walkers · max_steps`, independent of node degrees.
 pub fn random_walk(
     topology: &Topology,
     origin: PeerId,
@@ -130,37 +81,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn flood_finds_all_holders_within_ttl() {
-        // Line of 10; holders at 2 and 7; origin 0.
-        let topo = Topology::line(10);
-        let holders = [PeerId::new(2), PeerId::new(7)];
-        let out = flood(&topo, PeerId::new(0), 7, |p| holders.contains(&p));
-        assert_eq!(out.found, holders);
-        assert_eq!(out.hops_to_first, Some(2));
-
-        // TTL 5 misses the holder at distance 7.
-        let out = flood(&topo, PeerId::new(0), 5, |p| holders.contains(&p));
-        assert_eq!(out.found, vec![PeerId::new(2)]);
-    }
-
-    #[test]
-    fn flood_message_count_scales_with_neighborhood() {
-        let mut rng = DetRng::new(1);
-        let topo = Topology::random_regular(200, 4, &mut rng);
-        let shallow = flood(&topo, PeerId::new(0), 1, |_| false);
-        let deep = flood(&topo, PeerId::new(0), 4, |_| false);
-        assert!(deep.messages > 5 * shallow.messages);
-        assert_eq!(shallow.messages, topo.degree(PeerId::new(0)) as u64);
-    }
-
-    #[test]
     fn origin_holding_costs_nothing() {
         let topo = Topology::ring(5);
-        let out = flood(&topo, PeerId::new(3), 0, |p| p == PeerId::new(3));
-        assert_eq!(out.found, vec![PeerId::new(3)]);
-        assert_eq!(out.hops_to_first, Some(0));
-        assert_eq!(out.messages, 0);
-
         let out = random_walk(
             &topo,
             PeerId::new(3),
@@ -169,34 +91,25 @@ mod tests {
             |p| p == PeerId::new(3),
             &mut DetRng::new(2),
         );
+        assert_eq!(out.found, vec![PeerId::new(3)]);
         assert_eq!(out.messages, 0);
         assert_eq!(out.hops_to_first, Some(0));
     }
 
     #[test]
     fn random_walk_usually_finds_popular_objects_cheaply() {
-        // 10% of peers hold the object; a few short walks find it with far
-        // fewer messages than a deep flood.
+        // 10% of peers hold the object; a few short walks find it.
         let mut rng = DetRng::new(3);
         let topo = Topology::random_regular(300, 4, &mut rng);
         let holds = |p: PeerId| p.index() % 10 == 1;
         let mut successes = 0;
-        let mut walk_msgs = 0u64;
         for seed in 0..20 {
             let out = random_walk(&topo, PeerId::new(0), 4, 32, holds, &mut DetRng::new(seed));
-            walk_msgs += out.messages;
             if !out.found.is_empty() {
                 successes += 1;
             }
         }
         assert!(successes >= 17, "only {successes}/20 walks succeeded");
-        let flood_msgs = flood(&topo, PeerId::new(0), 5, holds).messages;
-        assert!(
-            walk_msgs / 20 < flood_msgs,
-            "avg walk {} !< flood {}",
-            walk_msgs / 20,
-            flood_msgs
-        );
     }
 
     #[test]
@@ -206,33 +119,5 @@ mod tests {
         assert!(out.found.is_empty());
         assert_eq!(out.messages, 3 * 8);
         assert_eq!(out.hops_to_first, None);
-    }
-
-    #[test]
-    fn rare_object_flood_vs_walk_tradeoff() {
-        // One holder in 300 peers: flooding always finds it; a small walk
-        // budget often does not — the coverage/cost trade-off.
-        let mut rng = DetRng::new(5);
-        let topo = Topology::random_regular(300, 4, &mut rng);
-        let holder = PeerId::new(250);
-        let out = flood(&topo, PeerId::new(0), 10, |p| p == holder);
-        assert_eq!(out.found, vec![holder]);
-        let mut hits = 0;
-        for seed in 0..10 {
-            if !random_walk(
-                &topo,
-                PeerId::new(0),
-                2,
-                16,
-                |p| p == holder,
-                &mut DetRng::new(seed),
-            )
-            .found
-            .is_empty()
-            {
-                hits += 1;
-            }
-        }
-        assert!(hits < 10, "a tiny walk budget should not be reliable");
     }
 }

@@ -52,22 +52,6 @@ impl Topology {
         t
     }
 
-    /// A complete `b`-ary tree laid out in breadth-first order: peer `i`'s
-    /// parent is `(i-1)/b`. This mirrors the paper's evaluation parameter
-    /// "number of downstream neighbors per peer `b`" (Table III, `b = 3`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b == 0`.
-    pub fn balanced_tree(n: usize, b: usize) -> Self {
-        assert!(b > 0, "balanced_tree requires b > 0");
-        let mut t = Topology::empty(n);
-        for i in 1..n {
-            t.add_edge(PeerId::new((i - 1) / b), PeerId::new(i));
-        }
-        t
-    }
-
     /// A `rows × cols` grid in row-major order: peer `r·cols + c` links to
     /// its 4-neighborhood. Deterministic; the schedule-exploration harness
     /// uses small grids because they maximize same-time delivery ties
@@ -135,122 +119,6 @@ impl Topology {
         t
     }
 
-    /// Erdős–Rényi `G(n, m)`: `m` distinct edges chosen uniformly, then
-    /// patched to be connected.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` exceeds the number of possible edges.
-    pub fn gnm(n: usize, m: usize, rng: &mut DetRng) -> Self {
-        let max_edges = n * n.saturating_sub(1) / 2;
-        assert!(m <= max_edges, "gnm: m = {m} exceeds max {max_edges}");
-        let mut t = Topology::empty(n);
-        let mut placed = 0;
-        let mut guard = 0u64;
-        while placed < m {
-            guard += 1;
-            assert!(
-                guard < 200 * (m as u64 + 16),
-                "gnm: too many rejections (graph nearly complete?)"
-            );
-            let a = rng.below(n as u64) as usize;
-            let b = rng.below(n as u64) as usize;
-            if a != b && t.add_edge(PeerId::new(a), PeerId::new(b)) {
-                placed += 1;
-            }
-        }
-        t.connect_components(rng);
-        t
-    }
-
-    /// Barabási–Albert preferential attachment: peers join one at a time
-    /// and wire to `m` existing peers with probability proportional to
-    /// degree, yielding the power-law degree distribution measured in
-    /// deployed unstructured P2P systems (Gnutella-style overlays).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m == 0` or `n <= m`.
-    pub fn barabasi_albert(n: usize, m: usize, rng: &mut DetRng) -> Self {
-        assert!(m > 0, "barabasi_albert requires m > 0");
-        assert!(n > m, "barabasi_albert requires n > m");
-        let mut t = Topology::empty(n);
-        // Seed clique of m+1 peers.
-        for a in 0..=m {
-            for b in (a + 1)..=m {
-                t.add_edge(PeerId::new(a), PeerId::new(b));
-            }
-        }
-        // Degree-proportional sampling via the repeated-endpoints trick:
-        // every edge endpoint appears once in `endpoints`.
-        let mut endpoints: Vec<usize> = Vec::with_capacity(2 * n * m);
-        for a in 0..=m {
-            for _ in 0..m {
-                endpoints.push(a);
-            }
-        }
-        for i in (m + 1)..n {
-            let mut targets = Vec::with_capacity(m);
-            let mut guard = 0;
-            while targets.len() < m && guard < 64 * m {
-                let pick = endpoints[rng.below(endpoints.len() as u64) as usize];
-                if pick != i && !targets.contains(&pick) {
-                    targets.push(pick);
-                }
-                guard += 1;
-            }
-            // Fallback for pathological rejection streaks.
-            let mut probe = 0usize;
-            while targets.len() < m {
-                if probe != i && !targets.contains(&probe) {
-                    targets.push(probe);
-                }
-                probe += 1;
-            }
-            for &tgt in &targets {
-                t.add_edge(PeerId::new(i), PeerId::new(tgt));
-                endpoints.push(i);
-                endpoints.push(tgt);
-            }
-        }
-        t
-    }
-
-    /// Watts–Strogatz small-world: ring lattice where each peer connects to
-    /// its `k/2` nearest neighbors on each side, each edge rewired with
-    /// probability `beta`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is odd, zero, or `>= n`, or `beta ∉ [0, 1]`.
-    pub fn small_world(n: usize, k: usize, beta: f64, rng: &mut DetRng) -> Self {
-        assert!(k > 0 && k.is_multiple_of(2) && k < n, "small_world: bad k");
-        assert!(
-            (0.0..=1.0).contains(&beta),
-            "small_world: beta out of range"
-        );
-        let mut t = Topology::empty(n);
-        for i in 0..n {
-            for j in 1..=(k / 2) {
-                let a = PeerId::new(i);
-                let mut b = PeerId::new((i + j) % n);
-                if beta > 0.0 && rng.chance(beta) {
-                    // Rewire to a uniform random non-neighbor.
-                    for _ in 0..32 {
-                        let cand = PeerId::new(rng.below(n as u64) as usize);
-                        if cand != a && !t.has_edge(a, cand) {
-                            b = cand;
-                            break;
-                        }
-                    }
-                }
-                t.add_edge(a, b);
-            }
-        }
-        t.connect_components(rng);
-        t
-    }
-
     /// Number of peers.
     pub fn peer_count(&self) -> usize {
         self.adj.len()
@@ -283,7 +151,7 @@ impl Topology {
 
     /// Adds the undirected edge `{a, b}`. Returns `false` if it already
     /// existed (or `a == b`), `true` if newly added.
-    pub fn add_edge(&mut self, a: PeerId, b: PeerId) -> bool {
+    pub(crate) fn add_edge(&mut self, a: PeerId, b: PeerId) -> bool {
         if a == b || self.has_edge(a, b) {
             return false;
         }
@@ -294,45 +162,17 @@ impl Topology {
         true
     }
 
-    /// Removes the undirected edge `{a, b}` if present; returns whether it
-    /// was removed.
-    pub fn remove_edge(&mut self, a: PeerId, b: PeerId) -> bool {
-        let Ok(ai) = self.adj[a.index()].binary_search(&b) else {
-            return false;
-        };
-        self.adj[a.index()].remove(ai);
-        let bi = self.adj[b.index()]
-            .binary_search(&a)
-            .expect("asymmetric adjacency");
-        self.adj[b.index()].remove(bi);
-        true
-    }
-
     /// BFS hop distance from `root` to every peer (`None` = unreachable).
     /// This is exactly the paper's `d(i)` — "the length of the shortest
     /// path in terms of logical hops from the root" (§III-A.1).
     pub fn bfs_depths(&self, root: PeerId) -> Vec<Option<u32>> {
-        self.bfs_depths_filtered(root, |_| true)
-    }
-
-    /// BFS depths restricted to peers satisfying `include` (used to build
-    /// hierarchies over the *stable* subset only). `root` must satisfy
-    /// `include` itself.
-    pub fn bfs_depths_filtered(
-        &self,
-        root: PeerId,
-        include: impl Fn(PeerId) -> bool,
-    ) -> Vec<Option<u32>> {
         let mut depth = vec![None; self.adj.len()];
-        if !include(root) {
-            return depth;
-        }
         depth[root.index()] = Some(0);
         let mut q = VecDeque::from([root]);
         while let Some(u) = q.pop_front() {
             let du = depth[u.index()].expect("queued peer must have a depth");
             for &v in self.neighbors(u) {
-                if include(v) && depth[v.index()].is_none() {
+                if depth[v.index()].is_none() {
                     depth[v.index()] = Some(du + 1);
                     q.push_back(v);
                 }
@@ -341,17 +181,9 @@ impl Topology {
         depth
     }
 
-    /// Whether the graph is connected (vacuously true for `n ≤ 1`).
-    pub fn is_connected(&self) -> bool {
-        if self.adj.len() <= 1 {
-            return true;
-        }
-        self.bfs_depths(PeerId::new(0)).iter().all(Option::is_some)
-    }
-
     /// Connected components as lists of peers (each sorted; components
     /// ordered by smallest member).
-    pub fn components(&self) -> Vec<Vec<PeerId>> {
+    pub(crate) fn components(&self) -> Vec<Vec<PeerId>> {
         let n = self.adj.len();
         let mut seen = vec![false; n];
         let mut comps = Vec::new();
@@ -379,7 +211,7 @@ impl Topology {
 
     /// Joins all components by adding one random edge between consecutive
     /// components. No-op when already connected.
-    pub fn connect_components(&mut self, rng: &mut DetRng) {
+    pub(crate) fn connect_components(&mut self, rng: &mut DetRng) {
         let comps = self.components();
         for w in comps.windows(2) {
             let a = w[0][rng.below(w[0].len() as u64) as usize];
@@ -396,37 +228,6 @@ impl Topology {
             .max()
             .unwrap_or(0)
     }
-
-    /// Lower-bound estimate of the diameter from `samples` random BFS runs.
-    pub fn diameter_estimate(&self, samples: usize, rng: &mut DetRng) -> u32 {
-        let n = self.adj.len();
-        if n == 0 {
-            return 0;
-        }
-        (0..samples)
-            .map(|_| self.eccentricity(PeerId::new(rng.below(n as u64) as usize)))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Asserts internal invariants (sorted, symmetric, simple). Cheap
-    /// enough to run in tests after every mutation burst.
-    pub fn check_invariants(&self) {
-        for (i, nbrs) in self.adj.iter().enumerate() {
-            let p = PeerId::new(i);
-            assert!(
-                nbrs.windows(2).all(|w| w[0] < w[1]),
-                "adjacency of {p} not sorted/unique"
-            );
-            for &q in nbrs {
-                assert_ne!(q, p, "self-loop at {p}");
-                assert!(
-                    self.adj[q.index()].binary_search(&p).is_ok(),
-                    "edge {p}-{q} not symmetric"
-                );
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -435,6 +236,33 @@ mod tests {
 
     fn rng() -> DetRng {
         DetRng::new(0xDEAD_BEEF)
+    }
+
+    /// Whether the graph is connected (vacuously true for `n ≤ 1`).
+    fn is_connected(t: &Topology) -> bool {
+        if t.adj.len() <= 1 {
+            return true;
+        }
+        t.bfs_depths(PeerId::new(0)).iter().all(Option::is_some)
+    }
+
+    /// Asserts internal invariants (sorted, symmetric, simple). Cheap
+    /// enough to run in tests after every mutation burst.
+    fn check_invariants(t: &Topology) {
+        for (i, nbrs) in t.adj.iter().enumerate() {
+            let p = PeerId::new(i);
+            assert!(
+                nbrs.windows(2).all(|w| w[0] < w[1]),
+                "adjacency of {p} not sorted/unique"
+            );
+            for &q in nbrs {
+                assert_ne!(q, p, "self-loop at {p}");
+                assert!(
+                    t.adj[q.index()].binary_search(&p).is_ok(),
+                    "edge {p}-{q} not symmetric"
+                );
+            }
+        }
     }
 
     #[test]
@@ -450,7 +278,7 @@ mod tests {
 
         let star = Topology::star(5);
         assert_eq!(star.degree(PeerId::new(0)), 4);
-        assert!(star.is_connected());
+        assert!(is_connected(&star));
     }
 
     #[test]
@@ -463,34 +291,21 @@ mod tests {
         assert_eq!(g.degree(PeerId::new(0)), 2);
         assert_eq!(g.degree(PeerId::new(1)), 3);
         assert_eq!(g.degree(PeerId::new(5)), 4);
-        assert!(g.is_connected());
-        g.check_invariants();
+        assert!(is_connected(&g));
+        check_invariants(&g);
         // Degenerate 1×n grid is the line.
         assert_eq!(Topology::grid(1, 6), Topology::line(6));
     }
 
     #[test]
-    fn balanced_tree_parenting() {
-        let t = Topology::balanced_tree(13, 3);
-        assert_eq!(t.edge_count(), 12);
-        // Peer 4's parent is (4-1)/3 = 1.
-        assert!(t.has_edge(PeerId::new(4), PeerId::new(1)));
-        assert!(t.is_connected());
-        // Root has exactly b children.
-        assert_eq!(t.degree(PeerId::new(0)), 3);
-    }
-
-    #[test]
-    fn add_remove_edge_round_trip() {
+    fn add_edge_rejects_duplicates_and_self_loops() {
         let mut t = Topology::empty(3);
         assert!(t.add_edge(PeerId::new(0), PeerId::new(2)));
         assert!(!t.add_edge(PeerId::new(2), PeerId::new(0)), "duplicate");
         assert!(!t.add_edge(PeerId::new(1), PeerId::new(1)), "self-loop");
         assert!(t.has_edge(PeerId::new(0), PeerId::new(2)));
-        assert!(t.remove_edge(PeerId::new(0), PeerId::new(2)));
-        assert!(!t.remove_edge(PeerId::new(0), PeerId::new(2)));
-        assert_eq!(t.edge_count(), 0);
-        t.check_invariants();
+        assert_eq!(t.edge_count(), 1);
+        check_invariants(&t);
     }
 
     #[test]
@@ -498,8 +313,8 @@ mod tests {
         let mut r = rng();
         for &(n, d) in &[(50usize, 4usize), (200, 3), (1000, 4)] {
             let t = Topology::random_regular(n, d, &mut r);
-            t.check_invariants();
-            assert!(t.is_connected(), "n={n} d={d} disconnected");
+            check_invariants(&t);
+            assert!(is_connected(&t), "n={n} d={d} disconnected");
             let min_deg = t.peers().map(|p| t.degree(p)).min().unwrap();
             assert!(min_deg >= 1, "isolated peer in n={n} d={d}");
             let avg: f64 = t.peers().map(|p| t.degree(p)).sum::<usize>() as f64 / n as f64;
@@ -508,52 +323,6 @@ mod tests {
                 "avg degree {avg} far from {d}"
             );
         }
-    }
-
-    #[test]
-    fn gnm_has_exactly_m_edges_before_patching() {
-        let mut r = rng();
-        let t = Topology::gnm(100, 300, &mut r);
-        t.check_invariants();
-        assert!(t.edge_count() >= 300);
-        assert!(t.is_connected());
-    }
-
-    #[test]
-    fn small_world_variants() {
-        let mut r = rng();
-        for &beta in &[0.0, 0.1, 1.0] {
-            let t = Topology::small_world(60, 4, beta, &mut r);
-            t.check_invariants();
-            assert!(t.is_connected(), "beta={beta}");
-        }
-        // beta = 0 is exactly the ring lattice.
-        let t = Topology::small_world(10, 2, 0.0, &mut r);
-        assert_eq!(t.edge_count(), 10);
-    }
-
-    #[test]
-    fn barabasi_albert_is_connected_with_heavy_tail() {
-        let mut r = rng();
-        let t = Topology::barabasi_albert(500, 3, &mut r);
-        t.check_invariants();
-        assert!(t.is_connected(), "BA graphs grow connected by construction");
-        // Edge count: seed clique C(4,2)=6 plus ~3 per arrival.
-        assert!(t.edge_count() >= 6 + (500 - 4) * 3 - 50);
-        // Heavy tail: the max degree dwarfs the minimum (hubs exist).
-        let max_deg = t.peers().map(|p| t.degree(p)).max().unwrap();
-        let min_deg = t.peers().map(|p| t.degree(p)).min().unwrap();
-        assert!(min_deg >= 3);
-        assert!(
-            max_deg >= 8 * min_deg,
-            "no hubs: max {max_deg}, min {min_deg}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "requires n > m")]
-    fn barabasi_albert_rejects_tiny_n() {
-        let _ = Topology::barabasi_albert(3, 3, &mut rng());
     }
 
     #[test]
@@ -566,17 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_filtered_excludes_peers() {
-        // 0-1-2-3 with 1 excluded: 2 and 3 unreachable from 0.
-        let t = Topology::line(4);
-        let d = t.bfs_depths_filtered(PeerId::new(0), |p| p.index() != 1);
-        assert_eq!(d, vec![Some(0), None, None, None]);
-        // Excluded root reaches nothing.
-        let d = t.bfs_depths_filtered(PeerId::new(0), |p| p.index() != 0);
-        assert!(d.iter().all(Option::is_none));
-    }
-
-    #[test]
     fn components_and_connect() {
         let mut t = Topology::empty(6);
         t.add_edge(PeerId::new(0), PeerId::new(1));
@@ -584,34 +342,20 @@ mod tests {
         assert_eq!(t.components().len(), 4); // {0,1},{2,3},{4},{5}
         let mut r = rng();
         t.connect_components(&mut r);
-        assert!(t.is_connected());
-        t.check_invariants();
-    }
-
-    #[test]
-    fn diameter_estimate_on_ring() {
-        let t = Topology::ring(10);
-        let mut r = rng();
-        assert_eq!(t.diameter_estimate(5, &mut r), 5);
+        assert!(is_connected(&t));
+        check_invariants(&t);
     }
 
     #[test]
     fn empty_and_tiny_graphs() {
-        assert!(Topology::empty(0).is_connected());
-        assert!(Topology::empty(1).is_connected());
-        assert!(!Topology::empty(2).is_connected());
-        assert_eq!(Topology::empty(0).diameter_estimate(3, &mut rng()), 0);
+        assert!(is_connected(&Topology::empty(0)));
+        assert!(is_connected(&Topology::empty(1)));
+        assert!(!is_connected(&Topology::empty(2)));
     }
 
     #[test]
     #[should_panic(expected = "ring requires")]
     fn ring_too_small_panics() {
         let _ = Topology::ring(2);
-    }
-
-    #[test]
-    #[should_panic(expected = "bad k")]
-    fn small_world_odd_k_panics() {
-        let _ = Topology::small_world(10, 3, 0.1, &mut rng());
     }
 }

@@ -15,7 +15,7 @@
 //! cover the *sparse, small* per-peer maps where a dense `Vec<Option<_>>`
 //! would cost O(N) per peer — O(N²) overall.
 //!
-//! Both containers track a **high-water mark** of their occupancy, which
+//! [`PeerMap`] tracks a **high-water mark** of its occupancy, which
 //! the perf benches surface through report counters so state-layout bloat
 //! trips the baseline gate like any op-count drift.
 
@@ -37,14 +37,6 @@ impl<V> PeerMap<V> {
     pub fn new() -> Self {
         PeerMap {
             entries: Vec::new(),
-            high_water: 0,
-        }
-    }
-
-    /// Creates an empty map with room for `cap` entries.
-    pub fn with_capacity(cap: usize) -> Self {
-        PeerMap {
-            entries: Vec::with_capacity(cap),
             high_water: 0,
         }
     }
@@ -78,19 +70,6 @@ impl<V> PeerMap<V> {
         self.pos(peer).ok().map(|i| &self.entries[i].1)
     }
 
-    /// Mutable access to the value for `peer`, if present.
-    pub fn get_mut(&mut self, peer: PeerId) -> Option<&mut V> {
-        match self.pos(peer) {
-            Ok(i) => Some(&mut self.entries[i].1),
-            Err(_) => None,
-        }
-    }
-
-    /// Whether `peer` has an entry.
-    pub fn contains_key(&self, peer: PeerId) -> bool {
-        self.pos(peer).is_ok()
-    }
-
     /// Inserts or replaces the value for `peer`; returns the old value.
     pub fn insert(&mut self, peer: PeerId, value: V) -> Option<V> {
         match self.pos(peer) {
@@ -112,7 +91,7 @@ impl<V> PeerMap<V> {
     }
 
     /// The value for `peer`, inserting a default first if absent.
-    pub fn entry_or_default(&mut self, peer: PeerId) -> &mut V
+    pub(crate) fn entry_or_default(&mut self, peer: PeerId) -> &mut V
     where
         V: Default,
     {
@@ -130,11 +109,6 @@ impl<V> PeerMap<V> {
     /// Keeps only the entries for which `f` returns `true`.
     pub fn retain(&mut self, mut f: impl FnMut(PeerId, &mut V) -> bool) {
         self.entries.retain_mut(|(p, v)| f(*p, v));
-    }
-
-    /// Entries in ascending peer order.
-    pub fn iter(&self) -> impl Iterator<Item = (PeerId, &V)> {
-        self.entries.iter().map(|(p, v)| (*p, v))
     }
 
     /// Keys in ascending order.
@@ -173,7 +147,6 @@ impl<V> Extend<(PeerId, V)> for PeerMap<V> {
 #[derive(Debug, Clone, Default)]
 pub struct PeerSet {
     members: Vec<PeerId>,
-    high_water: usize,
 }
 
 impl PeerSet {
@@ -181,7 +154,6 @@ impl PeerSet {
     pub fn new() -> Self {
         PeerSet {
             members: Vec::new(),
-            high_water: 0,
         }
     }
 
@@ -195,12 +167,7 @@ impl PeerSet {
         self.members.is_empty()
     }
 
-    /// The most members this set has ever held.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// Removes every member (the high-water mark is retained).
+    /// Removes every member.
     pub fn clear(&mut self) {
         self.members.clear();
     }
@@ -216,20 +183,8 @@ impl PeerSet {
             Ok(_) => false,
             Err(i) => {
                 self.members.insert(i, peer);
-                self.high_water = self.high_water.max(self.members.len());
                 true
             }
-        }
-    }
-
-    /// Removes `peer`; returns `true` if it was a member.
-    pub fn remove(&mut self, peer: PeerId) -> bool {
-        match self.members.binary_search(&peer) {
-            Ok(i) => {
-                self.members.remove(i);
-                true
-            }
-            Err(_) => false,
         }
     }
 
@@ -272,7 +227,6 @@ mod tests {
         assert_eq!(m.insert(p(3), 31), Some(30), "replace returns the old");
         assert_eq!(m.get(p(3)), Some(&31));
         assert_eq!(m.get(p(2)), None);
-        assert!(m.contains_key(p(1)));
         assert_eq!(m.remove(p(1)), Some(10));
         assert_eq!(m.remove(p(1)), None);
         assert_eq!(m.len(), 1);
@@ -286,8 +240,6 @@ mod tests {
         }
         let keys: Vec<usize> = m.keys().map(|k| k.index()).collect();
         assert_eq!(keys, vec![0, 2, 5, 9], "BTreeMap-compatible order");
-        let from_iter: Vec<usize> = m.iter().map(|(k, _)| k.index()).collect();
-        assert_eq!(from_iter, keys);
     }
 
     #[test]
@@ -296,12 +248,10 @@ mod tests {
         m.entry_or_default(p(4)).push(1);
         m.entry_or_default(p(4)).push(2);
         assert_eq!(m.get(p(4)), Some(&vec![1, 2]));
-        *m.get_mut(p(4)).unwrap() = vec![9];
-        assert_eq!(m.get(p(4)), Some(&vec![9]));
         for v in m.values_mut() {
             v.push(7);
         }
-        assert_eq!(m.values().next(), Some(&vec![9, 7]));
+        assert_eq!(m.values().next(), Some(&vec![1, 2, 7]));
     }
 
     #[test]
@@ -311,13 +261,17 @@ mod tests {
             *v += 1;
             peer.index() % 2 == 0
         });
-        let got: Vec<(usize, u32)> = m.iter().map(|(k, &v)| (k.index(), v)).collect();
+        let got: Vec<(usize, u32)> = m
+            .keys()
+            .map(|k| k.index())
+            .zip(m.values().copied())
+            .collect();
         assert_eq!(got, vec![(0, 1), (2, 3), (4, 5)]);
     }
 
     #[test]
     fn map_high_water_survives_clear_and_removals() {
-        let mut m: PeerMap<u8> = PeerMap::with_capacity(8);
+        let mut m: PeerMap<u8> = PeerMap::new();
         for i in 0..5 {
             m.insert(p(i), 0);
         }
@@ -330,7 +284,7 @@ mod tests {
     }
 
     #[test]
-    fn set_insert_contains_remove() {
+    fn set_insert_and_contains() {
         let mut s = PeerSet::new();
         assert!(s.insert(p(7)));
         assert!(!s.insert(p(7)), "duplicate insert reports false");
@@ -339,17 +293,14 @@ mod tests {
         assert!(!s.contains(p(3)));
         let got: Vec<usize> = s.iter().map(|q| q.index()).collect();
         assert_eq!(got, vec![2, 7], "ascending iteration");
-        assert!(s.remove(p(2)));
-        assert!(!s.remove(p(2)));
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.len(), 2);
     }
 
     #[test]
-    fn set_high_water_and_collect() {
+    fn set_collects_distinct_members() {
         let mut s: PeerSet = [p(3), p(1), p(3), p(8)].into_iter().collect();
         assert_eq!(s.len(), 3);
         s.clear();
         assert!(s.is_empty());
-        assert_eq!(s.high_water(), 3);
     }
 }

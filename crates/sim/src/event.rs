@@ -66,9 +66,9 @@ pub(crate) enum EventKind<M, T> {
 /// fire in scheduling order — this is what makes runs deterministic.
 #[derive(Debug)]
 pub(crate) struct Event<M, T> {
-    pub time: SimTime,
-    pub seq: u64,
-    pub kind: EventKind<M, T>,
+    pub(crate) time: SimTime,
+    pub(crate) seq: u64,
+    pub(crate) kind: EventKind<M, T>,
 }
 
 impl<M, T> PartialEq for Event<M, T> {
@@ -295,7 +295,7 @@ pub(crate) struct EventQueue<M, T> {
 }
 
 impl<M, T> EventQueue<M, T> {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue {
             lanes: std::array::from_fn(|_| VecDeque::new()),
             heap: BinaryHeap::new(),
@@ -310,17 +310,17 @@ impl<M, T> EventQueue<M, T> {
     /// caller that knows its burst allocates the ring once, at that size,
     /// instead of doubling (and copying) its way up to the next power of
     /// two.
-    pub fn reserve(&mut self, additional: usize) {
+    pub(crate) fn reserve(&mut self, additional: usize) {
         self.lanes[0].reserve(additional);
     }
 
     /// Slots allocated in the first lane.
     #[cfg(test)]
-    pub fn lane_capacity(&self) -> usize {
+    pub(crate) fn lane_capacity(&self) -> usize {
         self.lanes[0].capacity()
     }
 
-    pub fn push(&mut self, time: SimTime, kind: EventKind<M, T>) -> u64 {
+    pub(crate) fn push(&mut self, time: SimTime, kind: EventKind<M, T>) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         let ev = Event { time, seq, kind };
@@ -365,7 +365,7 @@ impl<M, T> EventQueue<M, T> {
         best.map(|(src, t, _)| (src, t))
     }
 
-    pub fn pop(&mut self) -> Option<Event<M, T>> {
+    pub(crate) fn pop(&mut self) -> Option<Event<M, T>> {
         let (src, _) = self.earliest()?;
         match src {
             Source::Lane(i) => self.lanes[i].pop_front(),
@@ -382,32 +382,32 @@ impl<M, T> EventQueue<M, T> {
     /// always take the heap path: an old `seq` behind a lane's back would
     /// break that lane's order, and the time may lie behind the wheel
     /// cursor. The pop-side merge keeps the order correct either way.
-    pub fn reinsert(&mut self, ev: Event<M, T>) {
+    pub(crate) fn reinsert(&mut self, ev: Event<M, T>) {
         self.heap.push(ev);
     }
 
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.earliest().map(|(_, t)| t)
     }
 
     /// High-water mark of the pending-event population — the scale lane's
     /// scheduler-occupancy counter.
-    pub fn high_water(&self) -> usize {
+    pub(crate) fn high_water(&self) -> usize {
         self.high_water
     }
 
     /// Pushes no lane could take, which paid the overflow heap's
     /// `O(log n)` instead.
-    pub fn heap_pushes(&self) -> u64 {
+    pub(crate) fn heap_pushes(&self) -> u64 {
         self.heap_pushes
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.lanes.iter().map(VecDeque::len).sum::<usize>() + self.heap.len() + self.wheel.len()
     }
 
     #[cfg(test)]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! [`FaultPlan`] is the kernel's one description of network loss: the
 //! fault vocabulary a reliability layer must survive, from a uniform drop
-//! rate through per-class drop rates, message duplication, delay spikes,
+//! rate through message duplication, delay spikes,
 //! partitions, and deterministic drop schedules keyed by the kernel's
 //! per-send sequence number. The default plan is inert and the kernel
 //! skips fault evaluation entirely in that case, so a fault-free
@@ -11,8 +11,6 @@
 use std::collections::BTreeSet;
 
 use crate::id::PeerId;
-use crate::metrics::MsgClass;
-use crate::rng::DetRng;
 use crate::time::{Duration, SimTime};
 
 /// A time-windowed network partition: while `[from, until)` is active,
@@ -36,18 +34,13 @@ impl Partition {
 ///
 /// Probabilities compose in a fixed order per send: a scheduled drop (by
 /// send sequence number) is checked first and consumes no randomness; then
-/// the class-specific (or base) drop probability; then duplication; then a
+/// the drop probability; then duplication; then a
 /// delay spike on each surviving copy. All randomness comes from the kernel
 /// PRNG, so runs remain bit-for-bit reproducible from the simulation seed.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    /// Base probability that a message is silently lost, applied to every
-    /// class without an override in `class_drop`.
+    /// Probability that a message is silently lost.
     pub drop: f64,
-    /// Per-class drop-probability overrides (`None` = use `drop`). Lets a
-    /// scenario hammer query traffic while sparing heartbeats, so loss
-    /// tests do not double as failure-detector tests.
-    class_drop: [Option<f64>; MsgClass::COUNT],
     /// Probability that a delivered message arrives twice. The duplicate
     /// samples its own network delay, so duplicates also reorder.
     pub duplicate: f64,
@@ -77,17 +70,6 @@ impl FaultPlan {
     pub fn with_drop(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "drop probability out of [0,1]");
         self.drop = p;
-        self
-    }
-
-    /// Overrides the drop probability for one message class.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]` or `class` is out of range.
-    pub fn with_class_drop(mut self, class: MsgClass, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "drop probability out of [0,1]");
-        self.class_drop[class.index()] = Some(p);
         self
     }
 
@@ -123,18 +105,6 @@ impl FaultPlan {
         self
     }
 
-    /// Samples `count` distinct sequence numbers in `[0, horizon)` from
-    /// `rng` and schedules them for deterministic drops — the "drop
-    /// schedule seeded from the run RNG" knob.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count > horizon`.
-    pub fn with_random_drop_schedule(self, rng: &mut DetRng, horizon: u64, count: usize) -> Self {
-        let picks = rng.sample_indices(horizon as usize, count);
-        self.with_scheduled_drops(picks.into_iter().map(|i| i as u64))
-    }
-
     /// Partitions the network for `[from, until)`: every message with
     /// exactly one endpoint in `group` is dropped while the window is
     /// active. Traffic within `group`, and within its complement, is
@@ -162,25 +132,16 @@ impl FaultPlan {
 
     /// Whether this plan can never perturb a simulation. The kernel caches
     /// this so the fault path costs nothing when unused.
-    pub fn is_inert(&self) -> bool {
+    pub(crate) fn is_inert(&self) -> bool {
         self.drop <= 0.0
-            && self
-                .class_drop
-                .iter()
-                .all(|c| !matches!(c, Some(p) if *p > 0.0))
             && self.duplicate <= 0.0
             && self.spike_probability <= 0.0
             && self.scheduled_drops.is_empty()
             && self.partitions.is_empty()
     }
 
-    /// Effective drop probability for `class`.
-    pub fn drop_for(&self, class: MsgClass) -> f64 {
-        self.class_drop[class.index()].unwrap_or(self.drop)
-    }
-
     /// Whether send sequence `seq` is scheduled for a deterministic drop.
-    pub fn drops_seq(&self, seq: u64) -> bool {
+    pub(crate) fn drops_seq(&self, seq: u64) -> bool {
         self.scheduled_drops.contains(&seq)
     }
 }
@@ -198,27 +159,11 @@ mod tests {
     #[test]
     fn any_knob_makes_the_plan_active() {
         assert!(!FaultPlan::none().with_drop(0.1).is_inert());
-        assert!(!FaultPlan::none()
-            .with_class_drop(MsgClass::CONTROL, 0.5)
-            .is_inert());
         assert!(!FaultPlan::none().with_duplication(0.2).is_inert());
         assert!(!FaultPlan::none()
             .with_delay_spikes(0.3, Duration::from_millis(100))
             .is_inert());
         assert!(!FaultPlan::none().with_scheduled_drops([7]).is_inert());
-        // A zero-probability override is still inert.
-        assert!(FaultPlan::none()
-            .with_class_drop(MsgClass::CONTROL, 0.0)
-            .is_inert());
-    }
-
-    #[test]
-    fn class_override_shadows_base_rate() {
-        let plan = FaultPlan::none()
-            .with_drop(0.25)
-            .with_class_drop(MsgClass::HEARTBEAT, 0.0);
-        assert_eq!(plan.drop_for(MsgClass::HEARTBEAT), 0.0);
-        assert_eq!(plan.drop_for(MsgClass::DATA), 0.25);
     }
 
     #[test]
@@ -227,22 +172,6 @@ mod tests {
         assert!(plan.drops_seq(3));
         assert!(plan.drops_seq(5));
         assert!(!plan.drops_seq(4));
-    }
-
-    #[test]
-    fn random_schedule_is_deterministic_and_in_range() {
-        let sample = |seed| {
-            let mut rng = DetRng::new(seed);
-            FaultPlan::none().with_random_drop_schedule(&mut rng, 100, 10)
-        };
-        let a = sample(9);
-        let b = sample(9);
-        let drops: Vec<u64> = (0..100).filter(|&s| a.drops_seq(s)).collect();
-        assert_eq!(drops.len(), 10);
-        assert_eq!(
-            drops,
-            (0..100).filter(|&s| b.drops_seq(s)).collect::<Vec<_>>()
-        );
     }
 
     #[test]

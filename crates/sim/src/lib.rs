@@ -95,7 +95,7 @@ pub use rng::{mix64, DetRng};
 pub use sansio::{
     AllUp, Des, Effect, EffectBuf, Effects, Membership, NodeEvent, SansIo, Slot, TimerToken,
 };
-pub use sched::{EventInfo, EventTag, ScheduleDecision, ScheduleStrategy, MAX_CONSECUTIVE_DELAYS};
+pub use sched::{EventInfo, EventTag, ScheduleDecision, ScheduleStrategy};
 pub use time::{Duration, SimTime};
 pub use trace::{Trace, TraceEntry, TraceKind};
 pub use world::{sansio_world, SimConfig, World};

@@ -80,14 +80,14 @@ impl MsgClass {
     /// # Panics
     ///
     /// Panics if the class value is `>= MsgClass::COUNT`.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         let i = self.0 as usize;
         assert!(i < Self::COUNT, "message class {i} out of range");
         i
     }
 
     /// A short human-readable label for reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self.0 {
             0 => "data",
             1 => "control",
@@ -133,17 +133,15 @@ pub struct Metrics {
     per_class: [Vec<ClassTotals>; MsgClass::COUNT],
     peers: usize,
     dropped_messages: u64,
-    delivered_messages: u64,
 }
 
 impl Metrics {
     /// Creates metrics for `n` peers, all zero.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Metrics {
             per_class: std::array::from_fn(|_| Vec::new()),
             peers: n,
             dropped_messages: 0,
-            delivered_messages: 0,
         }
     }
 
@@ -165,7 +163,7 @@ impl Metrics {
 
     /// Charges `bytes` sent by `peer` in `class`.
     #[inline]
-    pub fn record_send(&mut self, peer: PeerId, class: MsgClass, bytes: u64) {
+    pub(crate) fn record_send(&mut self, peer: PeerId, class: MsgClass, bytes: u64) {
         let t = self.cell(peer, class);
         t.bytes += bytes;
         t.messages += 1;
@@ -175,18 +173,13 @@ impl Metrics {
     /// in `class`: the bytes hit the wire inside another frame, so no
     /// message is counted.
     #[inline]
-    pub fn record_piggyback(&mut self, peer: PeerId, class: MsgClass, bytes: u64) {
+    pub(crate) fn record_piggyback(&mut self, peer: PeerId, class: MsgClass, bytes: u64) {
         self.cell(peer, class).bytes += bytes;
     }
 
     /// Records a message dropped by the network.
-    pub fn record_drop(&mut self) {
+    pub(crate) fn record_drop(&mut self) {
         self.dropped_messages += 1;
-    }
-
-    /// Records a successful delivery.
-    pub fn record_delivery(&mut self) {
-        self.delivered_messages += 1;
     }
 
     /// Totals for one peer and class.
@@ -226,15 +219,6 @@ impl Metrics {
         self.per_class.iter().flatten().map(|t| t.messages).sum()
     }
 
-    /// The paper's metric: average bytes propagated per peer, for one class.
-    pub fn avg_bytes_per_peer_class(&self, class: MsgClass) -> f64 {
-        if self.peer_count() == 0 {
-            0.0
-        } else {
-            self.class_bytes(class) as f64 / self.peer_count() as f64
-        }
-    }
-
     /// The paper's metric: average bytes propagated per peer, all classes.
     pub fn avg_bytes_per_peer(&self) -> f64 {
         if self.peer_count() == 0 {
@@ -244,34 +228,18 @@ impl Metrics {
         }
     }
 
-    /// The peer that sent the most bytes, with its byte total.
-    ///
-    /// Used to verify the paper's claim that netFilter "does not impose a
-    /// performance bottleneck at the root of the hierarchy" (§IV-A).
-    pub fn max_bytes_peer(&self) -> Option<(PeerId, u64)> {
-        (0..self.peer_count())
-            .map(|i| (PeerId::new(i), self.peer_bytes(PeerId::new(i))))
-            .max_by_key(|&(_, b)| b)
-    }
-
     /// Messages dropped by the network so far.
     pub fn dropped_messages(&self) -> u64 {
         self.dropped_messages
     }
 
-    /// Messages delivered so far.
-    pub fn delivered_messages(&self) -> u64 {
-        self.delivered_messages
-    }
-
     /// Resets all counters to zero, keeping the peer count (and the
     /// columns already allocated).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         for col in &mut self.per_class {
             col.fill(ClassTotals::default());
         }
         self.dropped_messages = 0;
-        self.delivered_messages = 0;
     }
 }
 
@@ -307,8 +275,6 @@ mod tests {
         let mut m = Metrics::new(4);
         m.record_send(PeerId::new(1), MsgClass::DATA, 8);
         assert_eq!(m.avg_bytes_per_peer(), 2.0);
-        assert_eq!(m.avg_bytes_per_peer_class(MsgClass::DATA), 2.0);
-        assert_eq!(m.avg_bytes_per_peer_class(MsgClass::CONTROL), 0.0);
     }
 
     #[test]
@@ -318,23 +284,13 @@ mod tests {
     }
 
     #[test]
-    fn max_bytes_peer_finds_heaviest() {
-        let mut m = Metrics::new(3);
-        m.record_send(PeerId::new(1), MsgClass::DATA, 8);
-        m.record_send(PeerId::new(2), MsgClass::DATA, 80);
-        assert_eq!(m.max_bytes_peer(), Some((PeerId::new(2), 80)));
-    }
-
-    #[test]
     fn reset_zeroes_everything() {
         let mut m = Metrics::new(2);
         m.record_send(PeerId::new(0), MsgClass::DATA, 8);
         m.record_drop();
-        m.record_delivery();
         m.reset();
         assert_eq!(m.total_bytes(), 0);
         assert_eq!(m.dropped_messages(), 0);
-        assert_eq!(m.delivered_messages(), 0);
         assert_eq!(m.peer_count(), 2);
     }
 
@@ -433,19 +389,10 @@ mod tests {
                     for c in 0..MsgClass::COUNT {
                         let want: u64 = rows.iter().map(|row| row[c].bytes).sum();
                         prop_assert_eq!(m.class_bytes(MsgClass(c as u8)), want);
-                        let avg = want as f64 / PEERS as f64;
-                        prop_assert_eq!(m.avg_bytes_per_peer_class(MsgClass(c as u8)), avg);
                     }
                     let cells = || rows.iter().flatten();
                     prop_assert_eq!(m.total_bytes(), cells().map(|t| t.bytes).sum::<u64>());
                     prop_assert_eq!(m.total_messages(), cells().map(|t| t.messages).sum::<u64>());
-                    // `max_by_key` keeps the last of equal maxima.
-                    let heaviest = rows
-                        .iter()
-                        .enumerate()
-                        .map(|(p, row)| (PeerId::new(p), row_bytes(row)))
-                        .max_by_key(|&(_, b)| b);
-                    prop_assert_eq!(m.max_bytes_peer(), heaviest);
                     prop_assert_eq!(m.peer_count(), PEERS);
                 }
             }

@@ -36,7 +36,7 @@ impl Default for LatencyModel {
 
 impl LatencyModel {
     /// Samples a one-way delay.
-    pub fn sample(&self, rng: &mut DetRng) -> Duration {
+    pub(crate) fn sample(&self, rng: &mut DetRng) -> Duration {
         match *self {
             LatencyModel::Constant(d) => d,
             LatencyModel::Uniform { lo, hi } => {

@@ -187,7 +187,7 @@ impl EventSink {
     /// peer population. Back-to-back instrumented runs call this via
     /// `World::reset_metrics` so phase boundaries from one run cannot leak
     /// into the next report.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         if !self.enabled {
             return;
         }
@@ -260,7 +260,7 @@ impl EventSink {
 
     /// Adds wall-clock time to the phase `label` (creating it if absent).
     /// Used for scheduler-loop and per-stage profiling.
-    pub fn record_wall(&mut self, label: &str, wall: std::time::Duration) {
+    pub(crate) fn record_wall(&mut self, label: &str, wall: std::time::Duration) {
         if !self.enabled {
             return;
         }
@@ -295,13 +295,13 @@ pub struct PhaseMetrics {
     /// traffic).
     pub label: String,
     /// Bytes charged to each sending peer in this phase.
-    pub bytes_per_peer: Vec<u64>,
+    pub(crate) bytes_per_peer: Vec<u64>,
     /// Per-class totals within this phase, indexed by
     /// [`MsgClass::index`].
-    pub by_class: [ClassTotals; MsgClass::COUNT],
+    pub(crate) by_class: [ClassTotals; MsgClass::COUNT],
     /// Wall-clock time attributed to this phase (profiling; excluded from
     /// stable snapshots).
-    pub wall: std::time::Duration,
+    pub(crate) wall: std::time::Duration,
 }
 
 impl PhaseMetrics {
@@ -317,7 +317,7 @@ impl PhaseMetrics {
 
     /// Average bytes per peer (over the whole universe, the paper's
     /// denominator).
-    pub fn avg_bytes_per_peer(&self) -> f64 {
+    pub(crate) fn avg_bytes_per_peer(&self) -> f64 {
         if self.bytes_per_peer.is_empty() {
             0.0
         } else {
@@ -326,7 +326,7 @@ impl PhaseMetrics {
     }
 
     /// The heaviest-loaded sender in this phase and its bytes.
-    pub fn max_peer_bytes(&self) -> u64 {
+    pub(crate) fn max_peer_bytes(&self) -> u64 {
         self.bytes_per_peer.iter().copied().max().unwrap_or(0)
     }
 
@@ -400,7 +400,7 @@ impl MetricsReport {
     }
 
     /// Total wall-clock time across all phases.
-    pub fn total_wall(&self) -> std::time::Duration {
+    pub(crate) fn total_wall(&self) -> std::time::Duration {
         self.phases.iter().map(|p| p.wall).sum()
     }
 

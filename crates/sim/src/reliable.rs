@@ -53,7 +53,7 @@ pub enum ReliableMsg<M> {
     /// A sequenced payload; the receiver acks `(inc, seq)` and
     /// deduplicates on it.
     Data {
-        /// The sender's restart incarnation (see [`ReliableLink::on_restart`]).
+        /// The sender's restart incarnation (see `ReliableLink::on_restart`).
         inc: u32,
         /// Sender-local sequence number within incarnation `inc`.
         seq: u64,
@@ -104,7 +104,7 @@ impl Default for RelConfig {
 /// failures do not retry in lockstep.
 ///
 /// This is the single backoff schedule of the workspace: the DES-side
-/// [`ReliableLink::rto`] retransmit path and the transport crate's
+/// `ReliableLink::rto` retransmit path and the transport crate's
 /// connection supervisor both call it, so reconnect pacing over real
 /// sockets is the very policy the simulator models.
 pub fn backoff_delay(cfg: &RelConfig, attempt: u32, salt: u64) -> Duration {
@@ -178,7 +178,7 @@ impl DedupWindow {
     }
 }
 
-/// Outcome of a retransmit-timer firing (see [`ReliableLink::retransmit`]).
+/// Outcome of a retransmit-timer firing (see `ReliableLink::retransmit`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Retransmit<M> {
     /// The frame is still unacknowledged: resend it (charging `bytes` to
@@ -216,7 +216,6 @@ pub struct ReliableLink<M> {
     /// bounded by the overlay degree, so a sorted vector beats a tree map
     /// at every size the simulator reaches.
     seen: PeerMap<SenderWindow>,
-    abandoned: u64,
     /// Originals `(to, msg, bytes)` kept by [`Envelope::send_retained`]
     /// for [`Envelope::revive`] to re-send; a restart keeps them.
     backlog: Vec<(PeerId, M, u64)>,
@@ -231,7 +230,6 @@ impl<M: Clone> ReliableLink<M> {
             next_seq: 0,
             in_flight: BTreeMap::new(),
             seen: PeerMap::new(),
-            abandoned: 0,
             backlog: Vec::new(),
         }
     }
@@ -243,8 +241,7 @@ impl<M: Clone> ReliableLink<M> {
 
     /// Marks a restart of this node after a crash: bumps the incarnation,
     /// resets the sequence space, and abandons every in-flight frame (the
-    /// crash already lost their retransmit timers; counting them keeps the
-    /// [`abandoned`](Self::abandoned) escalation signal honest).
+    /// crash already lost their retransmit timers).
     ///
     /// The incarnation stamp is what makes the reset sound: receivers key
     /// their dedup windows by `(sender, inc)`, so the reused sequence
@@ -253,10 +250,9 @@ impl<M: Clone> ReliableLink<M> {
     /// late old-life duplicate against the fresh one. Receiver windows are
     /// deliberately retained: they describe the *remote* peers' lives, not
     /// this node's.
-    pub fn on_restart(&mut self) {
+    pub(crate) fn on_restart(&mut self) {
         self.inc = self.inc.wrapping_add(1);
         self.next_seq = 0;
-        self.abandoned += self.in_flight.len() as u64;
         self.in_flight.clear();
     }
 
@@ -264,7 +260,7 @@ impl<M: Clone> ReliableLink<M> {
     /// copy for retransmission. Returns the sequence number and the frame;
     /// the caller sends the frame (charging `bytes` in the message's own
     /// phase class, exactly as an unreliable send would) and arms a
-    /// retransmit timer after [`ReliableLink::rto`]`(seq, 0)`.
+    /// retransmit timer after `ReliableLink::rto(seq, 0)`.
     pub fn send_data(&mut self, to: PeerId, payload: M, bytes: u64) -> (u64, ReliableMsg<M>) {
         self.sequence(to, Held::Own(Box::new(payload.clone())), payload, bytes)
     }
@@ -300,7 +296,7 @@ impl<M: Clone> ReliableLink<M> {
     /// backoff capped at `max_rto`, plus up to half a `base_rto` of jitter
     /// hashed deterministically from `(seq, attempt)` so synchronized
     /// losses do not retransmit in lockstep (see [`backoff_delay`]).
-    pub fn rto(&self, seq: u64, attempt: u32) -> Duration {
+    pub(crate) fn rto(&self, seq: u64, attempt: u32) -> Duration {
         backoff_delay(&self.cfg, attempt, seq)
     }
 
@@ -350,12 +346,11 @@ impl<M: Clone> ReliableLink<M> {
     }
 
     /// Sender side: handles a retransmit-timer firing for `seq`.
-    pub fn retransmit(&mut self, seq: u64) -> Retransmit<M> {
+    pub(crate) fn retransmit(&mut self, seq: u64) -> Retransmit<M> {
         if !self.will_resend(seq) {
             let Some(Pending { to, .. }) = self.in_flight.remove(&seq) else {
                 return Retransmit::Acked;
             };
-            self.abandoned += 1;
             return Retransmit::GaveUp { to };
         }
         let pending = self.in_flight.get_mut(&seq).expect("will_resend found it");
@@ -379,35 +374,17 @@ impl<M: Clone> ReliableLink<M> {
         }
     }
 
-    /// Sender side: drops every in-flight frame addressed to `peer`,
-    /// counting each as abandoned. Called when a failure detector declares
+    /// Sender side: drops every in-flight frame addressed to `peer`.
+    /// Called when a failure detector declares
     /// `peer` dead — capped retries to a corpse would otherwise keep
     /// burning metered retransmit bytes until `max_retries` runs out. Any
     /// still-armed retransmit timer for a dropped frame finds it gone and
     /// reports [`Retransmit::Acked`] (a no-op), so callers need not track
     /// timer handles. Returns the number of frames dropped.
-    pub fn abandon(&mut self, peer: PeerId) -> usize {
+    pub(crate) fn abandon(&mut self, peer: PeerId) -> usize {
         let before = self.in_flight.len();
         self.in_flight.retain(|_, p| p.to != peer);
-        let dropped = before - self.in_flight.len();
-        self.abandoned += dropped as u64;
-        dropped
-    }
-
-    /// Frames currently awaiting acknowledgement.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.len()
-    }
-
-    /// Frames abandoned after exhausting retries (escalated to the caller).
-    pub fn abandoned(&self) -> u64 {
-        self.abandoned
-    }
-
-    /// Peak number of per-sender dedup windows ever held — an arena
-    /// occupancy counter for the perf benches' state-layout gate.
-    pub fn dedup_high_water(&self) -> usize {
-        self.seen.high_water()
+        before - self.in_flight.len()
     }
 
     /// A sequenced frame as effects: the frame, then its first retransmit
@@ -585,7 +562,7 @@ impl<M: Debug + Clone> Envelope<M> {
     }
 
     /// A crash/revival of this node: bumps the incarnation and abandons
-    /// the old life's frames (see [`ReliableLink::on_restart`]). Emits
+    /// the old life's frames (see `ReliableLink::on_restart`). Emits
     /// nothing; a no-op in plain mode.
     pub fn restart(&mut self) {
         if let Some(link) = self.link.as_deref_mut() {
@@ -606,7 +583,7 @@ impl<M: Debug + Clone> Envelope<M> {
         }
     }
 
-    /// Stops retransmitting toward `peer` (see [`ReliableLink::abandon`]):
+    /// Stops retransmitting toward `peer` (see `ReliableLink::abandon`):
     /// for cores whose failure detector just declared it dead.
     pub fn abandon(&mut self, peer: PeerId) {
         if let Some(link) = self.link.as_deref_mut() {
@@ -637,7 +614,7 @@ mod tests {
                 payload: "a"
             }
         );
-        assert_eq!(l.in_flight(), 2);
+        assert_eq!(l.in_flight.len(), 2);
     }
 
     #[test]
@@ -645,7 +622,7 @@ mod tests {
         let mut l = link();
         let (seq, _) = l.send_data(PeerId::new(1), "a", 4);
         l.on_ack(PeerId::new(1), 0, seq);
-        assert_eq!(l.in_flight(), 0);
+        assert_eq!(l.in_flight.len(), 0);
         assert_eq!(l.retransmit(seq), Retransmit::Acked);
         // A duplicate ack is harmless.
         l.on_ack(PeerId::new(1), 0, seq);
@@ -656,7 +633,7 @@ mod tests {
         let mut l = link();
         let (seq, _) = l.send_data(PeerId::new(1), "a", 4);
         l.on_ack(PeerId::new(9), 0, seq);
-        assert_eq!(l.in_flight(), 1);
+        assert_eq!(l.in_flight.len(), 1);
     }
 
     #[test]
@@ -679,8 +656,7 @@ mod tests {
             }
         }
         assert_eq!(l.retransmit(seq), Retransmit::GaveUp { to: PeerId::new(3) });
-        assert_eq!(l.in_flight(), 0);
-        assert_eq!(l.abandoned(), 1);
+        assert_eq!(l.in_flight.len(), 0);
         // Once abandoned, stray timers are no-ops.
         assert_eq!(l.retransmit(seq), Retransmit::Acked);
     }
@@ -693,8 +669,7 @@ mod tests {
         let (s1, _) = l.send_data(PeerId::new(5), "b", 4);
         let (s2, _) = l.send_data(dead, "c", 4);
         assert_eq!(l.abandon(dead), 2);
-        assert_eq!(l.in_flight(), 1);
-        assert_eq!(l.abandoned(), 2);
+        assert_eq!(l.in_flight.len(), 1);
         // Stray timers for the abandoned frames are silent no-ops, not
         // GaveUp escalations; the live peer's frame still retransmits.
         assert_eq!(l.retransmit(s0), Retransmit::Acked);
@@ -702,7 +677,6 @@ mod tests {
         assert!(matches!(l.retransmit(s1), Retransmit::Resend { .. }));
         // Abandoning a peer with nothing in flight is harmless.
         assert_eq!(l.abandon(dead), 0);
-        assert_eq!(l.abandoned(), 2);
     }
 
     #[test]
@@ -743,7 +717,7 @@ mod tests {
         let w = l.seen.get(p).unwrap();
         assert_eq!(w.window.next, 3, "watermark compacted past the filled gap");
         assert!(w.window.sparse.is_empty());
-        assert_eq!(l.dedup_high_water(), 1);
+        assert_eq!(l.seen.high_water(), 1);
     }
 
     #[test]
@@ -761,7 +735,7 @@ mod tests {
         assert!(!l.accept(p, 1, 0), "retransmit within the new life");
         assert!(l.accept(p, 1, 1));
         // One window per sender throughout — the arena slot is reused.
-        assert_eq!(l.dedup_high_water(), 1);
+        assert_eq!(l.seen.high_water(), 1);
     }
 
     #[test]
@@ -793,9 +767,9 @@ mod tests {
         // The old life's ack for seq 0 finally arrives: it must not clear
         // the in-flight frame of the new life.
         l.on_ack(p, 0, 0);
-        assert_eq!(l.in_flight(), 1, "stale ack cleared a current frame");
+        assert_eq!(l.in_flight.len(), 1, "stale ack cleared a current frame");
         l.on_ack(p, 1, 0);
-        assert_eq!(l.in_flight(), 0);
+        assert_eq!(l.in_flight.len(), 0);
     }
 
     #[test]
@@ -806,8 +780,7 @@ mod tests {
         assert_eq!(l.incarnation(), 0);
         l.on_restart();
         assert_eq!(l.incarnation(), 1);
-        assert_eq!(l.in_flight(), 0);
-        assert_eq!(l.abandoned(), 2);
+        assert_eq!(l.in_flight.len(), 0);
         // Stray timers from the old life find nothing to resend.
         assert_eq!(l.retransmit(0), Retransmit::Acked);
         assert_eq!(l.retransmit(1), Retransmit::Acked);
@@ -1008,7 +981,7 @@ mod tests {
             // Plain mode has nothing to restore.
             let mut plain = echo(Envelope::plain());
             plain.env.revive(&mut fx);
-            assert!(fx.is_empty());
+            assert_eq!(fx.drain().count(), 0);
         }
 
         #[test]
@@ -1025,10 +998,10 @@ mod tests {
             sender.env.restart();
             assert!(!sender.env.resends(RetransmitTimer(0)));
             assert_eq!(sender.env.on_retransmit(&mut fx, RetransmitTimer(0)), None);
-            assert!(fx.is_empty());
+            assert_eq!(fx.drain().count(), 0);
             // Nothing was retained by `send`, so even `revive` is silent.
             sender.env.revive(&mut fx);
-            assert!(fx.is_empty(), "an unretained original came back");
+            assert_eq!(fx.drain().count(), 0, "an unretained original came back");
             // The new life stamps its frames with the bumped incarnation.
             sender
                 .env
@@ -1046,7 +1019,7 @@ mod tests {
                 ..reliable()
             };
             let mut w = sansio_world(SimConfig::default().with_seed(31), vec![talker, reliable()]);
-            w.kill_now(PeerId::new(1));
+            w.schedule_kill(SimTime::ZERO, PeerId::new(1));
             w.start();
             w.run_to_quiescence();
 

@@ -47,11 +47,6 @@ impl DetRng {
         }
     }
 
-    /// The seed this generator was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derives an independent child generator for a named subsystem.
     ///
     /// The child's seed is a mix of the parent seed and `stream`, so two

@@ -214,16 +214,6 @@ impl<P: SansIo> Effects<P> {
     pub fn drain(&mut self) -> impl Iterator<Item = Effect<P::Msg, P::Timer, P::Output>> + '_ {
         self.buf.drain(..)
     }
-
-    /// Number of queued effects.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether no effects are queued.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
 }
 
 /// The driver-provided liveness view a core may consult.
@@ -315,11 +305,6 @@ impl<P: SansIo> Des<P> {
     /// The wrapped core.
     pub fn inner(&self) -> &P {
         &self.node
-    }
-
-    /// The wrapped core, mutably.
-    pub fn inner_mut(&mut self) -> &mut P {
-        &mut self.node
     }
 
     /// Results the core delivered via [`Effect::Deliver`], oldest first.
@@ -461,6 +446,6 @@ mod tests {
         let mut fx2: Effects<Ping> = Effects::from_parts(buf, next);
         let t1 = fx2.set_timer(Duration::from_secs(1), Tm::Deadline);
         assert_ne!(t0, t1);
-        assert!(fx2.len() == 1 && !fx2.is_empty());
+        assert_eq!(fx2.buf.len(), 1);
     }
 }

@@ -112,4 +112,4 @@ pub trait ScheduleStrategy: std::fmt::Debug {
 
 /// The maximum consecutive [`ScheduleDecision::Delay`]s the world honors
 /// within a single pop before forcing a take (livelock guard).
-pub const MAX_CONSECUTIVE_DELAYS: usize = 32;
+pub(crate) const MAX_CONSECUTIVE_DELAYS: usize = 32;

@@ -35,7 +35,7 @@ impl SimTime {
     }
 
     /// Returns the instant as (fractional) seconds since simulation start.
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
@@ -108,7 +108,7 @@ impl Duration {
     }
 
     /// Returns the duration as (fractional) seconds.
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 

@@ -2,10 +2,8 @@
 //!
 //! A [`Trace`] is an optional, bounded ring buffer of simulation events
 //! (sends, deliveries, timers, kills, revivals) that the [`World`] fills
-//! when tracing is enabled. Protocol bugs in asynchronous systems are
-//! ordering bugs; being able to ask "what did peer 14 see between t=40 s
-//! and t=41 s" turns hours of printf archaeology into one query. The
-//! buffer is bounded so long simulations cannot exhaust memory — when
+//! when tracing is enabled; the schedule explorer attaches its tail to
+//! every violation it reports. The buffer is bounded so long simulations cannot exhaust memory — when
 //! full, the oldest entries are evicted.
 //!
 //! [`World`]: crate::World
@@ -55,27 +53,13 @@ pub enum TraceKind {
     },
 }
 
-impl TraceKind {
-    /// The peer this event is *about* (recipient for messages, subject for
-    /// timers and churn) — the key used by [`Trace::involving`].
-    pub fn subject(&self) -> PeerId {
-        match *self {
-            TraceKind::Send { to, .. } => to,
-            TraceKind::Deliver { to, .. } => to,
-            TraceKind::Timer { peer } => peer,
-            TraceKind::Kill { peer } => peer,
-            TraceKind::Revive { peer } => peer,
-        }
-    }
-}
-
 /// One trace entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEntry {
     /// When the event happened (send time for sends, fire time otherwise).
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// What happened.
-    pub kind: TraceKind,
+    pub(crate) kind: TraceKind,
 }
 
 /// A bounded ring buffer of [`TraceEntry`] values.
@@ -83,7 +67,6 @@ pub struct TraceEntry {
 pub struct Trace {
     entries: VecDeque<TraceEntry>,
     capacity: usize,
-    evicted: u64,
 }
 
 impl Trace {
@@ -92,20 +75,18 @@ impl Trace {
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "trace capacity must be positive");
         Trace {
             entries: VecDeque::with_capacity(capacity.min(4096)),
             capacity,
-            evicted: 0,
         }
     }
 
     /// Records an event, evicting the oldest when full.
-    pub fn record(&mut self, at: SimTime, kind: TraceKind) {
+    pub(crate) fn record(&mut self, at: SimTime, kind: TraceKind) {
         if self.entries.len() == self.capacity {
             self.entries.pop_front();
-            self.evicted += 1;
         }
         self.entries.push_back(TraceEntry { at, kind });
     }
@@ -123,61 +104,6 @@ impl Trace {
     /// Whether the trace holds no entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Entries evicted due to the capacity bound.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Entries whose subject (recipient / timer owner / churn subject) or
-    /// message sender is `peer`, oldest first.
-    pub fn involving(&self, peer: PeerId) -> Vec<TraceEntry> {
-        self.entries
-            .iter()
-            .filter(|e| {
-                e.kind.subject() == peer
-                    || matches!(
-                        e.kind,
-                        TraceKind::Send { from, .. } | TraceKind::Deliver { from, .. }
-                        if from == peer
-                    )
-            })
-            .copied()
-            .collect()
-    }
-
-    /// Entries in the half-open window `[from, to)`, oldest first.
-    pub fn between(&self, from: SimTime, to: SimTime) -> Vec<TraceEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.at >= from && e.at < to)
-            .copied()
-            .collect()
-    }
-
-    /// Renders the trace as one event per line, for logs and bug reports.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for e in &self.entries {
-            let line = match e.kind {
-                TraceKind::Send {
-                    from,
-                    to,
-                    class,
-                    bytes,
-                } => format!("{} SEND {from}->{to} {} {bytes}B", e.at, class.label()),
-                TraceKind::Deliver { from, to } => {
-                    format!("{} DELIVER {from}->{to}", e.at)
-                }
-                TraceKind::Timer { peer } => format!("{} TIMER {peer}", e.at),
-                TraceKind::Kill { peer } => format!("{} KILL {peer}", e.at),
-                TraceKind::Revive { peer } => format!("{} REVIVE {peer}", e.at),
-            };
-            out.push_str(&line);
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -220,52 +146,7 @@ mod tests {
             tr.record(t(i), send(0, 1));
         }
         assert_eq!(tr.len(), 3);
-        assert_eq!(tr.evicted(), 2);
         assert_eq!(tr.entries().next().unwrap().at, t(2));
-    }
-
-    #[test]
-    fn involving_matches_sender_and_subject() {
-        let mut tr = Trace::new(10);
-        tr.record(t(1), send(0, 1)); // involves 0 and 1
-        tr.record(t(2), send(2, 3)); // involves 2 and 3
-        tr.record(
-            t(3),
-            TraceKind::Kill {
-                peer: PeerId::new(1),
-            },
-        );
-        assert_eq!(tr.involving(PeerId::new(1)).len(), 2);
-        assert_eq!(tr.involving(PeerId::new(0)).len(), 1);
-        assert_eq!(tr.involving(PeerId::new(9)).len(), 0);
-    }
-
-    #[test]
-    fn between_is_half_open() {
-        let mut tr = Trace::new(10);
-        for i in 0..5 {
-            tr.record(t(i * 10), send(0, 1));
-        }
-        let window = tr.between(t(10), t(30));
-        assert_eq!(window.len(), 2);
-        assert_eq!(window[0].at, t(10));
-        assert_eq!(window[1].at, t(20));
-    }
-
-    #[test]
-    fn render_is_line_per_event() {
-        let mut tr = Trace::new(4);
-        tr.record(t(1), send(0, 1));
-        tr.record(
-            t(2),
-            TraceKind::Revive {
-                peer: PeerId::new(5),
-            },
-        );
-        let s = tr.render();
-        assert_eq!(s.lines().count(), 2);
-        assert!(s.contains("SEND P0->P1 data 8B"));
-        assert!(s.contains("REVIVE P5"));
     }
 
     #[test]

@@ -11,13 +11,13 @@
 //!
 //! * `approx-sketch-clean`: the Space-Saving gossip sketch-merge engine
 //!   at an honest capacity; every estimate stays within `⌈ε·V⌉` of the
-//!   truth and no frequent item goes missing ([`EpsilonBoundOracle`]).
+//!   truth and no frequent item goes missing (`EpsilonBoundOracle`).
 //! * `approx-topk-clean`: the threshold-algorithm top-k engine in
 //!   lossless mode; returned values are exact, recall is 1, and the
-//!   answer certifies ([`TopKRecallOracle`]).
+//!   answer certifies (`TopKRecallOracle`).
 //! * `approx-threshold-clean`: the zero-traffic local-thresholding
 //!   comparator; at no checkpoint may the root overclaim
-//!   ([`ThresholdSoundnessOracle`]).
+//!   (`ThresholdSoundnessOracle`).
 //!
 //! Three **mis-tuned negatives** the harness must catch and shrink to
 //! replayable artifacts:
@@ -34,10 +34,6 @@
 //! The registry is deliberately separate from [`crate::cases::all_cases`]
 //! (whose shape the exact-suite accounting pins); the `approx` row of
 //! `experiments smoke` drives this one.
-//!
-//! [`EpsilonBoundOracle`]: crate::oracle::EpsilonBoundOracle
-//! [`TopKRecallOracle`]: crate::oracle::TopKRecallOracle
-//! [`ThresholdSoundnessOracle`]: crate::oracle::ThresholdSoundnessOracle
 
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::{sansio_world, FaultPlan, PeerId, RelConfig, SimConfig};

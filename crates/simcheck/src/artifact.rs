@@ -39,7 +39,7 @@ pub struct Artifact {
     /// The oracle the shrunk perturbation violates.
     pub oracle: String,
     /// Human-readable violation description.
-    pub detail: String,
+    pub(crate) detail: String,
     /// The shrunk, replay-verified perturbation.
     pub perturbation: Perturbation,
 }

@@ -58,7 +58,7 @@ pub struct Case {
     /// Stable case name (doubles as the artifact file stem).
     pub name: &'static str,
     /// Protocol family, for per-(protocol, seed) schedule accounting.
-    pub protocol: &'static str,
+    pub(crate) protocol: &'static str,
     /// `Some(oracle)` for pinned bugs: the oracle expected to fire.
     pub expect_violation: Option<&'static str>,
     /// The exploration budget this case ships with.

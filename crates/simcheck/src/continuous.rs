@@ -6,7 +6,7 @@
 //! from scratch at every epoch fence — across message loss, duplication,
 //! schedule perturbation, and a mid-run kill/revive of a leaf whose
 //! buffered deltas the tree must absorb late. This registry holds that
-//! promise to the [`WindowConsistencyOracle`]:
+//! promise to the `WindowConsistencyOracle`:
 //!
 //! * `continuous-clean`: nine peers, a three-bucket window over six epoch
 //!   fences, **two** standing queries multiplexed over the shared delta
@@ -22,8 +22,6 @@
 //! Like [`crate::approx`], this registry is deliberately separate from
 //! [`crate::cases::all_cases`] (whose shape the exact-suite accounting
 //! pins); the `continuous` row of `experiments smoke` drives it.
-//!
-//! [`WindowConsistencyOracle`]: crate::oracle::WindowConsistencyOracle
 
 use ifi_hierarchy::Hierarchy;
 use ifi_sim::{sansio_world, FaultPlan, PeerId, RelConfig, SimConfig};

@@ -2,7 +2,7 @@
 //!
 //! Trial 0 always runs the unperturbed schedule (the plain seeded run the
 //! rest of the suite sees); subsequent trials install a fresh
-//! [`RandomStrategy`] stream and a fresh set of scheduled message drops.
+//! `RandomStrategy` stream and a fresh set of scheduled message drops.
 //! Every trial's schedule fingerprint is collected, so a case can assert
 //! genuinely distinct interleavings were explored. The first violation —
 //! an oracle `Err` or a captured handler panic — stops the loop and is
@@ -30,9 +30,9 @@ const TRACE_WINDOW: usize = 24;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Perturbation {
     /// `(consultation index, decision)` pairs, ascending.
-    pub decisions: Vec<(u64, ScheduleDecision)>,
+    pub(crate) decisions: Vec<(u64, ScheduleDecision)>,
     /// Kernel send-sequence numbers dropped on the wire.
-    pub extra_drops: Vec<u64>,
+    pub(crate) extra_drops: Vec<u64>,
 }
 
 impl Perturbation {
@@ -151,7 +151,7 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 /// plan), install `strategy`, drive to quiescence or the horizon with
 /// interval checkpoints, then run the end checkpoint. Returns the
 /// schedule fingerprint on success.
-pub fn run_one<P: SansIo>(
+pub(crate) fn run_one<P: SansIo>(
     build: &dyn Fn(&[u64]) -> World<Des<P>>,
     oracles: &dyn Fn() -> Vec<Box<dyn Oracle<P>>>,
     cfg: &ExploreConfig,

@@ -5,9 +5,9 @@
 //! messages. This crate turns the kernel's [`ScheduleStrategy`] hook into
 //! a small model checker:
 //!
-//! * [`strategy`] — a seeded [`RandomStrategy`] that perturbs tie-breaks
+//! * [`strategy`] — a seeded `RandomStrategy` that perturbs tie-breaks
 //!   and delivery timing while logging every non-default decision, and a
-//!   [`ReplayStrategy`] that re-applies a recorded decision script bit
+//!   `ReplayStrategy` that re-applies a recorded decision script bit
 //!   for bit.
 //! * [`oracle`] — invariant oracles checked at configurable intervals and
 //!   at the end of a run: IFI exactness against the ground-truth fold,
@@ -16,7 +16,7 @@
 //! * [`explore`](mod@explore) — the trial loop: run many perturbed schedules, count
 //!   distinct schedule fingerprints, and stop at the first oracle
 //!   violation (handler panics are captured and reported as violations).
-//! * [`shrink`] — greedy minimization of a violating perturbation to a
+//! * `shrink` — greedy minimization of a violating perturbation to a
 //!   minimal replayable repro.
 //! * [`artifact`] — replayable repro files (seed + perturbation script +
 //!   trace window) under `results/simcheck/`, consumed by the
@@ -32,12 +32,10 @@
 //!   hold under every schedule, plus three pinned historical bugs the
 //!   harness must rediscover (heartbeat churn-race panic,
 //!   count-to-infinity freeze, double-merge under duplication).
-//! * [`scale`] — the complementary axis: one run per protocol family at
-//!   `N = 10^4` on the dense-arena layout, all six oracles consulted
-//!   (CI's `scale` job runs it in release mode).
+//! * `scale` (a test module) — the complementary axis: one run per
+//!   protocol family at `N = 10^4` on the dense-arena layout, all six
+//!   oracles consulted (CI's `scale` job runs it in release mode).
 //!
-//! [`RandomStrategy`]: strategy::RandomStrategy
-//! [`ReplayStrategy`]: strategy::ReplayStrategy
 //! [`ScheduleStrategy`]: ifi_sim::ScheduleStrategy
 
 #![warn(missing_docs)]
@@ -48,8 +46,7 @@ pub mod cases;
 pub mod continuous;
 pub mod explore;
 pub mod oracle;
-pub mod scale;
-pub mod shrink;
+mod shrink;
 pub mod strategy;
 
 pub use approx::approx_cases;
@@ -58,5 +55,6 @@ pub use cases::{all_cases, find_case, Case};
 pub use continuous::continuous_cases;
 pub use explore::{explore, replay, ExploreConfig, ExploreReport, FoundViolation, Perturbation};
 pub use oracle::{Checkpoint, Oracle, Violation};
-pub use scale::{run_scale_check, ScaleVerdict};
-pub use strategy::{DecisionLog, RandomStrategy, ReplayStrategy, StrategyKnobs};
+
+#[cfg(test)]
+mod scale;

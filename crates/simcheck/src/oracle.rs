@@ -39,7 +39,7 @@ pub struct Violation {
     pub detail: String,
     /// A window of the world's event trace leading up to the violation
     /// (empty when tracing was off or the run died in a panic).
-    pub trace: Vec<String>,
+    pub(crate) trace: Vec<String>,
 }
 
 /// An invariant over a `World<Des<P>>`, checked at interval and end
@@ -55,11 +55,11 @@ pub trait Oracle<P: SansIo> {
 /// netFilter exactness: at the end of the run the root must hold exactly
 /// the ground-truth frequent-item set, values included.
 #[derive(Debug)]
-pub struct ExactnessOracle {
+pub(crate) struct ExactnessOracle {
     /// The query root.
-    pub root: PeerId,
+    pub(crate) root: PeerId,
     /// The ground-truth IFI answer.
-    pub expected: Vec<(ItemId, u64)>,
+    pub(crate) expected: Vec<(ItemId, u64)>,
 }
 
 impl Oracle<NetFilterProtocol> for ExactnessOracle {
@@ -126,11 +126,11 @@ impl Oracle<NetFilterProtocol> for CostOracle {
 /// must have converged to the detached state — a frozen finite depth is
 /// exactly the count-to-infinity failure.
 #[derive(Debug)]
-pub struct TreeOracle {
+pub(crate) struct TreeOracle {
     /// The overlay the tree must be embedded in.
-    pub topology: Topology,
+    pub(crate) topology: Topology,
     /// The hierarchy root.
-    pub root: PeerId,
+    pub(crate) root: PeerId,
 }
 
 impl Oracle<MaintainProtocol> for TreeOracle {
@@ -218,13 +218,13 @@ impl Oracle<MaintainProtocol> for TreeOracle {
 
 /// Epoch-fence monotonicity: no peer's served epoch ever regresses.
 #[derive(Debug, Default)]
-pub struct EpochFenceOracle {
+pub(crate) struct EpochFenceOracle {
     last: Vec<u64>,
 }
 
 impl EpochFenceOracle {
     /// Creates the oracle with no epochs observed yet.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 }
@@ -258,9 +258,9 @@ impl Oracle<ResilientProtocol> for EpochFenceOracle {
 /// duplicated aggregation frame violates this immediately, even though
 /// the inflated census demotes the epoch's certificate to `Partial`.
 #[derive(Debug)]
-pub struct NoInflationOracle {
+pub(crate) struct NoInflationOracle {
     /// The ground-truth fold of the workload.
-    pub truth: GroundTruth,
+    pub(crate) truth: GroundTruth,
 }
 
 impl Oracle<ResilientProtocol> for NoInflationOracle {
@@ -294,9 +294,9 @@ impl Oracle<ResilientProtocol> for NoInflationOracle {
 /// exact IFI over the full roster — the certified answer, the whole
 /// answer, and nothing but the answer.
 #[derive(Debug)]
-pub struct CensusSoundnessOracle {
+pub(crate) struct CensusSoundnessOracle {
     /// The exact IFI answer over the full peer set.
-    pub expected: Vec<(ItemId, u64)>,
+    pub(crate) expected: Vec<(ItemId, u64)>,
 }
 
 impl Oracle<ResilientProtocol> for CensusSoundnessOracle {
@@ -336,15 +336,15 @@ impl Oracle<ResilientProtocol> for CensusSoundnessOracle {
 /// may be missing from the answer. An engine whose capacity cannot honor
 /// its claimed ε violates one of the two immediately.
 #[derive(Debug)]
-pub struct EpsilonBoundOracle {
+pub(crate) struct EpsilonBoundOracle {
     /// The query root.
-    pub root: PeerId,
+    pub(crate) root: PeerId,
     /// The ground-truth fold of the workload.
-    pub truth: GroundTruth,
+    pub(crate) truth: GroundTruth,
     /// The resolved frequency threshold `t`.
-    pub threshold: u64,
+    pub(crate) threshold: u64,
     /// The ε the engine claims.
-    pub claimed_epsilon: f64,
+    pub(crate) claimed_epsilon: f64,
 }
 
 impl Oracle<SketchProtocol> for EpsilonBoundOracle {
@@ -394,16 +394,16 @@ impl Oracle<SketchProtocol> for EpsilonBoundOracle {
 /// contain at least the claimed fraction of the true top-k, and a
 /// `certified` answer must equal the true prefix outright.
 #[derive(Debug)]
-pub struct TopKRecallOracle {
+pub(crate) struct TopKRecallOracle {
     /// The query root.
-    pub root: PeerId,
+    pub(crate) root: PeerId,
     /// The ground-truth fold of the workload.
-    pub truth: GroundTruth,
+    pub(crate) truth: GroundTruth,
     /// The true top-k prefix (ties broken like the engine: value
     /// descending, then id ascending).
-    pub expected: Vec<(ItemId, u64)>,
+    pub(crate) expected: Vec<(ItemId, u64)>,
     /// The recall the engine's tuning claims.
-    pub claimed_recall: f64,
+    pub(crate) claimed_recall: f64,
 }
 
 impl Oracle<TopKProtocol> for TopKRecallOracle {
@@ -466,17 +466,17 @@ impl Oracle<TopKProtocol> for TopKRecallOracle {
 ///
 /// [`FadePolicy::None`]: netfilter::continuous::FadePolicy::None
 #[derive(Debug, Clone)]
-pub struct WindowConsistencyOracle {
+pub(crate) struct WindowConsistencyOracle {
     /// The query root.
-    pub root: PeerId,
+    pub(crate) root: PeerId,
     /// Every peer's per-epoch record batches — the ground-truth input.
-    pub schedules: Vec<Vec<Vec<(ItemId, u64)>>>,
+    pub(crate) schedules: Vec<Vec<Vec<(ItemId, u64)>>>,
     /// The window size `W` in buckets.
-    pub window: usize,
+    pub(crate) window: usize,
     /// The configured epoch count: all must certify by the end.
-    pub epochs: usize,
+    pub(crate) epochs: usize,
     /// The registered query thresholds, in registry order.
-    pub thresholds: Vec<u64>,
+    pub(crate) thresholds: Vec<u64>,
 }
 
 impl Oracle<ContinuousProtocol> for WindowConsistencyOracle {
@@ -549,11 +549,11 @@ impl Oracle<ContinuousProtocol> for WindowConsistencyOracle {
 /// `t`, and its running lower bound may never exceed the true value
 /// (double-counting a relayed report violates this first).
 #[derive(Debug)]
-pub struct ThresholdSoundnessOracle {
+pub(crate) struct ThresholdSoundnessOracle {
     /// The query root.
-    pub root: PeerId,
+    pub(crate) root: PeerId,
     /// The item's true global value.
-    pub truth_value: u64,
+    pub(crate) truth_value: u64,
 }
 
 impl Oracle<LocalThresholdProtocol> for ThresholdSoundnessOracle {

@@ -34,11 +34,11 @@ use crate::oracle::{
 
 /// One oracle's verdict from the scale run.
 #[derive(Debug)]
-pub struct ScaleVerdict {
+pub(crate) struct ScaleVerdict {
     /// The oracle's stable name (matches [`Oracle::name`]).
-    pub oracle: &'static str,
+    pub(crate) oracle: &'static str,
     /// `Err(detail)` if the invariant was violated.
-    pub result: Result<(), String>,
+    pub(crate) result: Result<(), String>,
 }
 
 fn secs(s: u64) -> SimTime {
@@ -66,7 +66,7 @@ fn record(slot: &mut Result<(), String>, fresh: Result<(), String>) {
 /// invariant oracles. The stateful resilient oracles are additionally
 /// checked every 2 s of sim time, mirroring the explorer's interval
 /// checkpoints.
-pub fn run_scale_check(n: usize, seed: u64) -> Vec<ScaleVerdict> {
+pub(crate) fn run_scale_check(n: usize, seed: u64) -> Vec<ScaleVerdict> {
     let data = SystemData::generate_paper(
         &WorkloadParams {
             peers: n,

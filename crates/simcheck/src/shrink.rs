@@ -82,7 +82,7 @@ impl<P: SansIo> Shrinker<'_, P> {
 /// violation it reproduces. `violation` is the one originally observed;
 /// it is returned unchanged if no smaller repro exists (or the empty
 /// perturbation already violates — a schedule-independent bug).
-pub fn shrink<P: SansIo>(
+pub(crate) fn shrink<P: SansIo>(
     cfg: &ExploreConfig,
     build: &dyn Fn(&[u64]) -> World<Des<P>>,
     oracles: &dyn Fn() -> Vec<Box<dyn Oracle<P>>>,

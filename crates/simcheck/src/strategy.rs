@@ -2,9 +2,9 @@
 //!
 //! The contract that makes shrinking and artifacts work: a world's
 //! execution is a pure function of (seed, fault plan, decision script).
-//! [`RandomStrategy`] draws decisions from its own [`DetRng`] — separate
+//! `RandomStrategy` draws decisions from its own [`DetRng`] — separate
 //! from the world's — and logs every non-default one as
-//! `(consultation index, decision)`. [`ReplayStrategy`] re-applies such a
+//! `(consultation index, decision)`. `ReplayStrategy` re-applies such a
 //! script, answering `Take(0)` everywhere else, which reproduces the
 //! original execution exactly: the kernel consults the strategy at
 //! deterministic points, so equal decision sequences yield equal runs.
@@ -18,17 +18,17 @@ use ifi_sim::{DetRng, EventInfo, ScheduleDecision, ScheduleStrategy};
 /// Shared log of the non-default decisions a [`RandomStrategy`] made,
 /// keyed by consultation index. Shared via `Rc` so the explorer keeps a
 /// handle that survives a handler panic inside `catch_unwind`.
-pub type DecisionLog = Rc<RefCell<Vec<(u64, ScheduleDecision)>>>;
+pub(crate) type DecisionLog = Rc<RefCell<Vec<(u64, ScheduleDecision)>>>;
 
-/// Tuning knobs for [`RandomStrategy`].
+/// Tuning knobs for `RandomStrategy`.
 #[derive(Debug, Clone, Copy)]
 pub struct StrategyKnobs {
     /// Probability of taking a non-head event from a tied batch.
-    pub reorder: f64,
+    pub(crate) reorder: f64,
     /// Probability of pushing one delivery of the batch later.
-    pub delay: f64,
+    pub(crate) delay: f64,
     /// Upper bound on a manufactured delivery delay, in microseconds.
-    pub max_delay_micros: u64,
+    pub(crate) max_delay_micros: u64,
 }
 
 impl Default for StrategyKnobs {
@@ -44,7 +44,7 @@ impl Default for StrategyKnobs {
 /// Seeded schedule perturbation: reorders tied batches and manufactures
 /// delivery delays, recording every non-default decision.
 #[derive(Debug)]
-pub struct RandomStrategy {
+pub(crate) struct RandomStrategy {
     rng: DetRng,
     knobs: StrategyKnobs,
     consultations: u64,
@@ -53,7 +53,7 @@ pub struct RandomStrategy {
 
 impl RandomStrategy {
     /// Creates a strategy drawing from `rng`, logging into `log`.
-    pub fn new(rng: DetRng, knobs: StrategyKnobs, log: DecisionLog) -> Self {
+    pub(crate) fn new(rng: DetRng, knobs: StrategyKnobs, log: DecisionLog) -> Self {
         RandomStrategy {
             rng,
             knobs,
@@ -103,14 +103,14 @@ impl ScheduleStrategy for RandomStrategy {
 /// Replays a recorded decision script: the decision logged at each
 /// consultation index, `Take(0)` (the unperturbed schedule) elsewhere.
 #[derive(Debug)]
-pub struct ReplayStrategy {
+pub(crate) struct ReplayStrategy {
     decisions: BTreeMap<u64, ScheduleDecision>,
     consultations: u64,
 }
 
 impl ReplayStrategy {
     /// Creates a replayer for the given `(consultation, decision)` pairs.
-    pub fn new(decisions: impl IntoIterator<Item = (u64, ScheduleDecision)>) -> Self {
+    pub(crate) fn new(decisions: impl IntoIterator<Item = (u64, ScheduleDecision)>) -> Self {
         ReplayStrategy {
             decisions: decisions.into_iter().collect(),
             consultations: 0,

@@ -1,16 +1,15 @@
 //! Seed-replayable fault injection for the threaded transport.
 //!
 //! [`ChaosPlan`] is the transport-side sibling of the simulator's
-//! `FaultPlan`: the same declarative vocabulary (probabilistic drops,
-//! duplication, delays, time-windowed partitions) plus the faults only a
-//! real runtime can express — connection resets and peer-thread crashes
-//! with delayed restarts. A plan maps onto the DES vocabulary via
-//! [`ChaosPlan::fault_plan`], which is what lets the chaos-equivalence
+//! `FaultPlan`: the same declarative vocabulary (probabilistic drops and
+//! time-windowed partitions) plus the fault only a real runtime can
+//! express — peer-thread crashes with delayed restarts. A plan maps onto
+//! the DES vocabulary via [`ChaosPlan::fault_plan`], which is what lets the chaos-equivalence
 //! suite run *the same* failure scenario under both drivers and hold them
 //! to the same certified answer and the same metered byte classes.
 //!
 //! Randomness comes from one seeded [`DetRng`] behind a mutex: the
-//! *decision stream* (the sequence of drop/duplicate/delay draws) is a
+//! *decision stream* (the sequence of drop draws) is a
 //! pure function of the seed, replayable across runs. Which frame meets
 //! which decision still depends on thread interleaving — real transports
 //! have no deterministic event order, and the protocol's exactness must
@@ -23,19 +22,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration as StdDuration;
 
-use ifi_sim::{DetRng, Duration, FaultPlan, PeerId, SimTime};
+use ifi_sim::{DetRng, FaultPlan, PeerId, SimTime};
 
 /// A wall-clock-windowed partition: while `[from, until)` is active
 /// (measured from the run's epoch), frames with exactly one endpoint in
 /// `group` are severed.
 #[derive(Debug, Clone)]
-pub struct ChaosPartition {
+pub(crate) struct ChaosPartition {
     /// Window start, relative to the run epoch.
-    pub from: StdDuration,
+    pub(crate) from: StdDuration,
     /// Window end (exclusive), relative to the run epoch.
-    pub until: StdDuration,
+    pub(crate) until: StdDuration,
     /// One side of the partition; the complement is the other side.
-    pub group: BTreeSet<PeerId>,
+    pub(crate) group: BTreeSet<PeerId>,
 }
 
 impl ChaosPartition {
@@ -51,24 +50,13 @@ impl ChaosPartition {
 /// `restart_after` the supervisor respawns it and re-delivers `Start`,
 /// which a crash-survivable core answers with its re-send path.
 #[derive(Debug, Clone, Copy)]
-pub struct CrashPoint {
+pub(crate) struct CrashPoint {
     /// The peer whose thread crashes.
-    pub peer: PeerId,
+    pub(crate) peer: PeerId,
     /// Crash instant, relative to the run epoch.
-    pub at: StdDuration,
+    pub(crate) at: StdDuration,
     /// Downtime before the supervisor restarts the peer.
-    pub restart_after: StdDuration,
-}
-
-/// A scheduled connection reset: at `at` the peer's link to the fabric is
-/// severed (without touching the thread); the supervisor's reconnect loop
-/// redials it under capped exponential backoff.
-#[derive(Debug, Clone, Copy)]
-pub struct ResetPoint {
-    /// The peer whose connection is reset.
-    pub peer: PeerId,
-    /// Reset instant, relative to the run epoch.
-    pub at: StdDuration,
+    pub(crate) restart_after: StdDuration,
 }
 
 /// A declarative, seed-replayable description of the faults the transport
@@ -76,21 +64,13 @@ pub struct ResetPoint {
 #[derive(Debug, Clone)]
 pub struct ChaosPlan {
     /// Seed of the fault decision stream.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Probability that a routed frame is silently dropped.
-    pub drop: f64,
-    /// Probability that a delivered frame arrives twice.
-    pub duplicate: f64,
-    /// Probability that a delivered frame is held back by `delay`.
-    pub delay_probability: f64,
-    /// Extra one-way delay when the delay draw fires.
-    pub delay: StdDuration,
+    pub(crate) drop: f64,
     /// Wall-clock partition windows.
-    pub partitions: Vec<ChaosPartition>,
+    partitions: Vec<ChaosPartition>,
     /// Scheduled peer-thread crashes.
-    pub crashes: Vec<CrashPoint>,
-    /// Scheduled connection resets.
-    pub resets: Vec<ResetPoint>,
+    pub(crate) crashes: Vec<CrashPoint>,
 }
 
 impl ChaosPlan {
@@ -99,12 +79,8 @@ impl ChaosPlan {
         ChaosPlan {
             seed,
             drop: 0.0,
-            duplicate: 0.0,
-            delay_probability: 0.0,
-            delay: StdDuration::ZERO,
             partitions: Vec::new(),
             crashes: Vec::new(),
-            resets: Vec::new(),
         }
     }
 
@@ -121,32 +97,6 @@ impl ChaosPlan {
     pub fn with_drop(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "drop probability out of [0,1]");
         self.drop = p;
-        self
-    }
-
-    /// Sets the frame duplication probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]`.
-    pub fn with_duplication(mut self, p: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "duplication probability out of [0,1]"
-        );
-        self.duplicate = p;
-        self
-    }
-
-    /// Sets the delay probability and magnitude.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not in `[0, 1]`.
-    pub fn with_delay(mut self, p: f64, delay: StdDuration) -> Self {
-        assert!((0.0..=1.0).contains(&p), "delay probability out of [0,1]");
-        self.delay_probability = p;
-        self.delay = delay;
         self
     }
 
@@ -177,44 +127,26 @@ impl ChaosPlan {
         self
     }
 
-    /// Schedules a connection reset for `peer` at `at`.
-    pub fn with_reset(mut self, peer: PeerId, at: StdDuration) -> Self {
-        self.resets.push(ResetPoint { peer, at });
-        self
-    }
-
     /// Whether this plan can never perturb a run — the chaos path is
     /// skipped entirely in that case, so an inert run behaves exactly
     /// like the pre-chaos transport.
-    pub fn is_inert(&self) -> bool {
-        self.drop <= 0.0
-            && self.duplicate <= 0.0
-            && self.delay_probability <= 0.0
-            && self.partitions.is_empty()
-            && self.crashes.is_empty()
-            && self.resets.is_empty()
+    pub(crate) fn is_inert(&self) -> bool {
+        self.drop <= 0.0 && self.partitions.is_empty() && self.crashes.is_empty()
     }
 
     /// Whether an active partition window severs `(from, to)` at `elapsed`
     /// since the run epoch. Consumes no randomness.
-    pub fn partitioned(&self, elapsed: StdDuration, from: PeerId, to: PeerId) -> bool {
+    pub(crate) fn partitioned(&self, elapsed: StdDuration, from: PeerId, to: PeerId) -> bool {
         self.partitions.iter().any(|p| p.severs(elapsed, from, to))
     }
 
-    /// The corresponding DES fault plan: the same drop / duplication /
-    /// delay probabilities and the same partition windows translated onto
-    /// simulated time. Crashes and resets have no `FaultPlan` analogue —
-    /// the DES driver expresses them as `schedule_kill` / `schedule_revive`
-    /// calls (see [`ChaosPlan::crash_schedule`]); a reset is invisible to
-    /// the DES because its network has no connections to sever.
+    /// The corresponding DES fault plan: the same drop probability and
+    /// the same partition windows translated onto simulated time. Crashes
+    /// have no `FaultPlan` analogue — the DES driver expresses them as
+    /// `schedule_kill` / `schedule_revive` calls (see
+    /// [`ChaosPlan::crash_schedule`]).
     pub fn fault_plan(&self) -> FaultPlan {
-        let mut plan = FaultPlan::none()
-            .with_drop(self.drop)
-            .with_duplication(self.duplicate)
-            .with_delay_spikes(
-                self.delay_probability,
-                Duration::from_micros(self.delay.as_micros() as u64),
-            );
+        let mut plan = FaultPlan::none().with_drop(self.drop);
         for p in &self.partitions {
             plan = plan.with_partition(
                 SimTime::from_micros(p.from.as_micros() as u64),
@@ -246,10 +178,6 @@ pub(crate) enum Verdict {
     Deliver,
     /// Silently drop the frame.
     Drop,
-    /// Deliver the frame twice.
-    Duplicate,
-    /// Hold the frame back for the plan's delay, then deliver.
-    Delay(StdDuration),
 }
 
 /// Shared runtime state of a chaos plan: the plan plus the seeded
@@ -282,8 +210,8 @@ impl ChaosState {
     }
 
     /// Judges one frame. Partitions are checked first and consume no
-    /// randomness; then drop, duplication, and delay draws in fixed order
-    /// (the `FaultPlan` composition order).
+    /// randomness; then the drop draw (the `FaultPlan` composition
+    /// order).
     pub(crate) fn judge(&self, elapsed: StdDuration, from: PeerId, to: PeerId) -> Verdict {
         if self.inert {
             return Verdict::Deliver;
@@ -297,12 +225,6 @@ impl ChaosState {
             drop(rng);
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return Verdict::Drop;
-        }
-        if self.plan.duplicate > 0.0 && rng.chance(self.plan.duplicate) {
-            return Verdict::Duplicate;
-        }
-        if self.plan.delay_probability > 0.0 && rng.chance(self.plan.delay_probability) {
-            return Verdict::Delay(self.plan.delay);
         }
         Verdict::Deliver
     }
@@ -329,30 +251,18 @@ mod tests {
     fn every_knob_activates_the_plan() {
         let p = PeerId::new(0);
         assert!(!ChaosPlan::new(1).with_drop(0.1).is_inert());
-        assert!(!ChaosPlan::new(1).with_duplication(0.1).is_inert());
-        assert!(!ChaosPlan::new(1)
-            .with_delay(0.1, StdDuration::from_millis(5))
-            .is_inert());
         assert!(!ChaosPlan::new(1)
             .with_partition(StdDuration::ZERO, StdDuration::from_secs(1), [p])
             .is_inert());
         assert!(!ChaosPlan::new(1)
             .with_crash(p, StdDuration::ZERO, StdDuration::from_millis(50))
             .is_inert());
-        assert!(!ChaosPlan::new(1)
-            .with_reset(p, StdDuration::ZERO)
-            .is_inert());
     }
 
     #[test]
     fn decision_stream_is_replayable_from_the_seed() {
         let draws = |seed| {
-            let state = ChaosState::new(
-                ChaosPlan::new(seed)
-                    .with_drop(0.3)
-                    .with_duplication(0.2)
-                    .with_delay(0.1, StdDuration::from_millis(2)),
-            );
+            let state = ChaosState::new(ChaosPlan::new(seed).with_drop(0.3));
             (0..200)
                 .map(|_| state.judge(StdDuration::ZERO, PeerId::new(0), PeerId::new(1)))
                 .collect::<Vec<_>>()
@@ -394,21 +304,14 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_mapping_preserves_probabilities_and_windows() {
-        let plan = ChaosPlan::new(11)
-            .with_drop(0.25)
-            .with_duplication(0.5)
-            .with_delay(0.125, StdDuration::from_millis(30))
-            .with_partition(
-                StdDuration::from_millis(100),
-                StdDuration::from_millis(200),
-                [PeerId::new(2), PeerId::new(3)],
-            );
+    fn fault_plan_mapping_preserves_the_drop_rate_and_windows() {
+        let plan = ChaosPlan::new(11).with_drop(0.25).with_partition(
+            StdDuration::from_millis(100),
+            StdDuration::from_millis(200),
+            [PeerId::new(2), PeerId::new(3)],
+        );
         let des = plan.fault_plan();
         assert_eq!(des.drop, 0.25);
-        assert_eq!(des.duplicate, 0.5);
-        assert_eq!(des.spike_probability, 0.125);
-        assert_eq!(des.spike, Duration::from_millis(30));
         assert!(des.partitioned(
             SimTime::from_micros(150_000),
             PeerId::new(2),

@@ -5,7 +5,7 @@
 //! one thread per peer, real clocks for timers, and either in-process
 //! channels ([`run_channel`]) or TCP loopback sockets ([`run_tcp`]) as
 //! the message fabric. The fabric's helper threads — the TCP readers,
-//! the hub's forwarders and accept loop, the chaos courier — come from a
+//! the hub's forwarders and accept loop — come from a
 //! pool of parked workers reused across runs, so a run starts and joins
 //! only its peer threads. Over TCP, the hub acknowledges each peer's
 //! hello once its route exists, and every ack is in before any peer
@@ -42,15 +42,14 @@
 //!
 //! Both fabrics accept a seed-replayable [`ChaosPlan`] — the transport
 //! sibling of the simulator's `FaultPlan` — via [`run_channel_chaos`] /
-//! [`run_tcp_chaos`]: probabilistic frame drops, duplication, and delays;
-//! wall-clock partition windows; scheduled connection resets; and
-//! peer-thread crashes with delayed restarts. A main-thread supervisor
+//! [`run_tcp_chaos`]: probabilistic frame drops, wall-clock partition
+//! windows, and peer-thread crashes with delayed restarts. A main-thread supervisor
 //! owns the fault timeline: it tears crashed peers down (mailbox and
 //! armed timers lost, link severed), respawns them after their downtime,
 //! and reconnects severed links under capped exponential backoff with
-//! deterministic jitter ([`Backoff`], reusing the reliability envelope's
+//! deterministic jitter (`Backoff`, reusing the reliability envelope's
 //! RTO schedule) confirmed by ping/pong health checks. Mailboxes are
-//! bounded ([`MAILBOX_CAP`]): a full mailbox load-sheds the frame with a
+//! bounded (`MAILBOX_CAP`): a full mailbox load-sheds the frame with a
 //! metered `mailbox-shed` warning instead of blocking the sender, and a
 //! reliability envelope recovers the shed frame like any other loss.
 //! [`ChaosPlan::fault_plan`] maps a plan onto the DES vocabulary, which
@@ -64,9 +63,8 @@ mod supervisor;
 mod tcp;
 mod wire;
 
-pub use chaos::{ChaosPartition, ChaosPlan, CrashPoint, ResetPoint};
-pub use runtime::{run_channel, run_channel_chaos, RunOutcome, IDLE_WAIT, MAILBOX_CAP};
-pub use supervisor::Backoff;
+pub use chaos::ChaosPlan;
+pub use runtime::{run_channel, run_channel_chaos, RunOutcome};
 pub use tcp::{run_tcp, run_tcp_chaos};
 pub use wire::{WireCodec, WireError};
 

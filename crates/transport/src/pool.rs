@@ -2,7 +2,7 @@
 //!
 //! Starting and joining an OS thread costs tens of microseconds, and one
 //! TCP run needs about 130 short-lived helpers (a reader per peer, a
-//! forwarder per hub connection, the accept loop, the chaos courier). A
+//! forwarder per hub connection, the accept loop). A
 //! finished helper therefore parks instead of exiting, and the next
 //! [`spawn`] hands it a new job. A worker parked for [`IDLE_RETIRE`]
 //! exits on its own, so an idle process gives its threads back.

@@ -4,14 +4,14 @@
 //! Architecture: one thread per peer runs the sans-io core behind a
 //! *bounded* mailbox; every thread reports to the main-thread supervisor
 //! over one merged control channel ([`Ctl`]). The supervisor owns the
-//! fault timeline of a [`ChaosPlan`] (crashes, resets), the per-peer
+//! crash timeline of a [`ChaosPlan`], the per-peer
 //! reconnect loop (capped exponential backoff + health-check pings, see
 //! [`crate::supervisor::Backoff`]), and final teardown. Message routing
 //! goes through a [`Fabric`] — in-process channels here, TCP loopback in
 //! [`crate::tcp`] — so chaos injection and supervision are fabric-
-//! agnostic. A fabric's helpers (the chaos courier here; readers,
-//! forwarders and the accept loop over TCP) run on pooled threads
-//! ([`crate::pool`]); peer threads are started per run.
+//! agnostic. The TCP fabric's helpers (readers, forwarders and the
+//! accept loop) run on pooled threads ([`crate::pool`]); peer threads are
+//! started per run.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -26,19 +26,18 @@ use ifi_sim::{
 };
 
 use crate::chaos::{ChaosPlan, ChaosState, Verdict};
-use crate::pool::{self, Task};
 use crate::supervisor::Backoff;
 
 /// How long an idle node loop sleeps between checks for shutdown/crash
 /// flags when no armed timer bounds the wait. Also the upper bound on the
 /// latency of a stop or crash taking effect.
-pub const IDLE_WAIT: StdDuration = StdDuration::from_millis(50);
+pub(crate) const IDLE_WAIT: StdDuration = StdDuration::from_millis(50);
 
 /// Bounded mailbox depth per peer. A full mailbox sheds the frame (with a
 /// metered `mailbox-shed` warning) instead of blocking the sender — the
 /// transport never deadlocks on backpressure, and a reliability envelope
 /// recovers the shed frame like any other loss.
-pub const MAILBOX_CAP: usize = 4096;
+pub(crate) const MAILBOX_CAP: usize = 4096;
 
 /// How long teardown waits for every peer thread to hand back its core
 /// before declaring the run wedged.
@@ -333,49 +332,6 @@ impl<M> Mailboxes<M> {
 /// (pongs from ping round-trips, link-down reports from reader threads).
 pub(crate) type CtlHook = Arc<dyn Fn(PeerId) + Send + Sync>;
 
-/// A deferred delivery job: fire this closure at the given instant.
-type DelayedJob = (Instant, Box<dyn FnOnce() + Send>);
-
-/// A single pooled helper that delivers delayed (chaos-held) frames at
-/// their due time.
-pub(crate) struct Courier {
-    tx: Mutex<Option<Sender<DelayedJob>>>,
-    task: Mutex<Option<Task<()>>>,
-}
-
-impl Courier {
-    pub(crate) fn new() -> Self {
-        let (tx, rx) = mpsc::channel::<DelayedJob>();
-        let task = pool::spawn(move || {
-            while let Ok((due, job)) = rx.recv() {
-                let wait = due.saturating_duration_since(Instant::now());
-                if !wait.is_zero() {
-                    thread::sleep(wait);
-                }
-                job();
-            }
-        });
-        Courier {
-            tx: Mutex::new(Some(tx)),
-            task: Mutex::new(Some(task)),
-        }
-    }
-
-    pub(crate) fn schedule(&self, due: Instant, job: Box<dyn FnOnce() + Send>) {
-        if let Some(tx) = self.tx.lock().expect("courier poisoned").as_ref() {
-            let _ = tx.send((due, job));
-        }
-    }
-
-    /// Drops the queue and joins the helper (pending jobs still run).
-    pub(crate) fn shutdown(&self) {
-        self.tx.lock().expect("courier poisoned").take();
-        if let Some(t) = self.task.lock().expect("courier poisoned").take() {
-            let _ = t.join();
-        }
-    }
-}
-
 /// Channel fabric: delivery into the bounded mailbox registry, with chaos
 /// verdicts applied on the send path (the channel analogue of injecting
 /// at the TCP hub).
@@ -383,7 +339,6 @@ pub(crate) struct ChannelFabric<M> {
     pub(crate) mailboxes: Arc<Mailboxes<M>>,
     chaos: Arc<ChaosState>,
     shared: Arc<Shared>,
-    courier: Courier,
     /// Severed links; a severed peer can neither send nor receive, the
     /// in-process stand-in for a reset TCP connection.
     down: Vec<AtomicBool>,
@@ -402,7 +357,6 @@ impl<M> ChannelFabric<M> {
             mailboxes,
             chaos,
             shared,
-            courier: Courier::new(),
             down: (0..n).map(|_| AtomicBool::new(false)).collect(),
             pong,
         }
@@ -427,25 +381,6 @@ impl<M: Clone + Send + 'static> Fabric<M> for ChannelFabric<M> {
                 Delivery::Shed => SendStatus::Shed,
                 _ => SendStatus::Sent,
             },
-            Verdict::Duplicate => {
-                let first = self.deliver(to, from, msg.clone());
-                let _ = self.deliver(to, from, msg.clone());
-                match first {
-                    Delivery::Shed => SendStatus::Shed,
-                    _ => SendStatus::Sent,
-                }
-            }
-            Verdict::Delay(d) => {
-                let mailboxes = Arc::clone(&self.mailboxes);
-                let msg = msg.clone();
-                self.courier.schedule(
-                    Instant::now() + d,
-                    Box::new(move || {
-                        let _ = mailboxes.deliver(to, Input::Msg { from, msg });
-                    }),
-                );
-                SendStatus::Sent
-            }
         }
     }
 
@@ -464,9 +399,7 @@ impl<M: Clone + Send + 'static> Fabric<M> for ChannelFabric<M> {
         }
     }
 
-    fn teardown(&self) {
-        self.courier.shutdown();
-    }
+    fn teardown(&self) {}
 }
 
 /// One peer's thread: the sans-io core plus the driver state the DES
@@ -674,12 +607,6 @@ struct Sup<P: SansIo> {
     backoff: Backoff,
 }
 
-/// The chaos timeline, precomputed against the run epoch.
-enum Action {
-    Crash(PeerId, StdDuration),
-    Reset(PeerId),
-}
-
 /// Everything `supervise` needs, bundled so channel and TCP runners share
 /// the loop verbatim.
 pub(crate) struct Supervised<P: SansIo, F> {
@@ -782,42 +709,26 @@ where
         let mut restarts = 0u64;
         let mut outputs = Vec::new();
 
-        let mut timeline: Vec<(Instant, Action)> = self
+        let mut timeline: Vec<(Instant, PeerId, StdDuration)> = self
             .chaos
             .plan
             .crashes
             .iter()
-            .map(|c| (epoch + c.at, Action::Crash(c.peer, c.restart_after)))
-            .chain(
-                self.chaos
-                    .plan
-                    .resets
-                    .iter()
-                    .map(|r| (epoch + r.at, Action::Reset(r.peer))),
-            )
+            .map(|c| (epoch + c.at, c.peer, c.restart_after))
             .collect();
-        timeline.sort_by_key(|&(t, _)| t);
+        timeline.sort_by_key(|&(t, ..)| t);
         let mut ti = 0;
 
         let deadline = Instant::now() + max_wait;
         loop {
             let now = Instant::now();
-            // 1. Fire due chaos actions.
+            // 1. Fire due crashes.
             while ti < timeline.len() && timeline[ti].0 <= now {
-                match timeline[ti].1 {
-                    Action::Crash(p, restart_after) => {
-                        self.flags[p.index()].crashed.store(true, Ordering::Relaxed);
-                        self.mailboxes.deregister(p);
-                        self.fabric.sever(p);
-                        sup[p.index()].restart_due = Some(timeline[ti].0 + restart_after);
-                    }
-                    Action::Reset(p) => {
-                        self.fabric.sever(p);
-                        sup[p.index()].link_down = true;
-                        // First redial immediately; backoff thereafter.
-                        sup[p.index()].redial_due = Some(now);
-                    }
-                }
+                let (at, p, restart_after) = timeline[ti];
+                self.flags[p.index()].crashed.store(true, Ordering::Relaxed);
+                self.mailboxes.deregister(p);
+                self.fabric.sever(p);
+                sup[p.index()].restart_due = Some(at + restart_after);
                 ti += 1;
             }
             // 2. Restart crashed peers whose downtime has elapsed (and
@@ -970,7 +881,7 @@ where
 }
 
 /// Runs `nodes` over the in-process channel fabric under `plan`: frames
-/// meet seeded drops/duplication/delays and partition windows on the
+/// meet seeded drops and partition windows on the
 /// fabric, scheduled peers crash (thread torn down, mailbox and timers
 /// lost) and are restarted by the supervisor, and severed links reconnect
 /// under capped exponential backoff with health-check pings.

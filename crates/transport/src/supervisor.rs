@@ -15,7 +15,7 @@ use ifi_sim::{backoff_delay, RelConfig};
 
 /// Per-peer reconnect backoff state.
 #[derive(Debug, Clone)]
-pub struct Backoff {
+pub(crate) struct Backoff {
     cfg: RelConfig,
     salt: u64,
     attempt: u32,
@@ -24,7 +24,7 @@ pub struct Backoff {
 impl Backoff {
     /// A fresh schedule. `salt` keys the jitter stream — use the peer id
     /// so concurrent reconnectors spread out deterministically.
-    pub fn new(cfg: RelConfig, salt: u64) -> Self {
+    pub(crate) fn new(cfg: RelConfig, salt: u64) -> Self {
         Backoff {
             cfg,
             salt,
@@ -35,7 +35,7 @@ impl Backoff {
     /// The delay to wait before the next reconnect attempt, advancing the
     /// schedule: `base_rto * 2^attempt`, capped at `max_rto`, plus a
     /// jitter of at most half the base RTO.
-    pub fn next_delay(&mut self) -> StdDuration {
+    pub(crate) fn next_delay(&mut self) -> StdDuration {
         let d = backoff_delay(&self.cfg, self.attempt, self.salt);
         self.attempt = self.attempt.saturating_add(1);
         StdDuration::from_micros(d.as_micros())
@@ -43,13 +43,8 @@ impl Backoff {
 
     /// A successful health-check round-trip: the link is live again, so
     /// the schedule resets to the base delay.
-    pub fn on_health_ok(&mut self) {
+    pub(crate) fn on_health_ok(&mut self) {
         self.attempt = 0;
-    }
-
-    /// Reconnect attempts made since the last healthy round-trip.
-    pub fn attempt(&self) -> u32 {
-        self.attempt
     }
 }
 
@@ -78,9 +73,9 @@ mod tests {
         let first = b.next_delay();
         let _ = b.next_delay();
         let _ = b.next_delay();
-        assert_eq!(b.attempt(), 3);
+        assert_eq!(b.attempt, 3);
         b.on_health_ok();
-        assert_eq!(b.attempt(), 0);
+        assert_eq!(b.attempt, 0);
         assert_eq!(b.next_delay(), first, "reset must replay the schedule");
     }
 
@@ -145,7 +140,7 @@ mod tests {
                 let before: Vec<_> = (0..reset_after).map(|_| b.next_delay()).collect();
                 prop_assert_eq!(&before, &fresh, "same (cfg, salt) must replay");
                 b.on_health_ok();
-                prop_assert_eq!(b.attempt(), 0);
+                prop_assert_eq!(b.attempt, 0);
                 let after: Vec<_> = (0..reset_after).map(|_| b.next_delay()).collect();
                 prop_assert_eq!(&after, &fresh, "reset must restart the schedule");
             }

@@ -9,8 +9,8 @@
 //! paper's byte counts (see [`RunOutcome::frames_sent`]).
 //!
 //! Chaos is injected at the hub — the one place every frame crosses — so
-//! drops, duplication, delays, and partition windows hit real serialized
-//! traffic. Connection resets and crash teardowns sever a peer's socket;
+//! drops and partition windows hit real serialized traffic. Crash
+//! teardowns sever a peer's socket;
 //! the supervisor's reconnect loop redials through the hub's persistent
 //! accept loop, which rebinds the peer's hub-side route on every fresh
 //! hello.
@@ -40,15 +40,15 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration as StdDuration, Instant};
+use std::time::Duration as StdDuration;
 
 use ifi_sim::{PeerId, SansIo};
 
 use crate::chaos::{ChaosPlan, ChaosState, Verdict};
 use crate::pool::{self, Task};
 use crate::runtime::{
-    Courier, Ctl, CtlHook, Delivery, Fabric, Input, Mailboxes, PeerFlags, RunOutcome, SendStatus,
-    Shared, Supervised,
+    Ctl, CtlHook, Delivery, Fabric, Input, Mailboxes, PeerFlags, RunOutcome, SendStatus, Shared,
+    Supervised,
 };
 use crate::wire::WireCodec;
 
@@ -162,7 +162,6 @@ struct Hub {
     accept_task: Mutex<Option<Task<()>>>,
     forwarders: Arc<Mutex<Vec<Task<()>>>>,
     dests: Arc<Vec<Mutex<Option<TcpStream>>>>,
-    courier: Arc<Courier>,
 }
 
 impl Hub {
@@ -173,7 +172,6 @@ impl Hub {
         let dests: Arc<Vec<Mutex<Option<TcpStream>>>> =
             Arc::new((0..n).map(|_| Mutex::new(None)).collect());
         let forwarders: Arc<Mutex<Vec<Task<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let courier = Arc::new(Courier::new());
         #[cfg(test)]
         let register_delay = REGISTER_DELAY.get();
 
@@ -181,7 +179,6 @@ impl Hub {
             let accepting = Arc::clone(&accepting);
             let dests = Arc::clone(&dests);
             let forwarders = Arc::clone(&forwarders);
-            let courier = Arc::clone(&courier);
             pool::spawn(move || {
                 while accepting.load(Ordering::Relaxed) {
                     let (mut s, _) = match listener.accept() {
@@ -230,7 +227,6 @@ impl Hub {
                         Arc::clone(&dests),
                         Arc::clone(&chaos),
                         Arc::clone(&shared),
-                        Arc::clone(&courier),
                     );
                     forwarders
                         .lock()
@@ -245,7 +241,6 @@ impl Hub {
             accept_task: Mutex::new(Some(accept)),
             forwarders,
             dests,
-            courier,
         })
     }
 
@@ -267,7 +262,6 @@ impl Hub {
         dests: Arc<Vec<Mutex<Option<TcpStream>>>>,
         chaos: Arc<ChaosState>,
         shared: Arc<Shared>,
-        courier: Arc<Courier>,
     ) -> Task<()> {
         pool::spawn(move || loop {
             match read_frame(&mut reader) {
@@ -286,17 +280,6 @@ impl Hub {
                     match chaos.judge(shared.epoch.elapsed(), from, to) {
                         Verdict::Drop => {}
                         Verdict::Deliver => Hub::forward(&dests, from, to, &payload),
-                        Verdict::Duplicate => {
-                            Hub::forward(&dests, from, to, &payload);
-                            Hub::forward(&dests, from, to, &payload);
-                        }
-                        Verdict::Delay(d) => {
-                            let dests = Arc::clone(&dests);
-                            courier.schedule(
-                                Instant::now() + d,
-                                Box::new(move || Hub::forward(&dests, from, to, &payload)),
-                            );
-                        }
                     }
                 }
                 Ok(None) => break,
@@ -336,7 +319,6 @@ impl Hub {
         for t in handles {
             let _ = t.join();
         }
-        self.courier.shutdown();
     }
 }
 
@@ -564,7 +546,7 @@ where
 }
 
 /// Runs `nodes` over the TCP loopback hub under `plan`: serialized frames
-/// meet seeded drops/duplication/delays and partition windows at the hub,
+/// meet seeded drops and partition windows at the hub,
 /// scheduled peers crash and restart under supervision, and severed
 /// sockets redial through the hub's persistent accept loop with capped
 /// exponential backoff and ping/pong health checks.

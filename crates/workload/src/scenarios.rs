@@ -25,7 +25,7 @@ use crate::zipf::ZipfSampler;
 /// # Panics
 ///
 /// Panics if `a == b` or either exceeds `vocabulary`.
-pub fn pair_item(a: u64, b: u64, vocabulary: u64) -> ItemId {
+pub(crate) fn pair_item(a: u64, b: u64, vocabulary: u64) -> ItemId {
     assert!(a != b, "a keyword does not co-occur with itself");
     assert!(
         a < vocabulary && b < vocabulary,
@@ -33,11 +33,6 @@ pub fn pair_item(a: u64, b: u64, vocabulary: u64) -> ItemId {
     );
     let (lo, hi) = if a < b { (a, b) } else { (b, a) };
     ItemId(lo * vocabulary + hi)
-}
-
-/// Decodes a pair item id back into `(lo, hi)` keyword ids.
-pub fn decode_pair(item: ItemId, vocabulary: u64) -> (u64, u64) {
-    (item.0 / vocabulary, item.0 % vocabulary)
 }
 
 /// Frequent-keyword workload: each peer issues `queries_per_peer` queries
@@ -75,7 +70,7 @@ pub fn keyword_queries(
 }
 
 /// Co-occurring keyword-pair workload built from the same query model as
-/// [`keyword_queries`]; items are unordered pairs encoded by [`pair_item`].
+/// [`keyword_queries`]; items are unordered pairs encoded by `pair_item`.
 pub fn cooccurring_pairs(
     peers: usize,
     vocabulary: u64,
@@ -183,7 +178,7 @@ pub fn flow_traffic(
 /// pairs they forward. Communication is assortative (each source talks
 /// mostly to a few Zipf-favoured destinations), so some pairs dominate —
 /// the input for "network topology optimization" and "social relationship
-/// analysis". Items encode unordered address pairs via [`pair_item`] over
+/// analysis". Items encode unordered address pairs via `pair_item` over
 /// the peer-id space.
 pub fn contacted_pairs(peers: usize, packets_per_peer: usize, theta: f64, seed: u64) -> SystemData {
     assert!(peers >= 3, "need at least 3 peers for src/dst/forwarder");
@@ -298,6 +293,11 @@ pub fn byte_sequences(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decodes a pair item id back into `(lo, hi)` keyword ids.
+    fn decode_pair(item: ItemId, vocabulary: u64) -> (u64, u64) {
+        (item.0 / vocabulary, item.0 % vocabulary)
+    }
     use crate::stats::GroundTruth;
 
     #[test]

@@ -51,11 +51,6 @@ impl GroundTruth {
         self.total
     }
 
-    /// The item universe size `n` (items with zero global value included).
-    pub fn universe(&self) -> u64 {
-        self.universe
-    }
-
     /// Number of items with positive global value.
     pub fn present_items(&self) -> usize {
         self.globals.len()
@@ -292,7 +287,7 @@ mod tests {
                 }
                 prop_assert_eq!(truth.total_value(), naive.values().sum::<u64>());
                 prop_assert_eq!(truth.present_items(), naive.len());
-                prop_assert_eq!(truth.universe(), universe);
+                prop_assert_eq!(truth.universe, universe);
             }
         }
     }

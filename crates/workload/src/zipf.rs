@@ -14,7 +14,6 @@ use ifi_sim::DetRng;
 pub struct ZipfSampler {
     /// `cdf[k]` = P(rank ≤ k), strictly increasing, last element 1.0.
     cdf: Vec<f64>,
-    theta: f64,
 }
 
 impl ZipfSampler {
@@ -41,22 +40,7 @@ impl ZipfSampler {
         }
         // Guard against floating-point shortfall at the top end.
         *cdf.last_mut().expect("n > 0") = 1.0;
-        ZipfSampler { cdf, theta }
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Whether the sampler is empty (never true for a constructed value).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
-    /// The skew parameter θ.
-    pub fn theta(&self) -> f64 {
-        self.theta
+        ZipfSampler { cdf }
     }
 
     /// Draws one 0-based rank.
@@ -71,7 +55,7 @@ impl ZipfSampler {
     /// # Panics
     ///
     /// Panics if `k` is out of range.
-    pub fn pmf(&self, k: usize) -> f64 {
+    pub(crate) fn pmf(&self, k: usize) -> f64 {
         let lo = if k == 0 { 0.0 } else { self.cdf[k - 1] };
         self.cdf[k] - lo
     }
@@ -210,7 +194,7 @@ mod tests {
             // Sampling relies on the tail covering the whole unit
             // interval: no cdf entry may exceed it.
             assert!(z.cdf.iter().all(|&c| c <= last));
-            assert_eq!(z.len(), n);
+            assert_eq!(z.cdf.len(), n);
         }
     }
 

@@ -1,8 +1,7 @@
-//! Hierarchy construction, heartbeat maintenance, and repair under churn
+//! Heartbeat maintenance and repair of the BFS hierarchy under churn
 //! (§III-A), end to end on the discrete-event simulator.
 //!
-//! 1. Peers form an unstructured overlay and build the BFS hierarchy with
-//!    real messages ([`BuildProtocol`]).
+//! 1. Peers form an unstructured overlay and the BFS hierarchy over it.
 //! 2. The maintenance protocol heartbeats (with the DEPTH counter) while
 //!    an internal peer crashes; orphaned subtrees set depth ∞ and
 //!    re-attach to the first finite-depth neighbor they hear (§III-A.3).
@@ -13,7 +12,7 @@
 //! cargo run --release --example churn_repair
 //! ```
 
-use ifi_hierarchy::{BuildProtocol, MaintainProtocol};
+use ifi_hierarchy::{Hierarchy, MaintainProtocol};
 use ifi_overlay::{HeartbeatConfig, Topology};
 use ifi_sim::{sansio_world, DetRng, Duration, MsgClass, PeerId, SimConfig, SimTime};
 use ifi_workload::{GroundTruth, SystemData, WorkloadParams};
@@ -26,20 +25,13 @@ fn main() {
     let topology = Topology::random_regular(n, 4, &mut rng);
     let root = PeerId::new(0);
 
-    // --- 1. Message-driven BFS construction. ---
-    let peers: Vec<BuildProtocol> = topology
-        .peers()
-        .map(|p| BuildProtocol::new(topology.neighbors(p).to_vec(), p == root))
-        .collect();
-    let mut build = sansio_world(SimConfig::default().with_seed(1), peers);
-    build.start();
-    let t_built = build.run_to_quiescence();
-    let hierarchy = BuildProtocol::snapshot(root, build.peers());
+    // --- 1. BFS construction. ---
+    let hierarchy = Hierarchy::bfs(&topology, root);
     hierarchy.check_invariants(Some(&topology));
     println!(
-        "construction: {} peers joined in {t_built} using {} control bytes",
+        "construction: {} peers joined, height {}",
         hierarchy.member_count(),
-        build.metrics().class_bytes(MsgClass::CONTROL),
+        hierarchy.height(),
     );
 
     // --- 2. Maintenance + a crash. ---

@@ -2,13 +2,18 @@
 //! has **no false positives, no false negatives, and exact global values**
 //! — for any workload, any topology, and any (g, f, φ) configuration.
 
-use ifi_hierarchy::Hierarchy;
+use ifi_hierarchy::{Hierarchy, MultiHierarchy};
 use ifi_overlay::Topology;
-use ifi_sim::{DetRng, PeerId, SimConfig};
+use ifi_sim::{sansio_world, DetRng, Duration, PeerId, SimConfig, SimTime};
 use ifi_workload::{scenarios, GroundTruth, ItemId, SystemData, WorkloadParams};
 use netfilter::continuous::ContinuousConfig;
-use netfilter::engines::{reference_family, ContinuousEngine, Engine, ErrorClaim, NaiveEngine};
+use netfilter::engines::{
+    reference_family, ContinuousEngine, Engine, ErrorClaim, ExactEngine, NaiveEngine,
+    ThresholdEngine,
+};
+use netfilter::local_threshold::LocalThresholdConfig;
 use netfilter::naive::NaiveConfig;
+use netfilter::resilient::{Certificate, ResilientConfig, ResilientProtocol};
 use netfilter::{NetFilter, NetFilterConfig, Threshold, WireSizes};
 use proptest::prelude::*;
 
@@ -181,9 +186,40 @@ fn every_table_i_scenario_reduces_to_exact_ifi() {
     }
 }
 
-/// Every engine of the family, the continuous one included, on the
-/// corner inputs: none may panic, and the one-shot exact engines
-/// (netFilter, naive) must equal the ground truth.
+/// `reference_family` with every engine that takes a threshold asking for
+/// the absolute threshold `t` instead of its reference ratio.
+fn family_at(t: u64, item: ItemId) -> Vec<Box<dyn Engine>> {
+    let t = Threshold::Absolute(t);
+    reference_family(item)
+        .into_iter()
+        .map(|engine| -> Box<dyn Engine> {
+            match engine.name() {
+                "netfilter-exact" => Box::new(ExactEngine {
+                    config: NetFilterConfig::builder()
+                        .filter_size(50)
+                        .filters(3)
+                        .threshold(t)
+                        .build(),
+                }),
+                "naive" => Box::new(NaiveEngine {
+                    config: NaiveConfig {
+                        threshold: t,
+                        sizes: WireSizes::default(),
+                    },
+                }),
+                "threshold-local" => Box::new(ThresholdEngine {
+                    config: LocalThresholdConfig::new(t),
+                    item,
+                }),
+                _ => engine,
+            }
+        })
+        .collect()
+}
+
+/// Every engine of the family, the continuous and the resilient one
+/// included, on the corner inputs: none may panic, and the exact engines
+/// must equal the ground truth.
 #[test]
 fn degenerate_workloads() {
     let one =
@@ -201,6 +237,17 @@ fn degenerate_workloads() {
         (
             "every peer empty",
             SystemData::from_local_sets(vec![vec![], vec![]], 10),
+            true,
+        ),
+        (
+            "duplicate ids on one peer",
+            SystemData::from_local_sets(
+                vec![
+                    vec![(ItemId(2), 3), (ItemId(0), 1), (ItemId(2), 4)],
+                    vec![(ItemId(2), 1)],
+                ],
+                5,
+            ),
             true,
         ),
         ("one item at i64::MAX", one(0, i64::MAX as u64), true),
@@ -239,16 +286,71 @@ fn degenerate_workloads() {
         );
     }
 
-    // netFilter with the threshold exactly at the single value, and above
-    // it: the item, then an empty result.
+    // Duplicate ids on one peer are coalesced on input, so every engine
+    // answers exactly as it does on the merged sets.
+    let duplicated = &corners[3].1;
+    let merged = SystemData::from_local_sets(
+        vec![vec![(ItemId(0), 1), (ItemId(2), 7)], vec![(ItemId(2), 1)]],
+        5,
+    );
+    let h = Hierarchy::balanced(2, 3);
+    for engine in &reference_family(ItemId(2)) {
+        let dup = engine.run_des(&h, duplicated, SimConfig::default());
+        let one_each = engine.run_des(&h, &merged, SimConfig::default());
+        assert_eq!(dup.items, one_each.items, "duplicate ids: {}", dup.engine);
+        assert_eq!(
+            dup.certified, one_each.certified,
+            "duplicate ids: {}",
+            dup.engine
+        );
+    }
+
+    // The threshold exactly at the single value, and above it: the item,
+    // then an empty answer from every engine that takes a threshold (a
+    // local-threshold *yes* above the value would be a lie).
     let h = Hierarchy::balanced(1, 3);
     for (t, want) in [(7, vec![(ItemId(3), 7)]), (8, vec![])] {
+        for engine in &family_at(t, ItemId(3)) {
+            let out = engine.run_des(&h, &one(3, 7), SimConfig::default());
+            if out.claim == ErrorClaim::Exact || (t > 7 && out.engine == "threshold-local") {
+                assert_eq!(out.items, want, "t = {t}: {}", out.engine);
+            }
+        }
+    }
+
+    // The resilient engine on the small corners: its first epoch is exact
+    // and certified complete.
+    let rc = ResilientConfig {
+        query_period: Duration::from_secs(4),
+        epoch_timeout: Duration::from_secs(12),
+        ..ResilientConfig::default()
+    };
+    for (input, data, _) in &corners[..3] {
+        let n = data.peer_count();
+        let topo = Topology::line(n);
+        let mh = MultiHierarchy::with_roots(&topo, &[PeerId::new(0)]);
         let config = NetFilterConfig::builder()
-            .filter_size(2)
-            .filters(1)
-            .threshold(Threshold::Absolute(t))
+            .filter_size(50)
+            .filters(3)
             .build();
-        let run = NetFilter::new(config).run(&h, &one(3, 7));
-        assert_eq!(run.frequent_items(), &want[..], "t = {t}");
+        let t = config.threshold.resolve(data.total_value());
+        let want = GroundTruth::compute(data).frequent_items(t);
+        let mut w = sansio_world(
+            SimConfig::default(),
+            ResilientProtocol::peers(&config, rc, &topo, &mh, data, None),
+        );
+        w.start();
+        w.run_until(SimTime::from_micros(10_000_000));
+        let done = w.peer(PeerId::new(0)).completed_epochs();
+        assert!(!done.is_empty(), "{input}: resilient completed no epoch");
+        for er in done {
+            assert_eq!(er.answer, want, "{input}: resilient epoch {}", er.epoch);
+            assert_eq!(
+                er.certificate,
+                Certificate::Complete,
+                "{input}: resilient epoch {}",
+                er.epoch
+            );
+        }
     }
 }

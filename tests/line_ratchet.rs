@@ -15,8 +15,9 @@ const NON_TEST_LINES: &[(&str, usize)] = &[
     ("src", 314),
     // 1 226 with the instant walk in place of the one-pass convergecast core;
     // 1 266 with a `build_world` pair beside `peers`; 1 249 before runs
-    // were summed on arrival with checked sums.
-    ("crates/agg", 1289),
+    // were summed on arrival with checked sums; 1 289 with a sink-less
+    // `push_sum_vec` wrapper and a never-read `rounds` field.
+    ("crates/agg", 1274),
     // 4 881 while each of nine smoke lanes kept its own run struct,
     // subcommand and `write_metrics`; 4 550 while metric and perf
     // snapshots had two gates, each with its own tolerance; 4 344 while
@@ -33,21 +34,34 @@ const NON_TEST_LINES: &[(&str, usize)] = &[
     // continuous deltas were concatenated and sorted at each fence; 5 906
     // while naive, top-k and the local-threshold comparator each had a
     // runner and result type beside their `Engine` impl; 5 753 while a
-    // `Codec` over the `bytes` crate sat under `NfWire`'s envelope.
-    ("crates/core", 5681),
-    ("crates/hierarchy", 1164),
-    ("crates/overlay", 1184),
+    // `Codec` over the `bytes` crate sat under `NfWire`'s envelope; 5 681
+    // with the recruitment pipeline, the multi-request broker, the Eq. 4
+    // model and the accessors nothing outside their unit tests called.
+    ("crates/core", 5356),
+    // 1 164 with the message-driven `BuildProtocol` and a member filter on
+    // `Hierarchy::bfs`.
+    ("crates/hierarchy", 1001),
+    // 1 184 with `Overlay`/`StableSelection`, flooding search, four
+    // topology generators no run used and a member filter on BFS depths.
+    ("crates/overlay", 663),
     // 518 with a wall-clock role, `BenchReport::parse` and its comparator.
     ("crates/perf", 166),
     // 3 854 while the kernel also drove the `Protocol`/`Ctx` interface;
-    // 3 731 while a `#[cfg(test)]` on one method ended a file's count.
-    ("crates/sim", 3818),
+    // 3 731 while a `#[cfg(test)]` on one method ended a file's count;
+    // 3 818 with per-class drop rates, a random drop schedule, trace
+    // queries and rendering, and counters only unit tests read.
+    ("crates/sim", 3595),
     // 2 357 with a `find_*` lookup per case registry; 2 354 while the
-    // approx and continuous registries each kept their own fault helpers.
-    ("crates/simcheck", 2304),
-    // 1 588 while a `#[cfg(test)]` on one item ended a file's count.
-    ("crates/transport", 2157),
-    ("crates/workload", 836),
+    // approx and continuous registries each kept their own fault helpers;
+    // 2 304 with root re-exports of, and doc links to, items nothing
+    // outside the crate names.
+    ("crates/simcheck", 2293),
+    // 1 588 while a `#[cfg(test)]` on one item ended a file's count; 2 157
+    // with chaos duplication, delays and connection resets, and the
+    // courier thread that held delayed frames.
+    ("crates/transport", 1976),
+    // 836 with `decode_pair` and accessors only unit tests called.
+    ("crates/workload", 815),
 ];
 
 /// Non-blank lines before the first `#[cfg(test)]` that gates a `mod` of

@@ -1,17 +1,12 @@
-//! The full paper pipeline, end to end: churn-scored stable-peer
-//! recruitment → overlay attachment → hierarchy over participants →
-//! sampling-based tuning → netFilter — verified against ground truth over
-//! **all** peers' data, exactly as §III-A prescribes ("other peers forward
-//! their local item sets to one of these peers participating in
-//! netFilter").
+//! The paper's pipeline, end to end: overlay → BFS hierarchy →
+//! preliminary aggregates → sampling-based tuning → netFilter, verified
+//! against ground truth over every peer's data.
 
 use ifi_agg::{gossip, Collect, ConvergecastProtocol, ScalarSum};
 use ifi_hierarchy::Hierarchy;
-use ifi_overlay::churn::{ChurnSchedule, SessionModel};
-use ifi_overlay::{Overlay, StableSelection, Topology};
-use ifi_sim::{DetRng, Duration, PeerId, SimConfig, SimTime};
+use ifi_overlay::Topology;
+use ifi_sim::{DetRng, PeerId, SimConfig};
 use ifi_workload::{GroundTruth, ItemId, SystemData, WorkloadParams};
-use netfilter::recruitment::RecruitedSystem;
 use netfilter::{tuning, NetFilter, Threshold, WireSizes};
 
 #[test]
@@ -20,25 +15,9 @@ fn recruited_pipeline_answers_over_all_peers_data() {
     let seed = 71;
     let mut rng = DetRng::new(seed);
     let topo = Topology::random_regular(n, 4, &mut rng);
-
-    // Stability scoring from a churn history; recruit the top 40%.
-    let sched = ChurnSchedule::generate(
-        n,
-        SessionModel::ParetoOn {
-            scale: Duration::from_secs(60),
-            alpha: 1.5,
-            mean_off: Duration::from_secs(120),
-        },
-        SimTime::from_micros(3_600_000_000),
-        &mut rng,
-    );
-    let overlay = Overlay::recruit(topo, &sched, StableSelection::TopFraction(0.4), &mut rng);
-    overlay.check_invariants();
-    assert_eq!(overlay.participants().len(), 60);
-
-    // The workload lives on ALL peers; RecruitedSystem folds the
-    // non-participants' data into their attachment targets and builds the
-    // hierarchy over the (connected) participant subgraph.
+    let hierarchy = Hierarchy::bfs(&topo, PeerId::new(0));
+    hierarchy.check_invariants(Some(&topo));
+    assert_eq!(hierarchy.member_count(), n);
     let data = SystemData::generate_paper(
         &WorkloadParams {
             peers: n,
@@ -48,15 +27,11 @@ fn recruited_pipeline_answers_over_all_peers_data() {
         },
         seed,
     );
-    let sys = RecruitedSystem::recruit(overlay, &data, &WireSizes::default(), &mut rng);
-    sys.hierarchy.check_invariants(None);
-    assert_eq!(sys.folded.total_value(), data.total_value(), "no mass lost");
-    assert!(sys.avg_report_bytes() > 0.0);
 
     // Tune (g, f) by sampling, then run.
     let tuned = tuning::tune(
-        &sys.hierarchy,
-        &sys.folded,
+        &hierarchy,
+        &data,
         Threshold::Ratio(0.01),
         &ifi_agg::sampling::SamplingConfig {
             branches: 12,
@@ -65,8 +40,7 @@ fn recruited_pipeline_answers_over_all_peers_data() {
         &WireSizes::default(),
         &mut rng,
     );
-    let run = NetFilter::new(tuned.to_config(WireSizes::default(), seed))
-        .run(&sys.hierarchy, &sys.folded);
+    let run = NetFilter::new(tuned.to_config(WireSizes::default(), seed)).run(&hierarchy, &data);
 
     // The answer covers every peer's data exactly.
     let truth = GroundTruth::compute(&data);
